@@ -270,10 +270,19 @@ type responsePoint struct {
 	Attrs     []float64 `json:"attrs,omitempty"`
 }
 
+// maxQueryPoints bounds |Q| per request: each q point costs a linear
+// snap over the network's edges before the pool's admission control sees
+// the query, and the paper's workloads stop at |Q| = 8.
+const maxQueryPoints = 64
+
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	vals := r.URL.Query()
 
+	if n := len(vals["q"]); n > maxQueryPoints {
+		httpError(w, http.StatusBadRequest, fmt.Sprintf("%d query points, at most %d allowed", n, maxQueryPoints))
+		return
+	}
 	var locs []roadskyline.Location
 	for _, spec := range vals["q"] {
 		pt, err := parsePoint(spec)

@@ -7,10 +7,59 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"roadskyline"
 )
+
+// TestQueryRejectsHostileInput: /query answers 400, before snapping or
+// touching the pool, to non-finite coordinates (which used to snap to
+// edge 0 and answer 200) and to more than maxQueryPoints points.
+func TestQueryRejectsHostileInput(t *testing.T) {
+	n, err := roadskyline.Generate(roadskyline.NetworkSpec{Name: "serve", Nodes: 300, Edges: 390,
+		Jitter: 0.3, MaxStretch: 0.2, Seed: 31})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := roadskyline.NewEngine(n, n.GenerateObjects(0.4, 0, 17), roadskyline.EngineConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := roadskyline.NewPool(eng, roadskyline.PoolConfig{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	s := &server{net: n, pool: pool, log: slog.New(slog.NewTextHandler(io.Discard, nil))}
+
+	get := func(query string) int {
+		rw := httptest.NewRecorder()
+		s.handleQuery(rw, httptest.NewRequest("GET", "/query?"+query, nil))
+		return rw.Code
+	}
+	if code := get("q=0.4,0.4&q=0.6,0.5"); code != http.StatusOK {
+		t.Fatalf("plain query: status %d", code)
+	}
+	for _, bad := range []string{"q=NaN,NaN", "q=0.5,nan", "q=Inf,0.5", "q=0.5,-Inf&q=0.4,0.4"} {
+		if code := get(bad); code != http.StatusBadRequest {
+			t.Errorf("GET /query?%s: status %d, want 400", bad, code)
+		}
+	}
+	atCap := strings.Repeat("q=0.5,0.5&", maxQueryPoints)
+	if code := get(atCap); code != http.StatusOK {
+		t.Errorf("%d query points: status %d, want 200", maxQueryPoints, code)
+	}
+	if code := get(atCap + "q=0.5,0.5"); code != http.StatusBadRequest {
+		t.Errorf("%d query points: status %d, want 400", maxQueryPoints+1, code)
+	}
+	if m := pool.PoolMetrics(); m.Submitted != 2 {
+		t.Errorf("pool saw %d submissions, want only the 2 valid ones", m.Submitted)
+	}
+}
 
 // TestShutdownDrainsInflight: a request already executing when shutdown
 // begins runs to completion and its response reaches the client; the

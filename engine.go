@@ -2,7 +2,6 @@ package roadskyline
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -359,38 +358,20 @@ type WavefrontLineageEvent = distcache.LineageEvent
 // ShareWavefronts.
 func (e *Engine) WavefrontLineage() []WavefrontLineageEvent { return e.env.Flight.Lineage() }
 
-// recordFlight files one finished query with the flight recorder,
-// classifying the outcome from err and the abandoned flag the way the
-// Pool's counters do (context errors are "cancelled", other errors
-// "error"). It also finalizes the query's causal trace, if any: the
-// trace is closed (appending the modeled-I/O and root spans), removed
-// from the in-flight registry, and its span list attached to the
-// record. Recording is a no-op when the recorder is disabled; trace
-// finalization always runs.
-func (e *Engine) recordFlight(alg string, q Query, m core.Metrics, elapsed time.Duration, err error, abandoned bool, tr *obs.Trace) {
-	tr.Finish(m.IOTime)
-	e.inflight.Remove(tr)
-	if e.flight == nil {
-		return
-	}
-	outcome := obs.OutcomeServed
-	errStr := ""
-	switch {
-	case err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)):
-		outcome, errStr = obs.OutcomeCancelled, err.Error()
-	case err != nil:
-		outcome, errStr = obs.OutcomeError, err.Error()
-	case abandoned:
-		outcome = obs.OutcomeAbandoned
-	}
-	total := m.ResponseTime()
-	if total == 0 {
-		// The query never reached an algorithm's finalization (e.g. a
-		// validation error); account the wall time the caller saw.
-		total = elapsed
-	}
-	e.flight.Record(obs.FlightRecord{
-		Alg:             alg,
+// finalize is the one place a finished submission becomes its record:
+// rejected or cancelled at pool admission (zero metrics), failed in the
+// engine, completed, or an iterator at its first terminal event. The
+// outcome is classified here, once; the query's causal trace, if any,
+// closes here too (appending the modeled-I/O and root spans) and leaves
+// the in-flight registry, its span list attached to the record. began is
+// when the submission was admitted, zero when nobody timed it. The caller
+// hands the record to its consumers: a bare engine to the flight
+// recorder, a Pool to Pool.finish.
+func finalize(in *obs.Inflight, q Query, m core.Metrics, began time.Time, err error, abandoned bool) obs.FlightRecord {
+	q.trace.Finish(m.IOTime)
+	in.Remove(q.trace)
+	rec := obs.FlightRecord{
+		Alg:             q.Algorithm.String(),
 		NumPoints:       len(q.Points),
 		UseAttrs:        q.UseAttrs,
 		Alternate:       q.Alternate,
@@ -398,10 +379,10 @@ func (e *Engine) recordFlight(alg string, q Query, m core.Metrics, elapsed time.
 		NoLandmarks:     q.NoLandmarks,
 		NoDistCache:     q.NoDistCache,
 		NoShare:         q.NoShare,
-		Outcome:         outcome,
-		Err:             errStr,
-		Total:           total,
+		Outcome:         obs.Classify(err, abandoned, errOutcomes),
+		Total:           m.ResponseTime(),
 		Initial:         m.InitialResponseTime(),
+		Wall:            since(began),
 		Phases:          m.Phases,
 		Candidates:      m.Candidates,
 		NodesExpanded:   m.NodesExpanded,
@@ -412,9 +393,21 @@ func (e *Engine) recordFlight(alg string, q Query, m core.Metrics, elapsed time.
 		DistCacheMisses: m.DistCacheMisses,
 		WavefrontLeads:  m.WavefrontLeads,
 		WavefrontShares: m.WavefrontShares,
-		TraceID:         tr.ID().String(),
-		Spans:           tr.Spans(),
-	})
+		TraceID:         q.trace.ID().String(),
+		Spans:           q.trace.Spans(),
+	}
+	if err != nil {
+		rec.Err = err.Error()
+	}
+	return rec
+}
+
+// since is time.Since for stamps that are zero when timing is off.
+func since(t time.Time) time.Duration {
+	if t.IsZero() {
+		return 0
+	}
+	return time.Since(t)
 }
 
 // NumObjects returns the number of indexed objects.
@@ -640,16 +633,23 @@ func (e *Engine) Skyline(q Query) (*Result, error) {
 // number of node settlements) and returns ctx.Err(). An already-cancelled
 // context returns immediately.
 func (e *Engine) SkylineContext(ctx context.Context, q Query) (*Result, error) {
-	tr := q.trace
-	if tr == nil && q.Trace {
-		tr = e.inflight.Begin(q.Algorithm.String(), len(q.Points))
+	res, rec, err := e.run(ctx, q, time.Time{})
+	e.flight.Record(rec)
+	return res, err
+}
+
+// begin opens a submission on the engine: the causal trace when Query.Trace
+// asks for one and the Pool has not opened it already, the core query and
+// options, and the start stamp. With a flight recorder the query always
+// collects the phase breakdown (the counters and results are identical
+// with it on, TestTracerEquivalence) and is timed from began, or from now
+// when the caller did not admit it earlier; without one began passes
+// through untouched, so an untimed query never reads the clock.
+func (e *Engine) begin(q *Query, began time.Time) (core.Query, core.Options, time.Time) {
+	if q.trace == nil && q.Trace {
+		q.trace = e.inflight.Begin(q.Algorithm.String(), len(q.Points))
 	}
-	tr.SetRole(obs.RoleRun)
-	if len(q.Points) == 0 {
-		err := fmt.Errorf("roadskyline: query needs at least one point")
-		e.recordFlight(q.Algorithm.String(), q, core.Metrics{}, 0, err, false, tr)
-		return nil, err
-	}
+	q.trace.SetRole(obs.RoleRun)
 	pts := make([]graph.Location, len(q.Points))
 	for i, p := range q.Points {
 		pts[i] = graph.Location{Edge: graph.EdgeID(p.Edge), Offset: p.Offset}
@@ -663,31 +663,42 @@ func (e *Engine) SkylineContext(ctx context.Context, q Query) (*Result, error) {
 		DisableWavefrontShare: q.NoShare,
 		Tracer:                q.Tracer,
 		CollectPhases:         q.CollectPhases,
-		Trace:                 tr,
+		Trace:                 q.trace,
 	}
-	var start time.Time
 	if e.flight != nil {
-		// Recorded queries always carry the phase breakdown; the counters
-		// and results are identical with it on (TestTracerEquivalence).
 		opts.CollectPhases = true
-		start = time.Now()
-	}
-	res, err := core.Run(ctx, e.env, core.Query{Points: pts, UseAttrs: q.UseAttrs}, q.Algorithm.core(), opts)
-	if err != nil {
-		// A non-nil res carries the metrics of the work performed before
-		// the abort; the flight recorder accounts them.
-		var m core.Metrics
-		if res != nil {
-			m = res.Metrics
+		if began.IsZero() {
+			began = time.Now()
 		}
-		e.recordFlight(q.Algorithm.String(), q, m, time.Since(start), err, false, tr)
-		return nil, err
 	}
-	e.recordFlight(q.Algorithm.String(), q, res.Metrics, time.Since(start), nil, false, tr)
+	return core.Query{Points: pts, UseAttrs: q.UseAttrs}, opts, began
+}
+
+// run answers q and returns, next to the answer, the record of how the
+// submission ended; the caller hands it to its consumers.
+func (e *Engine) run(ctx context.Context, q Query, began time.Time) (*Result, obs.FlightRecord, error) {
+	cq, opts, began := e.begin(&q, began)
+	if len(q.Points) == 0 {
+		err := fmt.Errorf("roadskyline: query needs at least one point")
+		return nil, finalize(e.inflight, q, core.Metrics{}, began, err, false), err
+	}
+	res, err := core.Run(ctx, e.env, cq, q.Algorithm.core(), opts)
+	// A failed query still returns the metrics of the work performed
+	// before the abort, unless it never reached an algorithm (validation,
+	// an expired context); then the record accounts the wall time the
+	// caller saw.
+	m := core.Metrics{Total: since(began)}
+	if res != nil {
+		m = res.Metrics
+	}
+	rec := finalize(e.inflight, q, m, began, err, false)
+	if err != nil {
+		return nil, rec, err
+	}
 	out := &Result{
 		Points:  make([]SkylinePoint, len(res.Skyline)),
 		Stats:   statsFromMetrics(res.Metrics),
-		TraceID: tr.ID().String(),
+		TraceID: q.trace.ID().String(),
 	}
 	for i, p := range res.Skyline {
 		out.Points[i] = SkylinePoint{
@@ -696,7 +707,7 @@ func (e *Engine) SkylineContext(ctx context.Context, q Query) (*Result, error) {
 			Vector:    p.Vec,
 		}
 	}
-	return out, nil
+	return out, rec, nil
 }
 
 // SkylineLBC answers the query with the recommended LBC algorithm.

@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"roadskyline/internal/obs"
 )
 
 // flightTestEngine is poolTestEngine with the flight recorder on: same
@@ -33,108 +35,283 @@ func flightTestEngine(t *testing.T) (*Engine, *Network) {
 	return eng, n
 }
 
-// TestFlightRecorderPoolReconcile churns a flight-enabled pool with mixed
-// completions, cancellations, saturations and abandoned iterators, then
-// demands the recorder's outcome counts reconcile exactly with the pool's
-// submission counters (the identities documented in internal/obs/flight.go).
-// Run under -race.
-func TestFlightRecorderPoolReconcile(t *testing.T) {
-	eng, n := flightTestEngine(t)
-	pool, err := NewPool(eng, PoolConfig{Workers: 2, QueueDepth: 2})
+// queueBehindIterator holds the pool's only worker with an open iterator
+// and parks one Skyline call behind it in the admission queue. It returns
+// the iterator, the parked call's cancel function, and a wait that
+// returns the parked call's error once it ends.
+func queueBehindIterator(t *testing.T, pool *Pool, q Query) (it *PoolIterator, cancel func(), wait func() error) {
+	t.Helper()
+	it, err := pool.SkylineIter(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pool.Close()
-	queries := mixedQueries(n)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := pool.Skyline(ctx, q)
+		done <- err
+	}()
+	for deadline := time.Now().Add(10 * time.Second); pool.PoolMetrics().Waiting != 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("queued submission never started waiting for the worker")
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	return it, cancel, func() error { return <-done }
+}
 
-	const goroutines, rounds = 8, 12
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				q := queries[(g*rounds+r)%len(queries)]
-				switch r % 4 {
-				case 0:
-					pool.Skyline(context.Background(), q)
-				case 1:
-					// Deadlines from 1µs to ~1ms: some expire while waiting
-					// for a worker, some mid-expansion, some never.
-					d := time.Duration(1+g*137+r*29) * time.Microsecond
-					ctx, cancel := context.WithTimeout(context.Background(), d)
-					pool.Skyline(ctx, q)
-					cancel()
-				case 2:
-					if it, err := pool.SkylineIter(context.Background(), q); err == nil {
-						it.Next()
-						it.Close() // abandoned unless Next already exhausted it
-					}
-				case 3:
-					// A query-level validation error: the worker serves it,
-					// the recorder files it as an error.
-					pool.Skyline(context.Background(), Query{Algorithm: q.Algorithm})
+// TestFlightRecorderPoolReconcile takes a pool through every exit a
+// submission has, one table row each, and then through the churn of all
+// of them at once. After each it demands that the three accountings fed
+// by the submission's one record agree exactly: the pool's outcome
+// counters, the flight recorder's outcome counts (the identities of the
+// outcome table in internal/obs/flight.go) and the rolling window's
+// totals. Run under -race.
+func TestFlightRecorderPoolReconcile(t *testing.T) {
+	single := PoolConfig{Workers: 1, QueueDepth: 1, Window: true}
+	exits := []struct {
+		name string
+		cfg  PoolConfig
+		run  func(t *testing.T, pool *Pool, qs []Query)
+		// want is the exact flight outcome counts the row must leave; nil
+		// when timing decides them.
+		want map[string]uint64
+	}{
+		{"served", single, func(t *testing.T, pool *Pool, qs []Query) {
+			if _, err := pool.Skyline(context.Background(), qs[0]); err != nil {
+				t.Fatal(err)
+			}
+		}, map[string]uint64{"served": 1}},
+		{"query error", single, func(t *testing.T, pool *Pool, qs []Query) {
+			if _, err := pool.Skyline(context.Background(), Query{Algorithm: EDCAlg}); err == nil {
+				t.Fatal("query without points succeeded")
+			}
+		}, map[string]uint64{"error": 1}},
+		{"saturated", single, func(t *testing.T, pool *Pool, qs []Query) {
+			it, cancel, wait := queueBehindIterator(t, pool, qs[2])
+			if _, err := pool.Skyline(context.Background(), qs[0]); !errors.Is(err, ErrPoolSaturated) {
+				t.Fatalf("err = %v, want ErrPoolSaturated", err)
+			}
+			if _, err := pool.SkylineIter(context.Background(), qs[2]); !errors.Is(err, ErrPoolSaturated) {
+				t.Fatalf("iter err = %v, want ErrPoolSaturated", err)
+			}
+			it.Close()
+			if err := wait(); err != nil {
+				t.Fatal(err)
+			}
+			cancel()
+		}, map[string]uint64{"saturated": 2, "abandoned": 1, "served": 1}},
+		{"cancelled in queue", single, func(t *testing.T, pool *Pool, qs []Query) {
+			it, cancel, wait := queueBehindIterator(t, pool, qs[2])
+			cancel()
+			if err := wait(); !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			it.Close()
+		}, map[string]uint64{"cancelled": 1, "abandoned": 1}},
+		{"cancelled mid-query", single, func(t *testing.T, pool *Pool, qs []Query) {
+			// The gate holds the query after its searchers are built; the
+			// context dies there, and the expansion loop notices.
+			gate := newGateTracer()
+			q := qs[2]
+			q.Tracer = gate
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan error, 1)
+			go func() {
+				_, err := pool.Skyline(ctx, q)
+				done <- err
+			}()
+			<-gate.started
+			cancel()
+			close(gate.release)
+			if err := <-done; !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if n := pool.PoolMetrics().QueueWait.Count; n != 1 {
+				t.Errorf("%d worker checkouts, want 1: the query was not cancelled on a worker", n)
+			}
+		}, map[string]uint64{"cancelled": 1}},
+		{"closed", single, func(t *testing.T, pool *Pool, qs []Query) {
+			pool.Close()
+			if _, err := pool.Skyline(context.Background(), qs[0]); !errors.Is(err, ErrPoolClosed) {
+				t.Fatalf("err = %v, want ErrPoolClosed", err)
+			}
+			if _, err := pool.SkylineIter(context.Background(), qs[2]); !errors.Is(err, ErrPoolClosed) {
+				t.Fatalf("iter err = %v, want ErrPoolClosed", err)
+			}
+		}, map[string]uint64{"closed": 2}},
+		{"iterator drained", single, func(t *testing.T, pool *Pool, qs []Query) {
+			it, err := pool.SkylineIter(context.Background(), qs[2])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for {
+				if _, ok, err := it.Next(); err != nil {
+					t.Fatal(err)
+				} else if !ok {
+					break
 				}
 			}
-		}(g)
+			it.Close() // after exhaustion: no second record
+		}, map[string]uint64{"served": 1}},
+		{"iterator abandoned", single, func(t *testing.T, pool *Pool, qs []Query) {
+			it, err := pool.SkylineIter(context.Background(), qs[2])
+			if err != nil {
+				t.Fatal(err)
+			}
+			it.Close()
+			it.Close()
+		}, map[string]uint64{"abandoned": 1}},
+		{"iterator failed", single, func(t *testing.T, pool *Pool, qs []Query) {
+			// At the start: a query the engine rejects.
+			if _, err := pool.SkylineIter(context.Background(), Query{}); err == nil {
+				t.Fatal("iterator without points started")
+			}
+			// Mid-iteration: the context dies between two Next calls.
+			ctx, cancel := context.WithCancel(context.Background())
+			it, err := pool.SkylineIter(ctx, qs[2])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok, err := it.Next(); err != nil || !ok {
+				t.Fatalf("first Next: ok=%v err=%v", ok, err)
+			}
+			cancel()
+			if _, _, err := it.Next(); !errors.Is(err, context.Canceled) {
+				t.Fatalf("Next after cancel: err = %v, want context.Canceled", err)
+			}
+		}, map[string]uint64{"error": 1, "cancelled": 1}},
+		{"batch", single, func(t *testing.T, pool *Pool, qs []Query) {
+			batch := append([]Query{{Algorithm: CEAlg}}, qs[:5]...)
+			if _, errs := pool.SkylineBatch(context.Background(), batch); errs[0] == nil || errs[1] != nil {
+				t.Fatalf("batch errs = %v, want only the pointless query to fail", errs)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if _, errs := pool.SkylineBatch(ctx, qs[:3]); !errors.Is(errs[2], context.Canceled) {
+				t.Fatalf("cancelled batch errs = %v", errs)
+			}
+		}, map[string]uint64{"served": 5, "error": 1, "cancelled": 3}},
+		{"churn", PoolConfig{Workers: 2, QueueDepth: 2, Window: true}, func(t *testing.T, pool *Pool, qs []Query) {
+			const goroutines, rounds = 8, 12
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for r := 0; r < rounds; r++ {
+						q := qs[(g*rounds+r)%len(qs)]
+						switch r % 4 {
+						case 0:
+							pool.Skyline(context.Background(), q)
+						case 1:
+							// Deadlines from 1µs to ~1ms: some expire while waiting
+							// for a worker, some mid-expansion, some never.
+							d := time.Duration(1+g*137+r*29) * time.Microsecond
+							ctx, cancel := context.WithTimeout(context.Background(), d)
+							pool.Skyline(ctx, q)
+							cancel()
+						case 2:
+							if it, err := pool.SkylineIter(context.Background(), q); err == nil {
+								it.Next()
+								it.Close() // abandoned unless Next already exhausted it
+							}
+						case 3:
+							pool.Skyline(context.Background(), Query{Algorithm: q.Algorithm})
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			pool.Close()
+			pool.Skyline(context.Background(), qs[0]) // one for the closed bucket
+			if m := pool.PoolMetrics(); m.Submitted != goroutines*rounds+1 {
+				t.Errorf("Submitted = %d, want %d", m.Submitted, goroutines*rounds+1)
+			}
+		}, nil},
 	}
-	wg.Wait()
+	pools := make([]*Pool, len(exits))
+	for i, ex := range exits {
+		t.Run(ex.name, func(t *testing.T) {
+			eng, n := flightTestEngine(t)
+			pool, err := NewPool(eng, ex.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pools[i] = pool
+			ex.run(t, pool, mixedQueries(n))
+			pool.Close()
 
-	// One more submission after Close lands in the closed bucket.
-	pool.Close()
-	if _, err := pool.Skyline(context.Background(), queries[0]); !errors.Is(err, ErrPoolClosed) {
-		t.Fatalf("err after close = %v, want ErrPoolClosed", err)
+			m := pool.PoolMetrics()
+			fo := m.FlightOutcomes
+			for _, o := range []string{"served", "error", "abandoned", "cancelled", "saturated", "closed"} {
+				if ex.want != nil && fo[o] != ex.want[o] {
+					t.Errorf("recorder %s = %d, want %d (outcomes %v)", o, fo[o], ex.want[o], fo)
+				}
+			}
+			if m.InFlight != 0 || m.Waiting != 0 || len(pool.queue) != 0 || len(pool.workers) != pool.Workers() {
+				t.Errorf("pool not at rest: in flight %d, waiting %d, tokens %d, idle workers %d",
+					m.InFlight, m.Waiting, len(pool.queue), len(pool.workers))
+			}
+
+			// Pool counters against the recorder: every submission left
+			// exactly one record, bucketed as the outcome table says.
+			if sum := m.Served + m.Saturated + m.Cancelled + m.Closed; sum != m.Submitted || m.FlightSeen != m.Submitted {
+				t.Errorf("Submitted %d, outcome sum %d, FlightSeen %d: want all equal (outcomes %v)",
+					m.Submitted, sum, m.FlightSeen, fo)
+			}
+			if got := fo["served"] + fo["error"] + fo["abandoned"]; got != m.Served {
+				t.Errorf("served %d + error %d + abandoned %d = %d, want Pool.Served %d",
+					fo["served"], fo["error"], fo["abandoned"], got, m.Served)
+			}
+			if fo["cancelled"] != m.Cancelled || fo["saturated"] != m.Saturated || fo["closed"] != m.Closed {
+				t.Errorf("recorder %v, want cancelled %d saturated %d closed %d", fo, m.Cancelled, m.Saturated, m.Closed)
+			}
+			// The duration histograms see the same population.
+			var durTotal uint64
+			for _, d := range m.Durations {
+				durTotal += d.Hist.Count
+			}
+			if durTotal != m.FlightSeen {
+				t.Errorf("duration histograms count %d, want FlightSeen %d", durTotal, m.FlightSeen)
+			}
+			// Retention held everything (Size 4096 >> workload), so the
+			// records themselves are auditable: every served record has a
+			// phase breakdown, and the pool timed every submission.
+			recs := pool.FlightRecords()
+			if uint64(len(recs)) != m.FlightSeen {
+				t.Errorf("retained %d records, want all %d", len(recs), m.FlightSeen)
+			}
+			for _, r := range recs {
+				if r.Outcome == "served" && len(r.Phases) == 0 {
+					t.Errorf("served record #%d (%s) has no phase breakdown", r.Seq, r.Alg)
+				}
+				if r.Wall <= 0 {
+					t.Errorf("%s record #%d has no wall time", r.Outcome, r.Seq)
+				}
+			}
+		})
 	}
 
-	m := pool.PoolMetrics()
-	if want := uint64(goroutines*rounds + 1); m.Submitted != want {
-		t.Fatalf("Submitted = %d, want %d", m.Submitted, want)
+	// The windows against the recorders. Views cover complete seconds
+	// only, so wait out the second the last submission finished in.
+	for end := time.Now().Unix(); time.Now().Unix() == end; {
+		time.Sleep(20 * time.Millisecond)
 	}
-	fo := m.FlightOutcomes
-	if m.FlightSeen != m.Submitted {
-		t.Errorf("FlightSeen = %d, want Submitted %d (every submission must leave exactly one record): outcomes %v",
-			m.FlightSeen, m.Submitted, fo)
-	}
-	if got := fo["served"] + fo["error"] + fo["abandoned"]; got != m.Served {
-		t.Errorf("served %d + error %d + abandoned %d = %d, want Pool.Served %d",
-			fo["served"], fo["error"], fo["abandoned"], got, m.Served)
-	}
-	if fo["cancelled"] != m.Cancelled {
-		t.Errorf("recorder cancelled = %d, want Pool.Cancelled %d", fo["cancelled"], m.Cancelled)
-	}
-	if fo["saturated"] != m.Saturated {
-		t.Errorf("recorder saturated = %d, want Pool.Saturated %d", fo["saturated"], m.Saturated)
-	}
-	if fo["closed"] != m.Closed {
-		t.Errorf("recorder closed = %d, want Pool.Closed %d", fo["closed"], m.Closed)
-	}
-	if fo["error"] == 0 {
-		t.Error("workload included validation errors but none were recorded")
-	}
-	if fo["closed"] == 0 {
-		t.Error("post-close submission not recorded as closed")
-	}
-
-	// The duration histograms see the same population as the outcome
-	// counters.
-	var durTotal uint64
-	for _, d := range m.Durations {
-		durTotal += d.Hist.Count
-	}
-	if durTotal != m.FlightSeen {
-		t.Errorf("duration histograms count %d, want FlightSeen %d", durTotal, m.FlightSeen)
-	}
-
-	// Retention held everything (Size 4096 >> workload), so the records
-	// themselves are auditable: every served record has a phase breakdown.
-	recs := pool.FlightRecords()
-	if uint64(len(recs)) != m.FlightSeen {
-		t.Errorf("retained %d records, want all %d", len(recs), m.FlightSeen)
-	}
-	for _, r := range recs {
-		if r.Outcome == "served" && len(r.Phases) == 0 {
-			t.Errorf("served record #%d (%s) has no phase breakdown", r.Seq, r.Alg)
-			break
+	for i, ex := range exits {
+		pool := pools[i]
+		if pool == nil {
+			continue // the row failed before it had a pool
+		}
+		m := pool.PoolMetrics()
+		fo := m.FlightOutcomes
+		v := pool.window.View(obs.WindowMaxSeconds)
+		if v.Total != m.Submitted || v.Served != fo["served"]+fo["abandoned"] || v.Errors != fo["error"] ||
+			v.Cancelled != fo["cancelled"] || v.Saturated != fo["saturated"] || v.Closed != fo["closed"] {
+			t.Errorf("%s: window %+v does not match recorder %v", ex.name, v, fo)
+		}
+		if v.LatencyCount != m.Served {
+			t.Errorf("%s: window latency count %d, want Pool.Served %d", ex.name, v.LatencyCount, m.Served)
 		}
 	}
 }

@@ -112,7 +112,7 @@ func AggregateNN(ctx context.Context, env *Env, points []graph.Location, k int, 
 	// distance cache are deep copies taken before the deferred release runs.
 	// The deferred flight abort abdicates any leadership tickets an error
 	// path leaves unresolved (a no-op after putAStarStates publishes).
-	defer releaseAStars(env, astars)
+	defer releaseSearchers(env, astars)
 	qf := newQueryFlights(env, opts, n)
 	defer qf.abort()
 	for i, p := range points {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"time"
 
+	"roadskyline/internal/distcache"
 	"roadskyline/internal/graph"
 	"roadskyline/internal/obs"
 	"roadskyline/internal/skyline"
@@ -33,8 +34,8 @@ func ce(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) {
 	// Scratches go back to the pool on every exit path; snapshots for the
 	// distance cache are deep copies taken before the deferred release runs.
 	// The deferred flight abort abdicates any leadership tickets an error
-	// path leaves unresolved (a no-op after putDijkstraStates publishes).
-	defer releaseDijkstras(env, searchers)
+	// path leaves unresolved (a no-op after putStates publishes).
+	defer releaseSearchers(env, searchers)
 	qf := newQueryFlights(env, opts, n)
 	defer qf.abort()
 	for i, p := range q.Points {
@@ -320,7 +321,7 @@ func ce(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) {
 	}
 
 	dropDominatedDuplicates(res)
-	putDijkstraStates(env, opts, searchers, cacheHits, qf)
+	putStates(env, opts, distcache.KindDijkstra, 0, searchers, cacheHits, qf)
 	for _, s := range searchers {
 		m.NodesExpanded += s.NodesExpanded()
 	}

@@ -104,7 +104,7 @@ func edc(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) 
 	// distance cache are deep copies taken before the deferred release runs.
 	// The deferred flight abort abdicates any leadership tickets an error
 	// path leaves unresolved (a no-op after putAStarStates publishes).
-	defer releaseAStars(env, astars)
+	defer releaseSearchers(env, astars)
 	qf := newQueryFlights(env, opts, n)
 	defer qf.abort()
 	for i, p := range q.Points {

@@ -39,9 +39,10 @@ func lbc(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) 
 	for {
 		p, ok, err := it.Next()
 		if err != nil {
-			// Next already finalized the iterator; Close is an idempotent
-			// safety net. The frozen metrics account the work the failed
-			// query performed, for observers like the flight recorder.
+			// A failed Next leaves the iterator open; Close finalizes it
+			// (leadership tickets abdicated, searchers released). The
+			// frozen metrics account the work the failed query performed,
+			// for observers like the flight recorder.
 			it.Close()
 			res.Metrics = it.Metrics()
 			return res, err

@@ -100,7 +100,7 @@ func NewLBCIterator(ctx context.Context, env *Env, q Query, opts Options) (*LBCI
 		a, hit, err := newAStar(ctx, env, opts, p, it.qPts[i], &it.metrics, it.qf, i)
 		if err != nil {
 			it.qf.abort()
-			releaseAStars(env, it.astars)
+			releaseSearchers(env, it.astars)
 			return nil, err
 		}
 		it.astars[i], it.cacheHits[i] = a, hit
@@ -298,7 +298,7 @@ func (it *LBCIterator) finalize() {
 	it.probe.finish(&it.metrics)
 	// The cache snapshots above are deep copies, so the scratches can go
 	// back to the pool before the searchers are dropped.
-	releaseAStars(it.env, it.astars)
+	releaseSearchers(it.env, it.astars)
 	it.astars = nil
 	it.streams = nil
 	it.remaining = 0

@@ -249,7 +249,7 @@ func flightFor(env *Env, opts Options) *distcache.Flight {
 // queryFlights tracks one query's leadership tickets in the single-flight
 // wavefront table, one slot per query point. A nil *queryFlights (sharing
 // disabled) is inert. The owner must call abort on every exit path: after
-// a successful put*States it is a no-op (the tickets are finished), on an
+// a successful putStates it is a no-op (the tickets are finished), on an
 // error or cancellation path it abdicates every held lead so a waiting
 // subscriber is promoted instead of stalling.
 type queryFlights struct {
@@ -291,7 +291,7 @@ func (qf *queryFlights) ticket(i int) *distcache.Ticket {
 }
 
 // abort abdicates every unfinished leadership ticket (idempotent, safe
-// after a publishing put*States).
+// after a publishing putStates).
 func (qf *queryFlights) abort() {
 	if qf == nil {
 		return
@@ -353,43 +353,61 @@ func joinFlight(ctx context.Context, qf *queryFlights, kind distcache.Kind, flav
 	return nil, nil
 }
 
-// newAStar builds one A* searcher for a query point with opts applied: the
-// heuristic is zeroed for the directional-expansion ablation, and the
-// environment's landmark table is attached otherwise (unless ablated). The
+// searcher is what a query's wavefront searchers (*sp.AStar, *sp.Dijkstra)
+// share: the lifecycle below is written once over it.
+type searcher interface {
+	comparable
+	Snapshot() *distcache.State
+	NodesExpanded() int
+	Scratch() *sp.Scratch
+}
+
+// resumeOrSeed builds searcher idx of a query, rooted at p. The
 // single-flight table is consulted before the at-rest cache — a concurrent
 // leader's snapshot is fresher than any cached entry — then the distance
-// cache; either way the searcher resumes instead of seeding afresh, and
-// hit reports that it did. Searcher idx's leadership ticket, if any, lands
-// in qf for put*States/abort to resolve.
-func newAStar(ctx context.Context, env *Env, opts Options, p graph.Location, pt geom.Point, m *Metrics, qf *queryFlights, idx int) (a *sp.AStar, hit bool, err error) {
-	flavor := astarFlavor(env, opts)
-	st, err := joinFlight(ctx, qf, distcache.KindAStar, flavor, p, idx, m, opts.Trace)
+// cache; from either the searcher resumes (and resumed reports that it did)
+// instead of seeding afresh. The searcher's leadership ticket, if any,
+// lands in qf for putStates/abort to resolve.
+func resumeOrSeed[S searcher](ctx context.Context, env *Env, opts Options, kind distcache.Kind, flavor uint8, p graph.Location, m *Metrics, qf *queryFlights, idx int,
+	resume func(*distcache.State, *sp.Scratch) S, seed func(*sp.Scratch) (S, error)) (s S, resumed bool, err error) {
+	st, err := joinFlight(ctx, qf, kind, flavor, p, idx, m, opts.Trace)
 	if err != nil {
-		return nil, false, err
+		return s, false, err
 	}
-	if st != nil {
-		t0 := opts.Trace.Stopwatch()
-		a, hit = sp.NewAStarFromWith(ctx, env, st, pt, env.AcquireScratch()), true
-		opts.Trace.SpanSince(obs.SpanRestore, t0)
-	}
-	if a == nil {
-		sc := env.AcquireScratch()
+	if st == nil {
 		if c := distCacheFor(env, opts); c != nil {
-			if st, ok := c.Get(distcache.KindAStar, flavor, p); ok {
-				t0 := opts.Trace.Stopwatch()
-				a, hit = sp.NewAStarFromWith(ctx, env, st, pt, sc), true
-				opts.Trace.SpanSince(obs.SpanRestore, t0)
+			var ok bool
+			if st, ok = c.Get(kind, flavor, p); ok {
 				m.DistCacheHits++
 			} else {
 				m.DistCacheMisses++
 			}
 		}
-		if a == nil {
-			if a, err = sp.NewAStarWith(ctx, env, p, pt, sc); err != nil {
-				env.ReleaseScratch(sc)
-				return nil, false, err
-			}
-		}
+	}
+	sc := env.AcquireScratch()
+	if st != nil {
+		t0 := opts.Trace.Stopwatch()
+		s = resume(st, sc)
+		opts.Trace.SpanSince(obs.SpanRestore, t0)
+		return s, true, nil
+	}
+	if s, err = seed(sc); err != nil {
+		env.ReleaseScratch(sc)
+		var none S
+		return none, false, err
+	}
+	return s, false, nil
+}
+
+// newAStar builds one A* searcher for a query point with opts applied: the
+// heuristic is zeroed for the directional-expansion ablation, and the
+// environment's landmark table is attached otherwise (unless ablated).
+func newAStar(ctx context.Context, env *Env, opts Options, p graph.Location, pt geom.Point, m *Metrics, qf *queryFlights, idx int) (*sp.AStar, bool, error) {
+	a, hit, err := resumeOrSeed(ctx, env, opts, distcache.KindAStar, astarFlavor(env, opts), p, m, qf, idx,
+		func(st *distcache.State, sc *sp.Scratch) *sp.AStar { return sp.NewAStarFromWith(ctx, env, st, pt, sc) },
+		func(sc *sp.Scratch) (*sp.AStar, error) { return sp.NewAStarWith(ctx, env, p, pt, sc) })
+	if err != nil {
+		return nil, false, err
 	}
 	if opts.DisableAStarHeuristic {
 		a.DisableHeuristic()
@@ -400,113 +418,61 @@ func newAStar(ctx context.Context, env *Env, opts Options, p graph.Location, pt 
 	return a, hit, nil
 }
 
-// newDijkstra builds one Dijkstra wavefront for a query point, resuming a
-// concurrent leader's published snapshot or a cached wavefront when either
-// exists for p (in that order, like newAStar).
+// newDijkstra builds one Dijkstra wavefront for a query point.
 func newDijkstra(ctx context.Context, env *Env, opts Options, p graph.Location, m *Metrics, qf *queryFlights, idx int) (*sp.Dijkstra, bool, error) {
-	st, err := joinFlight(ctx, qf, distcache.KindDijkstra, 0, p, idx, m, opts.Trace)
-	if err != nil {
-		return nil, false, err
-	}
-	if st != nil {
-		t0 := opts.Trace.Stopwatch()
-		d := sp.NewDijkstraFromWith(ctx, env, st, env.AcquireScratch())
-		opts.Trace.SpanSince(obs.SpanRestore, t0)
-		return d, true, nil
-	}
-	sc := env.AcquireScratch()
-	if c := distCacheFor(env, opts); c != nil {
-		if st, ok := c.Get(distcache.KindDijkstra, 0, p); ok {
-			m.DistCacheHits++
-			t0 := opts.Trace.Stopwatch()
-			d := sp.NewDijkstraFromWith(ctx, env, st, sc)
-			opts.Trace.SpanSince(obs.SpanRestore, t0)
-			return d, true, nil
-		}
-		m.DistCacheMisses++
-	}
-	d, err := sp.NewDijkstraWith(ctx, env, p, sc)
-	if err != nil {
-		env.ReleaseScratch(sc)
-		return nil, false, err
-	}
-	return d, false, nil
+	return resumeOrSeed(ctx, env, opts, distcache.KindDijkstra, 0, p, m, qf, idx,
+		func(st *distcache.State, sc *sp.Scratch) *sp.Dijkstra {
+			return sp.NewDijkstraFromWith(ctx, env, st, sc)
+		},
+		func(sc *sp.Scratch) (*sp.Dijkstra, error) { return sp.NewDijkstraWith(ctx, env, p, sc) })
 }
 
-// releaseAStars recycles the scratches of a query's A* searchers. Safe on
+// releaseSearchers recycles the scratches of a query's searchers. Safe on
 // slices with nil holes; the searchers must not be used afterward.
-func releaseAStars(env *Env, astars []*sp.AStar) {
-	for _, a := range astars {
-		if a != nil {
-			env.ReleaseScratch(a.Scratch())
+func releaseSearchers[S searcher](env *Env, searchers []S) {
+	var none S
+	for _, s := range searchers {
+		if s != none {
+			env.ReleaseScratch(s.Scratch())
 		}
 	}
 }
 
-// releaseDijkstras is releaseAStars for CE's Dijkstra wavefronts.
-func releaseDijkstras(env *Env, ds []*sp.Dijkstra) {
-	for _, d := range ds {
-		if d != nil {
-			env.ReleaseScratch(d.Scratch())
+// putStates resolves each searcher's final wavefront on successful query
+// completion: the snapshot feeds the distance cache (a searcher that
+// resumed a cached wavefront and settled nothing new is skipped — its
+// snapshot would equal the entry it came from) and is published to any
+// subscribers waiting on the searcher's leadership ticket. The snapshot
+// is only taken when someone wants it; a held ticket nobody subscribed to
+// is abdicated for free.
+func putStates[S searcher](env *Env, opts Options, kind distcache.Kind, flavor uint8, searchers []S, hits []bool, qf *queryFlights) {
+	c := distCacheFor(env, opts)
+	if c == nil && qf == nil {
+		return
+	}
+	var none S
+	for i, s := range searchers {
+		tk := qf.ticket(i)
+		if s == none {
+			tk.Finish(nil)
+			continue
 		}
+		wantCache := c != nil && !(hits[i] && s.NodesExpanded() == 0)
+		if !wantCache && tk.Abdicate() {
+			continue
+		}
+		st := s.Snapshot()
+		if wantCache {
+			c.Put(kind, flavor, st)
+		}
+		tk.Finish(st)
 	}
 }
 
-// putAStarStates resolves each searcher's final wavefront on successful
-// query completion: the snapshot feeds the distance cache (a searcher
-// that resumed a cached wavefront and settled nothing new is skipped —
-// its snapshot would equal the entry it came from) and is published to
-// any subscribers waiting on the searcher's leadership ticket. The
-// snapshot is only taken when someone wants it; a held ticket nobody
-// subscribed to is abdicated for free.
+// putAStarStates is putStates for A* searchers, under the flavor of the
+// query's heuristic configuration.
 func putAStarStates(env *Env, opts Options, astars []*sp.AStar, hits []bool, qf *queryFlights) {
-	c := distCacheFor(env, opts)
-	if c == nil && qf == nil {
-		return
-	}
-	flavor := astarFlavor(env, opts)
-	for i, a := range astars {
-		tk := qf.ticket(i)
-		if a == nil {
-			tk.Finish(nil)
-			continue
-		}
-		wantCache := c != nil && !(hits[i] && a.NodesExpanded() == 0)
-		if !wantCache && !tk.Subscribed() {
-			tk.Finish(nil)
-			continue
-		}
-		st := a.Snapshot()
-		if wantCache {
-			c.Put(distcache.KindAStar, flavor, st)
-		}
-		tk.Finish(st)
-	}
-}
-
-// putDijkstraStates is putAStarStates for CE's Dijkstra wavefronts.
-func putDijkstraStates(env *Env, opts Options, ds []*sp.Dijkstra, hits []bool, qf *queryFlights) {
-	c := distCacheFor(env, opts)
-	if c == nil && qf == nil {
-		return
-	}
-	for i, d := range ds {
-		tk := qf.ticket(i)
-		if d == nil {
-			tk.Finish(nil)
-			continue
-		}
-		wantCache := c != nil && !(hits[i] && d.NodesExpanded() == 0)
-		if !wantCache && !tk.Subscribed() {
-			tk.Finish(nil)
-			continue
-		}
-		st := d.Snapshot()
-		if wantCache {
-			c.Put(distcache.KindDijkstra, 0, st)
-		}
-		tk.Finish(st)
-	}
+	putStates(env, opts, distcache.KindAStar, astarFlavor(env, opts), astars, hits, qf)
 }
 
 // dedupeQuery collapses duplicate (edge, offset) query points so the

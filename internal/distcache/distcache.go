@@ -214,11 +214,11 @@ func (c *Cache) Get(kind Kind, flavor uint8, src graph.Location) (*State, bool) 
 	s.mu.Lock()
 	if el, ok := s.at[k]; ok {
 		e := el.Value.(*entry)
-		if e.state.Src == src {
+		if st := e.state; st.Src == src {
 			s.lru.MoveToFront(el)
 			s.mu.Unlock()
 			c.hits.Add(1)
-			return e.state, true
+			return st, true
 		}
 	}
 	s.mu.Unlock()

@@ -302,21 +302,30 @@ func (f *Flight) promoteLocked(k key, e *flightEntry) {
 	})
 }
 
-// Subscribed reports whether the ticket's flight currently has blocked
-// subscribers — whether a Finish(st) would be consumed by anyone. Callers
-// use it to skip the snapshot cost when the at-rest cache does not want
-// the state either. Safe on a nil ticket (false).
-func (t *Ticket) Subscribed() bool {
+// Abdicate resolves the flight without a snapshot if nobody is subscribed
+// to it, and reports whether nobody was: callers use it to skip the
+// snapshot cost when the at-rest cache does not want the state either.
+// With subscribers blocked on the flight the ticket stays live and the
+// caller owes them a Finish(st). Checking and clearing under one lock
+// keeps a subscriber that arrives in between from being promoted to redo
+// an expansion that has just completed. Safe on a nil or resolved ticket
+// (true: nobody is owed anything).
+func (t *Ticket) Abdicate() bool {
 	if t == nil {
-		return false
+		return true
 	}
-	t.f.mu.Lock()
-	defer t.f.mu.Unlock()
+	f := t.f
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	if t.done {
+		return true
+	}
+	if e := f.tab[t.k]; e != nil && len(e.waiters) > 0 {
 		return false
 	}
-	e := t.f.tab[t.k]
-	return e != nil && len(e.waiters) > 0
+	t.done = true
+	delete(f.tab, t.k)
+	return true
 }
 
 // Wait blocks until the leader resolves the flight or ctx is done. It

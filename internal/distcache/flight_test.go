@@ -183,26 +183,36 @@ func TestFlightCancelRePromotes(t *testing.T) {
 	wantStats(t, f, FlightStats{Leads: 2, Promotions: 1})
 }
 
-// TestFlightSubscribed: Subscribed reflects live waiters and goes false
-// once the ticket resolves.
-func TestFlightSubscribed(t *testing.T) {
+// TestFlightAbdicate: a ticket with a live waiter refuses to abdicate and
+// still owes the publish; without waiters it resolves on the spot and the
+// key is free for the next leader, with no promotion counted.
+func TestFlightAbdicate(t *testing.T) {
 	f := NewFlight(0)
 	src := graph.Location{Edge: 4, Offset: 0.25}
 	tk, _ := f.Join(KindAStar, 0, src, true, 0)
-	if tk.Subscribed() {
-		t.Fatal("Subscribed true with no waiters")
-	}
 	_, w := f.Join(KindAStar, 0, src, true, 0)
-	if !tk.Subscribed() {
-		t.Fatal("Subscribed false with a live waiter")
+	if tk.Abdicate() {
+		t.Fatal("abdicated with a live waiter")
 	}
 	tk.Finish(flightState(src))
-	if tk.Subscribed() {
-		t.Fatal("Subscribed true after Finish")
+	if st, _, err := w.Wait(context.Background()); err != nil || st == nil {
+		t.Fatalf("Wait = (%v, %v), want the publish", st, err)
 	}
-	if _, _, err := w.Wait(context.Background()); err != nil {
-		t.Fatalf("Wait: %v", err)
+	if !tk.Abdicate() {
+		t.Fatal("resolved ticket refused to abdicate")
 	}
+
+	tk2, w2 := f.Join(KindAStar, 0, src, true, 0)
+	if tk2 == nil || w2 != nil {
+		t.Fatalf("Join after publish = (%v, %v), want a fresh lead", tk2, w2)
+	}
+	if !tk2.Abdicate() {
+		t.Fatal("refused to abdicate with no waiters")
+	}
+	if tk3, _ := f.Join(KindAStar, 0, src, true, 0); tk3 == nil {
+		t.Fatal("key still held after abdication")
+	}
+	wantStats(t, f, FlightStats{Leads: 3, Shares: 1})
 }
 
 // TestFlightNilSafety: the nil Flight (sharing disabled) and nil Ticket
@@ -219,8 +229,8 @@ func TestFlightNilSafety(t *testing.T) {
 	var nt *Ticket
 	nt.Finish(nil)
 	nt.Finish(flightState(graph.Location{}))
-	if nt.Subscribed() {
-		t.Fatal("nil Ticket Subscribed = true")
+	if !nt.Abdicate() {
+		t.Fatal("nil Ticket refused to abdicate")
 	}
 }
 

@@ -19,6 +19,8 @@ func EstimateDelta(g *graph.Graph, samples int, seed int64) float64 {
 	rng := rand.New(rand.NewSource(seed))
 	sum, count := 0.0, 0
 	dist := make([]float64, g.NumNodes())
+	h := pqueue.NewDense()
+	h.Grow(g.NumNodes())
 	for s := 0; s < samples; s++ {
 		src := graph.NodeID(rng.Intn(g.NumNodes()))
 		dst := graph.NodeID(rng.Intn(g.NumNodes()))
@@ -26,7 +28,7 @@ func EstimateDelta(g *graph.Graph, samples int, seed int64) float64 {
 		if src == dst || de == 0 {
 			continue
 		}
-		dn := nodeDist(g, src, dst, dist)
+		dn := nodeDist(g, src, dst, dist, h)
 		if math.IsInf(dn, 1) {
 			continue
 		}
@@ -39,15 +41,17 @@ func EstimateDelta(g *graph.Graph, samples int, seed int64) float64 {
 	return sum / float64(count)
 }
 
-// nodeDist is a plain node-to-node Dijkstra using dist as scratch space.
-func nodeDist(g *graph.Graph, src, dst graph.NodeID, dist []float64) float64 {
+// nodeDist is a plain node-to-node Dijkstra using dist and h (grown to the
+// graph's node count) as scratch space.
+func nodeDist(g *graph.Graph, src, dst graph.NodeID, dist []float64, h *pqueue.Dense) float64 {
 	for i := range dist {
 		dist[i] = math.Inf(1)
 	}
-	h := pqueue.NewIndexed[graph.NodeID](64)
-	h.Push(src, 0)
+	h.Reset()
+	h.Push(int32(src), 0)
 	for h.Len() > 0 {
-		u, d := h.Pop()
+		id, d := h.Pop()
+		u := graph.NodeID(id)
 		if d >= dist[u] {
 			continue
 		}
@@ -57,7 +61,7 @@ func nodeDist(g *graph.Graph, src, dst graph.NodeID, dist []float64) float64 {
 		}
 		for he := range g.Adj(u).All() {
 			if nd := d + he.Length; nd < dist[he.To] {
-				h.Push(he.To, nd)
+				h.Push(int32(he.To), nd)
 			}
 		}
 	}

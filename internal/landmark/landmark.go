@@ -72,9 +72,11 @@ func Build(g *graph.Graph, k int) *Table {
 	for i := range minDist {
 		minDist[i] = math.Inf(1)
 	}
+	h := pqueue.NewDense()
+	h.Grow(n)
 	next := graph.NodeID(0)
 	for len(t.nodes) < k {
-		d := nodeDistances(g, next)
+		d := nodeDistances(g, next, h)
 		t.nodes = append(t.nodes, next)
 		rows = append(rows, d)
 		// Farthest-point step: pick the node worst covered by the selected
@@ -109,22 +111,25 @@ func Build(g *graph.Graph, k int) *Table {
 
 // nodeDistances runs a full Dijkstra over the in-memory graph from node
 // src and returns the distance to every node (+Inf where unreachable).
-func nodeDistances(g *graph.Graph, src graph.NodeID) []float64 {
+// h is the caller's heap, grown to the graph's node count; it is reset
+// here.
+func nodeDistances(g *graph.Graph, src graph.NodeID, h *pqueue.Dense) []float64 {
 	dist := make([]float64, g.NumNodes())
 	for i := range dist {
 		dist[i] = math.Inf(1)
 	}
-	h := pqueue.NewIndexed[graph.NodeID](64)
-	h.Push(src, 0)
+	h.Reset()
+	h.Push(int32(src), 0)
 	for h.Len() > 0 {
-		u, d := h.Pop()
+		id, d := h.Pop()
+		u := graph.NodeID(id)
 		if d >= dist[u] {
 			continue
 		}
 		dist[u] = d
 		for he := range g.Adj(u).All() {
 			if nd := d + he.Length; nd < dist[he.To] {
-				h.Push(he.To, nd)
+				h.Push(int32(he.To), nd)
 			}
 		}
 	}

@@ -1,23 +1,28 @@
 package obs
 
 import (
+	"errors"
 	"sort"
 	"sync"
 	"time"
 )
 
-// Query outcomes, shared between the flight recorder, the per-outcome
-// duration histograms and the pool's submission counters. The pool's
-// Served counter covers three recorder outcomes — a worker did the work
+// Query outcomes: how a finished submission ended. Classify decides the
+// outcome once, when the submission's FlightRecord is built; every
+// consumer of the record buckets that one value:
+//
+//	record outcome   pool counter   window bucket
+//	served           Served         Served
+//	abandoned        Served         Served
+//	error            Served         Errors
+//	cancelled        Cancelled      Cancelled
+//	saturated        Saturated      Saturated
+//	closed           Closed         Closed
+//
+// The pool's Served covers three outcomes because a worker did the work
 // whether the query completed, failed a query-level check, or was an
-// iterator abandoned before exhaustion — so at quiescence
-//
-//	Pool.Served    = served + error + abandoned
-//	Pool.Cancelled = cancelled
-//	Pool.Saturated = saturated
-//	Pool.Closed    = closed
-//
-// reconcile exactly (enforced by the flight-recorder pool stress test).
+// iterator abandoned before exhaustion; the window splits errors out
+// because the live error rate is the first thing an operator watches.
 const (
 	// OutcomeServed: the query ran to completion (iterators: drained to
 	// exhaustion).
@@ -37,6 +42,32 @@ const (
 	OutcomeClosed = "closed"
 )
 
+// ErrOutcome files submissions that failed with Err (per errors.Is) under
+// Outcome.
+type ErrOutcome struct {
+	Err     error
+	Outcome string
+}
+
+// Classify names how a finished submission ended. A nil err is served, or
+// abandoned for an iterator closed before exhaustion; otherwise the first
+// entry of known that err matches decides, and an error none of them
+// matches is a query-level error.
+func Classify(err error, abandoned bool, known []ErrOutcome) string {
+	if err == nil {
+		if abandoned {
+			return OutcomeAbandoned
+		}
+		return OutcomeServed
+	}
+	for _, k := range known {
+		if errors.Is(err, k.Err) {
+			return k.Outcome
+		}
+	}
+	return OutcomeError
+}
+
 // FlightConfig sizes a FlightRecorder.
 type FlightConfig struct {
 	// Size caps the sampled ring of all queries and, separately, the
@@ -55,10 +86,13 @@ type FlightConfig struct {
 // FlightConfig.SlowN is zero.
 const DefaultFlightSlowN = 16
 
-// FlightRecord is one retained per-query cost record: what the query
+// FlightRecord is the one record of a finished submission: what the query
 // asked for, how it ended, and the full work accounting the paper's
 // evaluation measures per run — response times, per-phase breakdown,
-// node/page/cache counters.
+// node/page/cache counters. It is built once, at finalization, and
+// everything that accounts for submissions consumes it: the flight
+// recorder's reservoirs and duration histograms, the pool's outcome
+// counters and per-worker buffer totals, and the rolling Window.
 type FlightRecord struct {
 	// Seq is the recorder-assigned sequence number, 1-based in record
 	// order; When is the finalization time.
@@ -83,6 +117,11 @@ type FlightRecord struct {
 	// worker).
 	Total   time.Duration `json:"total_ns"`
 	Initial time.Duration `json:"initial_ns"`
+	// Wall is the wall time from admission to completion, queue wait
+	// included: what the caller waited, as opposed to the modeled Total.
+	// Zero when nobody timed the submission (a bare engine without a
+	// recorder).
+	Wall time.Duration `json:"wall_ns,omitempty"`
 	// Phases is the per-phase work breakdown; the recorder forces phase
 	// collection on the queries it observes.
 	Phases []PhaseStat `json:"phases,omitempty"`

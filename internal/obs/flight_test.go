@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -216,5 +218,33 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 	}
 	if durTotal != goroutines*each {
 		t.Errorf("duration histograms count %d, want %d", durTotal, goroutines*each)
+	}
+}
+
+// TestClassify pins the one outcome classifier: nil errors split on the
+// abandoned flag, known errors match through wrapping in table order, and
+// anything else is a query-level error.
+func TestClassify(t *testing.T) {
+	errFull := errors.New("full")
+	known := []ErrOutcome{
+		{Err: errFull, Outcome: OutcomeSaturated},
+		{Err: context.Canceled, Outcome: OutcomeCancelled},
+		{Err: context.DeadlineExceeded, Outcome: OutcomeCancelled},
+	}
+	for _, c := range []struct {
+		err       error
+		abandoned bool
+		want      string
+	}{
+		{nil, false, OutcomeServed},
+		{nil, true, OutcomeAbandoned},
+		{errFull, false, OutcomeSaturated},
+		{fmt.Errorf("query 7: %w", context.DeadlineExceeded), false, OutcomeCancelled},
+		{context.Canceled, true, OutcomeCancelled},
+		{errors.New("no such edge"), false, OutcomeError},
+	} {
+		if got := Classify(c.err, c.abandoned, known); got != c.want {
+			t.Errorf("Classify(%v, abandoned=%v) = %q, want %q", c.err, c.abandoned, got, c.want)
+		}
 	}
 }

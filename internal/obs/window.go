@@ -6,27 +6,6 @@ import (
 	"time"
 )
 
-// WindowOutcome classifies a finished pool submission for the rolling
-// window. It splits query-level errors out of the pool's "served" bucket
-// (the submission counters lump them together because a worker did the
-// work either way; an operator watching live rates wants them apart).
-type WindowOutcome uint8
-
-const (
-	// WinServed: the query completed with a result.
-	WinServed WindowOutcome = iota
-	// WinError: the query failed with a query-level error.
-	WinError
-	// WinCancelled: the submission ended with a context error.
-	WinCancelled
-	// WinSaturated: rejected fast at admission.
-	WinSaturated
-	// WinClosed: the pool was closed.
-	WinClosed
-
-	numWinOutcomes
-)
-
 // Rolling-window geometry. Views aggregate the last N *complete* seconds
 // (the in-progress second is still filling and would read as an
 // artificially low rate), so the ring must hold the longest view plus the
@@ -45,8 +24,10 @@ var WindowViews = [3]int{1, 10, 60}
 // unix second the counters belong to, -1 while a writer is clearing the
 // bucket for reuse.
 type winBucket struct {
-	epoch    atomic.Int64
-	outcomes [numWinOutcomes]atomic.Uint64
+	epoch atomic.Int64
+	// Outcome buckets; served covers OutcomeServed and OutcomeAbandoned.
+	served, errors, cancelled, saturated, closed atomic.Uint64
+
 	lat      [NumLatBuckets]atomic.Uint64
 	latCount atomic.Uint64
 	latSum   atomic.Int64
@@ -57,9 +38,11 @@ type winBucket struct {
 }
 
 func (b *winBucket) reset() {
-	for i := range b.outcomes {
-		b.outcomes[i].Store(0)
-	}
+	b.served.Store(0)
+	b.errors.Store(0)
+	b.cancelled.Store(0)
+	b.saturated.Store(0)
+	b.closed.Store(0)
 	for i := range b.lat {
 		b.lat[i].Store(0)
 	}
@@ -117,34 +100,46 @@ func (w *Window) bucketFor(sec int64) *winBucket {
 	}
 }
 
-// Observe folds one finished submission into the current second: the
-// outcome always, the latency and the per-query cache/wavefront counters
-// only for submissions a worker completed (WinServed and WinError) — a
-// microsecond admission rejection would otherwise drag the latency
-// quantiles to zero. Safe for concurrent use; a no-op on a nil window.
-func (w *Window) Observe(o WindowOutcome, d time.Duration, dcHits, dcMisses, wfLeads, wfShares int) {
+// Observe folds one finished submission's record into the current second:
+// the outcome always, the wall-time latency and the cache/wavefront
+// counters only for submissions a worker completed (served, abandoned and
+// error) — a microsecond admission rejection would otherwise drag the
+// latency quantiles to zero. Safe for concurrent use; a no-op on a nil
+// window.
+func (w *Window) Observe(rec *FlightRecord) {
 	if w == nil {
 		return
 	}
 	b := w.bucketFor(w.now())
-	b.outcomes[o].Add(1)
-	if o != WinServed && o != WinError {
+	switch rec.Outcome {
+	case OutcomeCancelled:
+		b.cancelled.Add(1)
 		return
+	case OutcomeSaturated:
+		b.saturated.Add(1)
+		return
+	case OutcomeClosed:
+		b.closed.Add(1)
+		return
+	case OutcomeError:
+		b.errors.Add(1)
+	default:
+		b.served.Add(1)
 	}
-	b.lat[latIndex(d)].Add(1)
+	b.lat[latIndex(rec.Wall)].Add(1)
 	b.latCount.Add(1)
-	b.latSum.Add(int64(d))
-	if dcHits > 0 {
-		b.dcHits.Add(uint64(dcHits))
+	b.latSum.Add(int64(rec.Wall))
+	if rec.DistCacheHits > 0 {
+		b.dcHits.Add(uint64(rec.DistCacheHits))
 	}
-	if dcMisses > 0 {
-		b.dcMisses.Add(uint64(dcMisses))
+	if rec.DistCacheMisses > 0 {
+		b.dcMisses.Add(uint64(rec.DistCacheMisses))
 	}
-	if wfLeads > 0 {
-		b.wfLeads.Add(uint64(wfLeads))
+	if rec.WavefrontLeads > 0 {
+		b.wfLeads.Add(uint64(rec.WavefrontLeads))
 	}
-	if wfShares > 0 {
-		b.wfShares.Add(uint64(wfShares))
+	if rec.WavefrontShares > 0 {
+		b.wfShares.Add(uint64(rec.WavefrontShares))
 	}
 }
 
@@ -219,11 +214,11 @@ func (w *Window) View(seconds int) LoadStats {
 		if e < lo || e > hi {
 			continue
 		}
-		s.Served += b.outcomes[WinServed].Load()
-		s.Errors += b.outcomes[WinError].Load()
-		s.Cancelled += b.outcomes[WinCancelled].Load()
-		s.Saturated += b.outcomes[WinSaturated].Load()
-		s.Closed += b.outcomes[WinClosed].Load()
+		s.Served += b.served.Load()
+		s.Errors += b.errors.Load()
+		s.Cancelled += b.cancelled.Load()
+		s.Saturated += b.saturated.Load()
+		s.Closed += b.closed.Load()
 		for j := range lat {
 			lat[j] += b.lat[j].Load()
 		}

@@ -153,13 +153,19 @@ func testWindow(sec int64) (*Window, *int64) {
 	return w, &now
 }
 
+// observe feeds w one finished submission's record.
+func observe(w *Window, outcome string, wall time.Duration, dcHits, dcMisses, wfLeads, wfShares int) {
+	w.Observe(&FlightRecord{Outcome: outcome, Wall: wall,
+		DistCacheHits: dcHits, DistCacheMisses: dcMisses, WavefrontLeads: wfLeads, WavefrontShares: wfShares})
+}
+
 func TestWindowViewAggregatesCompleteSeconds(t *testing.T) {
 	w, now := testWindow(1000)
 	// Three seconds of traffic: 2, 3 and 4 served queries.
 	for s, n := range map[int64]int{1000: 2, 1001: 3, 1002: 4} {
 		*now = s
 		for i := 0; i < n; i++ {
-			w.Observe(WinServed, 10*time.Millisecond, 1, 1, 0, 1)
+			observe(w, OutcomeServed, 10*time.Millisecond, 1, 1, 0, 1)
 		}
 	}
 	*now = 1003 // seconds 1000..1002 are now complete
@@ -184,7 +190,7 @@ func TestWindowViewAggregatesCompleteSeconds(t *testing.T) {
 		t.Fatalf("10s view wavefront: shares %d rate %g", v10.WavefrontShares, v10.WavefrontShareRate)
 	}
 	// The in-progress second is excluded.
-	w.Observe(WinServed, time.Millisecond, 0, 0, 0, 0)
+	observe(w, OutcomeServed, time.Millisecond, 0, 0, 0, 0)
 	if v := w.View(10); v.Total != 9 {
 		t.Fatalf("in-progress second leaked into the view: total %d", v.Total)
 	}
@@ -192,20 +198,21 @@ func TestWindowViewAggregatesCompleteSeconds(t *testing.T) {
 
 func TestWindowOutcomeSplit(t *testing.T) {
 	w, now := testWindow(500)
-	w.Observe(WinServed, time.Millisecond, 0, 0, 0, 0)
-	w.Observe(WinError, 2*time.Millisecond, 0, 0, 0, 0)
-	w.Observe(WinCancelled, time.Minute, 0, 0, 0, 0)
-	w.Observe(WinSaturated, time.Nanosecond, 0, 0, 0, 0)
-	w.Observe(WinClosed, time.Nanosecond, 0, 0, 0, 0)
+	observe(w, OutcomeServed, time.Millisecond, 0, 0, 0, 0)
+	observe(w, OutcomeError, 2*time.Millisecond, 0, 0, 0, 0)
+	observe(w, OutcomeCancelled, time.Minute, 0, 0, 0, 0)
+	observe(w, OutcomeSaturated, time.Nanosecond, 0, 0, 0, 0)
+	observe(w, OutcomeClosed, time.Nanosecond, 0, 0, 0, 0)
+	observe(w, OutcomeAbandoned, time.Millisecond, 0, 0, 0, 0) // a worker did the work: served
 	*now = 501
 	v := w.View(1)
-	if v.Served != 1 || v.Errors != 1 || v.Cancelled != 1 || v.Saturated != 1 || v.Closed != 1 || v.Total != 5 {
+	if v.Served != 2 || v.Errors != 1 || v.Cancelled != 1 || v.Saturated != 1 || v.Closed != 1 || v.Total != 6 {
 		t.Fatalf("outcome split wrong: %+v", v)
 	}
-	// Only served + error latencies count: the saturated nanosecond and
-	// the cancelled minute must not drag the quantiles.
-	if v.LatencyCount != 2 {
-		t.Fatalf("latency count %d, want 2 (served+error only)", v.LatencyCount)
+	// Only the latencies of completed submissions count: the saturated
+	// nanosecond and the cancelled minute must not drag the quantiles.
+	if v.LatencyCount != 3 {
+		t.Fatalf("latency count %d, want 3 (served+abandoned+error only)", v.LatencyCount)
 	}
 	if v.P99 > 3*time.Millisecond || v.P50 < time.Millisecond {
 		t.Fatalf("quantiles polluted by non-completed outcomes: p50 %v p99 %v", v.P50, v.P99)
@@ -221,7 +228,7 @@ func TestWindowQuantileOracle(t *testing.T) {
 		for i := 0; i < 400; i++ {
 			d := time.Duration(rng.Int63n(int64(200 * time.Millisecond)))
 			all = append(all, d)
-			w.Observe(WinServed, d, 0, 0, 0, 0)
+			observe(w, OutcomeServed, d, 0, 0, 0, 0)
 		}
 	}
 	*now = 2008
@@ -238,7 +245,7 @@ func TestWindowQuantileOracle(t *testing.T) {
 
 func TestWindowIdleGapAndWraparound(t *testing.T) {
 	w, now := testWindow(100)
-	w.Observe(WinServed, time.Millisecond, 0, 0, 0, 0)
+	observe(w, OutcomeServed, time.Millisecond, 0, 0, 0, 0)
 	// Idle gap far longer than the ring: the old second's bucket is stale
 	// (epoch outside every view) but was never cleared.
 	*now = 100 + 10*windowBuckets
@@ -252,7 +259,7 @@ func TestWindowIdleGapAndWraparound(t *testing.T) {
 		reuse++
 	}
 	*now = reuse
-	w.Observe(WinServed, time.Millisecond, 0, 0, 0, 0)
+	observe(w, OutcomeServed, time.Millisecond, 0, 0, 0, 0)
 	*now = reuse + 1
 	if v := w.View(1); v.Total != 1 || v.Served != 1 {
 		t.Fatalf("reused bucket kept stale counts: %+v", v)
@@ -263,7 +270,7 @@ func TestWindowIdleGapAndWraparound(t *testing.T) {
 	for s := int64(0); s < 3*windowBuckets; s++ {
 		*now2 = s
 		for i := int64(0); i <= s%5; i++ {
-			w2.Observe(WinServed, time.Millisecond, 0, 0, 0, 0)
+			observe(w2, OutcomeServed, time.Millisecond, 0, 0, 0, 0)
 		}
 	}
 	*now2 = 3 * windowBuckets
@@ -278,7 +285,7 @@ func TestWindowIdleGapAndWraparound(t *testing.T) {
 
 func TestWindowNilSafeAndAllocFree(t *testing.T) {
 	var nilW *Window
-	nilW.Observe(WinServed, time.Millisecond, 1, 1, 1, 1)
+	observe(nilW, OutcomeServed, time.Millisecond, 1, 1, 1, 1)
 	if v := nilW.View(10); v.WindowSeconds != 10 || v.Total != 0 {
 		t.Fatalf("nil view: %+v", v)
 	}
@@ -290,14 +297,14 @@ func TestWindowNilSafeAndAllocFree(t *testing.T) {
 	// allocation-free — the acceptance gate for "zero added steady-state
 	// allocations" at the obs layer.
 	if a := testing.AllocsPerRun(200, func() {
-		nilW.Observe(WinServed, time.Millisecond, 0, 0, 0, 0)
+		observe(nilW, OutcomeServed, time.Millisecond, 0, 0, 0, 0)
 	}); a != 0 {
 		t.Fatalf("nil Observe allocates %.1f/op", a)
 	}
 	w, _ := testWindow(9000)
-	w.Observe(WinServed, time.Millisecond, 0, 0, 0, 0)
+	observe(w, OutcomeServed, time.Millisecond, 0, 0, 0, 0)
 	if a := testing.AllocsPerRun(200, func() {
-		w.Observe(WinServed, time.Millisecond, 1, 0, 1, 0)
+		observe(w, OutcomeServed, time.Millisecond, 1, 0, 1, 0)
 	}); a != 0 {
 		t.Fatalf("enabled Observe allocates %.1f/op", a)
 	}
@@ -312,6 +319,7 @@ func TestWindowConcurrent(t *testing.T) {
 	cur := base
 	w.now = func() int64 { tick.Lock(); defer tick.Unlock(); return cur }
 
+	outcomes := []string{OutcomeServed, OutcomeError, OutcomeCancelled, OutcomeAbandoned, OutcomeSaturated, OutcomeClosed}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -325,7 +333,7 @@ func TestWindowConcurrent(t *testing.T) {
 					return
 				default:
 				}
-				w.Observe(WindowOutcome(rng.Intn(int(numWinOutcomes))),
+				observe(w, outcomes[rng.Intn(len(outcomes))],
 					time.Duration(rng.Int63n(int64(time.Second))), 1, 1, 1, 1)
 			}
 		}(g)

@@ -99,9 +99,10 @@ func (q *Queue[T]) down(i int) {
 }
 
 // Indexed is a min-heap over ordered handles with true decrease-key
-// support. It is used by the shortest-path wavefronts where each graph node
-// appears at most once in the frontier and its tentative distance only
-// decreases.
+// support, for wavefronts where each graph node appears at most once in
+// the frontier and its tentative distance only decreases. Production code
+// runs on Dense; Indexed stays as the map-based reference behind the
+// bruteforce oracle and the sp differential tests.
 //
 // Equal keys are ordered by id, making Pop order a function of the heap's
 // contents alone rather than of insertion order. The A* searcher re-keys

@@ -201,9 +201,9 @@ func newMapAStar(ctx context.Context, net Net, src graph.Location, srcPt geom.Po
 	return a, nil
 }
 
-func (a *mapAStar) DisableHeuristic()                   { a.noHeur = true }
+func (a *mapAStar) DisableHeuristic()                     { a.noHeur = true }
 func (a *mapAStar) UseHeuristicSource(hs HeuristicSource) { a.hs = hs }
-func (a *mapAStar) NodesExpanded() int                  { return a.nodesExpanded }
+func (a *mapAStar) NodesExpanded() int                    { return a.nodesExpanded }
 
 // mapSession mirrors Session for the oracle searcher.
 type mapSession struct {

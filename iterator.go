@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"roadskyline/internal/core"
-	"roadskyline/internal/graph"
 	"roadskyline/internal/obs"
 )
 
@@ -20,11 +19,15 @@ import (
 // engine's metrics and trace finalize and the searcher state is released;
 // a fully drained iterator finalizes itself.
 type SkylineIterator struct {
-	eng      *Engine
-	it       *core.LBCIterator
-	q        Query
-	start    time.Time
-	recorded bool
+	eng   *Engine
+	it    *core.LBCIterator
+	q     Query
+	began time.Time
+	// flight is where a bare-engine iteration files its record; nil under
+	// a Pool, which reads rec after Close and feeds its own consumers.
+	flight *obs.FlightRecorder
+	rec    obs.FlightRecord
+	done   bool
 }
 
 // SkylineIter starts a progressive LBC skyline query without cancellation.
@@ -43,47 +46,39 @@ func (e *Engine) SkylineIter(points []Location, useAttrs, alternate bool) (*Skyl
 // Algorithm field is ignored (the iterator is always LBC); Source and
 // Alternate select the nearest-neighbor source(s).
 func (e *Engine) SkylineIterContext(ctx context.Context, q Query) (*SkylineIterator, error) {
-	if q.trace == nil && q.Trace {
-		q.trace = e.inflight.Begin(LBCAlg.String(), len(q.Points))
-	}
-	q.trace.SetRole(obs.RoleRun)
-	pts := make([]graph.Location, len(q.Points))
-	for i, p := range q.Points {
-		pts[i] = graph.Location{Edge: graph.EdgeID(p.Edge), Offset: p.Offset}
-	}
-	opts := core.Options{
-		ColdCache:             !e.cfg.WarmCache,
-		LBCAlternate:          q.Alternate,
-		LBCSource:             q.Source,
-		DisableLandmarks:      q.NoLandmarks,
-		DisableDistCache:      q.NoDistCache,
-		DisableWavefrontShare: q.NoShare,
-		Tracer:                q.Tracer,
-		CollectPhases:         q.CollectPhases,
-		Trace:                 q.trace,
-	}
-	var start time.Time
-	if e.flight != nil {
-		opts.CollectPhases = true
-		start = time.Now()
-	}
-	it, err := core.NewLBCIterator(ctx, e.env, core.Query{Points: pts, UseAttrs: q.UseAttrs}, opts)
+	it, rec, err := e.iter(ctx, q, time.Time{})
 	if err != nil {
-		e.recordFlight(LBCAlg.String(), q, core.Metrics{}, time.Since(start), err, false, q.trace)
+		e.flight.Record(rec)
 		return nil, err
 	}
-	return &SkylineIterator{eng: e, it: it, q: q, start: start}, nil
+	it.flight = e.flight
+	return it, nil
 }
 
-// record files the query with the engine's flight recorder exactly once,
-// at the iterator's first terminal event (exhaustion, error, or Close).
-// The query's causal trace, if any, finalizes at the same moment.
-func (s *SkylineIterator) record(err error, abandoned bool) {
-	if s.recorded {
+// iter starts the iteration. A query that fails to start is finished
+// already: its record is returned for the caller's consumers.
+func (e *Engine) iter(ctx context.Context, q Query, began time.Time) (s *SkylineIterator, rec obs.FlightRecord, err error) {
+	q.Algorithm = LBCAlg
+	cq, opts, began := e.begin(&q, began)
+	it, err := core.NewLBCIterator(ctx, e.env, cq, opts)
+	if err != nil {
+		return nil, finalize(e.inflight, q, core.Metrics{Total: since(began)}, began, err, false), err
+	}
+	return &SkylineIterator{eng: e, it: it, q: q, began: began}, rec, nil
+}
+
+// finish ends the iteration at its first terminal event (exhaustion,
+// error, or Close): the core iterator finalizes — metrics freeze, a
+// cleanly finished iteration feeds the distance cache, searcher state is
+// released — and the query becomes its record, exactly once.
+func (s *SkylineIterator) finish(err error, abandoned bool) {
+	if s.done {
 		return
 	}
-	s.recorded = true
-	s.eng.recordFlight(LBCAlg.String(), s.q, s.it.Metrics(), time.Since(s.start), err, abandoned, s.q.trace)
+	s.done = true
+	s.it.Close()
+	s.rec = finalize(s.eng.inflight, s.q, s.it.Metrics(), s.began, err, abandoned)
+	s.flight.Record(s.rec)
 }
 
 // TraceID returns the iteration's causal trace ID when it runs with
@@ -95,10 +90,8 @@ func (s *SkylineIterator) TraceID() string { return s.q.trace.ID().String() }
 func (s *SkylineIterator) Next() (SkylinePoint, bool, error) {
 	p, ok, err := s.it.Next()
 	if err != nil || !ok {
-		// The core iterator has finalized (the metrics are frozen);
-		// record the query's outcome: "served" on clean exhaustion,
-		// error/cancelled otherwise.
-		s.record(err, false)
+		// "served" on clean exhaustion, error/cancelled otherwise.
+		s.finish(err, false)
 		return SkylinePoint{}, ok, err
 	}
 	return SkylinePoint{
@@ -115,10 +108,7 @@ func (s *SkylineIterator) Next() (SkylinePoint, bool, error) {
 // "abandoned" outcome. Close is idempotent, and unnecessary (but
 // harmless) after Next has reported exhaustion. After Close, Next reports
 // exhaustion and Stats returns the frozen counters.
-func (s *SkylineIterator) Close() {
-	s.it.Close()
-	s.record(nil, true)
-}
+func (s *SkylineIterator) Close() { s.finish(nil, true) }
 
 // Stats returns the query's cost counters: frozen finals once the iterator
 // is exhausted or closed, otherwise a live snapshot of the work so far.

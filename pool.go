@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"roadskyline/internal/core"
 	"roadskyline/internal/obs"
 )
 
@@ -21,6 +22,16 @@ var ErrPoolClosed = errors.New("roadskyline: pool closed")
 // busy and the admission queue is full. Callers should treat it as
 // backpressure: retry later or shed the request.
 var ErrPoolSaturated = errors.New("roadskyline: pool saturated")
+
+// errOutcomes is which errors end a submission in which outcome
+// (obs.Classify reads it, in finalize); any other error is a query-level
+// error.
+var errOutcomes = []obs.ErrOutcome{
+	{Err: ErrPoolSaturated, Outcome: obs.OutcomeSaturated},
+	{Err: ErrPoolClosed, Outcome: obs.OutcomeClosed},
+	{Err: context.Canceled, Outcome: obs.OutcomeCancelled},
+	{Err: context.DeadlineExceeded, Outcome: obs.OutcomeCancelled},
+}
 
 // PoolConfig tunes a Pool.
 type PoolConfig struct {
@@ -34,8 +45,8 @@ type PoolConfig struct {
 	// Window enables the rolling load window: per-second buckets of
 	// throughput, latency quantiles, outcome rates and cache hit rates,
 	// composed into 1s/10s/60s views in PoolMetrics().Load and the
-	// /debug/load endpoint. Off by default; when off, queries pay nothing
-	// (not even a clock read) and PoolMetrics().Load is nil.
+	// /debug/load endpoint. Off by default; when off, PoolMetrics().Load
+	// is nil.
 	Window bool
 	// RuntimeSample enables periodic Go runtime sampling (heap, GC pauses,
 	// goroutines, scheduler latency) at the given interval on a dedicated
@@ -78,14 +89,6 @@ type poolWorker struct {
 	misses  atomic.Int64
 }
 
-// record folds one completed query's buffer traffic into the worker's
-// lifetime totals.
-func (w *poolWorker) record(s Stats) {
-	w.queries.Add(1)
-	w.gets.Add(s.NetworkGets)
-	w.misses.Add(s.NetworkPages)
-}
-
 // poolCounters is the pool's runtime instrumentation: submission outcome
 // counters, occupancy gauges and the queue-wait histogram. All lock-free;
 // queries pay a handful of atomic adds each.
@@ -98,23 +101,6 @@ type poolCounters struct {
 	inFlight  atomic.Int64
 	waiting   atomic.Int64
 	queueWait *obs.Histogram
-}
-
-// finish classifies a finished submission by its final error, keeping the
-// invariant submitted = served + saturated + cancelled + closed once the
-// pool is quiescent. Query-level errors (validation and the like) count as
-// served: a worker processed the request.
-func (c *poolCounters) finish(err error) {
-	switch {
-	case errors.Is(err, ErrPoolSaturated):
-		c.saturated.Add(1)
-	case errors.Is(err, ErrPoolClosed):
-		c.closed.Add(1)
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		c.cancelled.Add(1)
-	default:
-		c.served.Add(1)
-	}
 }
 
 // snapshot reads the submission counters consistently enough for the
@@ -190,54 +176,56 @@ func (p *Pool) InflightQueries() []InflightQuery { return p.inflight.Snapshot() 
 // the engine behind the pool (see Engine.WavefrontLineage).
 func (p *Pool) WavefrontLineage() []WavefrontLineageEvent { return p.all[0].eng.WavefrontLineage() }
 
-// beginTrace opens the query's causal trace at pool admission when
-// Query.Trace is set (and none is attached yet), publishing the queued
-// role so the in-flight view shows the query before a worker picks it up.
-// The engine adopts the trace through the unexported field.
-func (p *Pool) beginTrace(q *Query, alg string) {
+// admit opens a submission and waits for its worker: it is counted and
+// stamped, and when Query.Trace is set (and no trace is attached yet) its
+// causal trace opens here with the queued role, so the in-flight view
+// shows the query before a worker picks it up and the queue wait is
+// spanned. The engine adopts the trace through the unexported field.
+// Queued submissions go through the bounded admission queue, failing fast
+// with ErrPoolSaturated when it is full; a batch query bypasses it (the
+// caller owns its backlog and is willing to block until a worker frees
+// up).
+func (p *Pool) admit(ctx context.Context, q *Query, queued bool) (w *poolWorker, admitted time.Time, err error) {
+	p.met.submitted.Add(1)
 	if q.trace == nil && q.Trace {
-		q.trace = p.inflight.Begin(alg, len(q.Points))
+		q.trace = p.inflight.Begin(q.Algorithm.String(), len(q.Points))
 		q.trace.SetRole(obs.RoleQueued)
 	}
+	admitted = time.Now()
+	if queued {
+		w, err = p.acquire(ctx, admitted)
+	} else {
+		w, err = p.wait(ctx, admitted)
+	}
+	q.trace.SpanSince(obs.SpanQueueWait, admitted)
+	return w, admitted, err
 }
 
-// recordAdmission files a submission the engine never saw — rejected at
-// admission or cancelled while waiting for a worker — with the flight
-// recorder, so recorder outcome counts reconcile with the pool's
-// submission counters. Queries that reach a worker are recorded by the
-// engine instead. The query's trace, if any, finalizes here (recording
-// itself is a no-op when the recorder is disabled).
-func (p *Pool) recordAdmission(alg string, q Query, err error) {
-	q.trace.Finish(0)
-	p.inflight.Remove(q.trace)
-	if p.flight == nil {
-		return
-	}
-	var outcome string
-	switch {
-	case errors.Is(err, ErrPoolSaturated):
-		outcome = obs.OutcomeSaturated
-	case errors.Is(err, ErrPoolClosed):
-		outcome = obs.OutcomeClosed
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		outcome = obs.OutcomeCancelled
+// finish hands a finished submission's record to every consumer: the
+// outcome counters (keeping submitted = served + saturated + cancelled +
+// closed once the pool is quiescent; query-level errors and abandoned
+// iterators count as served, a worker processed the request), the
+// lifetime buffer totals of the worker that answered it (w is nil when
+// none did), the flight recorder and the rolling window. Every submission
+// path ends here, exactly once.
+func (p *Pool) finish(w *poolWorker, rec obs.FlightRecord) {
+	switch rec.Outcome {
+	case obs.OutcomeSaturated:
+		p.met.saturated.Add(1)
+	case obs.OutcomeClosed:
+		p.met.closed.Add(1)
+	case obs.OutcomeCancelled:
+		p.met.cancelled.Add(1)
 	default:
-		outcome = obs.OutcomeError
+		p.met.served.Add(1)
 	}
-	p.flight.Record(obs.FlightRecord{
-		Alg:         alg,
-		NumPoints:   len(q.Points),
-		UseAttrs:    q.UseAttrs,
-		Alternate:   q.Alternate,
-		Source:      q.Source,
-		NoLandmarks: q.NoLandmarks,
-		NoDistCache: q.NoDistCache,
-		NoShare:     q.NoShare,
-		Outcome:     outcome,
-		Err:         err.Error(),
-		TraceID:     q.trace.ID().String(),
-		Spans:       q.trace.Spans(),
-	})
+	if w != nil && rec.Err == "" { // answered with a result: served or abandoned
+		w.queries.Add(1)
+		w.gets.Add(rec.NetworkGets)
+		w.misses.Add(rec.NetworkPages)
+	}
+	p.flight.Record(rec)
+	p.window.Observe(&rec)
 }
 
 // Close shuts the pool: queries already running finish normally, every
@@ -249,53 +237,9 @@ func (p *Pool) Close() {
 	})
 }
 
-// windowStart stamps a submission's admission time when the rolling
-// window is enabled, the zero time otherwise — the disabled path pays
-// nothing, not even a clock read.
-func (p *Pool) windowStart() time.Time {
-	if p.window == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// observeWindow folds one finished submission into the rolling window:
-// its outcome, wall time from admission to completion, and (for
-// submissions that produced a result) its distance-cache and wavefront
-// counters. A no-op when the window is disabled.
-func (p *Pool) observeWindow(t0 time.Time, err error, st *Stats) {
-	if p.window == nil {
-		return
-	}
-	var dcHits, dcMisses, wfLeads, wfShares int
-	if st != nil {
-		dcHits, dcMisses = st.DistCacheHits, st.DistCacheMisses
-		wfLeads, wfShares = st.WavefrontLeads, st.WavefrontShares
-	}
-	p.window.Observe(windowOutcome(err), time.Since(t0), dcHits, dcMisses, wfLeads, wfShares)
-}
-
-// windowOutcome classifies a finished submission for the window. Unlike
-// poolCounters.finish it splits query-level errors out of served: the
-// live error rate is the first thing an operator watches.
-func windowOutcome(err error) obs.WindowOutcome {
-	switch {
-	case err == nil:
-		return obs.WinServed
-	case errors.Is(err, ErrPoolSaturated):
-		return obs.WinSaturated
-	case errors.Is(err, ErrPoolClosed):
-		return obs.WinClosed
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return obs.WinCancelled
-	default:
-		return obs.WinError
-	}
-}
-
-// acquire admits the caller through the bounded queue (failing fast with
-// ErrPoolSaturated when it is full) and then waits for an idle worker.
-func (p *Pool) acquire(ctx context.Context) (*poolWorker, error) {
+// acquire takes an admission token (failing fast with ErrPoolSaturated
+// when the queue is full) and then waits for an idle worker.
+func (p *Pool) acquire(ctx context.Context, admitted time.Time) (*poolWorker, error) {
 	select {
 	case p.queue <- struct{}{}:
 	default:
@@ -306,21 +250,14 @@ func (p *Pool) acquire(ctx context.Context) (*poolWorker, error) {
 		}
 		return nil, ErrPoolSaturated
 	}
-	w, err := p.wait(ctx)
+	w, err := p.wait(ctx, admitted)
 	if err != nil {
 		<-p.queue
 	}
 	return w, err
 }
 
-// acquireWait is acquire without the saturation fast-fail: the caller is
-// willing to block until a worker frees up (batch submission owns its
-// backlog). It bypasses the admission queue entirely.
-func (p *Pool) acquireWait(ctx context.Context) (*poolWorker, error) {
-	return p.wait(ctx)
-}
-
-func (p *Pool) wait(ctx context.Context) (*poolWorker, error) {
+func (p *Pool) wait(ctx context.Context, admitted time.Time) (*poolWorker, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -329,12 +266,11 @@ func (p *Pool) wait(ctx context.Context) (*poolWorker, error) {
 		return nil, ErrPoolClosed
 	default:
 	}
-	t0 := time.Now()
 	p.met.waiting.Add(1)
 	defer p.met.waiting.Add(-1)
 	select {
 	case w := <-p.workers:
-		p.met.queueWait.Observe(time.Since(t0))
+		p.met.queueWait.Observe(time.Since(admitted))
 		p.met.inFlight.Add(1)
 		return w, nil
 	case <-ctx.Done():
@@ -344,10 +280,10 @@ func (p *Pool) wait(ctx context.Context) (*poolWorker, error) {
 	}
 }
 
-func (p *Pool) release(w *poolWorker, admitted bool) {
+func (p *Pool) release(w *poolWorker, queued bool) {
 	p.met.inFlight.Add(-1)
 	p.workers <- w
-	if admitted {
+	if queued {
 		<-p.queue
 	}
 }
@@ -357,34 +293,22 @@ func (p *Pool) release(w *poolWorker, admitted bool) {
 // and the admission queue is full it fails fast with ErrPoolSaturated.
 // Cancellation both abandons the wait and aborts a running expansion.
 func (p *Pool) Skyline(ctx context.Context, q Query) (*Result, error) {
-	p.met.submitted.Add(1)
-	t0 := p.windowStart()
-	res, err := p.skyline(ctx, q)
-	p.met.finish(err)
-	if p.window != nil {
-		var st *Stats
-		if res != nil {
-			st = &res.Stats
-		}
-		p.observeWindow(t0, err, st)
-	}
-	return res, err
+	return p.submit(ctx, q, true)
 }
 
-func (p *Pool) skyline(ctx context.Context, q Query) (*Result, error) {
-	p.beginTrace(&q, q.Algorithm.String())
-	t0 := q.trace.Stopwatch()
-	w, err := p.acquire(ctx)
-	q.trace.SpanSince(obs.SpanQueueWait, t0)
+// submit runs one one-shot submission from admission to its record:
+// through the admission queue for Skyline, around it for a batch query.
+func (p *Pool) submit(ctx context.Context, q Query, queued bool) (*Result, error) {
+	w, admitted, err := p.admit(ctx, &q, queued)
+	var res *Result
+	var rec obs.FlightRecord
 	if err != nil {
-		p.recordAdmission(q.Algorithm.String(), q, err)
-		return nil, err
+		rec = finalize(p.inflight, q, core.Metrics{}, admitted, err, false)
+	} else {
+		res, rec, err = w.eng.run(ctx, q, admitted)
+		p.release(w, queued)
 	}
-	defer p.release(w, true)
-	res, err := w.eng.SkylineContext(ctx, q)
-	if res != nil {
-		w.record(res.Stats)
-	}
+	p.finish(w, rec)
 	return res, err
 }
 
@@ -420,33 +344,7 @@ func (p *Pool) SkylineBatch(ctx context.Context, queries []Query) (results []*Re
 					return
 				}
 				qi := order[i]
-				q := queries[qi]
-				p.met.submitted.Add(1)
-				win0 := p.windowStart()
-				p.beginTrace(&q, q.Algorithm.String())
-				t0 := q.trace.Stopwatch()
-				w, err := p.acquireWait(ctx)
-				q.trace.SpanSince(obs.SpanQueueWait, t0)
-				if err != nil {
-					errs[qi] = err
-					p.recordAdmission(q.Algorithm.String(), q, err)
-					p.met.finish(err)
-					p.observeWindow(win0, err, nil)
-					continue
-				}
-				results[qi], errs[qi] = w.eng.SkylineContext(ctx, q)
-				if results[qi] != nil {
-					w.record(results[qi].Stats)
-				}
-				p.met.finish(errs[qi])
-				if p.window != nil {
-					var st *Stats
-					if results[qi] != nil {
-						st = &results[qi].Stats
-					}
-					p.observeWindow(win0, errs[qi], st)
-				}
-				p.release(w, false)
+				results[qi], errs[qi] = p.submit(ctx, queries[qi], false)
 			}
 		}()
 	}
@@ -493,26 +391,20 @@ func batchOrder(queries []Query) []int {
 // automatically) or the worker leaks. Admission follows the same rules as
 // Skyline, including ErrPoolSaturated.
 func (p *Pool) SkylineIter(ctx context.Context, q Query) (*PoolIterator, error) {
-	p.met.submitted.Add(1)
-	win0 := p.windowStart()
-	p.beginTrace(&q, LBCAlg.String())
-	t0 := q.trace.Stopwatch()
-	w, err := p.acquire(ctx)
-	q.trace.SpanSince(obs.SpanQueueWait, t0)
+	q.Algorithm = LBCAlg
+	w, admitted, err := p.admit(ctx, &q, true)
+	var rec obs.FlightRecord
 	if err != nil {
-		p.recordAdmission(LBCAlg.String(), q, err)
-		p.met.finish(err)
-		p.observeWindow(win0, err, nil)
-		return nil, err
-	}
-	it, err := w.eng.SkylineIterContext(ctx, q)
-	if err != nil {
+		rec = finalize(p.inflight, q, core.Metrics{}, admitted, err, false)
+	} else {
+		var it *SkylineIterator
+		if it, rec, err = w.eng.iter(ctx, q, admitted); err == nil {
+			return &PoolIterator{pool: p, w: w, it: it}, nil
+		}
 		p.release(w, true)
-		p.met.finish(err)
-		p.observeWindow(win0, err, nil)
-		return nil, err
 	}
-	return &PoolIterator{pool: p, w: w, it: it, win0: win0}, nil
+	p.finish(w, rec)
+	return nil, err
 }
 
 // PoolIterator streams skyline points from a pool worker. It is not safe
@@ -524,7 +416,6 @@ type PoolIterator struct {
 	stats   Stats
 	lastErr error
 	done    bool
-	win0    time.Time // admission time for the rolling window; zero when disabled
 }
 
 // Next returns the next skyline point; ok is false when the skyline is
@@ -566,9 +457,7 @@ func (pi *PoolIterator) Close() {
 	// iteration feeds the distance cache.
 	pi.it.Close()
 	pi.stats = pi.it.Stats()
-	pi.w.record(pi.stats)
-	pi.pool.met.finish(pi.lastErr)
-	pi.pool.observeWindow(pi.win0, pi.lastErr, &pi.stats)
 	pi.pool.release(pi.w, true)
+	pi.pool.finish(pi.w, pi.it.rec)
 	pi.w, pi.it = nil, nil
 }

@@ -35,6 +35,14 @@ func (p *Pool) ExpvarFunc() expvar.Func {
 	return expvar.Func(func() any { return p.PoolMetrics() })
 }
 
+// sample is one exposition line of a counter or gauge family: labels is
+// the rendered label pairs (empty for an unlabeled sample), value an
+// integer or a float64 (rendered %d and %g).
+type sample struct {
+	labels string
+	value  any
+}
+
 // histogramSeries is one labeled series of a histogram family: labels is
 // the rendered label pairs without the trailing le pair (empty for an
 // unlabeled family), h the snapshot to render.
@@ -43,215 +51,201 @@ type histogramSeries struct {
 	h      WaitHistogram
 }
 
-// writeHistogramFamily renders one histogram family in the Prometheus
-// text format: HELP/TYPE once, then per series the cumulative buckets
-// with their le bounds, the +Inf bucket, and _sum/_count. Every histogram
-// family goes through here so the exposition shape cannot drift between
-// families.
-func writeHistogramFamily(w io.Writer, name, help string, series []histogramSeries) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	for _, s := range series {
-		pre := s.labels
-		if pre != "" {
-			pre += ","
+// family is one metric family of the exposition. Counter and gauge
+// families carry samples, histogram families series.
+type family struct {
+	name, typ, help string
+	samples         []sample
+	series          []histogramSeries
+}
+
+func label(key, value string) string { return fmt.Sprintf("%s=%q", key, value) }
+
+// one is the sample list of an unlabeled single-value family.
+func one(value any) []sample { return []sample{{value: value}} }
+
+// metricFamilies lays one snapshot out as the /metrics families, in the
+// fixed order they are exposed (so scrapes diff cleanly). The load and
+// runtime families exist only when the pool was built with
+// PoolConfig.Window / PoolConfig.RuntimeSample, so disabled pools expose
+// none of them rather than frozen zeros.
+func metricFamilies(m PoolMetrics) []family {
+	version, goVersion := BuildInfo()
+	perWorker := func(value func(WorkerStats) any) []sample {
+		out := make([]sample, len(m.WorkerStats))
+		for i, ws := range m.WorkerStats {
+			out[i] = sample{fmt.Sprintf("worker=\"%d\"", ws.Worker), value(ws)}
 		}
-		for i, b := range s.h.Bounds {
-			if i < len(s.h.Buckets) {
-				fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", name, pre, fmt.Sprintf("%g", b.Seconds()), s.h.Buckets[i])
+		return out
+	}
+	var flightOutcomes []sample
+	for _, o := range sortedKeys(m.FlightOutcomes) {
+		flightOutcomes = append(flightOutcomes, sample{label("outcome", o), m.FlightOutcomes[o]})
+	}
+	durations := make([]histogramSeries, len(m.Durations))
+	for i, d := range m.Durations {
+		durations[i] = histogramSeries{label("alg", d.Alg) + "," + label("outcome", d.Outcome), d.Hist}
+	}
+	fams := []family{
+		{name: "roadskyline_build_info", typ: "gauge", help: "Build metadata; the value is always 1.",
+			samples: []sample{{label("version", version) + "," + label("go_version", goVersion), 1}}},
+		{name: "roadskyline_storage_backend_info", typ: "gauge", help: "Page-file backend serving this pool; the value is always 1.",
+			samples: []sample{{label("backend", m.StorageBackend), 1}}},
+		{name: "roadskyline_pool_workers", typ: "gauge", help: "Engine clones in the pool.", samples: one(m.Workers)},
+		{name: "roadskyline_pool_in_flight", typ: "gauge", help: "Queries holding a worker right now.", samples: one(m.InFlight)},
+		{name: "roadskyline_pool_waiting", typ: "gauge", help: "Submissions waiting for an idle worker.", samples: one(m.Waiting)},
+		{name: "roadskyline_pool_submitted_total", typ: "counter", help: "Queries handed to the pool.", samples: one(m.Submitted)},
+		{name: "roadskyline_pool_queries_total", typ: "counter", help: "Finished submissions by outcome; outcomes sum to submitted once quiescent.",
+			samples: []sample{
+				{label("outcome", "served"), m.Served},
+				{label("outcome", "saturated"), m.Saturated},
+				{label("outcome", "cancelled"), m.Cancelled},
+				{label("outcome", "closed"), m.Closed},
+			}},
+		{name: "roadskyline_pool_queue_wait_seconds", typ: "histogram", help: "Time from submission to worker checkout.",
+			series: []histogramSeries{{h: m.QueueWait}}},
+		{name: "roadskyline_pool_worker_queries_total", typ: "counter", help: "Queries completed per worker.",
+			samples: perWorker(func(ws WorkerStats) any { return ws.Queries })},
+		{name: "roadskyline_pool_worker_buffer_gets_total", typ: "counter", help: "Logical network page requests per worker.",
+			samples: perWorker(func(ws WorkerStats) any { return ws.BufferGets })},
+		{name: "roadskyline_pool_worker_buffer_misses_total", typ: "counter", help: "Network page faults per worker; 1 - misses/gets is the buffer hit rate.",
+			samples: perWorker(func(ws WorkerStats) any { return ws.BufferMisses })},
+		{name: "roadskyline_distcache_lookups_total", typ: "counter", help: "Distance-cache lookups by result, shared across all workers.",
+			samples: []sample{{label("result", "hit"), m.DistCache.Hits}, {label("result", "miss"), m.DistCache.Misses}}},
+		{name: "roadskyline_distcache_stores_total", typ: "counter", help: "Wavefront snapshots stored in the distance cache.", samples: one(m.DistCache.Stores)},
+		{name: "roadskyline_distcache_evictions_total", typ: "counter", help: "Distance-cache entries displaced by capacity.", samples: one(m.DistCache.Evictions)},
+		{name: "roadskyline_distcache_entries", typ: "gauge", help: "Wavefront snapshots resident in the distance cache.", samples: one(m.DistCache.Entries)},
+		{name: "roadskyline_wavefront_expansions_total", typ: "counter", help: "Single-flight wavefront outcomes by role: expansions led vs frontiers shared from a leader.",
+			samples: []sample{{label("role", "lead"), m.Wavefront.Leads}, {label("role", "share"), m.Wavefront.Shares}}},
+		{name: "roadskyline_wavefront_promotions_total", typ: "counter", help: "Subscribers promoted to leader after a cancelled lead.", samples: one(m.Wavefront.Promotions)},
+		{name: "roadskyline_wavefront_bypasses_total", typ: "counter", help: "Joins that expanded independently (sharing off for the query, or no exact source match).", samples: one(m.Wavefront.Bypasses)},
+		{name: "roadskyline_wavefront_waiting", typ: "gauge", help: "Subscribers blocked on a leader right now.", samples: one(m.Wavefront.Waiting)},
+		{name: "roadskyline_flight_queries_total", typ: "counter", help: "Queries observed by the flight recorder, by outcome; empty when the recorder is disabled.",
+			samples: flightOutcomes},
+		{name: "roadskyline_query_duration_seconds", typ: "histogram", help: "Query response time (measured CPU plus modeled I/O) by algorithm and outcome; empty when the flight recorder is disabled.",
+			series: durations},
+	}
+	if m.Load != nil {
+		// One series per view width (window="1s"/"10s"/"60s"); values lists
+		// the samples one view contributes, each under an optional further
+		// label pair.
+		perView := func(values func(LoadStats) []sample) []sample {
+			var out []sample
+			for _, v := range m.Load {
+				window := fmt.Sprintf("window=\"%ds\"", v.WindowSeconds)
+				for _, s := range values(v) {
+					if s.labels != "" {
+						s.labels = "," + s.labels
+					}
+					out = append(out, sample{window + s.labels, s.value})
+				}
+			}
+			return out
+		}
+		fams = append(fams,
+			family{name: "roadskyline_load_tps", typ: "gauge", help: "Completed submissions per second over the trailing window.",
+				samples: perView(func(v LoadStats) []sample { return one(v.TPS) })},
+			family{name: "roadskyline_load_queries", typ: "gauge", help: "Completed submissions in the trailing window by outcome.",
+				samples: perView(func(v LoadStats) []sample {
+					return []sample{
+						{label("outcome", "served"), v.Served},
+						{label("outcome", "error"), v.Errors},
+						{label("outcome", "cancelled"), v.Cancelled},
+						{label("outcome", "saturated"), v.Saturated},
+						{label("outcome", "closed"), v.Closed},
+					}
+				})},
+			family{name: "roadskyline_load_latency_seconds", typ: "gauge", help: "Latency quantile estimates (upper bucket edge) over the trailing window, completed submissions only.",
+				samples: perView(func(v LoadStats) []sample {
+					return []sample{
+						{label("quantile", "0.5"), v.P50.Seconds()},
+						{label("quantile", "0.9"), v.P90.Seconds()},
+						{label("quantile", "0.99"), v.P99.Seconds()},
+						{label("quantile", "0.999"), v.P999.Seconds()},
+					}
+				})},
+			family{name: "roadskyline_load_distcache_hit_rate", typ: "gauge", help: "Distance-cache hit rate of the window's completed queries (0 when none looked up).",
+				samples: perView(func(v LoadStats) []sample { return one(v.DistCacheHitRate) })},
+			family{name: "roadskyline_load_wavefront_share_rate", typ: "gauge", help: "Fraction of the window's single-flight joins that shared a leader's wavefront.",
+				samples: perView(func(v LoadStats) []sample { return one(v.WavefrontShareRate) })},
+		)
+	}
+	if s := m.Runtime; s != nil {
+		quantiles := func(p50, p99, max time.Duration) []sample {
+			return []sample{
+				{label("quantile", "0.5"), p50.Seconds()},
+				{label("quantile", "0.99"), p99.Seconds()},
+				{label("quantile", "1"), max.Seconds()},
 			}
 		}
-		fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", name, pre, "+Inf", s.h.Count)
-		if s.labels != "" {
-			fmt.Fprintf(w, "%s_sum{%s} %g\n", name, s.labels, s.h.Sum.Seconds())
-			fmt.Fprintf(w, "%s_count{%s} %d\n", name, s.labels, s.h.Count)
-		} else {
-			fmt.Fprintf(w, "%s_sum %g\n", name, s.h.Sum.Seconds())
-			fmt.Fprintf(w, "%s_count %d\n", name, s.h.Count)
-		}
+		fams = append(fams,
+			family{name: "roadskyline_runtime_heap_bytes", typ: "gauge", help: "Live heap bytes at the last runtime sample.", samples: one(s.HeapBytes)},
+			family{name: "roadskyline_runtime_total_bytes", typ: "gauge", help: "Bytes mapped by the Go runtime at the last sample.", samples: one(s.TotalBytes)},
+			family{name: "roadskyline_runtime_alloc_bytes_total", typ: "counter", help: "Cumulative heap bytes allocated; the rate is the allocation rate.", samples: one(s.AllocBytes)},
+			family{name: "roadskyline_runtime_goroutines", typ: "gauge", help: "Live goroutines at the last runtime sample.", samples: one(s.Goroutines)},
+			family{name: "roadskyline_runtime_gc_cycles_total", typ: "counter", help: "Completed GC cycles.", samples: one(s.GCCycles)},
+			family{name: "roadskyline_runtime_gc_pause_seconds", typ: "gauge", help: "GC stop-the-world pause quantiles since process start (quantile 1 is the max bucket edge).",
+				samples: quantiles(s.GCPauseP50, s.GCPauseP99, s.GCPauseMax)},
+			family{name: "roadskyline_runtime_sched_latency_seconds", typ: "gauge", help: "Scheduler queueing latency quantiles since process start (quantile 1 is the max bucket edge).",
+				samples: quantiles(s.SchedLatP50, s.SchedLatP99, s.SchedLatMax)},
+		)
 	}
+	return fams
 }
 
-// writePoolMetrics renders one snapshot in Prometheus text format. Metric
-// families appear in a fixed order so scrapes diff cleanly.
+// writePoolMetrics renders one snapshot in the Prometheus text format.
+// Every family goes through this one loop — HELP/TYPE once, then its
+// samples, or per histogram series the cumulative buckets with their le
+// bounds, the +Inf bucket and _sum/_count — so the exposition shape cannot
+// drift between families.
 func writePoolMetrics(w io.Writer, m PoolMetrics) {
-	gauge := func(name, help string, v int) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	version, goVersion := BuildInfo()
-	fmt.Fprintf(w, "# HELP roadskyline_build_info Build metadata; the value is always 1.\n")
-	fmt.Fprintf(w, "# TYPE roadskyline_build_info gauge\n")
-	fmt.Fprintf(w, "roadskyline_build_info{version=%q,go_version=%q} 1\n", version, goVersion)
-	fmt.Fprintf(w, "# HELP roadskyline_storage_backend_info Page-file backend serving this pool; the value is always 1.\n")
-	fmt.Fprintf(w, "# TYPE roadskyline_storage_backend_info gauge\n")
-	fmt.Fprintf(w, "roadskyline_storage_backend_info{backend=%q} 1\n", m.StorageBackend)
-	gauge("roadskyline_pool_workers", "Engine clones in the pool.", m.Workers)
-	gauge("roadskyline_pool_in_flight", "Queries holding a worker right now.", m.InFlight)
-	gauge("roadskyline_pool_waiting", "Submissions waiting for an idle worker.", m.Waiting)
-
-	fmt.Fprintf(w, "# HELP roadskyline_pool_submitted_total Queries handed to the pool.\n")
-	fmt.Fprintf(w, "# TYPE roadskyline_pool_submitted_total counter\n")
-	fmt.Fprintf(w, "roadskyline_pool_submitted_total %d\n", m.Submitted)
-
-	fmt.Fprintf(w, "# HELP roadskyline_pool_queries_total Finished submissions by outcome; outcomes sum to submitted once quiescent.\n")
-	fmt.Fprintf(w, "# TYPE roadskyline_pool_queries_total counter\n")
-	fmt.Fprintf(w, "roadskyline_pool_queries_total{outcome=%q} %d\n", "served", m.Served)
-	fmt.Fprintf(w, "roadskyline_pool_queries_total{outcome=%q} %d\n", "saturated", m.Saturated)
-	fmt.Fprintf(w, "roadskyline_pool_queries_total{outcome=%q} %d\n", "cancelled", m.Cancelled)
-	fmt.Fprintf(w, "roadskyline_pool_queries_total{outcome=%q} %d\n", "closed", m.Closed)
-
-	writeHistogramFamily(w, "roadskyline_pool_queue_wait_seconds",
-		"Time from submission to worker checkout.",
-		[]histogramSeries{{h: m.QueueWait}})
-
-	fmt.Fprintf(w, "# HELP roadskyline_pool_worker_queries_total Queries completed per worker.\n")
-	fmt.Fprintf(w, "# TYPE roadskyline_pool_worker_queries_total counter\n")
-	for _, ws := range m.WorkerStats {
-		fmt.Fprintf(w, "roadskyline_pool_worker_queries_total{worker=\"%d\"} %d\n", ws.Worker, ws.Queries)
-	}
-	fmt.Fprintf(w, "# HELP roadskyline_pool_worker_buffer_gets_total Logical network page requests per worker.\n")
-	fmt.Fprintf(w, "# TYPE roadskyline_pool_worker_buffer_gets_total counter\n")
-	for _, ws := range m.WorkerStats {
-		fmt.Fprintf(w, "roadskyline_pool_worker_buffer_gets_total{worker=\"%d\"} %d\n", ws.Worker, ws.BufferGets)
-	}
-	fmt.Fprintf(w, "# HELP roadskyline_pool_worker_buffer_misses_total Network page faults per worker; 1 - misses/gets is the buffer hit rate.\n")
-	fmt.Fprintf(w, "# TYPE roadskyline_pool_worker_buffer_misses_total counter\n")
-	for _, ws := range m.WorkerStats {
-		fmt.Fprintf(w, "roadskyline_pool_worker_buffer_misses_total{worker=\"%d\"} %d\n", ws.Worker, ws.BufferMisses)
-	}
-
-	fmt.Fprintf(w, "# HELP roadskyline_distcache_lookups_total Distance-cache lookups by result, shared across all workers.\n")
-	fmt.Fprintf(w, "# TYPE roadskyline_distcache_lookups_total counter\n")
-	fmt.Fprintf(w, "roadskyline_distcache_lookups_total{result=%q} %d\n", "hit", m.DistCache.Hits)
-	fmt.Fprintf(w, "roadskyline_distcache_lookups_total{result=%q} %d\n", "miss", m.DistCache.Misses)
-	fmt.Fprintf(w, "# HELP roadskyline_distcache_stores_total Wavefront snapshots stored in the distance cache.\n")
-	fmt.Fprintf(w, "# TYPE roadskyline_distcache_stores_total counter\n")
-	fmt.Fprintf(w, "roadskyline_distcache_stores_total %d\n", m.DistCache.Stores)
-	fmt.Fprintf(w, "# HELP roadskyline_distcache_evictions_total Distance-cache entries displaced by capacity.\n")
-	fmt.Fprintf(w, "# TYPE roadskyline_distcache_evictions_total counter\n")
-	fmt.Fprintf(w, "roadskyline_distcache_evictions_total %d\n", m.DistCache.Evictions)
-	gauge("roadskyline_distcache_entries", "Wavefront snapshots resident in the distance cache.", m.DistCache.Entries)
-
-	fmt.Fprintf(w, "# HELP roadskyline_wavefront_expansions_total Single-flight wavefront outcomes by role: expansions led vs frontiers shared from a leader.\n")
-	fmt.Fprintf(w, "# TYPE roadskyline_wavefront_expansions_total counter\n")
-	fmt.Fprintf(w, "roadskyline_wavefront_expansions_total{role=%q} %d\n", "lead", m.Wavefront.Leads)
-	fmt.Fprintf(w, "roadskyline_wavefront_expansions_total{role=%q} %d\n", "share", m.Wavefront.Shares)
-	fmt.Fprintf(w, "# HELP roadskyline_wavefront_promotions_total Subscribers promoted to leader after a cancelled lead.\n")
-	fmt.Fprintf(w, "# TYPE roadskyline_wavefront_promotions_total counter\n")
-	fmt.Fprintf(w, "roadskyline_wavefront_promotions_total %d\n", m.Wavefront.Promotions)
-	fmt.Fprintf(w, "# HELP roadskyline_wavefront_bypasses_total Joins that expanded independently (sharing off for the query, or no exact source match).\n")
-	fmt.Fprintf(w, "# TYPE roadskyline_wavefront_bypasses_total counter\n")
-	fmt.Fprintf(w, "roadskyline_wavefront_bypasses_total %d\n", m.Wavefront.Bypasses)
-	gauge("roadskyline_wavefront_waiting", "Subscribers blocked on a leader right now.", m.Wavefront.Waiting)
-
-	fmt.Fprintf(w, "# HELP roadskyline_flight_queries_total Queries observed by the flight recorder, by outcome; empty when the recorder is disabled.\n")
-	fmt.Fprintf(w, "# TYPE roadskyline_flight_queries_total counter\n")
-	outcomes := make([]string, 0, len(m.FlightOutcomes))
-	for o := range m.FlightOutcomes {
-		outcomes = append(outcomes, o)
-	}
-	sort.Strings(outcomes)
-	for _, o := range outcomes {
-		fmt.Fprintf(w, "roadskyline_flight_queries_total{outcome=%q} %d\n", o, m.FlightOutcomes[o])
-	}
-
-	durs := make([]histogramSeries, len(m.Durations))
-	for i, d := range m.Durations {
-		durs[i] = histogramSeries{
-			labels: fmt.Sprintf("alg=%q,outcome=%q", d.Alg, d.Outcome),
-			h:      d.Hist,
+	for _, f := range metricFamilies(m) {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
+		for _, s := range f.samples {
+			fmt.Fprintf(w, "%s%s %v\n", f.name, braced(s.labels), s.value)
 		}
-	}
-	writeHistogramFamily(w, "roadskyline_query_duration_seconds",
-		"Query response time (measured CPU plus modeled I/O) by algorithm and outcome; empty when the flight recorder is disabled.",
-		durs)
-
-	if m.Load != nil {
-		writeLoadMetrics(w, m.Load)
-	}
-	if m.Runtime != nil {
-		writeRuntimeMetrics(w, *m.Runtime)
+		for _, s := range f.series {
+			pre := s.labels
+			if pre != "" {
+				pre += ","
+			}
+			for i, b := range s.h.Bounds {
+				if i < len(s.h.Buckets) {
+					fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", f.name, pre, fmt.Sprintf("%g", b.Seconds()), s.h.Buckets[i])
+				}
+			}
+			fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", f.name, pre, "+Inf", s.h.Count)
+			fmt.Fprintf(w, "%s_sum%s %g\n", f.name, braced(s.labels), s.h.Sum.Seconds())
+			fmt.Fprintf(w, "%s_count%s %d\n", f.name, braced(s.labels), s.h.Count)
+		}
 	}
 }
 
-// writeLoadMetrics renders the rolling-window views as roadskyline_load_*
-// gauges, one series per view width (window="1s"/"10s"/"60s"). Rendered
-// only when the pool was built with PoolConfig.Window, so disabled pools
-// expose no load families at all rather than frozen zeros.
-func writeLoadMetrics(w io.Writer, views []LoadStats) {
-	label := func(v LoadStats) string { return fmt.Sprintf("window=\"%ds\"", v.WindowSeconds) }
-
-	fmt.Fprintf(w, "# HELP roadskyline_load_tps Completed submissions per second over the trailing window.\n")
-	fmt.Fprintf(w, "# TYPE roadskyline_load_tps gauge\n")
-	for _, v := range views {
-		fmt.Fprintf(w, "roadskyline_load_tps{%s} %g\n", label(v), v.TPS)
+// braced wraps rendered label pairs in braces; no labels, no braces.
+func braced(labels string) string {
+	if labels == "" {
+		return ""
 	}
-
-	fmt.Fprintf(w, "# HELP roadskyline_load_queries Completed submissions in the trailing window by outcome.\n")
-	fmt.Fprintf(w, "# TYPE roadskyline_load_queries gauge\n")
-	for _, v := range views {
-		for _, oc := range []struct {
-			name string
-			n    uint64
-		}{{"served", v.Served}, {"error", v.Errors}, {"cancelled", v.Cancelled},
-			{"saturated", v.Saturated}, {"closed", v.Closed}} {
-			fmt.Fprintf(w, "roadskyline_load_queries{%s,outcome=%q} %d\n", label(v), oc.name, oc.n)
-		}
-	}
-
-	fmt.Fprintf(w, "# HELP roadskyline_load_latency_seconds Latency quantile estimates (upper bucket edge) over the trailing window, completed submissions only.\n")
-	fmt.Fprintf(w, "# TYPE roadskyline_load_latency_seconds gauge\n")
-	for _, v := range views {
-		for _, qt := range []struct {
-			q string
-			d time.Duration
-		}{{"0.5", v.P50}, {"0.9", v.P90}, {"0.99", v.P99}, {"0.999", v.P999}} {
-			fmt.Fprintf(w, "roadskyline_load_latency_seconds{%s,quantile=%q} %g\n", label(v), qt.q, qt.d.Seconds())
-		}
-	}
-
-	fmt.Fprintf(w, "# HELP roadskyline_load_distcache_hit_rate Distance-cache hit rate of the window's completed queries (0 when none looked up).\n")
-	fmt.Fprintf(w, "# TYPE roadskyline_load_distcache_hit_rate gauge\n")
-	for _, v := range views {
-		fmt.Fprintf(w, "roadskyline_load_distcache_hit_rate{%s} %g\n", label(v), v.DistCacheHitRate)
-	}
-
-	fmt.Fprintf(w, "# HELP roadskyline_load_wavefront_share_rate Fraction of the window's single-flight joins that shared a leader's wavefront.\n")
-	fmt.Fprintf(w, "# TYPE roadskyline_load_wavefront_share_rate gauge\n")
-	for _, v := range views {
-		fmt.Fprintf(w, "roadskyline_load_wavefront_share_rate{%s} %g\n", label(v), v.WavefrontShareRate)
-	}
+	return "{" + labels + "}"
 }
 
-// writeRuntimeMetrics renders the latest Go runtime sample as
-// roadskyline_runtime_* families. Rendered only when the pool was built
-// with PoolConfig.RuntimeSample.
-func writeRuntimeMetrics(w io.Writer, s RuntimeSample) {
-	fmt.Fprintf(w, "# HELP roadskyline_runtime_heap_bytes Live heap bytes at the last runtime sample.\n")
-	fmt.Fprintf(w, "# TYPE roadskyline_runtime_heap_bytes gauge\n")
-	fmt.Fprintf(w, "roadskyline_runtime_heap_bytes %d\n", s.HeapBytes)
-	fmt.Fprintf(w, "# HELP roadskyline_runtime_total_bytes Bytes mapped by the Go runtime at the last sample.\n")
-	fmt.Fprintf(w, "# TYPE roadskyline_runtime_total_bytes gauge\n")
-	fmt.Fprintf(w, "roadskyline_runtime_total_bytes %d\n", s.TotalBytes)
-	fmt.Fprintf(w, "# HELP roadskyline_runtime_alloc_bytes_total Cumulative heap bytes allocated; the rate is the allocation rate.\n")
-	fmt.Fprintf(w, "# TYPE roadskyline_runtime_alloc_bytes_total counter\n")
-	fmt.Fprintf(w, "roadskyline_runtime_alloc_bytes_total %d\n", s.AllocBytes)
-	fmt.Fprintf(w, "# HELP roadskyline_runtime_goroutines Live goroutines at the last runtime sample.\n")
-	fmt.Fprintf(w, "# TYPE roadskyline_runtime_goroutines gauge\n")
-	fmt.Fprintf(w, "roadskyline_runtime_goroutines %d\n", s.Goroutines)
-	fmt.Fprintf(w, "# HELP roadskyline_runtime_gc_cycles_total Completed GC cycles.\n")
-	fmt.Fprintf(w, "# TYPE roadskyline_runtime_gc_cycles_total counter\n")
-	fmt.Fprintf(w, "roadskyline_runtime_gc_cycles_total %d\n", s.GCCycles)
+// sortedKeys returns the outcome names of a per-outcome count map in
+// exposition order.
+func sortedKeys(m map[string]uint64) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
 
-	fmt.Fprintf(w, "# HELP roadskyline_runtime_gc_pause_seconds GC stop-the-world pause quantiles since process start (quantile 1 is the max bucket edge).\n")
-	fmt.Fprintf(w, "# TYPE roadskyline_runtime_gc_pause_seconds gauge\n")
-	fmt.Fprintf(w, "roadskyline_runtime_gc_pause_seconds{quantile=\"0.5\"} %g\n", s.GCPauseP50.Seconds())
-	fmt.Fprintf(w, "roadskyline_runtime_gc_pause_seconds{quantile=\"0.99\"} %g\n", s.GCPauseP99.Seconds())
-	fmt.Fprintf(w, "roadskyline_runtime_gc_pause_seconds{quantile=\"1\"} %g\n", s.GCPauseMax.Seconds())
-	fmt.Fprintf(w, "# HELP roadskyline_runtime_sched_latency_seconds Scheduler queueing latency quantiles since process start (quantile 1 is the max bucket edge).\n")
-	fmt.Fprintf(w, "# TYPE roadskyline_runtime_sched_latency_seconds gauge\n")
-	fmt.Fprintf(w, "roadskyline_runtime_sched_latency_seconds{quantile=\"0.5\"} %g\n", s.SchedLatP50.Seconds())
-	fmt.Fprintf(w, "roadskyline_runtime_sched_latency_seconds{quantile=\"0.99\"} %g\n", s.SchedLatP99.Seconds())
-	fmt.Fprintf(w, "roadskyline_runtime_sched_latency_seconds{quantile=\"1\"} %g\n", s.SchedLatMax.Seconds())
+// writeJSON answers a debug endpoint with v as indented JSON.
+func writeJSON(rw http.ResponseWriter, v any) {
+	rw.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(rw)
+	enc.SetIndent("", "  ")
+	enc.Encode(v)
 }
 
 // flightResponse is the JSON body of the /debug/queries endpoint.
@@ -329,10 +323,7 @@ func (p *Pool) FlightHandler() http.Handler {
 			writeFlightText(rw, resp)
 			return
 		}
-		rw.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(rw)
-		enc.SetIndent("", "  ")
-		enc.Encode(resp)
+		writeJSON(rw, resp)
 	})
 }
 
@@ -398,10 +389,7 @@ func (p *Pool) TraceHandler() http.Handler {
 					Spans:   len(r.Spans),
 				})
 			}
-			rw.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(rw)
-			enc.SetIndent("", "  ")
-			enc.Encode(struct {
+			writeJSON(rw, struct {
 				Usage  string            `json:"usage"`
 				Traces []traceIndexEntry `json:"traces"`
 			}{"GET /debug/trace?id=<trace_id> for Chrome trace-event JSON", index})
@@ -437,10 +425,7 @@ func (p *Pool) InflightHandler() http.Handler {
 		if qs == nil {
 			qs = []InflightQuery{}
 		}
-		rw.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(rw)
-		enc.SetIndent("", "  ")
-		enc.Encode(struct {
+		writeJSON(rw, struct {
 			Now     time.Time       `json:"now"`
 			Queries []InflightQuery `json:"queries"`
 		}{time.Now(), qs})
@@ -489,10 +474,7 @@ func (p *Pool) LineageHandler() http.Handler {
 			}
 			out[i] = e
 		}
-		rw.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(rw)
-		enc.SetIndent("", "  ")
-		enc.Encode(struct {
+		writeJSON(rw, struct {
 			Events []lineageEventJSON `json:"events"`
 		}{out})
 	})
@@ -546,10 +528,7 @@ func (p *Pool) LoadHandler() http.Handler {
 				resp.History = all
 			}
 		}
-		rw.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(rw)
-		enc.SetIndent("", "  ")
-		enc.Encode(resp)
+		writeJSON(rw, resp)
 	})
 }
 
@@ -561,15 +540,10 @@ func writeFlightText(w io.Writer, resp flightResponse) {
 		return
 	}
 	fmt.Fprintf(w, "flight recorder: %d queries seen, %d retained\n", resp.Seen, len(resp.Records))
-	outcomes := make([]string, 0, len(resp.Outcomes))
-	for o := range resp.Outcomes {
-		outcomes = append(outcomes, o)
-	}
-	sort.Strings(outcomes)
-	for _, o := range outcomes {
+	for _, o := range sortedKeys(resp.Outcomes) {
 		fmt.Fprintf(w, "  %s=%d", o, resp.Outcomes[o])
 	}
-	if len(outcomes) > 0 {
+	if len(resp.Outcomes) > 0 {
 		fmt.Fprintln(w)
 	}
 	for _, r := range resp.Records {

@@ -140,15 +140,15 @@ func (p *Pool) PoolMetrics() PoolMetrics {
 	m := PoolMetrics{
 		Workers:        p.size,
 		StorageBackend: p.all[0].eng.StorageBackend().String(),
-		InFlight:    int(p.met.inFlight.Load()),
-		Waiting:     int(p.met.waiting.Load()),
-		Submitted:   submitted,
-		Served:      served,
-		Saturated:   saturated,
-		Cancelled:   cancelled,
-		Closed:      closed,
-		QueueWait:   p.met.queueWait.Snapshot(),
-		WorkerStats: make([]WorkerStats, len(p.all)),
+		InFlight:       int(p.met.inFlight.Load()),
+		Waiting:        int(p.met.waiting.Load()),
+		Submitted:      submitted,
+		Served:         served,
+		Saturated:      saturated,
+		Cancelled:      cancelled,
+		Closed:         closed,
+		QueueWait:      p.met.queueWait.Snapshot(),
+		WorkerStats:    make([]WorkerStats, len(p.all)),
 		// Any worker sees the shared cache and broker; the first is as
 		// good as all.
 		DistCache:      p.all[0].eng.DistCacheStats(),

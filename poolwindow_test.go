@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"roadskyline/internal/core"
 	"roadskyline/internal/obs"
 )
 
@@ -162,14 +163,15 @@ func TestPoolWindowDisabled(t *testing.T) {
 	if m.Runtime != nil {
 		t.Fatalf("disabled pool has a runtime sample: %+v", m.Runtime)
 	}
-	// The disabled observation hooks themselves are allocation-free.
+	// Finalizing a submission and handing its record to a pool whose
+	// optional consumers (recorder, window, trace) are all off is
+	// allocation-free.
+	q := Query{Points: n.GenerateQueryPoints(2, 0.1, 3), Algorithm: LBCAlg}
 	if a := testing.AllocsPerRun(100, func() {
-		t0 := p.windowStart()
-		p.observeWindow(t0, nil, nil)
+		p.finish(p.all[0], finalize(p.inflight, q, core.Metrics{NetworkGets: 3}, time.Now(), nil, false))
 	}); a != 0 {
-		t.Fatalf("disabled window hooks allocate %.1f/op", a)
+		t.Fatalf("finalization with every optional consumer off allocates %.1f/op", a)
 	}
-	_ = n
 }
 
 // TestLoadExposition drives traffic through a window-enabled pool and

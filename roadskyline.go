@@ -124,10 +124,14 @@ func (n *Network) Connected() bool { return n.g.Connected() }
 
 // NearestLocation maps an arbitrary coordinate to the closest position on
 // the network (a point on the nearest edge). It is how applications anchor
-// "the hotel at (x, y)" onto the road graph.
+// "the hotel at (x, y)" onto the road graph. NaN and infinite coordinates
+// are an error: nothing is nearest to them.
 func (n *Network) NearestLocation(p Point) (Location, error) {
 	if n.g.NumEdges() == 0 {
 		return Location{}, fmt.Errorf("roadskyline: network has no edges")
+	}
+	if math.IsNaN(p.X+p.Y) || math.IsInf(p.X, 0) || math.IsInf(p.Y, 0) {
+		return Location{}, fmt.Errorf("roadskyline: coordinate (%g, %g) is not finite", p.X, p.Y)
 	}
 	gp := geom.Point{X: p.X, Y: p.Y}
 	best, bestDist, bestT := graph.EdgeID(0), math.Inf(1), 0.0
