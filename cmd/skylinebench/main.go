@@ -14,6 +14,7 @@
 //	skylinebench -backends        # storage tiers: in-memory vs file vs mmap on identical work
 //	skylinebench -trajectory -json BENCH_7.json       # record the regression baseline
 //	skylinebench -compare BENCH_7.json                # gate: fail on regression vs baseline
+//	skylinebench -trajectory -cpuprofile cpu.pprof    # profile any mode (-memprofile for allocations)
 package main
 
 import (
@@ -22,6 +23,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -49,13 +52,28 @@ func main() {
 		thresh  = flag.Float64("threshold", 0.10, "allowed relative growth in the trajectory's deterministic work counters before -compare fails")
 		tthresh = flag.Float64("time-threshold", 0.50, "allowed relative growth in the trajectory's response times before -compare fails")
 		traceF  = flag.String("trace", "", "run one traced query per algorithm and write the slowest one's Chrome trace-event JSON (Perfetto-loadable) to this file instead of figures")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of whichever mode runs to this file (go tool pprof)")
+		memProf = flag.String("memprofile", "", "write an allocation profile of whichever mode runs to this file on exit")
 	)
 	flag.Parse()
+
+	stopProfiles, err := startProfiles(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "skylinebench: %v\n", err)
+		os.Exit(1)
+	}
+	defer stopProfiles()
+	// exit is os.Exit for the paths below: deferred calls do not run on
+	// os.Exit, and a failed run's profile is still worth having.
+	exit := func(code int) {
+		stopProfiles()
+		os.Exit(code)
+	}
 
 	if *traceF != "" {
 		if err := traceBench(*scale, *seed, *lms, *traceF); err != nil {
 			fmt.Fprintf(os.Stderr, "skylinebench: trace: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 		return
 	}
@@ -69,7 +87,7 @@ func main() {
 		}
 		if err := trajectoryMain(tscale, *seed, *lms, *jsonOut, *compare, *thresh, *tthresh); err != nil {
 			fmt.Fprintf(os.Stderr, "skylinebench: trajectory: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 		return
 	}
@@ -77,28 +95,28 @@ func main() {
 	if *par > 0 {
 		if err := parallelBench(*scale, *par, *queries, *seed, *lms, *jsonOut); err != nil {
 			fmt.Fprintf(os.Stderr, "skylinebench: parallel: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 		return
 	}
 	if *dcache > 0 {
 		if err := distCacheBench(*scale, *dcache, *queries, *seed, *lms, *jsonOut); err != nil {
 			fmt.Fprintf(os.Stderr, "skylinebench: distcache: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 		return
 	}
 	if *sflight > 0 {
 		if err := singleFlightBench(*scale, *sflight, *queries, *seed, *lms, *jsonOut); err != nil {
 			fmt.Fprintf(os.Stderr, "skylinebench: singleflight: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 		return
 	}
 	if *backs {
 		if err := backendsBench(*scale, *queries, *seed, *lms, *jsonOut); err != nil {
 			fmt.Fprintf(os.Stderr, "skylinebench: backends: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 		return
 	}
@@ -142,7 +160,7 @@ func main() {
 		tab, err := f()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "skylinebench: %s: %v\n", name, err)
-			os.Exit(1)
+			exit(1)
 		}
 		show(tab)
 	}
@@ -154,7 +172,7 @@ func main() {
 		tabs, err := f()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "skylinebench: %s: %v\n", name, err)
-			os.Exit(1)
+			exit(1)
 		}
 		for _, t := range tabs {
 			show(t)
@@ -175,14 +193,14 @@ func main() {
 			tab, err := f()
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "skylinebench: ablation: %v\n", err)
-				os.Exit(1)
+				exit(1)
 			}
 			show(tab)
 		}
 	}
 	if !ran {
 		fmt.Fprintf(os.Stderr, "skylinebench: unknown figure %q (want 4a 4b 4c 5 6q 6w ablations all)\n", *fig)
-		os.Exit(2)
+		exit(2)
 	}
 	elapsed := time.Since(start)
 	fmt.Printf("done in %v\n", elapsed.Round(time.Millisecond))
@@ -193,7 +211,7 @@ func main() {
 		}
 		if err := writeJSON(*jsonOut, out); err != nil {
 			fmt.Fprintf(os.Stderr, "skylinebench: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 		fmt.Printf("wrote %s\n", *jsonOut)
 	}
@@ -600,6 +618,52 @@ func singleFlightBench(scale float64, workers, queries int, seed int64, landmark
 		fmt.Printf("wrote %s\n", jsonOut)
 	}
 	return nil
+}
+
+// startProfiles starts the CPU profile and arranges the allocation profile
+// behind -cpuprofile/-memprofile; either path may be empty. The returned
+// stop function finishes both; it runs once, deferred on return or from
+// exit.
+func startProfiles(cpuPath, memPath string) (stop func(), err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, fmt.Errorf("cpuprofile: %w", err)
+		}
+	}
+	return func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				fmt.Fprintf(os.Stderr, "skylinebench: cpuprofile: %v\n", err)
+			}
+		}
+		if memPath != "" {
+			if err := writeAllocProfile(memPath); err != nil {
+				fmt.Fprintf(os.Stderr, "skylinebench: memprofile: %v\n", err)
+			}
+		}
+	}, nil
+}
+
+// writeAllocProfile writes the allocs profile (every allocation since the
+// start, which is what per-query allocation hunting needs) after a GC so
+// the in-use figures are current too.
+func writeAllocProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func flagSet(name string) bool {

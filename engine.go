@@ -545,9 +545,13 @@ type Stats struct {
 	// DistanceComputations counts completed (query point, object) network
 	// distance evaluations.
 	DistanceComputations int
-	// LandmarkWins and EuclidWins split the A* heuristic evaluations by
-	// which lower bound was tighter: the landmark (ALT) triangle bound or
-	// the Euclidean bound. Both are zero when landmarks are disabled.
+	// LandmarkWins and EuclidWins split the landmark (ALT) bound
+	// evaluations the query performed by which lower bound was tighter:
+	// the landmark triangle bound or the Euclidean bound. A* sessions
+	// evaluate the landmark bound lazily — only for a frontier node whose
+	// Euclidean key could be the session's minimum, and for nodes pushed
+	// by an expansion — so the sum counts evaluations, not frontier nodes
+	// times sessions. Both are zero when landmarks are disabled.
 	LandmarkWins int
 	EuclidWins   int
 	// InitialPages counts the network pages faulted before the first

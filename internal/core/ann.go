@@ -152,6 +152,7 @@ func AggregateNN(ctx context.Context, env *Env, points []graph.Location, k int, 
 	)
 
 	lb := make([]float64, n)
+	sessions := make([]*sp.Session, n)
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -165,7 +166,6 @@ func AggregateNN(ctx context.Context, env *Env, points []graph.Location, k int, 
 		o := env.Objects[id]
 		oPt := env.G.Point(o.Loc)
 
-		sessions := make([]*sp.Session, n)
 		for i := range sessions {
 			sessions[i] = astars[i].NewSession(o.Loc, oPt)
 			lb[i] = sessions[i].PLB()

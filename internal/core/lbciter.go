@@ -38,6 +38,7 @@ type LBCIterator struct {
 	processed map[graph.ObjectID]bool
 	confirmed map[graph.ObjectID]bool
 	lb        []float64
+	sessions  []*sp.Session // check's per-candidate sessions, reused
 
 	probe     *phaseProbe
 	metrics   Metrics
@@ -134,6 +135,7 @@ func NewLBCIterator(ctx context.Context, env *Env, q Query, opts Options) (*LBCI
 	it.processed = make(map[graph.ObjectID]bool)
 	it.confirmed = make(map[graph.ObjectID]bool)
 	it.lb = make([]float64, it.dims)
+	it.sessions = make([]*sp.Session, it.n)
 	return it, nil
 }
 
@@ -207,9 +209,10 @@ func (it *LBCIterator) check(src int, cand srcCand) (SkylinePoint, bool, error) 
 	oPt := it.env.G.Point(o.Loc)
 	it.lb[src] = cand.dist
 	it.env.fillAttrs(it.lb, it.n, cand.id, it.q.UseAttrs)
-	sessions := make([]*sp.Session, it.n)
+	sessions := it.sessions
 	for i := range sessions {
 		if i == src {
+			sessions[i] = nil
 			continue
 		}
 		sessions[i] = it.astars[i].NewSession(o.Loc, oPt)

@@ -23,7 +23,8 @@ type nnStream struct {
 	skyVecs       *[][]float64 // shared, grows as skyline points are found
 	euclid        *rtree.BestFirst
 	euclidEOF     bool
-	lookahead     *rtree.Entry
+	hasLookahead  bool
+	lookahead     rtree.Entry // the next unconfirmed Euclidean head, valid with hasLookahead
 	lookaheadDist float64
 	heap          *pqueue.Queue[srcCand]
 	confirmed     int // objects whose source network distance was computed
@@ -109,13 +110,9 @@ func (s *nnStream) next() (srcCand, bool, error) {
 // confirmed dN is at most the next unconfirmed dE, it cannot be beaten).
 func (s *nnStream) fill() error {
 	for {
-		if !s.euclidEOF && s.lookahead == nil {
-			e, d, ok := s.euclid.Next()
-			if !ok {
-				s.euclidEOF = true
-			} else {
-				s.lookahead, s.lookaheadDist = &e, d
-			}
+		if !s.euclidEOF && !s.hasLookahead {
+			s.lookahead, s.lookaheadDist, s.hasLookahead = s.euclid.Next()
+			s.euclidEOF = !s.hasLookahead
 		}
 		if s.euclidEOF {
 			return nil // heap order is final
@@ -124,7 +121,7 @@ func (s *nnStream) fill() error {
 			return nil
 		}
 		id := graph.ObjectID(s.lookahead.ID)
-		s.lookahead = nil
+		s.hasLookahead = false
 		o := s.env.Objects[id]
 		d, err := s.astar.DistanceTo(o.Loc, s.env.G.Point(o.Loc))
 		if err != nil {

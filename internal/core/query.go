@@ -68,9 +68,12 @@ type Metrics struct {
 	// (query point, object) — partial lower-bound expansions that LBC
 	// abandons are not counted.
 	DistanceComputations int
-	// LandmarkWins and EuclidWins split the A* heuristic evaluations by
-	// which bound was tighter: the landmark (ALT) triangle bound or the
-	// paper's Euclidean bound. Both are zero when landmarks are disabled.
+	// LandmarkWins and EuclidWins split the landmark (ALT) bound
+	// evaluations actually performed by which bound was tighter: the
+	// landmark triangle bound or the paper's Euclidean bound. Sessions
+	// evaluate the landmark bound lazily (sp.Session), so the sum is the
+	// number of evaluations, not frontier nodes times sessions. Both are
+	// zero when landmarks are disabled.
 	LandmarkWins int
 	EuclidWins   int
 	// InitialPages is the number of network pages faulted before the first

@@ -46,6 +46,10 @@ type Table struct {
 	g     *graph.Graph
 	nodes []graph.NodeID // selected landmark nodes
 	flat  []float64      // flat[v*k+l] = network distance from nodes[l] to v
+	// finite records that no table entry is +Inf — every landmark reaches
+	// every node, as on any connected network — which lets Bound skip the
+	// component guards.
+	finite bool
 }
 
 // Build selects up to k landmarks on g by farthest-point sampling (the
@@ -101,9 +105,13 @@ func Build(g *graph.Graph, k int) *Table {
 	}
 	kk := len(t.nodes)
 	t.flat = make([]float64, n*kk)
+	t.finite = true
 	for l, d := range rows {
 		for v, dv := range d {
 			t.flat[v*kk+l] = dv
+			if math.IsInf(dv, 1) {
+				t.finite = false
+			}
 		}
 	}
 	return t
@@ -180,8 +188,12 @@ func (t *Table) NodeBound(u, v graph.NodeID) float64 {
 type target struct {
 	flat       []float64 // shared node-major landmark table
 	k          int       // landmarks per row
+	finite     bool      // Table.finite: no +Inf anywhere in flat
 	du, dv     []float64 // du[l] = distance from landmark l to dest edge U, dv to V
 	offU, offV float64   // along-edge offsets from each endpoint
+	// rows backs du and dv up to DefaultK landmarks, so a session's target
+	// is one allocation.
+	rows [2 * DefaultK]float64
 }
 
 // ForTarget implements sp.HeuristicSource.
@@ -189,13 +201,17 @@ func (t *Table) ForTarget(dest graph.Location, destPt geom.Point) sp.TargetHeuri
 	e := t.g.Edge(dest.Edge)
 	k := len(t.nodes)
 	tg := &target{
-		flat: t.flat,
-		k:    k,
-		du:   make([]float64, k),
-		dv:   make([]float64, k),
-		offU: dest.Offset,
-		offV: e.Length - dest.Offset,
+		flat:   t.flat,
+		k:      k,
+		finite: t.finite,
+		offU:   dest.Offset,
+		offV:   e.Length - dest.Offset,
 	}
+	rows := tg.rows[:]
+	if 2*k > len(rows) {
+		rows = make([]float64, 2*k)
+	}
+	tg.du, tg.dv = rows[:k:k], rows[k:2*k]
 	if e.U == e.V {
 		// Self-loop destination edge: one entry node, two entry offsets.
 		tg.offU = math.Min(tg.offU, tg.offV)
@@ -209,10 +225,20 @@ func (t *Table) ForTarget(dest graph.Location, destPt geom.Point) sp.TargetHeuri
 // Bound implements sp.TargetHeuristic.
 func (tg *target) Bound(n graph.NodeID) float64 {
 	row := tg.flat[int(n)*tg.k : int(n)*tg.k+tg.k]
+	du, dv := tg.du[:len(row)], tg.dv[:len(row)]
 	bu, bv := 0.0, 0.0
+	if tg.finite {
+		// No +Inf in the table: sideBound's guards never fire and the fold
+		// is a plain running max of |dn - dt|.
+		for l, dn := range row {
+			bu = max(bu, math.Abs(dn-du[l]))
+			bv = max(bv, math.Abs(dn-dv[l]))
+		}
+		return math.Min(bu+tg.offU, bv+tg.offV)
+	}
 	for l, dn := range row {
-		bu = sideBound(bu, dn, tg.du[l])
-		bv = sideBound(bv, dn, tg.dv[l])
+		bu = sideBound(bu, dn, du[l])
+		bv = sideBound(bv, dn, dv[l])
 	}
 	return math.Min(bu+tg.offU, bv+tg.offV)
 }

@@ -142,6 +142,62 @@ func TestDisconnectedComponents(t *testing.T) {
 	}
 }
 
+// TestFiniteTableFastPath pins the guard-free Bound loop to the guarded one
+// bit for bit on connected graphs (where Build must detect that no entry is
+// +Inf), for k within and beyond the target's inline rows, and checks that a
+// disconnected graph keeps the guards.
+func TestFiniteTableFastPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 6; trial++ {
+		g := testnet.RandomGraph(rng, 60)
+		k := DefaultK
+		if trial%2 == 1 {
+			k = 2*DefaultK + 3 // rows spill out of the inline array
+		}
+		tab := Build(g, k)
+		if g.Connected() != tab.finite {
+			t.Fatalf("trial %d: connected=%v but finite=%v", trial, g.Connected(), tab.finite)
+		}
+		if !tab.finite {
+			continue
+		}
+		for _, dest := range testnet.RandomLocations(rng, g, 6) {
+			fast := tab.ForTarget(dest, g.Point(dest)).(*target)
+			guarded := *fast
+			guarded.finite = false
+			for u := 0; u < g.NumNodes(); u++ {
+				if a, b := fast.Bound(graph.NodeID(u)), guarded.Bound(graph.NodeID(u)); a != b {
+					t.Fatalf("trial %d: Bound(%d) fast %v, guarded %v", trial, u, a, b)
+				}
+			}
+		}
+	}
+	b := graph.NewBuilder(4, 2)
+	for i := 0; i < 4; i++ {
+		b.AddNode(geom.Point{X: float64(i), Y: 0})
+	}
+	b.AddEdge(0, 1, 1)
+	b.AddEdge(2, 3, 1)
+	if tab := Build(b.MustBuild(), 2); tab.finite {
+		t.Fatal("a disconnected graph's table reports finite")
+	}
+}
+
+// TestForTargetOneAllocation gates the per-session cost of a target: the
+// struct carries both endpoint rows inline at the default landmark count.
+func TestForTargetOneAllocation(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	g := testnet.RandomGraph(rng, 60)
+	tab := Build(g, DefaultK)
+	dest := testnet.RandomLocations(rng, g, 1)[0]
+	pt := g.Point(dest)
+	var th interface{ Bound(graph.NodeID) float64 }
+	if avg := testing.AllocsPerRun(100, func() { th = tab.ForTarget(dest, pt) }); avg > 1 {
+		t.Fatalf("ForTarget allocated %.1f times, want 1", avg)
+	}
+	_ = th
+}
+
 // TestBuildShape checks the size clamps and the deterministic selection.
 func TestBuildShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))

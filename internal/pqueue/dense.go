@@ -64,6 +64,10 @@ func (h *Dense) Key(id int32) (float64, bool) {
 // MinKey returns the smallest key. It panics on an empty heap.
 func (h *Dense) MinKey() float64 { return h.keys[0] }
 
+// Min returns the id with the smallest key and that key without removing
+// it. It panics on an empty heap.
+func (h *Dense) Min() (int32, float64) { return h.ids[0], h.keys[0] }
+
 // Push inserts id with the given key, or decreases its key when id is
 // already queued with a larger key. Attempts to increase a key are ignored,
 // matching Dijkstra relaxation semantics.
@@ -76,6 +80,10 @@ func (h *Dense) Push(id int32, key float64) {
 		}
 		return
 	}
+	h.insert(id, key)
+}
+
+func (h *Dense) insert(id int32, key float64) {
 	h.keys = append(h.keys, key)
 	h.ids = append(h.ids, id)
 	h.stamp[id] = h.epoch
@@ -83,11 +91,35 @@ func (h *Dense) Push(id int32, key float64) {
 	h.up(len(h.ids) - 1)
 }
 
+// Fill appends id with the given key without ordering anything: the bulk
+// half of a fill-then-Heapify load, which costs O(n) for n entries where n
+// Pushes cost O(n log n). It must start from an empty (Reset) heap, every id
+// must be distinct, and until Heapify runs the only other valid calls are
+// Len, Each and Reset — a filled heap that is never ordered (a caller that
+// only needed the entries scanned) pays nothing beyond the appends.
+func (h *Dense) Fill(id int32, key float64) {
+	h.keys = append(h.keys, key)
+	h.ids = append(h.ids, id)
+}
+
+// Heapify orders the entries loaded by Fill. The result pops in exactly the
+// order the same entries pushed one by one would: (key, id) is a strict
+// total order, so a heap's pop sequence does not depend on its layout.
+func (h *Dense) Heapify() {
+	for i, id := range h.ids {
+		h.stamp[id] = h.epoch
+		h.pos[id] = int32(i)
+	}
+	for i := len(h.ids)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
 // Update sets id's key unconditionally (increase or decrease), inserting it
 // if absent.
 func (h *Dense) Update(id int32, key float64) {
 	if !h.Contains(id) {
-		h.Push(id, key)
+		h.insert(id, key)
 		return
 	}
 	i := h.pos[id]

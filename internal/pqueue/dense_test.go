@@ -125,3 +125,64 @@ func TestDenseGrowPreserves(t *testing.T) {
 		t.Fatalf("Pop = (%d,%v)", id, k)
 	}
 }
+
+// TestDenseFillHeapifyMatchesPush loads the same entries by Fill+Heapify
+// into one heap and by one Push each into another, then drives both through
+// the session pattern — raise the top's key in place (Min, Update), push new
+// and decreased keys, pop — and requires identical Min and Pop sequences.
+// Coarse keys force ties, so the (key, id) tie-break is what is compared.
+func TestDenseFillHeapifyMatchesPush(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const ids = 96
+	filled, pushed := NewDense(), NewDense()
+	filled.Grow(ids)
+	pushed.Grow(ids)
+	for round := 0; round < 400; round++ {
+		filled.Reset()
+		pushed.Reset()
+		n := rng.Intn(ids + 1) // 0 and 1 entries included
+		for _, id := range rng.Perm(ids)[:n] {
+			key := float64(rng.Intn(12))
+			filled.Fill(int32(id), key)
+			pushed.Push(int32(id), key)
+		}
+		if filled.Len() != n {
+			t.Fatalf("round %d: Len after Fill = %d, want %d", round, filled.Len(), n)
+		}
+		if round%5 == 0 {
+			continue // filled but never ordered: Reset must leave no trace
+		}
+		filled.Heapify()
+		for step := 0; filled.Len() > 0 || pushed.Len() > 0; step++ {
+			if filled.Len() != pushed.Len() {
+				t.Fatalf("round %d step %d: len %d vs %d", round, step, filled.Len(), pushed.Len())
+			}
+			fid, fkey := filled.Min()
+			pid, pkey := pushed.Min()
+			if fid != pid || fkey != pkey {
+				t.Fatalf("round %d step %d: min (%d,%v) vs (%d,%v)", round, step, fid, fkey, pid, pkey)
+			}
+			switch op := rng.Intn(4); op {
+			case 0: // raise the top in place, possibly onto a tie
+				key := fkey + float64(rng.Intn(4))
+				filled.Update(fid, key)
+				pushed.Update(pid, key)
+			case 1: // relaxation: a new id or a decreased key
+				id, key := int32(rng.Intn(ids)), float64(rng.Intn(12))
+				filled.Push(id, key)
+				pushed.Push(id, key)
+			default:
+				fid, fkey = filled.Pop()
+				pid, pkey = pushed.Pop()
+				if fid != pid || fkey != pkey {
+					t.Fatalf("round %d step %d: pop (%d,%v) vs (%d,%v)", round, step, fid, fkey, pid, pkey)
+				}
+			}
+			for id := int32(0); id < ids; id++ {
+				if filled.Contains(id) != pushed.Contains(id) {
+					t.Fatalf("round %d step %d: Contains(%d) disagrees", round, step, id)
+				}
+			}
+		}
+	}
+}

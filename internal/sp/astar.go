@@ -17,15 +17,16 @@ var ErrStaleSession = errors.New("sp: session superseded by a newer session on t
 
 // AStar is a resumable A* searcher rooted at one source location. Its
 // settled set and frontier persist across targets; each target gets a
-// Session, which re-keys the shared frontier with the target's Euclidean
-// heuristic (the heuristic changes with the destination, the wavefront
-// does not — paper Sections 3 and 4.2).
+// Session, which re-keys the shared frontier with the target's heuristic
+// (the heuristic changes with the destination, the wavefront does not —
+// paper Sections 3 and 4.2).
 //
 // All working state lives in an epoch-stamped Scratch of dense arrays:
 // settled/frontier membership, g-values, frontier coordinates and the
 // predecessor tree are per-node array slots validated by the scratch epoch,
-// and the per-session f-keyed heap is the scratch's dense heap, Reset (O(1))
-// by each NewSession. Steady-state expansions allocate nothing.
+// the frontier is additionally a compact list, and the per-session f-keyed
+// heap is the scratch's dense heap, Reset (O(1)) by each NewSession.
+// Steady-state expansions allocate nothing.
 //
 // Only the most recently opened session may be advanced: sessions share
 // the searcher's wavefront, so interleaving would corrupt the expansion.
@@ -44,8 +45,9 @@ type AStar struct {
 	hs HeuristicSource
 
 	nodesExpanded int
-	// landmarkWins / euclidWins count heuristic evaluations where the
-	// HeuristicSource bound exceeded the Euclidean bound and vice versa.
+	// landmarkWins / euclidWins count the HeuristicSource evaluations
+	// actually performed (sessions evaluate lazily, see Session) by whether
+	// the source's bound or the Euclidean bound was the larger.
 	landmarkWins int
 	euclidWins   int
 	// progress, when set, fires with the searcher's settlement total at
@@ -96,10 +98,11 @@ func NewAStarWith(ctx context.Context, net Net, src graph.Location, srcPt geom.P
 // on duplicate seeds. Seeds have no predecessor.
 func (a *AStar) seedFrontier(id graph.NodeID, g float64, pt geom.Point) {
 	sc := a.sc
-	if sc.nodeState(id) == stateFrontier && sc.g[id] <= g {
+	st := sc.nodeState(id)
+	if st == stateFrontier && sc.g[id] <= g {
 		return
 	}
-	sc.touch(id, stateFrontier)
+	sc.enterFrontier(id, st)
 	sc.g[id] = g
 	sc.pt[id] = pt
 	sc.parent[id] = -1
@@ -132,9 +135,11 @@ func (a *AStar) NodesExpanded() int { return a.nodesExpanded }
 // (the default) costs nothing.
 func (a *AStar) OnProgress(fn func(nodesExpanded int)) { a.progress = fn }
 
-// BoundWins returns how many heuristic evaluations were won by the
-// installed heuristic source versus the Euclidean bound. Both are zero
-// when no source is installed.
+// BoundWins returns how many evaluations of the installed heuristic source
+// were won by its bound versus the Euclidean bound. Sessions evaluate the
+// source only for nodes that reach the top of the frontier or are relaxed,
+// so the sum is the number of evaluations performed, not frontier nodes
+// times sessions. Both are zero when no source is installed.
 func (a *AStar) BoundWins() (landmark, euclid int) { return a.landmarkWins, a.euclidWins }
 
 // Source returns the searcher's source location.
@@ -155,6 +160,18 @@ func (a *AStar) settledDist(id graph.NodeID) (float64, bool) {
 // Advance performs one wavefront expansion step and reports the path
 // distance lower bound: a monotonically non-decreasing value that never
 // exceeds the true network distance and equals it on completion.
+//
+// The session's key for frontier node v is g(v) + max(Euclidean, source
+// bound). Keys are computed lazily: the frontier is loaded with Euclid-only
+// keys, and the heuristic source is evaluated only for the node at the top
+// of the heap, whose key is then raised in place, until the top is exact
+// (exactTop). A Euclid-only key never exceeds the full key, so once the top
+// (k, t) is exact every other node v holds a key k' with (k', v) > (k, t)
+// in the heap's (key, id) order and a full key >= k' — (k, t) is the exact
+// minimum of the fully keyed frontier, ties included. Every PLB and every
+// pop is therefore what keying the whole frontier up front would produce.
+// Without a heuristic source (or under DisableHeuristic) the Euclid-only
+// key is the full key and there is nothing to refine.
 type Session struct {
 	a       *AStar
 	seq     int
@@ -163,6 +180,7 @@ type Session struct {
 	destE   graph.Edge
 	th      TargetHeuristic // per-target bound from the searcher's source, nil without one
 	heap    *pqueue.Dense   // the scratch heap; valid while this session is newest
+	ordered bool            // heap has been Heapified (first Advance)
 	tent    float64         // best known complete path to dest
 	via     graph.NodeID    // endpoint the best path enters the dest edge by
 	direct  bool            // best path runs along the shared source edge
@@ -177,6 +195,7 @@ func (a *AStar) NewSession(dest graph.Location, destPt geom.Point) *Session {
 	a.seq++
 	sc := a.sc
 	sc.frontier.Reset()
+	sc.newSession()
 	s := &Session{
 		a:      a,
 		seq:    a.seq,
@@ -187,9 +206,6 @@ func (a *AStar) NewSession(dest graph.Location, destPt geom.Point) *Session {
 		tent:   math.Inf(1),
 	}
 	s.via = -1
-	if a.hs != nil && !a.noHeur {
-		s.th = a.hs.ForTarget(dest, destPt)
-	}
 	// Same-edge shortcut: the path along the shared edge is always valid.
 	if dest.Edge == a.src.Edge {
 		s.tent = math.Abs(dest.Offset - a.src.Offset)
@@ -213,42 +229,83 @@ func (a *AStar) NewSession(dest graph.Location, destPt geom.Point) *Session {
 		s.finish()
 		return s
 	}
-	// Re-key the shared frontier with this destination's heuristic. The
-	// touched list enumerates it in first-touch order — deterministic on
-	// its own, and the heap's (key, id) ordering additionally makes the
-	// expansion order independent of push order, so identical queries
-	// always expand identically.
-	for _, id := range sc.touched {
-		if sc.state[id] == stateFrontier {
-			s.heap.Push(int32(id), sc.g[id]+s.h(id, sc.pt[id]))
-		}
+	if a.hs != nil && !a.noHeur {
+		s.th = a.hs.ForTarget(dest, destPt)
 	}
-	s.plb = math.Min(s.minF(), s.tent)
-	if s.minF() >= s.tent {
+	// Re-key the shared frontier with this destination's heuristic: load
+	// the heap with Euclid-only keys, unordered (most sessions are dropped
+	// or finish on this opening bound, so ordering waits for the first
+	// Advance), and take the opening bound min(smallest full key, tent) by
+	// scanning. Only an entry whose Euclid-only key undercuts the best
+	// bound so far can lower it, so only those are made exact. The heap's
+	// (key, id) order makes the expansion independent of the list's order,
+	// so identical queries always expand identically.
+	best := s.tent
+	for _, id := range sc.front {
+		g := sc.g[id]
+		key := g + s.euclid(sc.pt[id])
+		if key < best {
+			key = s.exactKey(id, g, key)
+			if key < best {
+				best = key
+			}
+		}
+		s.heap.Fill(int32(id), key)
+	}
+	s.plb = best
+	if !(best < s.tent) { // no frontier key below tent
 		s.finish()
 	}
 	return s
 }
 
-// h returns the session's admissible heuristic for node u at pt: the
-// Euclidean distance to the target, strengthened by the searcher's
-// heuristic source when one is installed.
-func (s *Session) h(u graph.NodeID, pt geom.Point) float64 {
-	a := s.a
-	if a.noHeur {
+// euclid returns the Euclidean part of the session's heuristic at pt.
+func (s *Session) euclid(pt geom.Point) float64 {
+	if s.a.noHeur {
 		return 0
 	}
-	h := pt.Dist(s.destPt)
-	if s.th != nil {
-		if lb := s.th.Bound(u); lb > h {
-			a.landmarkWins++
-			return lb
-		}
-		a.euclidWins++
-	}
-	return h
+	return pt.Dist(s.destPt)
 }
 
+// exactKey raises the Euclid-only key of node u, whose tentative distance
+// is g, to the session's full key g + max(Euclidean, source bound) and marks
+// u exact. Floating-point addition is monotone, so comparing the two sums
+// selects the same value as adding g to the larger bound.
+func (s *Session) exactKey(u graph.NodeID, g, key float64) float64 {
+	if s.th == nil {
+		return key
+	}
+	a := s.a
+	a.sc.exact[u] = a.sc.session
+	if k := g + s.th.Bound(u); k > key {
+		a.landmarkWins++
+		return k
+	}
+	a.euclidWins++
+	return key
+}
+
+// exactTop makes the key at the top of the heap exact, raising Euclid-only
+// keys in place until an exact one surfaces. It must run before MinKey or
+// Pop is read (see Session for why an exact top is the true minimum).
+func (s *Session) exactTop() {
+	if s.th == nil {
+		return
+	}
+	sc := s.a.sc
+	for s.heap.Len() > 0 {
+		id, key := s.heap.Min()
+		if sc.exact[id] == sc.session {
+			return
+		}
+		if k := s.exactKey(graph.NodeID(id), sc.g[id], key); k > key {
+			s.heap.Update(id, k)
+		}
+	}
+}
+
+// minF returns the smallest full key on the frontier; the top of the heap
+// must be exact.
 func (s *Session) minF() float64 {
 	if s.heap.Len() == 0 {
 		return math.Inf(1)
@@ -300,10 +357,15 @@ func (s *Session) Advance() (plb float64, done bool, err error) {
 			a.progress(a.nodesExpanded)
 		}
 	}
+	if !s.ordered {
+		s.ordered = true
+		s.heap.Heapify()
+		s.exactTop()
+	}
 	u32, _ := s.heap.Pop()
 	u := graph.NodeID(u32)
 	g := sc.g[u]
-	sc.state[u] = stateSettled
+	sc.settle(u)
 	a.nodesExpanded++
 
 	if u == s.destE.U && g+s.dest.Offset < s.tent {
@@ -326,12 +388,16 @@ func (s *Session) Advance() (plb float64, done bool, err error) {
 		if st == stateFrontier && sc.g[nb.To] <= newg {
 			continue
 		}
-		sc.touch(nb.To, stateFrontier)
+		sc.enterFrontier(nb.To, st)
 		sc.g[nb.To] = newg
 		sc.pt[nb.To] = nb.ToPt
 		sc.parent[nb.To] = int32(u)
-		s.heap.Push(int32(nb.To), newg+s.h(nb.To, nb.ToPt))
+		// Relaxed nodes are the ones about to be popped: key them in full
+		// now. Update, not Push: the node may be queued under a Euclid-only
+		// key smaller than its new full key.
+		s.heap.Update(int32(nb.To), s.exactKey(nb.To, newg, newg+s.euclid(nb.ToPt)))
 	}
+	s.exactTop()
 
 	if lb := math.Min(s.minF(), s.tent); lb > s.plb {
 		s.plb = lb

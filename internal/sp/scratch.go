@@ -43,6 +43,23 @@ type Scratch struct {
 	parent  []int32      // predecessor node, -1 = none (A* only)
 	touched []graph.NodeID
 
+	// front is the A* frontier as a compact list: exactly the touched nodes
+	// in stateFrontier, appended by enterFrontier and swap-removed by settle
+	// (fpos[v] is v's slot while v is on it). A session keys the wavefront
+	// by walking this list, so it never visits a settled node.
+	front []graph.NodeID
+	fpos  []int32
+	// mark is a node bitset, all zero between uses, that NewAStarFromWith
+	// orders a restored frontier with.
+	mark []uint64
+
+	// exact[v] == session marks v's key in the A* session heap as carrying
+	// the full heuristic; every other queued key is Euclid-only (see
+	// Session). session counts sessions over the scratch's whole life, so
+	// marks never alias across sessions or searchers.
+	exact   []uint32
+	session uint32
+
 	// frontier doubles as the Dijkstra wavefront heap (persistent across
 	// calls) and the A* per-session f-keyed heap (Reset by each NewSession).
 	frontier *pqueue.Dense
@@ -88,6 +105,9 @@ func (sc *Scratch) begin(numNodes, numObjects int) {
 		sc.g = make([]float64, numNodes)
 		sc.pt = make([]geom.Point, numNodes)
 		sc.parent = make([]int32, numNodes)
+		sc.fpos = make([]int32, numNodes)
+		sc.mark = make([]uint64, (numNodes+63)/64)
+		sc.exact = make([]uint32, numNodes)
 	}
 	if numObjects > len(sc.objStamp) {
 		sc.objStamp = make([]uint32, numObjects)
@@ -95,6 +115,7 @@ func (sc *Scratch) begin(numNodes, numObjects int) {
 		sc.objState = make([]uint8, numObjects)
 	}
 	sc.touched = sc.touched[:0]
+	sc.front = sc.front[:0]
 	sc.objList = sc.objList[:0]
 	sc.frontier.Reset()
 	sc.frontier.Grow(numNodes)
@@ -117,6 +138,43 @@ func (sc *Scratch) touch(v graph.NodeID, state uint8) {
 		sc.touched = append(sc.touched, v)
 	}
 	sc.state[v] = state
+}
+
+// enterFrontier puts v on the A* frontier (or keeps it there), appending it
+// to the compact frontier list on entry. st is v's current nodeState, which
+// every caller has just read; v must not be settled.
+func (sc *Scratch) enterFrontier(v graph.NodeID, st uint8) {
+	if st != stateFrontier {
+		sc.appendFront(v)
+	}
+	sc.touch(v, stateFrontier)
+}
+
+// appendFront adds v, which must be in stateFrontier by the time the list is
+// next read, to the compact frontier list.
+func (sc *Scratch) appendFront(v graph.NodeID) {
+	sc.fpos[v] = int32(len(sc.front))
+	sc.front = append(sc.front, v)
+}
+
+// settle moves frontier node v to the settled set, swap-removing it from
+// the compact frontier list.
+func (sc *Scratch) settle(v graph.NodeID) {
+	i, last := sc.fpos[v], sc.front[len(sc.front)-1]
+	sc.front[i] = last
+	sc.fpos[last] = i
+	sc.front = sc.front[:len(sc.front)-1]
+	sc.state[v] = stateSettled
+}
+
+// newSession starts a fresh generation of exact-key marks.
+func (sc *Scratch) newSession() {
+	sc.session++
+	if sc.session == 0 {
+		// uint32 wrap, as in begin.
+		clear(sc.exact)
+		sc.session = 1
+	}
 }
 
 // objDistance returns o's best tentative distance in the current epoch.

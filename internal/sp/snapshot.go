@@ -2,6 +2,7 @@ package sp
 
 import (
 	"context"
+	"math/bits"
 	"slices"
 
 	"roadskyline/internal/distcache"
@@ -153,6 +154,20 @@ func NewAStarFromWith(ctx context.Context, net Net, st *distcache.State, srcPt g
 		sc.g[id] = fe.G
 		sc.pt[id] = fe.Pt
 		sc.parent[id] = -1
+		sc.mark[id>>6] |= 1 << (id & 63)
+	}
+	// The frontier list is filled in id order, not map order: which nodes a
+	// session's opening scan makes exact depends on the list's order, and
+	// the bound-win counters must repeat from run to run. Sweeping a bitset
+	// of the ids orders them in O(frontier + nodes/64), well under a sort.
+	for w, word := range sc.mark {
+		if word == 0 {
+			continue
+		}
+		sc.mark[w] = 0
+		for ; word != 0; word &= word - 1 {
+			sc.appendFront(graph.NodeID(w<<6 | bits.TrailingZeros64(word)))
+		}
 	}
 	// Parents overlay the default -1 set above; a snapshot with a nil
 	// Parent map still restores (Path is then limited to post-restore

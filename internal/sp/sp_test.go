@@ -260,6 +260,26 @@ func TestSessionStaleness(t *testing.T) {
 	}
 }
 
+// TestScratchSessionWrap forces the session counter around zero: stale
+// exact-key marks must be cleared and session 0, which every never-marked
+// node would match, must be skipped.
+func TestScratchSessionWrap(t *testing.T) {
+	sc := NewScratch()
+	sc.begin(4, 0)
+	sc.newSession()
+	sc.exact[2] = sc.session
+	sc.session = ^uint32(0)
+	sc.newSession()
+	if sc.session != 1 {
+		t.Fatalf("session after wrap = %d, want 1", sc.session)
+	}
+	for v, mark := range sc.exact {
+		if mark != 0 {
+			t.Fatalf("stale mark %d on node %d aliases a post-wrap session", mark, v)
+		}
+	}
+}
+
 func TestDistPanicsBeforeDone(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := testnet.RandomGraph(rng, 200)
