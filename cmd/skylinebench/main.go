@@ -50,7 +50,6 @@ func main() {
 		traj    = flag.Bool("trajectory", false, "run the deterministic regression workload instead of figures (the BENCH_7.json trajectory)")
 		compare = flag.String("compare", "", "trajectory baseline JSON to gate against: run the trajectory workload and exit non-zero on regression (implies -trajectory)")
 		thresh  = flag.Float64("threshold", 0.10, "allowed relative growth in the trajectory's deterministic work counters before -compare fails")
-		tthresh = flag.Float64("time-threshold", 0.50, "allowed relative growth in the trajectory's response times before -compare fails")
 		traceF  = flag.String("trace", "", "run one traced query per algorithm and write the slowest one's Chrome trace-event JSON (Perfetto-loadable) to this file instead of figures")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of whichever mode runs to this file (go tool pprof)")
 		memProf = flag.String("memprofile", "", "write an allocation profile of whichever mode runs to this file on exit")
@@ -85,7 +84,7 @@ func main() {
 		if flagSet("scale") {
 			tscale = *scale
 		}
-		if err := trajectoryMain(tscale, *seed, *lms, *jsonOut, *compare, *thresh, *tthresh); err != nil {
+		if err := trajectoryMain(tscale, *seed, *lms, *jsonOut, *compare, *thresh); err != nil {
 			fmt.Fprintf(os.Stderr, "skylinebench: trajectory: %v\n", err)
 			exit(1)
 		}

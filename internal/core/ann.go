@@ -73,9 +73,11 @@ type AggResult struct {
 //     *Euclidean* distance, a lower bound of the aggregate network
 //     distance, so the stream can stop as soon as its next key reaches the
 //     k-th best exact aggregate found;
-//   - each candidate's network distances are evaluated with A* sessions
-//     whose plb values bound the aggregate from below, abandoning the
-//     candidate as soon as the bound reaches the current k-th best.
+//   - each candidate's network distances are bounded from below, first by
+//     the searchers' frontier-free bounds and then by the plb values of A*
+//     sessions opened one at a time (boundVec.refine), abandoning the
+//     candidate as soon as the aggregate of the bounds reaches the current
+//     k-th best.
 func AggregateNN(ctx context.Context, env *Env, points []graph.Location, k int, agg Agg, opts Options) (*AggResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -151,8 +153,12 @@ func AggregateNN(ctx context.Context, env *Env, points []graph.Location, k int, 
 		func(e rtree.Entry) bool { return aggEuclid(e.Point()) >= threshold() },
 	)
 
-	lb := make([]float64, n)
-	sessions := make([]*sp.Session, n)
+	// Each candidate's distances are bounded cheapest bounds first
+	// (boundVec.refine) and abandoned as soon as the aggregate of the bounds
+	// reaches the current k-th best.
+	bounds := newBoundVec(astars, n, &m)
+	lb := bounds.lb
+	beaten := func() bool { return agg.fold(lb) >= threshold() }
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -162,42 +168,12 @@ func AggregateNN(ctx context.Context, env *Env, points []graph.Location, k int, 
 			break
 		}
 		m.Candidates++
-		id := graph.ObjectID(entry.ID)
-		o := env.Objects[id]
-		oPt := env.G.Point(o.Loc)
-
-		for i := range sessions {
-			sessions[i] = astars[i].NewSession(o.Loc, oPt)
-			lb[i] = sessions[i].PLB()
+		o := env.Objects[graph.ObjectID(entry.ID)]
+		exact, err := bounds.refine(o.Loc, env.G.Point(o.Loc), -1, beaten)
+		if err != nil {
+			return nil, err
 		}
-		abandoned := false
-		for {
-			if agg.fold(lb) >= threshold() {
-				abandoned = true
-				break
-			}
-			pick := -1
-			for i, s := range sessions {
-				if s.Done() {
-					continue
-				}
-				if pick == -1 || lb[i] < lb[pick] {
-					pick = i
-				}
-			}
-			if pick == -1 {
-				break // all distances exact and the aggregate beats the threshold
-			}
-			plb, done, err := sessions[pick].Advance()
-			if err != nil {
-				return nil, err
-			}
-			lb[pick] = plb
-			if done {
-				m.DistanceComputations++
-			}
-		}
-		if abandoned {
+		if !exact {
 			continue
 		}
 		dists := append([]float64(nil), lb...)

@@ -1,0 +1,123 @@
+package core
+
+import (
+	"roadskyline/internal/geom"
+	"roadskyline/internal/graph"
+	"roadskyline/internal/sp"
+)
+
+// boundVec tightens one candidate object's vector of network-distance lower
+// bounds, one entry per query-point searcher, until the caller's stop rule
+// fires or every entry is exact. LBC's dominance check and aggregate NN's
+// threshold check are this loop with different stop rules.
+//
+// The cheapest bounds come first (refine): an A* session's opening scan
+// reads the whole frontier, so a session is opened only once the
+// frontier-free bounds have failed to stop the candidate, and none advances
+// before all are open.
+type boundVec struct {
+	astars []*sp.AStar
+	// lb holds the bounds; entries past len(astars) (static attributes)
+	// belong to the caller.
+	lb       []float64
+	sessions []*sp.Session // nil until opened
+	target   sp.Target     // the candidate, its heuristic shared by all sessions
+	// runOut makes every picked session run to completion instead of
+	// advancing one step (the LBCDisablePLB ablation).
+	runOut bool
+	m      *Metrics
+}
+
+func newBoundVec(astars []*sp.AStar, dims int, m *Metrics) *boundVec {
+	return &boundVec{
+		astars:   astars,
+		lb:       make([]float64, dims),
+		sessions: make([]*sp.Session, len(astars)),
+		m:        m,
+	}
+}
+
+// refine tightens lb toward the network distances to loc (at pt) until stop
+// reports true, returning false, or every distance is exact, returning true.
+// Entry skip (-1 for none) was filled by the caller and is left alone.
+//
+// Three phases, each entered only while stop keeps reporting false:
+//
+//  1. every entry is a's frontier-free sp.AStar.Bound, except where both
+//     endpoints of the target edge are settled — that session is opened at
+//     once, it costs no scan and yields the exact distance;
+//  2. the unopened session with the smallest entry is opened and its opening
+//     PLB overwrites the entry (overwrites, not maxes: a landmark-table bound
+//     can sit an ulp above the searcher's own sums, and the vector must end
+//     up bit for bit what opening every session first produces);
+//  3. with all sessions open, the unfinished one with the smallest entry
+//     advances one expansion step.
+//
+// Opening a session moves no wavefront, phase 3 starts from the vector an
+// open-all-first loop starts from, and stop is monotone in the vector, so
+// the Advance sequence is that loop's exactly.
+func (b *boundVec) refine(loc graph.Location, pt geom.Point, skip int, stop func() bool) (bool, error) {
+	b.target = sp.Target{Loc: loc, Pt: pt}
+	for i, a := range b.astars {
+		b.sessions[i] = nil
+		switch {
+		case i == skip:
+		case a.Resolved(&b.target):
+			b.open(i)
+		default:
+			b.lb[i] = a.Bound(&b.target)
+		}
+	}
+	for !stop() {
+		if i := b.pick(skip, false); i != -1 {
+			b.open(i)
+			b.m.sessionScans++
+			continue
+		}
+		pick := b.pick(skip, true)
+		if pick == -1 {
+			return true, nil
+		}
+		s := b.sessions[pick]
+		if b.runOut {
+			d, err := s.Run()
+			if err != nil {
+				return false, err
+			}
+			b.lb[pick] = d
+			b.m.DistanceComputations++
+			continue
+		}
+		plb, done, err := s.Advance()
+		if err != nil {
+			return false, err
+		}
+		b.lb[pick] = plb
+		if done {
+			b.m.DistanceComputations++
+		}
+	}
+	return false, nil
+}
+
+// open opens session i and takes its opening bound.
+func (b *boundVec) open(i int) {
+	b.sessions[i] = b.astars[i].OpenSession(&b.target)
+	b.lb[i] = b.sessions[i].PLB()
+}
+
+// pick returns the entry with the smallest bound among the unopened
+// sessions, or with opened set among the opened unfinished ones; -1 when
+// there is none. Ties go to the lowest index.
+func (b *boundVec) pick(skip int, opened bool) int {
+	pick := -1
+	for i, s := range b.sessions {
+		if i == skip || (s != nil) != opened || (opened && s.Done()) {
+			continue
+		}
+		if pick == -1 || b.lb[i] < b.lb[pick] {
+			pick = i
+		}
+	}
+	return pick
+}

@@ -169,13 +169,15 @@ func edc(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) 
 		return false
 	}
 
-	// netVec computes an object's full network-distance vector.
+	// netVec computes an object's full network-distance vector; its n
+	// sessions share one target, so the landmark heuristic toward the object
+	// is built once.
 	netVec := func(id graph.ObjectID) ([]float64, error) {
 		o := env.Objects[id]
-		pt := env.G.Point(o.Loc)
+		target := sp.Target{Loc: o.Loc, Pt: env.G.Point(o.Loc)}
 		vec := make([]float64, dims)
 		for i := range astars {
-			d, err := astars[i].DistanceTo(o.Loc, pt)
+			d, err := astars[i].OpenSession(&target).Run()
 			if err != nil {
 				return nil, err
 			}

@@ -11,12 +11,14 @@ import "context"
 // retrieved incrementally (IER style: a dominance-pruned Euclidean NN
 // stream confirmed by A* network distances). Each network NN p is then
 // checked against the known skyline using path distance lower bounds: for
-// every other query point an A* session toward p maintains a monotone
-// lower bound on the network distance, and the session with the smallest
-// bound advances one step at a time. The moment some known skyline point
-// sits at or below p's bound vector, p is discarded with its distance
-// computations unfinished — this partial evaluation is what makes LBC
-// instance-optimal in network accesses (paper Theorem 1).
+// every other query point the searcher's frontier-free bound toward p, then
+// (opened only while p stays undominated) an A* session toward p, maintains
+// a monotone lower bound on the network distance, and the session with the
+// smallest bound advances one step at a time (boundVec.refine). The moment
+// some known skyline point sits at or below p's bound vector, p is
+// discarded with its distance computations unfinished — this partial
+// evaluation is what makes LBC instance-optimal in network accesses (paper
+// Theorem 1).
 //
 // The paper phrases the dominance test with per-query-point sorted lists
 // (a skyline point dominating p precedes it in every list); comparing the

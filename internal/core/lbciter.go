@@ -37,8 +37,8 @@ type LBCIterator struct {
 	cursor    int
 	processed map[graph.ObjectID]bool
 	confirmed map[graph.ObjectID]bool
-	lb        []float64
-	sessions  []*sp.Session // check's per-candidate sessions, reused
+	bounds    *boundVec   // check's per-candidate lower-bound vector, reused
+	dominated func() bool // check's stop rule: bounds.lb is dominated by the known skyline
 
 	probe     *phaseProbe
 	metrics   Metrics
@@ -134,8 +134,9 @@ func NewLBCIterator(ctx context.Context, env *Env, q Query, opts Options) (*LBCI
 	it.remaining = len(it.sources)
 	it.processed = make(map[graph.ObjectID]bool)
 	it.confirmed = make(map[graph.ObjectID]bool)
-	it.lb = make([]float64, it.dims)
-	it.sessions = make([]*sp.Session, it.n)
+	it.bounds = newBoundVec(it.astars, it.dims, &it.metrics)
+	it.bounds.runOut = opts.LBCDisablePLB
+	it.dominated = func() bool { return skyline.DominatedBy(it.bounds.lb, it.skyVecs) }
 	return it, nil
 }
 
@@ -203,68 +204,27 @@ func (it *LBCIterator) Next() (SkylinePoint, bool, error) {
 }
 
 // check runs LBC step 2 for one candidate: path-distance-lower-bound
-// driven dominance testing against the known skyline.
+// driven dominance testing against the known skyline, cheapest bounds first
+// (boundVec.refine).
 func (it *LBCIterator) check(src int, cand srcCand) (SkylinePoint, bool, error) {
 	o := it.env.Objects[cand.id]
-	oPt := it.env.G.Point(o.Loc)
-	it.lb[src] = cand.dist
-	it.env.fillAttrs(it.lb, it.n, cand.id, it.q.UseAttrs)
-	sessions := it.sessions
-	for i := range sessions {
-		if i == src {
-			sessions[i] = nil
-			continue
-		}
-		sessions[i] = it.astars[i].NewSession(o.Loc, oPt)
-		it.lb[i] = sessions[i].PLB()
-	}
-	for {
-		if skyline.DominatedBy(it.lb, it.skyVecs) {
-			return SkylinePoint{}, false, nil
-		}
-		pick := -1
-		for i, s := range sessions {
-			if s == nil || s.Done() {
-				continue
-			}
-			if pick == -1 || it.lb[i] < it.lb[pick] {
-				pick = i
-			}
-		}
-		if pick == -1 {
-			// All distances are exact. An object no query point reaches is
-			// not a skyline point — CE never even admits one (no wavefront
-			// reaches it) — but its all-+Inf vector is not dominated by
-			// other all-+Inf vectors, so an all-unreachable object set
-			// would otherwise be reported wholesale.
-			if unreachableVec(it.lb, it.n) {
-				return SkylinePoint{}, false, nil
-			}
-			break
-		}
-		if it.opts.LBCDisablePLB {
-			d, err := sessions[pick].Run()
-			if err != nil {
-				return SkylinePoint{}, false, err
-			}
-			it.lb[pick] = d
-			it.metrics.DistanceComputations++
-			continue
-		}
-		plb, done, err := sessions[pick].Advance()
-		if err != nil {
-			return SkylinePoint{}, false, err
-		}
-		it.lb[pick] = plb
-		if done {
-			it.metrics.DistanceComputations++
-		}
+	lb := it.bounds.lb
+	lb[src] = cand.dist
+	it.env.fillAttrs(lb, it.n, cand.id, it.q.UseAttrs)
+	exact, err := it.bounds.refine(o.Loc, it.env.G.Point(o.Loc), src, it.dominated)
+	// All distances exact and undominated. An object no query point reaches
+	// is still not a skyline point — CE never even admits one (no wavefront
+	// reaches it) — but its all-+Inf vector is not dominated by other
+	// all-+Inf vectors, so an all-unreachable object set would otherwise be
+	// reported wholesale.
+	if err != nil || !exact || unreachableVec(lb, it.n) {
+		return SkylinePoint{}, false, err
 	}
 	vec := make([]float64, it.dims)
-	copy(vec, it.lb)
+	copy(vec, lb)
 	it.skyVecs = append(it.skyVecs, vec)
 	return SkylinePoint{
-		Object: it.env.Objects[cand.id],
+		Object: o,
 		Dists:  vec[:it.n:it.n],
 		Vec:    vec,
 	}, true, nil

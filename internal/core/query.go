@@ -108,6 +108,10 @@ type Metrics struct {
 	// the phases were first entered. It is populated only when the query
 	// ran with a Tracer or Options.CollectPhases; nil otherwise.
 	Phases []obs.PhaseStat
+	// sessionScans counts the A* sessions that LBC's dominance check and
+	// aggregate NN opened with a frontier scan (boundVec.refine phase 2);
+	// the package's tests pin that most candidates are decided without one.
+	sessionScans int
 }
 
 // ResponseTime is the total response time under the simulated disk

@@ -189,9 +189,80 @@ type Session struct {
 	unreach bool
 }
 
+// Target is one destination prepared for sessions from several searchers:
+// LBC, EDC and aggregate NN measure each candidate object from every query
+// point, and the per-target heuristic (two landmark-table rows and the
+// along-edge offsets) is the same for all of them. The heuristic is built at
+// most once, by the first Bound or OpenSession that needs it, so a Target
+// may only be shared by searchers with the same heuristic source. The zero
+// heuristic of a fresh Target{Loc, Pt} is valid.
+type Target struct {
+	Loc graph.Location
+	Pt  geom.Point
+	th  TargetHeuristic
+}
+
+// heuristic returns t's per-target heuristic under the searcher's source,
+// building it on first use; nil without a source or under DisableHeuristic.
+func (a *AStar) heuristic(t *Target) TargetHeuristic {
+	if a.hs == nil || a.noHeur {
+		return nil
+	}
+	if t.th == nil {
+		t.th = a.hs.ForTarget(t.Loc, t.Pt)
+	}
+	return t.th
+}
+
+// Resolved reports whether both endpoints of t's edge are settled: a session
+// toward t then completes at opening with the exact distance, without
+// reading the frontier.
+func (a *AStar) Resolved(t *Target) bool {
+	e := a.net.Edge(t.Loc.Edge)
+	_, okU := a.settledDist(e.U)
+	_, okV := a.settledDist(e.V)
+	return okU && okV
+}
+
+// Bound returns a lower bound on the network distance to t that reads
+// neither the frontier nor the settled set, so it costs the same however
+// far the wavefront has spread: max(Euclidean distance, the heuristic
+// source's bound from the source location), where the latter is the min
+// over the source edge's endpoints of the along-edge offset plus the
+// per-target bound at that endpoint — every path leaves the source edge
+// through an endpoint, except the one along a shared edge, whose length
+// caps the result. It is 0 under DisableHeuristic. By consistency of the
+// heuristic every frontier key of a session toward t is at least this
+// bound; in floating point it may exceed the session's PLB (and the
+// distance itself) by a few ulps, because the landmark table's rows and the
+// searcher's g-values are different sums of the same edge lengths.
+func (a *AStar) Bound(t *Target) float64 {
+	if a.noHeur {
+		return 0
+	}
+	b := a.srcPt.Dist(t.Pt)
+	if th := a.heuristic(t); th != nil {
+		e := a.net.Edge(a.src.Edge)
+		b = math.Max(b, math.Min(a.src.Offset+th.Bound(e.U), e.Length-a.src.Offset+th.Bound(e.V)))
+	}
+	if t.Loc.Edge == a.src.Edge {
+		b = math.Min(b, math.Abs(t.Loc.Offset-a.src.Offset))
+	}
+	return b
+}
+
 // NewSession opens a session toward dest located at destPt. Opening a
 // session invalidates any previously opened session on this searcher.
 func (a *AStar) NewSession(dest graph.Location, destPt geom.Point) *Session {
+	t := Target{Loc: dest, Pt: destPt}
+	return a.OpenSession(&t)
+}
+
+// OpenSession is NewSession toward a prepared target, whose heuristic it
+// shares with every other session and Bound the target is handed to. The
+// session keeps no reference to t.
+func (a *AStar) OpenSession(t *Target) *Session {
+	dest, destPt := t.Loc, t.Pt
 	a.seq++
 	sc := a.sc
 	sc.frontier.Reset()
@@ -229,9 +300,7 @@ func (a *AStar) NewSession(dest graph.Location, destPt geom.Point) *Session {
 		s.finish()
 		return s
 	}
-	if a.hs != nil && !a.noHeur {
-		s.th = a.hs.ForTarget(dest, destPt)
-	}
+	s.th = a.heuristic(t)
 	// Re-key the shared frontier with this destination's heuristic: load
 	// the heap with Euclid-only keys, unordered (most sessions are dropped
 	// or finish on this opening bound, so ordering waits for the first

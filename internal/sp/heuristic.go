@@ -24,8 +24,9 @@ type TargetHeuristic interface {
 // implementation.
 type HeuristicSource interface {
 	// ForTarget returns the heuristic toward dest located at destPt. It is
-	// called once per session; Bound is called on the hot path, so per-
-	// target work (e.g. landmark distance lookups for the target edge's
-	// endpoints) belongs here.
+	// called at most once per Target — once per session for NewSession,
+	// once for all the sessions and bounds a shared Target is handed to;
+	// Bound is called on the hot path, so per-target work (e.g. landmark
+	// distance lookups for the target edge's endpoints) belongs here.
 	ForTarget(dest graph.Location, destPt geom.Point) TargetHeuristic
 }

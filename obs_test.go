@@ -268,6 +268,9 @@ func TestStatsParity(t *testing.T) {
 	mv := reflect.ValueOf(&m).Elem()
 	mt := mv.Type()
 	for i := 0; i < mt.NumField(); i++ {
+		if !mt.Field(i).IsExported() {
+			continue
+		}
 		f := mv.Field(i)
 		switch f.Kind() {
 		case reflect.Int, reflect.Int64:
@@ -292,6 +295,9 @@ func TestStatsParity(t *testing.T) {
 		"Initial": m.InitialResponseTime(),
 	}
 	for i := 0; i < mt.NumField(); i++ {
+		if !mt.Field(i).IsExported() {
+			continue
+		}
 		name := mt.Field(i).Name
 		got, ok := statsFields[name]
 		if !ok {
