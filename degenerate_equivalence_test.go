@@ -1,14 +1,35 @@
 package roadskyline
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"roadskyline/internal/bruteforce"
+	"roadskyline/internal/core"
 	"roadskyline/internal/graph"
 )
+
+// paperEDC answers q with the paper's EDC — every candidate's network vector
+// computed in full (core.Options.DisablePLB), an arm the public Query has no
+// switch for.
+func paperEDC(t *testing.T, e *Engine, q Query) *Result {
+	t.Helper()
+	cq, opts, _ := e.begin(&q, time.Time{})
+	opts.DisablePLB = true
+	res, err := core.Run(context.Background(), e.env, cq, core.AlgEDC, opts)
+	if err != nil {
+		t.Fatalf("the paper's EDC: %v", err)
+	}
+	out := &Result{Stats: statsFromMetrics(res.Metrics)}
+	for _, p := range res.Skyline {
+		out.Points = append(out.Points, SkylinePoint{Object: e.objs[p.Object.ID], Distances: p.Dists, Vector: p.Vec})
+	}
+	return out
+}
 
 // degenerateTrial is an equivalence instance over a deliberately hostile
 // network: self-loops, parallel edges, objects and query points at boundary
@@ -235,6 +256,9 @@ func TestDegenerateTopologyEquivalenceFuzz(t *testing.T) {
 			if err := tr.check(res, fmt.Sprintf("query %d (%v)", qi, q.Algorithm)); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if err := tr.check(paperEDC(t, tr.eng, qs[1]), "the paper's EDC"); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -88,11 +88,13 @@ func TestSkylineDisconnectedObjects(t *testing.T) {
 			t.Fatal(err)
 		}
 		var ids [][]int32
+		results := map[string]*Result{"the paper's EDC": paperEDC(t, eng, Query{Points: points})}
 		for _, alg := range []Algorithm{CEAlg, EDCAlg, LBCAlg} {
-			res, err := eng.Skyline(Query{Points: points, Algorithm: alg})
-			if err != nil {
+			if results[alg.String()], err = eng.Skyline(Query{Points: points, Algorithm: alg}); err != nil {
 				t.Fatalf("landmarks=%v %v: %v", landmarks, alg, err)
 			}
+		}
+		for alg, res := range results {
 			var got []int32
 			for _, p := range res.Points {
 				if p.Object.Loc.Edge == 7 {
@@ -146,6 +148,9 @@ func TestSkylineAllObjectsUnreachable(t *testing.T) {
 		if len(res.Points) != 0 {
 			t.Fatalf("%v returned %d points for an unreachable object set", alg, len(res.Points))
 		}
+	}
+	if res := paperEDC(t, eng, Query{Points: points}); len(res.Points) != 0 {
+		t.Fatalf("the paper's EDC returned %d points for an unreachable object set", len(res.Points))
 	}
 	// The aggregate NN demo query must agree: no reachable object, no
 	// neighbors.

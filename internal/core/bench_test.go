@@ -1,12 +1,15 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"slices"
 	"testing"
 
 	"roadskyline/internal/distcache"
 	"roadskyline/internal/gen"
+	"roadskyline/internal/geom"
+	"roadskyline/internal/graph"
 	"roadskyline/internal/skyline"
 	"roadskyline/internal/sp"
 )
@@ -78,4 +81,98 @@ func BenchmarkLBCCheck(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkEDCVerify times EDC's verification of one window batch alone, on
+// a |Q| = 4 query on CA (the paper_cold cell): the window of a late seed,
+// refined farthest-first against the query's network skyline — the front a
+// late batch meets. Each iteration restores the searchers to where the
+// seed's own vector left them, so the frontier-free bounds, the dominance
+// tests and the sessions of the candidates that are not dominated are on the
+// clock, and the R-tree is not.
+func BenchmarkEDCVerify(b *testing.B) {
+	const nq = 4
+	ctx := context.Background()
+	env := pinCA.env(b, 0)
+	q := Query{Points: gen.QueryPoints(env.G, nq, 0.1, 1)}
+	res, err := Run(ctx, env, q, AlgEDC, Options{ColdCache: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	qPts := make([]geom.Point, nq)
+	for i, p := range q.Points {
+		qPts[i] = env.G.Point(p)
+	}
+	euclid := make([][]float64, len(env.Objects))
+	for i, o := range env.Objects {
+		euclid[i] = make([]float64, nq)
+		for j, qp := range qPts {
+			euclid[i][j] = env.G.Point(o.Loc).Dist(qp)
+		}
+	}
+	front := make([][]float64, len(res.Skyline))
+	for i, p := range res.Skyline {
+		front[i] = p.Vec
+	}
+	// The seed is the object an eighth of the way down the Euclidean order
+	// EDC draws its seeds in: late seeds are the ones with wide windows.
+	byEuclid := slices.Clone(env.Objects)
+	sum := func(o graph.Object) (s float64) {
+		for _, d := range euclid[o.ID] {
+			s += d
+		}
+		return s
+	}
+	slices.SortFunc(byEuclid, func(x, y graph.Object) int { return cmp.Compare(sum(x), sum(y)) })
+	seed := byEuclid[len(byEuclid)/8]
+
+	pbar := make([]float64, nq)
+	snaps := make([]*distcache.State, nq)
+	scratches := make([]*sp.Scratch, nq)
+	for i, p := range q.Points {
+		scratches[i] = sp.NewScratch()
+		a, err := sp.NewAStarWith(ctx, env, p, qPts[i], scratches[i])
+		if err != nil {
+			b.Fatal(err)
+		}
+		a.UseHeuristicSource(env.Landmarks)
+		if pbar[i], err = a.DistanceTo(seed.Loc, env.G.Point(seed.Loc)); err != nil {
+			b.Fatal(err)
+		}
+		snaps[i] = a.Snapshot()
+	}
+	var batch []graph.Object
+	for _, o := range env.Objects {
+		if o.ID != seed.ID && skyline.DominatesOrEqual(euclid[o.ID], pbar) {
+			batch = append(batch, o)
+		}
+	}
+	slices.SortFunc(batch, func(x, y graph.Object) int { return cmp.Compare(slices.Max(euclid[y.ID]), slices.Max(euclid[x.ID])) })
+
+	dropped := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		astars := make([]*sp.AStar, nq)
+		for j, st := range snaps {
+			astars[j] = sp.NewAStarFromWith(ctx, env, st, qPts[j], scratches[j])
+			astars[j].UseHeuristicSource(env.Landmarks)
+		}
+		var m Metrics
+		bounds, floor := newBoundVec(astars, nq, &m), make([]float64, nq)
+		dominated := func() bool { return floorDominated(bounds.lb, floor, nq, front) }
+		b.StartTimer()
+		for _, o := range batch {
+			exact, err := bounds.refine(o.Loc, env.G.Point(o.Loc), -1, dominated)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !exact {
+				dropped++
+			}
+		}
+	}
+	b.ReportMetric(float64(len(batch)), "candidates")
+	b.ReportMetric(float64(dropped)/float64(b.N), "dropped")
 }

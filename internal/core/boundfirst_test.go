@@ -116,7 +116,7 @@ var pinCells = []pinCell{
 	{name: "CA/q4/alternate", net: pinCA, nq: 4, opts: Options{LBCAlternate: true}, want: pinned{3687, 468, 1940, 43, 96, 0xe14c1c9223f43fd8}, scans: 178},
 	{name: "CA/q4/nolandmarks", net: pinCA, nq: 4, opts: Options{DisableLandmarks: true}, want: pinned{3635, 466, 554, 85, 96, 0xaf53529b994a0374}, scans: 746},
 	{name: "CA/q4/noheuristic", net: pinCA, nq: 4, opts: Options{DisableAStarHeuristic: true}, want: pinned{7700, 466, 513, 122, 96, 0xaf53529b994a0374}, scans: 485},
-	{name: "CA/q4/noplb", net: pinCA, nq: 4, opts: Options{LBCDisablePLB: true}, want: pinned{1515, 466, 566, 40, 96, 0xaf53529b994a0374}, scans: 212},
+	{name: "CA/q4/noplb", net: pinCA, nq: 4, opts: Options{DisablePLB: true}, want: pinned{1515, 466, 566, 40, 96, 0xaf53529b994a0374}, scans: 212},
 	{name: "CA/q4/attrs", net: pinCA, nq: 4, attrs: 2, want: pinned{7099, 671, 1019, 109, 218, 0x72815c4143039d03}, scans: 503},
 	{name: "CA/q8/alternate/attrs", net: pinCA, nq: 8, attrs: 2, opts: Options{LBCAlternate: true}, want: pinned{21675, 866, 7620, 112, 268, 0xa71c5a57908656f9}, scans: 1278},
 	{name: "NA60/q2", net: pinNA, nq: 2, want: pinned{3801, 1859, 1866, 106, 171, 0x3b297bdef23dda0b}, scans: 196},

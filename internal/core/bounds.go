@@ -8,8 +8,9 @@ import (
 
 // boundVec tightens one candidate object's vector of network-distance lower
 // bounds, one entry per query-point searcher, until the caller's stop rule
-// fires or every entry is exact. LBC's dominance check and aggregate NN's
-// threshold check are this loop with different stop rules.
+// fires or every entry is exact. LBC's dominance check, EDC's verification of
+// a window candidate and aggregate NN's threshold check are this loop with
+// different stop rules.
 //
 // The cheapest bounds come first (refine): an A* session's opening scan
 // reads the whole frontier, so a session is opened only once the
@@ -23,7 +24,7 @@ type boundVec struct {
 	sessions []*sp.Session // nil until opened
 	target   sp.Target     // the candidate, its heuristic shared by all sessions
 	// runOut makes every picked session run to completion instead of
-	// advancing one step (the LBCDisablePLB ablation).
+	// advancing one step (the DisablePLB ablation).
 	runOut bool
 	m      *Metrics
 }
@@ -98,6 +99,18 @@ func (b *boundVec) refine(loc graph.Location, pt geom.Point, skip int, stop func
 		}
 	}
 	return false, nil
+}
+
+// completed returns how many of the candidate's distances are exact: the
+// sessions that finished, at opening or by advancing.
+func (b *boundVec) completed() int {
+	n := 0
+	for _, s := range b.sessions {
+		if s != nil && s.Done() {
+			n++
+		}
+	}
+	return n
 }
 
 // open opens session i and takes its opening bound.

@@ -48,6 +48,26 @@ func sameIDs(a, b []int) bool {
 	return true
 }
 
+// oracleArm is one algorithm configuration the oracle comparisons run: the
+// three algorithms as they ship, and the paper's EDC, which computes every
+// candidate's vector in full.
+type oracleArm struct {
+	name string
+	alg  Algorithm
+	opts Options
+}
+
+var oracleArms = []oracleArm{
+	{"CE", AlgCE, Options{ColdCache: true}},
+	{"EDC", AlgEDC, Options{ColdCache: true}},
+	{"EDC/noplb", AlgEDC, Options{ColdCache: true, DisablePLB: true}},
+	{"LBC", AlgLBC, Options{ColdCache: true}},
+}
+
+func (a oracleArm) run(env *Env, q Query) (*Result, error) {
+	return Run(context.Background(), env, q, a.alg, a.opts)
+}
+
 // TestAlgorithmsMatchOracle is the central cross-validation: on randomized
 // networks, CE, EDC and LBC must all return exactly the brute-force
 // multi-source network skyline, with exact distance vectors.
@@ -63,8 +83,9 @@ func TestAlgorithmsMatchOracle(t *testing.T) {
 		wantIdx, matrix := bruteforce.NetworkSkyline(g, objs, q.Points, false)
 		want := append([]int(nil), wantIdx...)
 
-		for _, alg := range []Algorithm{AlgCE, AlgEDC, AlgLBC} {
-			res, err := RunDefault(env, q, alg)
+		for _, arm := range oracleArms {
+			alg := arm.name
+			res, err := arm.run(env, q)
 			if err != nil {
 				t.Fatalf("trial %d %v: %v", trial, alg, err)
 			}
@@ -105,13 +126,13 @@ func TestAlgorithmsMatchOracleWithAttrs(t *testing.T) {
 		wantIdx, _ := bruteforce.NetworkSkyline(g, objs, q.Points, true)
 		want := append([]int(nil), wantIdx...)
 
-		for _, alg := range []Algorithm{AlgCE, AlgEDC, AlgLBC} {
-			res, err := RunDefault(env, q, alg)
+		for _, arm := range oracleArms {
+			res, err := arm.run(env, q)
 			if err != nil {
-				t.Fatalf("trial %d %v: %v", trial, alg, err)
+				t.Fatalf("trial %d %v: %v", trial, arm.name, err)
 			}
 			if got := skylineIDs(res); !sameIDs(got, want) {
-				t.Fatalf("trial %d %v (attrs): skyline %v, oracle %v", trial, alg, got, want)
+				t.Fatalf("trial %d %v (attrs): skyline %v, oracle %v", trial, arm.name, got, want)
 			}
 		}
 	}
@@ -248,7 +269,7 @@ func TestLBCDisablePLBSameResult(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Run(context.Background(), env, q, AlgLBC, Options{ColdCache: true, LBCDisablePLB: true})
+		b, err := Run(context.Background(), env, q, AlgLBC, Options{ColdCache: true, DisablePLB: true})
 		if err != nil {
 			t.Fatal(err)
 		}

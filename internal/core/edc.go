@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -57,17 +58,17 @@ func unreachableVec(vec []float64, n int) bool {
 	return true
 }
 
-// maxEuclid returns an object's largest Euclidean distance to any query
-// point, the sort key for farthest-first distance computation.
-func maxEuclid(env *Env, qPts []geom.Point, id graph.ObjectID) float64 {
-	p := env.G.Point(env.Objects[id].Loc)
-	worst := 0.0
-	for _, qp := range qPts {
-		if d := p.Dist(qp); d > worst {
-			worst = d
-		}
+// floorDominated reports whether a member of front dominates the vector of
+// lower bounds lb (n network distances, then exact attributes) with the
+// distances taken at their floor (sp.BoundFloor), so that an object tied with
+// a member is not mistaken for a dominated one over a bound an ulp above the
+// distance. floor is scratch of lb's length.
+func floorDominated(lb, floor []float64, n int, front [][]float64) bool {
+	copy(floor[n:], lb[n:])
+	for i, b := range lb[:n] {
+		floor[i] = sp.BoundFloor(b)
 	}
-	return worst
+	return skyline.DominatedBy(floor, front)
 }
 
 // edc implements the Euclidean Distance Constraint algorithm (paper
@@ -87,6 +88,14 @@ func maxEuclid(env *Env, qPts []geom.Point, id graph.ObjectID) float64 {
 // This is the candidate space of the paper's Figure 3(b): everything
 // bottom-left of the shifted curve L1 is a candidate, everything beyond it
 // is pruned.
+//
+// The paper computes every candidate's vector in full and compares
+// afterwards. Here only the seeds' are (a seed's vector is p-bar); a window
+// candidate is verified as LBC verifies its own (boundVec.refine): dropped
+// as soon as its path-distance lower bounds are dominated by the network
+// vectors already known, most often before any A* session toward it is
+// opened. The candidates fetched and the skyline reported are the paper's;
+// Options.DisablePLB gives back its distance computations too.
 func edc(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) {
 	start := time.Now()
 	n := len(q.Points)
@@ -139,9 +148,13 @@ func edc(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) 
 	}
 
 	var shifted [][]float64 // p-bar vectors of processed seeds
-	var skyVecs [][]float64 // vectors of reported skyline points
+	// front is the Pareto front of the exact network vectors computed so
+	// far, all-+Inf ones left out. Every member is a real object's vector
+	// and strict dominance is transitive, so whatever any vector computed so
+	// far dominates, a member dominates.
+	var front [][]float64
 	fetched := make(map[graph.ObjectID]bool)
-	candVec := make(map[graph.ObjectID][]float64) // undetermined candidates
+	candVec := make(map[graph.ObjectID][]float64) // undetermined candidates, all on the front when they joined
 
 	// eVec computes the full Euclidean vector of an object (distances plus
 	// attributes); lbVec the lower-bound vector of a rectangle (attribute
@@ -169,10 +182,37 @@ func edc(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) 
 		return false
 	}
 
-	// netVec computes an object's full network-distance vector; its n
-	// sessions share one target, so the landmark heuristic toward the object
-	// is built once.
-	netVec := func(id graph.ObjectID) ([]float64, error) {
+	seeds := env.ObjTree.NewBestFirst(
+		func(r geom.Rect) float64 { return sum(lbVec(r)) },
+		func(e rtree.Entry) float64 { return sum(eVec(e)) },
+		func(r geom.Rect) bool { return beyondShifted(lbVec(r)) },
+		func(e rtree.Entry) bool { return fetched[graph.ObjectID(e.ID)] || beyondShifted(eVec(e)) },
+	)
+
+	// admit files a fetched object's exact vector. One that is all +Inf or
+	// dominated by the front can never be reported and dominates nothing the
+	// front does not, so it is dropped here; any other joins the candidates
+	// and the front, evicting the members it dominates.
+	admit := func(id graph.ObjectID, vec []float64) {
+		if unreachableVec(vec, n) || skyline.DominatedBy(vec, front) {
+			return
+		}
+		keep := front[:0]
+		for _, f := range front {
+			if !skyline.Dominates(vec, f) {
+				keep = append(keep, f)
+			}
+		}
+		front = append(keep, vec)
+		candVec[id] = vec
+	}
+
+	// fetchSeed computes a seed's network vector in full — it is p-bar, the
+	// corner of the next window — with its n sessions sharing one target, so
+	// the landmark heuristic toward the object is built once.
+	fetchSeed := func(id graph.ObjectID) ([]float64, error) {
+		fetched[id] = true
+		m.Candidates++
 		o := env.Objects[id]
 		target := sp.Target{Loc: o.Loc, Pt: env.G.Point(o.Loc)}
 		vec := make([]float64, dims)
@@ -185,57 +225,54 @@ func edc(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) 
 			m.DistanceComputations++
 		}
 		env.fillAttrs(vec, n, id, q.UseAttrs)
+		admit(id, vec)
 		return vec, nil
 	}
 
-	seeds := env.ObjTree.NewBestFirst(
-		func(r geom.Rect) float64 { return sum(lbVec(r)) },
-		func(e rtree.Entry) float64 { return sum(eVec(e)) },
-		func(r geom.Rect) bool { return beyondShifted(lbVec(r)) },
-		func(e rtree.Entry) bool { return fetched[graph.ObjectID(e.ID)] || beyondShifted(eVec(e)) },
-	)
-
-	fetch := func(id graph.ObjectID) error {
+	// verify settles a window candidate bounds-first (boundVec.refine): it
+	// is dropped as soon as the front dominates its vector of lower bounds —
+	// then a member dominates its network vector too, and whatever that
+	// would have dominated — and only an undominated one has all n distances
+	// computed. Under DisablePLB nothing is dropped early (the paper's EDC).
+	bounds := newBoundVec(astars, dims, &m)
+	bounds.runOut = opts.DisablePLB
+	floor := make([]float64, dims)
+	dominated := func() bool { return !opts.DisablePLB && floorDominated(bounds.lb, floor, n, front) }
+	verify := func(id graph.ObjectID) error {
 		fetched[id] = true
 		m.Candidates++
-		vec, err := netVec(id)
-		if err != nil {
-			return err
+		o := env.Objects[id]
+		env.fillAttrs(bounds.lb, n, id, q.UseAttrs)
+		// refine does not count the evaluations that completed on opening,
+		// from settled endpoints; a seed's vector counts all n of its own.
+		evaluated := m.DistanceComputations
+		exact, err := bounds.refine(o.Loc, env.G.Point(o.Loc), -1, dominated)
+		m.DistanceComputations = evaluated + bounds.completed()
+		if exact {
+			admit(id, slices.Clone(bounds.lb))
 		}
-		candVec[id] = vec
-		return nil
+		return err
 	}
 
-	// determine resolves every candidate whose network vector fits under
-	// pbar: report it when nothing fetched dominates it, discard otherwise.
-	// Candidates resolve in id order — each outcome is order-independent
-	// (every candidate is compared against the full fetched set), but map
-	// order would make the report order jitter from run to run.
-	determine := func(pbar []float64) {
-		ids := make([]graph.ObjectID, 0, len(candVec))
-		for id := range candVec {
-			ids = append(ids, id)
+	// resolve determines the candidates whose vector fits under pbar (all of
+	// them when pbar is nil): each is a skyline point unless a vector
+	// computed since evicted it from the front. They resolve in id order —
+	// each outcome is order-independent, but map order would make the report
+	// order jitter from run to run.
+	resolve := func(pbar []float64) {
+		var ids []graph.ObjectID
+		for id, vec := range candVec {
+			if pbar == nil || skyline.DominatesOrEqual(vec, pbar) {
+				ids = append(ids, id)
+			}
 		}
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+		slices.Sort(ids)
 		for _, id := range ids {
 			vec := candVec[id]
-			if !skyline.DominatesOrEqual(vec, pbar) {
-				continue
-			}
-			dominated := unreachableVec(vec, n) || skyline.DominatedBy(vec, skyVecs)
-			if !dominated {
-				for id2, vec2 := range candVec {
-					if id2 != id && skyline.Dominates(vec2, vec) {
-						dominated = true
-						break
-					}
-				}
-			}
 			delete(candVec, id)
-			if dominated {
+			if skyline.DominatedBy(vec, front) {
 				continue
 			}
-			skyVecs = append(skyVecs, vec)
 			res.Skyline = append(res.Skyline, SkylinePoint{
 				Object: env.Objects[id],
 				Dists:  vec[:n:n],
@@ -249,11 +286,18 @@ func edc(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) 
 		}
 	}
 
+	// batch is a window's unfetched objects, each with its largest
+	// Euclidean distance to a query point.
+	type windowCand struct {
+		id  graph.ObjectID
+		far float64
+	}
+	var batch []windowCand
 	for {
 		// The A* searchers check cancellation every K settlements inside
-		// fetch; the seed loop re-checks between seeds so that seeds whose
-		// distances resolve via the settled-endpoints shortcut (no
-		// expansion at all) cannot starve cancellation.
+		// fetchSeed and verify; the seed loop re-checks between seeds so that
+		// seeds whose distances resolve via the settled-endpoints shortcut
+		// (no expansion at all) cannot starve cancellation.
 		if err := ctx.Err(); err != nil {
 			return fail(err)
 		}
@@ -263,20 +307,18 @@ func edc(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) 
 		if !ok {
 			break
 		}
-		id := graph.ObjectID(seed.ID)
 		probe.begin(obs.PhaseEDCVerify)
-		err := fetch(id)
+		pbar, err := fetchSeed(graph.ObjectID(seed.ID))
 		probe.end()
 		if err != nil {
 			return fail(err)
 		}
-		pbar := candVec[id]
 		shifted = append(shifted, pbar)
 
 		// Window query: every object inside the hypercube [0, pbar] joins
 		// the candidate set (paper step 3). The R-tree descends on the
 		// spatial dimensions; attributes are checked exactly per entry.
-		var batch []graph.ObjectID
+		batch = batch[:0]
 		probe.begin(obs.PhaseEDCWindow)
 		env.ObjTree.SearchFunc(
 			func(r geom.Rect) bool {
@@ -288,66 +330,35 @@ func edc(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) 
 				return true
 			},
 			func(e rtree.Entry) bool {
-				oid := graph.ObjectID(e.ID)
-				if !fetched[oid] && skyline.DominatesOrEqual(eVec(e), pbar) {
-					batch = append(batch, oid)
+				if oid := graph.ObjectID(e.ID); !fetched[oid] {
+					if ev := eVec(e); skyline.DominatesOrEqual(ev, pbar) {
+						batch = append(batch, windowCand{oid, slices.Max(ev[:n])})
+					}
 				}
 				return true
 			},
 		)
 		probe.end()
-		// Compute network distances farthest-first: once the widest
-		// candidate has expanded the searchers, nearer candidates complete
-		// via the settled-endpoints shortcut without re-keying a frontier.
-		sort.Slice(batch, func(a, b int) bool {
-			return maxEuclid(env, qPts, batch[a]) > maxEuclid(env, qPts, batch[b])
-		})
+		// Verify farthest-first: once the widest candidate has expanded the
+		// searchers, nearer candidates complete via the settled-endpoints
+		// shortcut without re-keying a frontier.
+		sort.Slice(batch, func(a, b int) bool { return batch[a].far > batch[b].far })
 		probe.begin(obs.PhaseEDCVerify)
-		for _, oid := range batch {
-			if err := fetch(oid); err != nil {
+		for _, c := range batch {
+			if err := verify(c.id); err != nil {
 				return fail(err)
 			}
 		}
 		probe.end()
-		determine(pbar)
+		// A candidate is determined once its network vector fits under some
+		// shifted vector: no unfetched object can dominate it any more.
+		resolve(pbar)
 	}
 
 	// No more seeds: every unfetched object is beyond some shifted vector,
-	// hence dominated-or-equal by a fetched one. The remaining candidates
-	// resolve by comparison within the fetched set. Resolve in id order:
-	// the outcome per candidate is order-independent (each is compared
-	// against the full fetched set), but map order would make the tail of
-	// res.Skyline jitter from run to run.
-	remaining := make([]graph.ObjectID, 0, len(candVec))
-	for id := range candVec {
-		remaining = append(remaining, id)
-	}
-	sort.Slice(remaining, func(a, b int) bool { return remaining[a] < remaining[b] })
-	for _, id := range remaining {
-		vec := candVec[id]
-		dominated := unreachableVec(vec, n) || skyline.DominatedBy(vec, skyVecs)
-		if !dominated {
-			for id2, vec2 := range candVec {
-				if id2 != id && skyline.Dominates(vec2, vec) {
-					dominated = true
-					break
-				}
-			}
-		}
-		if !dominated {
-			skyVecs = append(skyVecs, vec)
-			res.Skyline = append(res.Skyline, SkylinePoint{
-				Object: env.Objects[id],
-				Dists:  vec[:n:n],
-				Vec:    vec,
-			})
-			probe.point()
-			if m.Initial == 0 {
-				m.Initial = time.Since(start)
-				m.InitialPages = env.pagesFaulted()
-			}
-		}
-	}
+	// hence dominated-or-equal by a fetched one, and the remaining
+	// candidates resolve among the fetched.
+	resolve(nil)
 
 	dropDominatedDuplicates(res)
 	putAStarStates(env, opts, astars, cacheHits, qf)

@@ -135,7 +135,7 @@ func NewLBCIterator(ctx context.Context, env *Env, q Query, opts Options) (*LBCI
 	it.processed = make(map[graph.ObjectID]bool)
 	it.confirmed = make(map[graph.ObjectID]bool)
 	it.bounds = newBoundVec(it.astars, it.dims, &it.metrics)
-	it.bounds.runOut = opts.LBCDisablePLB
+	it.bounds.runOut = opts.DisablePLB
 	it.dominated = func() bool { return skyline.DominatedBy(it.bounds.lb, it.skyVecs) }
 	return it, nil
 }

@@ -169,10 +169,12 @@ type Options struct {
 	// extension sketched at the end of paper Section 4.3); skyline points
 	// near any query point are then reported early.
 	LBCAlternate bool
-	// LBCDisablePLB makes LBC compute full network distances for every
-	// candidate instead of abandoning dominated candidates early; used by
-	// the path-distance-lower-bound ablation.
-	LBCDisablePLB bool
+	// DisablePLB makes LBC and EDC compute the full network vector of every
+	// candidate instead of abandoning one as soon as its path-distance
+	// lower bounds are dominated; used by the path-distance-lower-bound
+	// ablation. For EDC this is the paper's algorithm (Section 4.2), which
+	// has no such test; the answer is the same either way.
+	DisablePLB bool
 	// DisableAStarHeuristic zeroes the A* heuristic inside EDC and LBC
 	// (degrading their searchers to resumable Dijkstra); used by the
 	// directional-expansion ablation.

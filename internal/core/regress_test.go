@@ -179,8 +179,9 @@ func TestAlgorithmsMatchOracleDegenerate(t *testing.T) {
 			}
 			return true
 		}
-		for _, alg := range []Algorithm{AlgCE, AlgEDC, AlgLBC} {
-			res, err := RunDefault(env, q, alg)
+		for _, arm := range oracleArms {
+			alg := arm.name
+			res, err := arm.run(env, q)
 			if err != nil {
 				t.Fatalf("trial %d %v: %v", trial, alg, err)
 			}

@@ -8,29 +8,31 @@ import (
 	"roadskyline/internal/gen"
 )
 
-// AblationPLB isolates the path distance lower bound: LBC as published
-// against an LBC variant that computes every candidate's full network
-// distances (no early abandonment). Both return identical skylines; the
-// difference in network pages and nodes expanded is the plb's contribution
-// (|Q|=4, omega=50%).
+// AblationPLB isolates the path distance lower bound: LBC and EDC as they
+// run against variants that compute every candidate's full network
+// distances (no early abandonment) — for EDC that variant is the paper's
+// algorithm. Each pair returns identical skylines; the difference in network
+// pages and nodes expanded is the plb's contribution (|Q|=4, omega=50%).
 func (l *Lab) AblationPLB() (Table, error) {
 	t := Table{
-		Figure: "Ablation A1", Title: "Path distance lower bound (LBC vs LBC without plb)",
-		XLabel: "network", Metric: "pages / nodes expanded",
+		Figure: "Ablation A1", Title: "Path distance lower bound (LBC and EDC with and without plb)",
+		XLabel: "network/algorithm", Metric: "pages / nodes expanded",
 		Algs: []string{"pages", "noplb-pages", "nodes", "noplb-nodes"},
 	}
 	for _, spec := range gen.Paper {
-		with, err := l.Measure(spec, l.cfg.DefaultOmega, l.cfg.DefaultQ, core.AlgLBC, core.Options{})
-		if err != nil {
-			return t, err
+		for _, alg := range []core.Algorithm{core.AlgLBC, core.AlgEDC} {
+			with, err := l.Measure(spec, l.cfg.DefaultOmega, l.cfg.DefaultQ, alg, core.Options{})
+			if err != nil {
+				return t, err
+			}
+			without, err := l.Measure(spec, l.cfg.DefaultOmega, l.cfg.DefaultQ, alg, core.Options{DisablePLB: true})
+			if err != nil {
+				return t, err
+			}
+			t.Rows = append(t.Rows, Row{X: spec.Name + "/" + alg.String(), Values: []float64{
+				with.Pages, without.Pages, with.Nodes, without.Nodes,
+			}})
 		}
-		without, err := l.Measure(spec, l.cfg.DefaultOmega, l.cfg.DefaultQ, core.AlgLBC, core.Options{LBCDisablePLB: true})
-		if err != nil {
-			return t, err
-		}
-		t.Rows = append(t.Rows, Row{X: spec.Name, Values: []float64{
-			with.Pages, without.Pages, with.Nodes, without.Nodes,
-		}})
 	}
 	return t, nil
 }

@@ -83,9 +83,31 @@ func TestPaperShapes(t *testing.T) {
 			t.Errorf("Fig5a %s: pages did not grow with density", alg)
 		}
 	}
+	// The paper's ordering is over the paper's EDC, which computes every
+	// candidate's vector in full (DisablePLB); the figures' EDC verifies
+	// candidates bounds-first and reads fewer pages than LBC here.
 	naPages := pages.Rows[len(pages.Rows)-1]
-	if !(naPages.Values[2] < naPages.Values[1] && naPages.Values[1] < naPages.Values[0]) {
-		t.Errorf("Fig5a NA: want LBC < EDC < CE, got %v", naPages.Values)
+	paperEDC, err := lab.Measure(gen.NA, lab.cfg.DefaultOmega, lab.cfg.DefaultQ, core.AlgEDC, core.Options{DisablePLB: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !(naPages.Values[2] < paperEDC.Pages && paperEDC.Pages < naPages.Values[0]) {
+		t.Errorf("Fig5a NA: want LBC < the paper's EDC < CE, got LBC %v, EDC %v, CE %v",
+			naPages.Values[2], paperEDC.Pages, naPages.Values[0])
+	}
+	for _, spec := range gen.Paper {
+		bound, err := lab.Measure(spec, lab.cfg.DefaultOmega, lab.cfg.DefaultQ, core.AlgEDC, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		paper, err := lab.Measure(spec, lab.cfg.DefaultOmega, lab.cfg.DefaultQ, core.AlgEDC, core.Options{DisablePLB: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bound.Pages > paper.Pages || bound.Nodes > paper.Nodes {
+			t.Errorf("%s: bound-first EDC reads %v pages and expands %v nodes, the paper's EDC %v and %v",
+				spec.Name, bound.Pages, bound.Nodes, paper.Pages, paper.Nodes)
+		}
 	}
 
 	// Fig 5(b)/(c): LBC fastest total and initial response on NA.

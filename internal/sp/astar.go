@@ -251,6 +251,15 @@ func (a *AStar) Bound(t *Target) float64 {
 	return b
 }
 
+// BoundFloor returns a value no greater than the network distance, given a
+// lower bound b on it from Bound or a session's PLB. In exact arithmetic that
+// is b itself; in floating point a bound may sit above the distance by a
+// relative 1e-12 plus an absolute 1e-15 (TestAStarBound), which matters to a
+// caller that must not mistake an object tied with another for a worse one.
+func BoundFloor(b float64) float64 {
+	return math.Max(0, b*(1-1e-12)-1e-15)
+}
+
 // NewSession opens a session toward dest located at destPt. Opening a
 // session invalidates any previously opened session on this searcher.
 func (a *AStar) NewSession(dest graph.Location, destPt geom.Point) *Session {
