@@ -16,7 +16,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 
 	"roadskyline/internal/storage"
 )
@@ -148,6 +147,23 @@ func getCount(p []byte) int               { return int(binary.LittleEndian.Uint1
 func putPage(b []byte, id storage.PageID) { binary.LittleEndian.PutUint32(b, uint32(id)) }
 func getPage(b []byte) storage.PageID     { return storage.PageID(int32(binary.LittleEndian.Uint32(b))) }
 
+// searchKeys returns the first of the n entries of page p whose key is
+// >= key, or n when every key is smaller. Entries are stride bytes apart and
+// begin with their little-endian int64 key, on leaves and internal pages
+// alike.
+func searchKeys(p []byte, n, stride int, key int64) int {
+	lo, hi := 0, n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if int64(binary.LittleEndian.Uint64(p[headerSize+mid*stride:])) < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 // leafKey returns the i-th key of a leaf page.
 func (t *Tree) leafKey(p []byte, i int) int64 {
 	off := headerSize + i*(8+t.valSize)
@@ -193,8 +209,9 @@ func (t *Tree) readForWrite(id storage.PageID, buf []byte) error {
 }
 
 // Get copies the value stored under key into dst (which must be at least
-// valSize bytes) and returns ErrNotFound when absent. Reads are buffered
-// and counted.
+// valSize bytes). An absent key is reported as ErrNotFound itself, never
+// wrapped, so callers on the probe path may compare with ==. Reads are
+// buffered and counted.
 func (t *Tree) Get(key int64, dst []byte) error {
 	page := t.root
 	for level := t.height; level > 1; level-- {
@@ -209,8 +226,7 @@ func (t *Tree) Get(key int64, dst []byte) error {
 		return err
 	}
 	n := getCount(p)
-	i := sort.Search(n, func(i int) bool { return t.leafKey(p, i) >= key })
-	if i < n && t.leafKey(p, i) == key {
+	if i := searchKeys(p, n, 8+t.valSize, key); i < n && t.leafKey(p, i) == key {
 		copy(dst, t.leafVal(p, i))
 		return nil
 	}
@@ -221,7 +237,12 @@ func (t *Tree) Get(key int64, dst []byte) error {
 func childIndex(p []byte, key int64) int {
 	n := getCount(p)
 	// First key[i] > key means child i; all keys <= key means child n.
-	return sort.Search(n, func(i int) bool { return intKey(p, i) > key })
+	// Separators are distinct, so that is one past an exact match.
+	i := searchKeys(p, n, 12, key)
+	if i < n && intKey(p, i) == key {
+		i++
+	}
+	return i
 }
 
 // Scan calls fn for every (key, value) with from <= key <= to in ascending
@@ -242,8 +263,7 @@ func (t *Tree) Scan(from, to int64, fn func(key int64, val []byte) bool) error {
 			return err
 		}
 		n := getCount(p)
-		i := sort.Search(n, func(i int) bool { return t.leafKey(p, i) >= from })
-		for ; i < n; i++ {
+		for i := searchKeys(p, n, 8+t.valSize, from); i < n; i++ {
 			k := t.leafKey(p, i)
 			if k > to {
 				return nil
@@ -339,7 +359,7 @@ func (t *Tree) insertAt(page storage.PageID, level int, key int64, val []byte) (
 func (t *Tree) insertLeaf(page storage.PageID, buf []byte, key int64, val []byte) (sep int64, right storage.PageID, grew bool, err error) {
 	n := getCount(buf)
 	es := 8 + t.valSize
-	i := sort.Search(n, func(i int) bool { return t.leafKey(buf, i) >= key })
+	i := searchKeys(buf, n, es, key)
 	if i < n && t.leafKey(buf, i) == key {
 		copy(buf[headerSize+i*es+8:headerSize+i*es+8+t.valSize], val)
 		return 0, storage.InvalidPage, false, t.file.WritePage(page, buf[:storage.PageSize])

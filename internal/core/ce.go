@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"math"
+	"slices"
 	"time"
 
 	"roadskyline/internal/distcache"
@@ -76,23 +78,44 @@ func ce(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) {
 	lastDist := make([]float64, n) // distance of the last NN each query visited
 
 	type cand struct {
+		id      graph.ObjectID
 		vec     []float64 // NaN in spatial dims until visited
 		visited int
+		pos     int // index in live, -1 once dropped
 	}
+	// The live candidates, twice: by id for the hit that names one, and as a
+	// compact list for the loops over all of them, whose order (unlike a
+	// map's) repeats from run to run.
 	cands := make(map[graph.ObjectID]*cand)
+	var live []*cand
 	resolved := make(map[graph.ObjectID]bool) // reported or pruned
 	// needCount[i] tracks how many candidates still lack dimension i; once
 	// admission has stopped, a searcher nobody needs pauses instead of
 	// expanding uselessly.
 	needCount := make([]int, n)
-	dropCand := func(id graph.ObjectID, c *cand) {
+	dropCand := func(c *cand) {
 		for i := 0; i < n; i++ {
 			if math.IsNaN(c.vec[i]) {
 				needCount[i]--
 			}
 		}
-		delete(cands, id)
-		resolved[id] = true
+		last := live[len(live)-1]
+		live[c.pos], last.pos = last, c.pos
+		live, c.pos = live[:len(live)-1], -1
+		delete(cands, c.id)
+		resolved[c.id] = true
+	}
+	// byID calls fn on the live candidates in ascending object id — the order
+	// in which a searcher running out of network completes them — skipping
+	// those that an earlier call of fn has dropped.
+	byID := func(fn func(c *cand)) {
+		s := slices.Clone(live)
+		slices.SortFunc(s, func(a, b *cand) int { return cmp.Compare(a.id, b.id) })
+		for _, c := range s {
+			if c.pos >= 0 {
+				fn(c)
+			}
+		}
 	}
 
 	var skyVecs [][]float64
@@ -145,14 +168,14 @@ func ce(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) {
 		return lbVec
 	}
 
-	finish := func(id graph.ObjectID, c *cand) {
-		dropCand(id, c)
+	finish := func(c *cand) {
+		dropCand(c)
 		if skyline.DominatedBy(c.vec, skyVecs) {
 			return
 		}
 		skyVecs = append(skyVecs, c.vec)
 		res.Skyline = append(res.Skyline, SkylinePoint{
-			Object: env.Objects[id],
+			Object: env.Objects[c.id],
 			Dists:  c.vec[:n:n],
 			Vec:    c.vec,
 		})
@@ -161,10 +184,11 @@ func ce(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) {
 			m.Initial = time.Since(start)
 			m.InitialPages = env.pagesFaulted()
 		}
-		// Prune candidates the new skyline point already dominates.
-		for id2, c2 := range cands {
-			if skyline.Dominates(c.vec, lowerBound(c2)) {
-				dropCand(id2, c2)
+		// Prune candidates the new skyline point already dominates. From the
+		// back, because dropCand fills the hole with the last entry.
+		for k := len(live) - 1; k >= 0; k-- {
+			if c2 := live[k]; skyline.Dominates(c.vec, lowerBound(c2)) {
+				dropCand(c2)
 			}
 		}
 	}
@@ -173,9 +197,9 @@ func ce(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) {
 	// as the per-query visited radii grow; without it the wavefronts would
 	// keep expanding toward candidates that are already provably dominated.
 	sweep := func() {
-		for id, c := range cands {
-			if skyline.DominatedBy(lowerBound(c), skyVecs) {
-				dropCand(id, c)
+		for k := len(live) - 1; k >= 0; k-- {
+			if c := live[k]; skyline.DominatedBy(lowerBound(c), skyVecs) {
+				dropCand(c)
 			}
 		}
 	}
@@ -192,19 +216,19 @@ func ce(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) {
 				return fail(err)
 			}
 		}
-		if len(cands) == 0 && stopAdmitting() {
+		if len(live) == 0 && stopAdmitting() {
 			break
 		}
 		if numExhausted == n {
 			// Every remaining unknown dimension is an unreachable +Inf.
-			for id, c := range cands {
+			byID(func(c *cand) {
 				for i := 0; i < n; i++ {
 					if math.IsNaN(c.vec[i]) {
 						c.vec[i] = math.Inf(1)
 					}
 				}
-				finish(id, c)
-			}
+				finish(c)
+			})
 			break
 		}
 		// Pick the next searcher that is still useful: not exhausted, and
@@ -232,11 +256,11 @@ func ce(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) {
 			// there are no candidates left and admission reopened is
 			// impossible. Sweep and re-check.
 			sweep()
-			if len(cands) == 0 {
+			if len(live) == 0 {
 				break
 			}
 			// Remaining candidates wait on exhausted dimensions only.
-			for id, c := range cands {
+			byID(func(c *cand) {
 				for d := 0; d < n; d++ {
 					if math.IsNaN(c.vec[d]) {
 						c.vec[d] = math.Inf(1)
@@ -245,9 +269,9 @@ func ce(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) {
 					}
 				}
 				if c.visited == n {
-					finish(id, c)
+					finish(c)
 				}
-			}
+			})
 			break
 		}
 		cursor = (i + 1) % n
@@ -262,16 +286,16 @@ func ce(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) {
 			lastDist[i] = math.Inf(1)
 			// Exhaustion fixes dimension i of every candidate still missing
 			// it to +Inf, which may complete some candidates.
-			for id, c := range cands {
+			byID(func(c *cand) {
 				if math.IsNaN(c.vec[i]) {
 					c.vec[i] = math.Inf(1)
 					needCount[i]--
 					c.visited++
 					if c.visited == n {
-						finish(id, c)
+						finish(c)
 					}
 				}
-			}
+			})
 			continue
 		}
 		lastDist[i] = hit.Dist
@@ -280,7 +304,7 @@ func ce(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) {
 		// the previous sweep.
 		if hits++; hits >= sweepAt {
 			sweep()
-			next := len(cands) / 2
+			next := len(live) / 2
 			if next < 256 {
 				next = 256
 			}
@@ -296,13 +320,14 @@ func ce(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) {
 		case !stopAdmitting():
 			// New object becomes a candidate while the unseen region can
 			// still contain skyline points.
-			c = &cand{vec: make([]float64, dims)}
+			c = &cand{id: hit.ID, vec: make([]float64, dims), pos: len(live)}
 			for d := 0; d < n; d++ {
 				c.vec[d] = math.NaN()
 				needCount[d]++
 			}
 			env.fillAttrs(c.vec, n, hit.ID, q.UseAttrs)
 			cands[hit.ID] = c
+			live = append(live, c)
 			m.Candidates++
 		default:
 			// Refinement phase discards newly encountered objects.
@@ -312,11 +337,11 @@ func ce(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) {
 		needCount[i]--
 		c.visited++
 		if c.visited == n {
-			finish(hit.ID, c)
+			finish(c)
 			continue
 		}
 		if skyline.DominatedBy(lowerBound(c), skyVecs) {
-			dropCand(hit.ID, c)
+			dropCand(c)
 		}
 	}
 

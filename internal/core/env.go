@@ -162,18 +162,21 @@ func applyEnvDefaults(cfg *EnvConfig) {
 	}
 }
 
-// edgeKeyFunc keys the middle layer by the Hilbert value of each edge's
-// midpoint (id in the low bits keeps keys unique): a wavefront's edge
-// probes then land on few index/record pages, matching the spatial
-// clustering of the adjacency lists. It is deterministic in the graph, so
-// OpenEnv recomputes the same function Build used.
-func edgeKeyFunc(g *graph.Graph) func(graph.EdgeID) int64 {
+// edgeKeys returns the middle layer's B+-tree key of every edge: the
+// Hilbert value of the edge's midpoint (id in the low bits keeps keys
+// unique), so a wavefront's edge probes land on few index/record pages,
+// matching the spatial clustering of the adjacency lists. The table is
+// computed once per Env and deterministic in the graph, so OpenEnv
+// recomputes the values Build used.
+func edgeKeys(g *graph.Graph) []int64 {
 	bounds := g.Bounds()
-	return func(e graph.EdgeID) int64 {
-		ed := g.Edge(e)
+	keys := make([]int64, g.NumEdges())
+	for e := range keys {
+		ed := g.Edge(graph.EdgeID(e))
 		mid := g.NodePoint(ed.U).Lerp(g.NodePoint(ed.V), 0.5)
-		return int64(geom.HilbertKey(mid, bounds)<<21) | int64(e)
+		keys[e] = int64(geom.HilbertKey(mid, bounds)<<21) | int64(e)
 	}
+	return keys
 }
 
 func validateObjects(g *graph.Graph, objects []graph.Object) (numAttrs int, err error) {
@@ -261,7 +264,7 @@ func NewEnv(g *graph.Graph, objects []graph.Object, cfg EnvConfig) (*Env, error)
 	if err != nil {
 		return nil, fmt.Errorf("core: building disk graph: %w", err)
 	}
-	layer, err := middlelayer.Build(objects, storage.NewMemFile(), storage.NewMemFile(), cfg.BufferBytes, edgeKeyFunc(g))
+	layer, err := middlelayer.Build(objects, storage.NewMemFile(), storage.NewMemFile(), cfg.BufferBytes, edgeKeys(g))
 	if err != nil {
 		return nil, fmt.Errorf("core: building middle layer: %w", err)
 	}
@@ -308,7 +311,7 @@ func buildDir(g *graph.Graph, objects []graph.Object, numAttrs int, cfg EnvConfi
 	if err := store.WriteDir(filepath.Join(cfg.Dir, fileAdjDir)); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	layer, err := middlelayer.Build(objects, treeFile, recFile, cfg.BufferBytes, edgeKeyFunc(g))
+	layer, err := middlelayer.Build(objects, treeFile, recFile, cfg.BufferBytes, edgeKeys(g))
 	if err != nil {
 		return fmt.Errorf("core: building middle layer: %w", err)
 	}
@@ -409,7 +412,7 @@ func OpenEnv(dir string, cfg EnvConfig) (*Env, error) {
 	if err != nil {
 		return fail(fmt.Errorf("core: %w", err))
 	}
-	layer, err := middlelayer.Open(treeFile, recFile, cfg.BufferBytes, m.Layer, edgeKeyFunc(g))
+	layer, err := middlelayer.Open(treeFile, recFile, cfg.BufferBytes, m.Layer, edgeKeys(g))
 	if err != nil {
 		return fail(fmt.Errorf("core: %w", err))
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"roadskyline/internal/bruteforce"
@@ -356,6 +357,81 @@ func TestEDCVectorBuffersIndependent(t *testing.T) {
 	for i := range lbWant {
 		if lb[i] != lbWant[i] {
 			t.Fatalf("entry scoring clobbered rect vector: dim %d changed %v -> %v", i, lbWant[i], lb[i])
+		}
+	}
+}
+
+// CE used to range over its candidate map wherever searchers ran out of
+// network, so on a disconnected network one query could report the same
+// skyline in a different order from run to run. The order must be a function
+// of the query alone.
+func TestCEReportOrderDeterministic(t *testing.T) {
+	env := islandsEnv(t)
+	// Sets 1.. spread the query points over both islands: every candidate
+	// waits for a searcher that runs out of network.
+	for set := 1; set < 6; set++ {
+		q := Query{Points: islandPts(env, set)}
+		var want []graph.ObjectID
+		for run := 0; run < 50; run++ {
+			res, err := Run(context.Background(), env, q, AlgCE, Options{ColdCache: true})
+			if err != nil {
+				t.Fatalf("set %d run %d: %v", set, run, err)
+			}
+			got := make([]graph.ObjectID, len(res.Skyline))
+			for i, p := range res.Skyline {
+				got[i] = p.Object.ID
+			}
+			if run == 0 {
+				if len(got) < 2 {
+					t.Fatalf("set %d: skyline of %d points cannot show an order", set, len(got))
+				}
+				want = got
+			} else if !slices.Equal(got, want) {
+				t.Fatalf("set %d run %d reports %v, run 0 reported %v", set, run, got, want)
+			}
+		}
+	}
+}
+
+// The middle layer's key table must hold exactly what the per-probe closure
+// it replaced computed, or a network directory built before the table
+// existed would open onto the wrong B+-tree keys.
+func TestEdgeKeysMatchHilbert(t *testing.T) {
+	reference := func(g *graph.Graph) func(graph.EdgeID) int64 {
+		bounds := g.Bounds()
+		return func(e graph.EdgeID) int64 {
+			ed := g.Edge(e)
+			mid := g.NodePoint(ed.U).Lerp(g.NodePoint(ed.V), 0.5)
+			return int64(geom.HilbertKey(mid, bounds)<<21) | int64(e)
+		}
+	}
+	// Degenerate geometry: every node on one horizontal line (a bounding box
+	// of no height), two coincident nodes joined by an edge of no extent, a
+	// self-loop, and parallel edges sharing one midpoint.
+	b := graph.NewBuilder(4, 6)
+	for _, x := range []float64{0, 0.5, 0.5, 1} {
+		b.AddNode(geom.Point{X: x, Y: 0.25})
+	}
+	b.AddEdge(0, 1, 0.5)
+	b.AddEdge(1, 2, 1e-9)
+	b.AddEdge(2, 2, 0.1)
+	b.AddEdge(2, 3, 0.5)
+	b.AddEdge(2, 3, 0.7)
+	b.AddEdge(0, 3, 1)
+	for name, g := range map[string]*graph.Graph{"CA": pinCA.env(t, 0).G, "degenerate": b.MustBuild()} {
+		keys, want := edgeKeys(g), reference(g)
+		if len(keys) != g.NumEdges() {
+			t.Fatalf("%s: %d keys for %d edges", name, len(keys), g.NumEdges())
+		}
+		seen := make(map[int64]bool, len(keys))
+		for e, k := range keys {
+			if k != want(graph.EdgeID(e)) {
+				t.Fatalf("%s: edge %d keyed %#x, the closure gives %#x", name, e, k, want(graph.EdgeID(e)))
+			}
+			if seen[k] {
+				t.Fatalf("%s: edge %d repeats key %#x", name, e, k)
+			}
+			seen[k] = true
 		}
 	}
 }

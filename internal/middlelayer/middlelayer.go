@@ -5,11 +5,13 @@
 // (we store the offset from v; the other distance is length - offset). The
 // layer is indexed by a B+-tree on edge ids, so a shortest-path wavefront
 // can check each visited edge for objects with a couple of buffered reads.
+// The tree's key for an edge comes from a per-edge table handed to Build and
+// Open (nil = the edge id itself), so a probe spends its time on pages, not
+// on computing keys.
 package middlelayer
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -40,28 +42,34 @@ type Layer struct {
 	tree    *bptree.Tree
 	recFile storage.PageFile
 	recs    *storage.BufferPool
-	key     func(graph.EdgeID) int64
+	keys    []int64 // B+-tree key of each edge, nil = the edge id; shared by clones
 	numObjs int
+}
+
+// keyOf returns edge e's B+-tree key under the table keys.
+func keyOf(keys []int64, e graph.EdgeID) int64 {
+	if keys == nil {
+		return int64(e)
+	}
+	return keys[e]
 }
 
 // Build materializes the middle layer for the given objects. treeFile holds
 // the B+-tree pages, recFile the packed records; both are typically fresh
 // MemFiles. bufferBytes sizes each of the two pools.
 //
-// key maps an edge id to its B+-tree key and must be injective; nil means
-// the identity. Shortest-path wavefronts probe the layer edge by edge, so
-// a spatially coherent key (e.g. the Hilbert value of the edge midpoint
-// prefixed to the id) clusters the probes of one wavefront onto few index
-// and record pages, exactly like the Hilbert clustering of the adjacency
-// lists.
-func Build(objects []graph.Object, treeFile, recFile storage.PageFile, bufferBytes int, key func(graph.EdgeID) int64) (*Layer, error) {
-	if key == nil {
-		key = func(e graph.EdgeID) int64 { return int64(e) }
-	}
+// keys[e] is the B+-tree key of edge e: one entry per edge of the network,
+// all distinct; nil means the edge id itself. The layer keeps the slice (and
+// shares it with its clones) and must not see it change afterwards.
+// Shortest-path wavefronts probe the layer edge by edge, so a spatially
+// coherent key (e.g. the Hilbert value of the edge midpoint prefixed to the
+// id) clusters the probes of one wavefront onto few index and record pages,
+// exactly like the Hilbert clustering of the adjacency lists.
+func Build(objects []graph.Object, treeFile, recFile storage.PageFile, bufferBytes int, keys []int64) (*Layer, error) {
 	byEdge := make([]graph.Object, len(objects))
 	copy(byEdge, objects)
 	sort.Slice(byEdge, func(i, j int) bool {
-		ki, kj := key(byEdge[i].Loc.Edge), key(byEdge[j].Loc.Edge)
+		ki, kj := keyOf(keys, byEdge[i].Loc.Edge), keyOf(keys, byEdge[j].Loc.Edge)
 		if ki != kj {
 			return ki < kj
 		}
@@ -69,7 +77,7 @@ func Build(objects []graph.Object, treeFile, recFile storage.PageFile, bufferByt
 	})
 
 	// Pack records and collect one B+-tree entry per distinct edge.
-	var keys []int64
+	var treeKeys []int64
 	var vals [][]byte
 	page := make([]byte, storage.PageSize)
 	slot := 0
@@ -93,7 +101,7 @@ func Build(objects []graph.Object, treeFile, recFile storage.PageFile, bufferByt
 		binary.LittleEndian.PutUint32(val[0:], uint32(numPages))
 		binary.LittleEndian.PutUint32(val[4:], uint32(slot))
 		binary.LittleEndian.PutUint32(val[8:], uint32(j-i))
-		keys = append(keys, key(e))
+		treeKeys = append(treeKeys, keyOf(keys, e))
 		vals = append(vals, val)
 		for ; i < j; i++ {
 			rec := page[slot*recSize:]
@@ -112,7 +120,7 @@ func Build(objects []graph.Object, treeFile, recFile storage.PageFile, bufferByt
 			return nil, err
 		}
 	}
-	tree, err := bptree.Build(treeFile, bufferBytes, treeValSize, keys, vals)
+	tree, err := bptree.Build(treeFile, bufferBytes, treeValSize, treeKeys, vals)
 	if err != nil {
 		return nil, fmt.Errorf("middlelayer: %w", err)
 	}
@@ -120,14 +128,14 @@ func Build(objects []graph.Object, treeFile, recFile storage.PageFile, bufferByt
 		tree:    tree,
 		recFile: recFile,
 		recs:    storage.NewBufferPool(recFile, bufferBytes),
-		key:     key,
+		keys:    keys,
 		numObjs: len(objects),
 	}, nil
 }
 
 // Meta is the reopen metadata for a Layer: everything except the page
-// files and the key function (which is recomputed deterministically from
-// the graph) needed to reconstruct the layer in a later process.
+// files and the key table (which is recomputed deterministically from the
+// graph) needed to reconstruct the layer in a later process.
 type Meta struct {
 	Tree       bptree.Meta `json:"tree"`
 	NumObjects int         `json:"numObjects"`
@@ -139,12 +147,9 @@ func (l *Layer) Meta() Meta {
 }
 
 // Open reconstructs a Layer over already-built page files from the Meta
-// captured at build time. key must be the same function Build was given
-// (nil means identity).
-func Open(treeFile, recFile storage.PageFile, bufferBytes int, m Meta, key func(graph.EdgeID) int64) (*Layer, error) {
-	if key == nil {
-		key = func(e graph.EdgeID) int64 { return int64(e) }
-	}
+// captured at build time. keys must hold the values Build was given (nil
+// means the edge ids).
+func Open(treeFile, recFile storage.PageFile, bufferBytes int, m Meta, keys []int64) (*Layer, error) {
 	tree, err := bptree.Open(treeFile, bufferBytes, m.Tree)
 	if err != nil {
 		return nil, fmt.Errorf("middlelayer: %w", err)
@@ -153,7 +158,7 @@ func Open(treeFile, recFile storage.PageFile, bufferBytes int, m Meta, key func(
 		tree:    tree,
 		recFile: recFile,
 		recs:    storage.NewBufferPool(recFile, bufferBytes),
-		key:     key,
+		keys:    keys,
 		numObjs: m.NumObjects,
 	}, nil
 }
@@ -174,11 +179,11 @@ func (l *Layer) NumObjects() int { return l.numObjs }
 // edge with no objects costs only the B+-tree probe.
 func (l *Layer) ObjectsOn(e graph.EdgeID, buf []ObjRef) ([]ObjRef, error) {
 	var val [treeValSize]byte
-	err := l.tree.Get(l.key(e), val[:])
-	if errors.Is(err, bptree.ErrNotFound) {
-		return buf, nil
-	}
-	if err != nil {
+	if err := l.tree.Get(keyOf(l.keys, e), val[:]); err != nil {
+		// Get returns the sentinel bare; most probes end here.
+		if err == bptree.ErrNotFound {
+			return buf, nil
+		}
 		return buf, err
 	}
 	pg := storage.PageID(int32(binary.LittleEndian.Uint32(val[0:])))

@@ -181,7 +181,10 @@ func TestMetaReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := func(e graph.EdgeID) int64 { return int64(e)*7 + 3 } // non-identity key
+	key := make([]int64, numEdges+5) // non-identity keys, probed past the last object edge
+	for e := range key {
+		key[e] = int64(e)*7 + 3
+	}
 	built, err := Build(objs, treeFile, recFile, storage.DefaultBufferBytes, key)
 	if err != nil {
 		t.Fatalf("Build: %v", err)

@@ -30,15 +30,15 @@ type BufferPool struct {
 	file   PageFile
 	mapper PageMapper // non-nil when file serves zero-copy pages
 	frames []frame
-	where  map[PageID]int32 // page -> frame index
-	head   int32            // most recently used, -1 when empty
-	tail   int32            // least recently used, -1 when empty
-	free   int32            // next unused frame, len(frames) when full
+	where  []int32 // page -> frame index + 1, 0 = not cached; grown on demand
+	head   int32   // most recently used, -1 when empty
+	tail   int32   // least recently used, -1 when empty
+	free   int32   // next unused frame, len(frames) when full
 	stats  Stats
 }
 
 type frame struct {
-	page       PageID
+	page       PageID // InvalidPage while the frame holds nothing
 	prev, next int32
 	data       []byte
 }
@@ -53,7 +53,7 @@ func NewBufferPool(file PageFile, bufferBytes int) *BufferPool {
 	b := &BufferPool{
 		file:   file,
 		frames: make([]frame, n),
-		where:  make(map[PageID]int32, n),
+		where:  make([]int32, file.NumPages()),
 		head:   -1,
 		tail:   -1,
 	}
@@ -82,9 +82,15 @@ func (b *BufferPool) Stats() Stats { return b.stats }
 // warm-cache query can be measured in isolation.
 func (b *BufferPool) ResetStats() { b.stats = Stats{} }
 
-// Invalidate drops every cached frame, forcing subsequent Gets to fault.
+// Invalidate drops every cached frame, forcing subsequent Gets to fault. It
+// clears the page table entry of each resident frame rather than the whole
+// table, so a cold query pays for the pool's size, not the file's.
 func (b *BufferPool) Invalidate() {
-	clear(b.where)
+	for i := range b.frames[:b.free] {
+		if pg := b.frames[i].page; pg != InvalidPage {
+			b.where[pg] = 0
+		}
+	}
 	b.head, b.tail, b.free = -1, -1, 0
 }
 
@@ -93,12 +99,29 @@ func (b *BufferPool) Invalidate() {
 // call to Get; callers must decode, not retain.
 func (b *BufferPool) Get(id PageID) ([]byte, error) {
 	b.stats.Gets++
-	if fi, ok := b.where[id]; ok {
-		b.touch(fi)
-		return b.frames[fi].data, nil
+	if uint(id) < uint(len(b.where)) {
+		if fi := b.where[id] - 1; fi >= 0 {
+			b.touch(fi)
+			return b.frames[fi].data, nil
+		}
 	}
 	b.stats.Misses++
-	fi := b.victim()
+	// The frame to fill is the next unused one or, once all are in use, the
+	// least recently used. It stays where it is (free run or LRU tail) until
+	// the read has succeeded, so a failed read costs the pool no frame. A
+	// reused frame forgets its page first: a failed copy may leave it half
+	// overwritten (a mapper overwrites nothing but follows the same rule, so
+	// counters stay equal across backends), and it then waits at the tail,
+	// empty, for the next miss.
+	fi := b.free
+	unused := int(fi) < len(b.frames)
+	if !unused {
+		fi = b.tail
+		if pg := b.frames[fi].page; pg != InvalidPage {
+			b.where[pg] = 0
+			b.frames[fi].page = InvalidPage
+		}
+	}
 	if b.mapper != nil {
 		p, err := b.mapper.Page(id)
 		if err != nil {
@@ -108,24 +131,21 @@ func (b *BufferPool) Get(id PageID) ([]byte, error) {
 	} else if err := b.file.ReadPage(id, b.frames[fi].data); err != nil {
 		return nil, fmt.Errorf("buffer pool: %w", err)
 	}
-	b.frames[fi].page = id
-	b.where[id] = fi
-	b.pushFront(fi)
-	return b.frames[fi].data, nil
-}
-
-// victim returns a frame index to (re)use, unlinking it from the LRU list
-// and the page map when it held a page.
-func (b *BufferPool) victim() int32 {
-	if int(b.free) < len(b.frames) {
-		fi := b.free
-		b.free++
-		return fi
+	if int(id) >= len(b.where) {
+		// The file has grown since the pool was built (bptree.New creates
+		// its pool over an empty file).
+		n := max(int(id)+1, b.file.NumPages())
+		b.where = append(b.where, make([]int32, n-len(b.where))...)
 	}
-	fi := b.tail
-	b.unlink(fi)
-	delete(b.where, b.frames[fi].page)
-	return fi
+	b.frames[fi].page = id
+	b.where[id] = fi + 1
+	if unused {
+		b.free++
+		b.pushFront(fi)
+	} else {
+		b.touch(fi)
+	}
+	return b.frames[fi].data, nil
 }
 
 func (b *BufferPool) touch(fi int32) {
