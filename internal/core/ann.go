@@ -154,11 +154,11 @@ func AggregateNN(ctx context.Context, env *Env, points []graph.Location, k int, 
 	)
 
 	// Each candidate's distances are bounded cheapest bounds first
-	// (boundVec.refine) and abandoned as soon as the aggregate of the bounds
-	// reaches the current k-th best.
+	// (boundVec.refine) and abandoned as soon as the aggregate of the bounds,
+	// each at its floor, reaches the current k-th best.
 	bounds := newBoundVec(astars, n, &m)
 	lb := bounds.lb
-	beaten := func() bool { return agg.fold(lb) >= threshold() }
+	beaten := func() bool { return agg.fold(bounds.test()) >= threshold() }
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -169,7 +169,7 @@ func AggregateNN(ctx context.Context, env *Env, points []graph.Location, k int, 
 		}
 		m.Candidates++
 		o := env.Objects[graph.ObjectID(entry.ID)]
-		exact, err := bounds.refine(o.Loc, env.G.Point(o.Loc), -1, beaten)
+		exact, err := bounds.refine(sp.Target{Loc: o.Loc, Pt: env.G.Point(o.Loc)}, nil, -1, beaten)
 		if err != nil {
 			return nil, err
 		}

@@ -72,8 +72,7 @@ func BenchmarkLBCCheck(b *testing.B) {
 			it.astars[j] = sp.NewAStarFromWith(ctx, env, st, donor.qPts[j], scratches[j])
 			it.astars[j].UseHeuristicSource(env.Landmarks)
 		}
-		it.bounds = newBoundVec(it.astars, it.dims, &it.metrics)
-		it.dominated = func() bool { return skyline.DominatedBy(it.bounds.lb, it.skyVecs) }
+		it.initBounds()
 		b.StartTimer()
 		for _, c := range cands {
 			if _, _, err := it.check(0, c); err != nil {
@@ -160,11 +159,11 @@ func BenchmarkEDCVerify(b *testing.B) {
 			astars[j].UseHeuristicSource(env.Landmarks)
 		}
 		var m Metrics
-		bounds, floor := newBoundVec(astars, nq, &m), make([]float64, nq)
-		dominated := func() bool { return floorDominated(bounds.lb, floor, nq, front) }
+		bounds := newBoundVec(astars, nq, &m)
+		dominated := func() bool { return skyline.DominatedBy(bounds.test(), front) }
 		b.StartTimer()
 		for _, o := range batch {
-			exact, err := bounds.refine(o.Loc, env.G.Point(o.Loc), -1, dominated)
+			exact, err := bounds.refine(sp.Target{Loc: o.Loc, Pt: env.G.Point(o.Loc)}, nil, -1, dominated)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -175,4 +174,62 @@ func BenchmarkEDCVerify(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(batch)), "candidates")
 	b.ReportMetric(float64(dropped)/float64(b.N), "dropped")
+}
+
+// BenchmarkLBCStream times LBC with its source stream on the clock: whole
+// queries drained through the iterator (the stream needs the growing skyline
+// to prune against), a |Q| = 2 and a |Q| = 4 query per op on CA (the mix the
+// serve workloads draw from) and a |Q| = 4 query per op on NA at 0.6, each
+// with landmarks and without. It is the in-package pair of the ledger's
+// core.lbc_ms_p50. confirmations/op are the A* runs the stream made from the
+// source, dropped/op the pending entries whose bounds the skyline dominated
+// before any was made; without landmarks the stream is the paper's IER, less
+// the few entries the skyline overtook while they were the look-ahead.
+func BenchmarkLBCStream(b *testing.B) {
+	ctx := context.Background()
+	for _, c := range []struct {
+		name string
+		net  *pinNet
+		nqs  []int
+	}{
+		{"CA", pinCA, []int{2, 4}},
+		{"NA60", pinNA, []int{4}},
+	} {
+		for _, landmarks := range []bool{true, false} {
+			name := c.name + "/landmarks"
+			if !landmarks {
+				name = c.name + "/nolandmarks"
+			}
+			b.Run(name, func(b *testing.B) {
+				env := c.net.env(b, 0)
+				opts := Options{ColdCache: true, DisableLandmarks: !landmarks}
+				var queries []Query
+				for _, nq := range c.nqs {
+					queries = append(queries, Query{Points: gen.QueryPoints(env.G, nq, 0.1, 1)})
+				}
+				confirmed, dropped := 0, 0
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for _, q := range queries {
+						it, err := NewLBCIterator(ctx, env, q, opts)
+						if err != nil {
+							b.Fatal(err)
+						}
+						streams := it.streams // exhaustion releases the iterator's hold
+						for ok := true; ok; {
+							if _, ok, err = it.Next(); err != nil {
+								b.Fatal(err)
+							}
+						}
+						for _, s := range streams {
+							confirmed, dropped = confirmed+s.confirmed, dropped+s.dropped
+						}
+					}
+				}
+				b.ReportMetric(float64(confirmed)/float64(b.N), "confirmations/op")
+				b.ReportMetric(float64(dropped)/float64(b.N), "dropped/op")
+			})
+		}
+	}
 }

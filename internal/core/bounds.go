@@ -1,10 +1,6 @@
 package core
 
-import (
-	"roadskyline/internal/geom"
-	"roadskyline/internal/graph"
-	"roadskyline/internal/sp"
-)
+import "roadskyline/internal/sp"
 
 // boundVec tightens one candidate object's vector of network-distance lower
 // bounds, one entry per query-point searcher, until the caller's stop rule
@@ -19,10 +15,13 @@ import (
 type boundVec struct {
 	astars []*sp.AStar
 	// lb holds the bounds; entries past len(astars) (static attributes)
-	// belong to the caller.
+	// belong to the caller. A stop rule reads it through test, never raw.
 	lb       []float64
+	exact    []bool        // test's scratch: lb[i] is a distance, not a bound
+	floor    []float64     // test's result, reused
 	sessions []*sp.Session // nil until opened
 	target   sp.Target     // the candidate, its heuristic shared by all sessions
+	skip     int           // refine's skip: the entry the caller filled with the distance
 	// runOut makes every picked session run to completion instead of
 	// advancing one step (the DisablePLB ablation).
 	runOut bool
@@ -33,14 +32,46 @@ func newBoundVec(astars []*sp.AStar, dims int, m *Metrics) *boundVec {
 	return &boundVec{
 		astars:   astars,
 		lb:       make([]float64, dims),
+		exact:    make([]bool, len(astars)),
+		floor:    make([]float64, dims),
 		sessions: make([]*sp.Session, len(astars)),
+		skip:     -1,
 		m:        m,
 	}
 }
 
-// refine tightens lb toward the network distances to loc (at pt) until stop
-// reports true, returning false, or every distance is exact, returning true.
-// Entry skip (-1 for none) was filled by the caller and is left alone.
+// floorBounds writes to dst the vector a stop rule may test in lb's place. A
+// bound proves dominance only at its floor: raw, an sp.AStar.Bound or a PLB
+// may sit ulps above the distance it bounds, and an object would then look
+// strictly worse than its bit-identical twin. Every entry of lb not marked
+// exact is taken at sp.BoundFloor; the exact ones are distances and the
+// entries past len(exact) static attributes, and both pass as they are.
+func floorBounds(dst, lb []float64, exact []bool) []float64 {
+	copy(dst, lb)
+	for i, ex := range exact {
+		if !ex {
+			dst[i] = sp.BoundFloor(lb[i])
+		}
+	}
+	return dst
+}
+
+// test returns the vector refine's stop rule reads, valid until the next
+// call: floorBounds of lb, the exact entries being the one the caller filled
+// and those whose session is done.
+func (b *boundVec) test() []float64 {
+	for i, s := range b.sessions {
+		b.exact[i] = i == b.skip || (s != nil && s.Done())
+	}
+	return floorBounds(b.floor, b.lb, b.exact)
+}
+
+// refine tightens lb toward the network distances to t until stop reports
+// true, returning false, or every distance is exact, returning true. Entry
+// skip (-1 for none) was filled by the caller with the distance and is left
+// alone. from, when not nil, holds t's frontier-free bounds (sp.AStar.Bound
+// per searcher — constants of the query) computed earlier with t itself, so
+// neither they nor t's heuristic are built again.
 //
 // Three phases, each entered only while stop keeps reporting false:
 //
@@ -57,14 +88,16 @@ func newBoundVec(astars []*sp.AStar, dims int, m *Metrics) *boundVec {
 // Opening a session moves no wavefront, phase 3 starts from the vector an
 // open-all-first loop starts from, and stop is monotone in the vector, so
 // the Advance sequence is that loop's exactly.
-func (b *boundVec) refine(loc graph.Location, pt geom.Point, skip int, stop func() bool) (bool, error) {
-	b.target = sp.Target{Loc: loc, Pt: pt}
+func (b *boundVec) refine(t sp.Target, from []float64, skip int, stop func() bool) (bool, error) {
+	b.target, b.skip = t, skip
 	for i, a := range b.astars {
 		b.sessions[i] = nil
 		switch {
 		case i == skip:
 		case a.Resolved(&b.target):
 			b.open(i)
+		case from != nil:
+			b.lb[i] = from[i]
 		default:
 			b.lb[i] = a.Bound(&b.target)
 		}

@@ -58,19 +58,6 @@ func unreachableVec(vec []float64, n int) bool {
 	return true
 }
 
-// floorDominated reports whether a member of front dominates the vector of
-// lower bounds lb (n network distances, then exact attributes) with the
-// distances taken at their floor (sp.BoundFloor), so that an object tied with
-// a member is not mistaken for a dominated one over a bound an ulp above the
-// distance. floor is scratch of lb's length.
-func floorDominated(lb, floor []float64, n int, front [][]float64) bool {
-	copy(floor[n:], lb[n:])
-	for i, b := range lb[:n] {
-		floor[i] = sp.BoundFloor(b)
-	}
-	return skyline.DominatedBy(floor, front)
-}
-
 // edc implements the Euclidean Distance Constraint algorithm (paper
 // Section 4.2, incremental variant).
 //
@@ -236,8 +223,7 @@ func edc(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) 
 	// computed. Under DisablePLB nothing is dropped early (the paper's EDC).
 	bounds := newBoundVec(astars, dims, &m)
 	bounds.runOut = opts.DisablePLB
-	floor := make([]float64, dims)
-	dominated := func() bool { return !opts.DisablePLB && floorDominated(bounds.lb, floor, n, front) }
+	dominated := func() bool { return !opts.DisablePLB && skyline.DominatedBy(bounds.test(), front) }
 	verify := func(id graph.ObjectID) error {
 		fetched[id] = true
 		m.Candidates++
@@ -246,7 +232,7 @@ func edc(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) 
 		// refine does not count the evaluations that completed on opening,
 		// from settled endpoints; a seed's vector counts all n of its own.
 		evaluated := m.DistanceComputations
-		exact, err := bounds.refine(o.Loc, env.G.Point(o.Loc), -1, dominated)
+		exact, err := bounds.refine(sp.Target{Loc: o.Loc, Pt: env.G.Point(o.Loc)}, nil, -1, dominated)
 		m.DistanceComputations = evaluated + bounds.completed()
 		if exact {
 			admit(id, slices.Clone(bounds.lb))

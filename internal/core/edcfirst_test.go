@@ -44,13 +44,9 @@ func regionPts(nq int) func(*Env, int) []graph.Location {
 	}
 }
 
-// islandsEnv is two random networks sharing the unit square and no edge, with
-// objects (one attribute each) on both. The Euclidean window fetches objects
-// of either island, so EDC meets all-+Inf and partly +Inf vectors.
-func islandsEnv(t testing.TB) *Env {
-	t.Helper()
-	rng := rand.New(rand.NewSource(5))
-	const half = 150
+// islandsGraph is two random networks of half nodes each sharing the unit
+// square and no edge.
+func islandsGraph(rng *rand.Rand, half int) *graph.Graph {
 	b := graph.NewBuilder(2*half, 4*half)
 	pts := make([]geom.Point, 2*half)
 	for i := range pts {
@@ -71,7 +67,16 @@ func islandsEnv(t testing.TB) *Env {
 			}
 		}
 	}
-	g := b.MustBuild()
+	return b.MustBuild()
+}
+
+// islandsEnv is two islands of 150 nodes with objects (one attribute each) on
+// both. The Euclidean window fetches objects of either island, so EDC meets
+// all-+Inf and partly +Inf vectors.
+func islandsEnv(t testing.TB) *Env {
+	t.Helper()
+	rng := rand.New(rand.NewSource(5))
+	g := islandsGraph(rng, 150)
 	env, err := NewEnv(g, testnet.RandomObjects(rng, g, 200, 1), EnvConfig{})
 	if err != nil {
 		t.Fatalf("NewEnv: %v", err)

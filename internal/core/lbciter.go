@@ -38,7 +38,7 @@ type LBCIterator struct {
 	processed map[graph.ObjectID]bool
 	confirmed map[graph.ObjectID]bool
 	bounds    *boundVec   // check's per-candidate lower-bound vector, reused
-	dominated func() bool // check's stop rule: bounds.lb is dominated by the known skyline
+	dominated func() bool // check's stop rule: the known skyline dominates bounds.test()
 
 	probe     *phaseProbe
 	metrics   Metrics
@@ -128,16 +128,21 @@ func NewLBCIterator(ctx context.Context, env *Env, q Query, opts Options) (*LBCI
 	}
 	it.streams = make([]*nnStream, len(it.sources))
 	for i, src := range it.sources {
-		it.streams[i] = newNNStream(env, q, it.qPts, src, it.astars[src], &it.skyVecs)
+		it.streams[i] = newNNStream(env, q, it.qPts, src, it.astars, &it.skyVecs)
 	}
 	it.done = make([]bool, len(it.sources))
 	it.remaining = len(it.sources)
 	it.processed = make(map[graph.ObjectID]bool)
 	it.confirmed = make(map[graph.ObjectID]bool)
-	it.bounds = newBoundVec(it.astars, it.dims, &it.metrics)
-	it.bounds.runOut = opts.DisablePLB
-	it.dominated = func() bool { return skyline.DominatedBy(it.bounds.lb, it.skyVecs) }
+	it.initBounds()
 	return it, nil
+}
+
+// initBounds prepares check's bound vector and its stop rule.
+func (it *LBCIterator) initBounds() {
+	it.bounds = newBoundVec(it.astars, it.dims, &it.metrics)
+	it.bounds.runOut = it.opts.DisablePLB
+	it.dominated = func() bool { return skyline.DominatedBy(it.bounds.test(), it.skyVecs) }
 }
 
 // Next determines and returns the next skyline point. ok is false when the
@@ -205,13 +210,14 @@ func (it *LBCIterator) Next() (SkylinePoint, bool, error) {
 
 // check runs LBC step 2 for one candidate: path-distance-lower-bound
 // driven dominance testing against the known skyline, cheapest bounds first
-// (boundVec.refine).
+// (boundVec.refine), starting from the target and the frontier-free bounds
+// the stream prepared when it confirmed the candidate.
 func (it *LBCIterator) check(src int, cand srcCand) (SkylinePoint, bool, error) {
 	o := it.env.Objects[cand.id]
 	lb := it.bounds.lb
 	lb[src] = cand.dist
 	it.env.fillAttrs(lb, it.n, cand.id, it.q.UseAttrs)
-	exact, err := it.bounds.refine(o.Loc, it.env.G.Point(o.Loc), src, it.dominated)
+	exact, err := it.bounds.refine(cand.target, cand.bounds, src, it.dominated)
 	// All distances exact and undominated. An object no query point reaches
 	// is still not a skyline point — CE never even admits one (no wavefront
 	// reaches it) — but its all-+Inf vector is not dominated by other
