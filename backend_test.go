@@ -1,16 +1,23 @@
 package roadskyline
 
 import (
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 )
 
 // TestBackendEquivalenceFuzz pins the storage tier: over random networks,
-// the in-memory backend, the read-only file backend and the mmap backend
-// (opened from the same prebuilt directory) must produce bit-identical
-// skylines AND bit-identical Gets/Misses counters for CE, EDC and LBC —
-// the paper's "disk pages accessed" metric may not depend on which tier
-// serves the bytes.
+// the in-memory engine, the engine that built the directory, and engines
+// reopening that directory through file reads and through mmap must produce
+// bit-identical skylines AND bit-identical Stats — every counter, the
+// R-tree's node visits and the landmark bound's wins among them, for CE, EDC
+// and LBC. The paper's "disk pages accessed" metric may not depend on which
+// tier serves the bytes, and no counter may depend on whether the landmark
+// table, the R-tree and the edge keys were computed in this process or
+// mapped from the directory.
 func TestBackendEquivalenceFuzz(t *testing.T) {
 	trials := 8
 	if testing.Short() {
@@ -28,7 +35,13 @@ func TestBackendEquivalenceFuzz(t *testing.T) {
 		if b := built.StorageBackend(); b != BackendFile {
 			t.Fatalf("seed %d: built backend = %v, want file", tr.seed, b)
 		}
-		engines := map[string]*Engine{"mem": tr.eng, "file": built}
+		engines := map[string]*Engine{"mem": tr.eng, "built": built}
+		reopened, err := OpenEngine(dir, EngineConfig{Backend: BackendFile})
+		if err != nil {
+			t.Fatalf("seed %d: OpenEngine(file): %v", tr.seed, err)
+		}
+		defer reopened.Close()
+		engines["file"] = reopened
 		mmapped, err := OpenEngine(dir, EngineConfig{Backend: BackendMmap})
 		if err != nil {
 			t.Fatalf("seed %d: OpenEngine(mmap): %v", tr.seed, err)
@@ -45,11 +58,10 @@ func TestBackendEquivalenceFuzz(t *testing.T) {
 		for qi, q := range tr.queries() {
 			type outcome struct {
 				ids   []int32
-				pages int64
-				gets  int64
+				stats Stats
 			}
 			var want outcome
-			for _, name := range []string{"mem", "file", "mmap"} {
+			for _, name := range []string{"mem", "built", "file", "mmap"} {
 				res, err := engines[name].Skyline(q)
 				if err != nil {
 					t.Fatalf("seed %d %s query %d: %v", tr.seed, name, qi, err)
@@ -58,19 +70,21 @@ func TestBackendEquivalenceFuzz(t *testing.T) {
 				if err := tr.check(res, fmt.Sprintf("%s query %d (%v)", name, qi, q.Algorithm)); err != nil {
 					t.Fatal(err)
 				}
-				got := outcome{pages: res.Stats.NetworkPages, gets: res.Stats.NetworkGets}
+				got := outcome{stats: res.Stats}
+				// What is timed differs from run to run; what is counted may not.
+				got.stats.Total, got.stats.Initial, got.stats.Phases = 0, 0, nil
 				for _, p := range res.Points {
 					got.ids = append(got.ids, p.Object.ID)
 				}
 				// ...and reconcile exactly with the first backend: same
-				// result order, same physical and logical page counters.
+				// result order, same counters, physical and logical.
 				if name == "mem" {
 					want = got
 					continue
 				}
-				if got.pages != want.pages || got.gets != want.gets {
-					t.Fatalf("seed %d %s query %d (%v): pages=%d gets=%d, mem had pages=%d gets=%d",
-						tr.seed, name, qi, q.Algorithm, got.pages, got.gets, want.pages, want.gets)
+				if !reflect.DeepEqual(got.stats, want.stats) {
+					t.Fatalf("seed %d %s query %d (%v): stats %+v, mem had %+v",
+						tr.seed, name, qi, q.Algorithm, got.stats, want.stats)
 				}
 				if len(got.ids) != len(want.ids) {
 					t.Fatalf("seed %d %s query %d: %d results, mem had %d",
@@ -140,5 +154,29 @@ func TestOpenEngineRoundTrip(t *testing.T) {
 
 	if _, err := OpenEngine(t.TempDir(), EngineConfig{}); err == nil {
 		t.Error("OpenEngine of an empty directory succeeded")
+	}
+
+	// The two ways a directory that exists can be refused, by their public
+	// names: asked for a table it was not built with, and damaged.
+	if _, err := OpenEngine(dir, EngineConfig{Landmarks: 3}); !errors.Is(err, ErrIncompatible) {
+		t.Errorf("OpenEngine asking for 3 landmarks of a directory built with 8: %v, want ErrIncompatible", err)
+	}
+	if eng, err := OpenEngine(dir, EngineConfig{NoLandmarks: true}); err != nil {
+		t.Errorf("OpenEngine(NoLandmarks): %v", err)
+	} else {
+		eng.Close()
+	}
+	// (Damage a directory nothing has mapped: the engines above still do.)
+	damaged := t.TempDir()
+	again, err := NewEngine(tr.n, tr.objs, EngineConfig{DiskDir: damaged})
+	if err != nil {
+		t.Fatal(err)
+	}
+	again.Close()
+	if err := os.Truncate(filepath.Join(damaged, "derived.slab"), 100); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenEngine(damaged, EngineConfig{}); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("OpenEngine of a directory with a truncated derived.slab: %v, want ErrCorrupt", err)
 	}
 }

@@ -83,9 +83,11 @@ type EngineConfig struct {
 	WarmCache bool
 	// DiskDir, when non-empty, stores the simulated disk pages as real
 	// files in that directory instead of in memory, together with the
-	// graph/objects slabs and a manifest. The directory is built and then
-	// reopened read-only through Backend; OpenEngine serves such a
-	// directory later without rebuilding anything.
+	// graph/objects slabs, the derived-structures slab (landmark table,
+	// R-tree leaf order, edge keys) and a manifest. The directory is built
+	// — each structure computed once — and then reopened read-only through
+	// Backend; OpenEngine serves such a directory later without rebuilding
+	// anything.
 	DiskDir string
 	// Backend selects how the files under DiskDir are served after the
 	// build: BackendFile (the default when DiskDir is set) or BackendMmap.
@@ -95,6 +97,9 @@ type EngineConfig struct {
 	// time: exact distance tables from a few farthest-point-sampled nodes
 	// tighten the A* heuristic beyond the Euclidean bound via the triangle
 	// inequality. Zero means the default (8); set NoLandmarks to disable.
+	// OpenEngine builds no table: zero there means the one the directory
+	// holds, and a positive count other than the directory's is refused
+	// (ErrIncompatible).
 	Landmarks int
 	// NoLandmarks disables the landmark table so the A* searchers fall
 	// back to the pure Euclidean heuristic of the paper; used by the
@@ -226,13 +231,30 @@ func NewEngine(n *Network, objects []Object, cfg EngineConfig) (*Engine, error) 
 	}, nil
 }
 
+// ErrCorrupt is wrapped by the errors OpenEngine returns for a network
+// directory whose bytes contradict themselves or each other (a truncated
+// or overwritten file, a failed checksum, an index out of range); test with
+// errors.Is. Such a directory never opens and never faults a query.
+var ErrCorrupt = core.ErrCorrupt
+
+// ErrIncompatible is wrapped by the errors OpenEngine returns for an intact
+// directory that is not what was asked for: a format version this build
+// does not read (rebuild the directory), or an explicit
+// EngineConfig.Landmarks other than the count it was built for.
+var ErrIncompatible = core.ErrIncompatible
+
 // OpenEngine serves a network directory previously built by NewEngine with
-// DiskDir set. Nothing is rebuilt: the graph and object slabs are
-// memory-mapped and the page files open through cfg.Backend (BackendFile
-// by default, BackendMmap for the zero-heap-copy larger-than-RAM path), so
-// even a continent-scale network opens in milliseconds. cfg.DiskDir and
-// cfg.NoHilbertClustering are ignored — the on-disk layout is already
-// fixed; the remaining fields apply as in NewEngine.
+// DiskDir set. Nothing is rebuilt: the graph, object and derived-structure
+// slabs are memory-mapped — the landmark table and the edge keys are the
+// mapping, the object R-tree is packed from its persisted leaf order — and
+// the page files open through cfg.Backend (BackendFile by default,
+// BackendMmap for the zero-heap-copy larger-than-RAM path), so even a
+// continent-scale network opens in milliseconds. Every file is checked on
+// the way (sizes, checksums, index ranges): a damaged directory fails here
+// with ErrCorrupt. cfg.DiskDir and cfg.NoHilbertClustering are ignored —
+// the on-disk layout is already fixed; cfg.Landmarks zero means the table
+// the directory holds and NoLandmarks leaves it unread; the remaining
+// fields apply as in NewEngine.
 //
 // Close the engine when done to release the mappings and file handles.
 func OpenEngine(dir string, cfg EngineConfig) (*Engine, error) {

@@ -84,24 +84,30 @@ type Meta struct {
 	Height  int            `json:"height"`
 	Size    int            `json:"size"`
 	ValSize int            `json:"valSize"`
+	// Pages is the page file's length when the Meta was taken; Open holds
+	// the file to it, so a truncated index fails there and not in a Get.
+	Pages int `json:"pages"`
 }
 
 // Meta returns the tree's reopen metadata.
 func (t *Tree) Meta() Meta {
-	return Meta{Root: t.root, Height: t.height, Size: t.size, ValSize: t.valSize}
+	return Meta{Root: t.root, Height: t.height, Size: t.size, ValSize: t.valSize, Pages: t.file.NumPages()}
 }
 
 // Open reconstructs a read-only view of a tree previously built on file,
 // from the Meta captured at build time.
 func Open(file storage.PageFile, bufferBytes int, m Meta) (*Tree, error) {
 	if m.ValSize <= 0 || m.ValSize > 256 {
-		return nil, fmt.Errorf("bptree: invalid value size %d", m.ValSize)
+		return nil, fmt.Errorf("bptree: %w: invalid value size %d", storage.ErrCorrupt, m.ValSize)
+	}
+	if m.Pages != file.NumPages() {
+		return nil, fmt.Errorf("bptree: %w: meta describes %d pages, file has %d", storage.ErrCorrupt, m.Pages, file.NumPages())
 	}
 	if m.Root < 0 || int(m.Root) >= file.NumPages() {
-		return nil, fmt.Errorf("bptree: root page %d outside file of %d pages", m.Root, file.NumPages())
+		return nil, fmt.Errorf("bptree: %w: root page %d outside file of %d pages", storage.ErrCorrupt, m.Root, file.NumPages())
 	}
 	if m.Height < 1 || m.Size < 0 {
-		return nil, fmt.Errorf("bptree: invalid meta height %d size %d", m.Height, m.Size)
+		return nil, fmt.Errorf("bptree: %w: invalid meta height %d size %d", storage.ErrCorrupt, m.Height, m.Size)
 	}
 	return &Tree{
 		file:        file,

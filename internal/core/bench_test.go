@@ -10,8 +10,10 @@ import (
 	"roadskyline/internal/gen"
 	"roadskyline/internal/geom"
 	"roadskyline/internal/graph"
+	"roadskyline/internal/rtree"
 	"roadskyline/internal/skyline"
 	"roadskyline/internal/sp"
+	"roadskyline/internal/storage"
 )
 
 // BenchmarkLBCCheck times LBC's step 2 alone: the dominance check of the
@@ -231,5 +233,58 @@ func BenchmarkLBCStream(b *testing.B) {
 				b.ReportMetric(float64(dropped)/float64(b.N), "dropped/op")
 			})
 		}
+	}
+}
+
+// naDir is full-scale NA with the benchmark harness's object set (omega 0.5,
+// no attributes): the network whose directory `na_mmap_lbc` builds and
+// reopens, so these two benchmarks are the in-package pair of its setup_s
+// and of storage.build_ms / storage.open_ms.
+func naDir(b *testing.B) (*graph.Graph, []graph.Object, EnvConfig) {
+	g, err := gen.Generate(gen.NA)
+	if err != nil {
+		b.Fatalf("generate NA: %v", err)
+	}
+	cfg := EnvConfig{Dir: b.TempDir(), RTreeFanout: rtree.DefaultFanout, Landmarks: DefaultLandmarks}
+	applyEnvDefaults(&cfg)
+	return g, gen.Objects(g, 0.5, 0, 1), cfg
+}
+
+// BenchmarkBuildDir times writing a network directory: page files, slabs and
+// everything derived from the graph that the directory keeps.
+func BenchmarkBuildDir(b *testing.B) {
+	b.Run("NA", func(b *testing.B) {
+		g, objs, cfg := naDir(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := buildDir(g, objs, 0, cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkOpenEnv times reopening a built directory with the default
+// configuration (landmarks on) through each backend; B/op is what an open
+// puts on the heap.
+func BenchmarkOpenEnv(b *testing.B) {
+	g, objs, cfg := naDir(b)
+	if err := buildDir(g, objs, 0, cfg); err != nil {
+		b.Fatal(err)
+	}
+	for _, backend := range []storage.Backend{storage.BackendFile, storage.BackendMmap} {
+		b.Run("NA/"+backend.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				env, err := OpenEnv(cfg.Dir, EnvConfig{Backend: backend})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := env.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -2,18 +2,25 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"roadskyline/internal/bruteforce"
 	"roadskyline/internal/graph"
+	"roadskyline/internal/landmark"
+	"roadskyline/internal/rtree"
+	"roadskyline/internal/slab"
 	"roadskyline/internal/storage"
 	"roadskyline/internal/testnet"
 )
@@ -774,6 +781,44 @@ func TestOpenEnvBackends(t *testing.T) {
 		t.Fatalf("mmap env backend = %v", e.Backend())
 	}
 
+	// What the directory keeps instead of recomputing is, bit for bit, what
+	// a fresh computation gives: the landmark table of landmark.Build, the
+	// tree of rtree.BulkLoad, the key table of edgeKeys.
+	wantTable := landmark.Build(g, DefaultLandmarks)
+	wantTree := rtree.BulkLoad(objectEntries(g, objs), rtree.DefaultFanout)
+	wantKeys := edgeKeys(g)
+	for name, e := range envs {
+		tab := e.Landmarks
+		if tab == nil || !slices.Equal(tab.Nodes(), wantTable.Nodes()) || tab.Finite() != wantTable.Finite() {
+			t.Fatalf("%s: landmark nodes %v, want %v", name, tab, wantTable.Nodes())
+		}
+		if !slices.EqualFunc(tab.Flat(), wantTable.Flat(), func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			t.Fatalf("%s: landmark distances differ from landmark.Build's", name)
+		}
+		for i := 0; i < 200; i++ {
+			dest := testnet.RandomLocations(rng, g, 1)[0]
+			n := graph.NodeID(rng.Intn(g.NumNodes()))
+			if a, b := tab.ForTarget(dest, g.Point(dest)).Bound(n), wantTable.ForTarget(dest, g.Point(dest)).Bound(n); a != b {
+				t.Fatalf("%s: Bound(%v -> %d) = %v, built table says %v", name, dest, n, a, b)
+			}
+		}
+		tree := e.ObjTree
+		if tree.Len() != wantTree.Len() || tree.Height() != wantTree.Height() || tree.Bounds() != wantTree.Bounds() {
+			t.Fatalf("%s: object tree len/height/bounds %d/%d/%v, BulkLoad gives %d/%d/%v", name,
+				tree.Len(), tree.Height(), tree.Bounds(), wantTree.Len(), wantTree.Height(), wantTree.Bounds())
+		}
+	}
+	f, err := slab.Open(filepath.Join(dir, fileDerivedSlab))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if keys, err := openEdgeKeys(f, g); err != nil || !slices.Equal(keys, wantKeys) {
+		t.Fatalf("the directory's edge keys differ from edgeKeys' (err %v)", err)
+	}
+
+	// And the work of a query is the same work: every counter, the R-tree's
+	// node visits among them, and every distance.
 	q := Query{Points: testnet.RandomLocations(rng, g, 3), UseAttrs: true}
 	for _, alg := range []Algorithm{AlgCE, AlgEDC, AlgLBC} {
 		want, err := RunDefault(mem, q, alg)
@@ -785,17 +830,49 @@ func TestOpenEnvBackends(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, alg, err)
 			}
-			if !sameIDs(skylineIDs(want), skylineIDs(got)) {
-				t.Fatalf("%s/%v: skyline diverged from in-memory run", name, alg)
+			if len(got.Skyline) != len(want.Skyline) {
+				t.Fatalf("%s/%v: %d skyline points, in-memory run has %d", name, alg, len(got.Skyline), len(want.Skyline))
 			}
-			if want.Metrics.NetworkPages != got.Metrics.NetworkPages ||
-				want.Metrics.InitialPages != got.Metrics.InitialPages {
-				t.Errorf("%s/%v: pages %d/%d, want %d/%d", name, alg,
-					got.Metrics.NetworkPages, got.Metrics.InitialPages,
-					want.Metrics.NetworkPages, want.Metrics.InitialPages)
+			for i, p := range want.Skyline {
+				if o := got.Skyline[i]; o.Object.ID != p.Object.ID || !slices.Equal(o.Dists, p.Dists) {
+					t.Fatalf("%s/%v: skyline point %d is %d %v, in-memory run has %d %v", name, alg, i, o.Object.ID, o.Dists, p.Object.ID, p.Dists)
+				}
+			}
+			if a, b := workOf(got.Metrics), workOf(want.Metrics); a != b {
+				t.Errorf("%s/%v: work %s, in-memory run did %s", name, alg, a, b)
 			}
 		}
 	}
+}
+
+// workOf is the part of a query's metrics that is counted, not timed: IOTime
+// is pages x latency, so it stays.
+func workOf(m Metrics) string {
+	m.Total, m.Initial, m.Phases = 0, 0, nil
+	return fmt.Sprintf("%+v", m)
+}
+
+// mappedFrom reports whether p points into a memory mapping of the file at
+// path, by asking the kernel (/proc/self/maps); where that cannot be asked,
+// or on a host whose byte order forces a decode, the check is skipped as
+// passed.
+func mappedFrom(t *testing.T, path string, p unsafe.Pointer) bool {
+	t.Helper()
+	maps, err := os.ReadFile("/proc/self/maps")
+	if one := uint16(1); err != nil || *(*byte)(unsafe.Pointer(&one)) != 1 {
+		t.Logf("no /proc/self/maps or a big-endian host: aliasing of %s not checked", filepath.Base(path))
+		return true
+	}
+	for _, line := range strings.Split(string(maps), "\n") {
+		var lo, hi uintptr
+		if !strings.HasSuffix(line, path) {
+			continue
+		}
+		if _, err := fmt.Sscanf(line, "%x-%x", &lo, &hi); err == nil && lo <= uintptr(p) && uintptr(p) < hi {
+			return true
+		}
+	}
+	return false
 }
 
 // OpenEnv fails cleanly on missing or mismatched directories.
@@ -821,21 +898,24 @@ func TestOpenEnvErrors(t *testing.T) {
 }
 
 // The point of the mmap tier: opening a prebuilt directory must not copy
-// the CSR slab or the page files onto the heap. The gate allows the small
-// derived structures (R-tree over object points, directories, pools) but
-// fails if heap growth approaches the mapped bytes.
+// the CSR slab, the page files or the derived structures onto the heap. The
+// gate allows what an open does allocate — the object table, the R-tree
+// over object points, the adjacency directory, pools — and fails if heap
+// growth reaches the size of the smallest thing that must stay mapped: the
+// landmark distances, 8 bytes x 8 landmarks per node, which a copying open
+// would put on the heap whole.
 func TestOpenEnvMmapHeapGate(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	g := testnet.RandomGraph(rng, 4000)
 	objs := testnet.RandomObjects(rng, g, 200, 2)
 	dir := t.TempDir()
-	built, err := NewEnv(g, objs, EnvConfig{Dir: dir, Landmarks: -1})
+	built, err := NewEnv(g, objs, EnvConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	built.Close()
 	var mappedBytes int64
-	for _, name := range []string{"graph.slab", "adjacency.pages", "middlelayer.index.pages", "middlelayer.records.pages"} {
+	for _, name := range []string{"graph.slab", "derived.slab", "adjacency.pages", "middlelayer.index.pages", "middlelayer.records.pages"} {
 		st, err := os.Stat(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
@@ -846,7 +926,7 @@ func TestOpenEnvMmapHeapGate(t *testing.T) {
 	runtime.GC()
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
-	env, err := OpenEnv(dir, EnvConfig{Backend: storage.BackendMmap, Landmarks: -1})
+	env, err := OpenEnv(dir, EnvConfig{Backend: storage.BackendMmap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -856,16 +936,42 @@ func TestOpenEnvMmapHeapGate(t *testing.T) {
 	if env.Backend() != storage.BackendMmap {
 		t.Skipf("mmap fell back to %v on this platform; heap gate not applicable", env.Backend())
 	}
-	grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-	// The derived structures are small: R-tree entries (~40 B/object), the
-	// adjacency directory (6 B/node decoded to 8), pool bookkeeping. The
-	// slab plus page files are far larger; copying any of them onto the
-	// heap would push growth past half the mapped bytes.
-	if grown > mappedBytes/2 {
-		t.Fatalf("opening via mmap grew the heap by %d bytes (mapped files total %d): slab or pages were copied",
-			grown, mappedBytes)
+	if env.Landmarks == nil || env.Landmarks.K() != DefaultLandmarks {
+		t.Fatalf("opened without the directory's landmark table: %v", env.Landmarks)
 	}
-	t.Logf("heap growth %d bytes for %d mapped bytes", grown, mappedBytes)
+	grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	landmarkBytes := int64(8 * len(env.Landmarks.Flat()))
+	// An open allocates ~40 B/object of R-tree, 8 B/node of adjacency
+	// directory and 48 B/object of object table: with 20 nodes per object,
+	// well under the 64 B/node of landmark distances alone. Any section of
+	// derived.slab (or any other file) copied to the heap crosses the line:
+	// the distances by themselves, the 8 B/edge key table on top of what an
+	// open legitimately allocates.
+	if grown >= landmarkBytes {
+		t.Fatalf("opening via mmap grew the heap by %d bytes; the landmark distances are %d, all mapped files %d: something mapped was copied",
+			grown, landmarkBytes, mappedBytes)
+	}
+	t.Logf("heap growth %d bytes for %d mapped bytes (%d of them landmark distances)", grown, mappedBytes, landmarkBytes)
+
+	// The budget above cannot see a copy smaller than itself (the key table
+	// is a sixth of the distances), so the two structures that are handed
+	// out as slices are also held to the mapping by address.
+	derivedPath := filepath.Join(dir, fileDerivedSlab)
+	if !mappedFrom(t, derivedPath, unsafe.Pointer(&env.Landmarks.Flat()[0])) {
+		t.Error("the opened landmark distances do not alias derived.slab's mapping")
+	}
+	f, err := slab.Open(derivedPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	keys, err := openEdgeKeys(f, env.G)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !mappedFrom(t, derivedPath, unsafe.Pointer(&keys[0])) {
+		t.Error("the opened edge keys do not alias derived.slab's mapping")
+	}
 
 	// And the env actually serves queries.
 	q := Query{Points: testnet.RandomLocations(rng, g, 2)}

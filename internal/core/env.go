@@ -11,7 +11,9 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -24,6 +26,7 @@ import (
 	"roadskyline/internal/landmark"
 	"roadskyline/internal/middlelayer"
 	"roadskyline/internal/rtree"
+	"roadskyline/internal/slab"
 	"roadskyline/internal/sp"
 	"roadskyline/internal/storage"
 )
@@ -78,14 +81,18 @@ type EnvConfig struct {
 	// Order is the on-disk clustering of adjacency lists. Defaults to
 	// Hilbert clustering (paper Section 6.1).
 	Order diskgraph.Order
-	// RTreeFanout is the object R-tree fanout. Defaults to
-	// rtree.DefaultFanout.
+	// RTreeFanout is the object R-tree fanout. NewEnv defaults it to
+	// rtree.DefaultFanout; OpenEnv takes zero as "what the directory was
+	// packed with" and refuses any other value that disagrees with it
+	// (ErrIncompatible) — the leaf order on disk is a function of the fanout.
 	RTreeFanout int
 	// Dir, when non-empty, stores the page files (adjacency, middle-layer
 	// index and records) as real files in that directory instead of in
-	// memory, together with the graph/objects slabs and a manifest: NewEnv
-	// builds the directory and then reopens it read-only through Backend,
-	// and OpenEnv serves a previously built directory directly.
+	// memory, together with the graph/objects slabs, the derived-structures
+	// slab (landmark table, R-tree leaf order, edge keys) and a manifest:
+	// NewEnv builds the directory — every structure computed exactly once —
+	// and then reopens it read-only through Backend, and OpenEnv serves a
+	// previously built directory directly, computing none of them again.
 	Dir string
 	// Backend selects how the files under Dir are served after the build:
 	// storage.BackendFile (the default when Dir is set) reads pages through
@@ -101,9 +108,13 @@ type EnvConfig struct {
 	// commodity disk reading 4 KB pages with readahead (150us per fault).
 	DiskLatency time.Duration
 	// Landmarks is the number of ALT landmark nodes precomputed at build
-	// time to tighten the A* heuristic beyond the Euclidean bound. Zero
-	// means DefaultLandmarks; a negative value disables the table (queries
-	// fall back to the pure Euclidean heuristic, the paper's setup).
+	// time to tighten the A* heuristic beyond the Euclidean bound. Under
+	// NewEnv zero means DefaultLandmarks and a negative value builds no
+	// table (queries fall back to the pure Euclidean heuristic, the paper's
+	// setup). OpenEnv never builds one: zero means the table the directory
+	// holds (none, if it was built without), a negative value leaves it
+	// unread, and a positive value other than the count the directory was
+	// built for is refused (ErrIncompatible).
 	Landmarks int
 	// DistCache sizes the cross-query wavefront cache. The zero value
 	// (Entries 0) disables it, keeping the paper's recompute-everything
@@ -129,6 +140,19 @@ const DefaultLandmarks = landmark.DefaultK
 // DefaultDiskLatency is the default simulated cost per page fault.
 const DefaultDiskLatency = 150 * time.Microsecond
 
+// ErrCorrupt is wrapped by every error OpenEnv returns because the bytes of
+// a network directory contradict themselves or each other: a truncated or
+// overwritten file, a failed checksum, an index outside the range another
+// file fixes.
+var ErrCorrupt = storage.ErrCorrupt
+
+// ErrIncompatible is wrapped by the errors OpenEnv returns for a directory
+// that is intact but not what was asked for: a manifest or key-formula
+// version this build does not read (directories are build artifacts —
+// rebuild it), or an explicit EnvConfig.Landmarks or RTreeFanout other than
+// the directory's. Nothing is ever rebuilt silently instead.
+var ErrIncompatible = errors.New("incompatible network directory")
+
 // Names of the files a disk-backed environment keeps in its directory.
 const (
 	fileAdjPages    = "adjacency.pages"
@@ -137,25 +161,61 @@ const (
 	fileRecPages    = "middlelayer.records.pages"
 	fileGraphSlab   = "graph.slab"
 	fileObjectsSlab = "objects.slab"
+	fileDerivedSlab = "derived.slab"
 	fileManifest    = "manifest.json"
 
-	manifestVersion = 1
+	manifestVersion = 2
 )
 
 // manifest is the JSON sidecar tying a network directory together: the
-// scalars that cannot be recomputed cheaply from the binary files.
+// scalars that cannot be recomputed cheaply from the binary files, and the
+// parameters derived.slab was computed under, which OpenEnv holds both the
+// slab and its caller's configuration to.
 type manifest struct {
 	Version  int              `json:"version"`
 	NumAttrs int              `json:"numAttrs"`
 	Layer    middlelayer.Meta `json:"layer"`
+	// Landmarks is the landmark count asked of the build (0 = no table),
+	// RTreeFanout the fanout the leaf order was sorted for, EdgeKeyVersion
+	// the formula of the persisted key table.
+	Landmarks      int `json:"landmarks"`
+	RTreeFanout    int `json:"rtreeFanout"`
+	EdgeKeyVersion int `json:"edgeKeyVersion"`
+	// CRC is the CRC-32C of this manifest's own JSON with CRC zero.
+	CRC uint32 `json:"crc"`
+}
+
+// seal returns the manifest's JSON with its checksum filled in.
+func (m manifest) seal() ([]byte, error) {
+	m.CRC = 0
+	raw, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	m.CRC = crc32.Checksum(raw, crc32.MakeTable(crc32.Castagnoli))
+	return json.MarshalIndent(m, "", "  ")
+}
+
+// readManifest decodes and checks a manifest: the version first, so that a
+// directory of another version says so instead of failing a checksum it
+// never had.
+func readManifest(raw []byte) (manifest, error) {
+	var m manifest
+	if err := json.Unmarshal(raw, &m); err != nil {
+		return m, fmt.Errorf("core: %w: reading manifest: %v", ErrCorrupt, err)
+	}
+	if m.Version != manifestVersion {
+		return m, fmt.Errorf("core: %w: manifest version %d, this build reads %d", ErrIncompatible, m.Version, manifestVersion)
+	}
+	if sealed, err := m.seal(); err != nil || string(sealed) != string(raw) {
+		return m, fmt.Errorf("core: %w: manifest does not match its checksum", ErrCorrupt)
+	}
+	return m, nil
 }
 
 func applyEnvDefaults(cfg *EnvConfig) {
 	if cfg.BufferBytes <= 0 {
 		cfg.BufferBytes = storage.DefaultBufferBytes
-	}
-	if cfg.RTreeFanout <= 0 {
-		cfg.RTreeFanout = rtree.DefaultFanout
 	}
 	if cfg.DiskLatency <= 0 {
 		cfg.DiskLatency = DefaultDiskLatency
@@ -166,8 +226,9 @@ func applyEnvDefaults(cfg *EnvConfig) {
 // Hilbert value of the edge's midpoint (id in the low bits keeps keys
 // unique), so a wavefront's edge probes land on few index/record pages,
 // matching the spatial clustering of the adjacency lists. The table is
-// computed once per Env and deterministic in the graph, so OpenEnv
-// recomputes the values Build used.
+// computed once per network — a directory keeps it in derived.slab, and
+// OpenEnv reads back the values Build used (edgeKeyVersion names the
+// formula).
 func edgeKeys(g *graph.Graph) []int64 {
 	bounds := g.Bounds()
 	keys := make([]int64, g.NumEdges())
@@ -200,23 +261,11 @@ func validateObjects(g *graph.Graph, objects []graph.Object) (numAttrs int, err 
 	return numAttrs, nil
 }
 
-// newEnvFrom assembles the query-side structures (object R-tree, landmark
-// table, caches, scratch pool) shared by the in-memory, build-then-reopen
-// and open-existing paths.
+// newEnvFrom assembles an Env around structures its caller built (NewEnv) or
+// mapped (OpenEnv), adding what is per-process: caches and the scratch pool.
 func newEnvFrom(g *graph.Graph, objects []graph.Object, store *diskgraph.Store, layer *middlelayer.Layer,
+	objTree *rtree.Tree, landmarks *landmark.Table,
 	cfg EnvConfig, numAttrs int, backend storage.Backend, closers []func() error) *Env {
-	entries := make([]rtree.Entry, len(objects))
-	for i, o := range objects {
-		entries[i] = rtree.Entry{Rect: geom.RectFromPoint(g.Point(o.Loc)), ID: int32(o.ID)}
-	}
-	landmarks := cfg.Landmarks
-	if landmarks == 0 {
-		landmarks = DefaultLandmarks
-	}
-	var lmTable *landmark.Table
-	if landmarks > 0 {
-		lmTable = landmark.Build(g, landmarks)
-	}
 	var flight *distcache.Flight
 	if cfg.ShareWavefronts {
 		flight = distcache.NewFlight(cfg.DistCache.Quantum)
@@ -226,8 +275,8 @@ func newEnvFrom(g *graph.Graph, objects []graph.Object, store *diskgraph.Store, 
 		Objects:     objects,
 		Store:       store,
 		Layer:       layer,
-		ObjTree:     rtree.BulkLoad(entries, cfg.RTreeFanout),
-		Landmarks:   lmTable,
+		ObjTree:     objTree,
+		Landmarks:   landmarks,
 		DistCache:   distcache.New(cfg.DistCache),
 		Flight:      flight,
 		scratch:     &sync.Pool{New: func() any { return sp.NewScratch() }},
@@ -244,11 +293,18 @@ func newEnvFrom(g *graph.Graph, objects []graph.Object, store *diskgraph.Store, 
 // a valid location; objects and query points must lie on edges of g.
 //
 // With cfg.Dir set, NewEnv writes the full network directory (page files,
-// graph and object slabs, adjacency directory and manifest) and then
-// reopens it read-only through cfg.Backend — the environment it returns is
-// exactly what OpenEnv(cfg.Dir, cfg) would produce.
+// graph, object and derived-structure slabs, adjacency directory and
+// manifest) and then reopens it read-only through cfg.Backend — the
+// environment it returns is exactly what OpenEnv(cfg.Dir, cfg) would
+// produce, and the reopen computes nothing the build already did.
 func NewEnv(g *graph.Graph, objects []graph.Object, cfg EnvConfig) (*Env, error) {
 	applyEnvDefaults(&cfg)
+	if cfg.RTreeFanout <= 0 {
+		cfg.RTreeFanout = rtree.DefaultFanout
+	}
+	if cfg.Landmarks == 0 {
+		cfg.Landmarks = DefaultLandmarks
+	}
 	numAttrs, err := validateObjects(g, objects)
 	if err != nil {
 		return nil, err
@@ -268,14 +324,38 @@ func NewEnv(g *graph.Graph, objects []graph.Object, cfg EnvConfig) (*Env, error)
 	if err != nil {
 		return nil, fmt.Errorf("core: building middle layer: %w", err)
 	}
-	return newEnvFrom(g, objects, store, layer, cfg, numAttrs, storage.BackendMem, nil), nil
+	objTree := rtree.BulkLoad(objectEntries(g, objects), cfg.RTreeFanout)
+	// landmark.Build returns nil for a count below one.
+	return newEnvFrom(g, objects, store, layer, objTree, landmark.Build(g, cfg.Landmarks),
+		cfg, numAttrs, storage.BackendMem, nil), nil
 }
 
 // buildDir materializes the complete network directory under cfg.Dir: the
 // three page files, the slabs OpenEnv maps, the adjacency directory and the
-// manifest. Every file is closed before returning; serving happens through
-// a read-only reopen.
+// manifest. The landmark table and the R-tree leaf order depend only on g
+// and objects, so they are computed in goroutines of their own while this
+// one writes the page files — the landmark Dijkstras take about as long as
+// everything else together. Every file is closed before returning; serving
+// happens through a read-only reopen.
 func buildDir(g *graph.Graph, objects []graph.Object, numAttrs int, cfg EnvConfig) (err error) {
+	d := derived{fanout: cfg.RTreeFanout, landmarks: max(cfg.Landmarks, 0)}
+	var side sync.WaitGroup
+	defer side.Wait() // also on the error returns: nothing outlives the call
+	side.Add(2)
+	go func() {
+		defer side.Done()
+		d.table = landmark.Build(g, d.landmarks)
+	}()
+	go func() {
+		defer side.Done()
+		entries := objectEntries(g, objects)
+		rtree.SortSTR(entries, d.fanout)
+		d.leafOrder = make([]int32, len(entries))
+		for i, e := range entries {
+			d.leafOrder[i] = e.ID
+		}
+	}()
+
 	var files []storage.PageFile
 	defer func() {
 		for _, f := range files {
@@ -311,7 +391,8 @@ func buildDir(g *graph.Graph, objects []graph.Object, numAttrs int, cfg EnvConfi
 	if err := store.WriteDir(filepath.Join(cfg.Dir, fileAdjDir)); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	layer, err := middlelayer.Build(objects, treeFile, recFile, cfg.BufferBytes, edgeKeys(g))
+	d.keys = edgeKeys(g)
+	layer, err := middlelayer.Build(objects, treeFile, recFile, cfg.BufferBytes, d.keys)
 	if err != nil {
 		return fmt.Errorf("core: building middle layer: %w", err)
 	}
@@ -321,11 +402,18 @@ func buildDir(g *graph.Graph, objects []graph.Object, numAttrs int, cfg EnvConfi
 	if err := graph.WriteObjects(objects, numAttrs, filepath.Join(cfg.Dir, fileObjectsSlab)); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	m, err := json.MarshalIndent(manifest{
-		Version:  manifestVersion,
-		NumAttrs: numAttrs,
-		Layer:    layer.Meta(),
-	}, "", "  ")
+	side.Wait()
+	if err := writeDerived(filepath.Join(cfg.Dir, fileDerivedSlab), d); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	m, err := manifest{
+		Version:        manifestVersion,
+		NumAttrs:       numAttrs,
+		Layer:          layer.Meta(),
+		Landmarks:      d.landmarks,
+		RTreeFanout:    d.fanout,
+		EdgeKeyVersion: edgeKeyVersion,
+	}.seal()
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
@@ -336,15 +424,23 @@ func buildDir(g *graph.Graph, objects []graph.Object, numAttrs int, cfg EnvConfi
 }
 
 // OpenEnv serves a network directory previously written by NewEnv (or by a
-// build tool calling it). Nothing is rebuilt: the graph and object slabs
-// are memory-mapped (aliased with zero heap copies on matching hosts), the
-// page files open through cfg.Backend, and only the derived query-side
-// structures (object R-tree, optional landmark table) are computed. With
+// build tool calling it). Nothing is rebuilt: the graph, object and
+// derived-structure slabs are memory-mapped — the graph arrays, attribute
+// matrix, landmark distances and edge keys aliased with zero heap copies on
+// matching hosts — the page files open through cfg.Backend, and what is
+// allocated is the object table, the R-tree's nodes (packed from the
+// persisted leaf order, no entry sorted) and per-process state. With
 // BackendMmap a network much larger than RAM opens in milliseconds and is
 // paged in lazily by the OS.
 //
-// Dir-independent fields of cfg (buffer size, latency, landmarks, caches)
-// apply as in NewEnv; cfg.Dir itself is ignored in favor of dir.
+// Every file is checked before anything is served from it — sizes against
+// headers, checksums of the manifest and of each derived section, and every
+// stored index against the range the other files fix — so a damaged
+// directory is an error wrapping ErrCorrupt here, never a fault in a query;
+// a directory of another format version, or one that cfg.Landmarks or
+// cfg.RTreeFanout explicitly disagree with, is an error wrapping
+// ErrIncompatible. The remaining fields of cfg (buffer size, latency,
+// caches) apply as in NewEnv; cfg.Dir itself is ignored in favor of dir.
 func OpenEnv(dir string, cfg EnvConfig) (*Env, error) {
 	applyEnvDefaults(&cfg)
 	var closers []func() error
@@ -358,12 +454,18 @@ func OpenEnv(dir string, cfg EnvConfig) (*Env, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	var m manifest
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return nil, fmt.Errorf("core: reading manifest: %w", err)
+	m, err := readManifest(raw)
+	if err != nil {
+		return nil, err
 	}
-	if m.Version != manifestVersion {
-		return nil, fmt.Errorf("core: manifest version %d, want %d", m.Version, manifestVersion)
+	if cfg.Landmarks > 0 && cfg.Landmarks != m.Landmarks {
+		return nil, fmt.Errorf("core: %w: %d landmarks asked for, directory built for %d", ErrIncompatible, cfg.Landmarks, m.Landmarks)
+	}
+	if cfg.RTreeFanout > 0 && cfg.RTreeFanout != m.RTreeFanout {
+		return nil, fmt.Errorf("core: %w: R-tree fanout %d asked for, directory packed at %d", ErrIncompatible, cfg.RTreeFanout, m.RTreeFanout)
+	}
+	if m.EdgeKeyVersion != edgeKeyVersion {
+		return nil, fmt.Errorf("core: %w: edge keys of formula version %d, this build reads %d", ErrIncompatible, m.EdgeKeyVersion, edgeKeyVersion)
 	}
 	g, closeSlab, err := graph.OpenSlab(filepath.Join(dir, fileGraphSlab))
 	if err != nil {
@@ -375,9 +477,40 @@ func OpenEnv(dir string, cfg EnvConfig) (*Env, error) {
 		return fail(fmt.Errorf("core: %w", err))
 	}
 	closers = append(closers, closeObjs)
-	if numAttrs != m.NumAttrs {
-		return fail(fmt.Errorf("core: objects slab has %d attributes, manifest says %d", numAttrs, m.NumAttrs))
+	if _, err := validateObjects(g, objects); err != nil {
+		return fail(fmt.Errorf("%w: %w", ErrCorrupt, err))
 	}
+	if numAttrs != m.NumAttrs || len(objects) != m.Layer.NumObjects {
+		return fail(fmt.Errorf("core: %w: objects slab has %d objects of %d attributes, manifest says %d of %d",
+			ErrCorrupt, len(objects), numAttrs, m.Layer.NumObjects, m.NumAttrs))
+	}
+
+	derivedSlab, err := slab.Open(filepath.Join(dir, fileDerivedSlab))
+	if err != nil {
+		return fail(fmt.Errorf("core: %w", err))
+	}
+	closers = append(closers, derivedSlab.Close)
+	keys, err := openEdgeKeys(derivedSlab, g)
+	if err != nil {
+		return fail(err)
+	}
+	objTree, fanout, err := openObjTree(derivedSlab, g, objects)
+	if err != nil {
+		return fail(err)
+	}
+	var landmarks *landmark.Table
+	asked := m.Landmarks
+	if cfg.Landmarks >= 0 {
+		if landmarks, asked, err = openLandmarks(derivedSlab, g); err != nil {
+			return fail(err)
+		}
+	}
+	// (A graph without nodes has no table whatever was asked for.)
+	if fanout != m.RTreeFanout || asked != m.Landmarks && g.NumNodes() > 0 {
+		return fail(fmt.Errorf("core: %w: derived slab built at fanout %d for %d landmarks, manifest says %d and %d",
+			ErrCorrupt, fanout, asked, m.RTreeFanout, m.Landmarks))
+	}
+
 	want := cfg.Backend
 	if want == storage.BackendMem {
 		want = storage.BackendFile
@@ -412,11 +545,14 @@ func OpenEnv(dir string, cfg EnvConfig) (*Env, error) {
 	if err != nil {
 		return fail(fmt.Errorf("core: %w", err))
 	}
-	layer, err := middlelayer.Open(treeFile, recFile, cfg.BufferBytes, m.Layer, edgeKeys(g))
+	if store.NumNodes() != g.NumNodes() {
+		return fail(fmt.Errorf("core: %w: adjacency directory lists %d nodes, graph slab has %d", ErrCorrupt, store.NumNodes(), g.NumNodes()))
+	}
+	layer, err := middlelayer.Open(treeFile, recFile, cfg.BufferBytes, m.Layer, keys)
 	if err != nil {
 		return fail(fmt.Errorf("core: %w", err))
 	}
-	return newEnvFrom(g, objects, store, layer, cfg, numAttrs, actual, closers), nil
+	return newEnvFrom(g, objects, store, layer, objTree, landmarks, cfg, numAttrs, actual, closers), nil
 }
 
 // Backend reports how the environment's page files are served:

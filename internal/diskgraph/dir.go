@@ -42,7 +42,7 @@ func (s *Store) WriteDir(path string) (err error) {
 			err = cerr
 		}
 	}()
-	w := bufio.NewWriter(f)
+	w := bufio.NewWriterSize(f, 1<<20)
 	var h [dirHeaderSize]byte
 	copy(h[:8], dirMagic)
 	binary.LittleEndian.PutUint32(h[8:], dirVersion)
@@ -75,18 +75,18 @@ func Open(file storage.PageFile, bufferBytes int, dirPath string) (*Store, error
 		return nil, fmt.Errorf("diskgraph: %w", err)
 	}
 	if len(raw) < dirHeaderSize || string(raw[:8]) != dirMagic {
-		return nil, fmt.Errorf("diskgraph: %s is not an adjacency directory", dirPath)
+		return nil, fmt.Errorf("diskgraph: %w: %s is not an adjacency directory", storage.ErrCorrupt, dirPath)
 	}
 	if v := binary.LittleEndian.Uint32(raw[8:]); v != dirVersion {
-		return nil, fmt.Errorf("diskgraph: directory version %d, want %d", v, dirVersion)
+		return nil, fmt.Errorf("diskgraph: %w: directory version %d, want %d", storage.ErrCorrupt, v, dirVersion)
 	}
 	nn := binary.LittleEndian.Uint64(raw[16:])
 	np := binary.LittleEndian.Uint64(raw[24:])
 	if nn > uint64(math.MaxInt32) || uint64(len(raw)) != dirHeaderSize+nn*dirEntrySize {
-		return nil, fmt.Errorf("diskgraph: directory is %d bytes, header describes %d nodes", len(raw), nn)
+		return nil, fmt.Errorf("diskgraph: %w: directory is %d bytes, header describes %d nodes", storage.ErrCorrupt, len(raw), nn)
 	}
-	if int(np) != file.NumPages() {
-		return nil, fmt.Errorf("diskgraph: directory describes %d pages, file has %d", np, file.NumPages())
+	if np != uint64(file.NumPages()) {
+		return nil, fmt.Errorf("diskgraph: %w: directory describes %d pages, file has %d", storage.ErrCorrupt, np, file.NumPages())
 	}
 	s := &Store{
 		file:     file,
@@ -104,7 +104,7 @@ func Open(file storage.PageFile, bufferBytes int, dirPath string) (*Store, error
 		pg := storage.PageID(int32(binary.LittleEndian.Uint32(e[0:])))
 		off := binary.LittleEndian.Uint16(e[4:])
 		if pg < 0 || int(pg) >= s.numPages || int(off) >= storage.PageSize {
-			return nil, fmt.Errorf("diskgraph: directory entry %d (page %d, off %d) out of range", i, pg, off)
+			return nil, fmt.Errorf("diskgraph: %w: directory entry %d (page %d, off %d) out of range", storage.ErrCorrupt, i, pg, off)
 		}
 		s.dir[i] = recRef{page: pg, off: off}
 	}

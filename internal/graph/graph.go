@@ -284,7 +284,7 @@ func (g *Graph) ValidateLocation(loc Location) error {
 	if loc.Edge < 0 || int(loc.Edge) >= len(g.edges) {
 		return fmt.Errorf("graph: location references missing edge %d", loc.Edge)
 	}
-	if l := g.edges[loc.Edge].Length; loc.Offset < 0 || loc.Offset > l+1e-9 {
+	if l := g.edges[loc.Edge].Length; !(loc.Offset >= 0 && loc.Offset <= l+1e-9) { // also rejects NaN
 		return fmt.Errorf("graph: location offset %v outside edge %d of length %v", loc.Offset, loc.Edge, l)
 	}
 	return nil

@@ -82,16 +82,16 @@ func WriteObjects(objects []Object, numAttrs int, path string) (err error) {
 // objects' lifetime.
 func sliceObjects(data []byte, alias bool) ([]Object, int, error) {
 	if len(data) < objSlabHeaderSize || string(data[:8]) != objSlabMagic {
-		return nil, 0, fmt.Errorf("graph: not an objects slab")
+		return nil, 0, fmt.Errorf("graph: %w: not an objects slab", storage.ErrCorrupt)
 	}
 	if v := binary.LittleEndian.Uint32(data[8:]); v != objSlabVersion {
-		return nil, 0, fmt.Errorf("graph: objects slab version %d, want %d", v, objSlabVersion)
+		return nil, 0, fmt.Errorf("graph: %w: objects slab version %d, want %d", storage.ErrCorrupt, v, objSlabVersion)
 	}
 	no := binary.LittleEndian.Uint64(data[16:])
 	na := binary.LittleEndian.Uint64(data[24:])
 	want := uint64(objSlabHeaderSize) + no*objLocSize + no*na*8
 	if no > uint64(math.MaxInt32) || na > 1<<20 || uint64(len(data)) != want {
-		return nil, 0, fmt.Errorf("graph: objects slab is %d bytes, header describes %d", len(data), want)
+		return nil, 0, fmt.Errorf("graph: %w: objects slab is %d bytes, header describes %d", storage.ErrCorrupt, len(data), want)
 	}
 	numObjs, numAttrs := int(no), int(na)
 	attrsOff := objSlabHeaderSize + numObjs*objLocSize
@@ -124,14 +124,6 @@ func sliceObjects(data []byte, alias bool) ([]Object, int, error) {
 	return objects, numAttrs, nil
 }
 
-// hostLayoutMatchesObjSlab: aliasing the attrs section only needs the host
-// to store float64 as little-endian IEEE 754 words, i.e. a little-endian
-// host.
-func hostLayoutMatchesObjSlab() bool {
-	x := uint16(1)
-	return *(*byte)(unsafe.Pointer(&x)) == 1
-}
-
 // OpenObjects memory-maps the objects slab at path. On little-endian hosts
 // every Attrs slice aliases the mapping (the attribute matrix never touches
 // the heap; the objects must not be used after close); elsewhere, or when
@@ -150,7 +142,7 @@ func OpenObjects(path string) ([]Object, int, func() error, error) {
 		}
 		return objects, numAttrs, noop, nil
 	}
-	if hostLayoutMatchesObjSlab() {
+	if storage.HostLittleEndian() { // all that aliasing a packed f64 section needs
 		objects, numAttrs, derr := sliceObjects(data, true)
 		if derr != nil {
 			unmap()

@@ -50,13 +50,11 @@ const (
 // layouts the format mirrors. Padding bytes are zeroed by the writer, so an
 // aliased record compares equal to a decoded one.
 func hostLayoutMatchesSlab() bool {
-	x := uint16(1)
-	littleEndian := *(*byte)(unsafe.Pointer(&x)) == 1
 	var n Node
 	var e Edge
 	var h Halfedge
 	var p geom.Point
-	return littleEndian &&
+	return storage.HostLittleEndian() &&
 		unsafe.Sizeof(n) == nodeRecSize &&
 		unsafe.Offsetof(n.ID) == 0 && unsafe.Offsetof(n.Pt) == 8 &&
 		unsafe.Sizeof(p) == 16 &&
@@ -136,10 +134,10 @@ func WriteSlab(g *Graph, path string) (err error) {
 // slabSections validates the header and returns the section byte ranges.
 func slabSections(data []byte) (numNodes, numEdges, numHalf int, bounds geom.Rect, err error) {
 	if len(data) < slabHeaderSize || string(data[:8]) != slabMagic {
-		return 0, 0, 0, bounds, fmt.Errorf("graph: not a graph slab")
+		return 0, 0, 0, bounds, fmt.Errorf("graph: %w: not a graph slab", storage.ErrCorrupt)
 	}
 	if v := binary.LittleEndian.Uint32(data[8:]); v != slabVersion {
-		return 0, 0, 0, bounds, fmt.Errorf("graph: slab version %d, want %d", v, slabVersion)
+		return 0, 0, 0, bounds, fmt.Errorf("graph: %w: slab version %d, want %d", storage.ErrCorrupt, v, slabVersion)
 	}
 	nn := binary.LittleEndian.Uint64(data[16:])
 	ne := binary.LittleEndian.Uint64(data[24:])
@@ -147,7 +145,7 @@ func slabSections(data []byte) (numNodes, numEdges, numHalf int, bounds geom.Rec
 	want := uint64(slabHeaderSize) + nn*nodeRecSize + ne*edgeRecSize + nh*halfedgeSize + (nn+1)*4
 	if nn > uint64(math.MaxInt32) || ne > uint64(math.MaxInt32) || nh > uint64(2*math.MaxInt32) ||
 		uint64(len(data)) != want {
-		return 0, 0, 0, bounds, fmt.Errorf("graph: slab is %d bytes, header describes %d", len(data), want)
+		return 0, 0, 0, bounds, fmt.Errorf("graph: %w: slab is %d bytes, header describes %d", storage.ErrCorrupt, len(data), want)
 	}
 	bounds = geom.Rect{
 		MinX: math.Float64frombits(binary.LittleEndian.Uint64(data[40:])),
@@ -158,10 +156,47 @@ func slabSections(data []byte) (numNodes, numEdges, numHalf int, bounds geom.Rec
 	return int(nn), int(ne), int(nh), bounds, nil
 }
 
-// sliceSlab decodes data (a full slab image) into a Graph. When alias is
-// true the returned graph's slices point into data with zero copies, so
-// data must stay mapped for the graph's lifetime; otherwise everything is
-// decoded onto the heap and data may be released.
+// checkSlab verifies what every reader of a Graph takes for granted, so a
+// slab whose bytes were damaged fails at open and not with an index out of
+// range in the middle of a query: ids equal positions, edge endpoints and
+// halfedge targets name existing nodes and edges, and adjOff is a monotone
+// partition of the halfedges. One pass over the arrays, no allocation.
+func (g *Graph) checkSlab() error {
+	nn, ne := len(g.nodes), len(g.edges)
+	for i := range g.nodes {
+		if int(g.nodes[i].ID) != i {
+			return fmt.Errorf("graph: %w: node %d carries id %d", storage.ErrCorrupt, i, g.nodes[i].ID)
+		}
+	}
+	for i := range g.edges {
+		e := &g.edges[i]
+		if int(e.ID) != i || uint32(e.U) >= uint32(nn) || uint32(e.V) >= uint32(nn) {
+			return fmt.Errorf("graph: %w: edge %d is (id %d, %d-%d) among %d nodes", storage.ErrCorrupt, i, e.ID, e.U, e.V, nn)
+		}
+	}
+	for i := range g.halfedges {
+		h := &g.halfedges[i]
+		if uint32(h.To) >= uint32(nn) || uint32(h.Edge) >= uint32(ne) {
+			return fmt.Errorf("graph: %w: halfedge %d points at node %d, edge %d", storage.ErrCorrupt, i, h.To, h.Edge)
+		}
+	}
+	prev := int32(0)
+	for i, off := range g.adjOff {
+		if off < prev || (i == 0 && off != 0) {
+			return fmt.Errorf("graph: %w: adjacency offset %d is %d after %d", storage.ErrCorrupt, i, off, prev)
+		}
+		prev = off
+	}
+	if int(prev) != len(g.halfedges) {
+		return fmt.Errorf("graph: %w: adjacency offsets end at %d of %d halfedges", storage.ErrCorrupt, prev, len(g.halfedges))
+	}
+	return nil
+}
+
+// sliceSlab decodes data (a full slab image) into a Graph and checks it
+// (checkSlab). When alias is true the returned graph's slices point into
+// data with zero copies, so data must stay mapped for the graph's lifetime;
+// otherwise everything is decoded onto the heap and data may be released.
 func sliceSlab(data []byte, alias bool) (*Graph, error) {
 	nn, ne, nh, bounds, err := slabSections(data)
 	if err != nil {
@@ -183,7 +218,7 @@ func sliceSlab(data []byte, alias bool) (*Graph, error) {
 			g.halfedges = unsafe.Slice((*Halfedge)(unsafe.Pointer(&data[halfOff])), nh)
 		}
 		g.adjOff = unsafe.Slice((*int32)(unsafe.Pointer(&data[adjOffOff])), nn+1)
-		return g, nil
+		return g, g.checkSlab()
 	}
 	g.nodes = make([]Node, nn)
 	for i := range g.nodes {
@@ -219,7 +254,7 @@ func sliceSlab(data []byte, alias bool) (*Graph, error) {
 	for i := range g.adjOff {
 		g.adjOff[i] = int32(binary.LittleEndian.Uint32(data[adjOffOff+i*4:]))
 	}
-	return g, nil
+	return g, g.checkSlab()
 }
 
 // OpenSlab memory-maps the slab at path and returns the graph with a close

@@ -15,11 +15,13 @@
 // Unlike the Euclidean bound, the ALT bound reflects actual detours
 // (rivers, obstacle fields, sparse regions), so it is strongest exactly
 // where the Euclidean bound is weakest. The table is built once per
-// environment from the in-memory graph and is immutable afterwards, so
-// engine clones share it without synchronization.
+// network from the in-memory graph (Build) — a network directory keeps it
+// beside the page files and reopens it with Load — and is immutable
+// afterwards, so engine clones share it without synchronization.
 package landmark
 
 import (
+	"fmt"
 	"math"
 
 	"roadskyline/internal/geom"
@@ -143,6 +145,32 @@ func nodeDistances(g *graph.Graph, src graph.NodeID, h *pqueue.Dense) []float64 
 	}
 	return dist
 }
+
+// Load returns the table over distances computed earlier: nodes are the
+// landmark nodes and flat the node-major distances exactly as Flat returned
+// them (finite likewise). The table keeps both slices — flat may alias a
+// read-only mapping — and computes nothing; it rejects dimensions that do
+// not fit g, so a Bound never indexes outside flat.
+func Load(g *graph.Graph, nodes []graph.NodeID, flat []float64, finite bool) (*Table, error) {
+	n, k := g.NumNodes(), len(nodes)
+	if k == 0 || k > n || len(flat) != n*k {
+		return nil, fmt.Errorf("landmark: %d landmarks with %d distances do not fit %d nodes", k, len(flat), n)
+	}
+	for _, v := range nodes {
+		if v < 0 || int(v) >= n {
+			return nil, fmt.Errorf("landmark: landmark node %d outside %d nodes", v, n)
+		}
+	}
+	return &Table{g: g, nodes: nodes, flat: flat, finite: finite}, nil
+}
+
+// Flat returns the node-major distance table: node v's distances to the K
+// landmarks are Flat()[v*K : (v+1)*K]. The slice is owned by the table and
+// must not be modified.
+func (t *Table) Flat() []float64 { return t.flat }
+
+// Finite reports that no distance in the table is +Inf.
+func (t *Table) Finite() bool { return t.finite }
 
 // K returns the number of selected landmarks.
 func (t *Table) K() int { return len(t.nodes) }

@@ -219,6 +219,44 @@ func TestBuildShape(t *testing.T) {
 	}
 }
 
+// TestLoadRoundTrip: a table loaded from another's Nodes, Flat and Finite
+// bounds every pair exactly as the original does, shares (not copies) the
+// distances, and Load refuses dimensions that would index outside them.
+func TestLoadRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for trial := 0; trial < 4; trial++ {
+		g := testnet.RandomGraph(rng, 50)
+		built := Build(g, 5)
+		loaded, err := Load(g, built.Nodes(), built.Flat(), built.Finite())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if loaded.K() != built.K() || &loaded.Flat()[0] != &built.Flat()[0] {
+			t.Fatal("Load copied or resized the table")
+		}
+		for _, dest := range testnet.RandomLocations(rng, g, 5) {
+			a, b := built.ForTarget(dest, g.Point(dest)), loaded.ForTarget(dest, g.Point(dest))
+			for u := 0; u < g.NumNodes(); u++ {
+				if x, y := a.Bound(graph.NodeID(u)), b.Bound(graph.NodeID(u)); x != y {
+					t.Fatalf("trial %d: Bound(%d) built %v, loaded %v", trial, u, x, y)
+				}
+			}
+		}
+		n := graph.NodeID(g.NumNodes())
+		for name, bad := range map[string]func() (*Table, error){
+			"no landmarks":  func() (*Table, error) { return Load(g, nil, nil, true) },
+			"short table":   func() (*Table, error) { return Load(g, built.Nodes(), built.Flat()[1:], true) },
+			"long table":    func() (*Table, error) { return Load(g, built.Nodes()[:4], built.Flat(), true) },
+			"node past end": func() (*Table, error) { return Load(g, []graph.NodeID{0, n}, built.Flat()[:2*int(n)], true) },
+			"negative node": func() (*Table, error) { return Load(g, []graph.NodeID{-1}, built.Flat()[:n], true) },
+		} {
+			if tab, err := bad(); err == nil || tab != nil {
+				t.Errorf("%s: Load accepted it", name)
+			}
+		}
+	}
+}
+
 func nodeLoc(g *graph.Graph, n graph.NodeID) graph.Location {
 	for eid := 0; eid < g.NumEdges(); eid++ {
 		e := g.Edge(graph.EdgeID(eid))

@@ -134,8 +134,9 @@ func Build(objects []graph.Object, treeFile, recFile storage.PageFile, bufferByt
 }
 
 // Meta is the reopen metadata for a Layer: everything except the page
-// files and the key table (which is recomputed deterministically from the
-// graph) needed to reconstruct the layer in a later process.
+// files and the key table (which a network directory keeps in its
+// derived-structures slab) needed to reconstruct the layer in a later
+// process.
 type Meta struct {
 	Tree       bptree.Meta `json:"tree"`
 	NumObjects int         `json:"numObjects"`
@@ -148,11 +149,21 @@ func (l *Layer) Meta() Meta {
 
 // Open reconstructs a Layer over already-built page files from the Meta
 // captured at build time. keys must hold the values Build was given (nil
-// means the edge ids).
+// means the edge ids); the layer keeps the slice, which may alias a
+// read-only mapping.
 func Open(treeFile, recFile storage.PageFile, bufferBytes int, m Meta, keys []int64) (*Layer, error) {
 	tree, err := bptree.Open(treeFile, bufferBytes, m.Tree)
 	if err != nil {
 		return nil, fmt.Errorf("middlelayer: %w", err)
+	}
+	if m.Tree.ValSize != treeValSize || m.NumObjects < 0 {
+		return nil, fmt.Errorf("middlelayer: %w: %d objects under %d-byte index values", storage.ErrCorrupt, m.NumObjects, m.Tree.ValSize)
+	}
+	// Build packs records without gaps, so the object count fixes the
+	// record file's length.
+	if want := (m.NumObjects + recsPerPage - 1) / recsPerPage; recFile.NumPages() != want {
+		return nil, fmt.Errorf("middlelayer: %w: %d objects need %d record pages, file has %d",
+			storage.ErrCorrupt, m.NumObjects, want, recFile.NumPages())
 	}
 	return &Layer{
 		tree:    tree,

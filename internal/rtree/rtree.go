@@ -15,8 +15,10 @@
 package rtree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -56,12 +58,13 @@ type Tree struct {
 	visits  *atomic.Int64 // atomic: concurrent readers share the tree
 }
 
+// minFanout is the smallest fanout a tree is built with.
+const minFanout = 4
+
 // New returns an empty tree with the given fanout (entries per node);
 // fanout < 4 is raised to 4.
 func New(fanout int) *Tree {
-	if fanout < 4 {
-		fanout = 4
-	}
+	fanout = max(fanout, minFanout)
 	return &Tree{
 		root:    &node{leaf: true, rect: geom.EmptyRect()},
 		fanout:  fanout,
@@ -103,49 +106,55 @@ func (t *Tree) Height() int {
 	return h
 }
 
-// BulkLoad builds a tree over entries using Sort-Tile-Recursive packing.
-// The entries slice is reordered in place.
+// BulkLoad builds a tree over entries using Sort-Tile-Recursive packing:
+// SortSTR, then LoadSorted. The entries slice is reordered in place and
+// kept by the tree.
 func BulkLoad(entries []Entry, fanout int) *Tree {
+	SortSTR(entries, fanout)
+	return LoadSorted(entries, fanout)
+}
+
+// SortSTR reorders entries into the leaf order of an STR-packed tree of the
+// given fanout: sorted by center X, tiled into vertical slices, each slice
+// sorted by center Y. Runs of fanout entries of the result are the leaves,
+// so the order is all a later LoadSorted needs — a caller may persist the
+// ids and never sort again.
+func SortSTR(entries []Entry, fanout int) {
+	fanout = max(fanout, minFanout)
+	numLeaves := (len(entries) + fanout - 1) / fanout
+	numSlices := int(math.Ceil(math.Sqrt(float64(numLeaves))))
+	sliceSize := numSlices * fanout
+	slices.SortFunc(entries, func(a, b Entry) int {
+		return cmp.Compare(a.Rect.Center().X, b.Rect.Center().X)
+	})
+	for s := 0; s < len(entries); s += sliceSize {
+		slices.SortFunc(entries[s:min(s+sliceSize, len(entries))], func(a, b Entry) int {
+			return cmp.Compare(a.Rect.Center().Y, b.Rect.Center().Y)
+		})
+	}
+}
+
+// LoadSorted builds the tree over entries that are already in SortSTR's
+// order for this fanout: it cuts them into leaves and packs the upper
+// levels, sorting nodes but never entries. The tree keeps the slice (leaves
+// are sub-slices of it).
+func LoadSorted(entries []Entry, fanout int) *Tree {
 	t := New(fanout)
 	if len(entries) == 0 {
 		return t
 	}
 	t.size = len(entries)
-	// Leaf level: sort by center X, tile into vertical slices, sort each
-	// slice by center Y, pack runs of fanout.
-	leaves := strPackLeaves(entries, t.fanout)
+	leaves := make([]*node, 0, (len(entries)+t.fanout-1)/t.fanout)
+	for o := 0; o < len(entries); o += t.fanout {
+		oe := min(o+t.fanout, len(entries))
+		// Capacity stops at the leaf's end: an Insert that grows a leaf
+		// reallocates it instead of writing into its neighbour.
+		leaf := &node{leaf: true, entries: entries[o:oe:oe]}
+		leaf.recomputeRect()
+		leaves = append(leaves, leaf)
+	}
 	t.root = strPackUp(leaves, t.fanout)
 	return t
-}
-
-func strPackLeaves(entries []Entry, fanout int) []*node {
-	numLeaves := (len(entries) + fanout - 1) / fanout
-	numSlices := int(math.Ceil(math.Sqrt(float64(numLeaves))))
-	sliceSize := numSlices * fanout
-	sort.Slice(entries, func(i, j int) bool {
-		return entries[i].Rect.Center().X < entries[j].Rect.Center().X
-	})
-	var leaves []*node
-	for s := 0; s < len(entries); s += sliceSize {
-		end := s + sliceSize
-		if end > len(entries) {
-			end = len(entries)
-		}
-		slice := entries[s:end]
-		sort.Slice(slice, func(i, j int) bool {
-			return slice[i].Rect.Center().Y < slice[j].Rect.Center().Y
-		})
-		for o := 0; o < len(slice); o += fanout {
-			oe := o + fanout
-			if oe > len(slice) {
-				oe = len(slice)
-			}
-			leaf := &node{leaf: true, entries: append([]Entry(nil), slice[o:oe]...)}
-			leaf.recomputeRect()
-			leaves = append(leaves, leaf)
-		}
-	}
-	return leaves
 }
 
 func strPackUp(level []*node, fanout int) *node {

@@ -3,6 +3,7 @@ package rtree
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -387,5 +388,87 @@ func TestEntriesSortedStability(t *testing.T) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	if len(ids) != 3 || ids[0] != 0 || ids[1] != 1 || ids[2] != 2 {
 		t.Fatalf("ids = %v", ids)
+	}
+}
+
+// treeShape serializes a tree depth first: every node's MBR, every leaf's
+// entry ids. Two trees with equal shapes answer every query through the same
+// nodes.
+func treeShape(n *node, out *[]float64) {
+	*out = append(*out, n.rect.MinX, n.rect.MinY, n.rect.MaxX, n.rect.MaxY, float64(len(n.children)), float64(len(n.entries)))
+	for _, e := range n.entries {
+		*out = append(*out, float64(e.ID))
+	}
+	for _, c := range n.children {
+		treeShape(c, out)
+	}
+}
+
+// LoadSorted over SortSTR's order — or over the ids of that order with the
+// entries rebuilt from them, which is what a reopened network directory
+// does — is BulkLoad's tree node for node, duplicates and tied coordinates
+// included.
+func TestLoadSortedMatchesBulkLoad(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for _, n := range []int{0, 1, 3, 4, 5, 99, 100, 101, 1000, 5230} {
+		for _, fanout := range []int{1, 4, 7, 100} {
+			entries := randomPoints(rng, n)
+			for i := range entries {
+				if i%5 == 1 { // ties: a twin of the previous point, and shared X
+					entries[i].Rect = entries[i-1].Rect
+				} else if i%7 == 3 {
+					entries[i].Rect = geom.RectFromPoint(geom.Point{X: 0.5, Y: entries[i].Rect.MinY})
+				}
+			}
+			byID := append([]Entry(nil), entries...)
+			want := BulkLoad(append([]Entry(nil), entries...), fanout)
+
+			SortSTR(entries, fanout)
+			rebuilt := make([]Entry, len(entries))
+			for i, e := range entries {
+				rebuilt[i] = byID[e.ID]
+			}
+			for name, got := range map[string]*Tree{"sorted": LoadSorted(entries, fanout), "rebuilt": LoadSorted(rebuilt, fanout)} {
+				if err := got.CheckInvariants(); err != nil {
+					t.Fatalf("n=%d fanout=%d %s: %v", n, fanout, name, err)
+				}
+				if got.Len() != want.Len() || got.Height() != want.Height() || got.Bounds() != want.Bounds() {
+					t.Fatalf("n=%d fanout=%d %s: len/height/bounds %d/%d/%v, want %d/%d/%v", n, fanout, name,
+						got.Len(), got.Height(), got.Bounds(), want.Len(), want.Height(), want.Bounds())
+				}
+				var a, b []float64
+				treeShape(got.root, &a)
+				treeShape(want.root, &b)
+				if !slices.Equal(a, b) {
+					t.Fatalf("n=%d fanout=%d %s: tree differs from BulkLoad's", n, fanout, name)
+				}
+			}
+		}
+	}
+}
+
+// A tree keeps the slice it was loaded from; growing one leaf must not
+// write into the next.
+func TestLoadSortedInsertKeepsNeighbours(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	entries := randomPoints(rng, 64)
+	tr := BulkLoad(entries, 8)
+	for i := 0; i < 200; i++ {
+		p := geom.Point{X: rng.Float64(), Y: rng.Float64()}
+		tr.Insert(Entry{Rect: geom.RectFromPoint(p), ID: int32(64 + i)})
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[int32]bool{}
+	tr.Search(geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, func(e Entry) bool {
+		if seen[e.ID] {
+			t.Fatalf("entry %d reported twice", e.ID)
+		}
+		seen[e.ID] = true
+		return true
+	})
+	if len(seen) != 264 {
+		t.Fatalf("%d distinct entries, want 264", len(seen))
 	}
 }

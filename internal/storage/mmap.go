@@ -3,7 +3,16 @@ package storage
 import (
 	"fmt"
 	"os"
+	"unsafe"
 )
+
+// HostLittleEndian reports whether the running process stores integers and
+// floats least significant byte first, as every file format of a network
+// directory does: only then may typed slices alias mapped file bytes.
+func HostLittleEndian() bool {
+	x := uint16(1)
+	return *(*byte)(unsafe.Pointer(&x)) == 1
+}
 
 // MmapFile is a read-only PageFile over a memory-mapped file. Pages are
 // served as slices into the mapping — the OS faults them in lazily and may
@@ -30,7 +39,7 @@ func OpenMmapFile(path string) (*MmapFile, error) {
 		return nil, fmt.Errorf("storage: %w", err)
 	}
 	if st.Size()%PageSize != 0 {
-		return nil, fmt.Errorf("storage: %s size %d is not page aligned (truncated or not a page file)", path, st.Size())
+		return nil, fmt.Errorf("storage: %w: %s size %d is not page aligned (truncated or not a page file)", ErrCorrupt, path, st.Size())
 	}
 	if st.Size() == 0 {
 		// A zero-length mapping is invalid; an empty page file needs none.

@@ -35,6 +35,13 @@ var ErrPageBounds = errors.New("storage: page id out of bounds")
 // CreateOSFile; reopen them read-only to serve queries.
 var ErrReadOnly = errors.New("storage: page file opened read-only")
 
+// ErrCorrupt marks a persisted file whose bytes contradict themselves or
+// each other: a bad magic or format version, a size the header does not
+// describe, a checksum that does not match, an index out of the range its
+// neighbours fix. Every decoder of a network directory wraps it, so callers
+// test errors.Is(err, ErrCorrupt) once instead of matching messages.
+var ErrCorrupt = errors.New("corrupt network directory")
+
 // checkReadBuf validates the destination of a ReadPage. Reads and writes
 // are symmetric: both move exactly one page, so a buffer of any other size
 // is a caller bug, not a truncation to perform silently.
@@ -147,7 +154,7 @@ func OpenOSFile(path string) (*OSFile, error) {
 	}
 	if st.Size()%PageSize != 0 {
 		f.Close()
-		return nil, fmt.Errorf("storage: %s size %d is not page aligned (truncated or not a page file)", path, st.Size())
+		return nil, fmt.Errorf("storage: %w: %s size %d is not page aligned (truncated or not a page file)", ErrCorrupt, path, st.Size())
 	}
 	return &OSFile{f: f, numPages: int(st.Size() / PageSize), readOnly: true}, nil
 }
