@@ -58,6 +58,10 @@ func main() {
 	)
 	flag.Var(&queryPts, "q", "query point as x,y (repeatable)")
 	flag.Parse()
+	if *numQ < 0 {
+		fmt.Fprintf(os.Stderr, "skylinequery: -numq must not be negative (got %d)\n", *numQ)
+		os.Exit(2)
+	}
 
 	net, err := loadNetwork(*netFile, *preset)
 	if err != nil {
@@ -132,18 +136,26 @@ func main() {
 		}
 	}
 	if *svgOut != "" && lastResult != nil {
-		f, err := os.Create(*svgOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "skylinequery: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := roadskyline.WriteQueryPlot(f, net, objects, locs, lastResult); err != nil {
+		if err := writePlot(*svgOut, net, objects, locs, lastResult); err != nil {
 			fmt.Fprintf(os.Stderr, "skylinequery: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Printf("wrote %s\n", *svgOut)
 	}
+}
+
+// writePlot writes the SVG visualization to path, reporting a failed
+// close as well as a failed write.
+func writePlot(path string, net *roadskyline.Network, objects []roadskyline.Object, locs []roadskyline.Location, res *roadskyline.Result) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := roadskyline.WriteQueryPlot(f, net, objects, locs, res); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func loadNetwork(path, preset string) (*roadskyline.Network, error) {

@@ -18,7 +18,8 @@ import (
 
 // TestQueryRejectsHostileInput: /query answers 400, before snapping or
 // touching the pool, to non-finite coordinates (which used to snap to
-// edge 0 and answer 200) and to more than maxQueryPoints points.
+// edge 0 and answer 200) and to more than maxQueryPoints points; once the
+// pool is closed it answers 503.
 func TestQueryRejectsHostileInput(t *testing.T) {
 	n, err := roadskyline.Generate(roadskyline.NetworkSpec{Name: "serve", Nodes: 300, Edges: 390,
 		Jitter: 0.3, MaxStretch: 0.2, Seed: 31})
@@ -58,6 +59,12 @@ func TestQueryRejectsHostileInput(t *testing.T) {
 	}
 	if m := pool.PoolMetrics(); m.Submitted != 2 {
 		t.Errorf("pool saw %d submissions, want only the 2 valid ones", m.Submitted)
+	}
+	// A pool that no longer admits queries answers 503, not 400: the
+	// client should retry elsewhere, not fix its request.
+	pool.Close()
+	if code := get("q=0.4,0.4"); code != http.StatusServiceUnavailable {
+		t.Errorf("closed pool: status %d, want 503", code)
 	}
 }
 

@@ -301,8 +301,11 @@ func Objects(g *graph.Graph, omega float64, numAttrs int, seed int64) []graph.Ob
 // QueryPoints picks count query locations inside a random sub-region
 // covering regionFrac of the network's bounding box area (the paper uses
 // 10%, keeping the search region inside the network). The region is grown
-// if it contains too few edges.
+// if it contains too few edges. A count of zero or less yields none.
 func QueryPoints(g *graph.Graph, count int, regionFrac float64, seed int64) []graph.Location {
+	if count <= 0 {
+		return nil
+	}
 	rng := rand.New(rand.NewSource(seed))
 	bounds := g.Bounds()
 	w := bounds.MaxX - bounds.MinX

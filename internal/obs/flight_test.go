@@ -226,8 +226,10 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 // anything else is a query-level error.
 func TestClassify(t *testing.T) {
 	errFull := errors.New("full")
+	errClosed := errors.New("closed")
 	known := []ErrOutcome{
 		{Err: errFull, Outcome: OutcomeSaturated},
+		{Err: errClosed, Outcome: OutcomeClosed},
 		{Err: context.Canceled, Outcome: OutcomeCancelled},
 		{Err: context.DeadlineExceeded, Outcome: OutcomeCancelled},
 	}
@@ -239,6 +241,7 @@ func TestClassify(t *testing.T) {
 		{nil, false, OutcomeServed},
 		{nil, true, OutcomeAbandoned},
 		{errFull, false, OutcomeSaturated},
+		{fmt.Errorf("submit: %w", errClosed), false, OutcomeClosed},
 		{fmt.Errorf("query 7: %w", context.DeadlineExceeded), false, OutcomeCancelled},
 		{context.Canceled, true, OutcomeCancelled},
 		{errors.New("no such edge"), false, OutcomeError},

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"math"
+	"math/bits"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -259,4 +261,79 @@ func (w *Window) Views() []LoadStats {
 		out[i] = w.View(sec)
 	}
 	return out
+}
+
+// The rolling window's per-second latency buckets use one fixed
+// log-linear layout, HDR-histogram style: each power-of-two octave
+// of the nanosecond range splits into latSubCount linear sub-buckets, so
+// the relative quantile error is bounded by 1/latSubCount (~3%) with a
+// few hundred fixed counters and no per-observation allocation. The range
+// runs from about 1 µs (anything faster lands in one underflow bucket) to
+// about 9 minutes (anything slower clamps into the top bucket) — wider
+// than any plausible query latency.
+const (
+	latMinExp   = 10 // 2^10 ns ≈ 1 µs: lower edge of the bucketed range
+	latMaxExp   = 39 // 2^39 ns ≈ 9.2 min: octaves above clamp to the top
+	latSubBits  = 5
+	latSubCount = 1 << latSubBits // sub-buckets per octave
+
+	// NumLatBuckets is the number of counters a log-linear latency
+	// histogram holds: one underflow bucket plus latSubCount per octave.
+	NumLatBuckets = 1 + (latMaxExp-latMinExp+1)*latSubCount
+)
+
+// latIndex maps a duration to its bucket. Index 0 is the underflow bucket
+// (faster than the bucketed range); the top bucket absorbs overflow.
+func latIndex(d time.Duration) int {
+	if d < 0 {
+		return 0
+	}
+	ns := uint64(d)
+	if ns < 1<<latMinExp {
+		return 0
+	}
+	e := bits.Len64(ns) - 1
+	if e > latMaxExp {
+		return NumLatBuckets - 1
+	}
+	sub := int(ns>>(uint(e)-latSubBits)) - latSubCount
+	return 1 + (e-latMinExp)*latSubCount + sub
+}
+
+// latUpper returns bucket i's upper edge, the value quantile estimation
+// reports: the true order statistic is never above it and at most one
+// sub-bucket width (1/latSubCount relative) below.
+func latUpper(i int) time.Duration {
+	if i <= 0 {
+		return 1 << latMinExp
+	}
+	i--
+	e := uint(latMinExp + i/latSubCount)
+	sub := uint64(i%latSubCount) + 1
+	return time.Duration(uint64(1)<<e + sub<<(e-latSubBits))
+}
+
+// latQuantile estimates the q-quantile (q in [0, 1]) from a bucket-count
+// array aligned with latIndex, holding total observations. It returns the
+// upper edge of the bucket containing the order statistic, zero when the
+// histogram is empty.
+func latQuantile(counts []uint64, total uint64, q float64) time.Duration {
+	if total == 0 {
+		return 0
+	}
+	target := uint64(math.Ceil(q * float64(total)))
+	if target < 1 {
+		target = 1
+	}
+	if target > total {
+		target = total
+	}
+	var cum uint64
+	for i, c := range counts {
+		cum += c
+		if cum >= target {
+			return latUpper(i)
+		}
+	}
+	return latUpper(len(counts) - 1)
 }

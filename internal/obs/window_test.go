@@ -80,71 +80,6 @@ func TestLatBucketLayout(t *testing.T) {
 	}
 }
 
-func TestLogHistQuantileOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(991))
-	var h LogHist
-	var all []time.Duration
-	// Log-uniform latencies across the realistic range, plus exact bucket
-	// boundaries so edge handling is exercised.
-	for i := 0; i < 5000; i++ {
-		exp := 11 + rng.Float64()*22 // 2^11 ns .. 2^33 ns ≈ 2 µs .. 8.6 s
-		d := time.Duration(float64(uint64(1)<<11) * pow2(exp-11))
-		all = append(all, d)
-	}
-	for i := 0; i < NumLatBuckets; i += 37 {
-		all = append(all, latUpper(i))
-	}
-	for _, d := range all {
-		h.Observe(d)
-	}
-	sorted := append([]time.Duration(nil), all...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	for _, q := range []float64{0.5, 0.9, 0.99, 0.999, 1.0} {
-		checkQuantile(t, "LogHist", h.Quantile(q), exactQuantile(sorted, q))
-	}
-	if h.Count() != uint64(len(all)) {
-		t.Fatalf("count %d != %d", h.Count(), len(all))
-	}
-	if h.Max() != sorted[len(sorted)-1] {
-		t.Fatalf("max %v != %v", h.Max(), sorted[len(sorted)-1])
-	}
-}
-
-func pow2(x float64) float64 {
-	// Cheap 2^x for test data; precision is irrelevant.
-	y := 1.0
-	for x >= 1 {
-		y *= 2
-		x--
-	}
-	return y * (1 + x) // good enough between octaves
-}
-
-func TestLogHistMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var a, b, both LogHist
-	for i := 0; i < 1000; i++ {
-		d := time.Duration(rng.Int63n(int64(time.Second)))
-		if i%2 == 0 {
-			a.Observe(d)
-		} else {
-			b.Observe(d)
-		}
-		both.Observe(d)
-	}
-	a.Merge(&b)
-	a.Merge(nil)
-	if a.Count() != both.Count() || a.Sum() != both.Sum() || a.Max() != both.Max() {
-		t.Fatalf("merge mismatch: count %d/%d sum %v/%v max %v/%v",
-			a.Count(), both.Count(), a.Sum(), both.Sum(), a.Max(), both.Max())
-	}
-	for _, q := range []float64{0.5, 0.99} {
-		if a.Quantile(q) != both.Quantile(q) {
-			t.Fatalf("merged q%.2f %v != %v", q, a.Quantile(q), both.Quantile(q))
-		}
-	}
-}
-
 // testWindow returns a window with a controllable clock.
 func testWindow(sec int64) (*Window, *int64) {
 	now := sec
@@ -219,28 +154,57 @@ func TestWindowOutcomeSplit(t *testing.T) {
 	}
 }
 
+// TestWindowQuantileOracle holds the window's quantiles to a sort-based
+// oracle over two input sets: uniform latencies up to 200 ms, and
+// log-uniform latencies from 2 µs to 8.6 s plus exact bucket edges, so the
+// boundary handling of the bucket layout is exercised too.
 func TestWindowQuantileOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	w, now := testWindow(2000)
-	var all []time.Duration
-	for s := int64(2000); s < 2008; s++ {
-		*now = s
-		for i := 0; i < 400; i++ {
-			d := time.Duration(rng.Int63n(int64(200 * time.Millisecond)))
-			all = append(all, d)
-			observe(w, OutcomeServed, d, 0, 0, 0, 0)
-		}
+	var uniform, logUniform []time.Duration
+	for i := 0; i < 3200; i++ {
+		uniform = append(uniform, time.Duration(rng.Int63n(int64(200*time.Millisecond))))
 	}
-	*now = 2008
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	v := w.View(10)
-	if v.LatencyCount != uint64(len(all)) {
-		t.Fatalf("latency count %d != %d", v.LatencyCount, len(all))
+	for i := 0; i < 5000; i++ {
+		exp := 11 + rng.Float64()*22 // 2^11 ns .. 2^33 ns
+		logUniform = append(logUniform, time.Duration(float64(uint64(1)<<11)*pow2(exp-11)))
 	}
-	checkQuantile(t, "p50", v.P50, exactQuantile(all, 0.5))
-	checkQuantile(t, "p90", v.P90, exactQuantile(all, 0.9))
-	checkQuantile(t, "p99", v.P99, exactQuantile(all, 0.99))
-	checkQuantile(t, "p999", v.P999, exactQuantile(all, 0.999))
+	for i := 0; i < NumLatBuckets; i += 37 {
+		logUniform = append(logUniform, latUpper(i))
+	}
+	for _, tc := range []struct {
+		name string
+		all  []time.Duration
+	}{{"uniform", uniform}, {"log-uniform+edges", logUniform}} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, now := testWindow(2000)
+			// Spread the observations over eight complete seconds.
+			for i, d := range tc.all {
+				*now = 2000 + int64(8*i/len(tc.all))
+				observe(w, OutcomeServed, d, 0, 0, 0, 0)
+			}
+			*now = 2008
+			all := append([]time.Duration(nil), tc.all...)
+			sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+			v := w.View(10)
+			if v.LatencyCount != uint64(len(all)) {
+				t.Fatalf("latency count %d != %d", v.LatencyCount, len(all))
+			}
+			checkQuantile(t, "p50", v.P50, exactQuantile(all, 0.5))
+			checkQuantile(t, "p90", v.P90, exactQuantile(all, 0.9))
+			checkQuantile(t, "p99", v.P99, exactQuantile(all, 0.99))
+			checkQuantile(t, "p999", v.P999, exactQuantile(all, 0.999))
+		})
+	}
+}
+
+func pow2(x float64) float64 {
+	// Cheap 2^x for test data; precision is irrelevant.
+	y := 1.0
+	for x >= 1 {
+		y *= 2
+		x--
+	}
+	return y * (1 + x) // good enough between octaves
 }
 
 func TestWindowIdleGapAndWraparound(t *testing.T) {

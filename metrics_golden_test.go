@@ -11,7 +11,7 @@ import (
 	"time"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata/")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files: those under testdata/ and BENCH_7.json")
 
 // goldenPoolMetrics is a fixed snapshot with every /metrics family
 // populated: both optional blocks (load views, runtime sample), two

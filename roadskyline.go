@@ -213,6 +213,7 @@ func (n *Network) GenerateObjects(omega float64, numAttrs int, seed int64) []Obj
 
 // GenerateQueryPoints picks count query locations inside a random
 // sub-region covering regionFrac of the network area (the paper uses 0.1).
+// A count of zero or less yields an empty slice.
 func (n *Network) GenerateQueryPoints(count int, regionFrac float64, seed int64) []Location {
 	locs := gen.QueryPoints(n.g, count, regionFrac, seed)
 	out := make([]Location, len(locs))

@@ -58,6 +58,17 @@ func TestNetworkBasics(t *testing.T) {
 	}
 }
 
+// TestGenerateQueryPointsNonPositive: a count of zero or less is an empty
+// query point set, not a panic (skylinequery -numq -1 used to crash here).
+func TestGenerateQueryPointsNonPositive(t *testing.T) {
+	n := demoNetwork(t)
+	for _, count := range []int{-1, 0} {
+		if pts := n.GenerateQueryPoints(count, 0.1, 1); pts == nil || len(pts) != 0 {
+			t.Errorf("GenerateQueryPoints(%d) = %#v, want an empty slice", count, pts)
+		}
+	}
+}
+
 func TestNearestLocation(t *testing.T) {
 	n := demoNetwork(t)
 	loc, err := n.NearestLocation(Point{0.5, 1.2})
