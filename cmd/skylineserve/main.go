@@ -30,9 +30,6 @@
 //	GET /debug/inflight
 //	    Live view of the queries running right now: phase, nodes
 //	    expanded, wavefront role, and the leader blocked on.
-//	GET /debug/wavefronts
-//	    Shared-wavefront lineage: who led each shared expansion, which
-//	    traces subscribed and how long each blocked.
 //	GET /debug/load[?history=N]
 //	    Live load view: rolling 1s/10s/60s windows of TPS, latency
 //	    quantiles, outcome and cache-hit rates, plus the latest Go
@@ -138,7 +135,6 @@ func main() {
 	mux.Handle("/debug/queries", pool.FlightHandler())
 	mux.Handle("/debug/trace", pool.TraceHandler())
 	mux.Handle("/debug/inflight", pool.InflightHandler())
-	mux.Handle("/debug/wavefronts", pool.LineageHandler())
 	mux.Handle("/debug/load", pool.LoadHandler())
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -504,9 +500,6 @@ func runSmoke(log *slog.Logger, addr, traceOut string) error {
 	}
 	if !strings.Contains(string(inflight), "\"queries\"") {
 		return fmt.Errorf("/debug/inflight malformed: %s", inflight)
-	}
-	if _, err := fetch(client, base+"/debug/wavefronts"); err != nil {
-		return err
 	}
 
 	load, err := fetch(client, base+"/debug/load")

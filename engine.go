@@ -110,20 +110,21 @@ type EngineConfig struct {
 	// 150 µs; pages live in memory, so the model restores the I/O share
 	// of response time the paper measures on real disks).
 	DiskLatency time.Duration
-	// DistCache sizes the cross-query cache of shortest-path wavefronts.
-	// The zero value disables it (the paper's recompute-everything
-	// behavior). The cache only serves warm-cache engines: without
-	// WarmCache every query simulates a cold run, and reusing a wavefront
-	// would skip the page faults those figures measure. Like the landmark
-	// table it is shared across Clone()s and by all workers of a Pool.
+	// DistCache sizes the cross-query cache of shortest-path wavefronts
+	// kept at rest. The zero value keeps none (the paper's
+	// recompute-everything behavior). The cache only serves warm-cache
+	// engines: without WarmCache every query simulates a cold run, and
+	// reusing a wavefront would skip the page faults those figures measure.
+	// Like the landmark table it is shared across Clone()s and by all
+	// workers of a Pool.
 	DistCache DistCacheConfig
-	// ShareWavefronts coalesces concurrent searchers rooted at the same
-	// source location onto a single wavefront expansion: one in-flight query
-	// leads, the others subscribe and resume from the leader's settled
-	// frontier (see docs/BATCHING.md). Like the distance cache it only
-	// serves warm-cache engines and is shared across Clone()s and by all
-	// workers of a Pool; the default (off) leaves every query expanding
-	// independently.
+	// ShareWavefronts makes the same store coalesce concurrent searchers
+	// rooted at the same source location onto a single wavefront
+	// expansion: one in-flight query leads, the others wait and resume from
+	// the leader's final snapshot (see docs/CACHING.md, "In-flight
+	// entries"). It works with or without DistCache entries at rest, only
+	// on warm-cache engines; the default (off) leaves every query
+	// expanding independently.
 	ShareWavefronts bool
 	// FlightRecorder sizes the query flight recorder: a bounded in-memory
 	// log of per-query cost records (see docs/OBSERVABILITY.md). The zero
@@ -326,18 +327,18 @@ func (e *Engine) Network() *Network { return e.net }
 // are zero on an engine without a cache.
 func (e *Engine) DistCacheStats() DistCacheStats { return e.env.DistCache.Stats() }
 
-// WavefrontStats reports the single-flight wavefront broker's counters:
-// expansions led, frontier shares, leader promotions after a cancelled
+// WavefrontStats reports the wavefront store's in-flight counters:
+// expansions led, snapshots shared, leader promotions after a cancelled
 // lead, and joins that bypassed sharing; Waiting is the instantaneous
-// number of subscribers blocked on a leader. See Engine.WavefrontStats.
+// number of searchers blocked on a leader. See Engine.WavefrontStats.
 type WavefrontStats = distcache.FlightStats
 
-// WavefrontStats snapshots the wavefront broker's global counters. The
-// broker is shared across clones (and across a Pool's workers), so the
+// WavefrontStats snapshots the wavefront store's in-flight counters. The
+// store is shared across clones (and across a Pool's workers), so the
 // counters aggregate every user of the underlying engine; per-query
 // outcomes are in Stats.WavefrontLeads/WavefrontShares. All fields are
 // zero on an engine without ShareWavefronts.
-func (e *Engine) WavefrontStats() WavefrontStats { return e.env.Flight.Stats() }
+func (e *Engine) WavefrontStats() WavefrontStats { return e.env.DistCache.FlightStats() }
 
 // FlightRecords returns the flight recorder's retained per-query records,
 // newest first: the union of the sampled stream, the slowest-N reservoir
@@ -368,18 +369,6 @@ type InflightQuery = obs.InflightQuery
 // underlying engine appears.
 func (e *Engine) InflightQueries() []InflightQuery { return e.inflight.Snapshot() }
 
-// WavefrontLineageEvent is one resolved shared-wavefront flight: who led
-// (the leader's trace ID), which subscribers shared the publish and how
-// long each blocked, or a promotion after a cancelled lead. Queries
-// without a causal trace appear with trace ID zero.
-type WavefrontLineageEvent = distcache.LineageEvent
-
-// WavefrontLineage returns the broker's recent shared-flight history,
-// newest first (bounded at distcache.LineageSize events; only flights
-// that actually had subscribers are logged). Empty on engines without
-// ShareWavefronts.
-func (e *Engine) WavefrontLineage() []WavefrontLineageEvent { return e.env.Flight.Lineage() }
-
 // finalize is the one place a finished submission becomes its record:
 // rejected or cancelled at pool admission (zero metrics), failed in the
 // engine, completed, or an iterator at its first terminal event. The
@@ -400,7 +389,6 @@ func finalize(in *obs.Inflight, q Query, m core.Metrics, began time.Time, err er
 		Source:          q.Source,
 		NoLandmarks:     q.NoLandmarks,
 		NoDistCache:     q.NoDistCache,
-		NoShare:         q.NoShare,
 		Outcome:         obs.Classify(err, abandoned, errOutcomes),
 		Total:           m.ResponseTime(),
 		Initial:         m.InitialResponseTime(),
@@ -469,14 +457,10 @@ type Query struct {
 	// uses Dijkstra wavefronts without a heuristic.
 	NoLandmarks bool
 	// NoDistCache makes this query neither consult nor feed the engine's
-	// cross-query distance cache (per-query ablation; the result is
-	// identical, only the work counters change). No effect on engines
-	// without a cache.
+	// cross-query wavefront store, at rest or in flight (per-query
+	// ablation; the result is identical, only the work counters change).
+	// No effect on engines without DistCache entries or ShareWavefronts.
 	NoDistCache bool
-	// NoShare makes this query neither lead nor subscribe to shared
-	// wavefronts (per-query ablation; the result is identical, only the
-	// work counters change). No effect on engines without ShareWavefronts.
-	NoShare bool
 	// Tracer receives phase-level span events, expansion progress ticks
 	// and skyline-point events as the query executes (see
 	// docs/OBSERVABILITY.md). Nil — the default — disables tracing with
@@ -591,7 +575,7 @@ type Stats struct {
 	// wavefront outcomes: searchers this query expanded as the leader of a
 	// shared flight, and searchers it resumed from another query's
 	// published frontier. Both stay zero unless the engine enables
-	// ShareWavefronts and the query runs warm-cache without NoShare.
+	// ShareWavefronts and the query runs warm-cache without NoDistCache.
 	WavefrontLeads  int
 	WavefrontShares int
 	// Total is the query's response time under the engine's simulated
@@ -681,15 +665,14 @@ func (e *Engine) begin(q *Query, began time.Time) (core.Query, core.Options, tim
 		pts[i] = graph.Location{Edge: graph.EdgeID(p.Edge), Offset: p.Offset}
 	}
 	opts := core.Options{
-		ColdCache:             !e.cfg.WarmCache,
-		LBCAlternate:          q.Alternate,
-		LBCSource:             q.Source,
-		DisableLandmarks:      q.NoLandmarks,
-		DisableDistCache:      q.NoDistCache,
-		DisableWavefrontShare: q.NoShare,
-		Tracer:                q.Tracer,
-		CollectPhases:         q.CollectPhases,
-		Trace:                 q.trace,
+		ColdCache:        !e.cfg.WarmCache,
+		LBCAlternate:     q.Alternate,
+		LBCSource:        q.Source,
+		DisableLandmarks: q.NoLandmarks,
+		DisableDistCache: q.NoDistCache,
+		Tracer:           q.Tracer,
+		CollectPhases:    q.CollectPhases,
+		Trace:            q.trace,
 	}
 	if e.flight != nil {
 		opts.CollectPhases = true

@@ -112,13 +112,13 @@ func AggregateNN(ctx context.Context, env *Env, points []graph.Location, k int, 
 	cacheHits := make([]bool, n)
 	// Scratches go back to the pool on every exit path; snapshots for the
 	// distance cache are deep copies taken before the deferred release runs.
-	// The deferred flight abort abdicates any leadership tickets an error
+	// The deferred ts.abort abdicates any leadership tickets an error
 	// path leaves unresolved (a no-op after putAStarStates publishes).
 	defer releaseSearchers(env, astars)
-	qf := newQueryFlights(env, opts, n)
-	defer qf.abort()
+	ts := newTickets(env, opts, n)
+	defer ts.abort()
 	for i, p := range points {
-		a, hit, err := newAStar(ctx, env, opts, p, qPts[i], &m, qf, i)
+		a, hit, err := newAStar(ctx, env, opts, p, qPts[i], &m, ts, i)
 		if err != nil {
 			return nil, err
 		}
@@ -193,7 +193,7 @@ func AggregateNN(ctx context.Context, env *Env, points []graph.Location, k int, 
 		nb, _ := best.Pop()
 		res.Neighbors[i] = nb
 	}
-	putAStarStates(env, opts, astars, cacheHits, qf)
+	putAStarStates(env, opts, astars, cacheHits, ts)
 	collectSearcherStats(&m, astars)
 	finishMetrics(env, &m, start)
 	res.Metrics = m

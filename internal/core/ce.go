@@ -35,13 +35,13 @@ func ce(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) {
 	cacheHits := make([]bool, n)
 	// Scratches go back to the pool on every exit path; snapshots for the
 	// distance cache are deep copies taken before the deferred release runs.
-	// The deferred flight abort abdicates any leadership tickets an error
+	// The deferred ts.abort abdicates any leadership tickets an error
 	// path leaves unresolved (a no-op after putStates publishes).
 	defer releaseSearchers(env, searchers)
-	qf := newQueryFlights(env, opts, n)
-	defer qf.abort()
+	ts := newTickets(env, opts, n)
+	defer ts.abort()
 	for i, p := range q.Points {
-		s, hit, err := newDijkstra(ctx, env, opts, p, &m, qf, i)
+		s, hit, err := newDijkstra(ctx, env, opts, p, &m, ts, i)
 		if err != nil {
 			return nil, err
 		}
@@ -346,7 +346,7 @@ func ce(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) {
 	}
 
 	dropDominatedDuplicates(res)
-	putStates(env, opts, distcache.KindDijkstra, 0, searchers, cacheHits, qf)
+	putStates(env, opts, distcache.KindDijkstra, 0, searchers, cacheHits, ts)
 	for _, s := range searchers {
 		m.NodesExpanded += s.NodesExpanded()
 	}

@@ -98,13 +98,13 @@ func edc(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) 
 	cacheHits := make([]bool, n)
 	// Scratches go back to the pool on every exit path; snapshots for the
 	// distance cache are deep copies taken before the deferred release runs.
-	// The deferred flight abort abdicates any leadership tickets an error
+	// The deferred ts.abort abdicates any leadership tickets an error
 	// path leaves unresolved (a no-op after putAStarStates publishes).
 	defer releaseSearchers(env, astars)
-	qf := newQueryFlights(env, opts, n)
-	defer qf.abort()
+	ts := newTickets(env, opts, n)
+	defer ts.abort()
 	for i, p := range q.Points {
-		a, hit, err := newAStar(ctx, env, opts, p, qPts[i], &m, qf, i)
+		a, hit, err := newAStar(ctx, env, opts, p, qPts[i], &m, ts, i)
 		if err != nil {
 			return nil, err
 		}
@@ -347,7 +347,7 @@ func edc(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) 
 	resolve(nil)
 
 	dropDominatedDuplicates(res)
-	putAStarStates(env, opts, astars, cacheHits, qf)
+	putAStarStates(env, opts, astars, cacheHits, ts)
 	collectSearcherStats(&m, astars)
 	finishMetrics(env, &m, start)
 	probe.finish(&m)

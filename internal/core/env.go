@@ -45,16 +45,12 @@ type Env struct {
 	// Landmarks is the ALT lower-bound table (nil when disabled). It is
 	// immutable after NewEnv and shared across clones.
 	Landmarks *landmark.Table
-	// DistCache is the cross-query cache of shortest-path wavefronts (nil
-	// when disabled). Like the landmark table it is shared across clones —
-	// the cache is internally synchronized and its entries immutable, so a
-	// pool's workers feed and consult one cache.
+	// DistCache is the cross-query store of shortest-path wavefronts, at
+	// rest and, with ShareWavefronts, in flight (nil when both are off).
+	// Like the landmark table it is shared across clones — the store is
+	// internally synchronized and its states immutable, so a pool's workers
+	// feed, consult and coalesce through one store.
 	DistCache *distcache.Cache
-	// Flight is the single-flight table coalescing concurrent searchers
-	// rooted at the same source onto one leader expansion (nil when
-	// disabled). Shared across clones like the DistCache, and keyed
-	// identically, so a pool's workers coalesce against one table.
-	Flight *distcache.Flight
 
 	// scratch pools sp.Scratch instances (the dense epoch-stamped search
 	// state) across queries. The pointer is shared by clones: scratches are
@@ -123,13 +119,14 @@ type EnvConfig struct {
 	// and reusing a wavefront would skip the page faults the paper's
 	// figures measure.
 	DistCache distcache.Config
-	// ShareWavefronts enables single-flight coalescing of concurrent
-	// searchers: queries in flight at the same moment with the same
-	// (kind, heuristic flavor, source) expand one wavefront and share its
-	// final snapshot. Like the distance cache it only serves warm-cache
-	// queries — under Options.ColdCache every searcher must pay its own
-	// page faults. Off by default so single-engine counters stay
-	// bit-identical to prior behavior.
+	// ShareWavefronts makes the wavefront store coalesce concurrent
+	// searchers: queries in flight at the same moment with the same (kind,
+	// heuristic flavor, source) expand one wavefront and share its final
+	// snapshot, whether or not DistCache keeps anything at rest. Like the
+	// at-rest half it only serves warm-cache queries — under
+	// Options.ColdCache every searcher must pay its own page faults. Off by
+	// default so single-engine counters stay bit-identical to prior
+	// behavior.
 	ShareWavefronts bool
 }
 
@@ -266,9 +263,9 @@ func validateObjects(g *graph.Graph, objects []graph.Object) (numAttrs int, err 
 func newEnvFrom(g *graph.Graph, objects []graph.Object, store *diskgraph.Store, layer *middlelayer.Layer,
 	objTree *rtree.Tree, landmarks *landmark.Table,
 	cfg EnvConfig, numAttrs int, backend storage.Backend, closers []func() error) *Env {
-	var flight *distcache.Flight
+	wavefronts := distcache.New(cfg.DistCache)
 	if cfg.ShareWavefronts {
-		flight = distcache.NewFlight(cfg.DistCache.Quantum)
+		wavefronts = distcache.NewShared(cfg.DistCache)
 	}
 	return &Env{
 		G:           g,
@@ -277,8 +274,7 @@ func newEnvFrom(g *graph.Graph, objects []graph.Object, store *diskgraph.Store, 
 		Layer:       layer,
 		ObjTree:     objTree,
 		Landmarks:   landmarks,
-		DistCache:   distcache.New(cfg.DistCache),
-		Flight:      flight,
+		DistCache:   wavefronts,
 		scratch:     &sync.Pool{New: func() any { return sp.NewScratch() }},
 		numAttrs:    numAttrs,
 		bufferBytes: cfg.BufferBytes,

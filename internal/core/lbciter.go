@@ -43,7 +43,7 @@ type LBCIterator struct {
 	probe     *phaseProbe
 	metrics   Metrics
 	cacheHits []bool
-	qf        *queryFlights
+	ts        tickets
 	// mapping expands skyline points from deduplicated query-point space
 	// back to the caller's original point list; nil when the points were
 	// already distinct.
@@ -96,11 +96,11 @@ func NewLBCIterator(ctx context.Context, env *Env, q Query, opts Options) (*LBCI
 	}
 	it.astars = make([]*sp.AStar, it.n)
 	it.cacheHits = make([]bool, it.n)
-	it.qf = newQueryFlights(env, opts, it.n)
+	it.ts = newTickets(env, opts, it.n)
 	for i, p := range q.Points {
-		a, hit, err := newAStar(ctx, env, opts, p, it.qPts[i], &it.metrics, it.qf, i)
+		a, hit, err := newAStar(ctx, env, opts, p, it.qPts[i], &it.metrics, it.ts, i)
 		if err != nil {
-			it.qf.abort()
+			it.ts.abort()
 			releaseSearchers(env, it.astars)
 			return nil, err
 		}
@@ -257,12 +257,12 @@ func (it *LBCIterator) finalize() {
 	// Only a cleanly finished iteration feeds the cache: the wavefronts of
 	// a cancelled or failed query are released without being stored.
 	if it.lastErr == nil {
-		putAStarStates(it.env, it.opts, it.astars, it.cacheHits, it.qf)
+		putAStarStates(it.env, it.opts, it.astars, it.cacheHits, it.ts)
 	}
 	// A failed or cancelled iteration never published: abort abdicates any
 	// leadership tickets so waiting subscribers are promoted (a no-op after
 	// putAStarStates publishes).
-	it.qf.abort()
+	it.ts.abort()
 	finishMetrics(it.env, &it.metrics, it.start)
 	it.probe.finish(&it.metrics)
 	// The cache snapshots above are deep copies, so the scratches can go

@@ -79,15 +79,16 @@ type Metrics struct {
 	// InitialPages is the number of network pages faulted before the first
 	// skyline point was determined.
 	InitialPages int64
-	// DistCacheHits and DistCacheMisses count this query's lookups in the
-	// cross-query distance cache — one lookup per searcher the query
-	// builds. Both are zero when the cache is disabled, ablated via
-	// Options.DisableDistCache, or inactive because the query runs
+	// DistCacheHits and DistCacheMisses count this query's at-rest lookups
+	// in the cross-query wavefront store — one per searcher the query
+	// builds, except searchers that shared a concurrent leader's snapshot.
+	// Both are zero when the store keeps nothing at rest, when it is
+	// ablated via Options.DisableDistCache, or when the query runs
 	// ColdCache (paper mode).
 	DistCacheHits   int
 	DistCacheMisses int
 	// WavefrontLeads and WavefrontShares count this query's searchers by
-	// their single-flight outcome: a lead expanded a wavefront that
+	// their in-flight outcome: a lead expanded a wavefront that
 	// concurrent queries could subscribe to, a share resumed a concurrent
 	// leader's published snapshot instead of expanding its own. Searchers
 	// that ran independently (sharing disabled, no concurrent twin, or the
@@ -184,15 +185,10 @@ type Options struct {
 	// ablation. No effect when the environment was built without a table.
 	DisableLandmarks bool
 	// DisableDistCache makes this query neither consult nor feed the
-	// environment's cross-query distance cache; used by the cache
-	// ablation. ColdCache queries bypass the cache regardless (see
-	// EnvConfig.DistCache).
+	// environment's cross-query wavefront store, in flight or at rest; used
+	// by the cache ablation. ColdCache queries bypass the store regardless
+	// (see EnvConfig.DistCache).
 	DisableDistCache bool
-	// DisableWavefrontShare makes this query expand every wavefront
-	// itself: it neither subscribes to concurrent leaders nor leads for
-	// concurrent subscribers; used by the single-flight ablation.
-	// ColdCache queries bypass sharing regardless.
-	DisableWavefrontShare bool
 	// Tracer receives phase-level span events, expansion progress ticks
 	// and skyline-point events as the query runs. Nil disables tracing
 	// entirely (the zero-overhead default); results and the existing
@@ -209,10 +205,10 @@ type Options struct {
 	Trace *obs.Trace
 }
 
-// distCacheFor returns the cross-query distance cache this query may use,
-// or nil. ColdCache queries bypass the cache: they must start from empty
-// buffer pools, and resuming a cached wavefront would skip the page faults
-// the paper-mode figures measure.
+// distCacheFor returns the cross-query wavefront store this query may
+// consult and feed, or nil. ColdCache queries bypass it: they must start
+// from empty buffer pools, and resuming a stored or a concurrent query's
+// wavefront would skip the page faults the paper-mode figures measure.
 func distCacheFor(env *Env, opts Options) *distcache.Cache {
 	if opts.ColdCache || opts.DisableDistCache {
 		return nil
@@ -244,45 +240,26 @@ func astarFlavor(env *Env, opts Options) uint8 {
 	}
 }
 
-// flightFor returns the single-flight wavefront table this query may
-// coalesce through, or nil. ColdCache queries bypass sharing for the same
-// reason they bypass the distance cache: every searcher must pay its own
-// page faults for the paper-mode figures.
-func flightFor(env *Env, opts Options) *distcache.Flight {
-	if opts.ColdCache || opts.DisableWavefrontShare {
+// tickets holds one query's leadership tickets in the wavefront store, one
+// slot per query point; it is nil when the store does not share. The owner
+// defers abort: after putStates every ticket is resolved and it is a
+// no-op, on an error or cancellation path it abdicates every held lead so
+// a waiting searcher is promoted instead of stalling.
+type tickets []*distcache.Ticket
+
+func newTickets(env *Env, opts Options, n int) tickets {
+	if !distCacheFor(env, opts).Shares() {
 		return nil
 	}
-	return env.Flight
+	return make(tickets, n)
 }
 
-// queryFlights tracks one query's leadership tickets in the single-flight
-// wavefront table, one slot per query point. A nil *queryFlights (sharing
-// disabled) is inert. The owner must call abort on every exit path: after
-// a successful putStates it is a no-op (the tickets are finished), on an
-// error or cancellation path it abdicates every held lead so a waiting
-// subscriber is promoted instead of stalling.
-type queryFlights struct {
-	fl      *distcache.Flight
-	tickets []*distcache.Ticket
-}
-
-func newQueryFlights(env *Env, opts Options, n int) *queryFlights {
-	fl := flightFor(env, opts)
-	if fl == nil {
-		return nil
-	}
-	return &queryFlights{fl: fl, tickets: make([]*distcache.Ticket, n)}
-}
-
-// leading reports whether the query already holds any leadership ticket.
-// A leading query must never block on a foreign flight: wait-for edges
-// then only run from queries owning no keys to leaders that never block,
-// which is what makes the broker deadlock-free.
-func (qf *queryFlights) leading() bool {
-	if qf == nil {
-		return false
-	}
-	for _, t := range qf.tickets {
+// leading reports whether the query already holds any ticket. A leading
+// query must never wait on a foreign leader: wait-for edges then only run
+// from queries owning no keys to leaders that never block, which is what
+// keeps sharing deadlock-free.
+func (ts tickets) leading() bool {
+	for _, t := range ts {
 		if t != nil {
 			return true
 		}
@@ -290,76 +267,21 @@ func (qf *queryFlights) leading() bool {
 	return false
 }
 
-// ticket returns the slot's ticket; nil when sharing is off or the
-// searcher ran independently.
-func (qf *queryFlights) ticket(i int) *distcache.Ticket {
-	if qf == nil {
+// at returns slot i's ticket; nil when the store does not share or the
+// searcher leads nothing.
+func (ts tickets) at(i int) *distcache.Ticket {
+	if ts == nil {
 		return nil
 	}
-	return qf.tickets[i]
+	return ts[i]
 }
 
-// abort abdicates every unfinished leadership ticket (idempotent, safe
-// after a publishing putStates).
-func (qf *queryFlights) abort() {
-	if qf == nil {
-		return
+// abort abdicates every unresolved ticket (idempotent, safe after
+// putStates).
+func (ts tickets) abort() {
+	for _, t := range ts {
+		t.Abort()
 	}
-	for _, t := range qf.tickets {
-		t.Finish(nil)
-	}
-}
-
-// joinFlight registers searcher idx of a query with the single-flight
-// table. It returns a resumable snapshot when a concurrent leader's
-// publish was shared (counted in m.WavefrontShares), after recording a
-// leadership ticket in qf when this searcher leads (first arrival, or
-// promoted after the leader aborted; counted in m.WavefrontLeads). Both
-// st == nil and no ticket means the searcher runs independently. The only
-// error is ctx expiring while subscribed.
-//
-// With a trace attached, a blocked subscription becomes a flight.wait
-// span naming the leader's trace ID, and the trace's live role follows
-// the outcome (wait -> lead/share).
-func joinFlight(ctx context.Context, qf *queryFlights, kind distcache.Kind, flavor uint8, p graph.Location, idx int, m *Metrics, tr *obs.Trace) (*distcache.State, error) {
-	if qf == nil {
-		return nil, nil
-	}
-	tk, w := qf.fl.Join(kind, flavor, p, !qf.leading(), tr.IDNum())
-	if w != nil {
-		var t0 time.Time
-		if tr != nil {
-			t0 = time.Now()
-			tr.SetWaiting(w.Key(), obs.TraceID(w.LeaderTrace()))
-		}
-		st, promoted, err := w.Wait(ctx)
-		if tr != nil {
-			tr.AddSpan(obs.Span{
-				Name:  obs.SpanFlightWait,
-				Start: t0,
-				Dur:   time.Since(t0),
-				Ref:   obs.TraceID(w.LeaderTrace()).String(),
-				Key:   w.Key(),
-			})
-		}
-		if err != nil {
-			return nil, err
-		}
-		if st != nil {
-			// An in-flight share, not a distance-cache lookup: the
-			// at-rest hit/miss counters are untouched.
-			m.WavefrontShares++
-			tr.SetRole(obs.RoleShare)
-			return st, nil
-		}
-		tk = promoted
-	}
-	if tk != nil {
-		m.WavefrontLeads++
-		qf.tickets[idx] = tk
-		tr.SetRole(obs.RoleLead)
-	}
-	return nil, nil
 }
 
 // searcher is what a query's wavefront searchers (*sp.AStar, *sp.Dijkstra)
@@ -371,33 +293,60 @@ type searcher interface {
 	Scratch() *sp.Scratch
 }
 
-// resumeOrSeed builds searcher idx of a query, rooted at p. The
-// single-flight table is consulted before the at-rest cache — a concurrent
-// leader's snapshot is fresher than any cached entry — then the distance
-// cache; from either the searcher resumes (and resumed reports that it did)
-// instead of seeding afresh. The searcher's leadership ticket, if any,
-// lands in qf for putStates/abort to resolve.
-func resumeOrSeed[S searcher](ctx context.Context, env *Env, opts Options, kind distcache.Kind, flavor uint8, p graph.Location, m *Metrics, qf *queryFlights, idx int,
+// resumeOrSeed builds searcher idx of a query, rooted at p. Its one
+// Acquire on the wavefront store either waits on a concurrent leader and
+// resumes its snapshot (a share), or reads the at-rest half — leading the
+// key's in-flight entry unless that is a bypass, the ticket landing in ts
+// for putStates/abort to resolve — and resumes a resident hit; otherwise
+// the searcher seeds afresh. resumed reports whether it resumed.
+//
+// With a trace attached, a wait becomes a flight.wait span naming the
+// leader's trace ID, and the trace's live role follows the outcome
+// (wait -> lead/share).
+func resumeOrSeed[S searcher](ctx context.Context, env *Env, opts Options, kind distcache.Kind, flavor uint8, p graph.Location, m *Metrics, ts tickets, idx int,
 	resume func(*distcache.State, *sp.Scratch) S, seed func(*sp.Scratch) (S, error)) (s S, resumed bool, err error) {
-	st, err := joinFlight(ctx, qf, kind, flavor, p, idx, m, opts.Trace)
-	if err != nil {
-		return s, false, err
-	}
-	if st == nil {
-		if c := distCacheFor(env, opts); c != nil {
-			var ok bool
-			if st, ok = c.Get(kind, flavor, p); ok {
-				m.DistCacheHits++
-			} else {
-				m.DistCacheMisses++
-			}
+	tr := opts.Trace
+	j := distCacheFor(env, opts).Acquire(kind, flavor, p, !ts.leading(), tr.IDNum())
+	if w := j.Waiter; w != nil {
+		var t0 time.Time
+		if tr != nil {
+			t0 = time.Now()
+			tr.SetWaiting(w.Key(), obs.TraceID(w.LeaderTrace()))
+		}
+		j, err = w.Wait(ctx)
+		if tr != nil {
+			tr.AddSpan(obs.Span{
+				Name:  obs.SpanFlightWait,
+				Start: t0,
+				Dur:   time.Since(t0),
+				Ref:   obs.TraceID(w.LeaderTrace()).String(),
+				Key:   w.Key(),
+			})
+		}
+		if err != nil {
+			return s, false, err
+		}
+		if j.Ticket == nil {
+			m.WavefrontShares++
+			tr.SetRole(obs.RoleShare)
 		}
 	}
+	if j.Ticket != nil {
+		m.WavefrontLeads++
+		ts[idx] = j.Ticket
+		tr.SetRole(obs.RoleLead)
+	}
+	switch j.Found {
+	case distcache.Hit:
+		m.DistCacheHits++
+	case distcache.Miss:
+		m.DistCacheMisses++
+	}
 	sc := env.AcquireScratch()
-	if st != nil {
-		t0 := opts.Trace.Stopwatch()
-		s = resume(st, sc)
-		opts.Trace.SpanSince(obs.SpanRestore, t0)
+	if j.State != nil {
+		t0 := tr.Stopwatch()
+		s = resume(j.State, sc)
+		tr.SpanSince(obs.SpanRestore, t0)
 		return s, true, nil
 	}
 	if s, err = seed(sc); err != nil {
@@ -411,8 +360,8 @@ func resumeOrSeed[S searcher](ctx context.Context, env *Env, opts Options, kind 
 // newAStar builds one A* searcher for a query point with opts applied: the
 // heuristic is zeroed for the directional-expansion ablation, and the
 // environment's landmark table is attached otherwise (unless ablated).
-func newAStar(ctx context.Context, env *Env, opts Options, p graph.Location, pt geom.Point, m *Metrics, qf *queryFlights, idx int) (*sp.AStar, bool, error) {
-	a, hit, err := resumeOrSeed(ctx, env, opts, distcache.KindAStar, astarFlavor(env, opts), p, m, qf, idx,
+func newAStar(ctx context.Context, env *Env, opts Options, p graph.Location, pt geom.Point, m *Metrics, ts tickets, idx int) (*sp.AStar, bool, error) {
+	a, hit, err := resumeOrSeed(ctx, env, opts, distcache.KindAStar, astarFlavor(env, opts), p, m, ts, idx,
 		func(st *distcache.State, sc *sp.Scratch) *sp.AStar { return sp.NewAStarFromWith(ctx, env, st, pt, sc) },
 		func(sc *sp.Scratch) (*sp.AStar, error) { return sp.NewAStarWith(ctx, env, p, pt, sc) })
 	if err != nil {
@@ -428,8 +377,8 @@ func newAStar(ctx context.Context, env *Env, opts Options, p graph.Location, pt 
 }
 
 // newDijkstra builds one Dijkstra wavefront for a query point.
-func newDijkstra(ctx context.Context, env *Env, opts Options, p graph.Location, m *Metrics, qf *queryFlights, idx int) (*sp.Dijkstra, bool, error) {
-	return resumeOrSeed(ctx, env, opts, distcache.KindDijkstra, 0, p, m, qf, idx,
+func newDijkstra(ctx context.Context, env *Env, opts Options, p graph.Location, m *Metrics, ts tickets, idx int) (*sp.Dijkstra, bool, error) {
+	return resumeOrSeed(ctx, env, opts, distcache.KindDijkstra, 0, p, m, ts, idx,
 		func(st *distcache.State, sc *sp.Scratch) *sp.Dijkstra {
 			return sp.NewDijkstraFromWith(ctx, env, st, sc)
 		},
@@ -448,40 +397,40 @@ func releaseSearchers[S searcher](env *Env, searchers []S) {
 }
 
 // putStates resolves each searcher's final wavefront on successful query
-// completion: the snapshot feeds the distance cache (a searcher that
-// resumed a cached wavefront and settled nothing new is skipped — its
-// snapshot would equal the entry it came from) and is published to any
-// subscribers waiting on the searcher's leadership ticket. The snapshot
-// is only taken when someone wants it; a held ticket nobody subscribed to
+// completion: the snapshot is stored at rest (unless the searcher resumed
+// a state and settled nothing new — its snapshot would equal the one it
+// came from) and published to any searchers waiting on its ticket. The
+// snapshot is only taken when someone wants it; a ticket nobody waits on
 // is abdicated for free.
-func putStates[S searcher](env *Env, opts Options, kind distcache.Kind, flavor uint8, searchers []S, hits []bool, qf *queryFlights) {
+func putStates[S searcher](env *Env, opts Options, kind distcache.Kind, flavor uint8, searchers []S, hits []bool, ts tickets) {
 	c := distCacheFor(env, opts)
-	if c == nil && qf == nil {
+	if c == nil {
 		return
 	}
 	var none S
 	for i, s := range searchers {
-		tk := qf.ticket(i)
+		tk := ts.at(i)
 		if s == none {
-			tk.Finish(nil)
+			tk.Abort()
 			continue
 		}
-		wantCache := c != nil && !(hits[i] && s.NodesExpanded() == 0)
-		if !wantCache && tk.Abdicate() {
+		keep := c.Keeps() && !(hits[i] && s.NodesExpanded() == 0)
+		if !keep && tk.Abdicate() {
 			continue
 		}
 		st := s.Snapshot()
-		if wantCache {
+		if tk == nil {
 			c.Put(kind, flavor, st)
+		} else {
+			tk.Publish(st, keep)
 		}
-		tk.Finish(st)
 	}
 }
 
 // putAStarStates is putStates for A* searchers, under the flavor of the
 // query's heuristic configuration.
-func putAStarStates(env *Env, opts Options, astars []*sp.AStar, hits []bool, qf *queryFlights) {
-	putStates(env, opts, distcache.KindAStar, astarFlavor(env, opts), astars, hits, qf)
+func putAStarStates(env *Env, opts Options, astars []*sp.AStar, hits []bool, ts tickets) {
+	putStates(env, opts, distcache.KindAStar, astarFlavor(env, opts), astars, hits, ts)
 }
 
 // dedupeQuery collapses duplicate (edge, offset) query points so the

@@ -107,7 +107,6 @@ type FlightRecord struct {
 	Source      int    `json:"source,omitempty"`
 	NoLandmarks bool   `json:"no_landmarks,omitempty"`
 	NoDistCache bool   `json:"no_distcache,omitempty"`
-	NoShare     bool   `json:"no_share,omitempty"`
 	// Outcome is one of the Outcome* constants; Err carries the error
 	// text for error/cancelled outcomes.
 	Outcome string `json:"outcome"`

@@ -130,8 +130,8 @@ func (t *Trace) ID() TraceID {
 	return t.id
 }
 
-// IDNum is ID as a raw uint64, the form the distcache flight broker
-// carries (it does not import obs).
+// IDNum is ID as a raw uint64, the form distcache's in-flight entries
+// carry (it does not import obs).
 func (t *Trace) IDNum() uint64 { return uint64(t.ID()) }
 
 // Start returns the trace's creation (admission) time.

@@ -172,10 +172,6 @@ func (p *Pool) TraceRecord(traceID string) (FlightRecord, bool) { return p.fligh
 // Engine.InflightQueries).
 func (p *Pool) InflightQueries() []InflightQuery { return p.inflight.Snapshot() }
 
-// WavefrontLineage returns the recent shared-wavefront flight history of
-// the engine behind the pool (see Engine.WavefrontLineage).
-func (p *Pool) WavefrontLineage() []WavefrontLineageEvent { return p.all[0].eng.WavefrontLineage() }
-
 // admit opens a submission and waits for its worker: it is counted and
 // stamped, and when Query.Trace is set (and no trace is attached yet) its
 // causal trace opens here with the queued role, so the in-flight view
@@ -357,8 +353,8 @@ func (p *Pool) SkylineBatch(ctx context.Context, queries []Query) (results []*Re
 // locations.
 func batchSig(q Query) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d|%t|%t|%d|%t|%t|%t",
-		q.Algorithm, q.UseAttrs, q.Alternate, q.Source, q.NoLandmarks, q.NoDistCache, q.NoShare)
+	fmt.Fprintf(&b, "%d|%t|%t|%d|%t|%t",
+		q.Algorithm, q.UseAttrs, q.Alternate, q.Source, q.NoLandmarks, q.NoDistCache)
 	for _, p := range q.Points {
 		fmt.Fprintf(&b, "|%d:%x", p.Edge, math.Float64bits(p.Offset))
 	}

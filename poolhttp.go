@@ -432,54 +432,6 @@ func (p *Pool) InflightHandler() http.Handler {
 	})
 }
 
-// lineageEventJSON is one wavefront lineage event with its raw trace
-// numbers rendered in the canonical trace-ID form (untraced queries
-// render as ""), the form /debug/trace accepts.
-type lineageEventJSON struct {
-	When        time.Time        `json:"when"`
-	Kind        string           `json:"kind"`
-	Key         string           `json:"key"`
-	Leader      string           `json:"leader"`
-	Subscribers []lineageSubJSON `json:"subscribers,omitempty"`
-}
-
-type lineageSubJSON struct {
-	Trace  string        `json:"trace"`
-	Waited time.Duration `json:"waited_ns"`
-}
-
-// LineageHandler returns an http.Handler serving the shared-wavefront
-// lineage: the broker's recent resolved flights, newest first — who led
-// each shared expansion, which traces subscribed and how long each
-// blocked, plus leader promotions after a cancelled lead. Mount it under
-// /debug/wavefronts:
-//
-//	http.Handle("/debug/wavefronts", pool.LineageHandler())
-func (p *Pool) LineageHandler() http.Handler {
-	return http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) {
-		events := p.WavefrontLineage()
-		out := make([]lineageEventJSON, len(events))
-		for i, ev := range events {
-			e := lineageEventJSON{
-				When:   ev.When,
-				Kind:   ev.Kind,
-				Key:    ev.Key,
-				Leader: obs.TraceID(ev.Leader).String(),
-			}
-			for _, s := range ev.Subscribers {
-				e.Subscribers = append(e.Subscribers, lineageSubJSON{
-					Trace:  obs.TraceID(s.Trace).String(),
-					Waited: s.Waited,
-				})
-			}
-			out[i] = e
-		}
-		writeJSON(rw, struct {
-			Events []lineageEventJSON `json:"events"`
-		}{out})
-	})
-}
-
 // loadResponse is the JSON body of the /debug/load endpoint.
 type loadResponse struct {
 	// Enabled reports whether the pool was built with the rolling window.

@@ -102,10 +102,9 @@ type PoolMetrics struct {
 	// are pool-wide totals, not per-worker; all zeros when the source
 	// engine was built without a cache.
 	DistCache DistCacheStats
-	// Wavefront is the single-flight wavefront broker's global counters.
-	// Like the distance cache the broker is shared by every worker, so
-	// these are pool-wide totals; all zeros when the source engine was
-	// built without ShareWavefronts.
+	// Wavefront is the wavefront store's in-flight counters. The store is
+	// shared by every worker, so these are pool-wide totals; all zeros
+	// when the source engine was built without ShareWavefronts.
 	Wavefront WavefrontStats
 	// FlightSeen counts the queries the flight recorder observed over its
 	// lifetime; FlightOutcomes splits them by outcome ("served", "error",
@@ -149,7 +148,7 @@ func (p *Pool) PoolMetrics() PoolMetrics {
 		Closed:         closed,
 		QueueWait:      p.met.queueWait.Snapshot(),
 		WorkerStats:    make([]WorkerStats, len(p.all)),
-		// Any worker sees the shared cache and broker; the first is as
+		// Any worker sees the shared store; the first is as
 		// good as all.
 		DistCache:      p.all[0].eng.DistCacheStats(),
 		Wavefront:      p.all[0].eng.WavefrontStats(),

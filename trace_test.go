@@ -128,14 +128,13 @@ func TestUntracedQueriesStayInvisible(t *testing.T) {
 	}
 }
 
-// TestWavefrontTraceLineage is the tentpole acceptance: K identical CE
-// queries hit one point concurrently on a sharing engine, the leader held
-// at its gate until every subscriber is parked. Afterward each
-// subscriber's trace must carry a flight.wait span naming the *leader's*
-// trace ID, the wait must cover the gate hold, the broker lineage must
-// list the same leader with K-1 subscribers, and the live in-flight view
-// observed during the stall must show the lead/wait roles.
-func TestWavefrontTraceLineage(t *testing.T) {
+// TestWavefrontTraceWaitsOnLeader: K identical CE queries hit one point
+// concurrently on a sharing engine, the leader held at its gate until
+// every waiter is parked. Afterward each waiter's trace must carry a
+// flight.wait span naming the *leader's* trace ID, the wait must cover the
+// gate hold, the store must count one lead and K-1 shares, and the live
+// in-flight view observed during the stall must show the lead/wait roles.
+func TestWavefrontTraceWaitsOnLeader(t *testing.T) {
 	tr := newFuzzTrial(t, 9901)
 	eng := tr.tracedEngine(t)
 	pts := tr.pts[:1]
@@ -244,36 +243,10 @@ func TestWavefrontTraceLineage(t *testing.T) {
 		t.Errorf("leader %s has a flight.wait span", leaderID)
 	}
 
-	// The broker lineage names the same flight: one publish, the leader's
-	// ID, K-1 subscribers, each having waited at least the gate hold.
-	lineage := eng.WavefrontLineage()
-	if len(lineage) != 1 {
-		t.Fatalf("lineage has %d events, want 1: %+v", len(lineage), lineage)
-	}
-	ev := lineage[0]
-	if ev.Kind != "publish" {
-		t.Errorf("lineage kind %q, want publish", ev.Kind)
-	}
-	if got := obs.TraceID(ev.Leader).String(); got != leaderID {
-		t.Errorf("lineage leader %q, want %q", got, leaderID)
-	}
-	if ev.Key == "" {
-		t.Errorf("lineage event has no key")
-	}
-	if len(ev.Subscribers) != K-1 {
-		t.Fatalf("lineage lists %d subscribers, want %d", len(ev.Subscribers), K-1)
-	}
-	subs := map[string]bool{}
-	for _, s := range ev.Subscribers {
-		subs[obs.TraceID(s.Trace).String()] = true
-		if s.Waited < hold {
-			t.Errorf("lineage subscriber %s waited %v, want >= %v", obs.TraceID(s.Trace), s.Waited, hold)
-		}
-	}
-	for i := 1; i < K; i++ {
-		if !subs[results[i].TraceID] {
-			t.Errorf("subscriber trace %s missing from lineage %v", results[i].TraceID, subs)
-		}
+	// The store counted the same flight: one lead, K-1 shares, nobody
+	// left waiting.
+	if ws := eng.WavefrontStats(); ws.Leads != 1 || ws.Shares != K-1 || ws.Waiting != 0 {
+		t.Errorf("wavefront stats %+v, want 1 lead and %d shares", ws, K-1)
 	}
 }
 
@@ -340,9 +313,8 @@ func TestTraceEventExport(t *testing.T) {
 
 // TestConcurrentScrapesRace drives pool traffic while hammering every
 // observability endpoint — /metrics, /debug/queries, /debug/trace,
-// /debug/inflight, /debug/wavefronts — from concurrent scrapers. Run
-// under -race it pins that live progress cells, the recorder and the
-// lineage ring are safe to read mid-query.
+// /debug/inflight — from concurrent scrapers. Run under -race it pins
+// that live progress cells and the recorder are safe to read mid-query.
 func TestConcurrentScrapesRace(t *testing.T) {
 	tr := newFuzzTrial(t, 4245)
 	eng := tr.tracedEngine(t)
@@ -353,11 +325,10 @@ func TestConcurrentScrapesRace(t *testing.T) {
 	defer pool.Close()
 
 	handlers := map[string]http.Handler{
-		"/metrics":          pool.MetricsHandler(),
-		"/debug/queries":    pool.FlightHandler(),
-		"/debug/trace":      pool.TraceHandler(),
-		"/debug/inflight":   pool.InflightHandler(),
-		"/debug/wavefronts": pool.LineageHandler(),
+		"/metrics":        pool.MetricsHandler(),
+		"/debug/queries":  pool.FlightHandler(),
+		"/debug/trace":    pool.TraceHandler(),
+		"/debug/inflight": pool.InflightHandler(),
 	}
 
 	stop := make(chan struct{})

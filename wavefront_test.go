@@ -12,10 +12,10 @@ import (
 )
 
 // sharedEngine builds a second engine over the trial's network and objects
-// with single-flight wavefront sharing enabled. WarmCache is required: like
-// the distance cache, sharing is bypassed in cold-cache (paper) mode.
-// distEntries > 0 additionally enables the distance cache, exercising the
-// broker's composition with the at-rest cache.
+// with in-flight wavefront sharing enabled. WarmCache is required: like
+// the at-rest cache, sharing is bypassed in cold-cache (paper) mode.
+// distEntries > 0 additionally keeps wavefronts at rest, exercising both
+// halves of a store entry together.
 func (tr *fuzzTrial) sharedEngine(t *testing.T, distEntries int) *Engine {
 	t.Helper()
 	eng, err := NewEngine(tr.n, tr.objs, EngineConfig{
@@ -56,7 +56,7 @@ func (g *gateTracer) Progress(int)                              {}
 func (g *gateTracer) Point(int, time.Duration)                  {}
 func (g *gateTracer) QueryEnd(time.Duration)                    {}
 
-// waitForWaiting polls the broker until exactly want subscribers are
+// waitForWaiting polls the store until exactly want subscribers are
 // blocked on a leader, failing the test on timeout.
 func waitForWaiting(t *testing.T, eng *Engine, want int) {
 	t.Helper()
@@ -150,7 +150,18 @@ func TestWavefrontHotPointSingleFlight(t *testing.T) {
 	ws := eng.WavefrontStats()
 	want := WavefrontStats{Leads: 1, Shares: K - 1}
 	if ws != want {
-		t.Errorf("broker stats %+v, want %+v", ws, want)
+		t.Errorf("store stats %+v, want %+v", ws, want)
+	}
+	// Entries: 0 shares in flight and keeps nothing at rest: no lookup is
+	// counted and nothing is stored.
+	if ds := eng.DistCacheStats(); ds != (DistCacheStats{}) {
+		t.Errorf("at-rest stats %+v on an engine that keeps nothing", ds)
+	}
+	for i := 0; i < K; i++ {
+		if st := results[i].Stats; st.DistCacheHits != 0 || st.DistCacheMisses != 0 {
+			t.Errorf("query %d counted %d hits and %d misses on an engine that keeps nothing",
+				i, st.DistCacheHits, st.DistCacheMisses)
+		}
 	}
 }
 
@@ -233,15 +244,15 @@ func TestWavefrontLeaderCancelPromotes(t *testing.T) {
 	ws := eng.WavefrontStats()
 	want := WavefrontStats{Leads: 2, Shares: K - 2, Promotions: 1}
 	if ws != want {
-		t.Errorf("broker stats %+v, want %+v", ws, want)
+		t.Errorf("store stats %+v, want %+v", ws, want)
 	}
 }
 
 // TestWavefrontPoolHotPointStress hammers a sharing pool with identical
-// queries from many goroutines (the workload the broker exists for) and
+// queries from many goroutines (the workload sharing exists for) and
 // demands exact reconciliation: per-query lead/share counters must sum to
-// the broker's globals, and every join must be accounted as a lead, a
-// share, or a bypass. Run under -race this doubles as the broker's
+// the store's globals, and every join must be accounted as a lead, a
+// share, or a bypass. Run under -race this doubles as the store's
 // integration race check.
 func TestWavefrontPoolHotPointStress(t *testing.T) {
 	tr := newFuzzTrial(t, 9920)
@@ -286,7 +297,7 @@ func TestWavefrontPoolHotPointStress(t *testing.T) {
 
 	ws := pool.PoolMetrics().Wavefront
 	if ws.Leads != leads.Load() || ws.Shares != shares.Load() {
-		t.Errorf("broker totals leads=%d shares=%d, per-query stats summed to %d/%d (counter leak)",
+		t.Errorf("store totals leads=%d shares=%d, per-query stats summed to %d/%d (counter leak)",
 			ws.Leads, ws.Shares, leads.Load(), shares.Load())
 	}
 	joins := queries.Load() * int64(uniquePoints(tr.pts))
@@ -295,19 +306,21 @@ func TestWavefrontPoolHotPointStress(t *testing.T) {
 			got, joins)
 	}
 	if ws.Waiting != 0 {
-		t.Errorf("broker reports %d subscribers still waiting at quiescence", ws.Waiting)
+		t.Errorf("store reports %d subscribers still waiting at quiescence", ws.Waiting)
 	}
 	if ws.Promotions != 0 {
-		t.Errorf("broker reports %d promotions without any cancelled leader", ws.Promotions)
+		t.Errorf("store reports %d promotions without any cancelled leader", ws.Promotions)
 	}
 }
 
-// TestWavefrontSharingEquivalenceFuzz is the broker's end-to-end soundness
-// sweep: on random networks, a pool of sharing workers answering every
-// algorithm and LBC mode — each query submitted in triplicate so duplicates
-// genuinely coalesce — must reproduce the bruteforce skyline exactly, with
-// the distance cache layered on top. A NoShare query on the same engine
-// must stay exact and leave the broker's counters untouched.
+// TestWavefrontSharingEquivalenceFuzz is the store's end-to-end soundness
+// sweep: on random networks, every algorithm and LBC mode must give one
+// answer, bit for bit, however its wavefronts were obtained — seeded cold
+// (NoDistCache), resumed from rest (a hit), or taken from a concurrent
+// leader (a share). A pool of sharing workers with the at-rest cache on
+// top answers each query in triplicate so duplicates genuinely coalesce,
+// and every answer must also match the bruteforce skyline. The
+// NoDistCache run must leave the store's counters untouched.
 func TestWavefrontSharingEquivalenceFuzz(t *testing.T) {
 	trials := 6
 	if testing.Short() {
@@ -316,13 +329,38 @@ func TestWavefrontSharingEquivalenceFuzz(t *testing.T) {
 	for seed := int64(0); seed < int64(trials); seed++ {
 		tr := newFuzzTrial(t, 9930+seed)
 		eng := tr.sharedEngine(t, 64)
+		queries := tr.queries()
+
+		// Cold: NoDistCache neither consults nor feeds the store.
+		cold := make([]*Result, len(queries))
+		for qi, q := range queries {
+			ws, ds := eng.WavefrontStats(), eng.DistCacheStats()
+			q.NoDistCache = true
+			res, err := eng.Skyline(q)
+			if err != nil {
+				t.Fatalf("seed %d cold query %d: %v", tr.seed, qi, err)
+			}
+			if err := tr.check(res, fmt.Sprintf("cold query %d", qi)); err != nil {
+				t.Fatal(err)
+			}
+			st := res.Stats
+			if st.WavefrontLeads != 0 || st.WavefrontShares != 0 || st.DistCacheHits != 0 || st.DistCacheMisses != 0 {
+				t.Errorf("seed %d: NoDistCache query %d counted %+v", tr.seed, qi, st)
+			}
+			if eng.WavefrontStats() != ws || eng.DistCacheStats() != ds {
+				t.Errorf("seed %d: NoDistCache query %d moved the store: %+v %+v -> %+v %+v",
+					tr.seed, qi, ws, ds, eng.WavefrontStats(), eng.DistCacheStats())
+			}
+			cold[qi] = res
+		}
+
 		pool, err := NewPool(eng, PoolConfig{Workers: 8, QueueDepth: 256})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var wg sync.WaitGroup
 		errc := make(chan error, 64)
-		for qi, q := range tr.queries() {
+		for qi, q := range queries {
 			for dup := 0; dup < 3; dup++ {
 				wg.Add(1)
 				go func(qi int, q Query) {
@@ -335,6 +373,9 @@ func TestWavefrontSharingEquivalenceFuzz(t *testing.T) {
 					if err := tr.check(res, fmt.Sprintf("shared query %d (%v)", qi, q.Algorithm)); err != nil {
 						errc <- err
 					}
+					if err := sameSkyline(res, cold[qi]); err != nil {
+						errc <- fmt.Errorf("seed %d shared query %d: %v", tr.seed, qi, err)
+					}
 				}(qi, q)
 			}
 		}
@@ -345,52 +386,79 @@ func TestWavefrontSharingEquivalenceFuzz(t *testing.T) {
 			t.Error(err)
 		}
 		if ws := eng.WavefrontStats(); ws.Waiting != 0 {
-			t.Errorf("seed %d: %d subscribers still waiting at quiescence", tr.seed, ws.Waiting)
+			t.Errorf("seed %d: %d searchers still waiting at quiescence", tr.seed, ws.Waiting)
 		}
 
-		// NoShare opts a query out: still exact, broker untouched.
-		before := eng.WavefrontStats()
-		q := tr.queries()[0]
-		q.NoShare = true
-		res, err := eng.Skyline(q)
-		if err != nil {
-			t.Fatalf("seed %d NoShare: %v", tr.seed, err)
-		}
-		if err := tr.check(res, "NoShare"); err != nil {
-			t.Fatal(err)
-		}
-		if res.Stats.WavefrontLeads != 0 || res.Stats.WavefrontShares != 0 {
-			t.Errorf("seed %d: NoShare query counted leads=%d shares=%d",
-				tr.seed, res.Stats.WavefrontLeads, res.Stats.WavefrontShares)
-		}
-		if after := eng.WavefrontStats(); after != before {
-			t.Errorf("seed %d: NoShare query moved broker stats %+v -> %+v", tr.seed, before, after)
+		for qi, q := range queries {
+			// At rest: the second of two serial runs resumes every
+			// wavefront from the store.
+			if _, err := eng.Skyline(q); err != nil {
+				t.Fatal(err)
+			}
+			hit, err := eng.Skyline(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := hit.Stats.DistCacheHits, uniquePoints(tr.pts); got != want {
+				t.Errorf("seed %d query %d: %d at-rest hits, want %d", tr.seed, qi, got, want)
+			}
+			if err := sameSkyline(hit, cold[qi]); err != nil {
+				t.Errorf("seed %d query %d at-rest hit: %v", tr.seed, qi, err)
+			}
+
+			// In flight: a follower waits on a leader held at its gate.
+			gate := newGateTracer()
+			lq := q
+			lq.Tracer = gate
+			var lead, share *Result
+			var leadErr, shareErr error
+			var both sync.WaitGroup
+			both.Add(2)
+			go func() {
+				defer both.Done()
+				lead, leadErr = eng.Clone().Skyline(lq)
+			}()
+			<-gate.started
+			go func() {
+				defer both.Done()
+				share, shareErr = eng.Clone().Skyline(q)
+			}()
+			waitForWaiting(t, eng, 1)
+			close(gate.release)
+			both.Wait()
+			if leadErr != nil || shareErr != nil {
+				t.Fatalf("seed %d query %d: leader %v, follower %v", tr.seed, qi, leadErr, shareErr)
+			}
+			if share.Stats.WavefrontShares == 0 {
+				t.Errorf("seed %d query %d: the follower shared nothing: %+v", tr.seed, qi, share.Stats)
+			}
+			for label, res := range map[string]*Result{"leader": lead, "in-flight share": share} {
+				if err := sameSkyline(res, cold[qi]); err != nil {
+					t.Errorf("seed %d query %d %s: %v", tr.seed, qi, label, err)
+				}
+			}
 		}
 	}
 }
 
-// sameSkyline compares two results as skyline sets: same objects, same
-// distance vectors. Report order may differ between algorithms but not
-// between identical queries, so exact set equality is the right bar.
+// sameSkyline holds got to want bit for bit: the same objects in the same
+// report order, each distance with the same float64 bits. Identical
+// queries must agree this exactly whatever their wavefronts' origin.
 func sameSkyline(got, want *Result) error {
 	if len(got.Points) != len(want.Points) {
 		return fmt.Errorf("%d skyline points, want %d", len(got.Points), len(want.Points))
 	}
-	byID := make(map[int32][]float64, len(want.Points))
-	for _, p := range want.Points {
-		byID[p.Object.ID] = p.Distances
-	}
-	for _, p := range got.Points {
-		dists, ok := byID[p.Object.ID]
-		if !ok {
-			return fmt.Errorf("object %d not in the expected skyline", p.Object.ID)
+	for i, p := range got.Points {
+		w := want.Points[i]
+		if p.Object.ID != w.Object.ID {
+			return fmt.Errorf("point %d is object %d, want %d", i, p.Object.ID, w.Object.ID)
 		}
-		if len(dists) != len(p.Distances) {
-			return fmt.Errorf("object %d has %d distances, want %d", p.Object.ID, len(p.Distances), len(dists))
+		if len(p.Distances) != len(w.Distances) {
+			return fmt.Errorf("object %d has %d distances, want %d", p.Object.ID, len(p.Distances), len(w.Distances))
 		}
-		for j := range dists {
-			if math.Abs(p.Distances[j]-dists[j]) > 1e-9 {
-				return fmt.Errorf("object %d dist[%d] = %v, want %v", p.Object.ID, j, p.Distances[j], dists[j])
+		for j, d := range w.Distances {
+			if math.Float64bits(p.Distances[j]) != math.Float64bits(d) {
+				return fmt.Errorf("object %d dist[%d] = %v, want %v", p.Object.ID, j, p.Distances[j], d)
 			}
 		}
 	}
