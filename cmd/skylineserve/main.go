@@ -76,7 +76,7 @@ func main() {
 		workers = flag.Int("workers", 0, "pool workers (0 = GOMAXPROCS)")
 		queue   = flag.Int("queue", 0, "admission queue depth beyond the workers (0 = 4x workers)")
 		slow    = flag.Duration("slow-query", time.Second, "log queries slower than this with their phase breakdown at Warn (default 1s; 0 disables)")
-		logLvl  = flag.String("log-level", "info", "log level: debug (per-request and per-trace-event records), info, warn or error")
+		logLvl  = flag.String("log-level", "info", "log level: debug (per-request and per-span records), info, warn or error")
 		flight  = flag.Int("flight", 512, "flight recorder retention: per-query records kept in each of the sampled and errored reservoirs (0 disables /debug/queries)")
 		flSlow  = flag.Int("flight-slow", 32, "flight recorder slowest-query reservoir size")
 		flEvery = flag.Int("flight-sample", 1, "flight recorder sampling stride: record every k-th query in the sampled reservoir (slow and errored queries are always kept)")
@@ -125,7 +125,12 @@ func main() {
 	}
 	defer pool.Close()
 
-	s := &server{net: network, pool: pool, log: log, slow: *slow, trace: *trace, start: time.Now()}
+	s := &server{net: network, pool: pool, log: log, trace: *trace, start: time.Now()}
+	// One SlogTracer serves every request: it is a sink of finished
+	// records and keeps no per-query state.
+	if *slow > 0 || log.Enabled(context.Background(), slog.LevelDebug) {
+		s.tracer = roadskyline.NewSlogTracer(log, *slow)
+	}
 	expvar.Publish("roadskyline.pool", pool.ExpvarFunc())
 
 	mux := http.NewServeMux()
@@ -244,9 +249,11 @@ type server struct {
 	net   *roadskyline.Network
 	pool  *roadskyline.Pool
 	log   *slog.Logger
-	slow  time.Duration
 	trace bool
 	start time.Time
+	// tracer is the slow-query log attached to every query; nil when
+	// neither -slow-query nor a debug log level asks for it.
+	tracer roadskyline.Tracer
 }
 
 // queryResponse is the /query JSON body. Durations inside Stats marshal
@@ -322,9 +329,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Source:        source,
 		CollectPhases: boolParam(vals.Get("phases")),
 		Trace:         traced,
-	}
-	if s.slow > 0 || s.log.Enabled(r.Context(), slog.LevelDebug) {
-		q.Tracer = roadskyline.NewSlogTracer(s.log, s.slow)
+		Tracer:        s.tracer,
 	}
 
 	res, err := s.pool.Skyline(r.Context(), q)

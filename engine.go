@@ -375,9 +375,9 @@ func (e *Engine) InflightQueries() []InflightQuery { return e.inflight.Snapshot(
 // outcome is classified here, once; the query's causal trace, if any,
 // closes here too (appending the modeled-I/O and root spans) and leaves
 // the in-flight registry, its span list attached to the record. began is
-// when the submission was admitted, zero when nobody timed it. The caller
-// hands the record to its consumers: a bare engine to the flight
-// recorder, a Pool to Pool.finish.
+// when the submission was admitted, zero when nobody timed it. The query's
+// Tracer receives the record here; the caller hands it to the other
+// consumers: a bare engine to the flight recorder, a Pool to Pool.finish.
 func finalize(in *obs.Inflight, q Query, m core.Metrics, began time.Time, err error, abandoned bool) obs.FlightRecord {
 	q.trace.Finish(m.IOTime)
 	in.Remove(q.trace)
@@ -408,6 +408,9 @@ func finalize(in *obs.Inflight, q Query, m core.Metrics, began time.Time, err er
 	}
 	if err != nil {
 		rec.Err = err.Error()
+	}
+	if q.Tracer != nil {
+		q.Tracer.QueryDone(rec)
 	}
 	return rec
 }
@@ -461,15 +464,14 @@ type Query struct {
 	// ablation; the result is identical, only the work counters change).
 	// No effect on engines without DistCache entries or ShareWavefronts.
 	NoDistCache bool
-	// Tracer receives phase-level span events, expansion progress ticks
-	// and skyline-point events as the query executes (see
-	// docs/OBSERVABILITY.md). Nil — the default — disables tracing with
-	// zero overhead; results and counters are identical either way. A
-	// tracer instance observes one query at a time: give each in-flight
-	// query its own (NewSlogTracer is cheap to construct per request).
+	// Tracer receives the query's FlightRecord once it has finished,
+	// whatever the outcome (see docs/OBSERVABILITY.md); the query then
+	// collects its phase breakdown as under the flight recorder. Nil — the
+	// default — costs nothing; results and counters are identical either
+	// way. One Tracer may serve any number of concurrent queries when it
+	// is safe for concurrent use, as SlogTracer is.
 	Tracer Tracer
-	// CollectPhases populates Stats.Phases (the per-phase work breakdown)
-	// even when no Tracer is attached.
+	// CollectPhases populates Stats.Phases (the per-phase work breakdown).
 	CollectPhases bool
 	// Trace assigns the query a causal trace: a trace ID (returned in
 	// Result.TraceID), an entry in the engine's live in-flight view
@@ -487,9 +489,9 @@ type Query struct {
 	trace *obs.Trace
 }
 
-// Tracer receives one query's trace events: phase spans, expansion
-// progress ticks and skyline-point events. See internal/obs for the
-// event contract; SlogTracer is a ready-made implementation.
+// Tracer is a sink of finished queries: QueryDone receives each query's
+// FlightRecord once, whatever its outcome. SlogTracer is a ready-made
+// implementation.
 type Tracer = obs.Tracer
 
 // Phase identifies one instrumented algorithm stage (e.g. "ce.filter",
@@ -512,10 +514,11 @@ const (
 // while the phase was active.
 type PhaseStat = obs.PhaseStat
 
-// SlogTracer is a Tracer writing trace events to a structured logger,
+// SlogTracer is a Tracer writing finished queries to a structured logger,
 // with an optional slow-query log (a Warn record carrying the full phase
 // breakdown for queries over the threshold). Construct with
-// NewSlogTracer; one instance observes one query at a time.
+// NewSlogTracer; one instance is safe for any number of concurrent
+// queries.
 type SlogTracer = obs.SlogTracer
 
 // NewSlogTracer builds a SlogTracer over log (nil means slog.Default()).
@@ -590,8 +593,8 @@ type Stats struct {
 	IOTime, InitialIOTime time.Duration
 	// Phases is the per-phase work breakdown (durations, pages, node
 	// settlements per algorithm stage) in first-entered order. Populated
-	// only when the query ran with a Tracer or CollectPhases; nil
-	// otherwise.
+	// only when the query ran with CollectPhases, Trace, a Tracer or under
+	// the flight recorder; nil otherwise.
 	Phases []PhaseStat
 }
 
@@ -650,11 +653,12 @@ func (e *Engine) SkylineContext(ctx context.Context, q Query) (*Result, error) {
 
 // begin opens a submission on the engine: the causal trace when Query.Trace
 // asks for one and the Pool has not opened it already, the core query and
-// options, and the start stamp. With a flight recorder the query always
-// collects the phase breakdown (the counters and results are identical
-// with it on, TestTracerEquivalence) and is timed from began, or from now
-// when the caller did not admit it earlier; without one began passes
-// through untouched, so an untimed query never reads the clock.
+// options, and the start stamp. A query whose record has a consumer — the
+// flight recorder or its Tracer — always collects the phase breakdown (the
+// counters and results are identical with it on, TestTracerEquivalence)
+// and is timed from began, or from now when the caller did not admit it
+// earlier; otherwise began passes through untouched, so an untimed query
+// never reads the clock.
 func (e *Engine) begin(q *Query, began time.Time) (core.Query, core.Options, time.Time) {
 	if q.trace == nil && q.Trace {
 		q.trace = e.inflight.Begin(q.Algorithm.String(), len(q.Points))
@@ -670,11 +674,10 @@ func (e *Engine) begin(q *Query, began time.Time) (core.Query, core.Options, tim
 		LBCSource:        q.Source,
 		DisableLandmarks: q.NoLandmarks,
 		DisableDistCache: q.NoDistCache,
-		Tracer:           q.Tracer,
 		CollectPhases:    q.CollectPhases,
 		Trace:            q.trace,
 	}
-	if e.flight != nil {
+	if e.flight != nil || q.Tracer != nil {
 		opts.CollectPhases = true
 		if began.IsZero() {
 			began = time.Now()

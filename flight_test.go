@@ -110,18 +110,22 @@ func TestFlightRecorderPoolReconcile(t *testing.T) {
 			it.Close()
 		}, map[string]uint64{"cancelled": 1, "abandoned": 1}},
 		{"cancelled mid-query", single, func(t *testing.T, pool *Pool, qs []Query) {
-			// The gate holds the query after its searchers are built; the
-			// context dies there, and the expansion loop notices.
-			gate := newGateTracer()
+			// The gate holds the query at its first context check inside a
+			// phase, once its searchers run; the context dies there, and the
+			// expansion notices.
 			q := qs[2]
-			q.Tracer = gate
+			q.Trace = true
 			ctx, cancel := context.WithCancel(context.Background())
+			gate := newGateContext(ctx, func() bool {
+				live := pool.InflightQueries()
+				return len(live) == 1 && live[0].Phase != ""
+			})
 			done := make(chan error, 1)
 			go func() {
-				_, err := pool.Skyline(ctx, q)
+				_, err := pool.Skyline(gate, q)
 				done <- err
 			}()
-			<-gate.started
+			gate.wait(t)
 			cancel()
 			close(gate.release)
 			if err := <-done; !errors.Is(err, context.Canceled) {

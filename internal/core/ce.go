@@ -47,7 +47,7 @@ func ce(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) {
 		}
 		searchers[i], cacheHits[i] = s, hit
 	}
-	probe := newPhaseProbe(env, opts, AlgCE, n, start, func() int {
+	probe := newPhaseProbe(env, opts, func() int {
 		total := 0
 		for _, s := range searchers {
 			total += s.NodesExpanded()
@@ -179,7 +179,6 @@ func ce(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) {
 			Dists:  c.vec[:n:n],
 			Vec:    c.vec,
 		})
-		probe.point()
 		if m.Initial == 0 {
 			m.Initial = time.Since(start)
 			m.InitialPages = env.pagesFaulted()
@@ -210,8 +209,10 @@ func ce(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) {
 	for {
 		// The searchers check cancellation every K settlements; the
 		// round-robin loop itself can spin through many object pops per
-		// settlement, so it re-checks at the same stride.
-		if rounds++; rounds%64 == 0 {
+		// settlement, so it re-checks at the same stride — starting with the
+		// first round, so that a query cancelled once its searchers and
+		// wavefront tickets exist fails before it expands anything.
+		if rounds++; rounds%64 == 1 {
 			if err := ctx.Err(); err != nil {
 				return fail(err)
 			}

@@ -110,7 +110,7 @@ func edc(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) 
 		}
 		astars[i], cacheHits[i] = a, hit
 	}
-	probe := newPhaseProbe(env, opts, AlgEDC, n, start, func() int {
+	probe := newPhaseProbe(env, opts, func() int {
 		total := 0
 		for _, a := range astars {
 			total += a.NodesExpanded()
@@ -264,7 +264,6 @@ func edc(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) 
 				Dists:  vec[:n:n],
 				Vec:    vec,
 			})
-			probe.point()
 			if m.Initial == 0 {
 				m.Initial = time.Since(start)
 				m.InitialPages = env.pagesFaulted()

@@ -208,44 +208,21 @@ func TestEDCBoundFirstPinsWork(t *testing.T) {
 	}
 }
 
-// batchTracer follows EDC's verify phases (odd ones a seed's, even ones its
-// window batch's) and, given a cancel, calls it from the first progress tick
-// of phase at — that is, from inside an Advance that the verification of a
-// window candidate is running.
-type batchTracer struct {
-	cancel   context.CancelFunc
-	at       int
-	verifies int   // edc.verify phases entered
-	nodes    int   // settlements of the phases ended so far
-	ticks    []int // progress ticks in each edc.verify phase, by verifies
-	through  []int // nodes at the end of each edc.verify phase, by verifies
+// errCounter is a context that counts its Err calls and stamps the time
+// of each; from call cancelAt on (when positive) it reads as cancelled.
+type errCounter struct {
+	context.Context
+	cancelAt int
+	stamps   []time.Time
 }
 
-func (c *batchTracer) QueryStart(string, int) {}
-func (c *batchTracer) PhaseStart(p obs.Phase) {
-	if p == obs.PhaseEDCVerify {
-		c.verifies++
-		c.ticks = append(c.ticks, make([]int, c.verifies+1-len(c.ticks))...)
-		c.through = append(c.through, make([]int, c.verifies+1-len(c.through))...)
+func (c *errCounter) Err() error {
+	c.stamps = append(c.stamps, time.Now())
+	if c.cancelAt > 0 && len(c.stamps) >= c.cancelAt {
+		return context.Canceled
 	}
+	return c.Context.Err()
 }
-func (c *batchTracer) PhaseEnd(p obs.Phase, _ time.Duration, _ int64, nodes int) {
-	c.nodes += nodes
-	if p == obs.PhaseEDCVerify {
-		c.through[c.verifies] = c.nodes
-	}
-}
-func (c *batchTracer) Progress(int) {
-	if c.verifies == 0 {
-		return
-	}
-	c.ticks[c.verifies]++
-	if c.cancel != nil && c.verifies == c.at {
-		c.cancel()
-	}
-}
-func (c *batchTracer) Point(int, time.Duration) {}
-func (c *batchTracer) QueryEnd(time.Duration)   {}
 
 // TestEDCCancelledInsideRefine: a context cancelled while a window candidate
 // is being verified comes back through fail — the error, and the metrics of
@@ -254,26 +231,42 @@ func TestEDCCancelledInsideRefine(t *testing.T) {
 	env := pinCA.env(t, 0)
 	q := Query{Points: gen.QueryPoints(env.G, 8, 0.1, 1)}
 	for _, paper := range []bool{false, true} {
-		opts := Options{ColdCache: true, DisablePLB: paper}
-		whole := &batchTracer{}
-		opts.Tracer = whole
-		if _, err := Run(context.Background(), env, q, AlgEDC, opts); err != nil {
+		// A dry run traced: its edc.verify spans alternate a seed's and its
+		// window batch's, and its context stamps every check. Cold cache
+		// makes the second run repeat the same checks in the same order.
+		opts := Options{ColdCache: true, DisablePLB: paper, Trace: obs.NewInflight().Begin("EDC", len(q.Points))}
+		dry := &errCounter{Context: context.Background()}
+		if _, err := Run(dry, env, q, AlgEDC, opts); err != nil {
 			t.Fatal(err)
 		}
-		// A searcher looks at the context on its every 64th settlement, just
-		// before it ticks: cancelled from a batch's first tick, the query
-		// fails at that batch's second.
-		at := 2
-		for at < len(whole.ticks) && whole.ticks[at] < 2 {
-			at += 2
+		// Pick the first batch whose span holds at least two of the
+		// searchers' checks (one per 64 settlements), and cancel at its
+		// second: the query must fail inside that batch.
+		cancelAt, through, verifies := 0, 0, 0
+		for _, s := range opts.Trace.Spans() {
+			through += s.Nodes
+			if s.Name != string(obs.PhaseEDCVerify) {
+				continue
+			}
+			if verifies++; verifies%2 == 1 {
+				continue // a seed's
+			}
+			var inside []int
+			for i, at := range dry.stamps {
+				if at.After(s.Start) && at.Before(s.Start.Add(s.Dur)) {
+					inside = append(inside, i+1)
+				}
+			}
+			if len(inside) >= 2 {
+				cancelAt = inside[1]
+				break
+			}
 		}
-		if at >= len(whole.ticks) {
-			t.Fatalf("DisablePLB=%v: no window batch with two progress ticks: %v", paper, whole.ticks)
+		if cancelAt == 0 {
+			t.Fatalf("DisablePLB=%v: no window batch spans two context checks", paper)
 		}
-		ctx, cancel := context.WithCancel(context.Background())
-		opts.Tracer = &batchTracer{cancel: cancel, at: at}
-		res, err := Run(ctx, env, q, AlgEDC, opts)
-		cancel()
+		opts.Trace = nil
+		res, err := Run(&errCounter{Context: context.Background(), cancelAt: cancelAt}, env, q, AlgEDC, opts)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("DisablePLB=%v: err = %v, want context.Canceled", paper, err)
 		}
@@ -282,9 +275,9 @@ func TestEDCCancelledInsideRefine(t *testing.T) {
 		}
 		// The two runs are the same up to the cancel, so a batch the error
 		// left half-way has settled fewer nodes than the whole one.
-		if got, batch := res.Metrics.NodesExpanded, whole.through[at]; got == 0 || got >= batch {
+		if got := res.Metrics.NodesExpanded; got == 0 || got >= through {
 			t.Errorf("DisablePLB=%v: %d nodes expanded at the abort, %d at the end of batch %d: the abort did not come from inside it",
-				paper, got, batch, at/2)
+				paper, got, through, verifies/2)
 		}
 	}
 }

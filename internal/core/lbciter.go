@@ -106,7 +106,7 @@ func NewLBCIterator(ctx context.Context, env *Env, q Query, opts Options) (*LBCI
 		}
 		it.astars[i], it.cacheHits[i] = a, hit
 	}
-	it.probe = newPhaseProbe(env, opts, AlgLBC, it.n, it.start, func() int {
+	it.probe = newPhaseProbe(env, opts, func() int {
 		total := 0
 		for _, a := range it.astars {
 			total += a.NodesExpanded()
@@ -193,7 +193,6 @@ func (it *LBCIterator) Next() (SkylinePoint, bool, error) {
 			return SkylinePoint{}, false, err
 		}
 		if isSkyline {
-			it.probe.point()
 			if it.metrics.Initial == 0 {
 				it.metrics.Initial = time.Since(it.start)
 				it.metrics.InitialPages = it.env.pagesFaulted()

@@ -107,7 +107,7 @@ type Metrics struct {
 	// Phases is the per-phase breakdown of the query's work (durations,
 	// network pages, node settlements per algorithm stage), in the order
 	// the phases were first entered. It is populated only when the query
-	// ran with a Tracer or Options.CollectPhases; nil otherwise.
+	// ran with Options.CollectPhases or Options.Trace; nil otherwise.
 	Phases []obs.PhaseStat
 	// sessionScans counts the A* sessions that LBC's dominance check and
 	// aggregate NN opened with a frontier scan (boundVec.refine phase 2);
@@ -189,13 +189,8 @@ type Options struct {
 	// by the cache ablation. ColdCache queries bypass the store regardless
 	// (see EnvConfig.DistCache).
 	DisableDistCache bool
-	// Tracer receives phase-level span events, expansion progress ticks
-	// and skyline-point events as the query runs. Nil disables tracing
-	// entirely (the zero-overhead default); results and the existing
-	// counters are identical either way.
-	Tracer obs.Tracer
-	// CollectPhases computes the per-phase breakdown (Metrics.Phases)
-	// even without a Tracer attached.
+	// CollectPhases computes the per-phase breakdown (Metrics.Phases).
+	// Results and the work counters are identical either way.
 	CollectPhases bool
 	// Trace is the query's causal trace: timestamped spans (flight waits
 	// naming the leader's trace ID, snapshot restores, phase spans) are

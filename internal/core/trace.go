@@ -6,22 +6,20 @@ import (
 	"roadskyline/internal/obs"
 )
 
-// phaseProbe attributes one query's work to algorithm phases: it forwards
-// span events to the query's Tracer and accumulates the per-phase
-// breakdown (durations, network pages, node settlements) that ends up in
-// Metrics.Phases. Page counts come from the environment's I/O counters
-// snapshotted at phase boundaries; node counts from a caller-supplied
-// probe over the query's searchers.
+// phaseProbe attributes one query's work to algorithm phases. end is the
+// single writer of both descriptions of a phase entry: the PhaseStat row
+// accumulated into Metrics.Phases and, when the query carries a causal
+// trace, the span appended to it. Page counts come from the environment's
+// I/O counters snapshotted at phase boundaries; node counts from a
+// caller-supplied probe over the query's searchers.
 //
 // A nil *phaseProbe is the disabled state: every method returns
-// immediately, so the algorithms call begin/end/point unconditionally and
-// the cost with tracing off is one nil check per phase boundary.
+// immediately, so the algorithms call begin/end unconditionally and the
+// cost with phases off is one nil check per phase boundary.
 type phaseProbe struct {
-	tr    obs.Tracer // nil when only collecting the breakdown
 	trace *obs.Trace // nil when the query carries no causal trace
 	env   *Env
 	nodes func() int // running settlement total across the query's searchers
-	start time.Time
 
 	active bool
 	cur    obs.Phase
@@ -29,29 +27,22 @@ type phaseProbe struct {
 	pages0 int64
 	nodes0 int
 
-	stats  []obs.PhaseStat
-	idx    map[obs.Phase]int
-	points int
+	stats []obs.PhaseStat
+	idx   map[obs.Phase]int
 }
 
-// newPhaseProbe returns nil when opts enable neither tracing nor phase
-// collection. It emits the QueryStart event.
-func newPhaseProbe(env *Env, opts Options, alg Algorithm, numPoints int, start time.Time, nodes func() int) *phaseProbe {
-	if opts.Tracer == nil && !opts.CollectPhases && opts.Trace == nil {
+// newPhaseProbe returns nil when opts neither collect phases nor carry a
+// causal trace.
+func newPhaseProbe(env *Env, opts Options, nodes func() int) *phaseProbe {
+	if !opts.CollectPhases && opts.Trace == nil {
 		return nil
 	}
-	pp := &phaseProbe{
-		tr:    opts.Tracer,
+	return &phaseProbe{
 		trace: opts.Trace,
 		env:   env,
 		nodes: nodes,
-		start: start,
 		idx:   make(map[obs.Phase]int, 4),
 	}
-	if pp.tr != nil {
-		pp.tr.QueryStart(alg.String(), numPoints)
-	}
-	return pp
 }
 
 // begin enters a phase, closing any phase still open.
@@ -66,14 +57,12 @@ func (pp *phaseProbe) begin(p obs.Phase) {
 	pp.t0 = time.Now()
 	pp.pages0 = pp.env.pagesFaulted()
 	pp.nodes0 = pp.nodes()
-	if pp.tr != nil {
-		pp.tr.PhaseStart(p)
-	}
 	pp.trace.SetPhase(p)
 }
 
 // end leaves the current phase, attributing the elapsed time and the page
-// and settlement deltas to it. A no-op when no phase is open.
+// and settlement deltas to its row and its span. A no-op when no phase is
+// open.
 func (pp *phaseProbe) end() {
 	if pp == nil || !pp.active {
 		return
@@ -93,9 +82,6 @@ func (pp *phaseProbe) end() {
 	ps.Duration += d
 	ps.NetworkPages += pages
 	ps.NodesExpanded += nodes
-	if pp.tr != nil {
-		pp.tr.PhaseEnd(pp.cur, d, pages, nodes)
-	}
 	if pp.trace != nil {
 		pp.trace.AddSpan(obs.Span{Name: string(pp.cur), Start: pp.t0, Dur: d, Pages: pages, Nodes: nodes})
 		pp.trace.SetNodes(pp.nodes())
@@ -113,43 +99,22 @@ func (pp *phaseProbe) transition(from, to obs.Phase) {
 	pp.begin(to)
 }
 
-// point emits the skyline-point event for the next ordinal.
-func (pp *phaseProbe) point() {
-	if pp == nil {
-		return
-	}
-	if pp.tr != nil {
-		pp.tr.Point(pp.points, time.Since(pp.start))
-	}
-	pp.points++
-}
-
-// progressFunc returns the settlement-tick callback to install on the
-// query's searchers, or nil when neither a tracer nor a causal trace is
-// attached (the breakdown needs no ticks).
+// progressFunc returns the settlement-tick callback that keeps the causal
+// trace's live node count current, or nil when the query carries no trace
+// (the breakdown needs no ticks).
 func (pp *phaseProbe) progressFunc() func(int) {
-	if pp == nil || (pp.tr == nil && pp.trace == nil) {
+	if pp == nil || pp.trace == nil {
 		return nil
 	}
-	return func(int) {
-		n := pp.nodes()
-		if pp.tr != nil {
-			pp.tr.Progress(n)
-		}
-		pp.trace.SetNodes(n)
-	}
+	return func(int) { pp.trace.SetNodes(pp.nodes()) }
 }
 
-// finish closes any open phase, stores the breakdown in the metrics and
-// emits QueryEnd. Call it after finishMetrics so the total is final.
+// finish closes any open phase and stores the breakdown in the metrics.
 func (pp *phaseProbe) finish(m *Metrics) {
 	if pp == nil {
 		return
 	}
 	pp.end()
 	m.Phases = pp.stats
-	if pp.tr != nil {
-		pp.tr.QueryEnd(m.Total)
-	}
 	pp.trace.ClearPhase()
 }

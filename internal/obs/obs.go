@@ -1,27 +1,25 @@
-// Package obs is the engine's observability layer: phase-level query
-// tracing and lock-free runtime metrics primitives.
+// Package obs is the engine's observability layer: per-query records,
+// causal traces and lock-free runtime metrics primitives.
 //
 // The paper's evaluation (Section 6) is entirely work accounting — page
 // accesses, candidate counts, response time split into initial and total.
 // The Metrics struct in internal/core reproduces the end-of-query totals;
-// this package adds the *where*: a Tracer receives span events as the
-// algorithms move through their phases (CE's filtering vs. refinement,
-// EDC's Euclidean-skyline / window-query / A*-verification stages, LBC's
-// NN-stream pulls and per-candidate dominance probes), plus expansion
-// progress ticks from the shortest-path searchers. The same events also
-// yield the per-phase breakdown (durations, page and node counters)
-// surfaced in query statistics.
+// this package adds the *where*. The algorithms move through named phases
+// (CE's filtering vs. refinement, EDC's Euclidean-skyline / window-query /
+// A*-verification stages, LBC's NN-stream pulls and per-candidate
+// dominance probes); each phase entry becomes one PhaseStat row of the
+// query's breakdown and, when the query carries a Trace, one timestamped
+// Span. Every finished query becomes one FlightRecord, which the flight
+// recorder, the pool's counters, the rolling Window and a query's Tracer
+// all consume.
 //
-// Tracing is strictly opt-in: a nil Tracer costs one pointer check per
-// phase boundary and nothing per settled node, and never changes results
-// or the existing counters.
+// All of it is opt-in: a query without a Trace, a Tracer, phase collection
+// or a flight recorder costs one pointer check per phase boundary and
+// nothing per settled node, and none of it ever changes results or the
+// work counters.
 package obs
 
-import (
-	"fmt"
-	"strings"
-	"time"
-)
+import "time"
 
 // Phase identifies one instrumented stage of a query algorithm. The
 // string values are stable identifiers used in logs, metrics and the
@@ -73,122 +71,17 @@ type PhaseStat struct {
 	NodesExpanded int
 }
 
-// Tracer receives the event stream of one query. Implementations must be
-// cheap: events fire from the algorithms' inner loops. A Tracer instance
-// observes a single query at a time; give each in-flight query its own
-// (the engine serializes queries, so reusing one tracer per engine or per
-// pool worker is fine).
+// Tracer is a sink of finished queries. QueryDone receives the one
+// FlightRecord every submission becomes, once, whatever its outcome —
+// served, failed, cancelled, abandoned, or turned away at admission. A
+// query with a Tracer collects its phase breakdown (rec.Phases) as if it
+// ran under the flight recorder, and rec.Spans holds its causal trace when
+// it ran with one.
 //
-// The zero-overhead contract: when the query's Tracer is nil none of
-// these methods is invoked and no per-event work is done.
+// QueryDone runs on the goroutine that finishes the submission, after the
+// query's work is done, so a Tracer shared by concurrent queries must be
+// safe for concurrent use (SlogTracer is). rec's slices are shared with the flight
+// recorder: read them, do not modify them.
 type Tracer interface {
-	// QueryStart fires once, before any expansion, with the algorithm
-	// name ("CE", "EDC", "LBC") and the number of query points.
-	QueryStart(alg string, numPoints int)
-	// PhaseStart fires when the algorithm enters a phase.
-	PhaseStart(p Phase)
-	// PhaseEnd fires when the algorithm leaves a phase, with the time
-	// spent and the network pages / node settlements attributed to it.
-	PhaseEnd(p Phase, d time.Duration, pages int64, nodes int)
-	// Progress fires roughly every few dozen node settlements with the
-	// query's running settlement total — a cheap liveness tick for
-	// long expansions.
-	Progress(nodesExpanded int)
-	// Point fires when the ordinal-th skyline point (0-based) is
-	// determined, elapsed after query start.
-	Point(ordinal int, elapsed time.Duration)
-	// QueryEnd fires once after the last phase with the query's total
-	// wall time.
-	QueryEnd(total time.Duration)
-}
-
-// EventKind tags a recorded trace event.
-type EventKind uint8
-
-const (
-	KindQueryStart EventKind = iota
-	KindPhaseStart
-	KindPhaseEnd
-	KindProgress
-	KindPoint
-	KindQueryEnd
-)
-
-// String returns the kind's stable name.
-func (k EventKind) String() string {
-	switch k {
-	case KindQueryStart:
-		return "query.start"
-	case KindPhaseStart:
-		return "phase.start"
-	case KindPhaseEnd:
-		return "phase.end"
-	case KindProgress:
-		return "progress"
-	case KindPoint:
-		return "point"
-	case KindQueryEnd:
-		return "query.end"
-	default:
-		return fmt.Sprintf("EventKind(%d)", uint8(k))
-	}
-}
-
-// Event is one recorded trace event (see Recorder).
-type Event struct {
-	Kind  EventKind
-	Phase Phase         // phase events
-	Alg   string        // query.start
-	N     int           // query.start: |Q|; progress: nodes; point: ordinal; phase.end: nodes
-	Pages int64         // phase.end
-	D     time.Duration // phase.end, point, query.end
-}
-
-// Recorder is a Tracer that appends every event to an in-memory slice.
-// It backs the golden phase-sequence tests and is handy for ad-hoc
-// debugging; it is not safe for concurrent use.
-type Recorder struct {
-	Events []Event
-}
-
-func (r *Recorder) QueryStart(alg string, numPoints int) {
-	r.Events = append(r.Events, Event{Kind: KindQueryStart, Alg: alg, N: numPoints})
-}
-
-func (r *Recorder) PhaseStart(p Phase) {
-	r.Events = append(r.Events, Event{Kind: KindPhaseStart, Phase: p})
-}
-
-func (r *Recorder) PhaseEnd(p Phase, d time.Duration, pages int64, nodes int) {
-	r.Events = append(r.Events, Event{Kind: KindPhaseEnd, Phase: p, D: d, Pages: pages, N: nodes})
-}
-
-func (r *Recorder) Progress(nodesExpanded int) {
-	r.Events = append(r.Events, Event{Kind: KindProgress, N: nodesExpanded})
-}
-
-func (r *Recorder) Point(ordinal int, elapsed time.Duration) {
-	r.Events = append(r.Events, Event{Kind: KindPoint, N: ordinal, D: elapsed})
-}
-
-func (r *Recorder) QueryEnd(total time.Duration) {
-	r.Events = append(r.Events, Event{Kind: KindQueryEnd, D: total})
-}
-
-// Signature compresses the recorded events into the query's phase
-// signature: the ordered phase names with consecutive repeats collapsed
-// ("ce.filter ce.refine", "edc.euclid_seed edc.verify edc.window ...").
-// Progress and point events are skipped, so the signature is stable
-// across machines for a fixed network and query.
-func (r *Recorder) Signature() string {
-	var parts []string
-	for _, e := range r.Events {
-		if e.Kind != KindPhaseStart {
-			continue
-		}
-		if len(parts) == 0 || parts[len(parts)-1] != string(e.Phase) {
-			parts = append(parts, string(e.Phase))
-		}
-	}
-	return strings.Join(parts, " ")
+	QueryDone(rec FlightRecord)
 }

@@ -6,24 +6,21 @@ import (
 	"time"
 )
 
-// SlogTracer is a ready-made Tracer that writes trace events to a
-// structured logger. Per-event records (phase spans, progress ticks,
-// skyline points) go out at Debug; the end-of-query summary at Info; and
-// when the query's total time reaches the slow threshold, a Warn record
-// with the full per-phase breakdown — the slow-query log.
+// SlogTracer is a ready-made Tracer that writes finished queries to a
+// structured logger: one Info "skyline query done" record per query; one
+// Debug record per span of a traced query; and, when the query's Total
+// reaches the slow threshold, a Warn "slow skyline query" record with the
+// per-phase breakdown — the slow-query log. Total is the modeled response
+// time the flight recorder's slowest-N reservoir ranks by, so a query is
+// slow here exactly when it is slow in /debug/queries?slowest.
 //
-// Like every Tracer, one instance observes one query at a time: it keeps
-// per-query phase accumulators between QueryStart and QueryEnd. Create
-// one per request (they are two small allocations), or reuse one per
-// pool worker.
+// The Info and Warn records carry the query's outcome, its trace_id when
+// it ran traced (resolvable through Engine.TraceRecord or
+// /debug/trace?id=) and err when it failed. SlogTracer keeps no per-query
+// state: one instance serves every query of a process concurrently.
 type SlogTracer struct {
 	log  *slog.Logger
 	slow time.Duration
-
-	alg    string
-	points int
-	phases map[Phase]*PhaseStat
-	order  []Phase
 }
 
 // NewSlogTracer builds a tracer over log. When slow is positive, queries
@@ -37,57 +34,28 @@ func NewSlogTracer(log *slog.Logger, slow time.Duration) *SlogTracer {
 	return &SlogTracer{log: log, slow: slow}
 }
 
-func (t *SlogTracer) QueryStart(alg string, numPoints int) {
-	t.alg, t.points = alg, numPoints
-	t.phases = make(map[Phase]*PhaseStat, 4)
-	t.order = t.order[:0]
-	t.log.Debug("skyline query start", "alg", alg, "points", numPoints)
-}
-
-func (t *SlogTracer) PhaseStart(p Phase) {
-	if t.log.Enabled(context.Background(), slog.LevelDebug) {
-		t.log.Debug("phase start", "alg", t.alg, "phase", string(p))
+// QueryDone logs rec.
+func (t *SlogTracer) QueryDone(rec FlightRecord) {
+	attrs := []any{"alg", rec.Alg, "points", rec.NumPoints, "outcome", rec.Outcome, "total", rec.Total}
+	if rec.TraceID != "" {
+		attrs = append(attrs, "trace_id", rec.TraceID)
 	}
-}
-
-func (t *SlogTracer) PhaseEnd(p Phase, d time.Duration, pages int64, nodes int) {
-	ps := t.phases[p]
-	if ps == nil {
-		ps = &PhaseStat{Phase: p}
-		t.phases[p] = ps
-		t.order = append(t.order, p)
+	if rec.Err != "" {
+		attrs = append(attrs, "err", rec.Err)
 	}
-	ps.Count++
-	ps.Duration += d
-	ps.NetworkPages += pages
-	ps.NodesExpanded += nodes
-	if t.log.Enabled(context.Background(), slog.LevelDebug) {
-		t.log.Debug("phase end", "alg", t.alg, "phase", string(p),
-			"dur", d, "pages", pages, "nodes", nodes)
+	t.log.Info("skyline query done", attrs...)
+	if len(rec.Spans) > 0 && t.log.Enabled(context.Background(), slog.LevelDebug) {
+		for _, s := range rec.Spans {
+			t.log.Debug("skyline query span", "trace_id", rec.TraceID, "span", s.Name,
+				"start", s.Start, "dur", s.Dur, "pages", s.Pages, "nodes", s.Nodes, "ref", s.Ref)
+		}
 	}
-}
-
-func (t *SlogTracer) Progress(nodesExpanded int) {
-	if t.log.Enabled(context.Background(), slog.LevelDebug) {
-		t.log.Debug("expansion progress", "alg", t.alg, "nodes", nodesExpanded)
-	}
-}
-
-func (t *SlogTracer) Point(ordinal int, elapsed time.Duration) {
-	if t.log.Enabled(context.Background(), slog.LevelDebug) {
-		t.log.Debug("skyline point", "alg", t.alg, "ordinal", ordinal, "elapsed", elapsed)
-	}
-}
-
-func (t *SlogTracer) QueryEnd(total time.Duration) {
-	t.log.Info("skyline query done", "alg", t.alg, "points", t.points, "total", total)
-	if t.slow <= 0 || total < t.slow {
+	if t.slow <= 0 || rec.Total < t.slow {
 		return
 	}
-	attrs := []any{"alg", t.alg, "points", t.points, "total", total, "threshold", t.slow}
-	for _, p := range t.order {
-		ps := t.phases[p]
-		attrs = append(attrs, string(p), slog.GroupValue(
+	attrs = append(attrs, "threshold", t.slow)
+	for _, ps := range rec.Phases {
+		attrs = append(attrs, string(ps.Phase), slog.GroupValue(
 			slog.Int("count", ps.Count),
 			slog.Duration("dur", ps.Duration),
 			slog.Int64("pages", ps.NetworkPages),

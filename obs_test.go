@@ -19,130 +19,95 @@ import (
 	"roadskyline/internal/obs"
 )
 
-// checkEventStream validates the structural invariants every trace must
-// satisfy: QueryStart first, QueryEnd last, phase spans balanced and
-// unnested, progress ticks non-decreasing, one Point event per skyline
-// point in ordinal order.
-func checkEventStream(t *testing.T, alg Algorithm, events []obs.Event, numResults int) {
-	t.Helper()
-	if len(events) < 2 {
-		t.Fatalf("%v: only %d events recorded", alg, len(events))
+// recordSink is a Tracer that hands each finished query's record to a
+// function.
+type recordSink func(FlightRecord)
+
+func (f recordSink) QueryDone(rec FlightRecord) { f(rec) }
+
+// isPhase reports whether a span name is one of the algorithm phases.
+func isPhase(name string) bool {
+	switch Phase(name) {
+	case PhaseCEFilter, PhaseCERefine, PhaseEDCSeed, PhaseEDCWindow, PhaseEDCVerify, PhaseLBCNN, PhaseLBCProbe:
+		return true
 	}
-	first, last := events[0], events[len(events)-1]
-	if first.Kind != obs.KindQueryStart || first.Alg != alg.String() {
-		t.Errorf("%v: first event = %v/%q, want query.start/%q", alg, first.Kind, first.Alg, alg.String())
-	}
-	if last.Kind != obs.KindQueryEnd {
-		t.Errorf("%v: last event = %v, want query.end", alg, last.Kind)
-	}
-	open := obs.Phase("")
-	lastProgress := 0
-	points := 0
-	for i, e := range events {
-		switch e.Kind {
-		case obs.KindQueryStart:
-			if i != 0 {
-				t.Errorf("%v: query.start at index %d", alg, i)
-			}
-		case obs.KindQueryEnd:
-			if i != len(events)-1 {
-				t.Errorf("%v: query.end at index %d of %d", alg, i, len(events))
-			}
-		case obs.KindPhaseStart:
-			if open != "" {
-				t.Errorf("%v: phase %q started while %q still open", alg, e.Phase, open)
-			}
-			open = e.Phase
-		case obs.KindPhaseEnd:
-			if e.Phase != open {
-				t.Errorf("%v: phase %q ended while %q open", alg, e.Phase, open)
-			}
-			open = ""
-		case obs.KindProgress:
-			if e.N < lastProgress {
-				t.Errorf("%v: progress went backwards: %d after %d", alg, e.N, lastProgress)
-			}
-			lastProgress = e.N
-		case obs.KindPoint:
-			if e.N != points {
-				t.Errorf("%v: point ordinal %d, want %d", alg, e.N, points)
-			}
-			points++
-		}
-	}
-	if open != "" {
-		t.Errorf("%v: phase %q never ended", alg, open)
-	}
-	if points != numResults {
-		t.Errorf("%v: %d point events for %d skyline points", alg, points, numResults)
-	}
+	return false
 }
 
-// TestTracerPhaseSequences is the golden phase-sequence test: each
-// algorithm must move through its documented phases in the documented
-// order, and the breakdown surfaced in Stats.Phases must agree with the
-// events the tracer saw.
-func TestTracerPhaseSequences(t *testing.T) {
+// TestPhaseSpans is the golden phase-sequence test, read off the causal
+// trace: each algorithm's phase spans must not overlap, must start in
+// order, must enter the algorithm's documented first phase first and its
+// phases in the documented order, and Stats.Phases must be exactly their
+// per-phase sums — the rows and the spans are written from one place.
+func TestPhaseSpans(t *testing.T) {
 	eng, n := poolTestEngine(t)
 	pts := n.GenerateQueryPoints(3, 0.1, 5)
 
 	tests := []struct {
 		alg    Algorithm
-		first  Phase
 		phases []Phase // exact first-entered order expected in Stats.Phases
 	}{
-		{CEAlg, PhaseCEFilter, []Phase{PhaseCEFilter, PhaseCERefine}},
-		{EDCAlg, PhaseEDCSeed, []Phase{PhaseEDCSeed, PhaseEDCVerify, PhaseEDCWindow}},
-		{LBCAlg, PhaseLBCNN, []Phase{PhaseLBCNN, PhaseLBCProbe}},
+		{CEAlg, []Phase{PhaseCEFilter, PhaseCERefine}},
+		{EDCAlg, []Phase{PhaseEDCSeed, PhaseEDCVerify, PhaseEDCWindow}},
+		{LBCAlg, []Phase{PhaseLBCNN, PhaseLBCProbe}},
 	}
 	for _, tc := range tests {
-		rec := &obs.Recorder{}
-		res, err := eng.Skyline(Query{Points: pts, Algorithm: tc.alg, Tracer: rec})
+		var rec FlightRecord
+		res, err := eng.Skyline(Query{Points: pts, Algorithm: tc.alg, Trace: true,
+			Tracer: recordSink(func(r FlightRecord) { rec = r })})
 		if err != nil {
 			t.Fatalf("%v: %v", tc.alg, err)
 		}
-		checkEventStream(t, tc.alg, rec.Events, len(res.Points))
-
-		if got := rec.Signature(); !strings.HasPrefix(got, string(tc.first)) {
-			t.Errorf("%v: signature %q does not start with %q", tc.alg, got, tc.first)
-		}
-		var gotOrder []Phase
-		for _, ps := range res.Stats.Phases {
-			gotOrder = append(gotOrder, ps.Phase)
-		}
-		if !reflect.DeepEqual(gotOrder, tc.phases) {
-			t.Errorf("%v: Stats.Phases order = %v, want %v", tc.alg, gotOrder, tc.phases)
-		}
-
-		// The breakdown must agree with the tracer's phase.end events and
-		// stay within the query's totals.
-		sums := map[Phase]*PhaseStat{}
-		for _, e := range rec.Events {
-			if e.Kind != obs.KindPhaseEnd {
-				continue
+		var spans []obs.Span
+		for _, s := range rec.Spans {
+			if isPhase(s.Name) {
+				spans = append(spans, s)
 			}
-			ps := sums[e.Phase]
-			if ps == nil {
-				ps = &PhaseStat{Phase: e.Phase}
-				sums[e.Phase] = ps
-			}
-			ps.Count++
-			ps.Duration += e.D
-			ps.NetworkPages += e.Pages
-			ps.NodesExpanded += e.N
 		}
+		if len(spans) == 0 || len(spans) >= obs.MaxLeafSpans {
+			t.Fatalf("%v: %d phase spans", tc.alg, len(spans))
+		}
+		for i := 1; i < len(spans); i++ {
+			if prev := spans[i-1]; spans[i].Start.Before(prev.Start.Add(prev.Dur)) {
+				t.Errorf("%v: span %d (%s) starts before span %d (%s) ends", tc.alg, i, spans[i].Name, i-1, prev.Name)
+			}
+		}
+		if got := Phase(spans[0].Name); got != tc.phases[0] {
+			t.Errorf("%v: first phase %q, want %q", tc.alg, got, tc.phases[0])
+		}
+
+		var want []PhaseStat
+		at := map[Phase]int{}
+		for _, s := range spans {
+			i, ok := at[Phase(s.Name)]
+			if !ok {
+				i = len(want)
+				at[Phase(s.Name)] = i
+				want = append(want, PhaseStat{Phase: Phase(s.Name)})
+			}
+			want[i].Count++
+			want[i].Duration += s.Dur
+			want[i].NetworkPages += s.Pages
+			want[i].NodesExpanded += s.Nodes
+		}
+		var order []Phase
+		for _, ps := range want {
+			order = append(order, ps.Phase)
+		}
+		if !reflect.DeepEqual(order, tc.phases) {
+			t.Errorf("%v: phases entered in order %v, want %v", tc.alg, order, tc.phases)
+		}
+		if !reflect.DeepEqual(res.Stats.Phases, want) {
+			t.Errorf("%v: Stats.Phases\n%+v\nis not the per-phase sum of the spans\n%+v", tc.alg, res.Stats.Phases, want)
+		}
+		if !reflect.DeepEqual(rec.Phases, res.Stats.Phases) {
+			t.Errorf("%v: the record's phases %+v differ from Stats.Phases %+v", tc.alg, rec.Phases, res.Stats.Phases)
+		}
+
+		// The breakdown stays within the query's totals.
 		var pages int64
 		var dur time.Duration
 		for _, ps := range res.Stats.Phases {
-			want := sums[ps.Phase]
-			if want == nil {
-				t.Errorf("%v: phase %q in Stats.Phases but never ended in the trace", tc.alg, ps.Phase)
-				continue
-			}
-			if ps.Count != want.Count || ps.Duration != want.Duration ||
-				ps.NetworkPages != want.NetworkPages || ps.NodesExpanded != want.NodesExpanded {
-				t.Errorf("%v: phase %q breakdown %+v disagrees with trace %+v", tc.alg, ps.Phase, ps, *want)
-			}
 			pages += ps.NetworkPages
 			dur += ps.Duration
 		}
@@ -156,9 +121,9 @@ func TestTracerPhaseSequences(t *testing.T) {
 }
 
 // TestTracerEquivalence is the acceptance fuzz: for a mixed workload,
-// attaching a tracer (and collecting phases) must not change the skyline
-// or any deterministic counter, and without either the breakdown must
-// stay nil.
+// a causal trace, a SlogTracer and phase collection all at once must not
+// change the skyline or any deterministic counter, and without any of
+// them the breakdown must stay nil.
 func TestTracerEquivalence(t *testing.T) {
 	eng, n := poolTestEngine(t)
 	// Deterministic counters only: the measured wall times differ run to
@@ -168,6 +133,7 @@ func TestTracerEquivalence(t *testing.T) {
 		s.Phases = nil
 		return s
 	}
+	sink := NewSlogTracer(slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelDebug})), time.Nanosecond)
 	for i, q := range mixedQueries(n) {
 		base, err := eng.Skyline(q)
 		if err != nil {
@@ -176,7 +142,8 @@ func TestTracerEquivalence(t *testing.T) {
 		if base.Stats.Phases != nil {
 			t.Errorf("query %d: Phases populated without tracer or CollectPhases", i)
 		}
-		q.Tracer = &obs.Recorder{}
+		q.Trace = true
+		q.Tracer = sink
 		q.CollectPhases = true
 		traced, err := eng.Skyline(q)
 		if err != nil {
@@ -192,15 +159,20 @@ func TestTracerEquivalence(t *testing.T) {
 			t.Errorf("query %d: CollectPhases produced no breakdown", i)
 		}
 	}
-	// CollectPhases alone (no tracer) also yields the breakdown — and the
-	// iterator path supports both knobs too.
+	// CollectPhases alone, a Tracer alone, and the iterator path each
+	// yield the breakdown too.
 	pts := n.GenerateQueryPoints(3, 0.1, 5)
-	res, err := eng.Skyline(Query{Points: pts, Algorithm: LBCAlg, CollectPhases: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Stats.Phases) == 0 {
-		t.Error("CollectPhases without tracer produced no breakdown")
+	for name, q := range map[string]Query{
+		"CollectPhases": {Points: pts, Algorithm: LBCAlg, CollectPhases: true},
+		"Tracer":        {Points: pts, Algorithm: LBCAlg, Tracer: sink},
+	} {
+		res, err := eng.Skyline(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Stats.Phases) == 0 {
+			t.Errorf("%s alone produced no breakdown", name)
+		}
 	}
 	it, err := eng.SkylineIterContext(context.Background(), Query{Points: pts, CollectPhases: true})
 	if err != nil {
@@ -218,44 +190,110 @@ func TestTracerEquivalence(t *testing.T) {
 	}
 }
 
-// TestSlogTracer drives the ready-made tracer end to end: debug event
-// records, the end-of-query summary, and the slow-query warning with the
-// phase breakdown.
+// logLines decodes a JSON slog stream into one map per record.
+func logLines(t *testing.T, buf *bytes.Buffer) []map[string]any {
+	t.Helper()
+	var out []map[string]any
+	dec := json.NewDecoder(buf)
+	for dec.More() {
+		var m map[string]any
+		if err := dec.Decode(&m); err != nil {
+			t.Fatalf("log stream: %v", err)
+		}
+		out = append(out, m)
+	}
+	return out
+}
+
+// TestSlogTracer drives the ready-made sink end to end: the per-span
+// Debug records of a traced query, the Info summary, and a slow-query
+// Warn line whose trace_id resolves through Engine.TraceRecord to a
+// record whose phases its groups repeat exactly.
 func TestSlogTracer(t *testing.T) {
-	eng, n := poolTestEngine(t)
+	eng, n := flightTestEngine(t)
 	pts := n.GenerateQueryPoints(3, 0.1, 5)
 	var buf bytes.Buffer
-	log := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
+	log := slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
 	// slow=1ns: every query trips the slow-query log.
-	_, err := eng.Skyline(Query{Points: pts, Algorithm: LBCAlg, Tracer: NewSlogTracer(log, time.Nanosecond)})
+	if _, err := eng.Skyline(Query{Points: pts, Algorithm: LBCAlg, Trace: true, Tracer: NewSlogTracer(log, time.Nanosecond)}); err != nil {
+		t.Fatal(err)
+	}
+	byMsg := map[string][]map[string]any{}
+	for _, l := range logLines(t, &buf) {
+		msg, _ := l["msg"].(string)
+		byMsg[msg] = append(byMsg[msg], l)
+	}
+	done, slow := byMsg["skyline query done"], byMsg["slow skyline query"]
+	if len(done) != 1 || len(slow) != 1 {
+		t.Fatalf("%d Info and %d Warn records, want one each", len(done), len(slow))
+	}
+	w := slow[0]
+	if w["level"] != "WARN" || w["alg"] != "LBC" || w["outcome"] != obs.OutcomeServed || w["err"] != nil {
+		t.Errorf("slow-query record %v", w)
+	}
+	id, _ := w["trace_id"].(string)
+	rec, ok := eng.TraceRecord(id)
+	if !ok {
+		t.Fatalf("slow-query trace_id %q does not resolve", id)
+	}
+	if done[0]["trace_id"] != id {
+		t.Errorf("Info record names trace %v, Warn %q", done[0]["trace_id"], id)
+	}
+	if got := len(byMsg["skyline query span"]); got != len(rec.Spans) {
+		t.Errorf("%d span records for %d spans", got, len(rec.Spans))
+	}
+	if len(rec.Phases) == 0 {
+		t.Fatal("record carries no phases")
+	}
+	for _, ps := range rec.Phases {
+		g, ok := w[string(ps.Phase)].(map[string]any)
+		if !ok {
+			t.Errorf("slow-query record has no %s group: %v", ps.Phase, w)
+			continue
+		}
+		got := PhaseStat{Phase: ps.Phase, Count: int(g["count"].(float64)), Duration: time.Duration(g["dur"].(float64)),
+			NetworkPages: int64(g["pages"].(float64)), NodesExpanded: int(g["nodes"].(float64))}
+		if got != ps {
+			t.Errorf("slow-query group %+v, record's phase %+v", got, ps)
+		}
+	}
+
+	// Under the threshold nothing is slow; the Info summary still appears,
+	// and no span is formatted at Info level.
+	buf.Reset()
+	infoLog := slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: slog.LevelInfo}))
+	if _, err := eng.Skyline(Query{Points: pts, Algorithm: LBCAlg, Trace: true, Tracer: NewSlogTracer(infoLog, time.Hour)}); err != nil {
+		t.Fatal(err)
+	}
+	lines := logLines(t, &buf)
+	if len(lines) != 1 || lines[0]["msg"] != "skyline query done" {
+		t.Errorf("hour threshold at Info logged %v, want the summary alone", lines)
+	}
+}
+
+// TestSlogTracerCancelledSubmission: a pool submission cancelled before it
+// reaches a worker still ends in the sink, as outcome cancelled with its
+// error.
+func TestSlogTracerCancelledSubmission(t *testing.T) {
+	eng, n := poolTestEngine(t)
+	pool, err := NewPool(eng, PoolConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, want := range []string{
-		"skyline query start", "phase start", "phase end",
-		"skyline query done", "slow skyline query",
-		string(PhaseLBCNN), string(PhaseLBCProbe), "alg=LBC",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("slog output missing %q", want)
-		}
+	defer pool.Close()
+	var buf bytes.Buffer
+	sink := NewSlogTracer(slog.New(slog.NewJSONHandler(&buf, nil)), time.Hour)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := pool.Skyline(ctx, Query{Points: n.GenerateQueryPoints(2, 0.1, 3), Tracer: sink}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	// Above the threshold nothing is slow; Info summary still appears.
-	buf.Reset()
-	infoLog := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelInfo}))
-	if _, err := eng.Skyline(Query{Points: pts, Algorithm: LBCAlg, Tracer: NewSlogTracer(infoLog, time.Hour)}); err != nil {
-		t.Fatal(err)
+	lines := logLines(t, &buf)
+	if len(lines) != 1 {
+		t.Fatalf("%d records, want 1: %v", len(lines), lines)
 	}
-	out = buf.String()
-	if strings.Contains(out, "slow skyline query") {
-		t.Error("hour-threshold query logged as slow")
-	}
-	if !strings.Contains(out, "skyline query done") {
-		t.Error("Info summary missing")
-	}
-	if strings.Contains(out, "phase start") {
-		t.Error("debug phase records emitted at Info level")
+	if l := lines[0]; l["msg"] != "skyline query done" || l["outcome"] != obs.OutcomeCancelled || l["err"] != context.Canceled.Error() {
+		t.Errorf("cancelled submission logged as %v", l)
 	}
 }
 
@@ -508,9 +546,10 @@ func TestPoolMetricsHandler(t *testing.T) {
 }
 
 // BenchmarkLBCTracerOverhead quantifies the tracing tax on the LBC hot
-// path: `off` is the nil-tracer baseline the zero-overhead contract is
-// measured against, `phases` collects the breakdown without a tracer, and
-// `recorder` pays for full event recording.
+// path: `off` is the untraced baseline the zero-overhead contract is
+// measured against, `phases` collects the breakdown, and `serve` carries
+// what skylineserve attaches to every request — a causal trace and a
+// SlogTracer over a logger that discards its Info summary.
 func BenchmarkLBCTracerOverhead(b *testing.B) {
 	n, err := Generate(NetworkSpec{Name: "bench", Nodes: 2000, Edges: 2500,
 		Jitter: 0.3, MaxStretch: 0.15, Seed: 42})
@@ -536,7 +575,8 @@ func BenchmarkLBCTracerOverhead(b *testing.B) {
 	b.Run("phases", func(b *testing.B) {
 		run(b, func() Query { return Query{Points: qp, Algorithm: LBCAlg, CollectPhases: true} })
 	})
-	b.Run("recorder", func(b *testing.B) {
-		run(b, func() Query { return Query{Points: qp, Algorithm: LBCAlg, Tracer: &obs.Recorder{}} })
+	sink := NewSlogTracer(slog.New(slog.NewTextHandler(io.Discard, nil)), time.Second)
+	b.Run("serve", func(b *testing.B) {
+		run(b, func() Query { return Query{Points: qp, Algorithm: LBCAlg, Trace: true, Tracer: sink} })
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -141,16 +142,16 @@ func TestWavefrontTraceWaitsOnLeader(t *testing.T) {
 	const K = 5
 	const hold = 60 * time.Millisecond
 
-	gate := newGateTracer()
+	gate := leadGate(eng)
 	results := make([]*Result, K)
 	errs := make([]error, K)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() { // leader
 		defer wg.Done()
-		results[0], errs[0] = eng.Clone().Skyline(Query{Points: pts, Algorithm: CEAlg, Tracer: gate, Trace: true})
+		results[0], errs[0] = eng.Clone().SkylineContext(gate, Query{Points: pts, Algorithm: CEAlg, Trace: true})
 	}()
-	<-gate.started
+	gate.wait(t)
 	for i := 1; i < K; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -313,8 +314,10 @@ func TestTraceEventExport(t *testing.T) {
 
 // TestConcurrentScrapesRace drives pool traffic while hammering every
 // observability endpoint — /metrics, /debug/queries, /debug/trace,
-// /debug/inflight — from concurrent scrapers. Run under -race it pins
-// that live progress cells and the recorder are safe to read mid-query.
+// /debug/inflight — from concurrent scrapers, every query logging through
+// one shared SlogTracer as skylineserve's do. Run under -race it pins that
+// live progress cells, the recorder and the sink are safe to use
+// mid-query, and the sink must see every submission exactly once.
 func TestConcurrentScrapesRace(t *testing.T) {
 	tr := newFuzzTrial(t, 4245)
 	eng := tr.tracedEngine(t)
@@ -354,6 +357,8 @@ func TestConcurrentScrapesRace(t *testing.T) {
 	}
 
 	const Q = 24
+	var logged bytes.Buffer
+	sink := NewSlogTracer(slog.New(slog.NewJSONHandler(&logged, nil)), time.Nanosecond)
 	var queries sync.WaitGroup
 	for i := 0; i < Q; i++ {
 		queries.Add(1)
@@ -361,7 +366,7 @@ func TestConcurrentScrapesRace(t *testing.T) {
 			defer queries.Done()
 			alg := []Algorithm{CEAlg, EDCAlg, LBCAlg}[i%3]
 			if _, err := pool.Skyline(context.Background(), Query{
-				Points: tr.pts, Algorithm: alg, UseAttrs: tr.use, Trace: true,
+				Points: tr.pts, Algorithm: alg, UseAttrs: tr.use, Trace: true, Tracer: sink,
 			}); err != nil && err != ErrPoolSaturated {
 				t.Errorf("query %d: %v", i, err)
 			}
@@ -370,6 +375,15 @@ func TestConcurrentScrapesRace(t *testing.T) {
 	queries.Wait()
 	close(stop)
 	scrapers.Wait()
+	done := 0
+	for _, l := range logLines(t, &logged) {
+		if l["msg"] == "skyline query done" {
+			done++
+		}
+	}
+	if done != Q {
+		t.Errorf("the shared sink logged %d of %d submissions", done, Q)
+	}
 
 	// The trace handler must serve an export for a retained trace.
 	recs := pool.FlightRecords()

@@ -1,6 +1,7 @@
 package roadskyline
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -298,22 +299,22 @@ func wavefrontCells(t *testing.T, n *Network) []trajectoryCell {
 
 	on := trajectoryCell{Name: "wavefront/on", Alg: "CE", NumPoints: 1, Queries: K}
 	onEng := newEng(true)
-	gate := newGateTracer()
+	gate := leadGate(onEng)
 	results := make([]*Result, K)
 	errs := make([]error, K)
 	var wg sync.WaitGroup
 	for i := 0; i < K; i++ {
-		qi := q
+		ctx := context.Background()
 		if i == 0 {
-			qi.Tracer = gate
+			ctx = gate
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[i], errs[i] = onEng.Clone().Skyline(qi)
+			results[i], errs[i] = onEng.Clone().SkylineContext(ctx, q)
 		}()
 		if i == 0 {
-			<-gate.started
+			gate.wait(t)
 		}
 	}
 	waitForWaiting(t, onEng, K-1)

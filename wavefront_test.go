@@ -29,32 +29,48 @@ func (tr *fuzzTrial) sharedEngine(t *testing.T, distEntries int) *Engine {
 	return eng
 }
 
-// gateTracer blocks the traced query inside its QueryStart event — which
-// fires after every searcher is constructed (and hence after the query has
-// registered its wavefront flights) but before any expansion — until the
-// test closes release. It lets a test hold a leader in flight while
-// subscribers pile onto its wavefronts.
-type gateTracer struct {
-	once    sync.Once
+// gateContext holds the query it is passed to inside one Err call: the
+// first one made after arm reports true, until the test closes release.
+// Every algorithm checks its context once its searchers and wavefront
+// tickets exist and before its first expansion, so a gate armed on the
+// store's lead count parks a leader in flight, holding its wavefronts,
+// while subscribers pile onto them.
+type gateContext struct {
+	context.Context
+	arm     func() bool
+	fired   atomic.Bool
 	started chan struct{}
 	release chan struct{}
 }
 
-func newGateTracer() *gateTracer {
-	return &gateTracer{started: make(chan struct{}), release: make(chan struct{})}
+func newGateContext(parent context.Context, arm func() bool) *gateContext {
+	return &gateContext{Context: parent, arm: arm, started: make(chan struct{}), release: make(chan struct{})}
 }
 
-func (g *gateTracer) QueryStart(string, int) {
-	g.once.Do(func() {
+// leadGate arms on eng's store counting a lead beyond the ones it has now.
+func leadGate(eng *Engine) *gateContext {
+	leads := eng.WavefrontStats().Leads
+	return newGateContext(context.Background(), func() bool { return eng.WavefrontStats().Leads > leads })
+}
+
+func (g *gateContext) Err() error {
+	if !g.fired.Load() && g.arm() && g.fired.CompareAndSwap(false, true) {
 		close(g.started)
 		<-g.release
-	})
+	}
+	return g.Context.Err()
 }
-func (g *gateTracer) PhaseStart(Phase)                          {}
-func (g *gateTracer) PhaseEnd(Phase, time.Duration, int64, int) {}
-func (g *gateTracer) Progress(int)                              {}
-func (g *gateTracer) Point(int, time.Duration)                  {}
-func (g *gateTracer) QueryEnd(time.Duration)                    {}
+
+// wait returns once the gated query is held, failing the test when it
+// never is: a query that skips its context check must fail, not hang.
+func (g *gateContext) wait(t *testing.T) {
+	t.Helper()
+	select {
+	case <-g.started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the gated query made no context check after its gate armed")
+	}
+}
 
 // waitForWaiting polls the store until exactly want subscribers are
 // blocked on a leader, failing the test on timeout.
@@ -86,9 +102,9 @@ func uniquePoints(pts []Location) int {
 // TestWavefrontHotPointSingleFlight pins the tentpole contract
 // deterministically: with K identical single-point queries in flight at
 // once, exactly one leads the wavefront expansion and the other K-1 resume
-// from its published frontier. The leader is held at its QueryStart gate
-// until every subscriber is provably parked on its flight, so the counters
-// are exact, not probabilistic.
+// from its published frontier. The leader is held at its first context
+// check until every subscriber is provably parked on its flight, so the
+// counters are exact, not probabilistic.
 func TestWavefrontHotPointSingleFlight(t *testing.T) {
 	tr := newFuzzTrial(t, 9900)
 	eng := tr.sharedEngine(t, 0)
@@ -105,16 +121,16 @@ func TestWavefrontHotPointSingleFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	gate := newGateTracer()
+	gate := leadGate(eng)
 	results := make([]*Result, K)
 	errs := make([]error, K)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() { // leader
 		defer wg.Done()
-		results[0], errs[0] = eng.Clone().Skyline(Query{Points: pts, Algorithm: CEAlg, Tracer: gate})
+		results[0], errs[0] = eng.Clone().SkylineContext(gate, Query{Points: pts, Algorithm: CEAlg})
 	}()
-	<-gate.started
+	gate.wait(t)
 	for i := 1; i < K; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -184,33 +200,16 @@ func TestWavefrontLeaderCancelPromotes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	gate := newGateTracer()
+	// The leader is a progressive iterator: it holds its wavefront from
+	// construction, and holding it before its first Next is the gate.
 	ctx, cancel := context.WithCancel(context.Background())
-	var leaderErr error
+	it, err := eng.Clone().SkylineIterContext(ctx, Query{Points: pts})
+	if err != nil {
+		t.Fatal(err)
+	}
 	results := make([]*Result, K)
 	errs := make([]error, K)
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // leader: a progressive iterator cancelled mid-flight
-		defer wg.Done()
-		it, err := eng.Clone().SkylineIterContext(ctx, Query{Points: pts, Tracer: gate})
-		if err != nil {
-			leaderErr = err
-			return
-		}
-		for {
-			_, ok, err := it.Next()
-			if err != nil {
-				leaderErr = err
-				break
-			}
-			if !ok {
-				break
-			}
-		}
-		it.Close()
-	}()
-	<-gate.started
 	for i := 1; i < K; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -220,7 +219,8 @@ func TestWavefrontLeaderCancelPromotes(t *testing.T) {
 	}
 	waitForWaiting(t, eng, K-1)
 	cancel()
-	close(gate.release)
+	_, _, leaderErr := it.Next()
+	it.Close()
 	wg.Wait()
 
 	if !errors.Is(leaderErr, context.Canceled) {
@@ -245,6 +245,51 @@ func TestWavefrontLeaderCancelPromotes(t *testing.T) {
 	want := WavefrontStats{Leads: 2, Shares: K - 2, Promotions: 1}
 	if ws != want {
 		t.Errorf("store stats %+v, want %+v", ws, want)
+	}
+}
+
+// leadCancelContext reads as cancelled from the first Err call after arm
+// reports true (its Done channel never closes: only Err says so).
+type leadCancelContext struct {
+	context.Context
+	arm func() bool
+}
+
+func (c leadCancelContext) Err() error {
+	if c.arm() {
+		return context.Canceled
+	}
+	return c.Context.Err()
+}
+
+// TestWavefrontCancelledOnceLeadExpandsNothing pins where each algorithm
+// checks its context: after its searchers and wavefront tickets exist and
+// before its first expansion. On a sharing engine a context that turns
+// cancelled once the query's leads are taken must fail CE, EDC and LBC
+// with context.Canceled without a single node settled.
+func TestWavefrontCancelledOnceLeadExpandsNothing(t *testing.T) {
+	n, err := Generate(NetworkSpec{Name: "cancel", Nodes: 1500, Edges: 1950, Jitter: 0.3, MaxStretch: 0.2, Seed: 77})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(n, n.GenerateObjects(0.5, 0, 78), EngineConfig{
+		WarmCache: true, ShareWavefronts: true, FlightRecorder: FlightRecorderConfig{Size: 8},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := n.GenerateQueryPoints(3, 0.1, 79)
+	for _, alg := range []Algorithm{CEAlg, EDCAlg, LBCAlg} {
+		leads := eng.WavefrontStats().Leads
+		ctx := leadCancelContext{context.Background(), func() bool { return eng.WavefrontStats().Leads > leads }}
+		_, err := eng.SkylineContext(ctx, Query{Points: pts, Algorithm: alg})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%v: err = %v, want context.Canceled", alg, err)
+		}
+		if rec := eng.FlightRecords()[0]; rec.WavefrontLeads != len(pts) || rec.NodesExpanded != 0 {
+			t.Errorf("%v: cancelled after %d leads with %d nodes expanded, want %d leads and none",
+				alg, rec.WavefrontLeads, rec.NodesExpanded, len(pts))
+		}
 	}
 }
 
@@ -407,18 +452,16 @@ func TestWavefrontSharingEquivalenceFuzz(t *testing.T) {
 			}
 
 			// In flight: a follower waits on a leader held at its gate.
-			gate := newGateTracer()
-			lq := q
-			lq.Tracer = gate
+			gate := leadGate(eng)
 			var lead, share *Result
 			var leadErr, shareErr error
 			var both sync.WaitGroup
 			both.Add(2)
 			go func() {
 				defer both.Done()
-				lead, leadErr = eng.Clone().Skyline(lq)
+				lead, leadErr = eng.Clone().SkylineContext(gate, q)
 			}()
-			<-gate.started
+			gate.wait(t)
 			go func() {
 				defer both.Done()
 				share, shareErr = eng.Clone().Skyline(q)
