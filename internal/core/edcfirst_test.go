@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"hash/fnv"
 	"math/rand"
 	"testing"
 	"time"
@@ -14,35 +13,6 @@ import (
 	"roadskyline/internal/obs"
 	"roadskyline/internal/testnet"
 )
-
-// The EDC pins: window candidates are verified bounds-first
-// (boundVec.refine against the front of exact vectors), which must change
-// the work and nothing else. Each cell pins the paper's EDC — the DisablePLB
-// arm, every candidate's vector computed in full — to the counters and the
-// exact skyline (object ids, distance bits, report order) the one and only
-// EDC recorded at the parent commit, and holds the default arm to the same
-// answer and the same candidate set for no more work.
-
-// edcCell is a fixed seeded workload answered by EDC.
-type edcCell struct {
-	name  string
-	env   func(testing.TB) *Env
-	pts   func(env *Env, set int) []graph.Location
-	attrs bool
-	opts  Options
-	want  pinned // the paper's EDC, recorded at the parent commit
-}
-
-func (p *pinNet) with(attrs int) func(testing.TB) *Env {
-	return func(t testing.TB) *Env { return p.env(t, attrs) }
-}
-
-// regionPts draws nq query points in a tenth of the network, as pinCell does.
-func regionPts(nq int) func(*Env, int) []graph.Location {
-	return func(env *Env, set int) []graph.Location {
-		return gen.QueryPoints(env.G, nq, 0.1, 1+int64(set))
-	}
-}
 
 // islandsGraph is two random networks of half nodes each sharing the unit
 // square and no edge.
@@ -139,73 +109,6 @@ func twinPts(env *Env, set int) []graph.Location {
 // onTwins is one query point on top of a twin pair: both are at distance 0.
 func onTwins(env *Env, set int) []graph.Location {
 	return []graph.Location{env.Objects[10+2*set].Loc}
-}
-
-var edcCells = []edcCell{
-	{name: "CA/q1", env: pinCA.with(0), pts: regionPts(1), want: pinned{3, 2, 2, 2, 2, 0xdf0ea8ee71d2ee44}},
-	{name: "CA/q2", env: pinCA.with(0), pts: regionPts(2), want: pinned{1694, 532, 1064, 31, 31, 0x8ba2cc7d9c3092b0}},
-	{name: "CA/q4", env: pinCA.with(0), pts: regionPts(4), want: pinned{14285, 2357, 9428, 105, 96, 0x731ebe1f4be51880}},
-	{name: "CA/q8", env: pinCA.with(0), pts: regionPts(8), want: pinned{30421, 2580, 20640, 107, 133, 0x365185cab30a3553}},
-	{name: "CA/q4/attrs", env: pinCA.with(2), pts: regionPts(4), attrs: true, want: pinned{19951, 2748, 10992, 142, 218, 0x151ecfa7e2d08e73}},
-	{name: "CA/q4/nolandmarks", env: pinCA.with(0), pts: regionPts(4), opts: Options{DisableLandmarks: true}, want: pinned{17699, 2357, 9428, 119, 96, 0x731ebe1f4be51880}},
-	{name: "CA/q4/noheuristic", env: pinCA.with(0), pts: regionPts(4), opts: Options{DisableAStarHeuristic: true}, want: pinned{21910, 2357, 9428, 142, 96, 0x731ebe1f4be51880}},
-	{name: "NA60/q4", env: pinNA.with(0), pts: regionPts(4), want: pinned{39410, 6369, 25476, 310, 867, 0x5d905eafec65e2c6}},
-	{name: "islands", env: islandsEnv, pts: islandPts, want: pinned{652, 400, 1200, 18, 11, 0x6d1b8aeb2db0585f}},
-	{name: "islands/attrs", env: islandsEnv, pts: islandPts, attrs: true, want: pinned{653, 400, 1200, 18, 29, 0x20372faa7e8e578a}},
-	{name: "twins/q1", env: twinsEnv, pts: onTwins, want: pinned{0, 4, 4, 4, 4, 0x51774be8f5a41b25}},
-	{name: "twins", env: twinsEnv, pts: twinPts, want: pinned{995, 480, 1440, 18, 64, 0x129102631f89caf1}},
-}
-
-// run answers the cell's queries with EDC under opts and returns the summed
-// work.
-func (c edcCell) run(t testing.TB, opts Options) pinned {
-	t.Helper()
-	env := c.env(t)
-	h := fnv.New64a()
-	opts.ColdCache = true
-	var got pinned
-	for set := 0; set < pinQueries; set++ {
-		res, err := Run(context.Background(), env, Query{Points: c.pts(env, set), UseAttrs: c.attrs}, AlgEDC, opts)
-		if err != nil {
-			t.Fatalf("%s set %d: %v", c.name, set, err)
-		}
-		for _, p := range res.Skyline {
-			hashVec(h, p.Object.ID, p.Vec)
-		}
-		got.points += len(res.Skyline)
-		got.nodes += res.Metrics.NodesExpanded
-		got.cands += res.Metrics.Candidates
-		got.distComp += res.Metrics.DistanceComputations
-		got.pages += res.Metrics.NetworkPages
-	}
-	got.hash = h.Sum64()
-	return got
-}
-
-// TestEDCBoundFirstPinsWork: the paper's EDC repeats the parent's counters
-// and answer exactly; the default arm gives the same answer in the same
-// order from the same candidates, and may only do less.
-func TestEDCBoundFirstPinsWork(t *testing.T) {
-	for _, c := range edcCells {
-		t.Run(c.name, func(t *testing.T) {
-			if testing.Short() && c.name == "NA60/q4" {
-				t.Skip("NA cell skipped in -short")
-			}
-			paper := c.opts
-			paper.DisablePLB = true
-			if got := c.run(t, paper); got != c.want {
-				t.Errorf("the paper's EDC changed:\n got  %v\n want %v", got, c.want)
-			}
-			got := c.run(t, c.opts)
-			t.Logf("bound-first %v", got)
-			if got.hash != c.want.hash || got.points != c.want.points || got.cands != c.want.cands {
-				t.Errorf("bound-first EDC answers differently:\n got  %v\n want %v", got, c.want)
-			}
-			if got.nodes > c.want.nodes || got.pages > c.want.pages || got.distComp > c.want.distComp {
-				t.Errorf("bound-first EDC does more work:\n got  %v\n paper's %v", got, c.want)
-			}
-		})
-	}
 }
 
 // errCounter is a context that counts its Err calls and stamps the time

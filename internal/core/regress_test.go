@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"roadskyline/internal/bruteforce"
@@ -357,38 +356,6 @@ func TestEDCVectorBuffersIndependent(t *testing.T) {
 	for i := range lbWant {
 		if lb[i] != lbWant[i] {
 			t.Fatalf("entry scoring clobbered rect vector: dim %d changed %v -> %v", i, lbWant[i], lb[i])
-		}
-	}
-}
-
-// CE used to range over its candidate map wherever searchers ran out of
-// network, so on a disconnected network one query could report the same
-// skyline in a different order from run to run. The order must be a function
-// of the query alone.
-func TestCEReportOrderDeterministic(t *testing.T) {
-	env := islandsEnv(t)
-	// Sets 1.. spread the query points over both islands: every candidate
-	// waits for a searcher that runs out of network.
-	for set := 1; set < 6; set++ {
-		q := Query{Points: islandPts(env, set)}
-		var want []graph.ObjectID
-		for run := 0; run < 50; run++ {
-			res, err := Run(context.Background(), env, q, AlgCE, Options{ColdCache: true})
-			if err != nil {
-				t.Fatalf("set %d run %d: %v", set, run, err)
-			}
-			got := make([]graph.ObjectID, len(res.Skyline))
-			for i, p := range res.Skyline {
-				got[i] = p.Object.ID
-			}
-			if run == 0 {
-				if len(got) < 2 {
-					t.Fatalf("set %d: skyline of %d points cannot show an order", set, len(got))
-				}
-				want = got
-			} else if !slices.Equal(got, want) {
-				t.Fatalf("set %d run %d reports %v, run 0 reported %v", set, run, got, want)
-			}
 		}
 	}
 }
