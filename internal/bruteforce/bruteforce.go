@@ -50,7 +50,7 @@ func ObjectDistances(g *graph.Graph, objs []graph.Object, src graph.Location) []
 	out := make([]float64, len(objs))
 	for i, o := range objs {
 		e := g.Edge(o.Loc.Edge)
-		d := math.Min(nodeDist[e.U]+o.Loc.Offset, nodeDist[e.V]+e.Length-o.Loc.Offset)
+		d := math.Min(nodeDist[e.U]+o.Loc.Offset, nodeDist[e.V]+(e.Length-o.Loc.Offset))
 		if o.Loc.Edge == src.Edge {
 			d = math.Min(d, math.Abs(o.Loc.Offset-src.Offset))
 		}

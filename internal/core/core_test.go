@@ -56,8 +56,9 @@ func sameIDs(a, b []int) bool {
 }
 
 // oracleArm is one algorithm configuration the oracle comparisons run: the
-// three algorithms as they ship, and the paper's EDC, which computes every
-// candidate's vector in full.
+// three algorithms as they ship, the paper's EDC, which computes every
+// candidate's vector in full, and LBC alternating sources or confirming
+// every head in Euclidean order (the paper's stream).
 type oracleArm struct {
 	name string
 	alg  Algorithm
@@ -69,6 +70,8 @@ var oracleArms = []oracleArm{
 	{"EDC", AlgEDC, Options{ColdCache: true}},
 	{"EDC/noplb", AlgEDC, Options{ColdCache: true, DisablePLB: true}},
 	{"LBC", AlgLBC, Options{ColdCache: true}},
+	{"LBC/alternate", AlgLBC, Options{ColdCache: true, LBCAlternate: true}},
+	{"LBC/nolandmarks", AlgLBC, Options{ColdCache: true, DisableLandmarks: true}},
 }
 
 func (a oracleArm) run(env *Env, q Query) (*Result, error) {
@@ -77,7 +80,10 @@ func (a oracleArm) run(env *Env, q Query) (*Result, error) {
 
 // TestAlgorithmsMatchOracle is the central cross-validation: on randomized
 // networks, CE, EDC and LBC must all return exactly the brute-force
-// multi-source network skyline, with exact distance vectors.
+// multi-source network skyline, with exact distance vectors. A second input
+// loop places objects and query points on exact ties (testnet.PlaceTies):
+// node-snapped offsets, shared locations and a query point on an object;
+// there every arm must return the oracle's skyline, tied points included.
 func TestAlgorithmsMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
@@ -109,6 +115,24 @@ func TestAlgorithmsMatchOracle(t *testing.T) {
 							trial, alg, p.Object.ID, j, p.Dists[j], w)
 					}
 				}
+			}
+		}
+	}
+	rng = rand.New(rand.NewSource(43))
+	for trial := 0; trial < 300; trial++ {
+		g := testnet.RandomGraph(rng, 15+rng.Intn(80))
+		objs := testnet.RandomObjects(rng, g, 1+rng.Intn(50), 0)
+		q := Query{Points: testnet.RandomLocations(rng, g, 1+rng.Intn(5))}
+		testnet.PlaceTies(rng, g, objs, q.Points)
+		env := newTestEnv(t, g, objs)
+		want, _ := bruteforce.NetworkSkyline(g, objs, q.Points, false)
+		for _, arm := range oracleArms {
+			res, err := arm.run(env, q)
+			if err != nil {
+				t.Fatalf("ties %d %v: %v", trial, arm.name, err)
+			}
+			if got := skylineIDs(res); !sameIDs(got, want) {
+				t.Errorf("ties %d %v: skyline %v, oracle %v", trial, arm.name, got, want)
 			}
 		}
 	}

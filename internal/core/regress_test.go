@@ -138,6 +138,37 @@ func TestBoundaryOffsets(t *testing.T) {
 	}
 }
 
+// TestFarEndTie: two objects on node B, at the far end of A→B and at the far
+// end of C→B, are both exactly 0.1 from a query point on A. A far-end
+// distance taken as (g+L)-off rather than g+(L-off) put the second at
+// 0.1+0.7-0.7 = 0.09999999999999998, where it strictly dominated its twin.
+func TestFarEndTie(t *testing.T) {
+	b := graph.NewBuilder(3, 2)
+	na := b.AddNode(geom.Point{X: 0, Y: 0})
+	nb := b.AddNode(geom.Point{X: 0.05, Y: 0})
+	nc := b.AddNode(geom.Point{X: 0.5, Y: 0})
+	ab, cb := b.AddEdge(na, nb, 0.1), b.AddEdge(nc, nb, 0.7)
+	env := newTestEnv(t, b.MustBuild(), []graph.Object{
+		{ID: 0, Loc: graph.Location{Edge: ab, Offset: 0.1}},
+		{ID: 1, Loc: graph.Location{Edge: cb, Offset: 0.7}},
+	})
+	q := Query{Points: []graph.Location{{Edge: ab, Offset: 0}}}
+	for _, arm := range oracleArms {
+		res, err := arm.run(env, q)
+		if err != nil {
+			t.Fatalf("%v: %v", arm.name, err)
+		}
+		if got := skylineIDs(res); !sameIDs(got, []int{0, 1}) {
+			t.Errorf("%v: skyline %v, want both objects", arm.name, got)
+		}
+		for _, p := range res.Skyline {
+			if p.Dists[0] != 0.1 {
+				t.Errorf("%v: object %d at %.17g, want 0.1", arm.name, p.Object.ID, p.Dists[0])
+			}
+		}
+	}
+}
+
 // TestAlgorithmsMatchOracleDegenerate cross-validates all three algorithms
 // on graphs with self-loops and parallel edges, with object and query
 // offsets pushed to the edge boundaries and query points co-located with

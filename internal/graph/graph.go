@@ -126,8 +126,11 @@ func (g *Graph) PointAt(e EdgeID, offset float64) geom.Point {
 	t := offset / ed.Length
 	if t < 0 {
 		t = 0
-	} else if t > 1 {
-		t = 1
+	} else if t >= 1 {
+		// The far end is node V itself: Lerp at t = 1 can land an ulp off
+		// it, and a Euclidean bound from there can exceed a network
+		// distance of zero.
+		return g.nodes[ed.V].Pt
 	}
 	return g.nodes[ed.U].Pt.Lerp(g.nodes[ed.V].Pt, t)
 }

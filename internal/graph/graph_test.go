@@ -200,6 +200,15 @@ func TestPointAt(t *testing.T) {
 	if p := g.PointAt(0, 99); p != (geom.Point{X: 1, Y: 0}) {
 		t.Errorf("clamped PointAt = %v", p)
 	}
+	// The far end is node V exactly: 0.5 + (0.05-0.5)*1 rounds to
+	// 0.04999999999999999.
+	b := NewBuilder(2, 1)
+	b.AddNode(geom.Point{X: 0.5, Y: 0})
+	b.AddNode(geom.Point{X: 0.05, Y: 0})
+	b.AddEdge(0, 1, 0.7)
+	if p := b.MustBuild().PointAt(0, 0.7); p != (geom.Point{X: 0.05, Y: 0}) {
+		t.Errorf("PointAt(e, len) = %v, want node V (0.05, 0)", p)
+	}
 }
 
 func TestValidateLocation(t *testing.T) {

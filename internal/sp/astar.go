@@ -302,8 +302,8 @@ func (a *AStar) OpenSession(t *Target) *Session {
 	if okU && dU+dest.Offset < s.tent {
 		s.tent, s.via, s.direct = dU+dest.Offset, s.destE.U, false
 	}
-	if okV && dV+s.destE.Length-dest.Offset < s.tent {
-		s.tent, s.via, s.direct = dV+s.destE.Length-dest.Offset, s.destE.V, false
+	if okV && dV+(s.destE.Length-dest.Offset) < s.tent {
+		s.tent, s.via, s.direct = dV+(s.destE.Length-dest.Offset), s.destE.V, false
 	}
 	if okU && okV {
 		s.finish()
@@ -449,8 +449,8 @@ func (s *Session) Advance() (plb float64, done bool, err error) {
 	if u == s.destE.U && g+s.dest.Offset < s.tent {
 		s.tent, s.via, s.direct = g+s.dest.Offset, u, false
 	}
-	if u == s.destE.V && g+s.destE.Length-s.dest.Offset < s.tent {
-		s.tent, s.via, s.direct = g+s.destE.Length-s.dest.Offset, u, false
+	if u == s.destE.V && g+(s.destE.Length-s.dest.Offset) < s.tent {
+		s.tent, s.via, s.direct = g+(s.destE.Length-s.dest.Offset), u, false
 	}
 
 	sc.nbuf, err = a.net.Neighbors(u, sc.nbuf[:0])

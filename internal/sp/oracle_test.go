@@ -246,8 +246,8 @@ func (a *mapAStar) NewSession(dest graph.Location, destPt geom.Point) *mapSessio
 	if okU && dU+dest.Offset < s.tent {
 		s.tent, s.via, s.direct = dU+dest.Offset, s.destE.U, false
 	}
-	if okV && dV+s.destE.Length-dest.Offset < s.tent {
-		s.tent, s.via, s.direct = dV+s.destE.Length-dest.Offset, s.destE.V, false
+	if okV && dV+(s.destE.Length-dest.Offset) < s.tent {
+		s.tent, s.via, s.direct = dV+(s.destE.Length-dest.Offset), s.destE.V, false
 	}
 	if okU && okV {
 		s.finish()
@@ -319,8 +319,8 @@ func (s *mapSession) Advance() (plb float64, done bool, err error) {
 	if u == s.destE.U && fe.g+s.dest.Offset < s.tent {
 		s.tent, s.via, s.direct = fe.g+s.dest.Offset, u, false
 	}
-	if u == s.destE.V && fe.g+s.destE.Length-s.dest.Offset < s.tent {
-		s.tent, s.via, s.direct = fe.g+s.destE.Length-s.dest.Offset, u, false
+	if u == s.destE.V && fe.g+(s.destE.Length-s.dest.Offset) < s.tent {
+		s.tent, s.via, s.direct = fe.g+(s.destE.Length-s.dest.Offset), u, false
 	}
 
 	a.nbuf, err = a.net.Neighbors(u, a.nbuf[:0])

@@ -115,6 +115,30 @@ func RandomLocations(rng *rand.Rand, g *graph.Graph, k int) []graph.Location {
 	return locs
 }
 
+// PlaceTies moves objs and pts onto the exact ties a continuous placement
+// makes with probability zero: each offset snaps to 0 or its edge's length
+// with probability 1/2, a third of the objects take another object's
+// location, and the first query point sits on an object.
+func PlaceTies(rng *rand.Rand, g *graph.Graph, objs []graph.Object, pts []graph.Location) {
+	snap := func(l *graph.Location) {
+		if rng.Intn(2) == 0 {
+			l.Offset = float64(rng.Intn(2)) * g.Edge(l.Edge).Length
+		}
+	}
+	for i := range objs {
+		snap(&objs[i].Loc)
+	}
+	for i := range pts {
+		snap(&pts[i])
+	}
+	for i := range objs {
+		if rng.Intn(3) == 0 {
+			objs[i].Loc = objs[rng.Intn(len(objs))].Loc
+		}
+	}
+	pts[0] = objs[rng.Intn(len(objs))].Loc
+}
+
 // MemNet is an uncounted in-memory implementation of the sp.Net interface
 // shape, backed directly by a Graph and an object list.
 type MemNet struct {
