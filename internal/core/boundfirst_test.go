@@ -55,7 +55,8 @@ func (p *pinNet) env(t testing.TB, attrs int) *Env {
 	return env
 }
 
-// hashVec adds an answer's (object id, Float64bits of each distance) to h.
+// hashVec adds an answer's object id and the Float64bits of each vector
+// entry to h.
 func hashVec(h interface{ Write([]byte) (int, error) }, id graph.ObjectID, vec []float64) {
 	var b [8]byte
 	put := func(v uint64) {

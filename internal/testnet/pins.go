@@ -44,8 +44,8 @@ type Pin struct {
 	Skyline    int   `json:"skyline"`
 	// HitRate is the distance-cache hit rate, where the cache is on.
 	HitRate float64 `json:"hit_rate,omitempty"`
-	// Hash is FNV-1a over (object id, Float64bits of each distance) in
-	// report order, where the test hashes the answer.
+	// Hash is FNV-1a over each answer's object id and the Float64bits of
+	// its vector entries, in report order, where the test hashes answers.
 	Hash string `json:"hash,omitempty"`
 }
 
