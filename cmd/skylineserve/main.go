@@ -273,9 +273,10 @@ type responsePoint struct {
 	Attrs     []float64 `json:"attrs,omitempty"`
 }
 
-// maxQueryPoints bounds |Q| per request: each q point costs a linear
-// snap over the network's edges before the pool's admission control sees
-// the query, and the paper's workloads stop at |Q| = 8.
+// maxQueryPoints bounds |Q| per request: every q point is snapped (an
+// R-tree search over the network's edges) before the pool's admission
+// control sees the query, and each adds a wavefront to the query's work;
+// the paper's workloads stop at |Q| = 8.
 const maxQueryPoints = 64
 
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {

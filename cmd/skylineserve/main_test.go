@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"log/slog"
@@ -16,10 +17,11 @@ import (
 	"roadskyline"
 )
 
-// TestQueryRejectsHostileInput: /query answers 400, before snapping or
-// touching the pool, to non-finite coordinates (which used to snap to
-// edge 0 and answer 200) and to more than maxQueryPoints points; once the
-// pool is closed it answers 503.
+// TestQueryRejectsHostileInput: /query answers 400, before touching the
+// pool, to non-finite coordinates and to finite ones too far out for any
+// edge to be at a finite distance (both used to snap to edge 0 and answer
+// 200) and to more than maxQueryPoints points; once the pool is closed it
+// answers 503.
 func TestQueryRejectsHostileInput(t *testing.T) {
 	n, err := roadskyline.Generate(roadskyline.NetworkSpec{Name: "serve", Nodes: 300, Edges: 390,
 		Jitter: 0.3, MaxStretch: 0.2, Seed: 31})
@@ -45,7 +47,8 @@ func TestQueryRejectsHostileInput(t *testing.T) {
 	if code := get("q=0.4,0.4&q=0.6,0.5"); code != http.StatusOK {
 		t.Fatalf("plain query: status %d", code)
 	}
-	for _, bad := range []string{"q=NaN,NaN", "q=0.5,nan", "q=Inf,0.5", "q=0.5,-Inf&q=0.4,0.4"} {
+	for _, bad := range []string{"q=NaN,NaN", "q=0.5,nan", "q=Inf,0.5", "q=0.5,-Inf&q=0.4,0.4",
+		"q=1.7e308,1.7e308", "q=-1.7e308,1e308", "q=0.4,0.4&q=1.7e308,1.7e308"} {
 		if code := get(bad); code != http.StatusBadRequest {
 			t.Errorf("GET /query?%s: status %d, want 400", bad, code)
 		}
@@ -66,6 +69,66 @@ func TestQueryRejectsHostileInput(t *testing.T) {
 	if code := get("q=0.4,0.4"); code != http.StatusServiceUnavailable {
 		t.Errorf("closed pool: status %d, want 503", code)
 	}
+}
+
+// FuzzQueryHandler feeds arbitrary query strings to /query on the test
+// network: every one must answer 200, 400 or 503 with a JSON body (a
+// queryResponse on 200, an error object otherwise) and none may panic.
+//
+//	go test -run '^$' -fuzz FuzzQueryHandler -fuzztime 10s ./cmd/skylineserve
+func FuzzQueryHandler(f *testing.F) {
+	n, err := roadskyline.Generate(roadskyline.NetworkSpec{Name: "serve", Nodes: 300, Edges: 390,
+		Jitter: 0.3, MaxStretch: 0.2, Seed: 31})
+	if err != nil {
+		f.Fatal(err)
+	}
+	eng, err := roadskyline.NewEngine(n, n.GenerateObjects(0.4, 2, 17), roadskyline.EngineConfig{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	pool, err := roadskyline.NewPool(eng, roadskyline.PoolConfig{Workers: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer pool.Close()
+	s := &server{net: n, pool: pool, log: slog.New(slog.NewTextHandler(io.Discard, nil))}
+
+	for _, seed := range []string{
+		"q=0.4,0.4&q=0.6,0.5",
+		"q=0.4,0.4&q=0.6,0.5&alg=ce&attrs=1&phases=true",
+		"q=0.1,0.9&q=0.1,0.9&alg=EDC&source=1&alternate=1&trace=0",
+		"q=0.5,0.5&source=-3",
+		"q=0.5,0.5&alg=dijkstra",
+		"q=NaN,0.5", "q=1.7e308,1.7e308", "q=-1.7e308,1e308", "q=1e-320,-0",
+		"q=1,2,3", "q=%zz", "q=", "", "alg=LBC",
+		strings.Repeat("q=0.5,0.5&", maxQueryPoints+1),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, query string) {
+		req := httptest.NewRequest("GET", "/query", nil)
+		req.URL.RawQuery = query
+		rw := httptest.NewRecorder()
+		s.handleQuery(rw, req)
+		body := rw.Body.Bytes()
+		switch rw.Code {
+		case http.StatusOK:
+			var out queryResponse
+			if err := json.Unmarshal(body, &out); err != nil {
+				t.Fatalf("GET /query?%s: 200 with body %q: %v", query, body, err)
+			}
+		case http.StatusBadRequest, http.StatusServiceUnavailable:
+			var out struct{ Error string }
+			if err := json.Unmarshal(body, &out); err != nil || out.Error == "" {
+				t.Fatalf("GET /query?%s: %d with body %q, want a JSON error", query, rw.Code, body)
+			}
+		default:
+			t.Fatalf("GET /query?%s: status %d, want 200, 400 or 503", query, rw.Code)
+		}
+		if ct := rw.Header().Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("GET /query?%s: Content-Type %q", query, ct)
+		}
+	})
 }
 
 // TestShutdownDrainsInflight: a request already executing when shutdown

@@ -29,10 +29,12 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"roadskyline/internal/gen"
 	"roadskyline/internal/geom"
 	"roadskyline/internal/graph"
+	"roadskyline/internal/rtree"
 )
 
 // Point is a planar coordinate in the network's embedding (the paper
@@ -61,7 +63,8 @@ type Object struct {
 
 // Network is an immutable road network.
 type Network struct {
-	g *graph.Graph
+	g     *graph.Graph
+	edges edgeIndex // built by the first NearestLocation
 }
 
 // NetworkBuilder accumulates nodes and edges.
@@ -124,8 +127,18 @@ func (n *Network) Connected() bool { return n.g.Connected() }
 
 // NearestLocation maps an arbitrary coordinate to the closest position on
 // the network (a point on the nearest edge). It is how applications anchor
-// "the hotel at (x, y)" onto the road graph. NaN and infinite coordinates
-// are an error: nothing is nearest to them.
+// "the hotel at (x, y)" onto the road graph.
+//
+// The search runs best-first over an STR-packed R-tree of edge bounding
+// boxes, so a snap reads the edges near p rather than all of them (on a
+// 2-CPU x86-64 box, ~9 µs on CA where a scan of every edge takes ~130 µs).
+// The tree is built on the first call (~2.5 ms on CA, ~0.1 s on NA) and
+// shared by every later one; concurrent first calls wait for one build. Among edges at the same distance the lowest edge index wins,
+// exactly as a scan over all edges in index order would choose.
+//
+// NaN and infinite coordinates are an error: nothing is nearest to them.
+// So is a finite coordinate so far out that its distance to every edge
+// overflows.
 func (n *Network) NearestLocation(p Point) (Location, error) {
 	if n.g.NumEdges() == 0 {
 		return Location{}, fmt.Errorf("roadskyline: network has no edges")
@@ -134,16 +147,87 @@ func (n *Network) NearestLocation(p Point) (Location, error) {
 		return Location{}, fmt.Errorf("roadskyline: coordinate (%g, %g) is not finite", p.X, p.Y)
 	}
 	gp := geom.Point{X: p.X, Y: p.Y}
-	best, bestDist, bestT := graph.EdgeID(0), math.Inf(1), 0.0
-	for i := 0; i < n.g.NumEdges(); i++ {
-		e := n.g.Edge(graph.EdgeID(i))
-		d, t := geom.SegmentPointDist(n.g.NodePoint(e.U), n.g.NodePoint(e.V), gp)
-		if d < bestDist {
-			best, bestDist, bestT = e.ID, d, t
+	ix := n.edgeIndex()
+	it := ix.tree.NewBestFirst(
+		func(r geom.Rect) float64 { return r.MinDist(gp) },
+		func(e rtree.Entry) float64 {
+			// A NaN distance is never nearest; +Inf keeps the heap
+			// ordered and loses the same way.
+			if d, _ := n.segmentDist(graph.EdgeID(e.ID), gp); !math.IsNaN(d) {
+				return d
+			}
+			return math.Inf(1)
+		},
+		nil, nil)
+	best, bestDist := graph.EdgeID(-1), math.Inf(1)
+	for {
+		e, d, ok := it.Next()
+		// Everything still queued lies at least floor(d) away: once that
+		// clears bestDist nothing left can beat or tie it.
+		if !ok || ix.floor(d) > bestDist {
+			break
+		}
+		if id := graph.EdgeID(e.ID); d < bestDist || d == bestDist && id < best {
+			best, bestDist = id, d
 		}
 	}
-	e := n.g.Edge(best)
-	return Location{Edge: int32(best), Offset: bestT * e.Length}, nil
+	if best < 0 {
+		return Location{}, fmt.Errorf("roadskyline: coordinate (%g, %g) is not at a finite distance from any edge", p.X, p.Y)
+	}
+	_, t := n.segmentDist(best, gp)
+	return Location{Edge: int32(best), Offset: t * n.g.Edge(best).Length}, nil
+}
+
+// snapFanout is the edge index's node capacity: the fastest of 4, 8, 16
+// and 32 in BenchmarkNearestLocation (medians of six on a 2-CPU x86-64
+// box: 9.1, 9.9, 12.2 and 18 µs per snap on CA). Small nodes win because a
+// snap reads every entry of each node it opens.
+const snapFanout = 4
+
+// edgeIndex is NearestLocation's R-tree over edge bounding boxes.
+type edgeIndex struct {
+	once sync.Once
+	tree *rtree.Tree
+	// slack is the absolute part of floor: a segment's computed distance
+	// can sit below its box's MinDist by the rounding of the closest
+	// point, which scales with the coordinates, not with the distance.
+	slack float64
+}
+
+// floor returns a value no greater than the distance of any edge inside a
+// box whose MinDist is d (the same relative margin as sp.BoundFloor).
+func (ix *edgeIndex) floor(d float64) float64 {
+	return d*(1-1e-12) - ix.slack
+}
+
+// edgeIndex returns the network's edge index, building it on first use.
+// An edge with a non-finite endpoint is left out: its distance to any
+// finite point is NaN or +Inf, so it could never be nearest.
+func (n *Network) edgeIndex() *edgeIndex {
+	ix := &n.edges
+	ix.once.Do(func() {
+		entries := make([]rtree.Entry, 0, n.g.NumEdges())
+		scale := 0.0
+		for i := 0; i < n.g.NumEdges(); i++ {
+			e := n.g.Edge(graph.EdgeID(i))
+			r := geom.RectFromPoints(n.g.NodePoint(e.U), n.g.NodePoint(e.V))
+			m := max(-r.MinX, r.MaxX, -r.MinY, r.MaxY)
+			if math.IsNaN(m) || math.IsInf(m, 0) {
+				continue
+			}
+			scale = max(scale, m)
+			entries = append(entries, rtree.Entry{Rect: r, ID: int32(i)})
+		}
+		ix.tree = rtree.BulkLoad(entries, snapFanout)
+		ix.slack = 1e-12 * scale
+	})
+	return ix
+}
+
+// segmentDist is geom.SegmentPointDist from edge e to p.
+func (n *Network) segmentDist(e graph.EdgeID, p geom.Point) (dist, t float64) {
+	ed := n.g.Edge(e)
+	return geom.SegmentPointDist(n.g.NodePoint(ed.U), n.g.NodePoint(ed.V), p)
 }
 
 // NormalizeToUnitSquare returns a copy of the network scaled uniformly so

@@ -86,9 +86,11 @@ func TestNearestLocation(t *testing.T) {
 	if p := n.PointOf(loc); p.X != 2 || p.Y != 0 {
 		t.Errorf("node snap landed at %v", p)
 	}
-	// Nothing is nearest to a non-finite coordinate; it used to snap to
-	// edge 0, offset 0 without an error.
-	for _, p := range []Point{{math.NaN(), 0.5}, {0.5, math.NaN()}, {math.Inf(1), 0}, {0, math.Inf(-1)}} {
+	// Nothing is nearest to a non-finite coordinate, nor to a finite one
+	// whose distance to every edge overflows; both used to snap to edge 0,
+	// offset 0 without an error.
+	for _, p := range []Point{{math.NaN(), 0.5}, {0.5, math.NaN()}, {math.Inf(1), 0}, {0, math.Inf(-1)},
+		{1.7e308, 1.7e308}, {-1.7e308, 1e308}} {
 		if loc, err := n.NearestLocation(p); err == nil {
 			t.Errorf("NearestLocation(%v) = %+v, want an error", p, loc)
 		}
