@@ -151,7 +151,7 @@ func writePlot(path string, net *roadskyline.Network, objects []roadskyline.Obje
 	if err != nil {
 		return err
 	}
-	if err := roadskyline.WriteQueryPlot(f, net, objects, locs, res); err != nil {
+	if err := writeQueryPlot(f, net, objects, locs, res); err != nil {
 		f.Close()
 		return err
 	}

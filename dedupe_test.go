@@ -1,6 +1,7 @@
 package roadskyline
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -94,7 +95,7 @@ func TestDuplicateQueryPointsEquivalence(t *testing.T) {
 		}
 
 		// The iterator path dedupes too: drain it and compare.
-		it, err := tr.eng.SkylineIter(dup, tr.use, false)
+		it, err := tr.eng.SkylineIterContext(context.Background(), Query{Points: dup, UseAttrs: tr.use})
 		if err != nil {
 			t.Fatalf("seed %d dup iterator: %v", tr.seed, err)
 		}

@@ -3,7 +3,6 @@ package roadskyline
 import (
 	"math"
 	"sort"
-	"strings"
 	"testing"
 )
 
@@ -37,34 +36,6 @@ func splitNetwork(t *testing.T) *Network {
 		t.Fatal("splitNetwork must be disconnected")
 	}
 	return n
-}
-
-// TestShortestPathUnreachable pins the public unreachable contract:
-// ShortestPath between components fails with a "no path" error instead of
-// hanging, returning +Inf, or fabricating a route.
-func TestShortestPathUnreachable(t *testing.T) {
-	n := splitNetwork(t)
-	eng, err := NewEngine(n, nil, EngineConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = eng.ShortestPath(Location{Edge: 0, Offset: 0.5}, Location{Edge: 7, Offset: 0.5})
-	if err == nil || !strings.Contains(err.Error(), "no path") {
-		t.Fatalf("ShortestPath across components: err = %v, want a no-path error", err)
-	}
-	// Within one component the engine still routes normally.
-	res, err := eng.ShortestPath(Location{Edge: 0, Offset: 0.5}, Location{Edge: 7, Offset: 0.25})
-	_ = res
-	if err == nil || !strings.Contains(err.Error(), "no path") {
-		t.Fatalf("reverse direction: err = %v, want a no-path error", err)
-	}
-	got, err := eng.ShortestPath(Location{Edge: 0, Offset: 0.0}, Location{Edge: 6, Offset: 0.0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 2.0; math.Abs(got.Distance-want) > 1e-12 {
-		t.Fatalf("in-component distance = %v, want %v", got.Distance, want)
-	}
 }
 
 // TestSkylineDisconnectedObjects pins that all three algorithms agree on a
@@ -151,14 +122,5 @@ func TestSkylineAllObjectsUnreachable(t *testing.T) {
 	}
 	if res := paperEDC(t, eng, Query{Points: points}); len(res.Points) != 0 {
 		t.Fatalf("the paper's EDC returned %d points for an unreachable object set", len(res.Points))
-	}
-	// The aggregate NN demo query must agree: no reachable object, no
-	// neighbors.
-	nn, err := eng.AggregateNN(points, 1, SumDistance)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(nn.Neighbors) != 0 {
-		t.Fatalf("AggregateNN returned %d neighbors for an unreachable object set", len(nn.Neighbors))
 	}
 }

@@ -10,11 +10,8 @@ import (
 	"roadskyline/internal/core"
 	"roadskyline/internal/diskgraph"
 	"roadskyline/internal/distcache"
-	"roadskyline/internal/geom"
 	"roadskyline/internal/graph"
 	"roadskyline/internal/obs"
-	"roadskyline/internal/rtree"
-	"roadskyline/internal/sp"
 	"roadskyline/internal/storage"
 )
 
@@ -442,7 +439,7 @@ type Query struct {
 	// UseAttrs extends skyline vectors with the objects' static attributes.
 	UseAttrs bool
 	// Algorithm selects the strategy; the zero value is CEAlg, so set
-	// LBCAlg explicitly (or use SkylineLBC) for the fast path.
+	// LBCAlg explicitly for the fast path.
 	Algorithm Algorithm
 	// Alternate makes LBC retrieve network nearest neighbors from every
 	// query point round-robin instead of a single source, so early results
@@ -720,97 +717,4 @@ func (e *Engine) run(ctx context.Context, q Query, began time.Time) (*Result, ob
 		}
 	}
 	return out, rec, nil
-}
-
-// SkylineLBC answers the query with the recommended LBC algorithm.
-func (e *Engine) SkylineLBC(points ...Location) (*Result, error) {
-	return e.Skyline(Query{Points: points, Algorithm: LBCAlg})
-}
-
-// PathResult is a shortest network path between two locations.
-type PathResult struct {
-	// Nodes is the junction sequence from source to destination; empty
-	// when both locations share an edge and the direct segment is optimal.
-	Nodes []int32
-	// Distance is the network (shortest-path) distance.
-	Distance float64
-}
-
-// ShortestPath computes a shortest network path between two locations,
-// using the same disk-backed A* engine as the skyline algorithms.
-func (e *Engine) ShortestPath(from, to Location) (*PathResult, error) {
-	gFrom := graph.Location{Edge: graph.EdgeID(from.Edge), Offset: from.Offset}
-	gTo := graph.Location{Edge: graph.EdgeID(to.Edge), Offset: to.Offset}
-	if err := e.net.g.ValidateLocation(gFrom); err != nil {
-		return nil, err
-	}
-	if err := e.net.g.ValidateLocation(gTo); err != nil {
-		return nil, err
-	}
-	sc := e.env.AcquireScratch()
-	defer e.env.ReleaseScratch(sc)
-	a, err := sp.NewAStarWith(context.Background(), e.env, gFrom, e.net.g.Point(gFrom), sc)
-	if err != nil {
-		return nil, err
-	}
-	if hs := e.env.HeuristicSource(core.Options{}); hs != nil {
-		a.UseHeuristicSource(hs)
-	}
-	s := a.NewSession(gTo, e.net.g.Point(gTo))
-	dist, err := s.Run()
-	if err != nil {
-		return nil, err
-	}
-	nodes, err := s.Path()
-	if err != nil {
-		return nil, fmt.Errorf("roadskyline: no path between the locations: %w", err)
-	}
-	out := &PathResult{Distance: dist, Nodes: make([]int32, len(nodes))}
-	for i, id := range nodes {
-		out.Nodes[i] = int32(id)
-	}
-	return out, nil
-}
-
-// EuclideanSkyline returns the multi-source skyline under straight-line
-// distances (the paper's Euclidean-space building block, computed with the
-// multi-source BBS algorithm over the object R-tree). It is cheaper than a
-// network skyline but only an approximation of it: Euclidean skyline
-// points need not be network skyline points and vice versa. UseAttrs
-// extends the vectors with the objects' static attributes.
-func (e *Engine) EuclideanSkyline(points []Location, useAttrs bool) ([]SkylinePoint, error) {
-	if len(points) == 0 {
-		return nil, fmt.Errorf("roadskyline: query needs at least one point")
-	}
-	qPts := make([]geom.Point, len(points))
-	for i, p := range points {
-		loc := graph.Location{Edge: graph.EdgeID(p.Edge), Offset: p.Offset}
-		if err := e.net.g.ValidateLocation(loc); err != nil {
-			return nil, err
-		}
-		qPts[i] = e.net.g.Point(loc)
-	}
-	var opts *rtree.SkylineOptions
-	if useAttrs {
-		if e.env.NumAttrs() == 0 {
-			return nil, fmt.Errorf("roadskyline: useAttrs set but objects carry no attributes")
-		}
-		opts = &rtree.SkylineOptions{
-			ExtraDims: e.env.NumAttrs(),
-			LeafExtra: func(id int32) []float64 { return e.env.Objects[id].Attrs },
-		}
-	}
-	it := e.env.ObjTree.NewSkylineIterator(qPts, opts)
-	var out []SkylinePoint
-	for {
-		entry, vec, ok := it.Next()
-		if !ok {
-			return out, nil
-		}
-		out = append(out, SkylinePoint{
-			Object:    e.objs[entry.ID],
-			Distances: vec[:len(points):len(points)],
-			Vector:    vec,
-		})
-	}
 }

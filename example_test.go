@@ -1,6 +1,7 @@
 package roadskyline_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -63,45 +64,73 @@ func ExampleEngine_Skyline() {
 	// object 1: 1.8 / 0.2
 }
 
-// Aggregate nearest neighbors reuse the same plb machinery as LBC.
-func ExampleEngine_AggregateNN() {
+// Static attributes join the skyline as extra minimized dimensions: a hotel
+// far from both query points stays in the answer when it is the cheapest.
+func ExampleEngine_Skyline_attributes() {
+	network := buildDemo()
+	hotels := []roadskyline.Object{
+		{Loc: roadskyline.Location{Edge: 0, Offset: 0.2}, Attrs: []float64{120}},
+		{Loc: roadskyline.Location{Edge: 1, Offset: 0.8}, Attrs: []float64{150}},
+		{Loc: roadskyline.Location{Edge: 6, Offset: 1.0}, Attrs: []float64{60}}, // on the detour
+	}
+	engine, err := roadskyline.NewEngine(network, hotels, roadskyline.EngineConfig{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	points := []roadskyline.Location{{Edge: 0, Offset: 0}, {Edge: 1, Offset: 1}}
+	for _, useAttrs := range []bool{false, true} {
+		result, err := engine.Skyline(roadskyline.Query{Points: points, UseAttrs: useAttrs, Algorithm: roadskyline.LBCAlg})
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("price in the skyline: %v\n", useAttrs)
+		for _, p := range result.Points {
+			fmt.Printf("  hotel %d: %.1f / %.1f, price %.0f\n", p.Object.ID, p.Distances[0], p.Distances[1], p.Object.Attrs[0])
+		}
+	}
+	// Output:
+	// price in the skyline: false
+	//   hotel 0: 0.2 / 1.8, price 120
+	//   hotel 1: 1.8 / 0.2, price 150
+	// price in the skyline: true
+	//   hotel 0: 0.2 / 1.8, price 120
+	//   hotel 1: 1.8 / 0.2, price 150
+	//   hotel 2: 3.0 / 2.0, price 60
+}
+
+// An iterator hands out skyline points as LBC confirms them, nearest to the
+// query's source point first, so a caller can show the first answers before
+// the query finishes.
+func ExampleEngine_SkylineIterContext() {
 	network := buildDemo()
 	objects := []roadskyline.Object{
 		{Loc: roadskyline.Location{Edge: 0, Offset: 0.2}},
-		{Loc: roadskyline.Location{Edge: 3, Offset: 0.5}},
+		{Loc: roadskyline.Location{Edge: 1, Offset: 0.8}},
+		{Loc: roadskyline.Location{Edge: 6, Offset: 1.0}},
 	}
 	engine, err := roadskyline.NewEngine(network, objects, roadskyline.EngineConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := engine.AggregateNN([]roadskyline.Location{
-		{Edge: 0, Offset: 0},
-		{Edge: 1, Offset: 1},
-	}, 1, roadskyline.MaxDistance)
+	it, err := engine.SkylineIterContext(context.Background(), roadskyline.Query{
+		Points: []roadskyline.Location{{Edge: 0, Offset: 0}, {Edge: 1, Offset: 1}},
+		Source: 1,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	nb := res.Neighbors[0]
-	fmt.Printf("fairest object %d with worst leg %.1f\n", nb.Object.ID, nb.Value)
+	defer it.Close()
+	for {
+		p, ok, err := it.Next()
+		if err != nil {
+			log.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		fmt.Printf("object %d: %.1f / %.1f\n", p.Object.ID, p.Distances[0], p.Distances[1])
+	}
 	// Output:
-	// fairest object 1 with worst leg 1.5
-}
-
-// Shortest paths come from the same disk-backed A* engine.
-func ExampleEngine_ShortestPath() {
-	network := buildDemo()
-	engine, err := roadskyline.NewEngine(network, nil, roadskyline.EngineConfig{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	path, err := engine.ShortestPath(
-		roadskyline.Location{Edge: 0, Offset: 0.5},
-		roadskyline.Location{Edge: 4, Offset: 0.5},
-	)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("distance %.1f via junctions %v\n", path.Distance, path.Nodes)
-	// Output:
-	// distance 2.0 via junctions [1 2]
+	// object 1: 1.8 / 0.2
+	// object 0: 0.2 / 1.8
 }

@@ -4,9 +4,8 @@ import "roadskyline/internal/sp"
 
 // boundVec tightens one candidate object's vector of network-distance lower
 // bounds, one entry per query-point searcher, until the caller's stop rule
-// fires or every entry is exact. LBC's dominance check, EDC's verification of
-// a window candidate and aggregate NN's threshold check are this loop with
-// different stop rules.
+// fires or every entry is exact. LBC's dominance check and EDC's verification
+// of a window candidate are this loop with different stop rules.
 //
 // The cheapest bounds come first (refine): an A* session's opening scan
 // reads the whole frontier, so a session is opened only once the

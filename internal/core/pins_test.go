@@ -17,12 +17,11 @@ import (
 var update = flag.Bool("update", false, "rewrite this package's cells of testdata/pins.json")
 
 // The core pins: every work counter and the exact answer (object ids and
-// distance bits, in report order) of LBC, aggregate NN, EDC and CE cells,
+// distance bits, in report order) of LBC, EDC and CE cells,
 // held to testdata/pins.json, so that a change to any of it shows as a
 // number. Beside the table, each cell checks the relations that make its
 // numbers right:
 //   - an LBC skyline equals CE's as a set;
-//   - aggregate neighbours equal the brute-force oracle's, bit for bit;
 //   - an EDC cell pins the paper's EDC (DisablePLB, every candidate's
 //     vector in full); the default arm, which verifies window candidates
 //     bounds-first, returns the same answer in the same order from the same
@@ -64,23 +63,20 @@ func regionPts(env *Env, nq, set int) []graph.Location {
 	return gen.QueryPoints(env.G, nq, 0.1, 1+int64(set))
 }
 
-// pinCell is a cell: an instance answered by one algorithm, or by aggregate
-// NN when k > 0.
+// pinCell is a cell: an instance answered by one algorithm.
 type pinCell struct {
 	name      string
 	inst      *pinInst
 	alg       Algorithm
 	nq, attrs int
 	opts      Options
-	k         int
-	agg       Agg
 	sets      int // query sets summed; pinQueries when zero
 	runs      int // answers compared with each other; 2 when zero
 }
 
 const pinQueries = 2
 
-// Every LBC source and ablation, and aggregate NN under both aggregates.
+// Every LBC source and ablation.
 var lbcCells = []pinCell{
 	{name: "CA/q2", inst: instCA, alg: AlgLBC, nq: 2},
 	{name: "CA/q4", inst: instCA, alg: AlgLBC, nq: 4},
@@ -97,11 +93,6 @@ var lbcCells = []pinCell{
 	{name: "NA60/q8", inst: instNA, alg: AlgLBC, nq: 8},
 	{name: "NA60/q4/alternate", inst: instNA, alg: AlgLBC, nq: 4, opts: Options{LBCAlternate: true}},
 	{name: "NA60/q4/nolandmarks", inst: instNA, alg: AlgLBC, nq: 4, opts: Options{DisableLandmarks: true}},
-	{name: "ANN/CA/sum/q4/k5", inst: instCA, nq: 4, k: 5, agg: AggSum},
-	{name: "ANN/CA/max/q4/k5", inst: instCA, nq: 4, k: 5, agg: AggMax},
-	{name: "ANN/CA/sum/q4/k5/noheuristic", inst: instCA, nq: 4, k: 5, agg: AggSum, opts: Options{DisableAStarHeuristic: true}},
-	{name: "ANN/NA60/sum/q4/k10", inst: instNA, nq: 4, k: 10, agg: AggSum},
-	{name: "ANN/NA60/max/q8/k10", inst: instNA, nq: 8, k: 10, agg: AggMax},
 	{name: "twins/source0", inst: instTwins, alg: AlgLBC, nq: 3},
 	{name: "twins/source1", inst: instTwins, alg: AlgLBC, nq: 3, opts: Options{LBCSource: 1}},
 	{name: "twins/source2", inst: instTwins, alg: AlgLBC, nq: 3, opts: Options{LBCSource: 2}},
@@ -109,9 +100,6 @@ var lbcCells = []pinCell{
 	{name: "twins/nolandmarks", inst: instTwins, alg: AlgLBC, nq: 3, opts: Options{DisableLandmarks: true}},
 	{name: "twins/q1", inst: instTwins, alg: AlgLBC, nq: 1},
 	{name: "twins/q1/alternate", inst: instTwins, alg: AlgLBC, nq: 1, opts: Options{LBCAlternate: true}},
-	{name: "ANN/twins/sum/k5", inst: instTwins, nq: 3, k: 5, agg: AggSum},
-	{name: "ANN/twins/max/k5", inst: instTwins, nq: 3, k: 5, agg: AggMax},
-	{name: "ANN/twins/q1/sum/k3", inst: instTwins, nq: 1, k: 3, agg: AggSum},
 }
 
 // The paper's EDC; the default arm is checked against it.
@@ -195,55 +183,31 @@ func (c pinCell) answer(t *testing.T, env *Env, opts Options, check bool) (testn
 	ctx := context.Background()
 	p := testnet.Pin{Name: c.name, Net: c.inst.net, Seed: c.inst.seed, Q: c.nq, Attrs: c.attrs,
 		Queries: max(c.sets, pinQueries), Alg: c.alg.String(), Options: optionString(opts)}
-	if c.k > 0 {
-		p.Alg = fmt.Sprintf("ANN(%v,k=%d)", c.agg, c.k)
-	}
 	h := fnv.New64a()
 	opts.ColdCache = true
 	pairs := 0
 	for set := range p.Queries {
 		pts := c.inst.pts(env, c.nq, set)
-		var m Metrics
-		if c.k > 0 {
-			res, err := AggregateNN(ctx, env, pts, c.k, c.agg, opts)
-			if err != nil {
-				t.Fatalf("set %d: %v", set, err)
-			}
-			if check {
-				want := oracleAggNN(env, pts, c.k, c.agg)
-				if len(res.Neighbors) != len(want) {
-					t.Fatalf("set %d: %d neighbours, oracle %d", set, len(res.Neighbors), len(want))
-				}
-				for i, nb := range res.Neighbors {
-					if nb.Agg != want[i] {
-						t.Errorf("set %d: rank %d is object %d at %v, oracle %v", set, i, nb.Object.ID, nb.Agg, want[i])
-					}
-				}
-			}
-			for _, nb := range res.Neighbors {
-				hashVec(h, nb.Object.ID, nb.Dists)
-			}
-			m, p.Skyline, pairs = res.Metrics, p.Skyline+len(res.Neighbors), pairs+res.Metrics.Candidates*len(pts)
-		} else {
-			q := Query{Points: pts, UseAttrs: c.attrs > 0}
-			res, err := Run(ctx, env, q, c.alg, opts)
-			if err != nil {
-				t.Fatalf("set %d: %v", set, err)
-			}
-			if check && c.alg == AlgLBC {
-				ce, err := Run(ctx, env, q, AlgCE, Options{ColdCache: true})
-				if err != nil {
-					t.Fatalf("set %d: CE: %v", set, err)
-				}
-				if err := sameSkyline(res, ce); err != nil {
-					t.Errorf("set %d: LBC against CE: %v", set, err)
-				}
-			}
-			for _, sp := range res.Skyline {
-				hashVec(h, sp.Object.ID, sp.Vec)
-			}
-			m, p.Skyline, pairs = res.Metrics, p.Skyline+len(res.Skyline), pairs+res.Metrics.Candidates*(len(pts)-1)
+		q := Query{Points: pts, UseAttrs: c.attrs > 0}
+		res, err := Run(ctx, env, q, c.alg, opts)
+		if err != nil {
+			t.Fatalf("set %d: %v", set, err)
 		}
+		if check && c.alg == AlgLBC {
+			ce, err := Run(ctx, env, q, AlgCE, Options{ColdCache: true})
+			if err != nil {
+				t.Fatalf("set %d: CE: %v", set, err)
+			}
+			if err := sameSkyline(res, ce); err != nil {
+				t.Errorf("set %d: LBC against CE: %v", set, err)
+			}
+		}
+		for _, sp := range res.Skyline {
+			hashVec(h, sp.Object.ID, sp.Vec)
+		}
+		m := res.Metrics
+		p.Skyline += len(res.Skyline)
+		pairs += m.Candidates * (len(pts) - 1)
 		p.Nodes += m.NodesExpanded
 		p.Pages += m.NetworkPages
 		p.Candidates += m.Candidates

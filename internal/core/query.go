@@ -109,9 +109,9 @@ type Metrics struct {
 	// the phases were first entered. It is populated only when the query
 	// ran with Options.CollectPhases or Options.Trace; nil otherwise.
 	Phases []obs.PhaseStat
-	// sessionScans counts the A* sessions that LBC's dominance check and
-	// aggregate NN opened with a frontier scan (boundVec.refine phase 2);
-	// the package's tests pin that most candidates are decided without one.
+	// sessionScans counts the A* sessions that boundVec.refine opened with
+	// a frontier scan (its phase 2); the package's tests pin that most
+	// candidates are decided without one.
 	sessionScans int
 }
 

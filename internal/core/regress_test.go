@@ -314,9 +314,6 @@ func TestRunCancelledContext(t *testing.T) {
 	if _, err := NewLBCIterator(ctx, env, q, Options{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("NewLBCIterator err = %v, want context.Canceled", err)
 	}
-	if _, err := AggregateNN(ctx, env, q.Points, 1, AggSum, Options{}); !errors.Is(err, context.Canceled) {
-		t.Errorf("AggregateNN err = %v, want context.Canceled", err)
-	}
 }
 
 // TestEDCVectorBuffersIndependent is the regression test for the EDC

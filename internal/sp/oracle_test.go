@@ -152,7 +152,6 @@ type mapAStar struct {
 	srcPt    geom.Point
 	settled  map[graph.NodeID]float64
 	frontier map[graph.NodeID]mapFrontierEntry
-	parent   map[graph.NodeID]graph.NodeID
 	seq      int
 	noHeur   bool
 	hs       HeuristicSource
@@ -179,7 +178,6 @@ func newMapAStar(ctx context.Context, net Net, src graph.Location, srcPt geom.Po
 		srcPt:    srcPt,
 		settled:  make(map[graph.NodeID]float64),
 		frontier: make(map[graph.NodeID]mapFrontierEntry),
-		parent:   make(map[graph.NodeID]graph.NodeID),
 	}
 	e := net.Edge(src.Edge)
 	uPt, err := net.NodePoint(e.U)
@@ -207,19 +205,16 @@ func (a *mapAStar) NodesExpanded() int                    { return a.nodesExpand
 
 // mapSession mirrors Session for the oracle searcher.
 type mapSession struct {
-	a       *mapAStar
-	seq     int
-	dest    graph.Location
-	destPt  geom.Point
-	destE   graph.Edge
-	th      TargetHeuristic
-	heap    *pqueue.Indexed[graph.NodeID]
-	tent    float64
-	via     graph.NodeID
-	direct  bool
-	plb     float64
-	done    bool
-	unreach bool
+	a      *mapAStar
+	seq    int
+	dest   graph.Location
+	destPt geom.Point
+	destE  graph.Edge
+	th     TargetHeuristic
+	heap   *pqueue.Indexed[graph.NodeID]
+	tent   float64
+	plb    float64
+	done   bool
 }
 
 func (a *mapAStar) NewSession(dest graph.Location, destPt geom.Point) *mapSession {
@@ -233,21 +228,19 @@ func (a *mapAStar) NewSession(dest graph.Location, destPt geom.Point) *mapSessio
 		heap:   pqueue.NewIndexed[graph.NodeID](len(a.frontier) + 16),
 		tent:   math.Inf(1),
 	}
-	s.via = -1
 	if a.hs != nil && !a.noHeur {
 		s.th = a.hs.ForTarget(dest, destPt)
 	}
 	if dest.Edge == a.src.Edge {
 		s.tent = math.Abs(dest.Offset - a.src.Offset)
-		s.direct = true
 	}
 	dU, okU := a.settled[s.destE.U]
 	dV, okV := a.settled[s.destE.V]
 	if okU && dU+dest.Offset < s.tent {
-		s.tent, s.via, s.direct = dU+dest.Offset, s.destE.U, false
+		s.tent = dU + dest.Offset
 	}
 	if okV && dV+(s.destE.Length-dest.Offset) < s.tent {
-		s.tent, s.via, s.direct = dV+(s.destE.Length-dest.Offset), s.destE.V, false
+		s.tent = dV + (s.destE.Length - dest.Offset)
 	}
 	if okU && okV {
 		s.finish()
@@ -288,9 +281,6 @@ func (s *mapSession) minF() float64 {
 
 func (s *mapSession) finish() {
 	s.done = true
-	if math.IsInf(s.tent, 1) {
-		s.unreach = true
-	}
 	s.plb = s.tent
 }
 
@@ -317,10 +307,10 @@ func (s *mapSession) Advance() (plb float64, done bool, err error) {
 	a.nodesExpanded++
 
 	if u == s.destE.U && fe.g+s.dest.Offset < s.tent {
-		s.tent, s.via, s.direct = fe.g+s.dest.Offset, u, false
+		s.tent = fe.g + s.dest.Offset
 	}
 	if u == s.destE.V && fe.g+(s.destE.Length-s.dest.Offset) < s.tent {
-		s.tent, s.via, s.direct = fe.g+(s.destE.Length-s.dest.Offset), u, false
+		s.tent = fe.g + (s.destE.Length - s.dest.Offset)
 	}
 
 	a.nbuf, err = a.net.Neighbors(u, a.nbuf[:0])
@@ -336,7 +326,6 @@ func (s *mapSession) Advance() (plb float64, done bool, err error) {
 			continue
 		}
 		a.frontier[nb.To] = mapFrontierEntry{g: newg, pt: nb.ToPt}
-		a.parent[nb.To] = u
 		s.heap.Push(nb.To, newg+s.h(nb.To, nb.ToPt))
 	}
 
@@ -364,29 +353,4 @@ func (s *mapSession) Run() (float64, error) {
 
 func (a *mapAStar) DistanceTo(dest graph.Location, destPt geom.Point) (float64, error) {
 	return a.NewSession(dest, destPt).Run()
-}
-
-func (s *mapSession) Path() ([]graph.NodeID, error) {
-	if !s.done {
-		panic("sp: Path called before session completion")
-	}
-	if s.unreach {
-		return nil, ErrUnreachable
-	}
-	if s.direct {
-		return nil, nil
-	}
-	var rev []graph.NodeID
-	for v := s.via; ; {
-		rev = append(rev, v)
-		p, ok := s.a.parent[v]
-		if !ok {
-			break
-		}
-		v = p
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev, nil
 }

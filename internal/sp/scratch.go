@@ -40,7 +40,6 @@ type Scratch struct {
 	state   []uint8
 	g       []float64    // settled: exact distance; frontier (A*): tentative g
 	pt      []geom.Point // frontier coordinates (A* only)
-	parent  []int32      // predecessor node, -1 = none (A* only)
 	touched []graph.NodeID
 
 	// front is the A* frontier as a compact list: exactly the touched nodes
@@ -104,7 +103,6 @@ func (sc *Scratch) begin(numNodes, numObjects int) {
 		sc.state = make([]uint8, numNodes)
 		sc.g = make([]float64, numNodes)
 		sc.pt = make([]geom.Point, numNodes)
-		sc.parent = make([]int32, numNodes)
 		sc.fpos = make([]int32, numNodes)
 		sc.mark = make([]uint64, (numNodes+63)/64)
 		sc.exact = make([]uint32, numNodes)

@@ -98,17 +98,15 @@ func NewDijkstraFromWith(ctx context.Context, net Net, st *distcache.State, sc *
 	return d
 }
 
-// Snapshot captures the searcher's resumable state: the settled set, the
-// frontier with its coordinates, and the predecessor tree (so Path keeps
-// working across a restore). The returned maps are fresh copies decoupled
-// from the searcher's scratch.
+// Snapshot captures the searcher's resumable state: the settled set and the
+// frontier with its coordinates. The returned maps are fresh copies
+// decoupled from the searcher's scratch.
 func (a *AStar) Snapshot() *distcache.State {
 	sc := a.sc
 	st := &distcache.State{
 		Src:      a.src,
 		Settled:  make(map[graph.NodeID]float64, len(sc.touched)),
 		Frontier: make(map[graph.NodeID]distcache.Frontier),
-		Parent:   make(map[graph.NodeID]graph.NodeID, len(sc.touched)),
 	}
 	for _, id := range sc.touched {
 		switch sc.state[id] {
@@ -116,9 +114,6 @@ func (a *AStar) Snapshot() *distcache.State {
 			st.Settled[id] = sc.g[id]
 		case stateFrontier:
 			st.Frontier[id] = distcache.Frontier{G: sc.g[id], Pt: sc.pt[id]}
-		}
-		if p := sc.parent[id]; p >= 0 {
-			st.Parent[id] = graph.NodeID(p)
 		}
 	}
 	return st
@@ -147,13 +142,11 @@ func NewAStarFromWith(ctx context.Context, net Net, st *distcache.State, srcPt g
 	for id, dist := range st.Settled {
 		sc.touch(id, stateSettled)
 		sc.g[id] = dist
-		sc.parent[id] = -1
 	}
 	for id, fe := range st.Frontier {
 		sc.touch(id, stateFrontier)
 		sc.g[id] = fe.G
 		sc.pt[id] = fe.Pt
-		sc.parent[id] = -1
 		sc.mark[id>>6] |= 1 << (id & 63)
 	}
 	// The frontier list is filled in id order, not map order: which nodes a
@@ -168,12 +161,6 @@ func NewAStarFromWith(ctx context.Context, net Net, st *distcache.State, srcPt g
 		for ; word != 0; word &= word - 1 {
 			sc.appendFront(graph.NodeID(w<<6 | bits.TrailingZeros64(word)))
 		}
-	}
-	// Parents overlay the default -1 set above; a snapshot with a nil
-	// Parent map still restores (Path is then limited to post-restore
-	// expansion, as before).
-	for id, p := range st.Parent {
-		sc.parent[id] = int32(p)
 	}
 	return a
 }

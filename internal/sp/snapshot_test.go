@@ -172,86 +172,3 @@ func TestAStarSnapshotRestoreEquivalence(t *testing.T) {
 		}
 	}
 }
-
-// pathLength walks a node sequence returned by Session.Path and realizes
-// its length: offset from src to the first node along the source edge, the
-// shortest parallel edge between consecutive nodes, and the offset into the
-// destination edge from the last node. An empty path means travel directly
-// along the shared edge. Fails the test when the sequence is not walkable.
-func pathLength(t *testing.T, g *graph.Graph, src, dst graph.Location, nodes []graph.NodeID) float64 {
-	t.Helper()
-	se, de := g.Edge(src.Edge), g.Edge(dst.Edge)
-	if len(nodes) == 0 {
-		if src.Edge != dst.Edge {
-			t.Fatal("empty path between different edges")
-		}
-		return math.Abs(dst.Offset - src.Offset)
-	}
-	var total float64
-	switch nodes[0] {
-	case se.U:
-		total = src.Offset
-	case se.V:
-		total = se.Length - src.Offset
-	default:
-		t.Fatalf("path starts at %d, not a source endpoint", nodes[0])
-	}
-	for i := 1; i < len(nodes); i++ {
-		bestLen := math.Inf(1)
-		for he := range g.Adj(nodes[i-1]).All() {
-			if he.To == nodes[i] && he.Length < bestLen {
-				bestLen = he.Length
-			}
-		}
-		if math.IsInf(bestLen, 1) {
-			t.Fatalf("path nodes %d and %d not adjacent", nodes[i-1], nodes[i])
-		}
-		total += bestLen
-	}
-	switch last := nodes[len(nodes)-1]; last {
-	case de.U:
-		total += dst.Offset
-	case de.V:
-		total += de.Length - dst.Offset
-	default:
-		t.Fatalf("path ends at %d, not a destination endpoint", last)
-	}
-	return total
-}
-
-// TestAStarSnapshotPreservesPath checks the parent tree survives the
-// round-trip: Path on a restored searcher reconstructs a valid shortest
-// path even when its prefix was expanded before the snapshot.
-func TestAStarSnapshotPreservesPath(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	for trial := 0; trial < 20; trial++ {
-		g := testnet.RandomGraph(rng, 30+rng.Intn(40))
-		src := testnet.RandomLocations(rng, g, 1)[0]
-		dst := testnet.RandomLocations(rng, g, 1)[0]
-		net := testnet.NewMemNet(g, nil)
-
-		cold, err := NewAStar(context.Background(), net, src, g.Point(src))
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if _, err := cold.DistanceTo(dst, g.Point(dst)); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		warm := NewAStarFrom(context.Background(), net, cold.Snapshot(), g.Point(src))
-		s := warm.NewSession(dst, g.Point(dst))
-		dist, err := s.Run()
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if math.IsInf(dist, 1) {
-			continue
-		}
-		nodes, err := s.Path()
-		if err != nil {
-			t.Fatalf("trial %d: Path: %v", trial, err)
-		}
-		if got := pathLength(t, g, src, dst, nodes); math.Abs(got-dist) > 1e-6 {
-			t.Fatalf("trial %d: restored path length %v, session distance %v", trial, got, dist)
-		}
-	}
-}

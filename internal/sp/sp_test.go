@@ -413,102 +413,3 @@ func TestDijkstraTiesComplete(t *testing.T) {
 		}
 	}
 }
-
-// Paths must start at a source-edge endpoint, traverse adjacent nodes, and
-// realize exactly the reported distance.
-func TestSessionPath(t *testing.T) {
-	rng := rand.New(rand.NewSource(101))
-	for trial := 0; trial < 30; trial++ {
-		g := testnet.RandomGraph(rng, 10+rng.Intn(80))
-		objs := testnet.RandomObjects(rng, g, 1+rng.Intn(20), 0)
-		src := testnet.RandomLocations(rng, g, 1)[0]
-		net := testnet.NewMemNet(g, objs)
-		a, _ := NewAStar(context.Background(), net, src, g.Point(src))
-		for _, o := range objs {
-			s := a.NewSession(o.Loc, g.Point(o.Loc))
-			dist, err := s.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.IsInf(dist, 1) {
-				if _, err := s.Path(); err != ErrUnreachable {
-					t.Fatalf("unreachable target: Path err = %v", err)
-				}
-				continue
-			}
-			path, err := s.Path()
-			if err != nil {
-				t.Fatalf("Path: %v", err)
-			}
-			se := g.Edge(src.Edge)
-			de := g.Edge(o.Loc.Edge)
-			if len(path) == 0 {
-				// Direct along the shared edge.
-				if src.Edge != o.Loc.Edge {
-					t.Fatalf("empty path between different edges")
-				}
-				if math.Abs(dist-math.Abs(o.Loc.Offset-src.Offset)) > 1e-9 {
-					t.Fatalf("direct path dist %v inconsistent", dist)
-				}
-				continue
-			}
-			// First node must be a source edge endpoint; its entry cost is
-			// the offset part.
-			total := 0.0
-			switch path[0] {
-			case se.U:
-				total = src.Offset
-			case se.V:
-				total = se.Length - src.Offset
-			default:
-				t.Fatalf("path starts at %d, not a source endpoint", path[0])
-			}
-			// Consecutive nodes must be adjacent; use the shortest parallel
-			// edge (the relaxation always kept the minimum).
-			for i := 1; i < len(path); i++ {
-				bestLen := math.Inf(1)
-				for he := range g.Adj(path[i-1]).All() {
-					if he.To == path[i] && he.Length < bestLen {
-						bestLen = he.Length
-					}
-				}
-				if math.IsInf(bestLen, 1) {
-					t.Fatalf("path nodes %d and %d not adjacent", path[i-1], path[i])
-				}
-				total += bestLen
-			}
-			// Last node must be a destination edge endpoint.
-			last := path[len(path)-1]
-			switch last {
-			case de.U:
-				total += o.Loc.Offset
-			case de.V:
-				total += de.Length - o.Loc.Offset
-			default:
-				t.Fatalf("path ends at %d, not a destination endpoint", last)
-			}
-			if math.Abs(total-dist) > 1e-9 {
-				t.Fatalf("path length %v != dist %v (path %v)", total, dist, path)
-			}
-		}
-	}
-}
-
-func TestPathPanicsBeforeDone(t *testing.T) {
-	rng := rand.New(rand.NewSource(103))
-	g := testnet.RandomGraph(rng, 300)
-	objs := testnet.RandomObjects(rng, g, 1, 0)
-	src := testnet.RandomLocations(rng, g, 1)[0]
-	net := testnet.NewMemNet(g, objs)
-	a, _ := NewAStar(context.Background(), net, src, g.Point(src))
-	s := a.NewSession(objs[0].Loc, g.Point(objs[0].Loc))
-	if s.Done() {
-		t.Skip("completed immediately")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Path before Done did not panic")
-		}
-	}()
-	s.Path() //nolint:errcheck
-}

@@ -35,7 +35,7 @@ type Pin struct {
 	// The algorithm and its non-default options.
 	Alg     string `json:"alg"`
 	Options string `json:"options,omitempty"`
-	// The work and the answer size (neighbours, for aggregate NN).
+	// The work and the answer size.
 	Nodes      int   `json:"nodes"`
 	Pages      int64 `json:"pages"`
 	Candidates int   `json:"candidates"`

@@ -30,17 +30,6 @@ type SkylineIterator struct {
 	done   bool
 }
 
-// SkylineIter starts a progressive LBC skyline query without cancellation.
-// It is SkylineIterContext(context.Background(), ...) with the query's
-// Source left at its default.
-func (e *Engine) SkylineIter(points []Location, useAttrs, alternate bool) (*SkylineIterator, error) {
-	return e.SkylineIterContext(context.Background(), Query{
-		Points:    points,
-		UseAttrs:  useAttrs,
-		Alternate: alternate,
-	})
-}
-
 // SkylineIterContext starts a progressive LBC skyline query under a
 // context: once it is cancelled, Next fails with ctx.Err(). The query's
 // Algorithm field is ignored (the iterator is always LBC); Source and

@@ -137,10 +137,6 @@ func TestEngineContextCancelled(t *testing.T) {
 	if _, err := eng.SkylineIterContext(ctx, Query{Points: pts}); !errors.Is(err, context.Canceled) {
 		t.Errorf("SkylineIterContext err = %v, want context.Canceled", err)
 	}
-	// AggregateNN shares the machinery.
-	if _, err := eng.AggregateNNContext(ctx, pts, 2, SumDistance); !errors.Is(err, context.Canceled) {
-		t.Errorf("AggregateNNContext err = %v, want context.Canceled", err)
-	}
 	// The engine still works with a live context afterwards.
 	if _, err := eng.Skyline(Query{Points: pts, Algorithm: LBCAlg}); err != nil {
 		t.Fatalf("engine broken after cancelled query: %v", err)

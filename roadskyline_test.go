@@ -1,12 +1,16 @@
 package roadskyline
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
+
+	"roadskyline/internal/bruteforce"
+	"roadskyline/internal/graph"
 )
 
 // demoNetwork builds a small hand-checkable network:
@@ -273,95 +277,6 @@ func TestGeneratePresetsExposed(t *testing.T) {
 	}
 }
 
-func TestSkylineLBCConvenience(t *testing.T) {
-	n := demoNetwork(t)
-	objs := []Object{{Loc: Location{Edge: 0, Offset: 0.5}}}
-	eng, err := NewEngine(n, objs, EngineConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.SkylineLBC(Location{Edge: 5, Offset: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) != 1 || res.Points[0].Object.ID != 0 {
-		t.Fatalf("unexpected result %+v", res.Points)
-	}
-}
-
-func TestAggregateNNFacade(t *testing.T) {
-	n := demoNetwork(t)
-	objs := []Object{
-		{Loc: Location{Edge: 0, Offset: 0.2}}, // a: near node 0
-		{Loc: Location{Edge: 1, Offset: 0.8}}, // b: near node 2
-		{Loc: Location{Edge: 3, Offset: 0.5}}, // c: middle of edge 1-4
-	}
-	eng, err := NewEngine(n, objs, EngineConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := []Location{{Edge: 0, Offset: 0}, {Edge: 1, Offset: 1}} // nodes 0 and 2
-	// Sum distances: a = 0.2+1.8 = 2.0, b = 1.8+0.2 = 2.0, c = 1.5+1.5 = 3.0.
-	res, err := eng.AggregateNN(pts, 2, SumDistance)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Neighbors) != 2 {
-		t.Fatalf("got %d neighbors", len(res.Neighbors))
-	}
-	for _, nb := range res.Neighbors {
-		if nb.Object.ID == 2 {
-			t.Fatalf("object c (sum 3.0) ranked above a/b (sum 2.0)")
-		}
-		if math.Abs(nb.Value-2.0) > 1e-9 {
-			t.Fatalf("neighbor %d sum = %v, want 2.0", nb.Object.ID, nb.Value)
-		}
-	}
-	// Max distances: a = 1.8, b = 1.8, c = 1.5 -> c is the fairest.
-	res, err = eng.AggregateNN(pts, 1, MaxDistance)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Neighbors) != 1 || res.Neighbors[0].Object.ID != 2 {
-		t.Fatalf("max-agg winner = %+v, want object 2", res.Neighbors)
-	}
-	if math.Abs(res.Neighbors[0].Value-1.5) > 1e-9 {
-		t.Fatalf("max value = %v, want 1.5", res.Neighbors[0].Value)
-	}
-}
-
-func TestShortestPathFacade(t *testing.T) {
-	n := demoNetwork(t)
-	eng, err := NewEngine(n, nil, EngineConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// From mid edge 0 (between nodes 0 and 1) to mid edge 4 (between 2,5):
-	// 0.5 -> node 1 -> node 2 -> 0.5 = 2.0.
-	res, err := eng.ShortestPath(Location{Edge: 0, Offset: 0.5}, Location{Edge: 4, Offset: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Distance-2.0) > 1e-9 {
-		t.Fatalf("distance = %v, want 2.0", res.Distance)
-	}
-	if len(res.Nodes) != 2 || res.Nodes[0] != 1 || res.Nodes[1] != 2 {
-		t.Fatalf("nodes = %v, want [1 2]", res.Nodes)
-	}
-	// Same-edge direct path.
-	res, err = eng.ShortestPath(Location{Edge: 6, Offset: 0.2}, Location{Edge: 6, Offset: 1.4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Nodes) != 0 || math.Abs(res.Distance-1.2) > 1e-9 {
-		t.Fatalf("same-edge path = %+v", res)
-	}
-	// Invalid locations error.
-	if _, err := eng.ShortestPath(Location{Edge: 99}, Location{Edge: 0}); err == nil {
-		t.Error("bad source accepted")
-	}
-}
-
 func TestQueryAlternateFacade(t *testing.T) {
 	n, err := Generate(NetworkSpec{Name: "alt", Nodes: 400, Edges: 520,
 		Jitter: 0.3, MaxStretch: 0.2, Seed: 13})
@@ -425,40 +340,12 @@ func TestEngineDiskDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.SkylineLBC(Location{Edge: 1, Offset: 0.5})
+	res, err := eng.Skyline(Query{Points: []Location{{Edge: 1, Offset: 0.5}}, Algorithm: LBCAlg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Points) != 1 {
 		t.Fatalf("on-disk engine returned %d points", len(res.Points))
-	}
-}
-
-func TestWriteQueryPlot(t *testing.T) {
-	n := demoNetwork(t)
-	objs := []Object{
-		{Loc: Location{Edge: 0, Offset: 0.2}},
-		{Loc: Location{Edge: 1, Offset: 0.8}},
-		{Loc: Location{Edge: 6, Offset: 1.0}},
-	}
-	eng, err := NewEngine(n, objs, EngineConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qp := []Location{{Edge: 0, Offset: 0}, {Edge: 1, Offset: 1}}
-	res, err := eng.SkylineLBC(qp...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := WriteQueryPlot(&sb, n, objs, qp, res); err != nil {
-		t.Fatal(err)
-	}
-	svg := sb.String()
-	for _, want := range []string{"<svg", "</svg>", "q0", "q1", "#d5473c", "#2868c8"} {
-		if !strings.Contains(svg, want) {
-			t.Errorf("plot missing %q", want)
-		}
 	}
 }
 
@@ -486,7 +373,7 @@ func TestSkylineIterFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	qp := []Location{{Edge: 0, Offset: 0}, {Edge: 1, Offset: 1}}
-	it, err := eng.SkylineIter(qp, false, false)
+	it, err := eng.SkylineIterContext(context.Background(), Query{Points: qp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,7 +408,8 @@ func TestEngineCloneConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	qp := n.GenerateQueryPoints(3, 0.1, 7)
-	want, err := base.Clone().SkylineLBC(qp...)
+	q := Query{Points: qp, Algorithm: LBCAlg}
+	want, err := base.Clone().Skyline(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +419,7 @@ func TestEngineCloneConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			res, err := base.Clone().SkylineLBC(qp...)
+			res, err := base.Clone().Skyline(q)
 			if err != nil {
 				errs[w] = err
 				return
@@ -549,53 +437,8 @@ func TestEngineCloneConcurrent(t *testing.T) {
 	}
 }
 
-func TestEuclideanSkylineFacade(t *testing.T) {
-	n := demoNetwork(t)
-	// Object 2 sits on the slow detour street at (1.3, 0): its NETWORK
-	// distances are long ((2.6, 2.4), dominated by object 1) but its
-	// straight-line vector (1.64, 1.22) is undominated, so the Euclidean
-	// and network skylines differ — the space duality the paper exploits.
-	objs := []Object{
-		{Loc: Location{Edge: 0, Offset: 0.2}},
-		{Loc: Location{Edge: 1, Offset: 0.8}},
-		{Loc: Location{Edge: 6, Offset: 0.6}},
-	}
-	eng, err := NewEngine(n, objs, EngineConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qp := []Location{{Edge: 0, Offset: 0}, {Edge: 1, Offset: 1}}
-	euclid, err := eng.EuclideanSkyline(qp, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	euclidIDs := map[int32]bool{}
-	for _, p := range euclid {
-		euclidIDs[p.Object.ID] = true
-	}
-	if !euclidIDs[2] {
-		t.Errorf("object 2 should be on the Euclidean skyline (ids %v)", euclidIDs)
-	}
-	network, err := eng.SkylineLBC(qp...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range network.Points {
-		if p.Object.ID == 2 {
-			t.Error("object 2 must not be on the network skyline (detour)")
-		}
-	}
-	// Errors.
-	if _, err := eng.EuclideanSkyline(nil, false); err == nil {
-		t.Error("empty query accepted")
-	}
-	if _, err := eng.EuclideanSkyline(qp, true); err == nil {
-		t.Error("useAttrs accepted without attributes")
-	}
-}
-
 // Facade-level oracle test: the public API's answers must match an
-// exhaustive check computed through public methods only.
+// exhaustive dominance check over the brute-force distance matrix.
 func TestFacadeMatchesExhaustiveCheck(t *testing.T) {
 	n, err := Generate(NetworkSpec{Name: "oracle", Nodes: 250, Edges: 330,
 		NumObstacles: 2, ObstacleSize: 0.15, Jitter: 0.3, MaxStretch: 0.2, Seed: 21})
@@ -609,18 +452,15 @@ func TestFacadeMatchesExhaustiveCheck(t *testing.T) {
 	}
 	qp := n.GenerateQueryPoints(3, 0.1, 11)
 
-	// Exhaustive distance matrix via the public ShortestPath.
-	vecs := make([][]float64, len(objs))
+	gObjs := make([]graph.Object, len(objs))
 	for i, o := range objs {
-		vecs[i] = make([]float64, len(qp))
-		for j, q := range qp {
-			path, err := eng.ShortestPath(q, o.Loc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			vecs[i][j] = path.Distance
-		}
+		gObjs[i] = graph.Object{ID: graph.ObjectID(i), Loc: graph.Location{Edge: graph.EdgeID(o.Loc.Edge), Offset: o.Loc.Offset}}
 	}
+	gPts := make([]graph.Location, len(qp))
+	for i, q := range qp {
+		gPts[i] = graph.Location{Edge: graph.EdgeID(q.Edge), Offset: q.Offset}
+	}
+	vecs := bruteforce.DistanceMatrix(n.g, gObjs, gPts)
 	dominates := func(a, b []float64) bool {
 		strict := false
 		for k := range a {
@@ -662,7 +502,7 @@ func TestFacadeMatchesExhaustiveCheck(t *testing.T) {
 			}
 			for j := range qp {
 				if math.Abs(p.Distances[j]-vecs[p.Object.ID][j]) > 1e-9 {
-					t.Fatalf("%v: object %d dist[%d] = %v, ShortestPath says %v",
+					t.Fatalf("%v: object %d dist[%d] = %v, brute force says %v",
 						alg, p.Object.ID, j, p.Distances[j], vecs[p.Object.ID][j])
 				}
 			}
