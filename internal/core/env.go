@@ -537,7 +537,7 @@ func OpenEnv(dir string, cfg EnvConfig) (*Env, error) {
 	if err != nil {
 		return fail(err)
 	}
-	store, err := diskgraph.Open(graphFile, cfg.BufferBytes, filepath.Join(dir, fileAdjDir))
+	store, err := diskgraph.Open(graphFile, cfg.BufferBytes, filepath.Join(dir, fileAdjDir), g.NumEdges())
 	if err != nil {
 		return fail(fmt.Errorf("core: %w", err))
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -381,6 +382,81 @@ func TestOpenEnvCorruption(t *testing.T) {
 	}
 	nd.mustRefuse(t, "manifest.json/not json", ErrCorrupt, map[string][]byte{fileManifest: []byte("RSKGRAF1")})
 	nd.mustRefuse(t, "manifest.json/reformatted", ErrCorrupt, map[string][]byte{fileManifest: append(bytes.Clone(nd.files[fileManifest]), '\n')})
+}
+
+// Adjacency records are page bytes, which OpenEnv does not read, so a record
+// that lies about itself must fail the query that reads it with ErrCorrupt,
+// not panic it. Every record of adjacency.pages is damaged the same way, so
+// whichever node a query expands first trips it: a degree that runs off the
+// page, and a first entry naming a neighbour or an edge out of range. CE, EDC
+// and LBC each run on the file and mmap backends. An adjacency.dir offset
+// that leaves no room for a record's header is refused at open.
+//
+// Seeded mutations: dropping the degree's extent check from
+// diskgraph.Store.Neighbors fails degree; dropping its neighbour-id check
+// fails neighbour.
+func TestQueryCorruptAdjacency(t *testing.T) {
+	nd := buildNetDir(t, 2604, 400, 300, 0)
+	adjDir := nd.files[fileAdjDir]
+	// records applies put to every record of the adjacency pages, found
+	// through the directory (64-byte header, then page u32 and offset u16
+	// per node).
+	records := func(put func(rec []byte)) map[string][]byte {
+		img := bytes.Clone(nd.files[fileAdjPages])
+		for i := range nd.g.NumNodes() {
+			e := adjDir[64+6*i:]
+			page, off := binary.LittleEndian.Uint32(e), binary.LittleEndian.Uint16(e[4:])
+			put(img[int(page)*storage.PageSize+int(off):])
+		}
+		return map[string][]byte{fileAdjPages: img}
+	}
+	// firstEntry overwrites the u32 at byte at of a record's first entry.
+	firstEntry := func(at int, v uint32) func([]byte) {
+		return func(rec []byte) {
+			if binary.LittleEndian.Uint16(rec[16:]) > 0 {
+				binary.LittleEndian.PutUint32(rec[18+at:], v)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(2604))
+	q := Query{Points: testnet.RandomLocations(rng, nd.g, 3)}
+	for _, c := range []struct {
+		name    string
+		replace map[string][]byte
+	}{
+		{"degree", records(func(rec []byte) { binary.LittleEndian.PutUint16(rec[16:], 0xFFFF) })},
+		{"neighbour", records(firstEntry(0, 0x7fff0000))},
+		{"edge", records(firstEntry(20, 0x7fff0000))},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			nd.copyTo(t, dir, c.replace)
+			for _, backend := range []storage.Backend{storage.BackendFile, storage.BackendMmap} {
+				env, err := OpenEnv(dir, EnvConfig{Backend: backend})
+				if err != nil {
+					t.Fatalf("%v: OpenEnv: %v", backend, err)
+				}
+				for _, alg := range []Algorithm{AlgCE, AlgEDC, AlgLBC} {
+					func() {
+						defer func() {
+							if r := recover(); r != nil {
+								t.Errorf("%v %v: the query panicked: %v", backend, alg, r)
+							}
+						}()
+						if _, err := Run(context.Background(), env, q, alg, Options{ColdCache: true}); !errors.Is(err, ErrCorrupt) {
+							t.Errorf("%v %v: error %v, want ErrCorrupt", backend, alg, err)
+						}
+					}()
+				}
+				if err := env.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+	img := bytes.Clone(adjDir)
+	binary.LittleEndian.PutUint16(img[64+6*7+4:], storage.PageSize-2)
+	nd.mustRefuse(t, "offset", ErrCorrupt, map[string][]byte{fileAdjDir: img})
 }
 
 // What OpenEnv validates beyond sizes and checksums, each on a file whose

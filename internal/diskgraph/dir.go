@@ -68,8 +68,9 @@ func (s *Store) WriteDir(path string) (err error) {
 
 // Open reconstructs a Store over an already-built page file from the
 // directory written by WriteDir, reading through a fresh pool of
-// bufferBytes.
-func Open(file storage.PageFile, bufferBytes int, dirPath string) (*Store, error) {
+// bufferBytes. numEdges is the graph's edge count, which bounds the edge
+// ids the records may name.
+func Open(file storage.PageFile, bufferBytes int, dirPath string, numEdges int) (*Store, error) {
 	raw, err := os.ReadFile(dirPath)
 	if err != nil {
 		return nil, fmt.Errorf("diskgraph: %w", err)
@@ -92,6 +93,7 @@ func Open(file storage.PageFile, bufferBytes int, dirPath string) (*Store, error
 		file:     file,
 		dir:      make([]recRef, nn),
 		numPages: int(np),
+		numEdges: numEdges,
 		bounds: geom.Rect{
 			MinX: math.Float64frombits(binary.LittleEndian.Uint64(raw[32:])),
 			MinY: math.Float64frombits(binary.LittleEndian.Uint64(raw[40:])),
@@ -103,7 +105,7 @@ func Open(file storage.PageFile, bufferBytes int, dirPath string) (*Store, error
 		e := raw[dirHeaderSize+i*dirEntrySize:]
 		pg := storage.PageID(int32(binary.LittleEndian.Uint32(e[0:])))
 		off := binary.LittleEndian.Uint16(e[4:])
-		if pg < 0 || int(pg) >= s.numPages || int(off) >= storage.PageSize {
+		if pg < 0 || int(pg) >= s.numPages || int(off)+recHeaderSize > storage.PageSize {
 			return nil, fmt.Errorf("diskgraph: %w: directory entry %d (page %d, off %d) out of range", storage.ErrCorrupt, i, pg, off)
 		}
 		s.dir[i] = recRef{page: pg, off: off}

@@ -65,6 +65,7 @@ type Store struct {
 	pool     *storage.BufferPool
 	dir      []recRef
 	numPages int
+	numEdges int // the range Neighbors holds every entry's edge id to
 	bounds   geom.Rect
 }
 
@@ -85,7 +86,7 @@ func Build(g *graph.Graph, file storage.PageFile, bufferBytes int, order Order) 
 		sort.Slice(ids, func(a, b int) bool { return keys[ids[a]] < keys[ids[b]] })
 	}
 
-	s := &Store{file: file, dir: make([]recRef, n), bounds: g.Bounds()}
+	s := &Store{file: file, dir: make([]recRef, n), numEdges: g.NumEdges(), bounds: g.Bounds()}
 	page := make([]byte, storage.PageSize)
 	used := 0
 	flush := func() error {
@@ -172,7 +173,9 @@ func (s *Store) NodePoint(id graph.NodeID) (geom.Point, error) {
 }
 
 // Neighbors appends node id's adjacency entries to buf and returns it (one
-// buffered page access).
+// buffered page access). A record that runs off its page, or an entry whose
+// neighbour or edge id is out of range, fails with storage.ErrCorrupt and
+// appends nothing.
 func (s *Store) Neighbors(id graph.NodeID, buf []Neighbor) ([]Neighbor, error) {
 	r := s.dir[id]
 	p, err := s.pool.Get(r.page)
@@ -181,15 +184,25 @@ func (s *Store) Neighbors(id graph.NodeID, buf []Neighbor) ([]Neighbor, error) {
 	}
 	rec := p[r.off:]
 	deg := int(binary.LittleEndian.Uint16(rec[16:]))
-	for i := 0; i < deg; i++ {
-		e := rec[recHeaderSize+i*recEntrySize:]
+	end := recHeaderSize + deg*recEntrySize
+	if end > len(rec) {
+		return buf, fmt.Errorf("diskgraph: %w: node %d record of degree %d runs off its page", storage.ErrCorrupt, id, deg)
+	}
+	n := len(buf)
+	for ents := rec[recHeaderSize:end]; len(ents) >= recEntrySize; ents = ents[recEntrySize:] {
+		e := ents[:recEntrySize]
+		to := binary.LittleEndian.Uint32(e[0:])
+		edge := binary.LittleEndian.Uint32(e[20:])
+		if to >= uint32(len(s.dir)) || edge >= uint32(s.numEdges) {
+			return buf[:n], fmt.Errorf("diskgraph: %w: node %d lists neighbour %d over edge %d", storage.ErrCorrupt, id, int32(to), int32(edge))
+		}
 		buf = append(buf, Neighbor{
-			To: graph.NodeID(int32(binary.LittleEndian.Uint32(e[0:]))),
+			To: graph.NodeID(to),
 			ToPt: geom.Point{
 				X: math.Float64frombits(binary.LittleEndian.Uint64(e[4:])),
 				Y: math.Float64frombits(binary.LittleEndian.Uint64(e[12:])),
 			},
-			Edge:   graph.EdgeID(int32(binary.LittleEndian.Uint32(e[20:]))),
+			Edge:   graph.EdgeID(edge),
 			Length: math.Float64frombits(binary.LittleEndian.Uint64(e[24:])),
 		})
 	}

@@ -240,7 +240,7 @@ func TestWriteDirOpen(t *testing.T) {
 		if err != nil {
 			t.Fatalf("storage.Open(%v): %v", backend, err)
 		}
-		s, err := Open(pf, storage.DefaultBufferBytes, dirPath)
+		s, err := Open(pf, storage.DefaultBufferBytes, dirPath, g.NumEdges())
 		if err != nil {
 			t.Fatalf("Open via %v: %v", actual, err)
 		}
@@ -284,7 +284,7 @@ func TestWriteDirOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pf.Close()
-	if _, err := Open(pf, storage.DefaultBufferBytes, filepath.Join(dir, "missing.dir")); err == nil {
+	if _, err := Open(pf, storage.DefaultBufferBytes, filepath.Join(dir, "missing.dir"), g.NumEdges()); err == nil {
 		t.Error("Open with missing directory succeeded")
 	}
 	raw, err := os.ReadFile(dirPath)
@@ -297,13 +297,13 @@ func TestWriteDirOpen(t *testing.T) {
 	if err := os.WriteFile(bad, corrupt, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(pf, storage.DefaultBufferBytes, bad); err == nil {
+	if _, err := Open(pf, storage.DefaultBufferBytes, bad, g.NumEdges()); err == nil {
 		t.Error("Open with mismatched page count succeeded")
 	}
 	if err := os.WriteFile(bad, raw[:30], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(pf, storage.DefaultBufferBytes, bad); err == nil {
+	if _, err := Open(pf, storage.DefaultBufferBytes, bad, g.NumEdges()); err == nil {
 		t.Error("Open with truncated directory succeeded")
 	}
 }
