@@ -153,7 +153,7 @@ func main() {
 		log.Error("listening", "addr", *addr, "err", err)
 		os.Exit(1)
 	}
-	srv := &http.Server{Handler: mux}
+	srv := newHTTPServer(mux)
 	log.Info("serving", "addr", ln.Addr().String(),
 		"nodes", network.NumNodes(), "edges", network.NumEdges(),
 		"objects", len(objects), "workers", pool.Workers())
@@ -194,6 +194,21 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// A client gets readHeaderTimeout to send a request's headers, so one that
+// sends them slowly cannot hold a connection forever (an idle keep-alive
+// connection waits without a limit, as before). The header block, request
+// line included, is capped at maxHeaderBytes: a /query at maxQueryPoints
+// points fits in under 4 kB, and a larger request answers 431.
+const (
+	readHeaderTimeout = 10 * time.Second
+	maxHeaderBytes    = 16 << 10
+)
+
+// newHTTPServer returns the server that serves h under the limits above.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, MaxHeaderBytes: maxHeaderBytes}
 }
 
 // reportLoop logs a one-line load summary at each tick so operators can

@@ -17,27 +17,35 @@ import (
 	"roadskyline"
 )
 
+// testServer returns the /query server over a small test network whose
+// objects carry attrs attributes, on a one-worker pool closed at cleanup.
+func testServer(tb testing.TB, attrs int) *server {
+	tb.Helper()
+	n, err := roadskyline.Generate(roadskyline.NetworkSpec{Name: "serve", Nodes: 300, Edges: 390,
+		Jitter: 0.3, MaxStretch: 0.2, Seed: 31})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	eng, err := roadskyline.NewEngine(n, n.GenerateObjects(0.4, attrs, 17), roadskyline.EngineConfig{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pool, err := roadskyline.NewPool(eng, roadskyline.PoolConfig{Workers: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(pool.Close)
+	return &server{net: n, pool: pool, log: slog.New(slog.NewTextHandler(io.Discard, nil))}
+}
+
 // TestQueryRejectsHostileInput: /query answers 400, before touching the
 // pool, to non-finite coordinates and to finite ones too far out for any
 // edge to be at a finite distance (both used to snap to edge 0 and answer
 // 200) and to more than maxQueryPoints points; once the pool is closed it
 // answers 503.
 func TestQueryRejectsHostileInput(t *testing.T) {
-	n, err := roadskyline.Generate(roadskyline.NetworkSpec{Name: "serve", Nodes: 300, Edges: 390,
-		Jitter: 0.3, MaxStretch: 0.2, Seed: 31})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := roadskyline.NewEngine(n, n.GenerateObjects(0.4, 0, 17), roadskyline.EngineConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := roadskyline.NewPool(eng, roadskyline.PoolConfig{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	s := &server{net: n, pool: pool, log: slog.New(slog.NewTextHandler(io.Discard, nil))}
+	s := testServer(t, 0)
+	pool := s.pool
 
 	get := func(query string) int {
 		rw := httptest.NewRecorder()
@@ -71,27 +79,52 @@ func TestQueryRejectsHostileInput(t *testing.T) {
 	}
 }
 
+// TestServerCapsHeaders: through the server main runs, a request whose URL
+// alone is 100 kB answers 431 before any handler runs, and an ordinary
+// query still answers 200.
+func TestServerCapsHeaders(t *testing.T) {
+	s := testServer(t, 0)
+	mux := http.NewServeMux()
+	mux.HandleFunc("/query", s.handleQuery)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newHTTPServer(mux)
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	base := "http://" + ln.Addr().String() + "/query?q=0.4,0.4&q=0.6,0.5"
+	for _, c := range []struct {
+		url  string
+		want int
+	}{
+		{base, http.StatusOK},
+		{base + "&pad=" + strings.Repeat("x", 100<<10), http.StatusRequestHeaderFieldsTooLarge},
+		{base, http.StatusOK},
+	} {
+		resp, err := http.Get(c.url)
+		if err != nil {
+			t.Fatalf("GET of %d bytes: %v", len(c.url), err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("GET of %d bytes: status %d, want %d", len(c.url), resp.StatusCode, c.want)
+		}
+	}
+	if m := s.pool.PoolMetrics(); m.Submitted != 2 {
+		t.Errorf("pool saw %d submissions, want only the 2 ordinary queries", m.Submitted)
+	}
+}
+
 // FuzzQueryHandler feeds arbitrary query strings to /query on the test
 // network: every one must answer 200, 400 or 503 with a JSON body (a
 // queryResponse on 200, an error object otherwise) and none may panic.
 //
 //	go test -run '^$' -fuzz FuzzQueryHandler -fuzztime 10s ./cmd/skylineserve
 func FuzzQueryHandler(f *testing.F) {
-	n, err := roadskyline.Generate(roadskyline.NetworkSpec{Name: "serve", Nodes: 300, Edges: 390,
-		Jitter: 0.3, MaxStretch: 0.2, Seed: 31})
-	if err != nil {
-		f.Fatal(err)
-	}
-	eng, err := roadskyline.NewEngine(n, n.GenerateObjects(0.4, 2, 17), roadskyline.EngineConfig{})
-	if err != nil {
-		f.Fatal(err)
-	}
-	pool, err := roadskyline.NewPool(eng, roadskyline.PoolConfig{Workers: 1})
-	if err != nil {
-		f.Fatal(err)
-	}
-	defer pool.Close()
-	s := &server{net: n, pool: pool, log: slog.New(slog.NewTextHandler(io.Discard, nil))}
+	s := testServer(f, 2)
 
 	for _, seed := range []string{
 		"q=0.4,0.4&q=0.6,0.5",
