@@ -161,9 +161,16 @@ func TestOpenEngineRoundTrip(t *testing.T) {
 	if _, err := OpenEngine(dir, EngineConfig{Landmarks: 3}); !errors.Is(err, ErrIncompatible) {
 		t.Errorf("OpenEngine asking for 3 landmarks of a directory built with 8: %v, want ErrIncompatible", err)
 	}
-	if eng, err := OpenEngine(dir, EngineConfig{NoLandmarks: true}); err != nil {
-		t.Errorf("OpenEngine(NoLandmarks): %v", err)
+	if eng, err := OpenEngine(dir, EngineConfig{Landmarks: -1}); err != nil {
+		t.Errorf("OpenEngine(Landmarks: -1): %v", err)
 	} else {
+		// A negative count leaves the table unread: A* never evaluates it.
+		res, err := eng.Skyline(Query{Points: tr.pts, Algorithm: LBCAlg})
+		if err != nil {
+			t.Errorf("OpenEngine(Landmarks: -1) query: %v", err)
+		} else if st := res.Stats; st.LandmarkWins+st.EuclidWins != 0 {
+			t.Errorf("OpenEngine(Landmarks: -1) evaluated the landmark bound %d+%d times", st.LandmarkWins, st.EuclidWins)
+		}
 		eng.Close()
 	}
 	// (Damage a directory nothing has mapped: the engines above still do.)

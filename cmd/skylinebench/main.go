@@ -213,7 +213,6 @@ func traceBench(scale float64, seed int64, landmarks int, out string) error {
 	}
 	eng, err := roadskyline.NewEngine(n, n.GenerateObjects(0.5, 0, seed), roadskyline.EngineConfig{
 		Landmarks:      landmarks,
-		NoLandmarks:    landmarks < 0,
 		WarmCache:      true,
 		FlightRecorder: roadskyline.FlightRecorderConfig{Size: 16},
 	})

@@ -34,7 +34,6 @@
 //	    Live load view: rolling 1s/10s/60s windows of TPS, latency
 //	    quantiles, outcome and cache-hit rates, plus the latest Go
 //	    runtime sample (and up to N retained samples with history=N).
-//	GET /debug/vars   expvar JSON, including the pool snapshot.
 //	GET /debug/pprof  Go profiling endpoints.
 //
 // Usage:
@@ -47,7 +46,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
@@ -131,7 +129,6 @@ func main() {
 	if *slow > 0 || log.Enabled(context.Background(), slog.LevelDebug) {
 		s.tracer = roadskyline.NewSlogTracer(log, *slow)
 	}
-	expvar.Publish("roadskyline.pool", pool.ExpvarFunc())
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", s.handleQuery)
@@ -141,7 +138,6 @@ func main() {
 	mux.Handle("/debug/trace", pool.TraceHandler())
 	mux.Handle("/debug/inflight", pool.InflightHandler())
 	mux.Handle("/debug/load", pool.LoadHandler())
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -264,7 +264,8 @@ func TestDegenerateTopologyEquivalenceFuzz(t *testing.T) {
 }
 
 // TestLandmarkEquivalence proves the ALT heuristic changes only the work,
-// never the answer: the same queries with landmarks on and off must return
+// never the answer: the same queries on an engine with the default landmark
+// table and on one built without a table (Landmarks < 0) must return
 // identical skylines (same objects, same vectors), with landmarks never
 // expanding more nodes and expanding strictly fewer in aggregate.
 func TestLandmarkEquivalence(t *testing.T) {
@@ -275,12 +276,16 @@ func TestLandmarkEquivalence(t *testing.T) {
 	var withNodes, withoutNodes int
 	for seed := int64(0); seed < int64(trials); seed++ {
 		tr := newFuzzTrial(t, 12000+seed)
+		euclid, err := NewEngine(tr.n, tr.objs, EngineConfig{Landmarks: -1})
+		if err != nil {
+			t.Fatalf("seed %d: %v", tr.seed, err)
+		}
 		for _, alg := range []Algorithm{EDCAlg, LBCAlg} {
 			on, err := tr.eng.Skyline(Query{Points: tr.pts, UseAttrs: tr.use, Algorithm: alg})
 			if err != nil {
 				t.Fatalf("seed %d %v landmarks on: %v", tr.seed, alg, err)
 			}
-			off, err := tr.eng.Skyline(Query{Points: tr.pts, UseAttrs: tr.use, Algorithm: alg, NoLandmarks: true})
+			off, err := euclid.Skyline(Query{Points: tr.pts, UseAttrs: tr.use, Algorithm: alg})
 			if err != nil {
 				t.Fatalf("seed %d %v landmarks off: %v", tr.seed, alg, err)
 			}
@@ -305,8 +310,9 @@ func TestLandmarkEquivalence(t *testing.T) {
 			if on.Stats.LandmarkWins+on.Stats.EuclidWins == 0 && on.Stats.NodesExpanded > 0 {
 				t.Errorf("seed %d %v: heuristic evaluation counters never moved with landmarks on", tr.seed, alg)
 			}
-			if off.Stats.LandmarkWins != 0 {
-				t.Errorf("seed %d %v: landmark wins %d counted with landmarks off", tr.seed, alg, off.Stats.LandmarkWins)
+			if off.Stats.LandmarkWins != 0 || off.Stats.EuclidWins != 0 {
+				t.Errorf("seed %d %v: landmark bound evaluated %d+%d times without a table",
+					tr.seed, alg, off.Stats.LandmarkWins, off.Stats.EuclidWins)
 			}
 			withNodes += on.Stats.NodesExpanded
 			withoutNodes += off.Stats.NodesExpanded
@@ -320,25 +326,27 @@ func TestLandmarkEquivalence(t *testing.T) {
 }
 
 // BenchmarkLandmarkAblation reports the per-query nodes expanded by LBC
-// with and without the landmark heuristic on one mid-sized network.
+// with the default landmark table and without one on one mid-sized
+// network.
 func BenchmarkLandmarkAblation(b *testing.B) {
 	n, err := Generate(NetworkSpec{Name: "bench", Nodes: 600, Edges: 900, Jitter: 0.3, MaxStretch: 0.2, Seed: 99})
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng, err := NewEngine(n, n.GenerateObjects(0.5, 0, 99), EngineConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	objs := n.GenerateObjects(0.5, 0, 99)
 	pts := n.GenerateQueryPoints(4, 0.1, 101)
 	for _, bench := range []struct {
-		name string
-		off  bool
-	}{{"landmarks", false}, {"euclid", true}} {
+		name      string
+		landmarks int
+	}{{"landmarks", 0}, {"euclid", -1}} {
+		eng, err := NewEngine(n, objs, EngineConfig{Landmarks: bench.landmarks})
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.Run(bench.name, func(b *testing.B) {
 			nodes := 0
 			for i := 0; i < b.N; i++ {
-				res, err := eng.Skyline(Query{Points: pts, Algorithm: LBCAlg, NoLandmarks: bench.off})
+				res, err := eng.Skyline(Query{Points: pts, Algorithm: LBCAlg})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -42,8 +42,8 @@ func splitNetwork(t *testing.T) *Network {
 // network whose object set straddles two components: objects unreachable
 // from every query point are silently excluded (their distance vector is
 // all +Inf — dominated by any reachable object and useless to report), and
-// the reachable skyline matches across CE, EDC and LBC with landmarks both
-// on and off.
+// the reachable skyline matches across CE, EDC and LBC with the default
+// landmark table and without one (Landmarks: -1).
 func TestSkylineDisconnectedObjects(t *testing.T) {
 	n := splitNetwork(t)
 	objs := []Object{
@@ -53,8 +53,8 @@ func TestSkylineDisconnectedObjects(t *testing.T) {
 		{Loc: Location{Edge: 7, Offset: 0.75}}, // far component
 	}
 	points := []Location{{Edge: 0, Offset: 0.5}, {Edge: 5, Offset: 0.5}}
-	for _, landmarks := range []bool{true, false} {
-		eng, err := NewEngine(n, objs, EngineConfig{NoLandmarks: !landmarks})
+	for _, landmarks := range []int{0, -1} {
+		eng, err := NewEngine(n, objs, EngineConfig{Landmarks: landmarks})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -72,9 +72,6 @@ type EngineConfig struct {
 	// BufferBytes sizes each LRU buffer pool. Default 1 MB (the paper's
 	// setting).
 	BufferBytes int
-	// NoHilbertClustering stores adjacency lists in node-id order instead
-	// of Hilbert order; used by the clustering ablation.
-	NoHilbertClustering bool
 	// WarmCache keeps buffer pools warm across queries instead of starting
 	// each query cold.
 	WarmCache bool
@@ -93,20 +90,12 @@ type EngineConfig struct {
 	// Landmarks is the number of ALT landmark nodes precomputed at build
 	// time: exact distance tables from a few farthest-point-sampled nodes
 	// tighten the A* heuristic beyond the Euclidean bound via the triangle
-	// inequality. Zero means the default (8); set NoLandmarks to disable.
+	// inequality. Zero means the default (8); negative builds or reads no
+	// table, so the A* searchers use the paper's pure Euclidean heuristic.
 	// OpenEngine builds no table: zero there means the one the directory
 	// holds, and a positive count other than the directory's is refused
 	// (ErrIncompatible).
 	Landmarks int
-	// NoLandmarks disables the landmark table so the A* searchers fall
-	// back to the pure Euclidean heuristic of the paper; used by the
-	// landmark ablation.
-	NoLandmarks bool
-	// DiskLatency is the simulated cost per network page fault charged
-	// into Stats.IOTime and thus Stats.Total (zero means the default,
-	// 150 µs; pages live in memory, so the model restores the I/O share
-	// of response time the paper measures on real disks).
-	DiskLatency time.Duration
 	// DistCache sizes the cross-query cache of shortest-path wavefronts
 	// kept at rest. The zero value keeps none (the paper's
 	// recompute-everything behavior). The cache only serves warm-cache
@@ -195,21 +184,12 @@ func NewEngine(n *Network, objects []Object, cfg EngineConfig) (*Engine, error) 
 			Attrs: o.Attrs,
 		}
 	}
-	order := diskgraph.OrderHilbert
-	if cfg.NoHilbertClustering {
-		order = diskgraph.OrderNodeID
-	}
-	landmarks := cfg.Landmarks
-	if cfg.NoLandmarks {
-		landmarks = -1
-	}
 	env, err := core.NewEnv(n.g, objs, core.EnvConfig{
 		BufferBytes: cfg.BufferBytes,
-		Order:       order,
+		Order:       diskgraph.OrderHilbert,
 		Dir:         cfg.DiskDir,
 		Backend:     storage.Backend(cfg.Backend),
-		Landmarks:   landmarks,
-		DiskLatency: cfg.DiskLatency,
+		Landmarks:   cfg.Landmarks,
 		DistCache: distcache.Config{
 			Entries: cfg.DistCache.Entries,
 			Quantum: cfg.DistCache.Quantum,
@@ -249,22 +229,17 @@ var ErrIncompatible = core.ErrIncompatible
 // BackendMmap for the zero-heap-copy larger-than-RAM path), so even a
 // continent-scale network opens in milliseconds. Every file is checked on
 // the way (sizes, checksums, index ranges): a damaged directory fails here
-// with ErrCorrupt. cfg.DiskDir and cfg.NoHilbertClustering are ignored —
-// the on-disk layout is already fixed; cfg.Landmarks zero means the table
-// the directory holds and NoLandmarks leaves it unread; the remaining
-// fields apply as in NewEngine.
+// with ErrCorrupt. cfg.DiskDir is ignored — the on-disk layout is already
+// fixed; cfg.Landmarks zero means the table the directory holds and a
+// negative count leaves it unread; the remaining fields apply as in
+// NewEngine.
 //
 // Close the engine when done to release the mappings and file handles.
 func OpenEngine(dir string, cfg EngineConfig) (*Engine, error) {
-	landmarks := cfg.Landmarks
-	if cfg.NoLandmarks {
-		landmarks = -1
-	}
 	env, err := core.OpenEnv(dir, core.EnvConfig{
 		BufferBytes: cfg.BufferBytes,
 		Backend:     storage.Backend(cfg.Backend),
-		Landmarks:   landmarks,
-		DiskLatency: cfg.DiskLatency,
+		Landmarks:   cfg.Landmarks,
 		DistCache: distcache.Config{
 			Entries: cfg.DistCache.Entries,
 			Quantum: cfg.DistCache.Quantum,
@@ -384,8 +359,6 @@ func finalize(in *obs.Inflight, q Query, m core.Metrics, began time.Time, err er
 		UseAttrs:        q.UseAttrs,
 		Alternate:       q.Alternate,
 		Source:          q.Source,
-		NoLandmarks:     q.NoLandmarks,
-		NoDistCache:     q.NoDistCache,
 		Outcome:         obs.Classify(err, abandoned, errOutcomes),
 		Total:           m.ResponseTime(),
 		Initial:         m.InitialResponseTime(),
@@ -451,16 +424,6 @@ type Query struct {
 	// index into Points; out-of-range values are rejected. Ignored by CE
 	// and EDC, and by LBC when Alternate is set.
 	Source int
-	// NoLandmarks runs this query with the pure Euclidean A* heuristic,
-	// ignoring the engine's landmark table (per-query ablation; the result
-	// is identical, only the work counters change). Ignored by CE, which
-	// uses Dijkstra wavefronts without a heuristic.
-	NoLandmarks bool
-	// NoDistCache makes this query neither consult nor feed the engine's
-	// cross-query wavefront store, at rest or in flight (per-query
-	// ablation; the result is identical, only the work counters change).
-	// No effect on engines without DistCache entries or ShareWavefronts.
-	NoDistCache bool
 	// Tracer receives the query's FlightRecord once it has finished,
 	// whatever the outcome (see docs/OBSERVABILITY.md); the query then
 	// collects its phase breakdown as under the flight recorder. Nil — the
@@ -567,15 +530,15 @@ type Stats struct {
 	// DistCacheHits and DistCacheMisses count this query's lookups in the
 	// cross-query distance cache, one per searcher built (so hits+misses
 	// is usually the number of query points). Both stay zero when the
-	// engine has no cache, the query set NoDistCache, or the engine runs
-	// cold-cache (paper mode), where the cache is bypassed.
+	// engine has no cache or runs cold-cache (paper mode), where the cache
+	// is bypassed.
 	DistCacheHits   int
 	DistCacheMisses int
 	// WavefrontLeads and WavefrontShares count this query's single-flight
 	// wavefront outcomes: searchers this query expanded as the leader of a
 	// shared flight, and searchers it resumed from another query's
 	// published frontier. Both stay zero unless the engine enables
-	// ShareWavefronts and the query runs warm-cache without NoDistCache.
+	// ShareWavefronts and runs warm-cache.
 	WavefrontLeads  int
 	WavefrontShares int
 	// Total is the query's response time under the engine's simulated
@@ -586,7 +549,8 @@ type Stats struct {
 	// for the measured CPU share alone.
 	Total, Initial time.Duration
 	// IOTime and InitialIOTime are the simulated disk components of
-	// Total and Initial: pages faulted x EngineConfig's disk latency.
+	// Total and Initial: pages faulted x the modeled latency of one page
+	// read, 150 µs (core.DefaultDiskLatency).
 	IOTime, InitialIOTime time.Duration
 	// Phases is the per-phase work breakdown (durations, pages, node
 	// settlements per algorithm stage) in first-entered order. Populated
@@ -666,13 +630,11 @@ func (e *Engine) begin(q *Query, began time.Time) (core.Query, core.Options, tim
 		pts[i] = graph.Location{Edge: graph.EdgeID(p.Edge), Offset: p.Offset}
 	}
 	opts := core.Options{
-		ColdCache:        !e.cfg.WarmCache,
-		LBCAlternate:     q.Alternate,
-		LBCSource:        q.Source,
-		DisableLandmarks: q.NoLandmarks,
-		DisableDistCache: q.NoDistCache,
-		CollectPhases:    q.CollectPhases,
-		Trace:            q.trace,
+		ColdCache:     !e.cfg.WarmCache,
+		LBCAlternate:  q.Alternate,
+		LBCSource:     q.Source,
+		CollectPhases: q.CollectPhases,
+		Trace:         q.trace,
 	}
 	if e.flight != nil || q.Tracer != nil {
 		opts.CollectPhases = true

@@ -9,6 +9,33 @@ import (
 	"testing"
 )
 
+// plainAnswers answers every trial query on a warm-cache engine without a
+// distance cache or wavefront sharing, each checked against the bruteforce
+// skyline: the reference the cached and shared answers must equal bit for
+// bit. Such an engine consults no store, so it counts no store event.
+func (tr *fuzzTrial) plainAnswers(t *testing.T) []*Result {
+	t.Helper()
+	eng, err := NewEngine(tr.n, tr.objs, EngineConfig{WarmCache: true})
+	if err != nil {
+		t.Fatalf("seed %d: plain engine: %v", tr.seed, err)
+	}
+	var out []*Result
+	for qi, q := range tr.queries() {
+		res, err := eng.Skyline(q)
+		if err != nil {
+			t.Fatalf("seed %d plain query %d: %v", tr.seed, qi, err)
+		}
+		if err := tr.check(res, fmt.Sprintf("plain query %d", qi)); err != nil {
+			t.Fatal(err)
+		}
+		if st := res.Stats; st.WavefrontLeads != 0 || st.WavefrontShares != 0 || st.DistCacheHits != 0 || st.DistCacheMisses != 0 {
+			t.Errorf("seed %d: plain query %d counted store events %+v", tr.seed, qi, st)
+		}
+		out = append(out, res)
+	}
+	return out
+}
+
 // cachedEngine builds a second engine over the trial's network and objects
 // with the cross-query distance cache enabled. WarmCache is required: the
 // cache is bypassed in cold-cache (paper) mode so published figures stay
@@ -28,8 +55,10 @@ func (tr *fuzzTrial) cachedEngine(t *testing.T, entries int) *Engine {
 // TestDistCacheEquivalenceFuzz is the cache's end-to-end soundness sweep:
 // with the distance cache enabled, CE, EDC and LBC in every mode must still
 // reproduce the bruteforce skyline exactly — on the first pass (populating)
-// and on a repeated pass (served from cached wavefronts). The per-query
-// hit/miss counters must reconcile exactly with the cache's own totals.
+// and on a repeated pass (served from cached wavefronts) — and the answer
+// of an engine without the cache, id sequence and distance bits alike. The
+// per-query hit/miss counters must reconcile exactly with the cache's own
+// totals.
 func TestDistCacheEquivalenceFuzz(t *testing.T) {
 	trials := 10
 	if testing.Short() {
@@ -37,6 +66,7 @@ func TestDistCacheEquivalenceFuzz(t *testing.T) {
 	}
 	for seed := int64(0); seed < int64(trials); seed++ {
 		tr := newFuzzTrial(t, 9700+seed)
+		plain := tr.plainAnswers(t)
 		cached := tr.cachedEngine(t, 128)
 		var hits, misses int
 		for pass := 0; pass < 2; pass++ {
@@ -49,6 +79,9 @@ func TestDistCacheEquivalenceFuzz(t *testing.T) {
 				if err := tr.check(res, label); err != nil {
 					t.Fatal(err)
 				}
+				if err := sameSkyline(res, plain[qi]); err != nil {
+					t.Fatalf("seed %d %s: %v", tr.seed, label, err)
+				}
 				hits += res.Stats.DistCacheHits
 				misses += res.Stats.DistCacheMisses
 			}
@@ -60,24 +93,6 @@ func TestDistCacheEquivalenceFuzz(t *testing.T) {
 		if cs.Hits != int64(hits) || cs.Misses != int64(misses) {
 			t.Errorf("seed %d: cache totals %d/%d, per-query stats summed to %d/%d (counter leak)",
 				tr.seed, cs.Hits, cs.Misses, hits, misses)
-		}
-
-		// NoDistCache opts a query out: still exact, counters untouched.
-		q := tr.queries()[0]
-		q.NoDistCache = true
-		res, err := cached.Skyline(q)
-		if err != nil {
-			t.Fatalf("seed %d NoDistCache: %v", tr.seed, err)
-		}
-		if err := tr.check(res, "NoDistCache"); err != nil {
-			t.Fatal(err)
-		}
-		if res.Stats.DistCacheHits != 0 || res.Stats.DistCacheMisses != 0 {
-			t.Errorf("seed %d: NoDistCache query counted %d hits / %d misses",
-				tr.seed, res.Stats.DistCacheHits, res.Stats.DistCacheMisses)
-		}
-		if after := cached.DistCacheStats(); after != cs {
-			t.Errorf("seed %d: NoDistCache query moved cache stats %+v -> %+v", tr.seed, cs, after)
 		}
 	}
 }

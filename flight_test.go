@@ -186,14 +186,20 @@ func TestFlightRecorderPoolReconcile(t *testing.T) {
 			}
 		}, map[string]uint64{"error": 1, "cancelled": 1}},
 		{"batch", single, func(t *testing.T, pool *Pool, qs []Query) {
+			// A caller's batch is a loop over Skyline; under a context that
+			// is already dead every submission ends at admission.
 			batch := append([]Query{{Algorithm: CEAlg}}, qs[:5]...)
-			if _, errs := pool.SkylineBatch(context.Background(), batch); errs[0] == nil || errs[1] != nil {
-				t.Fatalf("batch errs = %v, want only the pointless query to fail", errs)
+			for i, q := range batch {
+				if _, err := pool.Skyline(context.Background(), q); (err != nil) != (i == 0) {
+					t.Fatalf("batch query %d: err = %v, want only the pointless query to fail", i, err)
+				}
 			}
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			if _, errs := pool.SkylineBatch(ctx, qs[:3]); !errors.Is(errs[2], context.Canceled) {
-				t.Fatalf("cancelled batch errs = %v", errs)
+			for i, q := range qs[:3] {
+				if _, err := pool.Skyline(ctx, q); !errors.Is(err, context.Canceled) {
+					t.Fatalf("cancelled batch query %d: err = %v", i, err)
+				}
 			}
 		}, map[string]uint64{"served": 5, "error": 1, "cancelled": 3}},
 		{"churn", PoolConfig{Workers: 2, QueueDepth: 2, Window: true}, func(t *testing.T, pool *Pool, qs []Query) {

@@ -34,32 +34,6 @@ func BenchmarkGet(b *testing.B) {
 	}
 }
 
-func BenchmarkInsert(b *testing.B) {
-	tr, err := New(storage.NewMemFile(), storage.DefaultBufferBytes, testValSize)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(2))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tr.Insert(rng.Int63(), val(uint64(i))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkScan(b *testing.B) {
-	tr := benchTree(b, 100_000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		count := 0
-		tr.Scan(0, 100_000, func(int64, []byte) bool { count++; return true })
-		if count != 100_000 {
-			b.Fatal("short scan")
-		}
-	}
-}
-
 func BenchmarkBulkBuild(b *testing.B) {
 	const n = 200_000
 	keys := make([]int64, n)

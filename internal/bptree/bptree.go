@@ -6,10 +6,9 @@
 // lying on that edge, so a wavefront expansion can check an edge for
 // objects with one or two buffered page reads.
 //
-// Writes (Insert, bulk Build) go straight to the page file; reads (Get,
-// Scan) go through a BufferPool so faults are counted as disk accesses.
-// After writing, call Pool().Invalidate() before reading if the tree was
-// modified since the pool last saw it.
+// A tree is bulk-built once (Build) or reopened from its Meta (Open) and
+// never modified: Build writes straight to the page file, and lookups (Get)
+// go through a BufferPool so faults are counted as disk accesses.
 package bptree
 
 import (
@@ -24,7 +23,7 @@ import (
 //
 //	byte  0     kind: 0 = leaf, 1 = internal
 //	bytes 1-2   count: number of keys
-//	bytes 3-6   leaf: next sibling page id (-1 none); internal: child[0]
+//	bytes 3-6   leaf: -1 (unused); internal: child[0]
 //	bytes 7...  leaf: count * (key int64, value [valSize]byte)
 //	            internal: count * (key int64, child int32); key[i] is the
 //	            smallest key reachable under child[i+1]
@@ -45,36 +44,10 @@ type Tree struct {
 
 	leafCap     int
 	internalCap int
-	scratch     []byte // one-page scratch buffer for writes
 }
 
 // ErrNotFound is returned by Get when the key is absent.
 var ErrNotFound = errors.New("bptree: key not found")
-
-// New creates an empty tree with fixed valSize-byte values on a fresh page
-// file, reading through a pool of bufferBytes.
-func New(file storage.PageFile, bufferBytes, valSize int) (*Tree, error) {
-	if valSize <= 0 || valSize > 256 {
-		return nil, fmt.Errorf("bptree: invalid value size %d", valSize)
-	}
-	t := &Tree{
-		file:        file,
-		pool:        storage.NewBufferPool(file, bufferBytes),
-		valSize:     valSize,
-		leafCap:     (storage.PageSize - headerSize) / (8 + valSize),
-		internalCap: (storage.PageSize - headerSize) / (8 + 4),
-		scratch:     make([]byte, storage.PageSize),
-	}
-	// Empty leaf root.
-	initPage(t.scratch, kindLeaf)
-	root, err := file.AppendPage(t.scratch)
-	if err != nil {
-		return nil, err
-	}
-	t.root = root
-	t.height = 1
-	return t, nil
-}
 
 // Meta is the handful of scalars that, together with the page file,
 // reconstruct a Tree: persist it (e.g. in a manifest) and pass it to Open
@@ -118,7 +91,6 @@ func Open(file storage.PageFile, bufferBytes int, m Meta) (*Tree, error) {
 		size:        m.Size,
 		leafCap:     (storage.PageSize - headerSize) / (8 + m.ValSize),
 		internalCap: (storage.PageSize - headerSize) / (8 + 4),
-		scratch:     make([]byte, storage.PageSize),
 	}, nil
 }
 
@@ -126,12 +98,10 @@ func Open(file storage.PageFile, bufferBytes int, m Meta) (*Tree, error) {
 func (t *Tree) Pool() *storage.BufferPool { return t.pool }
 
 // Clone returns an independent reader over the same pages: structure and
-// file are shared, the buffer pool is fresh. Clones may read concurrently
-// as long as no clone writes.
+// file are shared, the buffer pool is fresh. Clones may read concurrently.
 func (t *Tree) Clone(bufferBytes int) *Tree {
 	c := *t
 	c.pool = storage.NewBufferPool(t.file, bufferBytes)
-	c.scratch = make([]byte, storage.PageSize)
 	return &c
 }
 
@@ -209,11 +179,6 @@ func putIntEntry(p []byte, i int, key int64, child storage.PageID) {
 	putPage(p[off+8:], child)
 }
 
-// readForWrite reads page id into buf directly from the file (no stats).
-func (t *Tree) readForWrite(id storage.PageID, buf []byte) error {
-	return t.file.ReadPage(id, buf)
-}
-
 // Get copies the value stored under key into dst (which must be at least
 // valSize bytes). An absent key is reported as ErrNotFound itself, never
 // wrapped, so callers on the probe path may compare with ==. Reads are
@@ -251,153 +216,14 @@ func childIndex(p []byte, key int64) int {
 	return i
 }
 
-// Scan calls fn for every (key, value) with from <= key <= to in ascending
-// key order, stopping early when fn returns false. The value slice aliases
-// the buffer frame and must not be retained.
-func (t *Tree) Scan(from, to int64, fn func(key int64, val []byte) bool) error {
-	page := t.root
-	for level := t.height; level > 1; level-- {
-		p, err := t.pool.Get(page)
-		if err != nil {
-			return err
-		}
-		page = intChild(p, childIndex(p, from))
-	}
-	for page != storage.InvalidPage {
-		p, err := t.pool.Get(page)
-		if err != nil {
-			return err
-		}
-		n := getCount(p)
-		for i := searchKeys(p, n, 8+t.valSize, from); i < n; i++ {
-			k := t.leafKey(p, i)
-			if k > to {
-				return nil
-			}
-			if !fn(k, t.leafVal(p, i)) {
-				return nil
-			}
-		}
-		page = getPage(p[3:])
-	}
-	return nil
-}
-
-// Insert stores val under key, replacing any existing value. val must be
-// exactly valSize bytes.
-func (t *Tree) Insert(key int64, val []byte) error {
-	if len(val) != t.valSize {
-		return fmt.Errorf("bptree: value size %d, want %d", len(val), t.valSize)
-	}
-	sep, right, grew, err := t.insertAt(t.root, t.height, key, val)
-	if err != nil {
-		return err
-	}
-	if grew {
-		t.size++
-	}
-	// Writes bypass the read pool, so cached frames may now be stale.
-	t.pool.Invalidate()
-	if right == storage.InvalidPage {
-		return nil
-	}
-	// Root split: new internal root with two children.
-	initPage(t.scratch, kindInternal)
-	putPage(t.scratch[3:], t.root)
-	putIntEntry(t.scratch, 0, sep, right)
-	putCount(t.scratch, 1)
-	newRoot, err := t.file.AppendPage(t.scratch)
-	if err != nil {
-		return err
-	}
-	t.root = newRoot
-	t.height++
-	return nil
-}
-
-// insertAt inserts into the subtree rooted at page (at the given level;
-// level 1 = leaf). When the page splits it returns the separator key and
-// the new right sibling page; otherwise right is InvalidPage. grew reports
-// whether the key count increased (false on overwrite).
-func (t *Tree) insertAt(page storage.PageID, level int, key int64, val []byte) (sep int64, right storage.PageID, grew bool, err error) {
-	// The buffer is oversized: a page may briefly hold cap+1 entries before
-	// it is split, and only the first PageSize bytes are ever written back.
-	buf := make([]byte, storage.PageSize+8+t.valSize+12)
-	if err := t.readForWrite(page, buf[:storage.PageSize]); err != nil {
-		return 0, storage.InvalidPage, false, err
-	}
-	if level == 1 {
-		return t.insertLeaf(page, buf, key, val)
-	}
-	ci := childIndex(buf, key)
-	child := intChild(buf, ci)
-	childSep, childRight, grew, err := t.insertAt(child, level-1, key, val)
-	if err != nil || childRight == storage.InvalidPage {
-		return 0, storage.InvalidPage, grew, err
-	}
-	// Insert (childSep, childRight) after child ci.
-	n := getCount(buf)
-	// Shift entries [ci, n) one slot right.
-	copy(buf[headerSize+(ci+1)*12:headerSize+(n+1)*12], buf[headerSize+ci*12:headerSize+n*12])
-	putIntEntry(buf, ci, childSep, childRight)
-	n++
-	putCount(buf, n)
-	if n <= t.internalCap {
-		return 0, storage.InvalidPage, grew, t.file.WritePage(page, buf[:storage.PageSize])
-	}
-	// Split internal page: left keeps half keys, middle key moves up.
-	half := n / 2
-	sep = intKey(buf, half)
-	rbuf := make([]byte, storage.PageSize)
-	initPage(rbuf, kindInternal)
-	putPage(rbuf[3:], intChild(buf, half+1))
-	rn := n - half - 1
-	copy(rbuf[headerSize:headerSize+rn*12], buf[headerSize+(half+1)*12:headerSize+n*12])
-	putCount(rbuf, rn)
-	putCount(buf, half)
-	rightID, err := t.file.AppendPage(rbuf)
-	if err != nil {
-		return 0, storage.InvalidPage, grew, err
-	}
-	return sep, rightID, grew, t.file.WritePage(page, buf[:storage.PageSize])
-}
-
-func (t *Tree) insertLeaf(page storage.PageID, buf []byte, key int64, val []byte) (sep int64, right storage.PageID, grew bool, err error) {
-	n := getCount(buf)
-	es := 8 + t.valSize
-	i := searchKeys(buf, n, es, key)
-	if i < n && t.leafKey(buf, i) == key {
-		copy(buf[headerSize+i*es+8:headerSize+i*es+8+t.valSize], val)
-		return 0, storage.InvalidPage, false, t.file.WritePage(page, buf[:storage.PageSize])
-	}
-	copy(buf[headerSize+(i+1)*es:headerSize+(n+1)*es], buf[headerSize+i*es:headerSize+n*es])
-	t.putLeafEntry(buf, i, key, val)
-	n++
-	putCount(buf, n)
-	if n <= t.leafCap {
-		return 0, storage.InvalidPage, true, t.file.WritePage(page, buf[:storage.PageSize])
-	}
-	// Split leaf: right sibling takes the upper half.
-	half := n / 2
-	rbuf := make([]byte, storage.PageSize)
-	initPage(rbuf, kindLeaf)
-	rn := n - half
-	copy(rbuf[headerSize:headerSize+rn*es], buf[headerSize+half*es:headerSize+n*es])
-	putCount(rbuf, rn)
-	putPage(rbuf[3:], getPage(buf[3:])) // right inherits old next pointer
-	rightID, err := t.file.AppendPage(rbuf)
-	if err != nil {
-		return 0, storage.InvalidPage, true, err
-	}
-	putCount(buf, half)
-	putPage(buf[3:], rightID)
-	return t.leafKey(rbuf, 0), rightID, true, t.file.WritePage(page, buf[:storage.PageSize])
-}
-
-// Build bulk-loads a tree bottom-up from key-ascending pairs, which is both
-// faster and denser than repeated Insert. keys must be strictly increasing;
-// vals[i] is the valSize-byte value of keys[i].
+// Build bulk-loads a tree bottom-up from key-ascending pairs onto a fresh
+// page file, reading through a pool of bufferBytes. keys must be strictly
+// increasing; vals[i] is the valSize-byte value of keys[i]. An empty tree
+// is one empty leaf.
 func Build(file storage.PageFile, bufferBytes, valSize int, keys []int64, vals [][]byte) (*Tree, error) {
+	if valSize <= 0 || valSize > 256 {
+		return nil, fmt.Errorf("bptree: invalid value size %d", valSize)
+	}
 	if len(keys) != len(vals) {
 		return nil, fmt.Errorf("bptree: %d keys but %d values", len(keys), len(vals))
 	}
@@ -406,76 +232,54 @@ func Build(file storage.PageFile, bufferBytes, valSize int, keys []int64, vals [
 			return nil, fmt.Errorf("bptree: keys not strictly increasing at %d", i)
 		}
 	}
-	t, err := New(file, bufferBytes, valSize)
-	if err != nil {
-		return nil, err
+	for i, v := range vals {
+		if len(v) != valSize {
+			return nil, fmt.Errorf("bptree: value %d has size %d, want %d", i, len(v), valSize)
+		}
 	}
-	if len(keys) == 0 {
-		return t, nil
+	t := &Tree{
+		file:        file,
+		valSize:     valSize,
+		height:      1,
+		size:        len(keys),
+		leafCap:     (storage.PageSize - headerSize) / (8 + valSize),
+		internalCap: (storage.PageSize - headerSize) / (8 + 4),
 	}
-	// Fill leaves to ~90% so later inserts don't immediately split.
-	perLeaf := t.leafCap * 9 / 10
-	if perLeaf < 1 {
-		perLeaf = 1
-	}
+	// Leaves and nodes are filled to 9/10 of capacity. Nothing is ever
+	// inserted, but the fill fixes the middle layer's page count, which is
+	// part of every query's NetworkPages and of the pinned counters.
+	perLeaf := max(t.leafCap*9/10, 1)
 	type levelEntry struct {
 		minKey int64
 		page   storage.PageID
 	}
-	var level []levelEntry
+	leaves := max((len(keys)+perLeaf-1)/perLeaf, 1)
+	level := make([]levelEntry, 0, leaves)
 	buf := make([]byte, storage.PageSize)
-	var prevLeaf storage.PageID = t.root // reuse the empty root page as first leaf
-	for start := 0; start < len(keys); {
-		end := start + perLeaf
-		if end > len(keys) {
-			end = len(keys)
-		}
+	for l := 0; l < leaves; l++ {
+		start, end := l*perLeaf, min((l+1)*perLeaf, len(keys))
 		initPage(buf, kindLeaf)
 		for i := start; i < end; i++ {
 			t.putLeafEntry(buf, i-start, keys[i], vals[i])
-			if len(vals[i]) != valSize {
-				return nil, fmt.Errorf("bptree: value %d has size %d, want %d", i, len(vals[i]), valSize)
-			}
 		}
 		putCount(buf, end-start)
-		var id storage.PageID
-		if start == 0 {
-			id = t.root
-			if err := file.WritePage(id, buf); err != nil {
-				return nil, err
-			}
-		} else {
-			var err error
-			if id, err = file.AppendPage(buf); err != nil {
-				return nil, err
-			}
-			// Link previous leaf to this one.
-			if err := file.ReadPage(prevLeaf, buf); err != nil {
-				return nil, err
-			}
-			putPage(buf[3:], id)
-			if err := file.WritePage(prevLeaf, buf); err != nil {
-				return nil, err
-			}
+		id, err := file.AppendPage(buf)
+		if err != nil {
+			return nil, err
 		}
-		level = append(level, levelEntry{keys[start], id})
-		prevLeaf = id
-		start = end
+		e := levelEntry{page: id}
+		if start < end {
+			e.minKey = keys[start]
+		}
+		level = append(level, e)
 	}
-	t.size = len(keys)
 	// Build internal levels until a single root remains.
-	perNode := t.internalCap * 9 / 10
-	if perNode < 2 {
-		perNode = 2
-	}
+	perNode := max(t.internalCap*9/10, 2)
 	for len(level) > 1 {
 		var next []levelEntry
 		for start := 0; start < len(level); {
-			end := start + perNode + 1 // a node with k keys has k+1 children
-			if end > len(level) {
-				end = len(level)
-			}
-			if len(level)-end == 1 { // avoid a trailing single-child node
+			end := min(start+perNode+1, len(level)) // a node with k keys has k+1 children
+			if len(level)-end == 1 {                // avoid a trailing single-child node
 				end--
 			}
 			initPage(buf, kindInternal)
@@ -495,6 +299,6 @@ func Build(file storage.PageFile, bufferBytes, valSize int, keys []int64, vals [
 		t.height++
 	}
 	t.root = level[0].page
-	t.pool.Invalidate()
+	t.pool = storage.NewBufferPool(file, bufferBytes)
 	return t, nil
 }

@@ -2,7 +2,6 @@ package bptree
 
 import (
 	"encoding/binary"
-	"math/rand"
 	"path/filepath"
 	"sort"
 	"testing"
@@ -21,168 +20,33 @@ func val(n uint64) []byte {
 
 func valOf(b []byte) uint64 { return binary.LittleEndian.Uint64(b) }
 
-func newTestTree(t *testing.T) *Tree {
-	t.Helper()
-	tr, err := New(storage.NewMemFile(), storage.DefaultBufferBytes, testValSize)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	return tr
-}
-
 func TestNewRejectsBadValSize(t *testing.T) {
-	if _, err := New(storage.NewMemFile(), 1024, 0); err == nil {
-		t.Error("valSize 0 accepted")
+	for _, size := range []int{0, 10000} {
+		if _, err := Build(storage.NewMemFile(), 1024, size, nil, nil); err == nil {
+			t.Errorf("valSize %d accepted", size)
+		}
 	}
-	if _, err := New(storage.NewMemFile(), 1024, 10000); err == nil {
-		t.Error("huge valSize accepted")
+	if _, err := Build(storage.NewMemFile(), 1024, testValSize, []int64{1}, [][]byte{{1, 2}}); err == nil {
+		t.Error("short value accepted")
 	}
 }
 
+// An empty tree is one empty leaf page: the root a lookup walks.
 func TestEmptyTree(t *testing.T) {
-	tr := newTestTree(t)
-	if tr.Len() != 0 || tr.Height() != 1 {
-		t.Fatalf("empty tree: len=%d height=%d", tr.Len(), tr.Height())
+	file := storage.NewMemFile()
+	tr, err := Build(file, storage.DefaultBufferBytes, testValSize, nil, nil)
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	if tr.Len() != 0 || tr.Height() != 1 || file.NumPages() != 1 {
+		t.Fatalf("empty tree: len=%d height=%d pages=%d", tr.Len(), tr.Height(), file.NumPages())
 	}
 	dst := make([]byte, testValSize)
 	if err := tr.Get(7, dst); err != ErrNotFound {
 		t.Errorf("Get on empty = %v, want ErrNotFound", err)
 	}
-	called := false
-	if err := tr.Scan(0, 100, func(int64, []byte) bool { called = true; return true }); err != nil {
-		t.Fatalf("Scan: %v", err)
-	}
-	if called {
-		t.Error("Scan on empty tree visited something")
-	}
-}
-
-func TestInsertGetSmall(t *testing.T) {
-	tr := newTestTree(t)
-	keys := []int64{5, 1, 9, 3, 7}
-	for _, k := range keys {
-		if err := tr.Insert(k, val(uint64(k*10))); err != nil {
-			t.Fatalf("Insert(%d): %v", k, err)
-		}
-	}
-	if tr.Len() != 5 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	dst := make([]byte, testValSize)
-	for _, k := range keys {
-		if err := tr.Get(k, dst); err != nil {
-			t.Fatalf("Get(%d): %v", k, err)
-		}
-		if valOf(dst) != uint64(k*10) {
-			t.Errorf("Get(%d) = %d, want %d", k, valOf(dst), k*10)
-		}
-	}
-	if err := tr.Get(4, dst); err != ErrNotFound {
-		t.Errorf("Get(4) = %v, want ErrNotFound", err)
-	}
-}
-
-func TestInsertOverwrite(t *testing.T) {
-	tr := newTestTree(t)
-	tr.Insert(1, val(10))
-	tr.Insert(1, val(20))
-	if tr.Len() != 1 {
-		t.Fatalf("Len = %d after overwrite", tr.Len())
-	}
-	dst := make([]byte, testValSize)
-	tr.Get(1, dst)
-	if valOf(dst) != 20 {
-		t.Errorf("overwrite lost: got %d", valOf(dst))
-	}
-}
-
-func TestInsertWrongValSize(t *testing.T) {
-	tr := newTestTree(t)
-	if err := tr.Insert(1, []byte{1, 2}); err == nil {
-		t.Error("short value accepted")
-	}
-}
-
-// Enough inserts to force leaf and internal splits (multi-level tree),
-// verified against a map model.
-func TestInsertSplits(t *testing.T) {
-	tr := newTestTree(t)
-	rng := rand.New(rand.NewSource(11))
-	model := map[int64]uint64{}
-	for i := 0; i < 20000; i++ {
-		k := int64(rng.Intn(30000))
-		v := rng.Uint64()
-		model[k] = v
-		if err := tr.Insert(k, val(v)); err != nil {
-			t.Fatalf("Insert: %v", err)
-		}
-	}
-	if tr.Height() < 2 {
-		t.Fatalf("expected multi-level tree, height = %d", tr.Height())
-	}
-	if tr.Len() != len(model) {
-		t.Fatalf("Len = %d, model = %d", tr.Len(), len(model))
-	}
-	dst := make([]byte, testValSize)
-	for k, v := range model {
-		if err := tr.Get(k, dst); err != nil {
-			t.Fatalf("Get(%d): %v", k, err)
-		}
-		if valOf(dst) != v {
-			t.Fatalf("Get(%d) = %d, want %d", k, valOf(dst), v)
-		}
-	}
-}
-
-func TestScanOrderAndRange(t *testing.T) {
-	tr := newTestTree(t)
-	rng := rand.New(rand.NewSource(5))
-	model := map[int64]uint64{}
-	for i := 0; i < 5000; i++ {
-		k := int64(rng.Intn(10000))
-		model[k] = uint64(k)
-		tr.Insert(k, val(uint64(k)))
-	}
-	var want []int64
-	for k := range model {
-		if k >= 2000 && k <= 7000 {
-			want = append(want, k)
-		}
-	}
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	var got []int64
-	err := tr.Scan(2000, 7000, func(k int64, v []byte) bool {
-		got = append(got, k)
-		if valOf(v) != uint64(k) {
-			t.Fatalf("scan value mismatch at %d", k)
-		}
-		return true
-	})
-	if err != nil {
-		t.Fatalf("Scan: %v", err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("scan returned %d keys, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("scan order mismatch at %d: %d != %d", i, got[i], want[i])
-		}
-	}
-}
-
-func TestScanEarlyStop(t *testing.T) {
-	tr := newTestTree(t)
-	for k := int64(0); k < 100; k++ {
-		tr.Insert(k, val(uint64(k)))
-	}
-	count := 0
-	tr.Scan(0, 99, func(int64, []byte) bool {
-		count++
-		return count < 10
-	})
-	if count != 10 {
-		t.Fatalf("early stop visited %d, want 10", count)
+	if st := tr.Pool().Stats(); st.Gets != 1 {
+		t.Errorf("Get on empty read %d pages, want the root leaf", st.Gets)
 	}
 }
 
@@ -205,7 +69,7 @@ func TestBuildBulk(t *testing.T) {
 		t.Fatalf("bulk tree too shallow: height = %d", tr.Height())
 	}
 	dst := make([]byte, testValSize)
-	for i := 0; i < n; i += 97 {
+	for i := 0; i < n; i++ {
 		if err := tr.Get(keys[i], dst); err != nil {
 			t.Fatalf("Get(%d): %v", keys[i], err)
 		}
@@ -219,18 +83,6 @@ func TestBuildBulk(t *testing.T) {
 	}
 	if err := tr.Get(int64(n*3), dst); err != ErrNotFound {
 		t.Errorf("Get(beyond) = %v, want ErrNotFound", err)
-	}
-	// Full scan must enumerate all keys in order.
-	i := 0
-	tr.Scan(0, int64(n*3), func(k int64, v []byte) bool {
-		if k != keys[i] || valOf(v) != uint64(i) {
-			t.Fatalf("scan mismatch at %d: key %d", i, k)
-		}
-		i++
-		return true
-	})
-	if i != n {
-		t.Fatalf("full scan visited %d, want %d", i, n)
 	}
 }
 
@@ -251,34 +103,6 @@ func TestBuildValidation(t *testing.T) {
 	}
 	if tr.Len() != 0 {
 		t.Error("empty Build non-empty")
-	}
-}
-
-// Inserting into a bulk-built tree must keep it consistent.
-func TestBuildThenInsert(t *testing.T) {
-	keys := make([]int64, 1000)
-	vals := make([][]byte, 1000)
-	for i := range keys {
-		keys[i] = int64(i * 2)
-		vals[i] = val(uint64(i))
-	}
-	tr, err := Build(storage.NewMemFile(), storage.DefaultBufferBytes, testValSize, keys, vals)
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	for i := 0; i < 1000; i++ {
-		if err := tr.Insert(int64(i*2+1), val(uint64(i+100000))); err != nil {
-			t.Fatalf("Insert: %v", err)
-		}
-	}
-	if tr.Len() != 2000 {
-		t.Fatalf("Len = %d, want 2000", tr.Len())
-	}
-	dst := make([]byte, testValSize)
-	for i := 0; i < 2000; i++ {
-		if err := tr.Get(int64(i), dst); err != nil {
-			t.Fatalf("Get(%d): %v", i, err)
-		}
 	}
 }
 
@@ -308,7 +132,7 @@ func TestGetCountsBufferIO(t *testing.T) {
 }
 
 // Property: for any set of keys, bulk Build followed by Get finds exactly
-// the inserted keys (and Scan enumerates them in order).
+// the keys it was given.
 func TestBuildGetProperty(t *testing.T) {
 	f := func(rawKeys []int64) bool {
 		seen := map[int64]bool{}

@@ -11,11 +11,10 @@ import (
 )
 
 // checkSearch builds a tree over n random keys — the whole int64 range with
-// both extremes and a run of consecutive keys — by bulk Build or by Insert in
-// random order, and holds Get and Scan to a brute-force scan of the key
-// list: probes on a key, one off either side, below the minimum and above
-// the maximum; ranges that start and end on and between keys.
-func checkSearch(t *testing.T, seed int64, n, valSize int, insert bool) *Tree {
+// both extremes and a run of consecutive keys — and holds Get to a
+// brute-force scan of the key list: probes on a key, one off either side,
+// below the minimum and above the maximum.
+func checkSearch(t *testing.T, seed int64, n, valSize int) *Tree {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	set := map[int64]bool{}
@@ -39,25 +38,13 @@ func checkSearch(t *testing.T, seed int64, n, valSize int, insert bool) *Tree {
 		return v
 	}
 
-	var tr *Tree
-	var err error
-	if insert {
-		if tr, err = New(storage.NewMemFile(), storage.DefaultBufferBytes, valSize); err != nil {
-			t.Fatal(err)
-		}
-		for _, i := range rng.Perm(len(keys)) {
-			if err := tr.Insert(keys[i], value(keys[i])); err != nil {
-				t.Fatalf("Insert(%d): %v", keys[i], err)
-			}
-		}
-	} else {
-		vals := make([][]byte, len(keys))
-		for i, k := range keys {
-			vals[i] = value(k)
-		}
-		if tr, err = Build(storage.NewMemFile(), storage.DefaultBufferBytes, valSize, keys, vals); err != nil {
-			t.Fatal(err)
-		}
+	vals := make([][]byte, len(keys))
+	for i, k := range keys {
+		vals[i] = value(k)
+	}
+	tr, err := Build(storage.NewMemFile(), storage.DefaultBufferBytes, valSize, keys, vals)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if tr.Len() != len(keys) {
 		t.Fatalf("Len %d, want %d", tr.Len(), len(keys))
@@ -86,31 +73,6 @@ func checkSearch(t *testing.T, seed int64, n, valSize int, insert bool) *Tree {
 		}
 	}
 
-	for i := 0; i < 300; i++ {
-		from, to := probes[rng.Intn(len(probes))], probes[rng.Intn(len(probes))]
-		if i%3 == 0 && from > to {
-			from, to = to, from // otherwise a third of the ranges are empty
-		}
-		var want []int64
-		for _, k := range keys {
-			if from <= k && k <= to {
-				want = append(want, k)
-			}
-		}
-		var got []int64
-		if err := tr.Scan(from, to, func(k int64, v []byte) bool {
-			if !slices.Equal(v, value(k)) {
-				t.Fatalf("Scan(%d, %d) pairs key %d with another key's value", from, to, k)
-			}
-			got = append(got, k)
-			return true
-		}); err != nil {
-			t.Fatalf("Scan(%d, %d): %v", from, to, err)
-		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("Scan(%d, %d) visited %d keys %v, want %d %v", from, to, len(got), got, len(want), want)
-		}
-	}
 	return tr
 }
 
@@ -126,24 +88,18 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 		{"two-levels", 2000, 12, 2},
 		{"three-levels", 6000, 256, 3}, // 15 entries a leaf
 	} {
-		for _, insert := range []bool{false, true} {
-			name := c.name + "/build"
-			if insert {
-				name = c.name + "/insert"
+		t.Run(c.name+"/build", func(t *testing.T) {
+			if tr := checkSearch(t, int64(c.n), c.n, c.valSize); tr.Height() != c.height {
+				t.Fatalf("height %d, want %d", tr.Height(), c.height)
 			}
-			t.Run(name, func(t *testing.T) {
-				if tr := checkSearch(t, int64(c.n), c.n, c.valSize, insert); tr.Height() != c.height {
-					t.Fatalf("height %d, want %d", tr.Height(), c.height)
-				}
-			})
-		}
+		})
 	}
 }
 
 func FuzzSearch(f *testing.F) {
-	f.Add(int64(1), uint16(40), uint8(12), false)
-	f.Add(int64(2), uint16(900), uint8(255), true)
-	f.Fuzz(func(t *testing.T, seed int64, n uint16, valSize uint8, insert bool) {
-		checkSearch(t, seed, int(n)%3000, 1+int(valSize), insert)
+	f.Add(int64(1), uint16(40), uint8(12))
+	f.Add(int64(2), uint16(900), uint8(255))
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, valSize uint8) {
+		checkSearch(t, seed, int(n)%3000, 1+int(valSize))
 	})
 }

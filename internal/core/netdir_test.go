@@ -754,7 +754,7 @@ func checkObjTree(tree *rtree.Tree, n int) error {
 	}
 	seen := make([]bool, n)
 	var err error
-	tree.Search(geom.Rect{MinX: math.Inf(-1), MinY: math.Inf(-1), MaxX: math.Inf(1), MaxY: math.Inf(1)}, func(e rtree.Entry) bool {
+	tree.SearchFunc(func(geom.Rect) bool { return true }, func(e rtree.Entry) bool {
 		if e.ID < 0 || int(e.ID) >= n || seen[e.ID] {
 			err = fmt.Errorf("entry %d out of range or twice", e.ID)
 			return false

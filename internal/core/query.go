@@ -82,9 +82,8 @@ type Metrics struct {
 	// DistCacheHits and DistCacheMisses count this query's at-rest lookups
 	// in the cross-query wavefront store — one per searcher the query
 	// builds, except searchers that shared a concurrent leader's snapshot.
-	// Both are zero when the store keeps nothing at rest, when it is
-	// ablated via Options.DisableDistCache, or when the query runs
-	// ColdCache (paper mode).
+	// Both are zero when the store keeps nothing at rest or when the query
+	// runs ColdCache (paper mode).
 	DistCacheHits   int
 	DistCacheMisses int
 	// WavefrontLeads and WavefrontShares count this query's searchers by
@@ -184,11 +183,6 @@ type Options struct {
 	// the environment's landmark (ALT) table; used by the landmark
 	// ablation. No effect when the environment was built without a table.
 	DisableLandmarks bool
-	// DisableDistCache makes this query neither consult nor feed the
-	// environment's cross-query wavefront store, in flight or at rest; used
-	// by the cache ablation. ColdCache queries bypass the store regardless
-	// (see EnvConfig.DistCache).
-	DisableDistCache bool
 	// CollectPhases computes the per-phase breakdown (Metrics.Phases).
 	// Results and the work counters are identical either way.
 	CollectPhases bool
@@ -205,7 +199,7 @@ type Options struct {
 // from empty buffer pools, and resuming a stored or a concurrent query's
 // wavefront would skip the page faults the paper-mode figures measure.
 func distCacheFor(env *Env, opts Options) *distcache.Cache {
-	if opts.ColdCache || opts.DisableDistCache {
+	if opts.ColdCache {
 		return nil
 	}
 	return env.DistCache

@@ -107,22 +107,6 @@ func (r Rect) Center() Point {
 	return Point{(r.MinX + r.MaxX) / 2, (r.MinY + r.MaxY) / 2}
 }
 
-// Area returns the area of r, or 0 for an empty rectangle.
-func (r Rect) Area() float64 {
-	if r.IsEmpty() {
-		return 0
-	}
-	return (r.MaxX - r.MinX) * (r.MaxY - r.MinY)
-}
-
-// Margin returns half the perimeter of r (the R*-tree margin metric).
-func (r Rect) Margin() float64 {
-	if r.IsEmpty() {
-		return 0
-	}
-	return (r.MaxX - r.MinX) + (r.MaxY - r.MinY)
-}
-
 // MinDist returns the minimum Euclidean distance from p to any point of r;
 // it is 0 when p is inside r. MinDist is the classic R-tree NN lower bound.
 func (r Rect) MinDist(p Point) float64 {

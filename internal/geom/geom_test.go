@@ -62,12 +62,6 @@ func TestRectBasics(t *testing.T) {
 	if !r.Contains(Point{1, 2}) || !r.Contains(Point{0, 1}) || r.Contains(Point{3, 3}) {
 		t.Error("Contains wrong")
 	}
-	if got := r.Area(); got != 4 {
-		t.Errorf("Area = %v, want 4", got)
-	}
-	if got := r.Margin(); got != 4 {
-		t.Errorf("Margin = %v, want 4", got)
-	}
 	if got := r.Center(); got != (Point{1, 2}) {
 		t.Errorf("Center = %v", got)
 	}
@@ -77,9 +71,6 @@ func TestEmptyRect(t *testing.T) {
 	e := EmptyRect()
 	if !e.IsEmpty() {
 		t.Fatal("EmptyRect not empty")
-	}
-	if e.Area() != 0 {
-		t.Error("empty rect area != 0")
 	}
 	r := Rect{0, 0, 1, 1}
 	if e.Union(r) != r || r.Union(e) != r {

@@ -100,13 +100,11 @@ type FlightRecord struct {
 	When time.Time `json:"when"`
 	// Alg and NumPoints identify the query shape; the flags mirror the
 	// request's configuration.
-	Alg         string `json:"alg"`
-	NumPoints   int    `json:"num_points"`
-	UseAttrs    bool   `json:"use_attrs,omitempty"`
-	Alternate   bool   `json:"alternate,omitempty"`
-	Source      int    `json:"source,omitempty"`
-	NoLandmarks bool   `json:"no_landmarks,omitempty"`
-	NoDistCache bool   `json:"no_distcache,omitempty"`
+	Alg       string `json:"alg"`
+	NumPoints int    `json:"num_points"`
+	UseAttrs  bool   `json:"use_attrs,omitempty"`
+	Alternate bool   `json:"alternate,omitempty"`
+	Source    int    `json:"source,omitempty"`
 	// Outcome is one of the Outcome* constants; Err carries the error
 	// text for error/cancelled outcomes.
 	Outcome string `json:"outcome"`

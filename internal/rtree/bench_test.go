@@ -16,23 +16,13 @@ func BenchmarkBulkLoad(b *testing.B) {
 	}
 }
 
-func BenchmarkInsert(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	tr := New(DefaultFanout)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := geom.Point{X: rng.Float64(), Y: rng.Float64()}
-		tr.Insert(Entry{Rect: geom.RectFromPoint(p), ID: int32(i)})
-	}
-}
-
 func BenchmarkNearestNeighbor(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	tr := BulkLoad(randomPoints(rng, 100000), DefaultFanout)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := geom.Point{X: rng.Float64(), Y: rng.Float64()}
-		tr.NearestNeighbor(q)
+		tr.NewNNIterator(q, nil).Next()
 	}
 }
 
@@ -44,7 +34,7 @@ func BenchmarkWindowQuery(b *testing.B) {
 		x, y := rng.Float64()*0.9, rng.Float64()*0.9
 		w := geom.Rect{MinX: x, MinY: y, MaxX: x + 0.1, MaxY: y + 0.1}
 		count := 0
-		tr.Search(w, func(Entry) bool { count++; return true })
+		tr.SearchFunc(w.Intersects, func(Entry) bool { count++; return true })
 	}
 }
 

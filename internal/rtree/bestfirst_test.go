@@ -135,7 +135,7 @@ func TestBestFirstDynamicPrune(t *testing.T) {
 }
 
 func TestBestFirstEmptyTree(t *testing.T) {
-	tr := New(8)
+	tr := BulkLoad(nil, 8)
 	bf := tr.NewBestFirst(
 		func(geom.Rect) float64 { return 0 },
 		func(Entry) float64 { return 0 },

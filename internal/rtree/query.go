@@ -5,34 +5,6 @@ import (
 	"roadskyline/internal/pqueue"
 )
 
-// Search visits every entry whose rectangle intersects window, stopping
-// early when visit returns false.
-func (t *Tree) Search(window geom.Rect, visit func(Entry) bool) {
-	t.searchNode(t.root, window, visit)
-}
-
-func (t *Tree) searchNode(n *node, window geom.Rect, visit func(Entry) bool) bool {
-	t.visits.Add(1)
-	if n.leaf {
-		for _, e := range n.entries {
-			if window.Intersects(e.Rect) {
-				if !visit(e) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	for _, c := range n.children {
-		if window.Intersects(c.rect) {
-			if !t.searchNode(c, window, visit) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // SearchFunc visits entries under caller control: descend(rect) decides
 // whether a subtree (or leaf entry rectangle) can contain qualifying data,
 // and visit receives the surviving entries, returning false to stop. It
@@ -127,10 +99,4 @@ func (it *NNIterator) Next() (e Entry, dist float64, ok bool) {
 		}
 	}
 	return Entry{}, 0, false
-}
-
-// NearestNeighbor returns the closest entry to from, or ok=false on an
-// empty tree.
-func (t *Tree) NearestNeighbor(from geom.Point) (Entry, float64, bool) {
-	return t.NewNNIterator(from, nil).Next()
 }

@@ -33,68 +33,21 @@ func TestBulkLoadInvariants(t *testing.T) {
 	}
 }
 
-func TestInsertInvariants(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	tr := New(8)
-	entries := randomPoints(rng, 2000)
-	for i, e := range entries {
-		tr.Insert(e)
-		if i%199 == 0 {
-			if err := tr.CheckInvariants(); err != nil {
-				t.Fatalf("after %d inserts: %v", i+1, err)
-			}
-		}
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() != 2000 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	if tr.Height() < 3 {
-		t.Fatalf("expected multi-level tree, height = %d", tr.Height())
-	}
-}
-
-func TestInsertRects(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	tr := New(6)
-	for i := 0; i < 500; i++ {
-		a := geom.Point{X: rng.Float64(), Y: rng.Float64()}
-		b := geom.Point{X: a.X + rng.Float64()*0.1, Y: a.Y + rng.Float64()*0.1}
-		tr.Insert(Entry{Rect: geom.RectFromPoints(a, b), ID: int32(i)})
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSearchWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	entries := randomPoints(rng, 3000)
-	for _, build := range []func() *Tree{
-		func() *Tree { return BulkLoad(append([]Entry(nil), entries...), 32) },
-		func() *Tree {
-			tr := New(32)
-			for _, e := range entries {
-				tr.Insert(e)
-			}
-			return tr
-		},
-	} {
-		tr := build()
-		for trial := 0; trial < 50; trial++ {
-			w := geom.RectFromPoints(
-				geom.Point{X: rng.Float64(), Y: rng.Float64()},
-				geom.Point{X: rng.Float64(), Y: rng.Float64()},
-			)
-			got := map[int32]bool{}
-			tr.Search(w, func(e Entry) bool { got[e.ID] = true; return true })
-			for _, e := range entries {
-				want := w.Intersects(e.Rect)
-				if got[e.ID] != want {
-					t.Fatalf("window %v entry %d: got %v, want %v", w, e.ID, got[e.ID], want)
-				}
+	tr := BulkLoad(append([]Entry(nil), entries...), 32)
+	for trial := 0; trial < 50; trial++ {
+		w := geom.RectFromPoints(
+			geom.Point{X: rng.Float64(), Y: rng.Float64()},
+			geom.Point{X: rng.Float64(), Y: rng.Float64()},
+		)
+		got := map[int32]bool{}
+		tr.SearchFunc(w.Intersects, func(e Entry) bool { got[e.ID] = true; return true })
+		for _, e := range entries {
+			want := w.Intersects(e.Rect)
+			if got[e.ID] != want {
+				t.Fatalf("window %v entry %d: got %v, want %v", w, e.ID, got[e.ID], want)
 			}
 		}
 	}
@@ -104,7 +57,8 @@ func TestSearchEarlyStop(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tr := BulkLoad(randomPoints(rng, 500), 16)
 	count := 0
-	tr.Search(geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, func(Entry) bool {
+	all := geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
+	tr.SearchFunc(all.Intersects, func(Entry) bool {
 		count++
 		return count < 7
 	})
@@ -233,14 +187,15 @@ func TestNNIteratorDynamicPrune(t *testing.T) {
 }
 
 func TestNearestNeighborEmpty(t *testing.T) {
-	tr := New(8)
-	if _, _, ok := tr.NearestNeighbor(geom.Point{}); ok {
-		t.Error("empty tree returned a neighbor")
-	}
+	tr := BulkLoad(nil, 8)
 	it := tr.NewNNIterator(geom.Point{}, nil)
 	if _, _, ok := it.Next(); ok {
 		t.Error("empty iterator returned a neighbor")
 	}
+	tr.SearchFunc(func(geom.Rect) bool { return true }, func(e Entry) bool {
+		t.Errorf("empty tree visited entry %d", e.ID)
+		return true
+	})
 }
 
 func TestSkylineIteratorMatchesBNL(t *testing.T) {
@@ -321,7 +276,8 @@ func TestNodeAccessesCounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	tr := BulkLoad(randomPoints(rng, 2000), 16)
 	tr.ResetNodeAccesses()
-	tr.Search(geom.Rect{MinX: 0.4, MinY: 0.4, MaxX: 0.6, MaxY: 0.6}, func(Entry) bool { return true })
+	w := geom.Rect{MinX: 0.4, MinY: 0.4, MaxX: 0.6, MaxY: 0.6}
+	tr.SearchFunc(w.Intersects, func(Entry) bool { return true })
 	if tr.NodeAccesses() == 0 {
 		t.Error("window query counted no node accesses")
 	}
@@ -381,7 +337,8 @@ func TestEntriesSortedStability(t *testing.T) {
 	}
 	tr := BulkLoad(entries, 4)
 	var ids []int32
-	tr.Search(geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, func(e Entry) bool {
+	all := geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
+	tr.SearchFunc(all.Intersects, func(e Entry) bool {
 		ids = append(ids, e.ID)
 		return true
 	})
@@ -444,31 +401,5 @@ func TestLoadSortedMatchesBulkLoad(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// A tree keeps the slice it was loaded from; growing one leaf must not
-// write into the next.
-func TestLoadSortedInsertKeepsNeighbours(t *testing.T) {
-	rng := rand.New(rand.NewSource(27))
-	entries := randomPoints(rng, 64)
-	tr := BulkLoad(entries, 8)
-	for i := 0; i < 200; i++ {
-		p := geom.Point{X: rng.Float64(), Y: rng.Float64()}
-		tr.Insert(Entry{Rect: geom.RectFromPoint(p), ID: int32(64 + i)})
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	seen := map[int32]bool{}
-	tr.Search(geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, func(e Entry) bool {
-		if seen[e.ID] {
-			t.Fatalf("entry %d reported twice", e.ID)
-		}
-		seen[e.ID] = true
-		return true
-	})
-	if len(seen) != 264 {
-		t.Fatalf("%d distinct entries, want 264", len(seen))
 	}
 }

@@ -132,8 +132,9 @@ func (b *BufferPool) Get(id PageID) ([]byte, error) {
 		return nil, fmt.Errorf("buffer pool: %w", err)
 	}
 	if int(id) >= len(b.where) {
-		// The file has grown since the pool was built (bptree.New creates
-		// its pool over an empty file).
+		// The file has grown since the pool was built: nothing in the
+		// engine appends under a live pool, but a PageFile may (the model
+		// in FuzzBufferPool does).
 		n := max(int(id)+1, b.file.NumPages())
 		b.where = append(b.where, make([]int32, n-len(b.where))...)
 	}

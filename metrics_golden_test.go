@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"roadskyline/internal/obs"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata/: metrics.golden and this package's cells of pins.json")
@@ -19,7 +21,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden files under te
 // (fractions, exponents, zero).
 func goldenPoolMetrics() PoolMetrics {
 	wait := WaitHistogram{
-		Bounds:  QueueWaitBounds(),
+		Bounds:  obs.WaitBuckets,
 		Buckets: []uint64{3, 5, 8, 8, 9, 9},
 		Count:   10,
 		Sum:     12345678 * time.Microsecond,

@@ -473,8 +473,8 @@ func TestPoolMetricsReconcile(t *testing.T) {
 	}
 }
 
-// TestPoolMetricsHandler scrapes the Prometheus endpoint and the expvar
-// snapshot after a known workload.
+// TestPoolMetricsHandler scrapes the Prometheus endpoint and the
+// PoolMetrics snapshot after a known workload.
 func TestPoolMetricsHandler(t *testing.T) {
 	eng, n := poolTestEngine(t)
 	pool, err := NewPool(eng, PoolConfig{Workers: 1, QueueDepth: 1})
@@ -535,13 +535,13 @@ func TestPoolMetricsHandler(t *testing.T) {
 		}
 	}
 
-	// The expvar func serves the same snapshot as JSON.
-	var snap PoolMetrics
-	if err := json.Unmarshal([]byte(pool.ExpvarFunc().String()), &snap); err != nil {
-		t.Fatalf("expvar JSON: %v", err)
-	}
+	// The snapshot behind the exposition carries its bucket bounds.
+	snap := pool.PoolMetrics()
 	if snap.Submitted != 2 || snap.Served != 2 || snap.Workers != 1 {
-		t.Errorf("expvar snapshot = %+v, want 2 submitted/served on 1 worker", snap)
+		t.Errorf("snapshot = %+v, want 2 submitted/served on 1 worker", snap)
+	}
+	if qw := snap.QueueWait; len(qw.Bounds) == 0 || len(qw.Bounds) != len(qw.Buckets) || qw.Count != 2 {
+		t.Errorf("queue wait histogram = %+v, want one bucket per bound and 2 observations", qw)
 	}
 }
 

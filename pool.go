@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -177,22 +175,16 @@ func (p *Pool) InflightQueries() []InflightQuery { return p.inflight.Snapshot() 
 // causal trace opens here with the queued role, so the in-flight view
 // shows the query before a worker picks it up and the queue wait is
 // spanned. The engine adopts the trace through the unexported field.
-// Queued submissions go through the bounded admission queue, failing fast
-// with ErrPoolSaturated when it is full; a batch query bypasses it (the
-// caller owns its backlog and is willing to block until a worker frees
-// up).
-func (p *Pool) admit(ctx context.Context, q *Query, queued bool) (w *poolWorker, admitted time.Time, err error) {
+// Every submission goes through the bounded admission queue, failing fast
+// with ErrPoolSaturated when it is full.
+func (p *Pool) admit(ctx context.Context, q *Query) (w *poolWorker, admitted time.Time, err error) {
 	p.met.submitted.Add(1)
 	if q.trace == nil && q.Trace {
 		q.trace = p.inflight.Begin(q.Algorithm.String(), len(q.Points))
 		q.trace.SetRole(obs.RoleQueued)
 	}
 	admitted = time.Now()
-	if queued {
-		w, err = p.acquire(ctx, admitted)
-	} else {
-		w, err = p.wait(ctx, admitted)
-	}
+	w, err = p.acquire(ctx, admitted)
 	q.trace.SpanSince(obs.SpanQueueWait, admitted)
 	return w, admitted, err
 }
@@ -234,8 +226,10 @@ func (p *Pool) Close() {
 }
 
 // acquire takes an admission token (failing fast with ErrPoolSaturated
-// when the queue is full) and then waits for an idle worker.
-func (p *Pool) acquire(ctx context.Context, admitted time.Time) (*poolWorker, error) {
+// when the queue is full) and then waits for an idle worker. A submission
+// that gets no worker gives its token back; one that does keeps it until
+// release.
+func (p *Pool) acquire(ctx context.Context, admitted time.Time) (w *poolWorker, err error) {
 	select {
 	case p.queue <- struct{}{}:
 	default:
@@ -246,15 +240,12 @@ func (p *Pool) acquire(ctx context.Context, admitted time.Time) (*poolWorker, er
 		}
 		return nil, ErrPoolSaturated
 	}
-	w, err := p.wait(ctx, admitted)
-	if err != nil {
-		<-p.queue
-	}
-	return w, err
-}
-
-func (p *Pool) wait(ctx context.Context, admitted time.Time) (*poolWorker, error) {
-	if err := ctx.Err(); err != nil {
+	defer func() {
+		if err != nil {
+			<-p.queue
+		}
+	}()
+	if err = ctx.Err(); err != nil {
 		return nil, err
 	}
 	select {
@@ -276,12 +267,10 @@ func (p *Pool) wait(ctx context.Context, admitted time.Time) (*poolWorker, error
 	}
 }
 
-func (p *Pool) release(w *poolWorker, queued bool) {
+func (p *Pool) release(w *poolWorker) {
 	p.met.inFlight.Add(-1)
 	p.workers <- w
-	if queued {
-		<-p.queue
-	}
+	<-p.queue
 }
 
 // Skyline answers the query on an idle worker. It blocks until a worker is
@@ -289,96 +278,17 @@ func (p *Pool) release(w *poolWorker, queued bool) {
 // and the admission queue is full it fails fast with ErrPoolSaturated.
 // Cancellation both abandons the wait and aborts a running expansion.
 func (p *Pool) Skyline(ctx context.Context, q Query) (*Result, error) {
-	return p.submit(ctx, q, true)
-}
-
-// submit runs one one-shot submission from admission to its record:
-// through the admission queue for Skyline, around it for a batch query.
-func (p *Pool) submit(ctx context.Context, q Query, queued bool) (*Result, error) {
-	w, admitted, err := p.admit(ctx, &q, queued)
+	w, admitted, err := p.admit(ctx, &q)
 	var res *Result
 	var rec obs.FlightRecord
 	if err != nil {
 		rec = finalize(p.inflight, q, core.Metrics{}, admitted, err, false)
 	} else {
 		res, rec, err = w.eng.run(ctx, q, admitted)
-		p.release(w, queued)
+		p.release(w)
 	}
 	p.finish(w, rec)
 	return res, err
-}
-
-// SkylineBatch answers queries[i] into results[i] and errs[i], fanning the
-// batch out over the pool's workers. Unlike Skyline, a batch is never
-// rejected with ErrPoolSaturated: the caller owns the whole backlog, so
-// each query simply waits for a worker. A context error fails the queries
-// that have not started yet with ctx.Err().
-func (p *Pool) SkylineBatch(ctx context.Context, queries []Query) (results []*Result, errs []error) {
-	results = make([]*Result, len(queries))
-	errs = make([]error, len(queries))
-	// Bounded fan-out: one goroutine per query made a 10k-query batch spawn
-	// 10k goroutines, all but Workers of them parked on the worker channel.
-	// Instead, Workers+QueueDepth pump goroutines (enough to keep every
-	// worker busy with an admission queue's worth of demand behind them)
-	// pull indices from a shared cursor. Identical queries are grouped
-	// adjacently so that on a sharing engine duplicates are in flight
-	// together and coalesce onto one wavefront.
-	pump := cap(p.queue)
-	if pump > len(queries) {
-		pump = len(queries)
-	}
-	order := batchOrder(queries)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < pump; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(order) {
-					return
-				}
-				qi := order[i]
-				results[qi], errs[qi] = p.submit(ctx, queries[qi], false)
-			}
-		}()
-	}
-	wg.Wait()
-	return results, errs
-}
-
-// batchSig fingerprints the fields that decide whether two batch queries
-// would coalesce on a sharing engine: algorithm, flags and the exact query
-// locations.
-func batchSig(q Query) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d|%t|%t|%d|%t|%t",
-		q.Algorithm, q.UseAttrs, q.Alternate, q.Source, q.NoLandmarks, q.NoDistCache)
-	for _, p := range q.Points {
-		fmt.Fprintf(&b, "|%d:%x", p.Edge, math.Float64bits(p.Offset))
-	}
-	return b.String()
-}
-
-// batchOrder returns the batch indices with identical queries adjacent, in
-// first-seen group order. results[i] and errs[i] still correspond to
-// queries[i]; only the dispatch order changes.
-func batchOrder(queries []Query) []int {
-	groups := make(map[string][]int, len(queries))
-	var sigs []string
-	for i, q := range queries {
-		s := batchSig(q)
-		if _, ok := groups[s]; !ok {
-			sigs = append(sigs, s)
-		}
-		groups[s] = append(groups[s], i)
-	}
-	order := make([]int, 0, len(queries))
-	for _, s := range sigs {
-		order = append(order, groups[s]...)
-	}
-	return order
 }
 
 // SkylineIter starts a progressive LBC query on an idle worker. The worker
@@ -388,7 +298,7 @@ func batchOrder(queries []Query) []int {
 // Skyline, including ErrPoolSaturated.
 func (p *Pool) SkylineIter(ctx context.Context, q Query) (*PoolIterator, error) {
 	q.Algorithm = LBCAlg
-	w, admitted, err := p.admit(ctx, &q, true)
+	w, admitted, err := p.admit(ctx, &q)
 	var rec obs.FlightRecord
 	if err != nil {
 		rec = finalize(p.inflight, q, core.Metrics{}, admitted, err, false)
@@ -397,7 +307,7 @@ func (p *Pool) SkylineIter(ctx context.Context, q Query) (*PoolIterator, error) 
 		if it, rec, err = w.eng.iter(ctx, q, admitted); err == nil {
 			return &PoolIterator{pool: p, w: w, it: it}, nil
 		}
-		p.release(w, true)
+		p.release(w)
 	}
 	p.finish(w, rec)
 	return nil, err
@@ -453,7 +363,7 @@ func (pi *PoolIterator) Close() {
 	// iteration feeds the distance cache.
 	pi.it.Close()
 	pi.stats = pi.it.Stats()
-	pi.pool.release(pi.w, true)
+	pi.pool.release(pi.w)
 	pi.pool.finish(pi.w, pi.it.rec)
 	pi.w, pi.it = nil, nil
 }

@@ -258,10 +258,14 @@ func TestPoolSaturated(t *testing.T) {
 			t.Errorf("blocked query %d: err = %v, want context.Canceled", i, err)
 		}
 	}
-	// Release the worker; the pool serves again.
+	// Release the worker; the pool serves again, and every submission
+	// that ended gave its admission token back.
 	it.Close()
 	if _, err := pool.Skyline(context.Background(), Query{Points: pts, Algorithm: CEAlg}); err != nil {
 		t.Fatalf("pool did not recover after saturation: %v", err)
+	}
+	if held := len(pool.queue); held != 0 {
+		t.Fatalf("%d admission tokens still held with the pool at rest", held)
 	}
 }
 
@@ -281,8 +285,8 @@ func TestPoolClose(t *testing.T) {
 	if _, err := pool.Skyline(context.Background(), Query{Points: pts}); !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("err = %v, want ErrPoolClosed", err)
 	}
-	if _, errs := pool.SkylineBatch(context.Background(), []Query{{Points: pts}}); !errors.Is(errs[0], ErrPoolClosed) {
-		t.Fatalf("batch err = %v, want ErrPoolClosed", errs[0])
+	if _, err := pool.SkylineIter(context.Background(), Query{Points: pts}); !errors.Is(err, ErrPoolClosed) {
+		t.Fatalf("iter err = %v, want ErrPoolClosed", err)
 	}
 	// The source engine is unaffected by pool shutdown.
 	if _, err := eng.Skyline(Query{Points: pts, Algorithm: LBCAlg}); err != nil {
@@ -303,35 +307,6 @@ func TestPoolConfig(t *testing.T) {
 	}
 	if _, err := NewPool(eng, PoolConfig{QueueDepth: -1}); err == nil {
 		t.Error("negative QueueDepth accepted")
-	}
-}
-
-// TestPoolBatch submits a batch larger than workers + queue depth: unlike
-// Skyline, a batch owns its backlog and must never see ErrPoolSaturated.
-func TestPoolBatch(t *testing.T) {
-	eng, n := poolTestEngine(t)
-	pool, err := NewPool(eng, PoolConfig{Workers: 4, QueueDepth: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	queries := mixedQueries(n) // 24 queries >> 4 workers + 1 queue slot
-	want := make([]string, len(queries))
-	for i, q := range queries {
-		res, err := eng.Skyline(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = resultKey(t, res)
-	}
-	results, errs := pool.SkylineBatch(context.Background(), queries)
-	for i := range queries {
-		if errs[i] != nil {
-			t.Fatalf("batch query %d: %v", i, errs[i])
-		}
-		if got := resultKey(t, results[i]); got != want[i] {
-			t.Errorf("batch query %d diverged:\n got %s\nwant %s", i, got, want[i])
-		}
 	}
 }
 
@@ -515,83 +490,4 @@ func TestPoolIteratorStickyError(t *testing.T) {
 		t.Fatalf("pool query after failed iterator: %v", err)
 	}
 	it.Close()
-}
-
-// TestSkylineBatchBoundedPump pins the batch fan-out bound: a batch far
-// larger than the pool must keep at most Workers+QueueDepth submissions
-// in flight or waiting at any moment (the old code spawned one goroutine
-// per query, parking the whole batch on the worker channel at once), while
-// still answering every query exactly and reconciling the outcome
-// counters.
-func TestSkylineBatchBoundedPump(t *testing.T) {
-	eng, n := poolTestEngine(t)
-	const workers, depth = 2, 2
-	pool, err := NewPool(eng, PoolConfig{Workers: workers, QueueDepth: depth})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-
-	queries := mixedQueries(n)         // 24 queries >> the 4 pump goroutines
-	queries = append(queries, Query{}) // invalid: no points
-	want := make([]string, len(queries))
-	for i, q := range queries {
-		if len(q.Points) == 0 {
-			continue
-		}
-		res, err := eng.Skyline(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = resultKey(t, res)
-	}
-
-	stop := make(chan struct{})
-	overloaded := make(chan string, 1)
-	go func() {
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			pm := pool.PoolMetrics()
-			if pm.Waiting+pm.InFlight > workers+depth {
-				select {
-				case overloaded <- fmt.Sprintf("waiting=%d inFlight=%d exceeds the %d pump goroutines",
-					pm.Waiting, pm.InFlight, workers+depth):
-				default:
-				}
-			}
-		}
-	}()
-	results, errs := pool.SkylineBatch(context.Background(), queries)
-	close(stop)
-	select {
-	case msg := <-overloaded:
-		t.Error(msg)
-	default:
-	}
-
-	for i, q := range queries {
-		if len(q.Points) == 0 {
-			if errs[i] == nil {
-				t.Errorf("invalid batch query %d returned no error", i)
-			}
-			continue
-		}
-		if errs[i] != nil {
-			t.Fatalf("batch query %d: %v", i, errs[i])
-		}
-		if got := resultKey(t, results[i]); got != want[i] {
-			t.Errorf("batch query %d diverged:\n got %s\nwant %s", i, got, want[i])
-		}
-	}
-	pm := pool.PoolMetrics()
-	if pm.Submitted != uint64(len(queries)) {
-		t.Errorf("Submitted = %d, want %d", pm.Submitted, len(queries))
-	}
-	if got := pm.Served + pm.Saturated + pm.Cancelled + pm.Closed; got != pm.Submitted {
-		t.Errorf("outcomes sum to %d, want Submitted = %d", got, pm.Submitted)
-	}
 }

@@ -2,7 +2,6 @@ package roadskyline
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
@@ -24,15 +23,6 @@ func (p *Pool) MetricsHandler() http.Handler {
 		rw.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		writePoolMetrics(rw, p.PoolMetrics())
 	})
-}
-
-// ExpvarFunc returns an expvar.Func that publishes the pool's metrics
-// snapshot as JSON, for processes that prefer /debug/vars over
-// Prometheus scraping:
-//
-//	expvar.Publish("roadskyline.pool", pool.ExpvarFunc())
-func (p *Pool) ExpvarFunc() expvar.Func {
-	return expvar.Func(func() any { return p.PoolMetrics() })
 }
 
 // sample is one exposition line of a counter or gauge family: labels is

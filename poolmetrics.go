@@ -1,24 +1,13 @@
 package roadskyline
 
-import (
-	"time"
-
-	"roadskyline/internal/obs"
-)
+import "roadskyline/internal/obs"
 
 // WaitHistogram is a point-in-time copy of the pool's queue-wait
-// histogram: cumulative bucket counts aligned with QueueWaitBounds, plus
-// the total observation count (including the +Inf overflow) and sum.
+// histogram: cumulative bucket counts aligned with Bounds, the upper bounds
+// (inclusive, Prometheus-style: Buckets[i] counts the waits no longer than
+// Bounds[i]), plus the total observation count (including the +Inf
+// overflow) and sum.
 type WaitHistogram = obs.HistogramSnapshot
-
-// QueueWaitBounds returns the upper bounds (inclusive) of the queue-wait
-// histogram buckets, Prometheus-style: WaitHistogram.Buckets[i] counts
-// the waits no longer than QueueWaitBounds()[i].
-func QueueWaitBounds() []time.Duration {
-	b := make([]time.Duration, len(obs.WaitBuckets))
-	copy(b, obs.WaitBuckets)
-	return b
-}
 
 // QueryDurations is one (algorithm, outcome) series of the per-query
 // duration histograms the flight recorder maintains: Hist.Buckets are

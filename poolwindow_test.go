@@ -69,8 +69,8 @@ func TestPoolMetricsTornRead(t *testing.T) {
 }
 
 // TestPoolWindowViews drives real traffic through a window-enabled pool
-// and checks the rolling views pick it up, across every submission path
-// (Skyline, SkylineBatch, SkylineIter).
+// and checks the rolling views pick it up, across both submission paths
+// (Skyline, serial and concurrent, and SkylineIter).
 func TestPoolWindowViews(t *testing.T) {
 	eng, n := poolTestEngine(t)
 	p, err := NewPool(eng, PoolConfig{Workers: 2, Window: true, RuntimeSample: 20 * time.Millisecond})
@@ -87,10 +87,16 @@ func TestPoolWindowViews(t *testing.T) {
 			}
 			served++
 		}
-		_, errs := p.SkylineBatch(context.Background(), queries[:4])
-		for _, e := range errs {
-			if e != nil {
-				t.Fatal(e)
+		errs := make(chan error, 4)
+		for _, q := range queries[:4] {
+			go func() {
+				_, err := p.Skyline(context.Background(), q)
+				errs <- err
+			}()
+		}
+		for range 4 {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
 			}
 			served++
 		}

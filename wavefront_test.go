@@ -360,12 +360,11 @@ func TestWavefrontPoolHotPointStress(t *testing.T) {
 
 // TestWavefrontSharingEquivalenceFuzz is the store's end-to-end soundness
 // sweep: on random networks, every algorithm and LBC mode must give one
-// answer, bit for bit, however its wavefronts were obtained — seeded cold
-// (NoDistCache), resumed from rest (a hit), or taken from a concurrent
-// leader (a share). A pool of sharing workers with the at-rest cache on
-// top answers each query in triplicate so duplicates genuinely coalesce,
-// and every answer must also match the bruteforce skyline. The
-// NoDistCache run must leave the store's counters untouched.
+// answer, bit for bit, however its wavefronts were obtained — expanded cold
+// by an engine without a store, resumed from rest (a hit), or taken from a
+// concurrent leader (a share). A pool of sharing workers with the at-rest
+// cache on top answers each query in triplicate so duplicates genuinely
+// coalesce, and every answer must also match the bruteforce skyline.
 func TestWavefrontSharingEquivalenceFuzz(t *testing.T) {
 	trials := 6
 	if testing.Short() {
@@ -375,29 +374,7 @@ func TestWavefrontSharingEquivalenceFuzz(t *testing.T) {
 		tr := newFuzzTrial(t, 9930+seed)
 		eng := tr.sharedEngine(t, 64)
 		queries := tr.queries()
-
-		// Cold: NoDistCache neither consults nor feeds the store.
-		cold := make([]*Result, len(queries))
-		for qi, q := range queries {
-			ws, ds := eng.WavefrontStats(), eng.DistCacheStats()
-			q.NoDistCache = true
-			res, err := eng.Skyline(q)
-			if err != nil {
-				t.Fatalf("seed %d cold query %d: %v", tr.seed, qi, err)
-			}
-			if err := tr.check(res, fmt.Sprintf("cold query %d", qi)); err != nil {
-				t.Fatal(err)
-			}
-			st := res.Stats
-			if st.WavefrontLeads != 0 || st.WavefrontShares != 0 || st.DistCacheHits != 0 || st.DistCacheMisses != 0 {
-				t.Errorf("seed %d: NoDistCache query %d counted %+v", tr.seed, qi, st)
-			}
-			if eng.WavefrontStats() != ws || eng.DistCacheStats() != ds {
-				t.Errorf("seed %d: NoDistCache query %d moved the store: %+v %+v -> %+v %+v",
-					tr.seed, qi, ws, ds, eng.WavefrontStats(), eng.DistCacheStats())
-			}
-			cold[qi] = res
-		}
+		cold := tr.plainAnswers(t)
 
 		pool, err := NewPool(eng, PoolConfig{Workers: 8, QueueDepth: 256})
 		if err != nil {
