@@ -180,10 +180,10 @@ func TestOpenEngineRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	again.Close()
-	if err := os.Truncate(filepath.Join(damaged, "derived.slab"), 100); err != nil {
+	if err := os.Truncate(filepath.Join(damaged, "network.slab"), 100); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := OpenEngine(damaged, EngineConfig{}); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("OpenEngine of a directory with a truncated derived.slab: %v, want ErrCorrupt", err)
+		t.Errorf("OpenEngine of a directory with a truncated network.slab: %v, want ErrCorrupt", err)
 	}
 }

@@ -76,12 +76,13 @@ type EngineConfig struct {
 	// each query cold.
 	WarmCache bool
 	// DiskDir, when non-empty, stores the simulated disk pages as real
-	// files in that directory instead of in memory, together with the
-	// graph/objects slabs, the derived-structures slab (landmark table,
-	// R-tree leaf order, edge keys) and a manifest. The directory is built
-	// — each structure computed once — and then reopened read-only through
-	// Backend; OpenEngine serves such a directory later without rebuilding
-	// anything.
+	// files in that directory instead of in memory, together with one
+	// checksummed network slab holding everything else (graph, objects,
+	// adjacency directory, landmark table, R-tree leaf order, edge keys):
+	// four files in all. The directory is built — each structure computed
+	// once, the slab renamed into place last — and then reopened read-only
+	// through Backend; OpenEngine serves such a directory later without
+	// rebuilding anything.
 	DiskDir string
 	// Backend selects how the files under DiskDir are served after the
 	// build: BackendFile (the default when DiskDir is set) or BackendMmap.
@@ -222,14 +223,15 @@ var ErrCorrupt = core.ErrCorrupt
 var ErrIncompatible = core.ErrIncompatible
 
 // OpenEngine serves a network directory previously built by NewEngine with
-// DiskDir set. Nothing is rebuilt: the graph, object and derived-structure
-// slabs are memory-mapped — the landmark table and the edge keys are the
-// mapping, the object R-tree is packed from its persisted leaf order — and
-// the page files open through cfg.Backend (BackendFile by default,
-// BackendMmap for the zero-heap-copy larger-than-RAM path), so even a
-// continent-scale network opens in milliseconds. Every file is checked on
-// the way (sizes, checksums, index ranges): a damaged directory fails here
-// with ErrCorrupt. cfg.DiskDir is ignored — the on-disk layout is already
+// DiskDir set. Nothing is rebuilt: the network slab is memory-mapped — the
+// graph's arrays, the attribute matrix, the landmark table and the edge
+// keys are the mapping, the object R-tree is packed from its persisted
+// leaf order — and the page files open through cfg.Backend (BackendFile by
+// default, BackendMmap for the zero-heap-copy larger-than-RAM path), so
+// even a continent-scale network opens in milliseconds. Every section of
+// the slab is checked on the way (sizes, checksums, index ranges): a
+// damaged directory, or one whose build never finished, fails here, a
+// damaged one with ErrCorrupt. cfg.DiskDir is ignored — the on-disk layout is already
 // fixed; cfg.Landmarks zero means the table the directory holds and a
 // negative count leaves it unread; the remaining fields apply as in
 // NewEngine.

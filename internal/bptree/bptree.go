@@ -50,16 +50,16 @@ type Tree struct {
 var ErrNotFound = errors.New("bptree: key not found")
 
 // Meta is the handful of scalars that, together with the page file,
-// reconstruct a Tree: persist it (e.g. in a manifest) and pass it to Open
-// to reopen a tree built in an earlier process.
+// reconstruct a Tree: persist it (a network directory keeps it in its
+// slab) and pass it to Open to reopen a tree built in an earlier process.
 type Meta struct {
-	Root    storage.PageID `json:"root"`
-	Height  int            `json:"height"`
-	Size    int            `json:"size"`
-	ValSize int            `json:"valSize"`
+	Root    storage.PageID
+	Height  int
+	Size    int
+	ValSize int
 	// Pages is the page file's length when the Meta was taken; Open holds
 	// the file to it, so a truncated index fails there and not in a Get.
-	Pages int `json:"pages"`
+	Pages int
 }
 
 // Meta returns the tree's reopen metadata.

@@ -2,11 +2,13 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"slices"
 	"sort"
@@ -832,7 +834,7 @@ func TestOpenEnvBackends(t *testing.T) {
 				tree.Len(), tree.Height(), tree.Bounds(), wantTree.Len(), wantTree.Height(), wantTree.Bounds())
 		}
 	}
-	f, err := slab.Open(filepath.Join(dir, fileDerivedSlab))
+	f, err := slab.Open(filepath.Join(dir, fileSlab))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -899,35 +901,54 @@ func mappedFrom(t *testing.T, path string, p unsafe.Pointer) bool {
 	return false
 }
 
-// OpenEnv fails cleanly on missing or mismatched directories.
+// OpenEnv fails cleanly on missing directories, and refuses a directory of
+// the previous format — eight files, a manifest.json of version 2 beside a
+// derived.slab — as ErrIncompatible: never ErrCorrupt, never a panic, and
+// never a migration.
 func TestOpenEnvErrors(t *testing.T) {
 	if _, err := OpenEnv(t.TempDir(), EnvConfig{}); err == nil {
 		t.Error("OpenEnv of an empty directory succeeded")
 	}
-	rng := rand.New(rand.NewSource(17))
-	g := testnet.RandomGraph(rng, 30)
-	dir := t.TempDir()
-	built, err := NewEnv(g, testnet.RandomObjects(rng, g, 10, 1), EnvConfig{Dir: dir})
-	if err != nil {
+	nd := buildNetDir(t, 17, 30, 10, 1)
+	secs := mustParse(t, nd.files[fileSlab])
+	var derivedSecs []slab.Section
+	for _, tag := range []uint32{tagEdgeKeys, tagLeafOrder, tagLandmarkNodes, tagLandmarkDists} {
+		derivedSecs = append(derivedSecs, *sectionOf(secs, tag))
+	}
+	v2 := t.TempDir()
+	if err := slab.Write(filepath.Join(v2, "derived.slab"), derivedSecs); err != nil {
 		t.Fatal(err)
 	}
-	built.Close()
-	// Corrupt the manifest: version mismatch must be reported.
-	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(`{"version":99}`), 0o644); err != nil {
+	nd.copyTo(t, v2, map[string][]byte{"manifest.json": []byte(`{
+  "version": 2,
+  "numAttrs": 1,
+  "layer": {"tree": {"root": 0, "height": 1, "size": 8, "valSize": 12, "pages": 1}, "numObjects": 10},
+  "landmarks": 8,
+  "rtreeFanout": 100,
+  "edgeKeyVersion": 1,
+  "crc": 0
+}`)})
+	if err := os.Remove(filepath.Join(v2, fileSlab)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenEnv(dir, EnvConfig{}); err == nil {
-		t.Error("OpenEnv accepted a wrong-version manifest")
+	for _, backend := range []storage.Backend{storage.BackendFile, storage.BackendMmap} {
+		env, err := OpenEnv(v2, EnvConfig{Backend: backend})
+		if env != nil {
+			env.Close()
+		}
+		if !errors.Is(err, ErrIncompatible) || errors.Is(err, ErrCorrupt) {
+			t.Errorf("%v: OpenEnv of a version-2 directory: %v, want ErrIncompatible", backend, err)
+		}
 	}
 }
 
 // The point of the mmap tier: opening a prebuilt directory must not copy
-// the CSR slab, the page files or the derived structures onto the heap. The
-// gate allows what an open does allocate — the object table, the R-tree
-// over object points, the adjacency directory, pools — and fails if heap
-// growth reaches the size of the smallest thing that must stay mapped: the
-// landmark distances, 8 bytes x 8 landmarks per node, which a copying open
-// would put on the heap whole.
+// the graph's arrays, the attribute matrix, the page files or the derived
+// structures onto the heap. The gate allows what an open does allocate —
+// the object table, the R-tree over object points, the adjacency
+// directory, pools — and fails if heap growth reaches the size of the
+// smallest thing that must stay mapped: the landmark distances, 8 bytes x
+// 8 landmarks per node, which a copying open would put on the heap whole.
 func TestOpenEnvMmapHeapGate(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	g := testnet.RandomGraph(rng, 4000)
@@ -939,7 +960,7 @@ func TestOpenEnvMmapHeapGate(t *testing.T) {
 	}
 	built.Close()
 	var mappedBytes int64
-	for _, name := range []string{"graph.slab", "derived.slab", "adjacency.pages", "middlelayer.index.pages", "middlelayer.records.pages"} {
+	for _, name := range []string{fileSlab, fileAdjPages, fileTreePages, fileRecPages} {
 		st, err := os.Stat(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
@@ -967,10 +988,10 @@ func TestOpenEnvMmapHeapGate(t *testing.T) {
 	landmarkBytes := int64(8 * len(env.Landmarks.Flat()))
 	// An open allocates ~40 B/object of R-tree, 8 B/node of adjacency
 	// directory and 48 B/object of object table: with 20 nodes per object,
-	// well under the 64 B/node of landmark distances alone. Any section of
-	// derived.slab (or any other file) copied to the heap crosses the line:
-	// the distances by themselves, the 8 B/edge key table on top of what an
-	// open legitimately allocates.
+	// well under the 64 B/node of landmark distances alone. Most sections of
+	// the slab (or a page file) copied to the heap cross the line: the
+	// distances by themselves, the 24 B/node node array or the 8 B/edge key
+	// table on top of what an open legitimately allocates.
 	if grown >= landmarkBytes {
 		t.Fatalf("opening via mmap grew the heap by %d bytes; the landmark distances are %d, all mapped files %d: something mapped was copied",
 			grown, landmarkBytes, mappedBytes)
@@ -978,13 +999,21 @@ func TestOpenEnvMmapHeapGate(t *testing.T) {
 	t.Logf("heap growth %d bytes for %d mapped bytes (%d of them landmark distances)", grown, mappedBytes, landmarkBytes)
 
 	// The budget above cannot see a copy smaller than itself (the key table
-	// is a sixth of the distances), so the two structures that are handed
-	// out as slices are also held to the mapping by address.
-	derivedPath := filepath.Join(dir, fileDerivedSlab)
-	if !mappedFrom(t, derivedPath, unsafe.Pointer(&env.Landmarks.Flat()[0])) {
-		t.Error("the opened landmark distances do not alias derived.slab's mapping")
+	// is a sixth of the distances, the attribute matrix smaller still), so
+	// the structures handed out as slices are also held to the mapping by
+	// address.
+	slabPath := filepath.Join(dir, fileSlab)
+	nodes := unsafe.Pointer(reflect.ValueOf(env.G).Elem().FieldByName("nodes").Pointer())
+	for what, p := range map[string]unsafe.Pointer{
+		"landmark distances": unsafe.Pointer(&env.Landmarks.Flat()[0]),
+		"graph's node array": nodes,
+		"attribute matrix":   unsafe.Pointer(&env.Objects[0].Attrs[0]),
+	} {
+		if !mappedFrom(t, slabPath, p) {
+			t.Errorf("the opened %s: not in the slab's mapping", what)
+		}
 	}
-	f, err := slab.Open(derivedPath)
+	f, err := slab.Open(slabPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -993,8 +1022,8 @@ func TestOpenEnvMmapHeapGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mappedFrom(t, derivedPath, unsafe.Pointer(&keys[0])) {
-		t.Error("the opened edge keys do not alias derived.slab's mapping")
+	if !mappedFrom(t, slabPath, unsafe.Pointer(&keys[0])) {
+		t.Error("the opened edge keys do not alias the slab's mapping")
 	}
 
 	// And the env actually serves queries.

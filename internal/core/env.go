@@ -10,10 +10,9 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -84,11 +83,13 @@ type EnvConfig struct {
 	RTreeFanout int
 	// Dir, when non-empty, stores the page files (adjacency, middle-layer
 	// index and records) as real files in that directory instead of in
-	// memory, together with the graph/objects slabs, the derived-structures
-	// slab (landmark table, R-tree leaf order, edge keys) and a manifest:
-	// NewEnv builds the directory — every structure computed exactly once —
-	// and then reopens it read-only through Backend, and OpenEnv serves a
-	// previously built directory directly, computing none of them again.
+	// memory, together with one network slab holding everything else — the
+	// graph, the objects, the adjacency directory, the scalars the page
+	// files reopen with, and the landmark table, R-tree leaf order and edge
+	// keys: NewEnv builds the directory — every structure computed exactly
+	// once — and then reopens it read-only through Backend, and OpenEnv
+	// serves a previously built directory directly, computing none of them
+	// again.
 	Dir string
 	// Backend selects how the files under Dir are served after the build:
 	// storage.BackendFile (the default when Dir is set) reads pages through
@@ -144,71 +145,21 @@ const DefaultDiskLatency = 150 * time.Microsecond
 var ErrCorrupt = storage.ErrCorrupt
 
 // ErrIncompatible is wrapped by the errors OpenEnv returns for a directory
-// that is intact but not what was asked for: a manifest or key-formula
-// version this build does not read (directories are build artifacts —
-// rebuild it), or an explicit EnvConfig.Landmarks or RTreeFanout other than
-// the directory's. Nothing is ever rebuilt silently instead.
+// that is intact but not what was asked for: a directory format or
+// key-formula version this build does not read (directories are build
+// artifacts — rebuild it), or an explicit EnvConfig.Landmarks or
+// RTreeFanout other than the directory's. Nothing is ever rebuilt silently
+// instead.
 var ErrIncompatible = errors.New("incompatible network directory")
 
-// Names of the files a disk-backed environment keeps in its directory.
+// Names of the files a disk-backed environment keeps in its directory: the
+// three page files and the network slab.
 const (
-	fileAdjPages    = "adjacency.pages"
-	fileAdjDir      = "adjacency.dir"
-	fileTreePages   = "middlelayer.index.pages"
-	fileRecPages    = "middlelayer.records.pages"
-	fileGraphSlab   = "graph.slab"
-	fileObjectsSlab = "objects.slab"
-	fileDerivedSlab = "derived.slab"
-	fileManifest    = "manifest.json"
-
-	manifestVersion = 2
+	fileAdjPages  = "adjacency.pages"
+	fileTreePages = "middlelayer.index.pages"
+	fileRecPages  = "middlelayer.records.pages"
+	fileSlab      = "network.slab"
 )
-
-// manifest is the JSON sidecar tying a network directory together: the
-// scalars that cannot be recomputed cheaply from the binary files, and the
-// parameters derived.slab was computed under, which OpenEnv holds both the
-// slab and its caller's configuration to.
-type manifest struct {
-	Version  int              `json:"version"`
-	NumAttrs int              `json:"numAttrs"`
-	Layer    middlelayer.Meta `json:"layer"`
-	// Landmarks is the landmark count asked of the build (0 = no table),
-	// RTreeFanout the fanout the leaf order was sorted for, EdgeKeyVersion
-	// the formula of the persisted key table.
-	Landmarks      int `json:"landmarks"`
-	RTreeFanout    int `json:"rtreeFanout"`
-	EdgeKeyVersion int `json:"edgeKeyVersion"`
-	// CRC is the CRC-32C of this manifest's own JSON with CRC zero.
-	CRC uint32 `json:"crc"`
-}
-
-// seal returns the manifest's JSON with its checksum filled in.
-func (m manifest) seal() ([]byte, error) {
-	m.CRC = 0
-	raw, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	m.CRC = crc32.Checksum(raw, crc32.MakeTable(crc32.Castagnoli))
-	return json.MarshalIndent(m, "", "  ")
-}
-
-// readManifest decodes and checks a manifest: the version first, so that a
-// directory of another version says so instead of failing a checksum it
-// never had.
-func readManifest(raw []byte) (manifest, error) {
-	var m manifest
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return m, fmt.Errorf("core: %w: reading manifest: %v", ErrCorrupt, err)
-	}
-	if m.Version != manifestVersion {
-		return m, fmt.Errorf("core: %w: manifest version %d, this build reads %d", ErrIncompatible, m.Version, manifestVersion)
-	}
-	if sealed, err := m.seal(); err != nil || string(sealed) != string(raw) {
-		return m, fmt.Errorf("core: %w: manifest does not match its checksum", ErrCorrupt)
-	}
-	return m, nil
-}
 
 func applyEnvDefaults(cfg *EnvConfig) {
 	if cfg.BufferBytes <= 0 {
@@ -223,7 +174,7 @@ func applyEnvDefaults(cfg *EnvConfig) {
 // Hilbert value of the edge's midpoint (id in the low bits keeps keys
 // unique), so a wavefront's edge probes land on few index/record pages,
 // matching the spatial clustering of the adjacency lists. The table is
-// computed once per network — a directory keeps it in derived.slab, and
+// computed once per network — a directory keeps it in its slab, and
 // OpenEnv reads back the values Build used (edgeKeyVersion names the
 // formula).
 func edgeKeys(g *graph.Graph) []int64 {
@@ -288,9 +239,8 @@ func newEnvFrom(g *graph.Graph, objects []graph.Object, store *diskgraph.Store, 
 // and object set. Every object must have the same number of attributes and
 // a valid location; objects and query points must lie on edges of g.
 //
-// With cfg.Dir set, NewEnv writes the full network directory (page files,
-// graph, object and derived-structure slabs, adjacency directory and
-// manifest) and then reopens it read-only through cfg.Backend — the
+// With cfg.Dir set, NewEnv writes the full network directory (page files
+// and network slab) and then reopens it read-only through cfg.Backend — the
 // environment it returns is exactly what OpenEnv(cfg.Dir, cfg) would
 // produce, and the reopen computes nothing the build already did.
 func NewEnv(g *graph.Graph, objects []graph.Object, cfg EnvConfig) (*Env, error) {
@@ -327,13 +277,20 @@ func NewEnv(g *graph.Graph, objects []graph.Object, cfg EnvConfig) (*Env, error)
 }
 
 // buildDir materializes the complete network directory under cfg.Dir: the
-// three page files, the slabs OpenEnv maps, the adjacency directory and the
-// manifest. The landmark table and the R-tree leaf order depend only on g
-// and objects, so they are computed in goroutines of their own while this
-// one writes the page files — the landmark Dijkstras take about as long as
-// everything else together. Every file is closed before returning; serving
-// happens through a read-only reopen.
+// three page files and the network slab. The landmark table and the R-tree
+// leaf order depend only on g and objects, so they are computed in
+// goroutines of their own while this one writes the page files — the
+// landmark Dijkstras take about as long as everything else together. The
+// old slab goes first, and the new one is renamed into place last, after it
+// and the page files are synced: a build that fails or is killed leaves a
+// directory OpenEnv refuses, never metadata over pages it does not
+// describe. Every file is closed before returning; serving happens through
+// a read-only reopen.
 func buildDir(g *graph.Graph, objects []graph.Object, numAttrs int, cfg EnvConfig) (err error) {
+	slabPath := filepath.Join(cfg.Dir, fileSlab)
+	if err := os.Remove(slabPath); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("core: %w", err)
+	}
 	d := derived{fanout: cfg.RTreeFanout, landmarks: max(cfg.Landmarks, 0)}
 	var side sync.WaitGroup
 	defer side.Wait() // also on the error returns: nothing outlives the call
@@ -352,7 +309,7 @@ func buildDir(g *graph.Graph, objects []graph.Object, numAttrs int, cfg EnvConfi
 		}
 	}()
 
-	var files []storage.PageFile
+	var files []*storage.OSFile
 	defer func() {
 		for _, f := range files {
 			if cerr := f.Close(); err == nil {
@@ -360,7 +317,7 @@ func buildDir(g *graph.Graph, objects []graph.Object, numAttrs int, cfg EnvConfi
 			}
 		}
 	}()
-	newFile := func(name string) (storage.PageFile, error) {
+	newFile := func(name string) (*storage.OSFile, error) {
 		f, err := storage.CreateOSFile(filepath.Join(cfg.Dir, name))
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
@@ -384,129 +341,86 @@ func buildDir(g *graph.Graph, objects []graph.Object, numAttrs int, cfg EnvConfi
 	if err != nil {
 		return fmt.Errorf("core: building disk graph: %w", err)
 	}
-	if err := store.WriteDir(filepath.Join(cfg.Dir, fileAdjDir)); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
 	d.keys = edgeKeys(g)
 	layer, err := middlelayer.Build(objects, treeFile, recFile, cfg.BufferBytes, d.keys)
 	if err != nil {
 		return fmt.Errorf("core: building middle layer: %w", err)
 	}
-	if err := graph.WriteSlab(g, filepath.Join(cfg.Dir, fileGraphSlab)); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	if err := graph.WriteObjects(objects, numAttrs, filepath.Join(cfg.Dir, fileObjectsSlab)); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	side.Wait()
-	if err := writeDerived(filepath.Join(cfg.Dir, fileDerivedSlab), d); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	m, err := manifest{
-		Version:        manifestVersion,
-		NumAttrs:       numAttrs,
-		Layer:          layer.Meta(),
-		Landmarks:      d.landmarks,
-		RTreeFanout:    d.fanout,
-		EdgeKeyVersion: edgeKeyVersion,
-	}.seal()
+	// What the side goroutines do not compute goes into the slab, and the
+	// slab and the page files are synced, while they run; their sections
+	// follow, and Commit puts the header on and renames the slab into place.
+	w, err := slab.Create(slabPath, len(sectionNames))
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	if err := os.WriteFile(filepath.Join(cfg.Dir, fileManifest), m, 0o644); err != nil {
+	defer w.Abort()
+	base, err := baseSections(g, objects, numAttrs, store, layer.Meta().Tree, d.keys)
+	if err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	for _, s := range base {
+		if err := w.Add(s); err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
+	}
+	for _, f := range files {
+		if err := f.Sync(); err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
+	}
+	if err := w.Sync(); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	side.Wait()
+	for _, s := range derivedSections(d, g.NumNodes()) {
+		if err := w.Add(s); err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
+	}
+	if err := w.Commit(); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
 	return nil
 }
 
 // OpenEnv serves a network directory previously written by NewEnv (or by a
-// build tool calling it). Nothing is rebuilt: the graph, object and
-// derived-structure slabs are memory-mapped — the graph arrays, attribute
-// matrix, landmark distances and edge keys aliased with zero heap copies on
-// matching hosts — the page files open through cfg.Backend, and what is
-// allocated is the object table, the R-tree's nodes (packed from the
+// build tool calling it). Nothing is rebuilt: the network slab is
+// memory-mapped — the graph arrays, attribute matrix, landmark distances
+// and edge keys aliased with zero heap copies on matching hosts — the page
+// files open through cfg.Backend, and what is allocated is the object
+// table, the adjacency directory, the R-tree's nodes (packed from the
 // persisted leaf order, no entry sorted) and per-process state. With
 // BackendMmap a network much larger than RAM opens in milliseconds and is
 // paged in lazily by the OS.
 //
-// Every file is checked before anything is served from it — sizes against
-// headers, checksums of the manifest and of each derived section, and every
-// stored index against the range the other files fix — so a damaged
-// directory is an error wrapping ErrCorrupt here, never a fault in a query;
-// a directory of another format version, or one that cfg.Landmarks or
-// cfg.RTreeFanout explicitly disagree with, is an error wrapping
-// ErrIncompatible. The remaining fields of cfg (buffer size, latency,
-// caches) apply as in NewEnv; cfg.Dir itself is ignored in favor of dir.
+// Every section of the slab is checked before anything is served from it —
+// its checksum, its size, and every stored index against the range the
+// other sections and the page files fix — so a damaged directory is an
+// error wrapping ErrCorrupt here, never a fault in a query; a directory
+// without a slab (a build that did not finish) is refused too. A directory
+// of another format version (an earlier one keeps a manifest.json), or one
+// that cfg.Landmarks or cfg.RTreeFanout explicitly disagree with, is an
+// error wrapping ErrIncompatible. The remaining fields of cfg (buffer size,
+// latency, caches) apply as in NewEnv; cfg.Dir itself is ignored in favor
+// of dir.
 func OpenEnv(dir string, cfg EnvConfig) (*Env, error) {
 	applyEnvDefaults(&cfg)
-	var closers []func() error
+	f, err := slab.Open(filepath.Join(dir, fileSlab))
+	if errors.Is(err, fs.ErrNotExist) {
+		if _, serr := os.Stat(filepath.Join(dir, "manifest.json")); serr == nil {
+			return nil, fmt.Errorf("core: %w: %s holds a directory of an earlier format (a manifest.json, no %s); rebuild it", ErrIncompatible, dir, fileSlab)
+		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	closers := []func() error{f.Close}
 	fail := func(err error) (*Env, error) {
 		for i := len(closers) - 1; i >= 0; i-- {
 			closers[i]()
 		}
 		return nil, err
 	}
-	raw, err := os.ReadFile(filepath.Join(dir, fileManifest))
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	m, err := readManifest(raw)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Landmarks > 0 && cfg.Landmarks != m.Landmarks {
-		return nil, fmt.Errorf("core: %w: %d landmarks asked for, directory built for %d", ErrIncompatible, cfg.Landmarks, m.Landmarks)
-	}
-	if cfg.RTreeFanout > 0 && cfg.RTreeFanout != m.RTreeFanout {
-		return nil, fmt.Errorf("core: %w: R-tree fanout %d asked for, directory packed at %d", ErrIncompatible, cfg.RTreeFanout, m.RTreeFanout)
-	}
-	if m.EdgeKeyVersion != edgeKeyVersion {
-		return nil, fmt.Errorf("core: %w: edge keys of formula version %d, this build reads %d", ErrIncompatible, m.EdgeKeyVersion, edgeKeyVersion)
-	}
-	g, closeSlab, err := graph.OpenSlab(filepath.Join(dir, fileGraphSlab))
-	if err != nil {
-		return fail(fmt.Errorf("core: %w", err))
-	}
-	closers = append(closers, closeSlab)
-	objects, numAttrs, closeObjs, err := graph.OpenObjects(filepath.Join(dir, fileObjectsSlab))
-	if err != nil {
-		return fail(fmt.Errorf("core: %w", err))
-	}
-	closers = append(closers, closeObjs)
-	if _, err := validateObjects(g, objects); err != nil {
-		return fail(fmt.Errorf("%w: %w", ErrCorrupt, err))
-	}
-	if numAttrs != m.NumAttrs || len(objects) != m.Layer.NumObjects {
-		return fail(fmt.Errorf("core: %w: objects slab has %d objects of %d attributes, manifest says %d of %d",
-			ErrCorrupt, len(objects), numAttrs, m.Layer.NumObjects, m.NumAttrs))
-	}
-
-	derivedSlab, err := slab.Open(filepath.Join(dir, fileDerivedSlab))
-	if err != nil {
-		return fail(fmt.Errorf("core: %w", err))
-	}
-	closers = append(closers, derivedSlab.Close)
-	keys, err := openEdgeKeys(derivedSlab, g)
-	if err != nil {
-		return fail(err)
-	}
-	objTree, fanout, err := openObjTree(derivedSlab, g, objects)
-	if err != nil {
-		return fail(err)
-	}
-	var landmarks *landmark.Table
-	asked := m.Landmarks
-	if cfg.Landmarks >= 0 {
-		if landmarks, asked, err = openLandmarks(derivedSlab, g); err != nil {
-			return fail(err)
-		}
-	}
-	// (A graph without nodes has no table whatever was asked for.)
-	if fanout != m.RTreeFanout || asked != m.Landmarks && g.NumNodes() > 0 {
-		return fail(fmt.Errorf("core: %w: derived slab built at fanout %d for %d landmarks, manifest says %d and %d",
-			ErrCorrupt, fanout, asked, m.RTreeFanout, m.Landmarks))
-	}
-
 	want := cfg.Backend
 	if want == storage.BackendMem {
 		want = storage.BackendFile
@@ -514,41 +428,24 @@ func OpenEnv(dir string, cfg EnvConfig) (*Env, error) {
 	// The env's reported backend is mmap only when every page file mapped;
 	// a partial fallback is reported as file so counters stay explainable.
 	actual := storage.BackendMmap
-	openFile := func(name string) (storage.PageFile, error) {
-		f, got, err := storage.Open(filepath.Join(dir, name), want)
+	var pages [3]storage.PageFile
+	for i, name := range []string{fileAdjPages, fileTreePages, fileRecPages} {
+		pf, got, err := storage.Open(filepath.Join(dir, name), want)
 		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
+			return fail(fmt.Errorf("core: %w", err))
 		}
 		if got != storage.BackendMmap {
 			actual = storage.BackendFile
 		}
-		closers = append(closers, f.Close)
-		return f, nil
+		closers = append(closers, pf.Close)
+		pages[i] = pf
 	}
-	graphFile, err := openFile(fileAdjPages)
+	env, err := decodeEnv(f, pages[0], pages[1], pages[2], cfg)
 	if err != nil {
 		return fail(err)
 	}
-	treeFile, err := openFile(fileTreePages)
-	if err != nil {
-		return fail(err)
-	}
-	recFile, err := openFile(fileRecPages)
-	if err != nil {
-		return fail(err)
-	}
-	store, err := diskgraph.Open(graphFile, cfg.BufferBytes, filepath.Join(dir, fileAdjDir), g.NumEdges())
-	if err != nil {
-		return fail(fmt.Errorf("core: %w", err))
-	}
-	if store.NumNodes() != g.NumNodes() {
-		return fail(fmt.Errorf("core: %w: adjacency directory lists %d nodes, graph slab has %d", ErrCorrupt, store.NumNodes(), g.NumNodes()))
-	}
-	layer, err := middlelayer.Open(treeFile, recFile, cfg.BufferBytes, m.Layer, keys)
-	if err != nil {
-		return fail(fmt.Errorf("core: %w", err))
-	}
-	return newEnvFrom(g, objects, store, layer, objTree, landmarks, cfg, numAttrs, actual, closers), nil
+	env.backend, env.closers = actual, closers
+	return env, nil
 }
 
 // Backend reports how the environment's page files are served:

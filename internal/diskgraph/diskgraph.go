@@ -66,7 +66,6 @@ type Store struct {
 	dir      []recRef
 	numPages int
 	numEdges int // the range Neighbors holds every entry's edge id to
-	bounds   geom.Rect
 }
 
 // Build writes g's adjacency lists to file in the given order and returns a
@@ -86,7 +85,7 @@ func Build(g *graph.Graph, file storage.PageFile, bufferBytes int, order Order) 
 		sort.Slice(ids, func(a, b int) bool { return keys[ids[a]] < keys[ids[b]] })
 	}
 
-	s := &Store{file: file, dir: make([]recRef, n), numEdges: g.NumEdges(), bounds: g.Bounds()}
+	s := &Store{file: file, dir: make([]recRef, n), numEdges: g.NumEdges()}
 	page := make([]byte, storage.PageSize)
 	used := 0
 	flush := func() error {
@@ -151,9 +150,6 @@ func (s *Store) NumNodes() int { return len(s.dir) }
 
 // NumPages returns the number of disk pages holding adjacency records.
 func (s *Store) NumPages() int { return s.numPages }
-
-// Bounds returns the bounding rectangle of all node coordinates.
-func (s *Store) Bounds() geom.Rect { return s.bounds }
 
 // Pool returns the buffer pool, exposing the disk-access statistics.
 func (s *Store) Pool() *storage.BufferPool { return s.pool }

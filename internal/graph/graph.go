@@ -198,10 +198,7 @@ func (b *Builder) Build() (*Graph, error) {
 	g := &Graph{
 		nodes:  b.nodes,
 		edges:  b.edges,
-		bounds: geom.EmptyRect(),
-	}
-	for _, n := range g.nodes {
-		g.bounds = g.bounds.Union(geom.RectFromPoint(n.Pt))
+		bounds: boundsOf(b.nodes),
 	}
 	n := NodeID(len(g.nodes))
 	deg := make([]int32, len(g.nodes))
@@ -247,6 +244,16 @@ func (b *Builder) Build() (*Graph, error) {
 		}
 	}
 	return g, nil
+}
+
+// boundsOf is the bounding rectangle of the nodes' coordinates, which a
+// graph computes on construction rather than keeps.
+func boundsOf(nodes []Node) geom.Rect {
+	r := geom.EmptyRect()
+	for _, n := range nodes {
+		r = r.Union(geom.RectFromPoint(n.Pt))
+	}
+	return r
 }
 
 // MustBuild is Build but panics on error; intended for tests and generators

@@ -1,52 +1,44 @@
 package graph
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"math"
-	"os"
 	"unsafe"
 
 	"roadskyline/internal/geom"
+	"roadskyline/internal/slab"
 	"roadskyline/internal/storage"
 )
 
-// Slab format: the CSR graph serialized so that on a 64-bit little-endian
-// host the record sections ARE the in-memory slices — OpenSlab memory-maps
-// the file and aliases nodes, edges, halfedges and adjOff straight into the
-// mapping, loading a network much larger than RAM without one byte of heap
-// copy. On other hosts (or when the struct layout drifts) OpenSlab falls
-// back to an explicit little-endian decode into heap slices; the file is
-// portable either way.
+// The slab sections of a graph and of its objects: the byte images a
+// network directory's slab (internal/slab) keeps, one per array. On a
+// 64-bit little-endian host the graph images ARE the in-memory arrays, so
+// FromSections aliases them with no copy and a network much larger than RAM
+// loads without one byte of heap; elsewhere (or when the struct layout
+// drifts) it decodes them onto the heap. Record layouts, little endian,
+// padding zero:
 //
-// Layout (all integers little endian):
-//
-//	[8]byte  magic "RSKGRAF1"
-//	u32      version (1)
-//	u32      reserved (0)
-//	u64      numNodes
-//	u64      numEdges
-//	u64      numHalfedges
-//	f64 x 4  bounds MinX, MinY, MaxX, MaxY
-//	nodes     numNodes     x 24  (id i32, pad4, x f64, y f64)
-//	edges     numEdges     x 24  (id i32, u i32, v i32, pad4, length f64)
-//	halfedges numHalfedges x 16  (to i32, edge i32, length f64)
-//	adjOff    numNodes+1   x 4   (i32)
-//
-// Every section start is 8-byte aligned (the header is 72 bytes and the
-// record sizes are multiples of 8), which the zero-copy alias requires.
+//	nodes      24 bytes each: id i32, pad4, x f64, y f64
+//	edges      24 bytes each: id i32, u i32, v i32, pad4, length f64
+//	halfedges  16 bytes each: to i32, edge i32, length f64
+//	adjOff      4 bytes each: i32, NumNodes+1 of them
+//	locations  16 bytes per object: edge i32, pad4, offset f64
+//	attributes  8 bytes each: f64, a row of NumAttrs per object
 const (
-	slabMagic      = "RSKGRAF1"
-	slabVersion    = 1
-	slabHeaderSize = 72
-	nodeRecSize    = 24
-	edgeRecSize    = 24
-	halfedgeSize   = 16
+	nodeRecSize  = 24
+	edgeRecSize  = 24
+	halfedgeSize = 16
+	objLocSize   = 16
 )
 
+// Sections holds a graph's four CSR arrays as section images.
+type Sections struct {
+	Nodes, Edges, Halfedges, AdjOff []byte
+}
+
 // hostLayoutMatchesSlab reports whether the running process can alias the
-// slab sections directly: little-endian byte order and the exact struct
+// section images directly: little-endian byte order and the exact struct
 // layouts the format mirrors. Padding bytes are zeroed by the writer, so an
 // aliased record compares equal to a decoded one.
 func hostLayoutMatchesSlab() bool {
@@ -67,97 +59,117 @@ func hostLayoutMatchesSlab() bool {
 		unsafe.Offsetof(h.Length) == 8
 }
 
-// WriteSlab serializes g to path in the mappable slab format.
-func WriteSlab(g *Graph, path string) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("graph: %w", err)
+// Sections encodes g's arrays as the images FromSections reads.
+func (g *Graph) Sections() Sections {
+	s := Sections{
+		Nodes:     make([]byte, len(g.nodes)*nodeRecSize),
+		Edges:     make([]byte, len(g.edges)*edgeRecSize),
+		Halfedges: make([]byte, len(g.halfedges)*halfedgeSize),
+		AdjOff:    make([]byte, len(g.adjOff)*4),
 	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	w := bufio.NewWriterSize(f, 1<<20)
-	var scratch [slabHeaderSize]byte
-	copy(scratch[:8], slabMagic)
-	binary.LittleEndian.PutUint32(scratch[8:], slabVersion)
-	binary.LittleEndian.PutUint64(scratch[16:], uint64(len(g.nodes)))
-	binary.LittleEndian.PutUint64(scratch[24:], uint64(len(g.edges)))
-	binary.LittleEndian.PutUint64(scratch[32:], uint64(len(g.halfedges)))
-	binary.LittleEndian.PutUint64(scratch[40:], math.Float64bits(g.bounds.MinX))
-	binary.LittleEndian.PutUint64(scratch[48:], math.Float64bits(g.bounds.MinY))
-	binary.LittleEndian.PutUint64(scratch[56:], math.Float64bits(g.bounds.MaxX))
-	binary.LittleEndian.PutUint64(scratch[64:], math.Float64bits(g.bounds.MaxY))
-	if _, err := w.Write(scratch[:]); err != nil {
-		return err
+	le := binary.LittleEndian
+	for i, n := range g.nodes {
+		rec := s.Nodes[i*nodeRecSize:]
+		le.PutUint32(rec[0:], uint32(n.ID))
+		le.PutUint64(rec[8:], math.Float64bits(n.Pt.X))
+		le.PutUint64(rec[16:], math.Float64bits(n.Pt.Y))
 	}
-	for _, n := range g.nodes {
-		rec := scratch[:nodeRecSize]
-		clear(rec)
-		binary.LittleEndian.PutUint32(rec[0:], uint32(n.ID))
-		binary.LittleEndian.PutUint64(rec[8:], math.Float64bits(n.Pt.X))
-		binary.LittleEndian.PutUint64(rec[16:], math.Float64bits(n.Pt.Y))
-		if _, err := w.Write(rec); err != nil {
-			return err
-		}
+	for i, e := range g.edges {
+		rec := s.Edges[i*edgeRecSize:]
+		le.PutUint32(rec[0:], uint32(e.ID))
+		le.PutUint32(rec[4:], uint32(e.U))
+		le.PutUint32(rec[8:], uint32(e.V))
+		le.PutUint64(rec[16:], math.Float64bits(e.Length))
 	}
-	for _, e := range g.edges {
-		rec := scratch[:edgeRecSize]
-		clear(rec)
-		binary.LittleEndian.PutUint32(rec[0:], uint32(e.ID))
-		binary.LittleEndian.PutUint32(rec[4:], uint32(e.U))
-		binary.LittleEndian.PutUint32(rec[8:], uint32(e.V))
-		binary.LittleEndian.PutUint64(rec[16:], math.Float64bits(e.Length))
-		if _, err := w.Write(rec); err != nil {
-			return err
-		}
+	for i, h := range g.halfedges {
+		rec := s.Halfedges[i*halfedgeSize:]
+		le.PutUint32(rec[0:], uint32(h.To))
+		le.PutUint32(rec[4:], uint32(h.Edge))
+		le.PutUint64(rec[8:], math.Float64bits(h.Length))
 	}
-	for _, h := range g.halfedges {
-		rec := scratch[:halfedgeSize]
-		binary.LittleEndian.PutUint32(rec[0:], uint32(h.To))
-		binary.LittleEndian.PutUint32(rec[4:], uint32(h.Edge))
-		binary.LittleEndian.PutUint64(rec[8:], math.Float64bits(h.Length))
-		if _, err := w.Write(rec); err != nil {
-			return err
-		}
+	for i, off := range g.adjOff {
+		le.PutUint32(s.AdjOff[i*4:], uint32(off))
 	}
-	for _, off := range g.adjOff {
-		binary.LittleEndian.PutUint32(scratch[:4], uint32(off))
-		if _, err := w.Write(scratch[:4]); err != nil {
-			return err
-		}
-	}
-	return w.Flush()
+	return s
 }
 
-// slabSections validates the header and returns the section byte ranges.
-func slabSections(data []byte) (numNodes, numEdges, numHalf int, bounds geom.Rect, err error) {
-	if len(data) < slabHeaderSize || string(data[:8]) != slabMagic {
-		return 0, 0, 0, bounds, fmt.Errorf("graph: %w: not a graph slab", storage.ErrCorrupt)
+// view aliases b as n records of T; b must start on a multiple of 8.
+func view[T any](b []byte, n int) []T {
+	if n == 0 {
+		return nil
 	}
-	if v := binary.LittleEndian.Uint32(data[8:]); v != slabVersion {
-		return 0, 0, 0, bounds, fmt.Errorf("graph: %w: slab version %d, want %d", storage.ErrCorrupt, v, slabVersion)
-	}
-	nn := binary.LittleEndian.Uint64(data[16:])
-	ne := binary.LittleEndian.Uint64(data[24:])
-	nh := binary.LittleEndian.Uint64(data[32:])
-	want := uint64(slabHeaderSize) + nn*nodeRecSize + ne*edgeRecSize + nh*halfedgeSize + (nn+1)*4
-	if nn > uint64(math.MaxInt32) || ne > uint64(math.MaxInt32) || nh > uint64(2*math.MaxInt32) ||
-		uint64(len(data)) != want {
-		return 0, 0, 0, bounds, fmt.Errorf("graph: %w: slab is %d bytes, header describes %d", storage.ErrCorrupt, len(data), want)
-	}
-	bounds = geom.Rect{
-		MinX: math.Float64frombits(binary.LittleEndian.Uint64(data[40:])),
-		MinY: math.Float64frombits(binary.LittleEndian.Uint64(data[48:])),
-		MaxX: math.Float64frombits(binary.LittleEndian.Uint64(data[56:])),
-		MaxY: math.Float64frombits(binary.LittleEndian.Uint64(data[64:])),
-	}
-	return int(nn), int(ne), int(nh), bounds, nil
+	return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), n)
 }
 
-// checkSlab verifies what every reader of a Graph takes for granted, so a
-// slab whose bytes were damaged fails at open and not with an index out of
+func aligned8(bs ...[]byte) bool {
+	for _, b := range bs {
+		if len(b) > 0 && uintptr(unsafe.Pointer(&b[0]))%8 != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// FromSections returns the graph whose arrays the images hold, after
+// checking them (checkSlab). On a host whose memory layout matches the
+// format the graph's slices alias the images, which must then outlive it
+// unchanged; elsewhere everything is decoded onto the heap.
+func FromSections(s Sections) (*Graph, error) {
+	nn, ne, nh := len(s.Nodes)/nodeRecSize, len(s.Edges)/edgeRecSize, len(s.Halfedges)/halfedgeSize
+	if len(s.Nodes)%nodeRecSize != 0 || len(s.Edges)%edgeRecSize != 0 || len(s.Halfedges)%halfedgeSize != 0 ||
+		len(s.AdjOff) != 4*(nn+1) || nn > math.MaxInt32 || ne > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: %w: sections of %d, %d, %d and %d bytes are no graph",
+			storage.ErrCorrupt, len(s.Nodes), len(s.Edges), len(s.Halfedges), len(s.AdjOff))
+	}
+	g := &Graph{}
+	if hostLayoutMatchesSlab() && aligned8(s.Nodes, s.Edges, s.Halfedges, s.AdjOff) {
+		g.nodes = view[Node](s.Nodes, nn)
+		g.edges = view[Edge](s.Edges, ne)
+		g.halfedges = view[Halfedge](s.Halfedges, nh)
+		g.adjOff = view[int32](s.AdjOff, nn+1)
+	} else {
+		le := binary.LittleEndian
+		g.nodes = make([]Node, nn)
+		for i := range g.nodes {
+			rec := s.Nodes[i*nodeRecSize:]
+			g.nodes[i] = Node{
+				ID: NodeID(int32(le.Uint32(rec[0:]))),
+				Pt: geom.Point{X: math.Float64frombits(le.Uint64(rec[8:])), Y: math.Float64frombits(le.Uint64(rec[16:]))},
+			}
+		}
+		g.edges = make([]Edge, ne)
+		for i := range g.edges {
+			rec := s.Edges[i*edgeRecSize:]
+			g.edges[i] = Edge{
+				ID:     EdgeID(int32(le.Uint32(rec[0:]))),
+				U:      NodeID(int32(le.Uint32(rec[4:]))),
+				V:      NodeID(int32(le.Uint32(rec[8:]))),
+				Length: math.Float64frombits(le.Uint64(rec[16:])),
+			}
+		}
+		g.halfedges = make([]Halfedge, nh)
+		for i := range g.halfedges {
+			rec := s.Halfedges[i*halfedgeSize:]
+			g.halfedges[i] = Halfedge{
+				To:     NodeID(int32(le.Uint32(rec[0:]))),
+				Edge:   EdgeID(int32(le.Uint32(rec[4:]))),
+				Length: math.Float64frombits(le.Uint64(rec[8:])),
+			}
+		}
+		g.adjOff = make([]int32, nn+1)
+		for i := range g.adjOff {
+			g.adjOff[i] = int32(le.Uint32(s.AdjOff[i*4:]))
+		}
+	}
+	if err := g.checkSlab(); err != nil {
+		return nil, err
+	}
+	g.bounds = boundsOf(g.nodes)
+	return g, nil
+}
+
+// checkSlab verifies what every reader of a Graph takes for granted, so
+// images whose bytes were damaged fail at load and not with an index out of
 // range in the middle of a query: ids equal positions, edge endpoints and
 // halfedge targets name existing nodes and edges, and adjOff is a monotone
 // partition of the halfedges. One pass over the arrays, no allocation.
@@ -193,103 +205,49 @@ func (g *Graph) checkSlab() error {
 	return nil
 }
 
-// sliceSlab decodes data (a full slab image) into a Graph and checks it
-// (checkSlab). When alias is true the returned graph's slices point into
-// data with zero copies, so data must stay mapped for the graph's lifetime;
-// otherwise everything is decoded onto the heap and data may be released.
-func sliceSlab(data []byte, alias bool) (*Graph, error) {
-	nn, ne, nh, bounds, err := slabSections(data)
-	if err != nil {
-		return nil, err
-	}
-	g := &Graph{bounds: bounds}
-	nodesOff := slabHeaderSize
-	edgesOff := nodesOff + nn*nodeRecSize
-	halfOff := edgesOff + ne*edgeRecSize
-	adjOffOff := halfOff + nh*halfedgeSize
-	if alias {
-		if nn > 0 {
-			g.nodes = unsafe.Slice((*Node)(unsafe.Pointer(&data[nodesOff])), nn)
+// ObjectSections encodes objects, every one with numAttrs attributes, as
+// the location and attribute images ObjectsFromSections reads.
+func ObjectSections(objects []Object, numAttrs int) (locs, attrs []byte, err error) {
+	locs = make([]byte, len(objects)*objLocSize)
+	attrs = make([]byte, 0, len(objects)*numAttrs*8)
+	for i, o := range objects {
+		if len(o.Attrs) != numAttrs {
+			return nil, nil, fmt.Errorf("graph: object %d has %d attributes, want %d", o.ID, len(o.Attrs), numAttrs)
 		}
-		if ne > 0 {
-			g.edges = unsafe.Slice((*Edge)(unsafe.Pointer(&data[edgesOff])), ne)
-		}
-		if nh > 0 {
-			g.halfedges = unsafe.Slice((*Halfedge)(unsafe.Pointer(&data[halfOff])), nh)
-		}
-		g.adjOff = unsafe.Slice((*int32)(unsafe.Pointer(&data[adjOffOff])), nn+1)
-		return g, g.checkSlab()
-	}
-	g.nodes = make([]Node, nn)
-	for i := range g.nodes {
-		rec := data[nodesOff+i*nodeRecSize:]
-		g.nodes[i] = Node{
-			ID: NodeID(int32(binary.LittleEndian.Uint32(rec[0:]))),
-			Pt: geom.Point{
-				X: math.Float64frombits(binary.LittleEndian.Uint64(rec[8:])),
-				Y: math.Float64frombits(binary.LittleEndian.Uint64(rec[16:])),
-			},
+		binary.LittleEndian.PutUint32(locs[i*objLocSize:], uint32(o.Loc.Edge))
+		binary.LittleEndian.PutUint64(locs[i*objLocSize+8:], math.Float64bits(o.Loc.Offset))
+		for _, a := range o.Attrs {
+			attrs = binary.LittleEndian.AppendUint64(attrs, math.Float64bits(a))
 		}
 	}
-	g.edges = make([]Edge, ne)
-	for i := range g.edges {
-		rec := data[edgesOff+i*edgeRecSize:]
-		g.edges[i] = Edge{
-			ID:     EdgeID(int32(binary.LittleEndian.Uint32(rec[0:]))),
-			U:      NodeID(int32(binary.LittleEndian.Uint32(rec[4:]))),
-			V:      NodeID(int32(binary.LittleEndian.Uint32(rec[8:]))),
-			Length: math.Float64frombits(binary.LittleEndian.Uint64(rec[16:])),
-		}
-	}
-	g.halfedges = make([]Halfedge, nh)
-	for i := range g.halfedges {
-		rec := data[halfOff+i*halfedgeSize:]
-		g.halfedges[i] = Halfedge{
-			To:     NodeID(int32(binary.LittleEndian.Uint32(rec[0:]))),
-			Edge:   EdgeID(int32(binary.LittleEndian.Uint32(rec[4:]))),
-			Length: math.Float64frombits(binary.LittleEndian.Uint64(rec[8:])),
-		}
-	}
-	g.adjOff = make([]int32, nn+1)
-	for i := range g.adjOff {
-		g.adjOff[i] = int32(binary.LittleEndian.Uint32(data[adjOffOff+i*4:]))
-	}
-	return g, g.checkSlab()
+	return locs, attrs, nil
 }
 
-// OpenSlab memory-maps the slab at path and returns the graph with a close
-// function that releases the mapping. On a host whose memory layout matches
-// the format the graph's slices alias the mapping (zero heap copies and the
-// graph must not be used after close); elsewhere the slab is decoded onto
-// the heap and close releases the mapping immediately reusable. When
-// mapping itself fails (platform without mmap) the file is read and decoded
-// from the heap.
-func OpenSlab(path string) (*Graph, func() error, error) {
-	noop := func() error { return nil }
-	data, unmap, err := storage.MapFile(path)
-	if err != nil {
-		raw, rerr := os.ReadFile(path)
-		if rerr != nil {
-			return nil, nil, fmt.Errorf("graph: %w (mmap also failed: %v)", rerr, err)
-		}
-		g, derr := sliceSlab(raw, false)
-		if derr != nil {
-			return nil, nil, derr
-		}
-		return g, noop, nil
+// ObjectsFromSections returns the objects the images hold, ids dense and
+// numAttrs attributes each. On a little-endian host every Attrs slice
+// aliases attrs, which must then outlive the objects unchanged. Locations
+// are not checked against a graph here; that is the caller's to do.
+func ObjectsFromSections(locs, attrs []byte, numAttrs int) ([]Object, error) {
+	n := uint64(len(locs) / objLocSize)
+	if len(locs)%objLocSize != 0 || n > math.MaxInt32 || numAttrs < 0 || numAttrs > 1<<20 ||
+		uint64(len(attrs)) != n*uint64(numAttrs)*8 {
+		return nil, fmt.Errorf("graph: %w: %d bytes of locations and %d of attributes for %d attributes each",
+			storage.ErrCorrupt, len(locs), len(attrs), numAttrs)
 	}
-	if hostLayoutMatchesSlab() {
-		g, derr := sliceSlab(data, true)
-		if derr != nil {
-			unmap()
-			return nil, nil, derr
+	matrix := slab.Words[float64](attrs)
+	objects := make([]Object, n)
+	for i := range objects {
+		rec := locs[i*objLocSize:]
+		objects[i] = Object{
+			ID: ObjectID(i),
+			Loc: Location{
+				Edge:   EdgeID(int32(binary.LittleEndian.Uint32(rec[0:]))),
+				Offset: math.Float64frombits(binary.LittleEndian.Uint64(rec[8:])),
+			},
 		}
-		return g, unmap, nil
+		if numAttrs > 0 {
+			objects[i].Attrs = matrix[i*numAttrs : (i+1)*numAttrs : (i+1)*numAttrs]
+		}
 	}
-	g, derr := sliceSlab(data, false)
-	unmap()
-	if derr != nil {
-		return nil, nil, derr
-	}
-	return g, noop, nil
+	return objects, nil
 }

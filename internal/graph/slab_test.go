@@ -1,13 +1,15 @@
 package graph
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
+	"unsafe"
 
 	"roadskyline/internal/geom"
+	"roadskyline/internal/storage"
 )
 
 // slabTestGraph builds a small random graph with self-loops and parallel
@@ -64,79 +66,62 @@ func graphsEqual(t *testing.T, name string, got, want *Graph) {
 	}
 }
 
-// The slab must round-trip bit-identically through both read paths: the
-// zero-copy alias (OpenSlab on a matching host) and the portable decode.
+// misaligned returns a copy of b that starts one byte past a multiple of 8,
+// which FromSections cannot alias: it takes the portable decode instead.
+func misaligned(b []byte) []byte {
+	buf := make([]byte, len(b)+1)
+	copy(buf[1:], b)
+	return buf[1:]
+}
+
+// A graph's sections must round-trip bit-identically through both read
+// paths: the zero-copy alias (on a matching host) and the portable decode.
 func TestSlabRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{1, 2, 40} {
 		g := slabTestGraph(t, rng, n)
-		path := filepath.Join(t.TempDir(), "graph.slab")
-		if err := WriteSlab(g, path); err != nil {
-			t.Fatalf("WriteSlab: %v", err)
+		s := g.Sections()
+		aliased, err := FromSections(s)
+		if err != nil {
+			t.Fatalf("FromSections: %v", err)
+		}
+		graphsEqual(t, "aliased", aliased, g)
+		if hostLayoutMatchesSlab() && aligned8(s.Nodes, s.Edges, s.Halfedges, s.AdjOff) &&
+			unsafe.Pointer(&aliased.nodes[0]) != unsafe.Pointer(&s.Nodes[0]) {
+			t.Error("the nodes were copied on a host whose layout matches the format")
 		}
 
-		mapped, closeSlab, err := OpenSlab(path)
+		// The heap decode of the same bytes must agree with the alias path
+		// exactly, proving the format is portable.
+		decoded, err := FromSections(Sections{misaligned(s.Nodes), misaligned(s.Edges), misaligned(s.Halfedges), misaligned(s.AdjOff)})
 		if err != nil {
-			t.Fatalf("OpenSlab: %v", err)
-		}
-		graphsEqual(t, "mapped", mapped, g)
-
-		// Force the heap-decode path on the same bytes: it must agree with
-		// the alias path exactly, proving the format is portable.
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		decoded, err := sliceSlab(raw, false)
-		if err != nil {
-			t.Fatalf("sliceSlab(decode): %v", err)
+			t.Fatalf("FromSections(decode): %v", err)
 		}
 		graphsEqual(t, "decoded", decoded, g)
-
-		if err := closeSlab(); err != nil {
-			t.Fatalf("close: %v", err)
-		}
 	}
 }
 
+// Images of the wrong length, or whose records contradict each other, are
+// refused with ErrCorrupt.
 func TestSlabRejectsCorruption(t *testing.T) {
 	g := slabTestGraph(t, rand.New(rand.NewSource(7)), 8)
-	path := filepath.Join(t.TempDir(), "graph.slab")
-	if err := WriteSlab(g, path); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(name string, data []byte) {
-		if _, err := sliceSlab(data, false); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-		p := filepath.Join(t.TempDir(), "bad.slab")
-		if err := os.WriteFile(p, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := OpenSlab(p); err == nil {
-			t.Errorf("%s: OpenSlab accepted", name)
+	for name, mutate := range map[string]func(*Sections){
+		"empty":                    func(s *Sections) { *s = Sections{} },
+		"node cut short":           func(s *Sections) { s.Nodes = s.Nodes[:len(s.Nodes)-1] },
+		"edge cut short":           func(s *Sections) { s.Edges = s.Edges[:len(s.Edges)-8] },
+		"halfedge cut short":       func(s *Sections) { s.Halfedges = s.Halfedges[:len(s.Halfedges)-4] },
+		"offsets of one node more": func(s *Sections) { s.AdjOff = append(s.AdjOff, 0, 0, 0, 0) },
+		"node id":                  func(s *Sections) { s.Nodes[nodeRecSize]++ },
+		"edge endpoint":            func(s *Sections) { binary.LittleEndian.PutUint32(s.Edges[4:], 8) },
+		"halfedge target":          func(s *Sections) { binary.LittleEndian.PutUint32(s.Halfedges[0:], 0xFFFFFFFF) },
+		"offsets fall":             func(s *Sections) { binary.LittleEndian.PutUint32(s.AdjOff[4*4:], 0) },
+	} {
+		s := g.Sections()
+		mutate(&s)
+		if _, err := FromSections(s); !errors.Is(err, storage.ErrCorrupt) {
+			t.Errorf("%s: %v, want ErrCorrupt", name, err)
 		}
 	}
-	check("empty", nil)
-	check("truncated header", raw[:20])
-	check("truncated body", raw[:len(raw)-4])
-
-	badMagic := append([]byte(nil), raw...)
-	badMagic[0] = 'X'
-	check("bad magic", badMagic)
-
-	badVersion := append([]byte(nil), raw...)
-	badVersion[8] = 99
-	check("bad version", badVersion)
-
-	// Header count inconsistent with file size.
-	badCount := append([]byte(nil), raw...)
-	badCount[16]++
-	check("bad node count", badCount)
 }
 
 func TestObjectsSlabRoundTrip(t *testing.T) {
@@ -154,75 +139,62 @@ func TestObjectsSlabRoundTrip(t *testing.T) {
 				objects[i].Attrs = append(objects[i].Attrs, rng.Float64()*100)
 			}
 		}
-		path := filepath.Join(t.TempDir(), "objects.slab")
-		if err := WriteObjects(objects, numAttrs, path); err != nil {
-			t.Fatalf("WriteObjects: %v", err)
+		locs, attrs, err := ObjectSections(objects, numAttrs)
+		if err != nil {
+			t.Fatalf("ObjectSections: %v", err)
 		}
-		for _, alias := range []bool{true, false} {
-			var got []Object
-			var gotAttrs int
-			var closeObjs func() error
-			if alias {
-				var err error
-				got, gotAttrs, closeObjs, err = OpenObjects(path)
-				if err != nil {
-					t.Fatalf("OpenObjects: %v", err)
-				}
-			} else {
-				raw, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, gotAttrs, err = sliceObjects(raw, false)
-				if err != nil {
-					t.Fatalf("sliceObjects: %v", err)
-				}
-				closeObjs = func() error { return nil }
+		for _, path := range []string{"aliased", "decoded"} {
+			l, a := locs, attrs
+			if path == "decoded" {
+				l, a = misaligned(locs), misaligned(attrs)
 			}
-			if gotAttrs != numAttrs {
-				t.Fatalf("numAttrs = %d, want %d", gotAttrs, numAttrs)
+			got, err := ObjectsFromSections(l, a, numAttrs)
+			if err != nil {
+				t.Fatalf("%s: ObjectsFromSections: %v", path, err)
 			}
 			if len(got) != len(objects) {
-				t.Fatalf("%d objects, want %d", len(got), len(objects))
+				t.Fatalf("%s: %d objects, want %d", path, len(got), len(objects))
 			}
 			for i, o := range objects {
 				if got[i].ID != o.ID || got[i].Loc != o.Loc || len(got[i].Attrs) != len(o.Attrs) {
-					t.Fatalf("object %d = %+v, want %+v", i, got[i], o)
+					t.Fatalf("%s: object %d = %+v, want %+v", path, i, got[i], o)
 				}
 				for a := range o.Attrs {
 					if got[i].Attrs[a] != o.Attrs[a] {
-						t.Fatalf("object %d attr %d = %v, want %v", i, a, got[i].Attrs[a], o.Attrs[a])
+						t.Fatalf("%s: object %d attr %d = %v, want %v", path, i, a, got[i].Attrs[a], o.Attrs[a])
 					}
 				}
 			}
-			if err := closeObjs(); err != nil {
-				t.Fatal(err)
+			if path == "aliased" && numAttrs > 0 && storage.HostLittleEndian() &&
+				unsafe.Pointer(&got[0].Attrs[0]) != unsafe.Pointer(&attrs[0]) {
+				t.Error("the attribute matrix was copied on a little-endian host")
 			}
 		}
 	}
-	// Mismatched attribute count must fail at write time.
+	// A mismatched attribute count must fail at write time.
 	bad := []Object{{ID: 0, Attrs: []float64{1}}}
-	if err := WriteObjects(bad, 2, filepath.Join(t.TempDir(), "bad.slab")); err == nil {
-		t.Error("WriteObjects accepted a short attribute row")
+	if _, _, err := ObjectSections(bad, 2); err == nil {
+		t.Error("ObjectSections accepted a short attribute row")
 	}
 }
 
 func TestObjectsSlabRejectsCorruption(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "objects.slab")
-	if err := WriteObjects([]Object{{ID: 0, Attrs: []float64{math.Pi}}}, 1, path); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
+	locs, attrs, err := ObjectSections([]Object{{ID: 0, Attrs: []float64{math.Pi}}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, data := range map[string][]byte{
-		"empty":     nil,
-		"truncated": raw[:len(raw)-1],
-		"bad magic": append([]byte{'X'}, raw[1:]...),
+	for name, c := range map[string]struct {
+		locs, attrs []byte
+		numAttrs    int
+	}{
+		"locations cut short":  {locs[:len(locs)-1], attrs, 1},
+		"attributes cut short": {locs, attrs[:len(attrs)-1], 1},
+		"one attribute more":   {locs, attrs, 2},
+		"no attributes":        {locs, attrs, 0},
+		"negative count":       {locs, attrs, -1},
 	} {
-		if _, _, err := sliceObjects(data, false); err == nil {
-			t.Errorf("%s: accepted", name)
+		if _, err := ObjectsFromSections(c.locs, c.attrs, c.numAttrs); !errors.Is(err, storage.ErrCorrupt) {
+			t.Errorf("%s: %v, want ErrCorrupt", name, err)
 		}
 	}
 }

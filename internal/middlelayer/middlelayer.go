@@ -134,12 +134,11 @@ func Build(objects []graph.Object, treeFile, recFile storage.PageFile, bufferByt
 }
 
 // Meta is the reopen metadata for a Layer: everything except the page
-// files and the key table (which a network directory keeps in its
-// derived-structures slab) needed to reconstruct the layer in a later
-// process.
+// files and the key table (a network directory keeps both scalars and
+// keys in its slab) needed to reconstruct the layer in a later process.
 type Meta struct {
-	Tree       bptree.Meta `json:"tree"`
-	NumObjects int         `json:"numObjects"`
+	Tree       bptree.Meta
+	NumObjects int
 }
 
 // Meta returns the layer's reopen metadata.

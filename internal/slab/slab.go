@@ -1,11 +1,14 @@
-// Package slab is the container of a network directory's derived
-// structures: one file of tagged, checksummed, 8-byte-aligned sections that
-// a reader memory-maps and hands out as typed slices aliasing the mapping.
-// What a section means (a landmark table, an R-tree leaf order, a key
-// table) is the caller's business; the container fixes where each one
-// lies, how long it is, three parameters of the caller's choosing, and a
-// CRC-32C that says the bytes are the ones that were written. Adding a
-// structure to the directory is a new tag, not a new format.
+// Package slab is the metadata container of a network directory: one file
+// of tagged, checksummed, 8-byte-aligned sections that a reader
+// memory-maps and hands out as typed slices aliasing the mapping. Besides
+// the page files, everything a directory keeps is a section of one slab —
+// the graph's arrays, the objects, the adjacency directory, the scalars
+// the page files are reopened with, and the structures derived from them.
+// What a section means is the caller's business; the container fixes where
+// each one lies, how long it is, three parameters of the caller's
+// choosing, and a CRC-32C that says the bytes are the ones that were
+// written. Adding a structure to the directory is a new tag, not a new
+// format.
 //
 // Layout (all integers little endian):
 //
@@ -21,7 +24,6 @@
 package slab
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -74,55 +76,113 @@ func tableCRC(head []byte) uint32 {
 	return crc32.Update(crc, castagnoli, head[tableCRCOff+4:])
 }
 
-// Write stores the sections at path, in order.
-func Write(path string, sections []Section) (err error) {
-	if len(sections) > maxSections {
-		return fmt.Errorf("slab: %d sections, at most %d", len(sections), maxSections)
-	}
-	head := make([]byte, headerSize+len(sections)*entrySize)
-	copy(head, magic)
-	binary.LittleEndian.PutUint32(head[8:], version)
-	binary.LittleEndian.PutUint32(head[12:], uint32(len(sections)))
-	off := uint64(len(head))
-	for i, s := range sections {
-		e := head[headerSize+i*entrySize:]
-		binary.LittleEndian.PutUint32(e[0:], s.Tag)
-		binary.LittleEndian.PutUint32(e[4:], crc32.Checksum(s.Data, castagnoli))
-		binary.LittleEndian.PutUint64(e[8:], off)
-		binary.LittleEndian.PutUint64(e[16:], uint64(len(s.Data)))
-		for p, v := range s.Params {
-			binary.LittleEndian.PutUint64(e[24+8*p:], v)
-		}
-		off = align8(off + uint64(len(s.Data)))
-	}
-	binary.LittleEndian.PutUint32(head[tableCRCOff:], tableCRC(head))
+// Writer builds a slab at a path atomically: payloads go to path+".tmp" as
+// they become ready, and Commit writes the header and section table last,
+// syncs the file and renames it over path, so a reader finds either the
+// complete slab or none.
+type Writer struct {
+	f    *os.File
+	path string
+	head []byte // header and section table, filled in as sections are added
+	n    int    // sections added
+	off  uint64 // where the next payload starts
+	end  uint64 // where the last payload ends
+}
 
-	f, err := os.Create(path)
+// Create starts a slab of count sections at path.
+func Create(path string, count int) (*Writer, error) {
+	if count > maxSections {
+		return nil, fmt.Errorf("slab: %d sections, at most %d", count, maxSections)
+	}
+	f, err := os.Create(path + ".tmp")
 	if err != nil {
+		return nil, fmt.Errorf("slab: %w", err)
+	}
+	head := make([]byte, headerSize+count*entrySize)
+	return &Writer{f: f, path: path, head: head, off: uint64(len(head)), end: uint64(len(head))}, nil
+}
+
+// Add writes the next section.
+func (w *Writer) Add(s Section) error {
+	if headerSize+(w.n+1)*entrySize > len(w.head) {
+		return fmt.Errorf("slab: section %d of a slab created for %d", w.n+1, (len(w.head)-headerSize)/entrySize)
+	}
+	e := w.head[headerSize+w.n*entrySize:]
+	binary.LittleEndian.PutUint32(e[0:], s.Tag)
+	binary.LittleEndian.PutUint32(e[4:], crc32.Checksum(s.Data, castagnoli))
+	binary.LittleEndian.PutUint64(e[8:], w.off)
+	binary.LittleEndian.PutUint64(e[16:], uint64(len(s.Data)))
+	for p, v := range s.Params {
+		binary.LittleEndian.PutUint64(e[24+8*p:], v)
+	}
+	if _, err := w.f.WriteAt(s.Data, int64(w.off)); err != nil {
 		return fmt.Errorf("slab: %w", err)
 	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	w := bufio.NewWriterSize(f, 1<<20)
-	if _, err := w.Write(head); err != nil {
+	w.n++
+	w.end = w.off + uint64(len(s.Data))
+	w.off = align8(w.end)
+	return nil
+}
+
+// Sync writes the payloads added so far to stable storage, so that
+// Commit's own sync has only the rest to wait for.
+func (w *Writer) Sync() error { return w.f.Sync() }
+
+// Commit writes the header and section table, syncs the file and renames
+// it into place. Every section the slab was created for must have been
+// added.
+func (w *Writer) Commit() error {
+	if count := (len(w.head) - headerSize) / entrySize; w.n != count {
+		return fmt.Errorf("slab: %d sections added to a slab created for %d", w.n, count)
+	}
+	copy(w.head, magic)
+	binary.LittleEndian.PutUint32(w.head[8:], version)
+	binary.LittleEndian.PutUint32(w.head[12:], uint32(w.n))
+	binary.LittleEndian.PutUint32(w.head[tableCRCOff:], tableCRC(w.head))
+	if _, err := w.f.WriteAt(w.head, 0); err != nil {
+		return fmt.Errorf("slab: %w", err)
+	}
+	// The gaps before aligned payloads read as zeros; the file ends where
+	// the last payload does, even when that payload is empty.
+	if err := w.f.Truncate(int64(w.end)); err != nil {
+		return fmt.Errorf("slab: %w", err)
+	}
+	if err := w.f.Sync(); err != nil {
+		return fmt.Errorf("slab: %w", err)
+	}
+	if err := w.f.Close(); err != nil {
+		return fmt.Errorf("slab: %w", err)
+	}
+	if err := os.Rename(w.path+".tmp", w.path); err != nil {
+		return fmt.Errorf("slab: %w", err)
+	}
+	w.f = nil
+	return nil
+}
+
+// Abort removes an uncommitted slab's temporary file; after a successful
+// Commit it does nothing.
+func (w *Writer) Abort() {
+	if w.f != nil {
+		w.f.Close()
+		os.Remove(w.path + ".tmp")
+		w.f = nil
+	}
+}
+
+// Write stores the sections at path, in order, atomically (see Writer).
+func Write(path string, sections []Section) error {
+	w, err := Create(path, len(sections))
+	if err != nil {
 		return err
 	}
-	var pad [8]byte
-	for i, s := range sections {
-		if _, err := w.Write(s.Data); err != nil {
+	defer w.Abort()
+	for _, s := range sections {
+		if err := w.Add(s); err != nil {
 			return err
 		}
-		if i < len(sections)-1 {
-			n := uint64(len(s.Data))
-			if _, err := w.Write(pad[:align8(n)-n]); err != nil {
-				return err
-			}
-		}
 	}
-	return w.Flush()
+	return w.Commit()
 }
 
 // Parse validates a slab image's header and section table — magic, version,
@@ -134,7 +194,7 @@ func Parse(data []byte) ([]Section, error) {
 		return nil, fmt.Errorf("slab: %w: "+format, append([]any{storage.ErrCorrupt}, args...)...)
 	}
 	if len(data) < headerSize || string(data[:8]) != magic {
-		return corrupt("not a derived-structures slab")
+		return corrupt("not a network slab")
 	}
 	if v := binary.LittleEndian.Uint32(data[8:]); v != version {
 		return corrupt("slab version %d, want %d", v, version)

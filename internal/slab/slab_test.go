@@ -209,3 +209,32 @@ func TestParseRejects(t *testing.T) {
 		}
 	}
 }
+
+// A Writer renames its slab into place only once every section it was
+// created for is in: a short Commit fails and Abort leaves nothing behind.
+// An empty last section after an unaligned one still ends the file where
+// the section table says.
+func TestWriterCommitsOnlyComplete(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "x.slab")
+	w, err := Create(path, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Add(testSections()[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Commit(); err == nil {
+		t.Fatal("Commit of 1 section of 2 succeeded")
+	}
+	w.Abort()
+	for _, p := range []string{path, path + ".tmp"} {
+		if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s after Abort: %v", filepath.Base(p), err)
+		}
+	}
+
+	img := writeImage(t, []Section{testSections()[1], {Tag: 8}})
+	if _, err := Parse(img); err != nil {
+		t.Fatalf("an empty last section after a 12-byte one: %v", err)
+	}
+}

@@ -11,8 +11,8 @@ import (
 // MapFile memory-maps the whole file at path read-only and returns the
 // mapping with its unmap function. The file descriptor is closed before
 // returning (the mapping keeps the pages reachable). Other packages reuse
-// it for non-page-structured slabs (the graph CSR slab); page files go
-// through OpenMmapFile, which adds the page-alignment checks.
+// it for files that are not page-structured (a network directory's slab);
+// page files go through OpenMmapFile, which adds the page-alignment checks.
 func MapFile(path string) ([]byte, func() error, error) {
 	f, err := os.Open(path)
 	if err != nil {

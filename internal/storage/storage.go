@@ -209,6 +209,9 @@ func (f *OSFile) AppendPage(data []byte) (PageID, error) {
 	return id, f.WritePage(id, data)
 }
 
+// Sync commits the written pages to stable storage.
+func (f *OSFile) Sync() error { return f.f.Sync() }
+
 // Close implements PageFile.
 func (f *OSFile) Close() error { return f.f.Close() }
 
