@@ -182,21 +182,22 @@ func putIntEntry(p []byte, i int, key int64, child storage.PageID) {
 // Get copies the value stored under key into dst (which must be at least
 // valSize bytes). An absent key is reported as ErrNotFound itself, never
 // wrapped, so callers on the probe path may compare with ==. Reads are
-// buffered and counted.
+// buffered and counted. A page whose count has no room on it is reported as
+// storage.ErrCorrupt: page bytes are not checked at open, so a damaged count
+// is first seen here.
 func (t *Tree) Get(key int64, dst []byte) error {
 	page := t.root
 	for level := t.height; level > 1; level-- {
-		p, err := t.pool.Get(page)
+		p, n, err := t.page(page, t.internalCap)
 		if err != nil {
 			return err
 		}
-		page = intChild(p, childIndex(p, key))
+		page = intChild(p, childIndex(p, n, key))
 	}
-	p, err := t.pool.Get(page)
+	p, n, err := t.page(page, t.leafCap)
 	if err != nil {
 		return err
 	}
-	n := getCount(p)
 	if i := searchKeys(p, n, 8+t.valSize, key); i < n && t.leafKey(p, i) == key {
 		copy(dst, t.leafVal(p, i))
 		return nil
@@ -204,9 +205,23 @@ func (t *Tree) Get(key int64, dst []byte) error {
 	return ErrNotFound
 }
 
-// childIndex returns which child of internal page p covers key.
-func childIndex(p []byte, key int64) int {
+// page reads page id through the pool and returns it with its entry count,
+// which must fit the page's capacity.
+func (t *Tree) page(id storage.PageID, capacity int) ([]byte, int, error) {
+	p, err := t.pool.Get(id)
+	if err != nil {
+		return nil, 0, err
+	}
 	n := getCount(p)
+	if n > capacity {
+		return nil, 0, fmt.Errorf("bptree: %w: page %d counts %d entries, room for %d", storage.ErrCorrupt, id, n, capacity)
+	}
+	return p, n, nil
+}
+
+// childIndex returns which child of internal page p, holding n keys, covers
+// key.
+func childIndex(p []byte, n int, key int64) int {
 	// First key[i] > key means child i; all keys <= key means child n.
 	// Separators are distinct, so that is one past an exact match.
 	i := searchKeys(p, n, 12, key)

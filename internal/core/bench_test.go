@@ -5,6 +5,7 @@ import (
 	"context"
 	"slices"
 	"testing"
+	"time"
 
 	"roadskyline/internal/distcache"
 	"roadskyline/internal/gen"
@@ -285,6 +286,53 @@ func BenchmarkOpenEnv(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkEDCWindow times whole EDC queries, window walks included, at two
+// shapes of the ledger: serve_open's (CA, |Q| = 2 with
+// one attribute, 49 query sets in 10% regions, warm buffers) and
+// paper_cold's (CA, |Q| = 4, 9 sets, cold). One op answers every set once.
+// first-us is the median time to the first skyline point, EDC's share of
+// initial_ms_p50. It uses nothing but Run, so the same file times a parent
+// commit too; rtree-nodes/op and candidates/op must then be equal on both
+// sides.
+func BenchmarkEDCWindow(b *testing.B) {
+	ctx := context.Background()
+	for _, c := range []struct {
+		name      string
+		nq, attrs int
+		sets      int
+		opts      Options
+	}{
+		{"serve_open", 2, 1, 49, Options{}},
+		{"paper_cold", 4, 0, 9, Options{ColdCache: true}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			env := pinCA.env(b, c.attrs)
+			queries := make([]Query, c.sets)
+			for i := range queries {
+				queries[i] = Query{Points: gen.QueryPoints(env.G, c.nq, 0.1, int64(1+i)), UseAttrs: c.attrs > 0}
+			}
+			var nodes, cands int64
+			var first []time.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, q := range queries {
+					res, err := Run(ctx, env, q, AlgEDC, c.opts)
+					if err != nil {
+						b.Fatal(err)
+					}
+					nodes, cands = nodes+res.Metrics.RTreeNodes, cands+int64(res.Metrics.Candidates)
+					first = append(first, res.Metrics.Initial)
+				}
+			}
+			slices.Sort(first)
+			b.ReportMetric(float64(first[len(first)/2].Microseconds()), "first-us")
+			b.ReportMetric(float64(nodes)/float64(b.N), "rtree-nodes/op")
+			b.ReportMetric(float64(cands)/float64(b.N), "candidates/op")
 		})
 	}
 }

@@ -369,16 +369,16 @@ func dropDominatedDuplicates(res *Result) {
 	snap := make([]SkylinePoint, len(res.Skyline))
 	copy(snap, res.Skyline)
 	keep := res.Skyline[:0]
-	for i, p := range snap {
+	for i := range snap {
 		dominated := false
-		for j, o := range snap {
-			if i != j && skyline.Dominates(o.Vec, p.Vec) {
+		for j := range snap {
+			if i != j && skyline.Dominates(snap[j].Vec, snap[i].Vec) {
 				dominated = true
 				break
 			}
 		}
 		if !dominated {
-			keep = append(keep, p)
+			keep = append(keep, snap[i])
 		}
 	}
 	res.Skyline = keep

@@ -140,7 +140,8 @@ func edc(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) 
 	// and strict dominance is transitive, so whatever any vector computed so
 	// far dominates, a member dominates.
 	var front [][]float64
-	fetched := make(map[graph.ObjectID]bool)
+	fetched := make([]bool, len(env.Objects)) // seeds and window candidates, by id
+	win := newEDCWindow(env, qPts, q.UseAttrs, fetched)
 	candVec := make(map[graph.ObjectID][]float64) // undetermined candidates, all on the front when they joined
 
 	// eVec computes the full Euclidean vector of an object (distances plus
@@ -173,7 +174,7 @@ func edc(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) 
 		func(r geom.Rect) float64 { return sum(lbVec(r)) },
 		func(e rtree.Entry) float64 { return sum(eVec(e)) },
 		func(r geom.Rect) bool { return beyondShifted(lbVec(r)) },
-		func(e rtree.Entry) bool { return fetched[graph.ObjectID(e.ID)] || beyondShifted(eVec(e)) },
+		func(e rtree.Entry) bool { return fetched[e.ID] || beyondShifted(eVec(e)) },
 	)
 
 	// admit files a fetched object's exact vector. One that is all +Inf or
@@ -271,12 +272,6 @@ func edc(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) 
 		}
 	}
 
-	// batch is a window's unfetched objects, each with its largest
-	// Euclidean distance to a query point.
-	type windowCand struct {
-		id  graph.ObjectID
-		far float64
-	}
 	var batch []windowCand
 	for {
 		// The A* searchers check cancellation every K settlements inside
@@ -301,29 +296,13 @@ func edc(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) 
 		shifted = append(shifted, pbar)
 
 		// Window query: every object inside the hypercube [0, pbar] joins
-		// the candidate set (paper step 3). The R-tree descends on the
-		// spatial dimensions; attributes are checked exactly per entry.
-		batch = batch[:0]
+		// the candidate set (paper step 3).
 		probe.begin(obs.PhaseEDCWindow)
-		env.ObjTree.SearchFunc(
-			func(r geom.Rect) bool {
-				for i, qp := range qPts {
-					if r.MinDist(qp) > pbar[i] {
-						return false
-					}
-				}
-				return true
-			},
-			func(e rtree.Entry) bool {
-				if oid := graph.ObjectID(e.ID); !fetched[oid] {
-					if ev := eVec(e); skyline.DominatesOrEqual(ev, pbar) {
-						batch = append(batch, windowCand{oid, slices.Max(ev[:n])})
-					}
-				}
-				return true
-			},
-		)
+		batch = win.collect(pbar, batch[:0])
 		probe.end()
+		if testHookEDCWindow != nil {
+			testHookEDCWindow(win, pbar, batch)
+		}
 		// Verify farthest-first: once the widest candidate has expanded the
 		// searchers, nearer candidates complete via the settled-endpoints
 		// shortcut without re-keying a frontier.
@@ -352,4 +331,129 @@ func edc(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) 
 	probe.finish(&m)
 	res.Metrics = m
 	return res, nil
+}
+
+// windowCand is a window's unfetched object with its largest Euclidean
+// distance to a query point.
+type windowCand struct {
+	id  graph.ObjectID
+	far float64
+}
+
+// testHookEDCWindow, set only by tests, sees each window's batch before it
+// is sorted, with the window that collected it and its p-bar.
+var testHookEDCWindow func(w *edcWindow, pbar []float64, batch []windowCand)
+
+// edcWindow is EDC's window query (paper step 3) over one query's seeds: a
+// window fetches every unfetched object whose Euclidean vector is at most
+// p-bar, descending into the R-tree nodes whose MinDist vector to the query
+// points is at most p-bar's spatial part. Neither vector depends on p-bar,
+// so each distance is computed the first time a window's test reads it
+// (query point by query point, stopping at the first beyond p-bar) and kept
+// for the query: the first window computes no more distances than a walk
+// without the memo, and later ones are mostly comparisons. The
+// stores grow with the nodes and leaves the windows reach, not with |D|.
+type edcWindow struct {
+	env     *Env
+	qPts    []geom.Point
+	attrs   int     // attribute dimensions compared: 0 without UseAttrs
+	fetched []bool  // by object id, shared with edc
+	node    vecMemo // MinDist vectors by node id
+	entry   vecMemo // Euclidean distances by leaf-order position
+	fills   int     // distances computed: at most |Q| per node and entry
+
+	pbar  []float64    // the window being collected
+	batch []windowCand // its members so far
+}
+
+func newEDCWindow(env *Env, qPts []geom.Point, useAttrs bool, fetched []bool) *edcWindow {
+	n := len(qPts)
+	return &edcWindow{
+		env:     env,
+		qPts:    qPts,
+		attrs:   env.vectorDims(n, useAttrs) - n,
+		fetched: fetched,
+		node:    newVecMemo(env.ObjTree.NumNodes(), n),
+		entry:   newVecMemo(env.ObjTree.Len(), n),
+	}
+}
+
+// collect appends to batch, in the tree's depth-first leaf order, every
+// unfetched object inside the hypercube [0, pbar]. The R-tree descends on
+// the spatial dimensions; entries are tested on all of them, attributes
+// last. A point entry's MinDist equals its distance, so the entry test
+// implies the one its own rectangle would pass.
+func (w *edcWindow) collect(pbar []float64, batch []windowCand) []windowCand {
+	w.pbar, w.batch = pbar, batch
+	w.env.ObjTree.SearchFunc(w.descend, w.visit)
+	batch, w.pbar, w.batch = w.batch, nil, nil
+	return batch
+}
+
+func (w *edcWindow) descend(id int, r geom.Rect) bool {
+	lb := w.node.at(id)
+	for i, qp := range w.qPts {
+		if lb[i] == unfilled {
+			lb[i] = r.MinDist(qp)
+			w.fills++
+		}
+		if lb[i] > w.pbar[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func (w *edcWindow) visit(pos int, e rtree.Entry) bool {
+	if w.fetched[e.ID] {
+		return true
+	}
+	ev := w.entry.at(pos)
+	for i, qp := range w.qPts {
+		if ev[i] == unfilled {
+			ev[i] = e.Point().Dist(qp)
+			w.fills++
+		}
+		if ev[i] > w.pbar[i] {
+			return true
+		}
+	}
+	id := graph.ObjectID(e.ID)
+	if skyline.DominatesOrEqual(w.env.Objects[id].Attrs[:w.attrs], w.pbar[len(ev):]) {
+		w.batch = append(w.batch, windowCand{id, slices.Max(ev)})
+	}
+	return true
+}
+
+// memoBlock is the number of vectors a vecMemo allocates at once.
+const memoBlock = 64
+
+// unfilled marks a vecMemo value not computed yet: distances are never
+// negative.
+const unfilled = -1
+
+// vecMemo keeps one vector of n float64s per dense index, each value
+// computed by the caller on first use. Storage comes in blocks of memoBlock
+// vectors, each allocated when an index inside it is first asked for.
+type vecMemo struct {
+	n      int
+	blocks [][]float64 // nil until first asked for
+}
+
+func newVecMemo(size, n int) vecMemo {
+	return vecMemo{n: n, blocks: make([][]float64, (size+memoBlock-1)/memoBlock)}
+}
+
+// at returns index i's vector, whose values are unfilled until the caller
+// fills them.
+func (m *vecMemo) at(i int) []float64 {
+	b := m.blocks[uint(i)/memoBlock]
+	if b == nil {
+		b = make([]float64, memoBlock*m.n)
+		for j := range b {
+			b[j] = unfilled
+		}
+		m.blocks[uint(i)/memoBlock] = b
+	}
+	return b[uint(i)%memoBlock*uint(m.n):][:m.n]
 }

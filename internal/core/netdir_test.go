@@ -578,6 +578,64 @@ func TestQueryCorruptAdjacency(t *testing.T) {
 	}))
 }
 
+// B+-tree pages are page bytes too: an entry count with no room on its page
+// must fail the query that reads it with ErrCorrupt, not panic it. Every page
+// of middlelayer.index.pages claims 0xFFFF entries, so CE's first
+// middle-layer probe trips it. EDC and LBC reach objects through the R-tree
+// and never probe the middle layer, so they must answer exactly as on the
+// intact directory. Each runs on the file and mmap backends.
+//
+// Seeded mutation: dropping the count check from bptree.Tree.Get fails it
+// (CE panics with a slice bound out of range).
+func TestQueryCorruptIndex(t *testing.T) {
+	nd := buildNetDir(t, 2605, 400, 300, 0)
+	img := bytes.Clone(nd.files[fileTreePages])
+	for off := 0; off < len(img); off += storage.PageSize {
+		binary.LittleEndian.PutUint16(img[off+1:], 0xFFFF)
+	}
+	dir := t.TempDir()
+	nd.copyTo(t, dir, map[string][]byte{fileTreePages: img})
+	rng := rand.New(rand.NewSource(2605))
+	q := Query{Points: testnet.RandomLocations(rng, nd.g, 3)}
+	intact, err := OpenEnv(nd.dir, EnvConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer intact.Close()
+	for _, backend := range []storage.Backend{storage.BackendFile, storage.BackendMmap} {
+		env, err := OpenEnv(dir, EnvConfig{Backend: backend})
+		if err != nil {
+			t.Fatalf("%v: OpenEnv: %v", backend, err)
+		}
+		for _, alg := range []Algorithm{AlgCE, AlgEDC, AlgLBC} {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%v %v: the query panicked: %v", backend, alg, r)
+					}
+				}()
+				res, err := Run(context.Background(), env, q, alg, Options{ColdCache: true})
+				if alg == AlgCE {
+					if !errors.Is(err, ErrCorrupt) {
+						t.Errorf("%v %v: error %v, want ErrCorrupt", backend, alg, err)
+					}
+					return
+				}
+				want, werr := Run(context.Background(), intact, q, alg, Options{ColdCache: true})
+				if err != nil || werr != nil {
+					t.Fatalf("%v %v: error %v (intact: %v)", backend, alg, err, werr)
+				}
+				if err := sameSkyline(res, want); err != nil {
+					t.Errorf("%v %v: against the intact directory: %v", backend, alg, err)
+				}
+			}()
+		}
+		if err := env.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // What OpenEnv validates beyond sizes and checksums, each on a slab whose
 // sizes and checksums are all in order: the bytes are wrong only in what
 // they say.
@@ -989,7 +1047,7 @@ func checkObjTree(tree *rtree.Tree, n int) error {
 	}
 	seen := make([]bool, n)
 	var err error
-	tree.SearchFunc(func(geom.Rect) bool { return true }, func(e rtree.Entry) bool {
+	tree.SearchFunc(func(int, geom.Rect) bool { return true }, func(_ int, e rtree.Entry) bool {
 		if e.ID < 0 || int(e.ID) >= n || seen[e.ID] {
 			err = fmt.Errorf("entry %d out of range or twice", e.ID)
 			return false

@@ -5,29 +5,34 @@ import (
 	"roadskyline/internal/pqueue"
 )
 
-// SearchFunc visits entries under caller control: descend(rect) decides
-// whether a subtree (or leaf entry rectangle) can contain qualifying data,
-// and visit receives the surviving entries, returning false to stop. It
-// implements EDC's step-3 window query, where the window is a union of
-// intersections of disks and cannot be expressed as one rectangle.
-func (t *Tree) SearchFunc(descend func(geom.Rect) bool, visit func(Entry) bool) {
+// SearchFunc is EDC's step-3 window query, whose window is the hypercube
+// under a shifted vector and cannot be expressed as one rectangle. It walks
+// the tree depth first under caller control: descend(id, rect) decides
+// whether node id, with bounding rectangle rect, can hold qualifying
+// entries, and visit receives every entry of each leaf descended into, with
+// its position in the tree's leaf order, returning false to stop. Entries are
+// not passed to descend: visit tests them itself.
+//
+// Node ids are dense in [0, NumNodes()) and positions in [0, Len()), both
+// fixed when the tree is loaded, so a caller can keep per-node and per-entry
+// state in flat tables across many windows over one tree.
+func (t *Tree) SearchFunc(descend func(id int, r geom.Rect) bool, visit func(pos int, e Entry) bool) {
 	t.searchFuncNode(t.root, descend, visit)
 }
 
-func (t *Tree) searchFuncNode(n *node, descend func(geom.Rect) bool, visit func(Entry) bool) bool {
+func (t *Tree) searchFuncNode(n *node, descend func(int, geom.Rect) bool, visit func(int, Entry) bool) bool {
 	t.visits.Add(1)
 	if n.leaf {
-		for _, e := range n.entries {
-			if descend(e.Rect) {
-				if !visit(e) {
-					return false
-				}
+		first := int(n.id) * t.fanout // leaf k holds positions [k*fanout, ...)
+		for i, e := range n.entries {
+			if !visit(first+i, e) {
+				return false
 			}
 		}
 		return true
 	}
 	for _, c := range n.children {
-		if descend(c.rect) {
+		if descend(int(c.id), c.rect) {
 			if !t.searchFuncNode(c, descend, visit) {
 				return false
 			}

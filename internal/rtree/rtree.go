@@ -3,8 +3,8 @@
 //
 //   - STR bulk loading: the object set is static, so the tree is packed
 //     once and never modified;
-//   - window queries with caller-supplied descend/accept predicates (used
-//     for EDC's intersection-of-disks candidate retrieval);
+//   - window queries with a caller-supplied descend predicate over dense
+//     node ids (used for EDC's window, which memoizes per node and entry);
 //   - a best-first incremental nearest-neighbor iterator with pop-time
 //     pruning (used for LBC's dominance-constrained Euclidean NN stream);
 //   - a BBS-style multi-source Euclidean skyline iterator (paper
@@ -42,6 +42,7 @@ func (e Entry) Point() geom.Point { return e.Rect.Center() }
 
 type node struct {
 	rect     geom.Rect
+	id       int32 // dense, leaves first in leaf order (see LoadSorted)
 	leaf     bool
 	entries  []Entry // when leaf
 	children []*node // when internal
@@ -54,6 +55,7 @@ type Tree struct {
 	root   *node
 	fanout int
 	size   int
+	nodes  int
 	visits *atomic.Int64 // atomic: concurrent readers share the tree
 }
 
@@ -62,6 +64,10 @@ const minFanout = 4
 
 // Len returns the number of entries stored.
 func (t *Tree) Len() int { return t.size }
+
+// NumNodes returns the number of nodes, one more than the largest node id
+// SearchFunc passes to descend.
+func (t *Tree) NumNodes() int { return t.nodes }
 
 // Bounds returns the bounding rectangle of all entries.
 func (t *Tree) Bounds() geom.Rect { return t.root.rect }
@@ -125,11 +131,16 @@ func SortSTR(entries []Entry, fanout int) {
 // order for this fanout: it cuts them into leaves and packs the upper
 // levels, sorting nodes but never entries. The tree keeps the slice (leaves
 // are sub-slices of it).
+//
+// Nodes are numbered densely as they are made: leaf k, which holds the
+// entries at positions [k*fanout, (k+1)*fanout) of the slice, is node k, and
+// the upper levels follow from the leaves' count up to the root.
 func LoadSorted(entries []Entry, fanout int) *Tree {
 	t := &Tree{
 		root:   &node{leaf: true, rect: geom.EmptyRect()},
 		fanout: max(fanout, minFanout),
 		size:   len(entries),
+		nodes:  1,
 		visits: new(atomic.Int64),
 	}
 	if len(entries) == 0 {
@@ -138,15 +149,19 @@ func LoadSorted(entries []Entry, fanout int) *Tree {
 	leaves := make([]*node, 0, (len(entries)+t.fanout-1)/t.fanout)
 	for o := 0; o < len(entries); o += t.fanout {
 		oe := min(o+t.fanout, len(entries))
-		leaf := &node{leaf: true, entries: entries[o:oe]}
+		leaf := &node{leaf: true, id: int32(len(leaves)), entries: entries[o:oe]}
 		leaf.recomputeRect()
 		leaves = append(leaves, leaf)
 	}
-	t.root = strPackUp(leaves, t.fanout)
+	t.root, t.nodes = strPackUp(leaves, t.fanout)
 	return t
 }
 
-func strPackUp(level []*node, fanout int) *node {
+// strPackUp packs level into parents until one root is left, numbering each
+// new node after the nodes of level, and returns the root and the number of
+// nodes in the tree.
+func strPackUp(level []*node, fanout int) (*node, int) {
+	count := len(level)
 	for len(level) > 1 {
 		numNodes := (len(level) + fanout - 1) / fanout
 		numSlices := int(math.Ceil(math.Sqrt(float64(numNodes))))
@@ -169,14 +184,15 @@ func strPackUp(level []*node, fanout int) *node {
 				if oe > len(slice) {
 					oe = len(slice)
 				}
-				n := &node{children: append([]*node(nil), slice[o:oe]...)}
+				n := &node{id: int32(count), children: append([]*node(nil), slice[o:oe]...)}
 				n.recomputeRect()
 				next = append(next, n)
+				count++
 			}
 		}
 		level = next
 	}
-	return level[0]
+	return level[0], count
 }
 
 func (n *node) recomputeRect() {

@@ -43,7 +43,10 @@ func TestSearchWindow(t *testing.T) {
 			geom.Point{X: rng.Float64(), Y: rng.Float64()},
 		)
 		got := map[int32]bool{}
-		tr.SearchFunc(w.Intersects, func(e Entry) bool { got[e.ID] = true; return true })
+		tr.SearchFunc(func(_ int, r geom.Rect) bool { return w.Intersects(r) }, func(_ int, e Entry) bool {
+			got[e.ID] = w.Intersects(e.Rect)
+			return true
+		})
 		for _, e := range entries {
 			want := w.Intersects(e.Rect)
 			if got[e.ID] != want {
@@ -58,7 +61,7 @@ func TestSearchEarlyStop(t *testing.T) {
 	tr := BulkLoad(randomPoints(rng, 500), 16)
 	count := 0
 	all := geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
-	tr.SearchFunc(all.Intersects, func(Entry) bool {
+	tr.SearchFunc(func(_ int, r geom.Rect) bool { return all.Intersects(r) }, func(int, Entry) bool {
 		count++
 		return count < 7
 	})
@@ -74,17 +77,69 @@ func TestSearchFuncDisks(t *testing.T) {
 	// Intersection of two disks, the EDC step-3 shape.
 	c1, r1 := geom.Point{X: 0.3, Y: 0.3}, 0.4
 	c2, r2 := geom.Point{X: 0.7, Y: 0.6}, 0.5
-	descend := func(r geom.Rect) bool {
+	descend := func(_ int, r geom.Rect) bool {
 		return r.MinDist(c1) <= r1 && r.MinDist(c2) <= r2
 	}
 	got := map[int32]bool{}
-	tr.SearchFunc(descend, func(e Entry) bool { got[e.ID] = true; return true })
+	tr.SearchFunc(descend, func(_ int, e Entry) bool {
+		got[e.ID] = descend(0, e.Rect)
+		return true
+	})
 	for _, e := range entries {
 		p := e.Point()
 		want := p.Dist(c1) <= r1 && p.Dist(c2) <= r2
 		if got[e.ID] != want {
 			t.Fatalf("entry %d at %v: got %v, want %v", e.ID, p, got[e.ID], want)
 		}
+	}
+}
+
+// TestSearchFuncIDs: SearchFunc passes every node but the root to descend
+// once under a distinct id in [0, NumNodes()), the root being the last id,
+// and every entry to visit once at its position in the slice LoadSorted was
+// given, right after descend accepted its leaf, leaf k holding positions
+// [k*fanout, (k+1)*fanout).
+func TestSearchFuncIDs(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, c := range []struct{ n, fanout int }{{0, 4}, {1, 4}, {4, 4}, {5, 4}, {17, 4}, {100, 4}, {1000, 16}, {12345, DefaultFanout}} {
+		entries := randomPoints(rng, c.n)
+		SortSTR(entries, c.fanout)
+		tr := LoadSorted(slices.Clone(entries), c.fanout)
+		rects := make([]geom.Rect, tr.NumNodes())
+		seen := make([]bool, tr.NumNodes())
+		seen[tr.NumNodes()-1] = true // the root
+		leaf := 0
+		pos := make([]bool, c.n)
+		tr.SearchFunc(func(id int, r geom.Rect) bool {
+			if id < 0 || id >= tr.NumNodes() || seen[id] {
+				t.Fatalf("n=%d: node id %d out of [0, %d) or passed twice", c.n, id, tr.NumNodes())
+			}
+			seen[id], rects[id], leaf = true, r, id
+			return true
+		}, func(p int, e Entry) bool {
+			if p < 0 || p >= c.n || pos[p] || e != entries[p] {
+				t.Fatalf("n=%d: entry %d at position %d, slice holds %d there", c.n, e.ID, p, entries[max(0, min(p, c.n-1))].ID)
+			}
+			if p/c.fanout != leaf {
+				t.Fatalf("n=%d: position %d visited in leaf %d", c.n, p, leaf)
+			}
+			pos[p] = true
+			return true
+		})
+		if i := slices.Index(seen, false); i >= 0 {
+			t.Fatalf("n=%d: node %d of %d never passed to descend", c.n, i, tr.NumNodes())
+		}
+		if i := slices.Index(pos, false); i >= 0 {
+			t.Fatalf("n=%d: position %d never visited", c.n, i)
+		}
+		// The ids are the tree's, not the walk's: a second walk names the
+		// same rectangles.
+		tr.SearchFunc(func(id int, r geom.Rect) bool {
+			if r != rects[id] {
+				t.Fatalf("n=%d: node %d is %v, was %v", c.n, id, r, rects[id])
+			}
+			return true
+		}, func(int, Entry) bool { return true })
 	}
 }
 
@@ -192,7 +247,7 @@ func TestNearestNeighborEmpty(t *testing.T) {
 	if _, _, ok := it.Next(); ok {
 		t.Error("empty iterator returned a neighbor")
 	}
-	tr.SearchFunc(func(geom.Rect) bool { return true }, func(e Entry) bool {
+	tr.SearchFunc(func(int, geom.Rect) bool { return true }, func(_ int, e Entry) bool {
 		t.Errorf("empty tree visited entry %d", e.ID)
 		return true
 	})
@@ -277,7 +332,7 @@ func TestNodeAccessesCounting(t *testing.T) {
 	tr := BulkLoad(randomPoints(rng, 2000), 16)
 	tr.ResetNodeAccesses()
 	w := geom.Rect{MinX: 0.4, MinY: 0.4, MaxX: 0.6, MaxY: 0.6}
-	tr.SearchFunc(w.Intersects, func(Entry) bool { return true })
+	tr.SearchFunc(func(_ int, r geom.Rect) bool { return w.Intersects(r) }, func(int, Entry) bool { return true })
 	if tr.NodeAccesses() == 0 {
 		t.Error("window query counted no node accesses")
 	}
@@ -338,7 +393,7 @@ func TestEntriesSortedStability(t *testing.T) {
 	tr := BulkLoad(entries, 4)
 	var ids []int32
 	all := geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
-	tr.SearchFunc(all.Intersects, func(e Entry) bool {
+	tr.SearchFunc(func(_ int, r geom.Rect) bool { return all.Intersects(r) }, func(_ int, e Entry) bool {
 		ids = append(ids, e.ID)
 		return true
 	})

@@ -129,6 +129,32 @@ func TestUntracedQueriesStayInvisible(t *testing.T) {
 	}
 }
 
+// waitForWaitRoles polls the in-flight view until want of its queries show
+// role wait together with the leader they wait on, and returns that view.
+// distcache counts a waiter before its trace takes the role (tr.SetWaiting
+// in core's query.go), and SetWaiting stores the leader last, so a view that
+// names the leader shows the whole of it.
+func waitForWaitRoles(t *testing.T, eng *Engine, want int) []InflightQuery {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		live := eng.InflightQueries()
+		waiting := 0
+		for _, q := range live {
+			if q.Role == obs.RoleWait && q.WaitingOn != "" {
+				waiting++
+			}
+		}
+		if waiting == want {
+			return live
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %d queries in role %q, have %d: %+v", want, obs.RoleWait, waiting, live)
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+}
+
 // TestWavefrontTraceWaitsOnLeader: K identical CE queries hit one point
 // concurrently on a sharing engine, the leader held at its gate until
 // every waiter is parked. Afterward each waiter's trace must carry a
@@ -162,8 +188,9 @@ func TestWavefrontTraceWaitsOnLeader(t *testing.T) {
 	waitForWaiting(t, eng, K-1)
 
 	// All K queries are live and parked: the leader at its gate holding
-	// the flight, the subscribers blocked on it. Snapshot the live view.
-	live := eng.InflightQueries()
+	// the flight, the subscribers blocked on it. Snapshot the live view
+	// once it shows them so.
+	live := waitForWaitRoles(t, eng, K-1)
 	if len(live) != K {
 		t.Errorf("in-flight view shows %d queries, want %d: %+v", len(live), K, live)
 	}
