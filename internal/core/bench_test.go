@@ -336,3 +336,42 @@ func BenchmarkEDCWindow(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkServeOpenMix times whole queries of each algorithm at
+// serve_open's shape: CA, |Q| = 2 with one attribute, 49 query sets in 10%
+// regions, warm buffers, default options. One op answers every set once.
+// nodes/q, cands/q and sky/q are the work per query, which must be equal
+// on both sides of a change that claims only CPU. It is the in-package pair
+// of serve_open's cpu_ms_per_query and uses nothing but Run, so the same
+// file times a parent commit too.
+func BenchmarkServeOpenMix(b *testing.B) {
+	const nq, attrs, sets = 2, 1, 49
+	ctx := context.Background()
+	env := pinCA.env(b, attrs)
+	queries := make([]Query, sets)
+	for i := range queries {
+		queries[i] = Query{Points: gen.QueryPoints(env.G, nq, 0.1, int64(1+i)), UseAttrs: true}
+	}
+	for _, alg := range []Algorithm{AlgCE, AlgEDC, AlgLBC} {
+		b.Run(alg.String(), func(b *testing.B) {
+			var nodes, cands, sky int
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, q := range queries {
+					res, err := Run(ctx, env, q, alg, Options{})
+					if err != nil {
+						b.Fatal(err)
+					}
+					nodes += res.Metrics.NodesExpanded
+					cands += res.Metrics.Candidates
+					sky += len(res.Skyline)
+				}
+			}
+			perQuery := float64(b.N * sets)
+			b.ReportMetric(float64(nodes)/perQuery, "nodes/q")
+			b.ReportMetric(float64(cands)/perQuery, "cands/q")
+			b.ReportMetric(float64(sky)/perQuery, "sky/q")
+		})
+	}
+}

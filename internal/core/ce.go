@@ -141,15 +141,20 @@ func ce(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) {
 	// phase ends (the first fully visited object dominates the unseen
 	// region); with attributes a far-but-cheap object can still join, so
 	// admission continues until a skyline point also dominates the best
-	// possible attribute vector.
+	// possible attribute vector. Every object's attributes are at least
+	// minAttrs, so only a skyline point whose attributes equal minAttrs can
+	// do that: stoppers keeps those, and they decide exactly as all of
+	// skyVecs would. Without attributes every skyline point is one.
+	var stoppers [][]float64
 	newLB := make([]float64, dims)
+	copy(newLB[n:], minAttrs)
 	stopAdmitting := func() bool {
-		if len(skyVecs) == 0 {
-			return false
-		}
 		copy(newLB, lastDist)
-		copy(newLB[n:], minAttrs)
-		return skyline.DominatedBy(newLB, skyVecs)
+		stop := skyline.DominatedBy(newLB, stoppers)
+		if testHookCEStop != nil {
+			testHookCEStop(newLB, skyVecs, stoppers, stop)
+		}
+		return stop
 	}
 
 	lbVec := make([]float64, dims)
@@ -174,6 +179,9 @@ func ce(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) {
 			return
 		}
 		skyVecs = append(skyVecs, c.vec)
+		if slices.Equal(c.vec[n:], minAttrs) {
+			stoppers = append(stoppers, c.vec)
+		}
 		res.Skyline = append(res.Skyline, SkylinePoint{
 			Object: env.Objects[c.id],
 			Dists:  c.vec[:n:n],
@@ -356,6 +364,11 @@ func ce(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) {
 	res.Metrics = m
 	return res, nil
 }
+
+// testHookCEStop, set only by tests, sees each admission decision: the
+// vector of the best unseen object, every skyline vector so far, the
+// stoppers the decision read and the decision.
+var testHookCEStop func(lb []float64, skyVecs, stoppers [][]float64, stop bool)
 
 // dropDominatedDuplicates removes reported skyline points dominated by
 // later-reported ones. This only ever fires when exact distance ties let an

@@ -1047,12 +1047,14 @@ func checkObjTree(tree *rtree.Tree, n int) error {
 	}
 	seen := make([]bool, n)
 	var err error
-	tree.SearchFunc(func(int, geom.Rect) bool { return true }, func(_ int, e rtree.Entry) bool {
-		if e.ID < 0 || int(e.ID) >= n || seen[e.ID] {
-			err = fmt.Errorf("entry %d out of range or twice", e.ID)
-			return false
+	tree.SearchFunc(func(int, geom.Rect) bool { return true }, func(_ int, leaf []rtree.Entry) bool {
+		for _, e := range leaf {
+			if e.ID < 0 || int(e.ID) >= n || seen[e.ID] {
+				err = fmt.Errorf("entry %d out of range or twice", e.ID)
+				return false
+			}
+			seen[e.ID] = true
 		}
-		seen[e.ID] = true
 		return true
 	})
 	for id, ok := range seen {

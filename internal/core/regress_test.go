@@ -321,9 +321,9 @@ func TestRunCancelledContext(t *testing.T) {
 // scoring used to share one scratch slice, so interleaving them — exactly
 // what the best-first traversal does when it scores a leaf entry, descends
 // into a sibling subtree, and compares against the earlier entry vector —
-// silently clobbered the earlier vector. Entry and rect vectors now fill
-// separate buffers; this test interleaves the two scorers and checks the
-// first result survives the second call.
+// silently clobbered the earlier vector. The seed stream now reads both
+// from the window's memo (edcWindow.entryVec and nodeLB); this test
+// interleaves the two and checks each result survives the other call.
 func TestEDCVectorBuffersIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	g := testnet.RandomGraph(rng, 40)
@@ -335,32 +335,31 @@ func TestEDCVectorBuffersIndependent(t *testing.T) {
 		qPts[i] = g.Point(l)
 	}
 	dims := env.vectorDims(len(qPts), true)
+	w := newEDCWindow(env, qPts, true, make([]bool, len(objs)))
+	var entries []rtree.Entry // in leaf order: entries[pos] is at position pos
+	env.ObjTree.SearchFunc(func(int, geom.Rect) bool { return true }, func(_ int, leaf []rtree.Entry) bool {
+		entries = append(entries, leaf...)
+		return true
+	})
+	root := env.ObjTree.NumNodes() - 1
+	rect := env.ObjTree.Bounds()
 
-	// The same closure pair edc builds for its best-first traversal.
-	eBuf := make([]float64, dims)
-	lbBuf := make([]float64, dims)
-	eVec := func(e rtree.Entry) []float64 { return euclidVec(env, true, qPts, eBuf, e) }
-	lbVec := func(r geom.Rect) []float64 { return rectLowerBoundVec(qPts, lbBuf, r) }
-
-	entry := rtree.Entry{Rect: geom.RectFromPoint(g.Point(objs[0].Loc)), ID: int32(objs[0].ID)}
-	rect := geom.RectFromPoints(geom.Point{X: -50, Y: -50}, geom.Point{X: 50, Y: 50})
-
-	v := eVec(entry)
+	v := w.entryVec(0, &entries[0])
 	want := append([]float64(nil), v...)
 	// Pin the entry vector's contents independently of the helper.
-	p := entry.Point()
+	p := entries[0].Point()
 	for i, qp := range qPts {
 		if v[i] != p.Dist(qp) {
 			t.Fatalf("entry vec dim %d = %v, want Euclidean %v", i, v[i], p.Dist(qp))
 		}
 	}
-	for i, a := range objs[0].Attrs {
+	for i, a := range objs[entries[0].ID].Attrs {
 		if v[len(qPts)+i] != a {
 			t.Fatalf("entry vec attr dim %d = %v, want %v", i, v[len(qPts)+i], a)
 		}
 	}
 
-	lb := lbVec(rect) // with shared scratch this overwrote v in place
+	lb := w.nodeLB(root, rect) // with shared scratch this overwrote v in place
 	for i := range want {
 		if v[i] != want[i] {
 			t.Fatalf("rect scoring clobbered entry vector: dim %d changed %v -> %v", i, want[i], v[i])
@@ -380,7 +379,7 @@ func TestEDCVectorBuffersIndependent(t *testing.T) {
 	// And the reverse interleaving: an entry score must not disturb a rect
 	// lower-bound vector being held across it.
 	lbWant := append([]float64(nil), lb...)
-	_ = eVec(rtree.Entry{Rect: geom.RectFromPoint(g.Point(objs[1].Loc)), ID: int32(objs[1].ID)})
+	_ = w.entryVec(1, &entries[1])
 	for i := range lbWant {
 		if lb[i] != lbWant[i] {
 			t.Fatalf("entry scoring clobbered rect vector: dim %d changed %v -> %v", i, lbWant[i], lb[i])

@@ -34,9 +34,11 @@ func BenchmarkWindowQuery(b *testing.B) {
 		x, y := rng.Float64()*0.9, rng.Float64()*0.9
 		w := geom.Rect{MinX: x, MinY: y, MaxX: x + 0.1, MaxY: y + 0.1}
 		count := 0
-		tr.SearchFunc(func(_ int, r geom.Rect) bool { return w.Intersects(r) }, func(_ int, e Entry) bool {
-			if w.Intersects(e.Rect) {
-				count++
+		tr.SearchFunc(func(_ int, r geom.Rect) bool { return w.Intersects(r) }, func(_ int, leaf []Entry) bool {
+			for _, e := range leaf {
+				if w.Intersects(e.Rect) {
+					count++
+				}
 			}
 			return true
 		})

@@ -10,28 +10,30 @@ import (
 // NodeKey must lower-bound the EntryKey of everything inside the node's
 // rectangle. Prune callbacks run at pop time, so they may become stricter
 // as the caller learns more (EDC's candidate-space enumeration prunes with
-// the shifted vectors accumulated so far).
+// the shifted vectors accumulated so far). Nodes come with their ids and
+// entries with their leaf-order positions, as SearchFunc passes them, so a
+// caller can read its keys from state it keeps per node and entry.
 type BestFirst struct {
 	tree *Tree
 	heap *pqueue.Queue[nnItem]
 
 	// NodeKey returns the traversal key lower bound of a subtree MBR.
-	nodeKey func(geom.Rect) float64
+	nodeKey func(id int, r geom.Rect) float64
 	// EntryKey returns the traversal key of a leaf entry.
-	entryKey func(Entry) float64
+	entryKey func(pos int, e Entry) float64
 	// PruneNode reports that no entry below this MBR can qualify.
-	pruneNode func(geom.Rect) bool
+	pruneNode func(id int, r geom.Rect) bool
 	// PruneEntry reports that this entry does not qualify.
-	pruneEntry func(Entry) bool
+	pruneEntry func(pos int, e Entry) bool
 }
 
 // NewBestFirst returns a best-first iterator. nodeKey and entryKey are
 // required; pruneNode and pruneEntry may be nil.
 func (t *Tree) NewBestFirst(
-	nodeKey func(geom.Rect) float64,
-	entryKey func(Entry) float64,
-	pruneNode func(geom.Rect) bool,
-	pruneEntry func(Entry) bool,
+	nodeKey func(id int, r geom.Rect) float64,
+	entryKey func(pos int, e Entry) float64,
+	pruneNode func(id int, r geom.Rect) bool,
+	pruneEntry func(pos int, e Entry) bool,
 ) *BestFirst {
 	it := &BestFirst{
 		tree:       t,
@@ -42,7 +44,7 @@ func (t *Tree) NewBestFirst(
 		pruneEntry: pruneEntry,
 	}
 	if t.size > 0 {
-		it.heap.Push(nnItem{node: t.root}, nodeKey(t.root.rect))
+		it.heap.Push(nodeItem(t.root), nodeKey(int(t.root.id), t.root.rect))
 	}
 	return it
 }
@@ -51,30 +53,32 @@ func (t *Tree) NewBestFirst(
 func (it *BestFirst) Next() (Entry, float64, bool) {
 	for it.heap.Len() > 0 {
 		item, key := it.heap.Pop()
-		if item.node == nil {
-			if it.pruneEntry != nil && it.pruneEntry(item.entry) {
+		if item.isEntry() {
+			e := item.entry()
+			if it.pruneEntry != nil && it.pruneEntry(int(item.node.id)*it.tree.fanout+int(item.idx), e) {
 				continue
 			}
-			return item.entry, key, true
+			return e, key, true
 		}
 		n := item.node
-		if it.pruneNode != nil && it.pruneNode(n.rect) {
+		if it.pruneNode != nil && it.pruneNode(int(n.id), n.rect) {
 			continue
 		}
 		it.tree.visits.Add(1)
 		if n.leaf {
-			for _, e := range n.entries {
-				if it.pruneEntry != nil && it.pruneEntry(e) {
+			first := int(n.id) * it.tree.fanout
+			for i, e := range n.entries {
+				if it.pruneEntry != nil && it.pruneEntry(first+i, e) {
 					continue
 				}
-				it.heap.Push(nnItem{entry: e}, it.entryKey(e))
+				it.heap.Push(nnItem{n, int32(i)}, it.entryKey(first+i, e))
 			}
 		} else {
 			for _, c := range n.children {
-				if it.pruneNode != nil && it.pruneNode(c.rect) {
+				if it.pruneNode != nil && it.pruneNode(int(c.id), c.rect) {
 					continue
 				}
-				it.heap.Push(nnItem{node: c}, it.nodeKey(c.rect))
+				it.heap.Push(nodeItem(c), it.nodeKey(int(c.id), c.rect))
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package rtree
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -16,8 +17,8 @@ func TestBestFirstEqualsNN(t *testing.T) {
 	tr := BulkLoad(append([]Entry(nil), entries...), 16)
 	q := geom.Point{X: 0.3, Y: 0.7}
 	bf := tr.NewBestFirst(
-		func(r geom.Rect) float64 { return r.MinDist(q) },
-		func(e Entry) float64 { return e.Point().Dist(q) },
+		func(_ int, r geom.Rect) float64 { return r.MinDist(q) },
+		func(_ int, e Entry) float64 { return e.Point().Dist(q) },
 		nil, nil,
 	)
 	nn := tr.NewNNIterator(q, nil)
@@ -46,8 +47,8 @@ func TestBestFirstSumKeyOrder(t *testing.T) {
 	qs := []geom.Point{{X: 0.1, Y: 0.1}, {X: 0.9, Y: 0.9}}
 	key := func(p geom.Point) float64 { return p.Dist(qs[0]) + p.Dist(qs[1]) }
 	bf := tr.NewBestFirst(
-		func(r geom.Rect) float64 { return r.MinDist(qs[0]) + r.MinDist(qs[1]) },
-		func(e Entry) float64 { return key(e.Point()) },
+		func(_ int, r geom.Rect) float64 { return r.MinDist(qs[0]) + r.MinDist(qs[1]) },
+		func(_ int, e Entry) float64 { return key(e.Point()) },
 		nil, nil,
 	)
 	var got []float64
@@ -84,10 +85,10 @@ func TestBestFirstSplitPruning(t *testing.T) {
 	q := geom.Point{}
 	// Node prune: nothing (conservative); entry prune: odd ids.
 	bf := tr.NewBestFirst(
-		func(r geom.Rect) float64 { return r.MinDist(q) },
-		func(e Entry) float64 { return e.Point().Dist(q) },
+		func(_ int, r geom.Rect) float64 { return r.MinDist(q) },
+		func(_ int, e Entry) float64 { return e.Point().Dist(q) },
 		nil,
-		func(e Entry) bool { return e.ID%2 == 1 },
+		func(_ int, e Entry) bool { return e.ID%2 == 1 },
 	)
 	count := 0
 	for {
@@ -113,10 +114,10 @@ func TestBestFirstDynamicPrune(t *testing.T) {
 	q := geom.Point{}
 	cut := math.Inf(1)
 	bf := tr.NewBestFirst(
-		func(r geom.Rect) float64 { return r.MinDist(q) },
-		func(e Entry) float64 { return e.Point().Dist(q) },
-		func(r geom.Rect) bool { return r.MinDist(q) > cut },
-		func(e Entry) bool { return e.Point().Dist(q) > cut },
+		func(_ int, r geom.Rect) float64 { return r.MinDist(q) },
+		func(_ int, e Entry) float64 { return e.Point().Dist(q) },
+		func(_ int, r geom.Rect) bool { return r.MinDist(q) > cut },
+		func(_ int, e Entry) bool { return e.Point().Dist(q) > cut },
 	)
 	_, d, ok := bf.Next()
 	if !ok {
@@ -137,11 +138,51 @@ func TestBestFirstDynamicPrune(t *testing.T) {
 func TestBestFirstEmptyTree(t *testing.T) {
 	tr := BulkLoad(nil, 8)
 	bf := tr.NewBestFirst(
-		func(geom.Rect) float64 { return 0 },
-		func(Entry) float64 { return 0 },
+		func(int, geom.Rect) float64 { return 0 },
+		func(int, Entry) float64 { return 0 },
 		nil, nil,
 	)
 	if _, _, ok := bf.Next(); ok {
 		t.Fatal("empty tree returned an entry")
+	}
+}
+
+// TestBestFirstIDs: BestFirst passes every node with the id SearchFunc
+// gives it and every entry with its leaf-order position, to the key and to
+// the prune callbacks alike.
+func TestBestFirstIDs(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	entries := randomPoints(rng, 2000)
+	SortSTR(entries, 16)
+	tr := LoadSorted(slices.Clone(entries), 16)
+	rects := make([]geom.Rect, tr.NumNodes())
+	tr.SearchFunc(func(id int, r geom.Rect) bool {
+		rects[id] = r
+		return true
+	}, func(int, []Entry) bool { return true })
+	rects[tr.NumNodes()-1] = tr.Bounds()
+	node := func(id int, r geom.Rect) {
+		if r != rects[id] {
+			t.Fatalf("node %d passed as %v, SearchFunc's is %v", id, r, rects[id])
+		}
+	}
+	entry := func(pos int, e Entry) {
+		if e != entries[pos] {
+			t.Fatalf("entry %d passed at position %d, which holds %d", e.ID, pos, entries[pos].ID)
+		}
+	}
+	q := geom.Point{X: 0.3, Y: 0.6}
+	bf := tr.NewBestFirst(
+		func(id int, r geom.Rect) float64 { node(id, r); return r.MinDist(q) },
+		func(pos int, e Entry) float64 { entry(pos, e); return e.Point().Dist(q) },
+		func(id int, r geom.Rect) bool { node(id, r); return false },
+		func(pos int, e Entry) bool { entry(pos, e); return false },
+	)
+	count := 0
+	for _, _, ok := bf.Next(); ok; _, _, ok = bf.Next() {
+		count++
+	}
+	if count != len(entries) {
+		t.Fatalf("%d entries popped of %d", count, len(entries))
 	}
 }

@@ -69,6 +69,10 @@ func (t *Tree) Len() int { return t.size }
 // SearchFunc passes to descend.
 func (t *Tree) NumNodes() int { return t.nodes }
 
+// Fanout returns the capacity of a node: leaf k holds the leaf-order
+// positions [k*Fanout(), (k+1)*Fanout()).
+func (t *Tree) Fanout() int { return t.fanout }
+
 // Bounds returns the bounding rectangle of all entries.
 func (t *Tree) Bounds() geom.Rect { return t.root.rect }
 

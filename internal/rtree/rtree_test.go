@@ -43,8 +43,10 @@ func TestSearchWindow(t *testing.T) {
 			geom.Point{X: rng.Float64(), Y: rng.Float64()},
 		)
 		got := map[int32]bool{}
-		tr.SearchFunc(func(_ int, r geom.Rect) bool { return w.Intersects(r) }, func(_ int, e Entry) bool {
-			got[e.ID] = w.Intersects(e.Rect)
+		tr.SearchFunc(func(_ int, r geom.Rect) bool { return w.Intersects(r) }, func(_ int, leaf []Entry) bool {
+			for _, e := range leaf {
+				got[e.ID] = w.Intersects(e.Rect)
+			}
 			return true
 		})
 		for _, e := range entries {
@@ -56,17 +58,19 @@ func TestSearchWindow(t *testing.T) {
 	}
 }
 
+// TestSearchEarlyStop: a visit returning false ends the walk, so no later
+// leaf is visited.
 func TestSearchEarlyStop(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tr := BulkLoad(randomPoints(rng, 500), 16)
 	count := 0
 	all := geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
-	tr.SearchFunc(func(_ int, r geom.Rect) bool { return all.Intersects(r) }, func(int, Entry) bool {
+	tr.SearchFunc(func(_ int, r geom.Rect) bool { return all.Intersects(r) }, func(int, []Entry) bool {
 		count++
 		return count < 7
 	})
 	if count != 7 {
-		t.Fatalf("early stop visited %d", count)
+		t.Fatalf("early stop visited %d leaves", count)
 	}
 }
 
@@ -81,8 +85,10 @@ func TestSearchFuncDisks(t *testing.T) {
 		return r.MinDist(c1) <= r1 && r.MinDist(c2) <= r2
 	}
 	got := map[int32]bool{}
-	tr.SearchFunc(descend, func(_ int, e Entry) bool {
-		got[e.ID] = descend(0, e.Rect)
+	tr.SearchFunc(descend, func(_ int, leaf []Entry) bool {
+		for _, e := range leaf {
+			got[e.ID] = descend(0, e.Rect)
+		}
 		return true
 	})
 	for _, e := range entries {
@@ -95,38 +101,51 @@ func TestSearchFuncDisks(t *testing.T) {
 }
 
 // TestSearchFuncIDs: SearchFunc passes every node but the root to descend
-// once under a distinct id in [0, NumNodes()), the root being the last id,
-// and every entry to visit once at its position in the slice LoadSorted was
-// given, right after descend accepted its leaf, leaf k holding positions
-// [k*fanout, (k+1)*fanout).
+// once under a distinct id in [0, NumNodes()), the root's being the last
+// id, and each leaf to visit once, right after descend accepted it (a root
+// that is a leaf, without descend): leaf k, with the contiguous positions
+// [k*fanout, (k+1)*fanout) of the slice LoadSorted was given, as that
+// sub-slice.
+//
+// Seeded mutation: a leaf passed with its position counted from 1 fails the
+// slice check.
 func TestSearchFuncIDs(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, c := range []struct{ n, fanout int }{{0, 4}, {1, 4}, {4, 4}, {5, 4}, {17, 4}, {100, 4}, {1000, 16}, {12345, DefaultFanout}} {
 		entries := randomPoints(rng, c.n)
 		SortSTR(entries, c.fanout)
 		tr := LoadSorted(slices.Clone(entries), c.fanout)
+		if tr.Fanout() != c.fanout {
+			t.Fatalf("n=%d: Fanout() = %d, built at %d", c.n, tr.Fanout(), c.fanout)
+		}
 		rects := make([]geom.Rect, tr.NumNodes())
 		seen := make([]bool, tr.NumNodes())
-		seen[tr.NumNodes()-1] = true // the root
-		leaf := 0
+		root := tr.NumNodes() - 1
+		leaf := root
 		pos := make([]bool, c.n)
 		tr.SearchFunc(func(id int, r geom.Rect) bool {
-			if id < 0 || id >= tr.NumNodes() || seen[id] {
-				t.Fatalf("n=%d: node id %d out of [0, %d) or passed twice", c.n, id, tr.NumNodes())
+			if id < 0 || id >= root || seen[id] {
+				t.Fatalf("n=%d: node id %d out of [0, %d) or passed twice", c.n, id, root)
 			}
 			seen[id], rects[id], leaf = true, r, id
 			return true
-		}, func(p int, e Entry) bool {
-			if p < 0 || p >= c.n || pos[p] || e != entries[p] {
-				t.Fatalf("n=%d: entry %d at position %d, slice holds %d there", c.n, e.ID, p, entries[max(0, min(p, c.n-1))].ID)
+		}, func(first int, got []Entry) bool {
+			if first != leaf*c.fanout {
+				t.Fatalf("n=%d: leaf %d visited at position %d, want %d", c.n, leaf, first, leaf*c.fanout)
 			}
-			if p/c.fanout != leaf {
-				t.Fatalf("n=%d: position %d visited in leaf %d", c.n, p, leaf)
+			want := entries[first:min(first+c.fanout, c.n)]
+			if !slices.Equal(got, want) {
+				t.Fatalf("n=%d: leaf at position %d holds %d entries unlike the slice's %d there", c.n, first, len(got), len(want))
 			}
-			pos[p] = true
+			for p := first; p < first+len(got); p++ {
+				if pos[p] {
+					t.Fatalf("n=%d: position %d visited twice", c.n, p)
+				}
+				pos[p] = true
+			}
 			return true
 		})
-		if i := slices.Index(seen, false); i >= 0 {
+		if i := slices.Index(seen[:root], false); i >= 0 {
 			t.Fatalf("n=%d: node %d of %d never passed to descend", c.n, i, tr.NumNodes())
 		}
 		if i := slices.Index(pos, false); i >= 0 {
@@ -139,7 +158,7 @@ func TestSearchFuncIDs(t *testing.T) {
 				t.Fatalf("n=%d: node %d is %v, was %v", c.n, id, r, rects[id])
 			}
 			return true
-		}, func(int, Entry) bool { return true })
+		}, func(int, []Entry) bool { return true })
 	}
 }
 
@@ -247,8 +266,10 @@ func TestNearestNeighborEmpty(t *testing.T) {
 	if _, _, ok := it.Next(); ok {
 		t.Error("empty iterator returned a neighbor")
 	}
-	tr.SearchFunc(func(int, geom.Rect) bool { return true }, func(_ int, e Entry) bool {
-		t.Errorf("empty tree visited entry %d", e.ID)
+	tr.SearchFunc(func(int, geom.Rect) bool { return true }, func(_ int, leaf []Entry) bool {
+		if len(leaf) > 0 {
+			t.Errorf("empty tree visited entries %v", leaf)
+		}
 		return true
 	})
 }
@@ -332,7 +353,7 @@ func TestNodeAccessesCounting(t *testing.T) {
 	tr := BulkLoad(randomPoints(rng, 2000), 16)
 	tr.ResetNodeAccesses()
 	w := geom.Rect{MinX: 0.4, MinY: 0.4, MaxX: 0.6, MaxY: 0.6}
-	tr.SearchFunc(func(_ int, r geom.Rect) bool { return w.Intersects(r) }, func(int, Entry) bool { return true })
+	tr.SearchFunc(func(_ int, r geom.Rect) bool { return w.Intersects(r) }, func(int, []Entry) bool { return true })
 	if tr.NodeAccesses() == 0 {
 		t.Error("window query counted no node accesses")
 	}
@@ -393,8 +414,10 @@ func TestEntriesSortedStability(t *testing.T) {
 	tr := BulkLoad(entries, 4)
 	var ids []int32
 	all := geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
-	tr.SearchFunc(func(_ int, r geom.Rect) bool { return all.Intersects(r) }, func(_ int, e Entry) bool {
-		ids = append(ids, e.ID)
+	tr.SearchFunc(func(_ int, r geom.Rect) bool { return all.Intersects(r) }, func(_ int, leaf []Entry) bool {
+		for _, e := range leaf {
+			ids = append(ids, e.ID)
+		}
 		return true
 	})
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })

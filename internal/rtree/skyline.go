@@ -51,7 +51,7 @@ func (t *Tree) NewSkylineIterator(qs []geom.Point, opts *SkylineOptions) *Skylin
 	}
 	it.vec = make([]float64, len(qs)+it.opts.ExtraDims)
 	if t.size > 0 {
-		it.heap.Push(nnItem{node: t.root}, it.nodeKey(t.root.rect))
+		it.heap.Push(nodeItem(t.root), it.nodeKey(t.root.rect))
 	}
 	return it
 }
@@ -111,13 +111,14 @@ func (it *SkylineIterator) skip() bool {
 func (it *SkylineIterator) Next() (Entry, []float64, bool) {
 	for it.heap.Len() > 0 {
 		item, _ := it.heap.Pop()
-		if item.node == nil {
-			if it.entryKey(item.entry); it.skip() {
+		if item.isEntry() {
+			e := item.entry()
+			if it.entryKey(e); it.skip() {
 				continue
 			}
 			vec := append([]float64(nil), it.vec...)
 			it.found = append(it.found, vec)
-			return item.entry, vec, true
+			return e, vec, true
 		}
 		n := item.node
 		if it.nodeKey(n.rect); it.skip() {
@@ -125,15 +126,15 @@ func (it *SkylineIterator) Next() (Entry, []float64, bool) {
 		}
 		it.tree.visits.Add(1)
 		if n.leaf {
-			for _, e := range n.entries {
+			for i, e := range n.entries {
 				if key := it.entryKey(e); !it.skip() {
-					it.heap.Push(nnItem{entry: e}, key)
+					it.heap.Push(nnItem{n, int32(i)}, key)
 				}
 			}
 		} else {
 			for _, c := range n.children {
 				if key := it.nodeKey(c.rect); !it.skip() {
-					it.heap.Push(nnItem{node: c}, key)
+					it.heap.Push(nodeItem(c), key)
 				}
 			}
 		}

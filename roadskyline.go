@@ -149,8 +149,8 @@ func (n *Network) NearestLocation(p Point) (Location, error) {
 	gp := geom.Point{X: p.X, Y: p.Y}
 	ix := n.edgeIndex()
 	it := ix.tree.NewBestFirst(
-		func(r geom.Rect) float64 { return r.MinDist(gp) },
-		func(e rtree.Entry) float64 {
+		func(_ int, r geom.Rect) float64 { return r.MinDist(gp) },
+		func(_ int, e rtree.Entry) float64 {
 			// A NaN distance is never nearest; +Inf keeps the heap
 			// ordered and loses the same way.
 			if d, _ := n.segmentDist(graph.EdgeID(e.ID), gp); !math.IsNaN(d) {
