@@ -86,6 +86,9 @@ func (a oracleArm) run(env *Env, q Query) (*Result, error) {
 // loop places objects and query points on exact ties (testnet.PlaceTies):
 // node-snapped offsets, shared locations and a query point on an object;
 // there every arm must return the oracle's skyline, tied points included.
+// A third loop does the same on tight edges, each exactly as long as the
+// straight line between its ends, where a Euclidean bound can round an ulp
+// above the network distance it ties.
 func TestAlgorithmsMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
@@ -120,21 +123,27 @@ func TestAlgorithmsMatchOracle(t *testing.T) {
 			}
 		}
 	}
-	rng = rand.New(rand.NewSource(43))
-	for trial := 0; trial < 300; trial++ {
-		g := testnet.RandomGraph(rng, 15+rng.Intn(80))
-		objs := testnet.RandomObjects(rng, g, 1+rng.Intn(50), 0)
-		q := Query{Points: testnet.RandomLocations(rng, g, 1+rng.Intn(5))}
-		testnet.PlaceTies(rng, g, objs, q.Points)
-		env := newTestEnv(t, g, objs)
-		want, _ := bruteforce.NetworkSkyline(g, objs, q.Points, false)
-		for _, arm := range oracleArms {
-			res, err := arm.run(env, q)
-			if err != nil {
-				t.Fatalf("ties %d %v: %v", trial, arm.name, err)
-			}
-			if got := skylineIDs(res); !sameIDs(got, want) {
-				t.Errorf("ties %d %v: skyline %v, oracle %v", trial, arm.name, got, want)
+	for _, tight := range []bool{false, true} {
+		name, seed := "ties", int64(43)
+		if tight {
+			name, seed = "tight ties", 107
+		}
+		rng = rand.New(rand.NewSource(seed))
+		for trial := 0; trial < 300; trial++ {
+			g := testnet.RandomGraph(rng, 15+rng.Intn(80))
+			objs := testnet.RandomObjects(rng, g, 1+rng.Intn(50), 0)
+			q := Query{Points: testnet.RandomLocations(rng, g, 1+rng.Intn(5))}
+			g = testnet.PlaceTies(rng, g, objs, q.Points, tight)
+			env := newTestEnv(t, g, objs)
+			want, _ := bruteforce.NetworkSkyline(g, objs, q.Points, false)
+			for _, arm := range oracleArms {
+				res, err := arm.run(env, q)
+				if err != nil {
+					t.Fatalf("%s %d %v: %v", name, trial, arm.name, err)
+				}
+				if got := skylineIDs(res); !sameIDs(got, want) {
+					t.Errorf("%s %d %v: skyline %v, oracle %v", name, trial, arm.name, got, want)
+				}
 			}
 		}
 	}

@@ -118,8 +118,16 @@ func RandomLocations(rng *rand.Rand, g *graph.Graph, k int) []graph.Location {
 // PlaceTies moves objs and pts onto the exact ties a continuous placement
 // makes with probability zero: each offset snaps to 0 or its edge's length
 // with probability 1/2, a third of the objects take another object's
-// location, and the first query point sits on an object.
-func PlaceTies(rng *rand.Rand, g *graph.Graph, objs []graph.Object, pts []graph.Location) {
+// location, and the first query point sits on an object. It returns the
+// graph they now lie on: g itself, or with tight set a copy of g in which
+// every edge is exactly as long as the straight line between its ends (as
+// graph.ReadCnodeCedge makes an edge it lengthens), the offsets scaled
+// with their edges before they snap. On a tight edge the Euclidean bound
+// of a point meets its network distance.
+func PlaceTies(rng *rand.Rand, g *graph.Graph, objs []graph.Object, pts []graph.Location, tight bool) *graph.Graph {
+	if tight {
+		g = tighten(g, objs, pts)
+	}
 	snap := func(l *graph.Location) {
 		if rng.Intn(2) == 0 {
 			l.Offset = float64(rng.Intn(2)) * g.Edge(l.Edge).Length
@@ -137,6 +145,37 @@ func PlaceTies(rng *rand.Rand, g *graph.Graph, objs []graph.Object, pts []graph.
 		}
 	}
 	pts[0] = objs[rng.Intn(len(objs))].Loc
+	return g
+}
+
+// tighten returns g with every edge as long as the straight line between
+// its ends (coincident ends keep a length of 1e-9, as RandomGraph gives
+// them), and moves objs and pts to the same fraction of their edges.
+func tighten(g *graph.Graph, objs []graph.Object, pts []graph.Location) *graph.Graph {
+	b := graph.NewBuilder(g.NumNodes(), g.NumEdges())
+	for i := range g.NumNodes() {
+		b.AddNode(g.NodePoint(graph.NodeID(i)))
+	}
+	for i := range g.NumEdges() {
+		e := g.Edge(graph.EdgeID(i))
+		l := g.NodePoint(e.U).Dist(g.NodePoint(e.V))
+		if l == 0 {
+			l = 1e-9
+		}
+		b.AddEdge(e.U, e.V, l)
+	}
+	tg := b.MustBuild()
+	scale := func(l *graph.Location) {
+		to := tg.Edge(l.Edge).Length
+		l.Offset = min(l.Offset/g.Edge(l.Edge).Length*to, to)
+	}
+	for i := range objs {
+		scale(&objs[i].Loc)
+	}
+	for i := range pts {
+		scale(&pts[i])
+	}
+	return tg
 }
 
 // MemNet is an uncounted in-memory implementation of the sp.Net interface
