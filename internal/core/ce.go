@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"roadskyline/internal/distcache"
+	"roadskyline/internal/geom"
 	"roadskyline/internal/graph"
 	"roadskyline/internal/obs"
 	"roadskyline/internal/skyline"
@@ -16,14 +17,15 @@ import (
 
 // ce implements the Collaborative Expansion algorithm (paper Section 4.1).
 //
-// One Dijkstra wavefront per query point expands in round-robin order,
-// reporting objects in ascending network distance. The filtering phase
-// lasts until the first object has been visited by every query point; every
-// object encountered before that is a candidate. The refinement phase keeps
-// expanding to complete the candidates' distance vectors, discarding
-// objects that are not candidates and pruning candidates whose lower-bound
-// vector (known distances, plus the per-query last-visited distance for
-// unknown ones) is dominated by a reported skyline point.
+// One object-mode searcher per query point (a Dijkstra wavefront: A* at
+// h = 0) expands in round-robin order, reporting objects in ascending
+// network distance. The filtering phase lasts until the first object has
+// been visited by every query point; every object encountered before that
+// is a candidate. The refinement phase keeps expanding to complete the
+// candidates' distance vectors, discarding objects that are not candidates
+// and pruning candidates whose lower-bound vector (known distances, plus the
+// per-query last-visited distance for unknown ones) is dominated by a
+// reported skyline point.
 func ce(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) {
 	start := time.Now()
 	n := len(q.Points)
@@ -31,7 +33,7 @@ func ce(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) {
 
 	res := &Result{}
 	var m Metrics
-	searchers := make([]*sp.Dijkstra, n)
+	searchers := make([]*sp.AStar, n)
 	cacheHits := make([]bool, n)
 	// Scratches go back to the pool on every exit path; snapshots for the
 	// distance cache are deep copies taken before the deferred release runs.
@@ -41,32 +43,19 @@ func ce(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) {
 	ts := newTickets(env, opts, n)
 	defer ts.abort()
 	for i, p := range q.Points {
-		s, hit, err := newDijkstra(ctx, env, opts, p, &m, ts, i)
+		s, hit, err := resumeOrSeed(ctx, env, opts, distcache.KindDijkstra, 0, p, geom.Point{}, &m, ts, i)
 		if err != nil {
 			return nil, err
 		}
 		searchers[i], cacheHits[i] = s, hit
 	}
-	probe := newPhaseProbe(env, opts, func() int {
-		total := 0
-		for _, s := range searchers {
-			total += s.NodesExpanded()
-		}
-		return total
-	})
-	if fn := probe.progressFunc(); fn != nil {
-		for _, s := range searchers {
-			s.OnProgress(fn)
-		}
-	}
+	probe := newPhaseProbe(env, opts, searchers)
 	// fail finalizes the metrics gathered so far and returns them alongside
 	// the error, so observers (the flight recorder, slow-query logs) can
 	// account the work a cancelled or failed query performed. The distance
 	// cache is deliberately not fed on this path.
 	fail := func(err error) (*Result, error) {
-		for _, s := range searchers {
-			m.NodesExpanded += s.NodesExpanded()
-		}
+		collectSearcherStats(&m, searchers)
 		finishMetrics(env, &m, start)
 		probe.finish(&m)
 		return &Result{Metrics: m}, err
@@ -356,9 +345,7 @@ func ce(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) {
 
 	dropDominatedDuplicates(res)
 	putStates(env, opts, distcache.KindDijkstra, 0, searchers, cacheHits, ts)
-	for _, s := range searchers {
-		m.NodesExpanded += s.NodesExpanded()
-	}
+	collectSearcherStats(&m, searchers)
 	finishMetrics(env, &m, start)
 	probe.finish(&m)
 	res.Metrics = m

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"time"
 
+	"roadskyline/internal/distcache"
 	"roadskyline/internal/geom"
 	"roadskyline/internal/graph"
 	"roadskyline/internal/obs"
@@ -72,7 +73,7 @@ func edc(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) 
 	// Scratches go back to the pool on every exit path; snapshots for the
 	// distance cache are deep copies taken before the deferred release runs.
 	// The deferred ts.abort abdicates any leadership tickets an error
-	// path leaves unresolved (a no-op after putAStarStates publishes).
+	// path leaves unresolved (a no-op after putStates publishes).
 	defer releaseSearchers(env, astars)
 	ts := newTickets(env, opts, n)
 	defer ts.abort()
@@ -83,18 +84,7 @@ func edc(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) 
 		}
 		astars[i], cacheHits[i] = a, hit
 	}
-	probe := newPhaseProbe(env, opts, func() int {
-		total := 0
-		for _, a := range astars {
-			total += a.NodesExpanded()
-		}
-		return total
-	})
-	if fn := probe.progressFunc(); fn != nil {
-		for _, a := range astars {
-			a.OnProgress(fn)
-		}
-	}
+	probe := newPhaseProbe(env, opts, astars)
 
 	// fail finalizes the metrics gathered so far and returns them alongside
 	// the error, so observers (the flight recorder, slow-query logs) can
@@ -296,7 +286,7 @@ func edc(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) 
 	resolve(nil)
 
 	dropDominatedDuplicates(res)
-	putAStarStates(env, opts, astars, cacheHits, ts)
+	putStates(env, opts, distcache.KindAStar, astarFlavor(env, opts), astars, cacheHits, ts)
 	collectSearcherStats(&m, astars)
 	finishMetrics(env, &m, start)
 	probe.finish(&m)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"roadskyline/internal/distcache"
 	"roadskyline/internal/geom"
 	"roadskyline/internal/graph"
 	"roadskyline/internal/obs"
@@ -106,18 +107,7 @@ func NewLBCIterator(ctx context.Context, env *Env, q Query, opts Options) (*LBCI
 		}
 		it.astars[i], it.cacheHits[i] = a, hit
 	}
-	it.probe = newPhaseProbe(env, opts, func() int {
-		total := 0
-		for _, a := range it.astars {
-			total += a.NodesExpanded()
-		}
-		return total
-	})
-	if fn := it.probe.progressFunc(); fn != nil {
-		for _, a := range it.astars {
-			a.OnProgress(fn)
-		}
-	}
+	it.probe = newPhaseProbe(env, opts, it.astars)
 	if opts.LBCAlternate {
 		it.sources = make([]int, it.n)
 		for i := range it.sources {
@@ -256,11 +246,11 @@ func (it *LBCIterator) finalize() {
 	// Only a cleanly finished iteration feeds the cache: the wavefronts of
 	// a cancelled or failed query are released without being stored.
 	if it.lastErr == nil {
-		putAStarStates(it.env, it.opts, it.astars, it.cacheHits, it.ts)
+		putStates(it.env, it.opts, distcache.KindAStar, astarFlavor(it.env, it.opts), it.astars, it.cacheHits, it.ts)
 	}
 	// A failed or cancelled iteration never published: abort abdicates any
 	// leadership tickets so waiting subscribers are promoted (a no-op after
-	// putAStarStates publishes).
+	// putStates publishes).
 	it.ts.abort()
 	finishMetrics(it.env, &it.metrics, it.start)
 	it.probe.finish(&it.metrics)

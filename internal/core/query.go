@@ -273,17 +273,9 @@ func (ts tickets) abort() {
 	}
 }
 
-// searcher is what a query's wavefront searchers (*sp.AStar, *sp.Dijkstra)
-// share: the lifecycle below is written once over it.
-type searcher interface {
-	comparable
-	Snapshot() *distcache.State
-	NodesExpanded() int
-	Scratch() *sp.Scratch
-}
-
-// resumeOrSeed builds searcher idx of a query, rooted at p. Its one
-// Acquire on the wavefront store either waits on a concurrent leader and
+// resumeOrSeed builds searcher idx of a query, rooted at p (at pt in the
+// plane, which the object-mode searchers of KindDijkstra never read). Its
+// one Acquire on the wavefront store either waits on a concurrent leader and
 // resumes its snapshot (a share), or reads the at-rest half — leading the
 // key's in-flight entry unless that is a bypass, the ticket landing in ts
 // for putStates/abort to resolve — and resumes a resident hit; otherwise
@@ -292,8 +284,7 @@ type searcher interface {
 // With a trace attached, a wait becomes a flight.wait span naming the
 // leader's trace ID, and the trace's live role follows the outcome
 // (wait -> lead/share).
-func resumeOrSeed[S searcher](ctx context.Context, env *Env, opts Options, kind distcache.Kind, flavor uint8, p graph.Location, m *Metrics, ts tickets, idx int,
-	resume func(*distcache.State, *sp.Scratch) S, seed func(*sp.Scratch) (S, error)) (s S, resumed bool, err error) {
+func resumeOrSeed(ctx context.Context, env *Env, opts Options, kind distcache.Kind, flavor uint8, p graph.Location, pt geom.Point, m *Metrics, ts tickets, idx int) (s *sp.AStar, resumed bool, err error) {
 	tr := opts.Trace
 	j := distCacheFor(env, opts).Acquire(kind, flavor, p, !ts.leading(), tr.IDNum())
 	if w := j.Waiter; w != nil {
@@ -313,7 +304,7 @@ func resumeOrSeed[S searcher](ctx context.Context, env *Env, opts Options, kind 
 			})
 		}
 		if err != nil {
-			return s, false, err
+			return nil, false, err
 		}
 		if j.Ticket == nil {
 			m.WavefrontShares++
@@ -334,14 +325,22 @@ func resumeOrSeed[S searcher](ctx context.Context, env *Env, opts Options, kind 
 	sc := env.AcquireScratch()
 	if j.State != nil {
 		t0 := tr.Stopwatch()
-		s = resume(j.State, sc)
+		if kind == distcache.KindDijkstra {
+			s = sp.NewDijkstraFromWith(ctx, env, j.State, sc)
+		} else {
+			s = sp.NewAStarFromWith(ctx, env, j.State, pt, sc)
+		}
 		tr.SpanSince(obs.SpanRestore, t0)
 		return s, true, nil
 	}
-	if s, err = seed(sc); err != nil {
+	if kind == distcache.KindDijkstra {
+		s, err = sp.NewDijkstraWith(ctx, env, p, sc)
+	} else {
+		s, err = sp.NewAStarWith(ctx, env, p, pt, sc)
+	}
+	if err != nil {
 		env.ReleaseScratch(sc)
-		var none S
-		return none, false, err
+		return nil, false, err
 	}
 	return s, false, nil
 }
@@ -350,9 +349,7 @@ func resumeOrSeed[S searcher](ctx context.Context, env *Env, opts Options, kind 
 // heuristic is zeroed for the directional-expansion ablation, and the
 // environment's landmark table is attached otherwise (unless ablated).
 func newAStar(ctx context.Context, env *Env, opts Options, p graph.Location, pt geom.Point, m *Metrics, ts tickets, idx int) (*sp.AStar, bool, error) {
-	a, hit, err := resumeOrSeed(ctx, env, opts, distcache.KindAStar, astarFlavor(env, opts), p, m, ts, idx,
-		func(st *distcache.State, sc *sp.Scratch) *sp.AStar { return sp.NewAStarFromWith(ctx, env, st, pt, sc) },
-		func(sc *sp.Scratch) (*sp.AStar, error) { return sp.NewAStarWith(ctx, env, p, pt, sc) })
+	a, hit, err := resumeOrSeed(ctx, env, opts, distcache.KindAStar, astarFlavor(env, opts), p, pt, m, ts, idx)
 	if err != nil {
 		return nil, false, err
 	}
@@ -365,21 +362,11 @@ func newAStar(ctx context.Context, env *Env, opts Options, p graph.Location, pt 
 	return a, hit, nil
 }
 
-// newDijkstra builds one Dijkstra wavefront for a query point.
-func newDijkstra(ctx context.Context, env *Env, opts Options, p graph.Location, m *Metrics, ts tickets, idx int) (*sp.Dijkstra, bool, error) {
-	return resumeOrSeed(ctx, env, opts, distcache.KindDijkstra, 0, p, m, ts, idx,
-		func(st *distcache.State, sc *sp.Scratch) *sp.Dijkstra {
-			return sp.NewDijkstraFromWith(ctx, env, st, sc)
-		},
-		func(sc *sp.Scratch) (*sp.Dijkstra, error) { return sp.NewDijkstraWith(ctx, env, p, sc) })
-}
-
 // releaseSearchers recycles the scratches of a query's searchers. Safe on
 // slices with nil holes; the searchers must not be used afterward.
-func releaseSearchers[S searcher](env *Env, searchers []S) {
-	var none S
+func releaseSearchers(env *Env, searchers []*sp.AStar) {
 	for _, s := range searchers {
-		if s != none {
+		if s != nil {
 			env.ReleaseScratch(s.Scratch())
 		}
 	}
@@ -391,15 +378,14 @@ func releaseSearchers[S searcher](env *Env, searchers []S) {
 // came from) and published to any searchers waiting on its ticket. The
 // snapshot is only taken when someone wants it; a ticket nobody waits on
 // is abdicated for free.
-func putStates[S searcher](env *Env, opts Options, kind distcache.Kind, flavor uint8, searchers []S, hits []bool, ts tickets) {
+func putStates(env *Env, opts Options, kind distcache.Kind, flavor uint8, searchers []*sp.AStar, hits []bool, ts tickets) {
 	c := distCacheFor(env, opts)
 	if c == nil {
 		return
 	}
-	var none S
 	for i, s := range searchers {
 		tk := ts.at(i)
-		if s == none {
+		if s == nil {
 			tk.Abort()
 			continue
 		}
@@ -414,12 +400,6 @@ func putStates[S searcher](env *Env, opts Options, kind distcache.Kind, flavor u
 			tk.Publish(st, keep)
 		}
 	}
-}
-
-// putAStarStates is putStates for A* searchers, under the flavor of the
-// query's heuristic configuration.
-func putAStarStates(env *Env, opts Options, astars []*sp.AStar, hits []bool, ts tickets) {
-	putStates(env, opts, distcache.KindAStar, astarFlavor(env, opts), astars, hits, ts)
 }
 
 // dedupeQuery collapses duplicate (edge, offset) query points so the

@@ -4,22 +4,23 @@ import (
 	"time"
 
 	"roadskyline/internal/obs"
+	"roadskyline/internal/sp"
 )
 
 // phaseProbe attributes one query's work to algorithm phases. end is the
 // single writer of both descriptions of a phase entry: the PhaseStat row
 // accumulated into Metrics.Phases and, when the query carries a causal
 // trace, the span appended to it. Page counts come from the environment's
-// I/O counters snapshotted at phase boundaries; node counts from a
-// caller-supplied probe over the query's searchers.
+// I/O counters snapshotted at phase boundaries; node counts from the
+// query's searchers.
 //
 // A nil *phaseProbe is the disabled state: every method returns
 // immediately, so the algorithms call begin/end unconditionally and the
 // cost with phases off is one nil check per phase boundary.
 type phaseProbe struct {
-	trace *obs.Trace // nil when the query carries no causal trace
-	env   *Env
-	nodes func() int // running settlement total across the query's searchers
+	trace     *obs.Trace // nil when the query carries no causal trace
+	env       *Env
+	searchers []*sp.AStar
 
 	active bool
 	cur    obs.Phase
@@ -32,17 +33,34 @@ type phaseProbe struct {
 }
 
 // newPhaseProbe returns nil when opts neither collect phases nor carry a
-// causal trace.
-func newPhaseProbe(env *Env, opts Options, nodes func() int) *phaseProbe {
+// causal trace. With a trace it installs on every searcher the settlement
+// tick that keeps the trace's live node count current.
+func newPhaseProbe(env *Env, opts Options, searchers []*sp.AStar) *phaseProbe {
 	if !opts.CollectPhases && opts.Trace == nil {
 		return nil
 	}
-	return &phaseProbe{
-		trace: opts.Trace,
-		env:   env,
-		nodes: nodes,
-		idx:   make(map[obs.Phase]int, 4),
+	pp := &phaseProbe{
+		trace:     opts.Trace,
+		env:       env,
+		searchers: searchers,
+		idx:       make(map[obs.Phase]int, 4),
 	}
+	if pp.trace != nil {
+		tick := func(int) { pp.trace.SetNodes(pp.nodes()) }
+		for _, s := range searchers {
+			s.OnProgress(tick)
+		}
+	}
+	return pp
+}
+
+// nodes returns the running settlement total across the query's searchers.
+func (pp *phaseProbe) nodes() int {
+	total := 0
+	for _, s := range pp.searchers {
+		total += s.NodesExpanded()
+	}
+	return total
 }
 
 // begin enters a phase, closing any phase still open.
@@ -97,16 +115,6 @@ func (pp *phaseProbe) transition(from, to obs.Phase) {
 	}
 	pp.end()
 	pp.begin(to)
-}
-
-// progressFunc returns the settlement-tick callback that keeps the causal
-// trace's live node count current, or nil when the query carries no trace
-// (the breakdown needs no ticks).
-func (pp *phaseProbe) progressFunc() func(int) {
-	if pp == nil || pp.trace == nil {
-		return nil
-	}
-	return func(int) { pp.trace.SetNodes(pp.nodes()) }
 }
 
 // finish closes any open phase and stores the breakdown in the metrics.

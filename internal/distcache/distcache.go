@@ -56,22 +56,24 @@ const DefaultQuantum = 1e-3
 // shards so the per-shard LRU capacity stays exact (see New).
 const shardBits = 4
 
-// Kind separates the two searcher state layouts. A Dijkstra wavefront
-// carries tentative object distances; an A* wavefront carries frontier
-// coordinates. The kinds are cached independently: the layouts are not
-// interchangeable without extra page reads.
+// Kind separates the states of the searcher's two modes (package sp). An
+// object-mode state (CE's Dijkstra wavefront, A* at h = 0) carries tentative
+// object distances and no frontier coordinates (h = 0 reads none); a
+// session-mode state (EDC's and LBC's A*) carries every frontier node's
+// coordinates and no object distances. The kinds are cached independently:
+// neither state can serve the other mode without extra page reads.
 type Kind uint8
 
 const (
-	// KindDijkstra is the resumable Dijkstra wavefront behind CE.
+	// KindDijkstra is an object-mode state: the wavefront behind CE.
 	KindDijkstra Kind = iota
-	// KindAStar is the resumable A* searcher behind EDC and LBC.
+	// KindAStar is a session-mode state: the searcher behind EDC and LBC.
 	KindAStar
 )
 
 // Frontier is one unsettled wavefront node: its tentative distance from
-// the source and (for A* states) its coordinates, which ride along so
-// restoring needs no page reads.
+// the source and (in session-mode states) its coordinates, which ride along
+// so restoring needs no page reads.
 type Frontier struct {
 	G  float64
 	Pt geom.Point
@@ -80,7 +82,7 @@ type Frontier struct {
 // State is an immutable snapshot of one searcher's expansion state. Src is
 // the exact source location the state was expanded from; a cache entry
 // serves only requests with a bit-identical source. ObjBest is populated by
-// Dijkstra snapshots only.
+// object-mode snapshots only.
 type State struct {
 	Src      graph.Location
 	Settled  map[graph.NodeID]float64

@@ -126,17 +126,19 @@ func Generate(spec Spec) (*graph.Graph, error) {
 	for i := range pts {
 		x, y := i%side, i/side
 		pts[i] = geom.Point{
-			X: (float64(x)+0.5)*cell + (rng.Float64()*2-1)*spec.Jitter*cell,
-			Y: (float64(y)+0.5)*cell + (rng.Float64()*2-1)*spec.Jitter*cell,
+			// float64(rng.Float64()): Float64 inlines, and its own product
+			// would fuse with the doubling (see package geom).
+			X: float64((float64(x)+0.5)*cell) + float64((float64(rng.Float64())*2-1)*spec.Jitter*cell),
+			Y: float64((float64(y)+0.5)*cell) + float64((float64(rng.Float64())*2-1)*spec.Jitter*cell),
 		}
 	}
 
 	// Obstacles.
 	obstacles := make([]geom.Rect, spec.NumObstacles)
 	for i := range obstacles {
-		s := spec.ObstacleSize * (0.6 + 0.8*rng.Float64())
-		ox := rng.Float64() * (1 - s)
-		oy := rng.Float64() * (1 - s)
+		s := float64(spec.ObstacleSize * (0.6 + float64(0.8*rng.Float64())))
+		ox := float64(rng.Float64() * (1 - s))
+		oy := float64(rng.Float64() * (1 - s))
 		obstacles[i] = geom.Rect{MinX: ox, MinY: oy, MaxX: ox + s, MaxY: oy + s}
 	}
 	crosses := func(u, v int) bool {
@@ -251,12 +253,12 @@ func Generate(spec Spec) (*graph.Graph, error) {
 	edges := make([]fedge, 0, spec.Edges)
 	for _, c := range chosen {
 		d := pts[c.u].Dist(pts[c.v])
-		edges = append(edges, fedge{c.u, c.v, d * (1 + rng.Float64()*spec.MaxStretch)})
+		edges = append(edges, fedge{c.u, c.v, d * (1 + float64(rng.Float64()*spec.MaxStretch))})
 	}
 	for k := 0; k < subdivisions; k++ {
 		i := rng.Intn(len(edges))
 		e := edges[i]
-		t := 0.25 + 0.5*rng.Float64()
+		t := 0.25 + float64(0.5*rng.Float64())
 		w := len(pts)
 		pts = append(pts, pts[e.u].Lerp(pts[e.v], t))
 		edges[i] = fedge{e.u, w, e.length * t}
@@ -312,9 +314,9 @@ func QueryPoints(g *graph.Graph, count int, regionFrac float64, seed int64) []gr
 	h := bounds.MaxY - bounds.MinY
 	frac := math.Sqrt(regionFrac)
 	for {
-		rw, rh := w*frac, h*frac
-		ox := bounds.MinX + rng.Float64()*(w-rw)
-		oy := bounds.MinY + rng.Float64()*(h-rh)
+		rw, rh := float64(w*frac), float64(h*frac)
+		ox := bounds.MinX + float64(rng.Float64()*(w-rw))
+		oy := bounds.MinY + float64(rng.Float64()*(h-rh))
 		region := geom.Rect{MinX: ox, MinY: oy, MaxX: ox + rw, MaxY: oy + rh}
 		var inside []graph.EdgeID
 		for i := 0; i < g.NumEdges(); i++ {

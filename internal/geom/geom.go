@@ -5,6 +5,12 @@
 // All coordinates are in the abstract unit of the network embedding. The
 // paper normalises every network into a 1 km x 1 km region, so coordinates
 // are typically in [0, 1].
+//
+// A product that a sum or difference consumes is wrapped in float64(...)
+// throughout the repository: the Go spec lets a compiler fuse x*y + z into
+// one rounding, as arm64 does, and an explicit conversion forbids that, so
+// every architecture rounds as amd64 does. TestNoFusedMultiplyAdd (package
+// roadskyline) holds the arm64 build to it.
 package geom
 
 import "math"
@@ -23,12 +29,12 @@ func (p Point) Dist(q Point) float64 {
 // the square root for comparison-only call sites.
 func (p Point) DistSq(q Point) float64 {
 	dx, dy := p.X-q.X, p.Y-q.Y
-	return dx*dx + dy*dy
+	return float64(dx*dx) + float64(dy*dy)
 }
 
 // Lerp returns the point a fraction t of the way from p to q.
 func (p Point) Lerp(q Point, t float64) Point {
-	return Point{p.X + (q.X-p.X)*t, p.Y + (q.Y-p.Y)*t}
+	return Point{p.X + float64((q.X-p.X)*t), p.Y + float64((q.Y-p.Y)*t)}
 }
 
 // Rect is an axis-aligned minimum bounding rectangle. A Rect is valid when
@@ -104,7 +110,7 @@ func (r Rect) Intersects(s Rect) bool {
 
 // Center returns the center point of r.
 func (r Rect) Center() Point {
-	return Point{(r.MinX + r.MaxX) / 2, (r.MinY + r.MaxY) / 2}
+	return Point{float64((r.MinX + r.MaxX) / 2), float64((r.MinY + r.MaxY) / 2)}
 }
 
 // MinDist returns the minimum Euclidean distance from p to any point of r;
@@ -137,11 +143,11 @@ func axisDist(v, lo, hi float64) float64 {
 // a-b, together with the parameter t in [0,1] of the closest point.
 func SegmentPointDist(a, b, p Point) (dist, t float64) {
 	abx, aby := b.X-a.X, b.Y-a.Y
-	den := abx*abx + aby*aby
+	den := float64(abx*abx) + float64(aby*aby)
 	if den == 0 {
 		return p.Dist(a), 0
 	}
-	t = ((p.X-a.X)*abx + (p.Y-a.Y)*aby) / den
+	t = (float64((p.X-a.X)*abx) + float64((p.Y-a.Y)*aby)) / den
 	t = math.Max(0, math.Min(1, t))
 	return p.Dist(a.Lerp(b, t)), t
 }
@@ -164,7 +170,7 @@ func SegmentsIntersect(a, b, c, d Point) bool {
 }
 
 func cross(o, a, b Point) float64 {
-	return (a.X-o.X)*(b.Y-o.Y) - (a.Y-o.Y)*(b.X-o.X)
+	return float64((a.X-o.X)*(b.Y-o.Y)) - float64((a.Y-o.Y)*(b.X-o.X))
 }
 
 func onSegment(a, b, p Point) bool {

@@ -52,7 +52,7 @@ func TestDijkstraSteadyStateAllocs(t *testing.T) {
 	if expanded < 500 || hits < 50 {
 		t.Fatalf("drain did no work: %d expansions, %d hits", expanded, hits)
 	}
-	// The one allocation is the Dijkstra header itself; every expansion
+	// The one allocation is the searcher header itself; every expansion
 	// must be free.
 	if avg > 1 {
 		t.Fatalf("full drain allocated %.1f times (%d expansions), want <= 1 (searcher header only)", avg, expanded)

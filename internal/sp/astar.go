@@ -15,18 +15,40 @@ import (
 // been opened on the same searcher.
 var ErrStaleSession = errors.New("sp: session superseded by a newer session on the same searcher")
 
+// cancelCheckEvery is how many node settlements a searcher performs between
+// context cancellation checks. Checking per settlement would put a
+// synchronized load on the hottest loop in the engine; every K settlements
+// bounds cancellation latency to K page reads while keeping the loop tight.
+const cancelCheckEvery = 64
+
+// ObjectHit is a data object reported by the incremental NN search with its
+// final network distance from the source.
+type ObjectHit struct {
+	ID   graph.ObjectID
+	Dist float64
+}
+
 // AStar is a resumable A* searcher rooted at one source location. Its
 // settled set and frontier persist across targets; each target gets a
 // Session, which re-keys the shared frontier with the target's heuristic
 // (the heuristic changes with the destination, the wavefront does not —
 // paper Sections 3 and 4.2).
 //
+// A searcher built by NewDijkstraWith or NewDijkstraFromWith runs in object
+// mode instead: NextObject reports data objects in ascending network
+// distance (CE's incremental network expansion, paper Section 4.1). That is
+// A* at h = 0 (Dechter & Pearl): the frontier is keyed by g in one heap kept
+// across calls, and every settled node's edges are also scanned for objects.
+// Each mode has a step of its own over the shared scratch (Session.Advance,
+// expandObjects), so that neither pays for the other's keys, list or object
+// scan. An object-mode searcher opens no sessions.
+//
 // All working state lives in an epoch-stamped Scratch of dense arrays:
 // settled/frontier membership, g-values and frontier coordinates are
 // per-node array slots validated by the scratch epoch, the frontier is
-// additionally a compact list, and the per-session f-keyed heap is the
-// scratch's dense heap, Reset (O(1)) by each NewSession.
-// Steady-state expansions allocate nothing.
+// additionally a compact list (session mode), and the f-keyed heap is the
+// scratch's dense heap, Reset (O(1)) by each NewSession. Steady-state
+// expansions allocate nothing.
 //
 // Only the most recently opened session may be advanced: sessions share
 // the searcher's wavefront, so interleaving would corrupt the expansion.
@@ -40,6 +62,10 @@ type AStar struct {
 	sc     *Scratch
 	seq    int  // generation counter for session invalidation
 	noHeur bool // ablation: zero heuristic degrades A* to resumable Dijkstra
+	// objects selects object mode: NextObject over a g-keyed heap that
+	// persists across calls and is the frontier's only list, with no
+	// coordinates kept (h = 0 reads none).
+	objects bool
 	// hs, when set, strengthens every session's heuristic to
 	// max(Euclidean, hs bound); see UseHeuristicSource.
 	hs HeuristicSource
@@ -55,27 +81,15 @@ type AStar struct {
 	progress func(nodesExpanded int)
 }
 
-// NewAStar creates a searcher rooted at src with a private scratch. srcPt
-// must be the planar position of src (callers have it from the query
-// point). The context bounds every session's expansion: once it is
-// cancelled, Advance fails with ctx.Err() within cancelCheckEvery
-// settlements. A nil context means context.Background().
-func NewAStar(ctx context.Context, net Net, src graph.Location, srcPt geom.Point) (*AStar, error) {
-	return NewAStarWith(ctx, net, src, srcPt, nil)
-}
-
-// NewAStarWith is NewAStar reusing a pooled scratch. A nil scratch
-// allocates a fresh one. The searcher claims sc exclusively until the
-// caller stops using the searcher and recycles sc.
+// NewAStarWith creates a searcher rooted at src. srcPt must be the planar
+// position of src (callers have it from the query point). The context
+// bounds every session's expansion: once it is cancelled, Advance fails
+// with ctx.Err() within cancelCheckEvery settlements; a nil context means
+// context.Background(). A nil scratch allocates a fresh one; otherwise the
+// searcher claims sc exclusively until the caller stops using the searcher
+// and recycles sc.
 func NewAStarWith(ctx context.Context, net Net, src graph.Location, srcPt geom.Point, sc *Scratch) (*AStar, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if sc == nil {
-		sc = NewScratch()
-	}
-	sc.begin(net.NumNodes(), net.NumObjects())
-	a := &AStar{ctx: ctx, net: net, src: src, srcPt: srcPt, sc: sc}
+	a := newSearcher(ctx, net, src, srcPt, sc)
 	e := net.Edge(src.Edge)
 	uPt, err := net.NodePoint(e.U)
 	if err != nil {
@@ -85,17 +99,67 @@ func NewAStarWith(ctx context.Context, net Net, src graph.Location, srcPt geom.P
 	if err != nil {
 		return nil, fmt.Errorf("sp: source edge endpoint: %w", err)
 	}
-	// seedFrontier keeps the smaller tentative distance when both seeds
-	// land on the same node — on a self-loop source edge (e.U == e.V) an
-	// unconditional write would let the second side overwrite the shorter
-	// first one.
 	a.seedFrontier(e.U, src.Offset, uPt)
 	a.seedFrontier(e.V, e.Length-src.Offset, vPt)
 	return a, nil
 }
 
+// NewDijkstraWith creates a searcher in object mode rooted at src: NextObject
+// reports the data objects in ascending network distance from src. The
+// context and scratch are as for NewAStarWith. The seeds carry no
+// coordinates: h = 0 never reads them, and reading them would cost two
+// NodePoint page requests per searcher.
+func NewDijkstraWith(ctx context.Context, net Net, src graph.Location, sc *Scratch) (*AStar, error) {
+	a := newSearcher(ctx, net, src, geom.Point{}, sc)
+	e := net.Edge(src.Edge)
+	a.seedFrontier(e.U, src.Offset, geom.Point{})
+	a.seedFrontier(e.V, e.Length-src.Offset, geom.Point{})
+	// Objects on the source edge are reachable directly along the edge.
+	// Shorter routes that leave the edge and re-enter it through an
+	// endpoint (the common case on self-loops) are found when the endpoint
+	// settles and the edge is rescanned.
+	var err error
+	a.sc.obuf, err = net.ObjectsOn(src.Edge, a.sc.obuf[:0])
+	if err != nil {
+		return nil, fmt.Errorf("sp: seeding source edge: %w", err)
+	}
+	for _, r := range a.sc.obuf {
+		a.sc.improveObject(r.ID, math.Abs(r.Offset-src.Offset))
+	}
+	a.streamObjects()
+	return a, nil
+}
+
+// newSearcher claims a scratch (a fresh one when sc is nil) for an empty
+// searcher rooted at src.
+func newSearcher(ctx context.Context, net Net, src graph.Location, srcPt geom.Point, sc *Scratch) *AStar {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if sc == nil {
+		sc = NewScratch()
+	}
+	sc.begin(net.NumNodes(), net.NumObjects())
+	return &AStar{ctx: ctx, net: net, src: src, srcPt: srcPt, sc: sc}
+}
+
+// streamObjects switches the searcher to object mode: the heap, loaded here
+// with every frontier node keyed by its g (h = 0), persists across
+// NextObject calls and is from now on the frontier's only list.
+func (a *AStar) streamObjects() {
+	a.objects = true
+	sc := a.sc
+	for _, id := range sc.front {
+		sc.frontier.Fill(int32(id), sc.g[id])
+	}
+	sc.frontier.Heapify()
+	sc.front = sc.front[:0]
+}
+
 // seedFrontier places a source seed on the frontier, keeping the smaller g
-// on duplicate seeds.
+// on duplicate seeds: on a self-loop source edge (e.U == e.V) both seeds land
+// on one node, and an unconditional write would let the second side
+// overwrite the shorter first one.
 func (a *AStar) seedFrontier(id graph.NodeID, g float64, pt geom.Point) {
 	sc := a.sc
 	st := sc.nodeState(id)
@@ -143,9 +207,6 @@ func (a *AStar) BoundWins() (landmark, euclid int) { return a.landmarkWins, a.eu
 
 // Source returns the searcher's source location.
 func (a *AStar) Source() graph.Location { return a.src }
-
-// SourcePoint returns the searcher's source coordinates.
-func (a *AStar) SourcePoint() geom.Point { return a.srcPt }
 
 // settledDist returns the exact distance to id when it is settled.
 func (a *AStar) settledDist(id graph.NodeID) (float64, bool) {
@@ -253,7 +314,37 @@ func (a *AStar) Bound(t *Target) float64 {
 // relative 1e-12 plus an absolute 1e-15 (TestAStarBound), which matters to a
 // caller that must not mistake an object tied with another for a worse one.
 func BoundFloor(b float64) float64 {
-	return math.Max(0, b*(1-1e-12)-1e-15)
+	return math.Max(0, float64(b*(1-1e-12))-1e-15)
+}
+
+// NextObject returns the next unreported object in ascending network
+// distance; ok is false when no reachable object remains. It is valid only
+// in object mode.
+func (a *AStar) NextObject() (hit ObjectHit, ok bool, err error) {
+	sc := a.sc
+	for {
+		// Report an object once no shorter path to it can exist: its
+		// tentative distance is at most the smallest frontier key.
+		for sc.objHeap.Len() > 0 {
+			id, key := sc.objHeap.Peek()
+			if sc.objState[id] == objDone || key > sc.objDist[id] {
+				sc.objHeap.Pop() // stale or duplicate heap entry
+				continue
+			}
+			if sc.frontier.Len() == 0 || key <= sc.frontier.MinKey() {
+				sc.objHeap.Pop()
+				sc.objState[id] = objDone
+				return ObjectHit{ID: id, Dist: key}, true, nil
+			}
+			break
+		}
+		if sc.frontier.Len() == 0 {
+			return ObjectHit{}, false, nil
+		}
+		if err := a.expandObjects(); err != nil {
+			return ObjectHit{}, false, err
+		}
+	}
 }
 
 // NewSession opens a session toward dest located at destPt. Opening a
@@ -479,6 +570,59 @@ func (s *Session) Advance() (plb float64, done bool, err error) {
 		}
 	}
 	return s.plb, s.done, nil
+}
+
+// expandObjects is object mode's step, Session.Advance at h = 0 without a
+// destination: it settles the top of the g-keyed heap, whose key is the
+// node's g, relaxes its edges (keeping no frontier list and no coordinates,
+// which only sessions read) and then scans the same edges for objects.
+func (a *AStar) expandObjects() error {
+	sc := a.sc
+	if a.nodesExpanded%cancelCheckEvery == cancelCheckEvery-1 {
+		if err := a.ctx.Err(); err != nil {
+			return err
+		}
+		if a.progress != nil {
+			a.progress(a.nodesExpanded)
+		}
+	}
+	u32, g := sc.frontier.Pop()
+	u := graph.NodeID(u32)
+	sc.state[u] = stateSettled // no frontier list to leave
+	a.nodesExpanded++
+	var err error
+	sc.nbuf, err = a.net.Neighbors(u, sc.nbuf[:0])
+	if err != nil {
+		return fmt.Errorf("sp: expanding node %d: %w", u, err)
+	}
+	for _, nb := range sc.nbuf {
+		st := sc.nodeState(nb.To)
+		if st == stateSettled {
+			continue
+		}
+		newg := g + nb.Length
+		if st == stateFrontier && sc.g[nb.To] <= newg {
+			continue
+		}
+		sc.touch(nb.To, stateFrontier)
+		sc.g[nb.To] = newg
+		sc.frontier.Update(int32(nb.To), newg)
+	}
+	for _, nb := range sc.nbuf {
+		// Scan the edge whatever the neighbour's state: a settlement on this
+		// side can still improve objects on the edge.
+		sc.obuf, err = a.net.ObjectsOn(nb.Edge, sc.obuf[:0])
+		if err != nil {
+			return fmt.Errorf("sp: scanning edge %d: %w", nb.Edge, err)
+		}
+		if len(sc.obuf) > 0 {
+			e := a.net.Edge(nb.Edge)
+			for _, r := range sc.obuf {
+				sc.improveObject(r.ID, g+offsetFrom(e, u, r.Offset))
+			}
+		}
+	}
+	return nil
 }
 
 // Run advances the session to completion and returns the network distance

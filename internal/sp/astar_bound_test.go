@@ -80,7 +80,7 @@ func checkAStarBound(t *testing.T, seed int64) {
 	for i := range srcs {
 		srcs[i] = boundLocation(rng, g, nil)
 		for _, side := range []*[sources]*sp.AStar{&shared, &twins} {
-			a, err := sp.NewAStar(ctx, net, srcs[i], g.Point(srcs[i]))
+			a, err := sp.NewAStarWith(ctx, net, srcs[i], g.Point(srcs[i]), nil)
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
@@ -102,7 +102,7 @@ func checkAStarBound(t *testing.T, seed int64) {
 		if di == restoreAt {
 			for i := range shared {
 				restoredAt[i] = shared[i].NodesExpanded()
-				shared[i] = configure(sp.NewAStarFrom(ctx, net, shared[i].Snapshot(), g.Point(srcs[i])))
+				shared[i] = configure(sp.NewAStarFromWith(ctx, net, shared[i].Snapshot(), g.Point(srcs[i]), nil))
 			}
 		}
 		target := sp.Target{Loc: dest.Loc, Pt: g.Point(dest.Loc)}

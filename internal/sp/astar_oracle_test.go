@@ -181,7 +181,7 @@ func TestRestoredBoundWinsRepeat(t *testing.T) {
 	net := testnet.NewMemNet(g, nil)
 	table := landmark.Build(g, landmark.DefaultK)
 	src := testnet.RandomLocations(rng, g, 1)[0]
-	donor, err := sp.NewAStar(ctx, net, src, g.Point(src))
+	donor, err := sp.NewAStarWith(ctx, net, src, g.Point(src), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestRestoredBoundWinsRepeat(t *testing.T) {
 	}
 	var wantLM, wantEU int
 	for run := 0; run < 6; run++ {
-		a := sp.NewAStarFrom(ctx, net, snap, g.Point(src))
+		a := sp.NewAStarFromWith(ctx, net, snap, g.Point(src), nil)
 		a.UseHeuristicSource(table)
 		for i, d := range dests[4:] {
 			s := a.NewSession(d, g.Point(d))

@@ -21,7 +21,7 @@ func BenchmarkDijkstraFullDrain(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net := testnet.NewMemNet(g, objs)
-		d, err := sp.NewDijkstra(context.Background(), net, srcs[i%len(srcs)])
+		d, err := sp.NewDijkstraWith(context.Background(), net, srcs[i%len(srcs)], nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func BenchmarkAStarManyTargets(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net := testnet.NewMemNet(g, objs)
-		a, err := sp.NewAStar(context.Background(), net, srcs[i%len(srcs)], g.Point(srcs[i%len(srcs)]))
+		a, err := sp.NewAStarWith(context.Background(), net, srcs[i%len(srcs)], g.Point(srcs[i%len(srcs)]), nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -27,7 +27,7 @@ func TestDijkstraCancellation(t *testing.T) {
 	net, g := cancelTestNet(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	d, err := NewDijkstra(ctx, net, graph.Location{Edge: 0, Offset: 0})
+	d, err := NewDijkstraWith(ctx, net, graph.Location{Edge: 0, Offset: 0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestAStarCancellation(t *testing.T) {
 	src := graph.Location{Edge: 0, Offset: 0}
 	dst := graph.Location{Edge: graph.EdgeID(g.NumEdges() - 1), Offset: 0}
 	srcPt, dstPt := g.Point(src), g.Point(dst)
-	a, err := NewAStar(ctx, net, src, srcPt)
+	a, err := NewAStarWith(ctx, net, src, srcPt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestAStarCancellation(t *testing.T) {
 // uncancellable context, not panic.
 func TestNilContextDefaultsToBackground(t *testing.T) {
 	net, _ := cancelTestNet(t)
-	d, err := NewDijkstra(nil, net, graph.Location{Edge: 0, Offset: 0})
+	d, err := NewDijkstraWith(nil, net, graph.Location{Edge: 0, Offset: 0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func selfLoopNet(objs []graph.Object) (*graph.Graph, *testnet.MemNet) {
 func TestDijkstraSelfLoopObjectWraparound(t *testing.T) {
 	objs := []graph.Object{{ID: 0, Loc: graph.Location{Edge: 0, Offset: 9}}}
 	_, net := selfLoopNet(objs)
-	d, err := sp.NewDijkstra(context.Background(), net, graph.Location{Edge: 0, Offset: 1})
+	d, err := sp.NewDijkstraWith(context.Background(), net, graph.Location{Edge: 0, Offset: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestDijkstraSelfLoopObjectWraparound(t *testing.T) {
 func TestAStarSelfLoopSeeding(t *testing.T) {
 	g, net := selfLoopNet(nil)
 	src := graph.Location{Edge: 0, Offset: 1}
-	a, err := sp.NewAStar(context.Background(), net, src, g.Point(src))
+	a, err := sp.NewAStarWith(context.Background(), net, src, g.Point(src), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestDegenerateGraphOracle(t *testing.T) {
 		net := testnet.NewMemNet(g, objs)
 
 		want := bruteforce.ObjectDistances(g, objs, src)
-		d, err := sp.NewDijkstra(context.Background(), net, src)
+		d, err := sp.NewDijkstraWith(context.Background(), net, src, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -131,7 +131,7 @@ func TestDegenerateGraphOracle(t *testing.T) {
 		// A*: the same source against every object location, landmarks off
 		// and on; distances must match the oracle either way.
 		for pass, tab := range map[string]*landmark.Table{"euclid": nil, "landmarks": landmark.Build(g, 4)} {
-			a, err := sp.NewAStar(context.Background(), net, src, g.Point(src))
+			a, err := sp.NewAStarWith(context.Background(), net, src, g.Point(src), nil)
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}

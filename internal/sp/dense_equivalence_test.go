@@ -15,8 +15,11 @@ import (
 	"testing"
 
 	"roadskyline/internal/bruteforce"
+	"roadskyline/internal/diskgraph"
 	"roadskyline/internal/distcache"
+	"roadskyline/internal/geom"
 	"roadskyline/internal/graph"
+	"roadskyline/internal/middlelayer"
 	"roadskyline/internal/testnet"
 )
 
@@ -48,7 +51,7 @@ func fuzzGraph(t *testing.T, rng *rand.Rand) *graph.Graph {
 	return g
 }
 
-// TestDenseDijkstraMatchesMapOracle locks the dense Dijkstra to the
+// TestDenseDijkstraMatchesMapOracle locks the object-mode searcher to the
 // map-based implementation hit for hit: identical object stream, identical
 // expansion counts at every step, identical settled sets, and exact
 // distances per the brute-force oracle.
@@ -93,7 +96,7 @@ func TestDenseDijkstraMatchesMapOracle(t *testing.T) {
 			}
 		}
 		for v := 0; v < g.NumNodes(); v++ {
-			dd, dok := d.SettledDist(graph.NodeID(v))
+			dd, dok := d.settledDist(graph.NodeID(v))
 			od, ook := o.SettledDist(graph.NodeID(v))
 			if dok != ook || (dok && dd != od) {
 				t.Fatalf("trial %d: SettledDist(%d) dense (%v,%v), oracle (%v,%v)", trial, v, dd, dok, od, ook)
@@ -102,8 +105,88 @@ func TestDenseDijkstraMatchesMapOracle(t *testing.T) {
 	}
 }
 
+// netCall is one page-backed call a searcher made on its Net.
+type netCall struct {
+	op string // "Neighbors", "ObjectsOn" or "NodePoint"
+	id int32
+}
+
+// callLog is a Net that records every Neighbors, ObjectsOn and NodePoint call
+// with its id, in order: the calls that become page requests on a disk-backed
+// network.
+type callLog struct {
+	Net
+	calls []netCall
+}
+
+func (l *callLog) Neighbors(id graph.NodeID, buf []diskgraph.Neighbor) ([]diskgraph.Neighbor, error) {
+	l.calls = append(l.calls, netCall{"Neighbors", int32(id)})
+	return l.Net.Neighbors(id, buf)
+}
+
+func (l *callLog) ObjectsOn(e graph.EdgeID, buf []middlelayer.ObjRef) ([]middlelayer.ObjRef, error) {
+	l.calls = append(l.calls, netCall{"ObjectsOn", int32(e)})
+	return l.Net.ObjectsOn(e, buf)
+}
+
+func (l *callLog) NodePoint(id graph.NodeID) (geom.Point, error) {
+	l.calls = append(l.calls, netCall{"NodePoint", int32(id)})
+	return l.Net.NodePoint(id)
+}
+
+// TestObjectStreamNetCalls holds the object-mode searcher to the page
+// requests of the map-based Dijkstra: drained on the same instance, both make
+// the same Neighbors, ObjectsOn and NodePoint calls with the same ids in the
+// same order, from seeding to exhaustion. Equal object streams do not imply
+// this (a seed that read its endpoints' coordinates would report the same
+// objects), and the paper's cost model counts these requests.
+func TestObjectStreamNetCalls(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	sc := NewScratch()
+	for trial := 0; trial < 80; trial++ {
+		g := fuzzGraph(t, rng)
+		objs := testnet.RandomObjects(rng, g, rng.Intn(30), 0)
+		src := testnet.RandomLocations(rng, g, 1)[0]
+		net := testnet.NewMemNet(g, objs)
+
+		got, want := &callLog{Net: net}, &callLog{Net: net}
+		d, err := NewDijkstraWith(context.Background(), got, src, sc)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		o, err := newMapDijkstra(context.Background(), want, src)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		for _, next := range []func() (ObjectHit, bool, error){d.NextObject, o.NextObject} {
+			for {
+				_, ok, err := next()
+				if err != nil {
+					t.Fatalf("trial %d: %v", trial, err)
+				}
+				if !ok {
+					break
+				}
+			}
+		}
+		for i := 0; i < max(len(got.calls), len(want.calls)); i++ {
+			var gc, wc netCall
+			if i < len(got.calls) {
+				gc = got.calls[i]
+			}
+			if i < len(want.calls) {
+				wc = want.calls[i]
+			}
+			if gc != wc {
+				t.Fatalf("trial %d: call %d of %d is %v(%d), the map-based Dijkstra's call %d of %d is %v(%d)",
+					trial, i, len(got.calls), gc.op, gc.id, i, len(want.calls), wc.op, wc.id)
+			}
+		}
+	}
+}
+
 // TestDijkstraSnapshotThroughDistcache round-trips a partially drained
-// dense Dijkstra through an actual distcache.Cache. A restored searcher
+// object-mode searcher through an actual distcache.Cache. A restored searcher
 // restarts the object stream from the beginning (a cache-hit query wants
 // every object, not the donor's remaining suffix), so the check is: the
 // restored drain reports exactly the objects and distances of a fresh
@@ -116,7 +199,7 @@ func TestDijkstraSnapshotThroughDistcache(t *testing.T) {
 		src := testnet.RandomLocations(rng, g, 1)[0]
 		net := testnet.NewMemNet(g, objs)
 
-		drain := func(d *Dijkstra) map[graph.ObjectID]float64 {
+		drain := func(d *AStar) map[graph.ObjectID]float64 {
 			t.Helper()
 			got := map[graph.ObjectID]float64{}
 			prev := math.Inf(-1)
@@ -139,13 +222,13 @@ func TestDijkstraSnapshotThroughDistcache(t *testing.T) {
 			}
 		}
 
-		full, err := NewDijkstra(context.Background(), net, src)
+		full, err := NewDijkstraWith(context.Background(), net, src, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		want := drain(full)
 
-		part, err := NewDijkstra(context.Background(), net, src)
+		part, err := NewDijkstraWith(context.Background(), net, src, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -160,7 +243,7 @@ func TestDijkstraSnapshotThroughDistcache(t *testing.T) {
 		if !ok {
 			t.Fatalf("trial %d: snapshot not served back", trial)
 		}
-		got := drain(NewDijkstraFrom(context.Background(), net, st))
+		got := drain(NewDijkstraFromWith(context.Background(), net, st, nil))
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: restored reported %d objects, fresh %d", trial, len(got), len(want))
 		}
@@ -183,7 +266,7 @@ func TestAStarSnapshotThroughDistcache(t *testing.T) {
 		src := testnet.RandomLocations(rng, g, 1)[0]
 		srcPt := g.Point(src)
 
-		a, err := NewAStar(context.Background(), net, src, srcPt)
+		a, err := NewAStarWith(context.Background(), net, src, srcPt, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -199,7 +282,7 @@ func TestAStarSnapshotThroughDistcache(t *testing.T) {
 		if !ok {
 			t.Fatalf("trial %d: snapshot not served back", trial)
 		}
-		restored := NewAStarFrom(context.Background(), net, st, srcPt)
+		restored := NewAStarFromWith(context.Background(), net, st, srcPt, nil)
 		for _, dest := range testnet.RandomLocations(rng, g, 4) {
 			destPt := g.Point(dest)
 			want, err := a.DistanceTo(dest, destPt)

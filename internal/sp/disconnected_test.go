@@ -43,7 +43,7 @@ func TestDijkstraDisconnectedObjects(t *testing.T) {
 		{ID: 1, Loc: graph.Location{Edge: 3, Offset: 0.5}}, // far component
 	}
 	net := testnet.NewMemNet(g, objs)
-	d, err := NewDijkstra(context.Background(), net, graph.Location{Edge: 0, Offset: 0.5})
+	d, err := NewDijkstraWith(context.Background(), net, graph.Location{Edge: 0, Offset: 0.5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,10 +54,10 @@ func TestDijkstraDisconnectedObjects(t *testing.T) {
 	if hit2, ok, err := d.NextObject(); err != nil || ok {
 		t.Fatalf("second NextObject = (%+v, %v, %v), want clean exhaustion", hit2, ok, err)
 	}
-	if dist, ok := d.SettledDist(3); ok {
+	if dist, ok := d.settledDist(3); ok {
 		t.Fatalf("SettledDist(3) = (%v, true) for an unreachable node, want unset", dist)
 	}
-	if dist, ok := d.SettledDist(4); ok {
+	if dist, ok := d.settledDist(4); ok {
 		t.Fatalf("SettledDist(4) = (%v, true) for an unreachable node, want unset", dist)
 	}
 }
@@ -69,7 +69,7 @@ func TestAStarDisconnectedTarget(t *testing.T) {
 	g := twoComponents(t)
 	net := testnet.NewMemNet(g, nil)
 	src := graph.Location{Edge: 0, Offset: 0.25}
-	a, err := NewAStar(context.Background(), net, src, g.Point(src))
+	a, err := NewAStarWith(context.Background(), net, src, g.Point(src), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestAStarUnreachableAdvancePLB(t *testing.T) {
 	g := twoComponents(t)
 	net := testnet.NewMemNet(g, nil)
 	src := graph.Location{Edge: 0, Offset: 0.25}
-	a, err := NewAStar(context.Background(), net, src, g.Point(src))
+	a, err := NewAStarWith(context.Background(), net, src, g.Point(src), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,16 +1,19 @@
-// Package sp implements the network expansion engines of the paper:
+// Package sp implements the network expansion engine of the paper: AStar, a
+// resumable A* searcher rooted at one source location, in two modes chosen
+// by its constructor:
 //
-//   - Dijkstra: a resumable Dijkstra wavefront that reports data objects in
-//     ascending network distance from a source location (incremental
-//     network nearest neighbors; the engine behind CE, paper Section 4.1);
-//   - AStar: a resumable A* searcher whose per-target sessions expose the
-//     path distance lower bound (plb), the monotone bound that LBC uses to
-//     abandon network distance computations early (paper Section 4.3).
+//   - sessions (NewAStarWith): per-target sessions expose the path distance
+//     lower bound (plb), the monotone bound that LBC uses to abandon network
+//     distance computations early (paper Sections 4.2-4.3);
+//   - the object stream (NewDijkstraWith): NextObject reports data objects
+//     in ascending network distance from the source (incremental network
+//     nearest neighbors; the engine behind CE, paper Section 4.1). It is A*
+//     with the heuristic at zero, a resumable Dijkstra wavefront.
 //
-// Both keep their wavefront (settled set plus frontier) across requests,
-// matching the experimental setup of paper Section 6.1: "the frontier
-// nodes on the wavefront are maintained such that the expansion can
-// continue from a previous state".
+// Both modes keep their wavefront (settled set plus frontier) across
+// requests, matching the experimental setup of paper Section 6.1: "the
+// frontier nodes on the wavefront are maintained such that the expansion
+// can continue from a previous state".
 package sp
 
 import (

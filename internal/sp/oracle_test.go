@@ -2,7 +2,7 @@ package sp
 
 // This file preserves the pre-CSR map-based Dijkstra and A* implementations
 // verbatim (modulo renames) as a differential-testing oracle. The dense
-// epoch-stamped searchers in dijkstra.go/astar.go must report identical
+// epoch-stamped searcher in astar.go, in both its modes, must report identical
 // objects, distances, work counters and expansion order; equivalence_test.go
 // fuzzes the two against each other and against internal/bruteforce.
 //

@@ -22,7 +22,7 @@ const (
 )
 
 // Scratch is the dense per-node and per-object working state behind one
-// searcher (Dijkstra or AStar). All arrays are indexed by the dense
+// searcher, in either mode. All arrays are indexed by the dense
 // NodeID/ObjectID spaces and validated by an epoch stamp, so clearing
 // between queries is a counter increment rather than an O(n) sweep, and a
 // warm scratch performs steady-state expansions with zero heap allocations.
@@ -38,32 +38,34 @@ type Scratch struct {
 	// wavefront without scanning the whole id space.
 	stamp   []uint32
 	state   []uint8
-	g       []float64    // settled: exact distance; frontier (A*): tentative g
-	pt      []geom.Point // frontier coordinates (A* only)
+	g       []float64    // settled: exact distance; frontier: tentative g
+	pt      []geom.Point // frontier coordinates (session mode only)
 	touched []graph.NodeID
 
-	// front is the A* frontier as a compact list: exactly the touched nodes
+	// front is the frontier as a compact list: exactly the touched nodes
 	// in stateFrontier, appended by enterFrontier and swap-removed by settle
 	// (fpos[v] is v's slot while v is on it). A session keys the wavefront
-	// by walking this list, so it never visits a settled node.
+	// by walking this list, so it never visits a settled node. Object mode
+	// empties it once its heap is loaded: that heap is its frontier.
 	front []graph.NodeID
 	fpos  []int32
 	// mark is a node bitset, all zero between uses, that NewAStarFromWith
 	// orders a restored frontier with.
 	mark []uint64
 
-	// exact[v] == session marks v's key in the A* session heap as carrying
+	// exact[v] == session marks v's key in the session heap as carrying
 	// the full heuristic; every other queued key is Euclid-only (see
 	// Session). session counts sessions over the scratch's whole life, so
 	// marks never alias across sessions or searchers.
 	exact   []uint32
 	session uint32
 
-	// frontier doubles as the Dijkstra wavefront heap (persistent across
-	// calls) and the A* per-session f-keyed heap (Reset by each NewSession).
+	// frontier is the f-keyed heap of the searcher's current session:
+	// Reset and re-keyed by each NewSession, or in object mode the one
+	// g-keyed heap that persists across NextObject calls.
 	frontier *pqueue.Dense
 
-	// Per-object state (Dijkstra only), valid where objStamp[o] == epoch.
+	// Per-object state (object mode only), valid where objStamp[o] == epoch.
 	objStamp []uint32
 	objDist  []float64
 	objState []uint8
@@ -138,7 +140,7 @@ func (sc *Scratch) touch(v graph.NodeID, state uint8) {
 	sc.state[v] = state
 }
 
-// enterFrontier puts v on the A* frontier (or keeps it there), appending it
+// enterFrontier puts v on the frontier (or keeps it there), appending it
 // to the compact frontier list on entry. st is v's current nodeState, which
 // every caller has just read; v must not be settled.
 func (sc *Scratch) enterFrontier(v graph.NodeID, st uint8) {
@@ -175,27 +177,16 @@ func (sc *Scratch) newSession() {
 	}
 }
 
-// objDistance returns o's best tentative distance in the current epoch.
-func (sc *Scratch) objDistance(o graph.ObjectID) (float64, bool) {
-	if sc.objStamp[o] != sc.epoch {
-		return 0, false
-	}
-	return sc.objDist[o], true
-}
-
-// improveObject lowers o's tentative distance, stamping it on first
-// contact.
-func (sc *Scratch) improveObject(o graph.ObjectID, dist float64) bool {
+// improveObject lowers o's tentative distance to dist and queues o at it,
+// stamping o on first contact; it does nothing when o is already as close.
+func (sc *Scratch) improveObject(o graph.ObjectID, dist float64) {
 	if sc.objStamp[o] != sc.epoch {
 		sc.objStamp[o] = sc.epoch
 		sc.objState[o] = objLive
-		sc.objDist[o] = dist
 		sc.objList = append(sc.objList, o)
-		return true
-	}
-	if dist >= sc.objDist[o] {
-		return false
+	} else if dist >= sc.objDist[o] {
+		return
 	}
 	sc.objDist[o] = dist
-	return true
+	sc.objHeap.Push(o, dist)
 }

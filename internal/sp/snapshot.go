@@ -10,9 +10,9 @@ import (
 	"roadskyline/internal/graph"
 )
 
-// This file connects the resumable searchers to the cross-query distance
-// cache: Snapshot captures a wavefront's state at query completion, and the
-// NewDijkstraFrom/NewAStarFrom constructors rebuild a searcher from a
+// This file connects the searcher to the cross-query distance cache:
+// Snapshot captures a wavefront's state at query completion, and the
+// NewAStarFromWith/NewDijkstraFromWith constructors rebuild a searcher from a
 // cached snapshot instead of seeding a fresh wavefront.
 //
 // Resuming is sound because a wavefront between expansion steps is fully
@@ -21,124 +21,61 @@ import (
 // That invariant does not depend on the heuristic that ordered the
 // expansion, so a snapshot taken under one admissible consistent heuristic
 // restores correctly under any other — the heuristic only re-keys the
-// frontier per session. The distance cache still keys snapshots by
+// frontier per session. The distance cache still keys snapshots by kind and
 // heuristic flavor so ablation counters (landmark vs Euclidean wins,
 // expansion totals) stay comparable within a configuration.
 //
-// The cache's State is map-shaped while the searchers run on dense
+// The cache's State is map-shaped while the searcher runs on dense
 // epoch-stamped arrays; these conversions are the boundary. Snapshot
 // enumerates the scratch's touched list (every stamped node) rather than
 // scanning the id space, so its cost tracks the wavefront size, not the
 // network size.
 
-// Snapshot captures the wavefront's resumable state. The returned maps are
-// fresh copies decoupled from the searcher's scratch: the snapshot stays
-// valid after the searcher keeps expanding (or its scratch is recycled), as
-// the cache requires of its immutable entries.
-func (d *Dijkstra) Snapshot() *distcache.State {
-	sc := d.sc
-	st := &distcache.State{
-		Src:      d.src,
-		Settled:  make(map[graph.NodeID]float64, len(sc.touched)),
-		Frontier: make(map[graph.NodeID]distcache.Frontier, sc.frontier.Len()),
-		ObjBest:  make(map[graph.ObjectID]float64, len(sc.objList)),
-	}
-	for _, id := range sc.touched {
-		if sc.state[id] == stateSettled {
-			st.Settled[id] = sc.g[id]
-		}
-	}
-	sc.frontier.Each(func(id int32, key float64) {
-		st.Frontier[graph.NodeID(id)] = distcache.Frontier{G: key}
-	})
-	for _, o := range sc.objList {
-		st.ObjBest[o] = sc.objDist[o]
-	}
-	return st
-}
-
-// NewDijkstraFrom rebuilds a wavefront from a cached snapshot, filling a
-// fresh epoch of the scratch so the shared cache entry stays immutable. The
-// restored wavefront reports every reachable object again from the start
-// (the snapshot carries tentative object distances, not the reported set),
-// so a new query sees exactly the stream a fresh searcher would produce —
-// without re-settling the snapshot's nodes.
-func NewDijkstraFrom(ctx context.Context, net Net, st *distcache.State) *Dijkstra {
-	return NewDijkstraFromWith(ctx, net, st, nil)
-}
-
-// NewDijkstraFromWith is NewDijkstraFrom reusing a pooled scratch. A nil
-// scratch allocates a fresh one.
-func NewDijkstraFromWith(ctx context.Context, net Net, st *distcache.State, sc *Scratch) *Dijkstra {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if sc == nil {
-		sc = NewScratch()
-	}
-	sc.begin(net.NumNodes(), net.NumObjects())
-	d := &Dijkstra{ctx: ctx, net: net, src: st.Src, sc: sc}
-	for id, dist := range st.Settled {
-		sc.touch(id, stateSettled)
-		sc.g[id] = dist
-	}
-	for id, fe := range st.Frontier {
-		d.pushFrontier(id, fe.G)
-	}
-	// The object heap has no id tie-break, so push in id order to keep the
-	// reporting order of equal-distance objects identical from run to run.
-	ids := make([]graph.ObjectID, 0, len(st.ObjBest))
-	for id := range st.ObjBest {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		d.improveObject(id, st.ObjBest[id])
-	}
-	return d
-}
-
 // Snapshot captures the searcher's resumable state: the settled set and the
-// frontier with its coordinates. The returned maps are fresh copies
-// decoupled from the searcher's scratch.
+// frontier, with its coordinates in session mode and with the tentative
+// object distances in object mode. The returned maps are fresh copies decoupled from the
+// searcher's scratch: the snapshot stays valid after the searcher keeps
+// expanding (or its scratch is recycled), as the cache requires of its
+// immutable entries.
 func (a *AStar) Snapshot() *distcache.State {
 	sc := a.sc
+	nf := len(sc.front)
+	if a.objects {
+		nf = sc.frontier.Len()
+	}
 	st := &distcache.State{
 		Src:      a.src,
-		Settled:  make(map[graph.NodeID]float64, len(sc.touched)),
-		Frontier: make(map[graph.NodeID]distcache.Frontier),
+		Settled:  make(map[graph.NodeID]float64, len(sc.touched)-nf),
+		Frontier: make(map[graph.NodeID]distcache.Frontier, nf),
 	}
 	for _, id := range sc.touched {
-		switch sc.state[id] {
-		case stateSettled:
+		switch {
+		case sc.state[id] == stateSettled:
 			st.Settled[id] = sc.g[id]
-		case stateFrontier:
+		case a.objects:
+			st.Frontier[id] = distcache.Frontier{G: sc.g[id]}
+		default:
 			st.Frontier[id] = distcache.Frontier{G: sc.g[id], Pt: sc.pt[id]}
 		}
 	}
+	if a.objects {
+		st.ObjBest = make(map[graph.ObjectID]float64, len(sc.objList))
+		for _, o := range sc.objList {
+			st.ObjBest[o] = sc.objDist[o]
+		}
+	}
 	return st
 }
 
-// NewAStarFrom rebuilds a searcher from a cached snapshot, filling a fresh
-// epoch of the scratch so the shared cache entry stays immutable. srcPt
-// must be the planar position of st.Src (callers have it from the query
-// point, as with NewAStar). DisableHeuristic/UseHeuristicSource apply as
-// usual before the first session.
-func NewAStarFrom(ctx context.Context, net Net, st *distcache.State, srcPt geom.Point) *AStar {
-	return NewAStarFromWith(ctx, net, st, srcPt, nil)
-}
-
-// NewAStarFromWith is NewAStarFrom reusing a pooled scratch. A nil scratch
-// allocates a fresh one.
+// NewAStarFromWith rebuilds a searcher from a cached snapshot, filling a
+// fresh epoch of the scratch (a fresh scratch when sc is nil) so the shared
+// cache entry stays immutable. srcPt must be the planar position of st.Src
+// (callers have it from the query point, as with NewAStarWith).
+// DisableHeuristic/UseHeuristicSource apply as usual before the first
+// session.
 func NewAStarFromWith(ctx context.Context, net Net, st *distcache.State, srcPt geom.Point, sc *Scratch) *AStar {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if sc == nil {
-		sc = NewScratch()
-	}
-	sc.begin(net.NumNodes(), net.NumObjects())
-	a := &AStar{ctx: ctx, net: net, src: st.Src, srcPt: srcPt, sc: sc}
+	a := newSearcher(ctx, net, st.Src, srcPt, sc)
+	sc = a.sc
 	for id, dist := range st.Settled {
 		sc.touch(id, stateSettled)
 		sc.g[id] = dist
@@ -162,5 +99,26 @@ func NewAStarFromWith(ctx context.Context, net Net, st *distcache.State, srcPt g
 			sc.appendFront(graph.NodeID(w<<6 | bits.TrailingZeros64(word)))
 		}
 	}
+	return a
+}
+
+// NewDijkstraFromWith rebuilds an object-mode searcher from a snapshot an
+// object-mode searcher took. The restored searcher reports every reachable
+// object again from the start (the snapshot carries tentative object
+// distances, not the reported set), so a new query sees exactly the stream a
+// fresh searcher would produce — without re-settling the snapshot's nodes.
+func NewDijkstraFromWith(ctx context.Context, net Net, st *distcache.State, sc *Scratch) *AStar {
+	a := NewAStarFromWith(ctx, net, st, geom.Point{}, sc)
+	// The object heap has no id tie-break, so push in id order to keep the
+	// reporting order of equal-distance objects identical from run to run.
+	ids := make([]graph.ObjectID, 0, len(st.ObjBest))
+	for id := range st.ObjBest {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		a.sc.improveObject(id, st.ObjBest[id])
+	}
+	a.streamObjects()
 	return a
 }

@@ -13,7 +13,7 @@ import (
 
 // drainObjects runs a Dijkstra wavefront to exhaustion, returning the
 // reported object distances.
-func drainObjects(t *testing.T, d *Dijkstra) map[graph.ObjectID]float64 {
+func drainObjects(t *testing.T, d *AStar) map[graph.ObjectID]float64 {
 	t.Helper()
 	out := map[graph.ObjectID]float64{}
 	for {
@@ -43,7 +43,7 @@ func TestDijkstraSnapshotRestoreEquivalence(t *testing.T) {
 		src := testnet.RandomLocations(rng, g, 1)[0]
 		net := testnet.NewMemNet(g, objs)
 
-		cold, err := NewDijkstra(context.Background(), net, src)
+		cold, err := NewDijkstraWith(context.Background(), net, src, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -62,7 +62,7 @@ func TestDijkstraSnapshotRestoreEquivalence(t *testing.T) {
 		}
 		want := bruteforce.ObjectDistances(g, objs, src)
 
-		warm := NewDijkstraFrom(context.Background(), net, snap)
+		warm := NewDijkstraFromWith(context.Background(), net, snap, nil)
 		got := drainObjects(t, warm)
 		for i, w := range want {
 			id := graph.ObjectID(i)
@@ -94,22 +94,22 @@ func TestDijkstraSnapshotImmutable(t *testing.T) {
 	src := testnet.RandomLocations(rng, g, 1)[0]
 	net := testnet.NewMemNet(g, objs)
 
-	d, err := NewDijkstra(context.Background(), net, src)
+	d, err := NewDijkstraWith(context.Background(), net, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	snap := d.Snapshot()
 	settled, frontier, objBest := len(snap.Settled), len(snap.Frontier), len(snap.ObjBest)
 	drainObjects(t, d) // keep expanding the original
-	w1 := NewDijkstraFrom(context.Background(), net, snap)
+	w1 := NewDijkstraFromWith(context.Background(), net, snap, nil)
 	drainObjects(t, w1) // and a restored copy
 	if len(snap.Settled) != settled || len(snap.Frontier) != frontier || len(snap.ObjBest) != objBest {
 		t.Fatalf("snapshot mutated: settled %d->%d frontier %d->%d objBest %d->%d",
 			settled, len(snap.Settled), frontier, len(snap.Frontier), objBest, len(snap.ObjBest))
 	}
 	// A second restore from the same snapshot must behave identically.
-	w2 := NewDijkstraFrom(context.Background(), net, snap)
-	a, b := drainObjects(t, NewDijkstraFrom(context.Background(), net, snap)), drainObjects(t, w2)
+	w2 := NewDijkstraFromWith(context.Background(), net, snap, nil)
+	a, b := drainObjects(t, NewDijkstraFromWith(context.Background(), net, snap, nil)), drainObjects(t, w2)
 	if len(a) != len(b) {
 		t.Fatalf("two restores reported %d vs %d objects", len(a), len(b))
 	}
@@ -134,7 +134,7 @@ func TestAStarSnapshotRestoreEquivalence(t *testing.T) {
 		dests := testnet.RandomLocations(rng, g, 5)
 		net := testnet.NewMemNet(g, nil)
 
-		cold, err := NewAStar(context.Background(), net, src, g.Point(src))
+		cold, err := NewAStarWith(context.Background(), net, src, g.Point(src), nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -149,7 +149,7 @@ func TestAStarSnapshotRestoreEquivalence(t *testing.T) {
 		}
 
 		snap := cold.Snapshot()
-		warm := NewAStarFrom(context.Background(), net, snap, g.Point(src))
+		warm := NewAStarFromWith(context.Background(), net, snap, g.Point(src), nil)
 		if trial%3 == 0 {
 			// Resume under the other heuristic configuration than the one
 			// that produced the snapshot.

@@ -25,9 +25,9 @@ func TestDijkstraIncrementalNN(t *testing.T) {
 		want := bruteforce.ObjectDistances(g, objs, src)
 
 		net := testnet.NewMemNet(g, objs)
-		d, err := NewDijkstra(context.Background(), net, src)
+		d, err := NewDijkstraWith(context.Background(), net, src, nil)
 		if err != nil {
-			t.Fatalf("trial %d: NewDijkstra: %v", trial, err)
+			t.Fatalf("trial %d: NewDijkstraWith: %v", trial, err)
 		}
 		seen := map[graph.ObjectID]float64{}
 		prev := 0.0
@@ -71,7 +71,7 @@ func TestDijkstraNoObjects(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := testnet.RandomGraph(rng, 20)
 	net := testnet.NewMemNet(g, nil)
-	d, err := NewDijkstra(context.Background(), net, testnet.RandomLocations(rng, g, 1)[0])
+	d, err := NewDijkstraWith(context.Background(), net, testnet.RandomLocations(rng, g, 1)[0], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestDijkstraSourceEdgeObjects(t *testing.T) {
 		{ID: 1, Loc: graph.Location{Edge: 0, Offset: 0.4}},
 	}
 	net := testnet.NewMemNet(g, objs)
-	d, err := NewDijkstra(context.Background(), net, graph.Location{Edge: 0, Offset: 0.5})
+	d, err := NewDijkstraWith(context.Background(), net, graph.Location{Edge: 0, Offset: 0.5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestDijkstraShortcutBeatsOwnEdge(t *testing.T) {
 	// offset 0 would be 9; via the shortcut it is 0.5+0.5+ (10-9)=2.
 	objs := []graph.Object{{ID: 0, Loc: graph.Location{Edge: 0, Offset: 9}}}
 	net := testnet.NewMemNet(g, objs)
-	d, _ := NewDijkstra(context.Background(), net, graph.Location{Edge: 0, Offset: 0})
+	d, _ := NewDijkstraWith(context.Background(), net, graph.Location{Edge: 0, Offset: 0}, nil)
 	hit, ok, _ := d.NextObject()
 	if !ok || math.Abs(hit.Dist-2.0) > 1e-12 {
 		t.Fatalf("hit = %+v, want dist 2.0 via shortcut", hit)
@@ -145,9 +145,9 @@ func TestAStarMatchesOracle(t *testing.T) {
 		want := bruteforce.ObjectDistances(g, objs, src)
 
 		net := testnet.NewMemNet(g, objs)
-		a, err := NewAStar(context.Background(), net, src, g.Point(src))
+		a, err := NewAStarWith(context.Background(), net, src, g.Point(src), nil)
 		if err != nil {
-			t.Fatalf("NewAStar: %v", err)
+			t.Fatalf("NewAStarWith: %v", err)
 		}
 		// Visit objects in random order to stress resumption.
 		order := rng.Perm(len(objs))
@@ -172,7 +172,7 @@ func TestAStarRepeatTarget(t *testing.T) {
 	objs := testnet.RandomObjects(rng, g, 5, 0)
 	src := testnet.RandomLocations(rng, g, 1)[0]
 	net := testnet.NewMemNet(g, objs)
-	a, _ := NewAStar(context.Background(), net, src, g.Point(src))
+	a, _ := NewAStarWith(context.Background(), net, src, g.Point(src), nil)
 	d1, err := a.DistanceTo(objs[0].Loc, g.Point(objs[0].Loc))
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +200,7 @@ func TestPLBInvariants(t *testing.T) {
 		src := testnet.RandomLocations(rng, g, 1)[0]
 		want := bruteforce.ObjectDistances(g, objs, src)
 		net := testnet.NewMemNet(g, objs)
-		a, _ := NewAStar(context.Background(), net, src, g.Point(src))
+		a, _ := NewAStarWith(context.Background(), net, src, g.Point(src), nil)
 		for i, o := range objs {
 			s := a.NewSession(o.Loc, g.Point(o.Loc))
 			prev := s.PLB()
@@ -247,7 +247,7 @@ func TestSessionStaleness(t *testing.T) {
 	objs := testnet.RandomObjects(rng, g, 3, 0)
 	src := testnet.RandomLocations(rng, g, 1)[0]
 	net := testnet.NewMemNet(g, objs)
-	a, _ := NewAStar(context.Background(), net, src, g.Point(src))
+	a, _ := NewAStarWith(context.Background(), net, src, g.Point(src), nil)
 	s1 := a.NewSession(objs[0].Loc, g.Point(objs[0].Loc))
 	s2 := a.NewSession(objs[1].Loc, g.Point(objs[1].Loc))
 	if !s1.Done() {
@@ -286,7 +286,7 @@ func TestDistPanicsBeforeDone(t *testing.T) {
 	objs := testnet.RandomObjects(rng, g, 1, 0)
 	src := testnet.RandomLocations(rng, g, 1)[0]
 	net := testnet.NewMemNet(g, objs)
-	a, _ := NewAStar(context.Background(), net, src, g.Point(src))
+	a, _ := NewAStarWith(context.Background(), net, src, g.Point(src), nil)
 	s := a.NewSession(objs[0].Loc, g.Point(objs[0].Loc))
 	if s.Done() {
 		t.Skip("session completed immediately")
@@ -309,7 +309,7 @@ func TestAStarExpandsNoMoreThanDijkstraRadius(t *testing.T) {
 		objs := testnet.RandomObjects(rng, g, 5, 0)
 		src := testnet.RandomLocations(rng, g, 1)[0]
 		net1 := testnet.NewMemNet(g, objs)
-		a, _ := NewAStar(context.Background(), net1, src, g.Point(src))
+		a, _ := NewAStarWith(context.Background(), net1, src, g.Point(src), nil)
 		// Single farthest object: worst case for directional search.
 		want := bruteforce.ObjectDistances(g, objs, src)
 		far, fd := 0, -1.0
@@ -322,7 +322,7 @@ func TestAStarExpandsNoMoreThanDijkstraRadius(t *testing.T) {
 			t.Fatal(err)
 		}
 		net2 := testnet.NewMemNet(g, objs)
-		d, _ := NewDijkstra(context.Background(), net2, src)
+		d, _ := NewDijkstraWith(context.Background(), net2, src, nil)
 		for {
 			hit, ok, _ := d.NextObject()
 			if !ok || hit.ID == objs[far].ID {
@@ -346,7 +346,7 @@ func TestAbandonedSessionsDoNotCorrupt(t *testing.T) {
 		src := testnet.RandomLocations(rng, g, 1)[0]
 		want := bruteforce.ObjectDistances(g, objs, src)
 		net := testnet.NewMemNet(g, objs)
-		a, _ := NewAStar(context.Background(), net, src, g.Point(src))
+		a, _ := NewAStarWith(context.Background(), net, src, g.Point(src), nil)
 		for i, o := range objs {
 			s := a.NewSession(o.Loc, g.Point(o.Loc))
 			if i%2 == 0 {
@@ -393,7 +393,7 @@ func TestDijkstraTiesComplete(t *testing.T) {
 	}
 	src := graph.Location{Edge: 0, Offset: 0}
 	net := testnet.NewMemNet(g, objs)
-	dij, _ := NewDijkstra(context.Background(), net, src)
+	dij, _ := NewDijkstraWith(context.Background(), net, src, nil)
 	var got []float64
 	for {
 		hit, ok, _ := dij.NextObject()

@@ -29,7 +29,7 @@ func RandomGraph(rng *rand.Rand, n int) *graph.Graph {
 		if d == 0 {
 			d = 1e-9 // coincident points still need a positive length
 		}
-		b.AddEdge(graph.NodeID(u), graph.NodeID(v), d*(1+rng.Float64()*0.5))
+		b.AddEdge(graph.NodeID(u), graph.NodeID(v), d*(1+float64(rng.Float64()*0.5)))
 	}
 	// Random spanning tree: connect node i to a random earlier node.
 	for i := 1; i < n; i++ {
@@ -62,7 +62,7 @@ func DegenerateGraph(rng *rand.Rand, n int) *graph.Graph {
 		if d == 0 {
 			d = 1e-9
 		}
-		b.AddEdge(graph.NodeID(u), graph.NodeID(v), d*(1+rng.Float64()*0.5))
+		b.AddEdge(graph.NodeID(u), graph.NodeID(v), d*(1+float64(rng.Float64()*0.5)))
 	}
 	for i := 1; i < n; i++ {
 		addEdge(i, rng.Intn(i))
@@ -70,7 +70,7 @@ func DegenerateGraph(rng *rand.Rand, n int) *graph.Graph {
 	// Self-loops: positive length, no displacement.
 	for k := 0; k < 1+n/8; k++ {
 		u := rng.Intn(n)
-		b.AddEdge(graph.NodeID(u), graph.NodeID(u), 0.05+rng.Float64()*0.3)
+		b.AddEdge(graph.NodeID(u), graph.NodeID(u), 0.05+float64(rng.Float64()*0.3))
 	}
 	// Parallel edges: duplicate a tree edge with a different length, so
 	// both a shorter and a longer alternative exist between the same pair.

@@ -197,7 +197,7 @@ type edgeIndex struct {
 // floor returns a value no greater than the distance of any edge inside a
 // box whose MinDist is d (the same relative margin as sp.BoundFloor).
 func (ix *edgeIndex) floor(d float64) float64 {
-	return d*(1-1e-12) - ix.slack
+	return float64(d*(1-1e-12)) - ix.slack
 }
 
 // edgeIndex returns the network's edge index, building it on first use.
