@@ -76,8 +76,6 @@ func main() {
 		slow    = flag.Duration("slow-query", time.Second, "log queries slower than this with their phase breakdown at Warn (default 1s; 0 disables)")
 		logLvl  = flag.String("log-level", "info", "log level: debug (per-request and per-span records), info, warn or error")
 		flight  = flag.Int("flight", 512, "flight recorder retention: per-query records kept in each of the sampled and errored reservoirs (0 disables /debug/queries)")
-		flSlow  = flag.Int("flight-slow", 32, "flight recorder slowest-query reservoir size")
-		flEvery = flag.Int("flight-sample", 1, "flight recorder sampling stride: record every k-th query in the sampled reservoir (slow and errored queries are always kept)")
 		trace   = flag.Bool("trace", true, "give queries causal traces: trace IDs in responses, /debug/inflight and /debug/trace exports (per-request override: ?trace=0|1)")
 		loadWin = flag.Bool("load-window", true, "maintain the rolling load window (1s/10s/60s TPS, latency quantiles, outcome rates) behind /debug/load and the roadskyline_load_* metrics")
 		rtEvery = flag.Duration("runtime-sample", 5*time.Second, "Go runtime sampling interval for the roadskyline_runtime_* metrics (0 disables)")
@@ -105,8 +103,8 @@ func main() {
 		WarmCache: true,
 		FlightRecorder: roadskyline.FlightRecorderConfig{
 			Size:        *flight,
-			SlowN:       *flSlow,
-			SampleEvery: *flEvery,
+			SlowN:       32,
+			SampleEvery: 1,
 		},
 	})
 	if err != nil {

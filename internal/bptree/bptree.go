@@ -40,6 +40,7 @@ type Tree struct {
 	valSize int
 	root    storage.PageID
 	height  int // 1 = root is a leaf
+	pages   int // the file's page count, which bounds every child id
 	size    int // number of keys
 
 	leafCap     int
@@ -88,6 +89,7 @@ func Open(file storage.PageFile, bufferBytes int, m Meta) (*Tree, error) {
 		valSize:     m.ValSize,
 		root:        m.Root,
 		height:      m.Height,
+		pages:       m.Pages,
 		size:        m.Size,
 		leafCap:     (storage.PageSize - headerSize) / (8 + m.ValSize),
 		internalCap: (storage.PageSize - headerSize) / (8 + 4),
@@ -182,8 +184,9 @@ func putIntEntry(p []byte, i int, key int64, child storage.PageID) {
 // Get copies the value stored under key into dst (which must be at least
 // valSize bytes). An absent key is reported as ErrNotFound itself, never
 // wrapped, so callers on the probe path may compare with ==. Reads are
-// buffered and counted. A page whose count has no room on it is reported as
-// storage.ErrCorrupt: page bytes are not checked at open, so a damaged count
+// buffered and counted. A page whose count has no room on it, or an
+// internal page naming a child outside the file, is reported as
+// storage.ErrCorrupt: page bytes are not checked at open, so a damaged page
 // is first seen here.
 func (t *Tree) Get(key int64, dst []byte) error {
 	page := t.root
@@ -192,7 +195,12 @@ func (t *Tree) Get(key int64, dst []byte) error {
 		if err != nil {
 			return err
 		}
-		page = intChild(p, childIndex(p, n, key))
+		child := intChild(p, childIndex(p, n, key))
+		if child < 0 || int(child) >= t.pages {
+			return fmt.Errorf("bptree: %w: page %d names child %d outside the file's %d pages",
+				storage.ErrCorrupt, page, child, t.pages)
+		}
+		page = child
 	}
 	p, n, err := t.page(page, t.leafCap)
 	if err != nil {
@@ -314,6 +322,7 @@ func Build(file storage.PageFile, bufferBytes, valSize int, keys []int64, vals [
 		t.height++
 	}
 	t.root = level[0].page
+	t.pages = file.NumPages()
 	t.pool = storage.NewBufferPool(file, bufferBytes)
 	return t, nil
 }

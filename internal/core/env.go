@@ -510,7 +510,7 @@ func (e *Env) NodePoint(id graph.NodeID) (geom.Point, error) {
 
 // ObjectsOn implements sp.Net via the middle layer.
 func (e *Env) ObjectsOn(ed graph.EdgeID, buf []middlelayer.ObjRef) ([]middlelayer.ObjRef, error) {
-	return e.Layer.ObjectsOn(ed, buf)
+	return e.Layer.ObjectsOn(ed, e.G.Edge(ed).Length, buf)
 }
 
 // Edge implements sp.Net from the in-memory edge table.

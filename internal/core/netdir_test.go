@@ -578,23 +578,65 @@ func TestQueryCorruptAdjacency(t *testing.T) {
 	}))
 }
 
-// B+-tree pages are page bytes too: an entry count with no room on its page
-// must fail the query that reads it with ErrCorrupt, not panic it. Every page
-// of middlelayer.index.pages claims 0xFFFF entries, so CE's first
-// middle-layer probe trips it. EDC and LBC reach objects through the R-tree
-// and never probe the middle layer, so they must answer exactly as on the
-// intact directory. Each runs on the file and mmap backends.
+// Middle-layer pages are page bytes too, which OpenEnv does not read, so a
+// page that lies about itself must fail the query that reads it with
+// ErrCorrupt, not panic it. Each case damages every page or record of one
+// file the same way, so CE's first middle-layer probe trips it:
+//   - count: every index page claims 0xFFFF entries;
+//   - child: every internal index page names children past the file;
+//   - value: every leaf value puts its records on a page past the file;
+//   - record/*: every record names an object past the objects or a
+//     negative one, or an offset past its edge or not a number.
 //
-// Seeded mutation: dropping the count check from bptree.Tree.Get fails it
-// (CE panics with a slice bound out of range).
+// EDC and LBC reach objects through the R-tree and never probe the middle
+// layer, so they must answer exactly as on the intact directory. Each runs
+// on the file and mmap backends.
+//
+// Seeded mutations: dropping the count check from bptree.Tree.Get fails
+// count (CE panics with a slice bound out of range); dropping its child-id
+// check fails child (storage.ErrPageBounds); dropping the run check from
+// middlelayer.Layer.ObjectsOn fails value (ErrPageBounds); dropping its
+// object-id check fails record/id (CE panics in sp.Scratch.improveObject);
+// comparing the id as a signed int against the object count alone fails
+// record/negative id; dropping the offset check fails record/offset and
+// record/nan.
 func TestQueryCorruptIndex(t *testing.T) {
 	nd := buildNetDir(t, 2605, 400, 300, 0)
-	img := bytes.Clone(nd.files[fileTreePages])
-	for off := 0; off < len(img); off += storage.PageSize {
-		binary.LittleEndian.PutUint16(img[off+1:], 0xFFFF)
+	const (
+		leafStride = 8 + 12 // key, then (page, slot, count) u32s
+		intStride  = 8 + 4  // key, then child i32
+		recSize    = 12     // object id u32, offset f64
+	)
+	// pages applies put to every page of the index whose kind byte is kind
+	// (0 leaf, 1 internal), or to every page under anyKind.
+	const anyKind = 0xFF
+	pages := func(kind byte, put func(p []byte)) map[string][]byte {
+		img := bytes.Clone(nd.files[fileTreePages])
+		for off := 0; off < len(img); off += storage.PageSize {
+			if p := img[off : off+storage.PageSize]; kind == anyKind || p[0] == kind {
+				put(p)
+			}
+		}
+		return map[string][]byte{fileTreePages: img}
 	}
-	dir := t.TempDir()
-	nd.copyTo(t, dir, map[string][]byte{fileTreePages: img})
+	count := func(p []byte) int { return int(binary.LittleEndian.Uint16(p[1:])) }
+	// records applies put to every record of the record file.
+	records := func(put func(rec []byte)) map[string][]byte {
+		img := bytes.Clone(nd.files[fileRecPages])
+		perPage := storage.PageSize / recSize
+		for i := range nd.objs {
+			put(img[i/perPage*storage.PageSize+i%perPage*recSize:])
+		}
+		return map[string][]byte{fileRecPages: img}
+	}
+	offset := func(v float64) func([]byte) {
+		return func(rec []byte) { binary.LittleEndian.PutUint64(rec[4:], math.Float64bits(v)) }
+	}
+	internal := 0
+	pages(1, func([]byte) { internal++ })
+	if internal == 0 {
+		t.Fatal("the index has no internal page: the child case tests nothing")
+	}
 	rng := rand.New(rand.NewSource(2605))
 	q := Query{Points: testnet.RandomLocations(rng, nd.g, 3)}
 	intact, err := OpenEnv(nd.dir, EnvConfig{})
@@ -602,37 +644,63 @@ func TestQueryCorruptIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer intact.Close()
-	for _, backend := range []storage.Backend{storage.BackendFile, storage.BackendMmap} {
-		env, err := OpenEnv(dir, EnvConfig{Backend: backend})
-		if err != nil {
-			t.Fatalf("%v: OpenEnv: %v", backend, err)
-		}
-		for _, alg := range []Algorithm{AlgCE, AlgEDC, AlgLBC} {
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						t.Errorf("%v %v: the query panicked: %v", backend, alg, r)
-					}
-				}()
-				res, err := Run(context.Background(), env, q, alg, Options{ColdCache: true})
-				if alg == AlgCE {
-					if !errors.Is(err, ErrCorrupt) {
-						t.Errorf("%v %v: error %v, want ErrCorrupt", backend, alg, err)
-					}
-					return
+	for _, c := range []struct {
+		name    string
+		replace map[string][]byte
+	}{
+		{"count", pages(anyKind, func(p []byte) { binary.LittleEndian.PutUint16(p[1:], 0xFFFF) })},
+		{"child", pages(1, func(p []byte) {
+			binary.LittleEndian.PutUint32(p[3:], 0x7FFFFFF0)
+			for i := range count(p) {
+				binary.LittleEndian.PutUint32(p[7+i*intStride+8:], 0x7FFFFFF0)
+			}
+		})},
+		{"value", pages(0, func(p []byte) {
+			for i := range count(p) {
+				binary.LittleEndian.PutUint32(p[7+i*leafStride+8:], 0x7FFFFFF0)
+			}
+		})},
+		{"record/id", records(func(rec []byte) { binary.LittleEndian.PutUint32(rec, 0x7FFFFFF0) })},
+		{"record/negative id", records(func(rec []byte) { binary.LittleEndian.PutUint32(rec, 0xFFFFFFF0) })},
+		{"record/offset", records(offset(1e9))},
+		{"record/nan", records(offset(math.NaN()))},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			nd.copyTo(t, dir, c.replace)
+			for _, backend := range []storage.Backend{storage.BackendFile, storage.BackendMmap} {
+				env, err := OpenEnv(dir, EnvConfig{Backend: backend})
+				if err != nil {
+					t.Fatalf("%v: OpenEnv: %v", backend, err)
 				}
-				want, werr := Run(context.Background(), intact, q, alg, Options{ColdCache: true})
-				if err != nil || werr != nil {
-					t.Fatalf("%v %v: error %v (intact: %v)", backend, alg, err, werr)
+				for _, alg := range []Algorithm{AlgCE, AlgEDC, AlgLBC} {
+					func() {
+						defer func() {
+							if r := recover(); r != nil {
+								t.Errorf("%v %v: the query panicked: %v", backend, alg, r)
+							}
+						}()
+						res, err := Run(context.Background(), env, q, alg, Options{ColdCache: true})
+						if alg == AlgCE {
+							if !errors.Is(err, ErrCorrupt) {
+								t.Errorf("%v %v: error %v, want ErrCorrupt", backend, alg, err)
+							}
+							return
+						}
+						want, werr := Run(context.Background(), intact, q, alg, Options{ColdCache: true})
+						if err != nil || werr != nil {
+							t.Fatalf("%v %v: error %v (intact: %v)", backend, alg, err, werr)
+						}
+						if err := sameSkyline(res, want); err != nil {
+							t.Errorf("%v %v: against the intact directory: %v", backend, alg, err)
+						}
+					}()
 				}
-				if err := sameSkyline(res, want); err != nil {
-					t.Errorf("%v %v: against the intact directory: %v", backend, alg, err)
+				if err := env.Close(); err != nil {
+					t.Fatal(err)
 				}
-			}()
-		}
-		if err := env.Close(); err != nil {
-			t.Fatal(err)
-		}
+			}
+		})
 	}
 }
 

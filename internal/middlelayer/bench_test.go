@@ -67,7 +67,7 @@ func BenchmarkObjectsOn(b *testing.B) {
 				if cold && k == 0 {
 					l.InvalidateCaches()
 				}
-				if buf, err = l.ObjectsOn(probes[k], buf[:0]); err != nil {
+				if buf, err = l.ObjectsOn(probes[k], g.Edge(probes[k]).Length, buf[:0]); err != nil {
 					b.Fatal(err)
 				}
 				if len(buf) > 0 {

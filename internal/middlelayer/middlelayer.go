@@ -185,9 +185,13 @@ func (l *Layer) Clone(bufferBytes int) *Layer {
 // NumObjects returns the number of objects in the layer.
 func (l *Layer) NumObjects() int { return l.numObjs }
 
-// ObjectsOn appends the objects lying on edge e to buf and returns it. An
-// edge with no objects costs only the B+-tree probe.
-func (l *Layer) ObjectsOn(e graph.EdgeID, buf []ObjRef) ([]ObjRef, error) {
+// ObjectsOn appends the objects lying on edge e to buf and returns it;
+// length is e's length. An edge with no objects costs only the B+-tree
+// probe. Page bytes are not checked at open, so a damaged index value or
+// record is first seen here and reported as storage.ErrCorrupt: a value
+// whose records run outside the record file, or a record whose object id
+// is not an object or whose offset is not in [0, length].
+func (l *Layer) ObjectsOn(e graph.EdgeID, length float64, buf []ObjRef) ([]ObjRef, error) {
 	var val [treeValSize]byte
 	if err := l.tree.Get(keyOf(l.keys, e), val[:]); err != nil {
 		// Get returns the sentinel bare; most probes end here.
@@ -196,20 +200,33 @@ func (l *Layer) ObjectsOn(e graph.EdgeID, buf []ObjRef) ([]ObjRef, error) {
 		}
 		return buf, err
 	}
-	pg := storage.PageID(int32(binary.LittleEndian.Uint32(val[0:])))
+	pg := int(int32(binary.LittleEndian.Uint32(val[0:])))
 	slot := int(binary.LittleEndian.Uint32(val[4:]))
 	count := int(binary.LittleEndian.Uint32(val[8:]))
+	// Build packs the numObjs records without gaps: the run starts at
+	// record pg*recsPerPage+slot.
+	if pg < 0 || slot >= recsPerPage || pg*recsPerPage+slot+count > l.numObjs {
+		return buf, fmt.Errorf("middlelayer: %w: edge %d's %d records at page %d slot %d run past the %d objects",
+			storage.ErrCorrupt, e, count, pg, slot, l.numObjs)
+	}
 	for count > 0 {
-		p, err := l.recs.Get(pg)
+		p, err := l.recs.Get(storage.PageID(pg))
 		if err != nil {
 			return buf, err
 		}
 		for ; slot < recsPerPage && count > 0; slot++ {
 			rec := p[slot*recSize:]
-			buf = append(buf, ObjRef{
+			r := ObjRef{
 				ID:     graph.ObjectID(int32(binary.LittleEndian.Uint32(rec[0:]))),
 				Offset: math.Float64frombits(binary.LittleEndian.Uint64(rec[4:])),
-			})
+			}
+			// As uint32 a negative id is out of range too; the negated
+			// offset test also refuses NaN.
+			if uint32(r.ID) >= uint32(l.numObjs) || !(r.Offset >= 0 && r.Offset <= length) {
+				return buf, fmt.Errorf("middlelayer: %w: edge %d of length %g holds object %d (of %d) at offset %g",
+					storage.ErrCorrupt, e, length, r.ID, l.numObjs, r.Offset)
+			}
+			buf = append(buf, r)
 			count--
 		}
 		pg++

@@ -1,6 +1,8 @@
 package middlelayer
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"sort"
@@ -9,6 +11,9 @@ import (
 	"roadskyline/internal/graph"
 	"roadskyline/internal/storage"
 )
+
+// span is the edge length the tests pass: longer than any offset they place.
+const span = math.MaxFloat64
 
 func build(t *testing.T, objs []graph.Object) *Layer {
 	t.Helper()
@@ -24,7 +29,7 @@ func TestEmptyLayer(t *testing.T) {
 	if l.NumObjects() != 0 {
 		t.Fatalf("NumObjects = %d", l.NumObjects())
 	}
-	out, err := l.ObjectsOn(0, nil)
+	out, err := l.ObjectsOn(0, span, nil)
 	if err != nil {
 		t.Fatalf("ObjectsOn: %v", err)
 	}
@@ -44,7 +49,7 @@ func TestObjectsOnBasic(t *testing.T) {
 	if l.NumObjects() != 4 {
 		t.Fatalf("NumObjects = %d", l.NumObjects())
 	}
-	out, err := l.ObjectsOn(5, nil)
+	out, err := l.ObjectsOn(5, span, nil)
 	if err != nil {
 		t.Fatalf("ObjectsOn: %v", err)
 	}
@@ -56,15 +61,29 @@ func TestObjectsOnBasic(t *testing.T) {
 		t.Errorf("edge 5 objects = %+v", out)
 	}
 	// Edge with no objects.
-	out, err = l.ObjectsOn(7, nil)
+	out, err = l.ObjectsOn(7, span, nil)
 	if err != nil || len(out) != 0 {
 		t.Errorf("edge 7: %v, %d objects", err, len(out))
 	}
 	// Append semantics.
-	out, _ = l.ObjectsOn(2, out[:0])
-	out, _ = l.ObjectsOn(9, out)
+	out, _ = l.ObjectsOn(2, span, out[:0])
+	out, _ = l.ObjectsOn(9, span, out)
 	if len(out) != 2 || out[0].ID != 1 || out[1].ID != 3 {
 		t.Errorf("append semantics broken: %+v", out)
+	}
+}
+
+// A record that is not a point of its edge is corrupt: the offset must lie
+// in [0, length], and NaN does not.
+func TestObjectsOnOffsetOutsideEdge(t *testing.T) {
+	l := build(t, []graph.Object{{ID: 0, Loc: graph.Location{Edge: 5, Offset: 0.3}}})
+	if out, err := l.ObjectsOn(5, 0.3, nil); err != nil || len(out) != 1 {
+		t.Fatalf("offset at the far end: %v, %+v", err, out)
+	}
+	for _, length := range []float64{0.2, math.NaN(), -1} {
+		if _, err := l.ObjectsOn(5, length, nil); !errors.Is(err, storage.ErrCorrupt) {
+			t.Errorf("length %v: error %v, want ErrCorrupt", length, err)
+		}
 	}
 }
 
@@ -78,7 +97,7 @@ func TestObjectsSpanningPages(t *testing.T) {
 	objs[n] = graph.Object{ID: graph.ObjectID(n), Loc: graph.Location{Edge: 1, Offset: 0}}
 	objs[n+1] = graph.Object{ID: graph.ObjectID(n + 1), Loc: graph.Location{Edge: 8, Offset: 0}}
 	l := build(t, objs)
-	out, err := l.ObjectsOn(3, nil)
+	out, err := l.ObjectsOn(3, span, nil)
 	if err != nil {
 		t.Fatalf("ObjectsOn: %v", err)
 	}
@@ -91,10 +110,10 @@ func TestObjectsSpanningPages(t *testing.T) {
 		}
 	}
 	// Neighbors unharmed.
-	if out, _ := l.ObjectsOn(1, nil); len(out) != 1 || out[0].ID != graph.ObjectID(n) {
+	if out, _ := l.ObjectsOn(1, span, nil); len(out) != 1 || out[0].ID != graph.ObjectID(n) {
 		t.Errorf("edge 1 wrong: %+v", out)
 	}
-	if out, _ := l.ObjectsOn(8, nil); len(out) != 1 || out[0].ID != graph.ObjectID(n+1) {
+	if out, _ := l.ObjectsOn(8, span, nil); len(out) != 1 || out[0].ID != graph.ObjectID(n+1) {
 		t.Errorf("edge 8 wrong: %+v", out)
 	}
 }
@@ -118,7 +137,7 @@ func TestObjectsOnModel(t *testing.T) {
 	var buf []ObjRef
 	for e := graph.EdgeID(0); e < numEdges; e++ {
 		var err error
-		buf, err = l.ObjectsOn(e, buf[:0])
+		buf, err = l.ObjectsOn(e, span, buf[:0])
 		if err != nil {
 			t.Fatalf("ObjectsOn(%d): %v", e, err)
 		}
@@ -138,7 +157,7 @@ func TestStats(t *testing.T) {
 	objs := []graph.Object{{ID: 0, Loc: graph.Location{Edge: 1, Offset: 0.5}}}
 	l := build(t, objs)
 	l.ResetStats()
-	l.ObjectsOn(1, nil)
+	l.ObjectsOn(1, span, nil)
 	st := l.Stats()
 	if st.Gets == 0 {
 		t.Error("lookup performed no page gets")
@@ -147,12 +166,12 @@ func TestStats(t *testing.T) {
 		t.Error("cold lookup faulted nothing")
 	}
 	l.ResetStats()
-	l.ObjectsOn(1, nil)
+	l.ObjectsOn(1, span, nil)
 	if st := l.Stats(); st.Misses != 0 {
 		t.Errorf("warm lookup faulted %d pages", st.Misses)
 	}
 	l.InvalidateCaches()
-	l.ObjectsOn(1, nil)
+	l.ObjectsOn(1, span, nil)
 	if st := l.Stats(); st.Misses == 0 {
 		t.Error("invalidated caches still warm")
 	}
@@ -193,7 +212,7 @@ func TestMetaReopen(t *testing.T) {
 	// Capture expected lookups before closing the build-side files.
 	wantOn := make([][]ObjRef, numEdges+5)
 	for e := range wantOn {
-		refs, err := built.ObjectsOn(graph.EdgeID(e), nil)
+		refs, err := built.ObjectsOn(graph.EdgeID(e), span, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +240,7 @@ func TestMetaReopen(t *testing.T) {
 		var got []ObjRef
 		for e := 0; e < numEdges+5; e++ {
 			var err error
-			got, err = l.ObjectsOn(graph.EdgeID(e), got[:0])
+			got, err = l.ObjectsOn(graph.EdgeID(e), span, got[:0])
 			if err != nil {
 				t.Fatalf("%v: ObjectsOn(%d): %v", actual, e, err)
 			}

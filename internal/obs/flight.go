@@ -219,7 +219,7 @@ func (r *FlightRecorder) Record(rec FlightRecord) {
 	k := durKey{rec.Alg, rec.Outcome}
 	h := r.durs[k]
 	if h == nil {
-		h = NewHistogram(DurationBuckets)
+		h = new(Histogram)
 		r.durs[k] = h
 	}
 	h.Observe(rec.Total)

@@ -4,60 +4,128 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
 )
 
-func TestNewHistogramValidation(t *testing.T) {
-	for _, bad := range [][]time.Duration{
-		{time.Second, time.Millisecond},              // decreasing
-		{time.Millisecond, time.Millisecond},         // duplicate
-		{0, time.Millisecond},                        // non-positive
-		{-time.Millisecond, time.Millisecond},        // negative
-		{time.Millisecond, time.Second, time.Second}, // duplicate tail
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewHistogram(%v) did not panic", bad)
-				}
-			}()
-			NewHistogram(bad)
-		}()
-	}
-	// nil means the default wait buckets.
-	h := NewHistogram(nil)
-	if got := h.Bounds(); len(got) != len(WaitBuckets) {
-		t.Errorf("default bounds = %v, want WaitBuckets", got)
-	}
-	// The bounds are copied, not aliased.
-	mine := []time.Duration{time.Millisecond, time.Second}
-	h = NewHistogram(mine)
-	mine[0] = time.Hour
-	if got := h.Bounds(); got[0] != time.Millisecond {
-		t.Errorf("histogram aliased the caller's bounds slice: %v", got)
-	}
-}
-
 func TestHistogramSnapshotCumulative(t *testing.T) {
-	h := NewHistogram([]time.Duration{time.Millisecond, 10 * time.Millisecond, 100 * time.Millisecond})
-	h.Observe(500 * time.Microsecond) // bucket 0
-	h.Observe(time.Millisecond)       // bucket 0 (inclusive bound)
-	h.Observe(5 * time.Millisecond)   // bucket 1
-	h.Observe(time.Second)            // overflow
+	var h Histogram // the zero value is ready to use
+	h.Observe(500 * time.Microsecond)
+	h.Observe(time.Millisecond)
+	h.Observe(5 * time.Millisecond)
+	h.Observe(time.Minute) // above the last bound: +Inf only
 	s := h.Snapshot()
-	if want := []uint64{2, 3, 3}; fmt.Sprint(s.Buckets) != fmt.Sprint(want) {
-		t.Errorf("Buckets = %v, want %v", s.Buckets, want)
+	if len(s.Bounds) != expoMaxExp-latMinExp+1 || len(s.Buckets) != len(s.Bounds) {
+		t.Fatalf("%d bounds, %d buckets, want %d each", len(s.Bounds), len(s.Buckets), expoMaxExp-latMinExp+1)
+	}
+	// The bounds are the octave edges 2^10 ns .. 2^34 ns.
+	for i, b := range s.Bounds {
+		if want := time.Duration(1) << (latMinExp + i); b != want {
+			t.Errorf("Bounds[%d] = %v, want %v", i, b, want)
+		}
+	}
+	// 500 µs ≤ 2^19 ns, 1 ms ≤ 2^20 ns, 5 ms ≤ 2^23 ns.
+	for i, b := range s.Bounds {
+		want := uint64(0)
+		switch {
+		case b >= 1<<23:
+			want = 3
+		case b >= 1<<20:
+			want = 2
+		case b >= 1<<19:
+			want = 1
+		}
+		if s.Buckets[i] != want {
+			t.Errorf("Buckets[le=%v] = %d, want %d", b, s.Buckets[i], want)
+		}
 	}
 	if s.Count != 4 {
 		t.Errorf("Count = %d, want 4", s.Count)
 	}
-	if want := 500*time.Microsecond + time.Millisecond + 5*time.Millisecond + time.Second; s.Sum != want {
+	if want := 500*time.Microsecond + time.Millisecond + 5*time.Millisecond + time.Minute; s.Sum != want {
 		t.Errorf("Sum = %v, want %v", s.Sum, want)
 	}
-	if len(s.Bounds) != 3 || s.Bounds[0] != time.Millisecond {
-		t.Errorf("Bounds = %v", s.Bounds)
+}
+
+// TestHistogramExactLe observes values just under, at and just over
+// several bounds, below the first and above the last, and holds every
+// cumulative bucket to the exact number of observations ≤ its le.
+func TestHistogramExactLe(t *testing.T) {
+	var h Histogram
+	var all []time.Duration
+	add := func(d time.Duration) {
+		h.Observe(d)
+		all = append(all, d)
+	}
+	add(-time.Second) // a clock step backwards: the underflow bucket
+	add(0)
+	add(1)
+	for _, e := range []int{latMinExp, 11, 17, 20, 27, 33, expoMaxExp} {
+		edge := time.Duration(1) << e
+		add(edge - 1)
+		add(edge)
+		add(edge)
+		add(edge + 1)
+	}
+	add(time.Duration(1)<<latMaxExp + 12345)
+	add(time.Hour)
+	add(time.Duration(math.MaxInt64))
+	s := h.Snapshot()
+	for i, le := range s.Bounds {
+		want := uint64(0)
+		for _, d := range all {
+			if d <= le {
+				want++
+			}
+		}
+		if s.Buckets[i] != want {
+			t.Errorf("bucket le=%v: %d, want %d", le, s.Buckets[i], want)
+		}
+	}
+	if s.Count != uint64(len(all)) {
+		t.Errorf("Count = %d, want %d", s.Count, len(all))
+	}
+}
+
+// TestHistogramConcurrentSnapshot races observers against snapshots; run
+// under -race it pins that the histogram needs no locks. Every snapshot
+// is monotone and never has a bucket above Count, and at rest the
+// snapshot counts every observation.
+func TestHistogramConcurrentSnapshot(t *testing.T) {
+	var h Histogram
+	const writers, each = 4, 5000
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				h.Observe(time.Duration(g*each+i) * 997 * time.Nanosecond)
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for snaps := 0; ; snaps++ {
+		s := h.Snapshot()
+		for i := 1; i < len(s.Buckets); i++ {
+			if s.Buckets[i] < s.Buckets[i-1] {
+				t.Fatalf("buckets not monotone at %d: %v", i, s.Buckets)
+			}
+		}
+		if last := s.Buckets[len(s.Buckets)-1]; last > s.Count {
+			t.Fatalf("bucket %d above Count %d", last, s.Count)
+		}
+		select {
+		case <-done:
+			if s := h.Snapshot(); s.Count != writers*each {
+				t.Fatalf("Count = %d at rest, want %d", s.Count, writers*each)
+			}
+			return
+		default:
+		}
 	}
 }
 

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"math"
-	"math/bits"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -30,9 +28,7 @@ type winBucket struct {
 	// Outcome buckets; served covers OutcomeServed and OutcomeAbandoned.
 	served, errors, cancelled, saturated, closed atomic.Uint64
 
-	lat      [NumLatBuckets]atomic.Uint64
-	latCount atomic.Uint64
-	latSum   atomic.Int64
+	lat      Histogram // wall times of the submissions a worker completed
 	dcHits   atomic.Uint64
 	dcMisses atomic.Uint64
 	wfLeads  atomic.Uint64
@@ -45,11 +41,7 @@ func (b *winBucket) reset() {
 	b.cancelled.Store(0)
 	b.saturated.Store(0)
 	b.closed.Store(0)
-	for i := range b.lat {
-		b.lat[i].Store(0)
-	}
-	b.latCount.Store(0)
-	b.latSum.Store(0)
+	b.lat.reset()
 	b.dcHits.Store(0)
 	b.dcMisses.Store(0)
 	b.wfLeads.Store(0)
@@ -128,9 +120,7 @@ func (w *Window) Observe(rec *FlightRecord) {
 	default:
 		b.served.Add(1)
 	}
-	b.lat[latIndex(rec.Wall)].Add(1)
-	b.latCount.Add(1)
-	b.latSum.Add(int64(rec.Wall))
+	b.lat.Observe(rec.Wall)
 	if rec.DistCacheHits > 0 {
 		b.dcHits.Add(uint64(rec.DistCacheHits))
 	}
@@ -209,7 +199,7 @@ func (w *Window) View(seconds int) LoadStats {
 	nowSec := w.now()
 	lo, hi := nowSec-int64(seconds), nowSec-1
 	var lat [NumLatBuckets]uint64
-	var latSum int64
+	var latSum time.Duration
 	for i := range w.buckets {
 		b := &w.buckets[i]
 		e := b.epoch.Load()
@@ -221,11 +211,9 @@ func (w *Window) View(seconds int) LoadStats {
 		s.Cancelled += b.cancelled.Load()
 		s.Saturated += b.saturated.Load()
 		s.Closed += b.closed.Load()
-		for j := range lat {
-			lat[j] += b.lat[j].Load()
-		}
-		s.LatencyCount += b.latCount.Load()
-		latSum += b.latSum.Load()
+		n, sum := b.lat.addTo(&lat)
+		s.LatencyCount += n
+		latSum += sum
 		s.DistCacheHits += b.dcHits.Load()
 		s.DistCacheMisses += b.dcMisses.Load()
 		s.WavefrontLeads += b.wfLeads.Load()
@@ -234,7 +222,7 @@ func (w *Window) View(seconds int) LoadStats {
 	s.Total = s.Served + s.Errors + s.Cancelled + s.Saturated + s.Closed
 	s.TPS = float64(s.Total) / float64(seconds)
 	if s.LatencyCount > 0 {
-		s.MeanLatency = time.Duration(latSum / int64(s.LatencyCount))
+		s.MeanLatency = latSum / time.Duration(s.LatencyCount)
 		s.P50 = latQuantile(lat[:], s.LatencyCount, 0.50)
 		s.P90 = latQuantile(lat[:], s.LatencyCount, 0.90)
 		s.P99 = latQuantile(lat[:], s.LatencyCount, 0.99)
@@ -261,79 +249,4 @@ func (w *Window) Views() []LoadStats {
 		out[i] = w.View(sec)
 	}
 	return out
-}
-
-// The rolling window's per-second latency buckets use one fixed
-// log-linear layout, HDR-histogram style: each power-of-two octave
-// of the nanosecond range splits into latSubCount linear sub-buckets, so
-// the relative quantile error is bounded by 1/latSubCount (~3%) with a
-// few hundred fixed counters and no per-observation allocation. The range
-// runs from about 1 µs (anything faster lands in one underflow bucket) to
-// about 9 minutes (anything slower clamps into the top bucket) — wider
-// than any plausible query latency.
-const (
-	latMinExp   = 10 // 2^10 ns ≈ 1 µs: lower edge of the bucketed range
-	latMaxExp   = 39 // 2^39 ns ≈ 9.2 min: octaves above clamp to the top
-	latSubBits  = 5
-	latSubCount = 1 << latSubBits // sub-buckets per octave
-
-	// NumLatBuckets is the number of counters a log-linear latency
-	// histogram holds: one underflow bucket plus latSubCount per octave.
-	NumLatBuckets = 1 + (latMaxExp-latMinExp+1)*latSubCount
-)
-
-// latIndex maps a duration to its bucket. Index 0 is the underflow bucket
-// (faster than the bucketed range); the top bucket absorbs overflow.
-func latIndex(d time.Duration) int {
-	if d < 0 {
-		return 0
-	}
-	ns := uint64(d)
-	if ns < 1<<latMinExp {
-		return 0
-	}
-	e := bits.Len64(ns) - 1
-	if e > latMaxExp {
-		return NumLatBuckets - 1
-	}
-	sub := int(ns>>(uint(e)-latSubBits)) - latSubCount
-	return 1 + (e-latMinExp)*latSubCount + sub
-}
-
-// latUpper returns bucket i's upper edge, the value quantile estimation
-// reports: the true order statistic is never above it and at most one
-// sub-bucket width (1/latSubCount relative) below.
-func latUpper(i int) time.Duration {
-	if i <= 0 {
-		return 1 << latMinExp
-	}
-	i--
-	e := uint(latMinExp + i/latSubCount)
-	sub := uint64(i%latSubCount) + 1
-	return time.Duration(uint64(1)<<e + sub<<(e-latSubBits))
-}
-
-// latQuantile estimates the q-quantile (q in [0, 1]) from a bucket-count
-// array aligned with latIndex, holding total observations. It returns the
-// upper edge of the bucket containing the order statistic, zero when the
-// histogram is empty.
-func latQuantile(counts []uint64, total uint64, q float64) time.Duration {
-	if total == 0 {
-		return 0
-	}
-	target := uint64(math.Ceil(q * float64(total)))
-	if target < 1 {
-		target = 1
-	}
-	if target > total {
-		target = total
-	}
-	var cum uint64
-	for i, c := range counts {
-		cum += c
-		if cum >= target {
-			return latUpper(i)
-		}
-	}
-	return latUpper(len(counts) - 1)
 }

@@ -65,17 +65,17 @@ func TestLatBucketLayout(t *testing.T) {
 			}
 		}
 	}
-	// Upper edges are exclusive: the edge value itself starts the next
-	// bucket, and the value just below it still belongs to bucket i. That
-	// makes the reported quantile (the upper edge) strictly ≥ every value
-	// in the bucket.
+	// Upper edges are inclusive, as Prometheus's le is: the edge value
+	// itself belongs to bucket i and the value just above it starts the
+	// next bucket. So the reported quantile (the upper edge) is ≥ every
+	// value in the bucket, and an edge's cumulative count is exact.
 	for i := 0; i < NumLatBuckets-2; i++ {
 		up := latUpper(i)
-		if got := latIndex(up); got != i+1 {
-			t.Fatalf("latIndex(latUpper(%d)=%v) = %d, want %d", i, up, got, i+1)
+		if got := latIndex(up); got != i {
+			t.Fatalf("latIndex(latUpper(%d)=%v) = %d, want %d", i, up, got, i)
 		}
-		if got := latIndex(up - 1); got != i {
-			t.Fatalf("latIndex(latUpper(%d)-1) = %d, want %d", i, got, i)
+		if got := latIndex(up + 1); got != i+1 {
+			t.Fatalf("latIndex(latUpper(%d)+1) = %d, want %d", i, got, i+1)
 		}
 	}
 }

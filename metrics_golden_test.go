@@ -20,18 +20,18 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden files under te
 // duration series, two workers, and float values that exercise %g
 // (fractions, exponents, zero).
 func goldenPoolMetrics() PoolMetrics {
-	wait := WaitHistogram{
-		Bounds:  obs.WaitBuckets,
-		Buckets: []uint64{3, 5, 8, 8, 9, 9},
-		Count:   10,
-		Sum:     12345678 * time.Microsecond,
-	}
-	dur := func(buckets []uint64, count uint64, sum time.Duration) WaitHistogram {
-		return WaitHistogram{
-			Bounds:  []time.Duration{500 * time.Microsecond, 2500 * time.Microsecond, time.Second},
-			Buckets: buckets, Count: count, Sum: sum,
+	// Each histogram is built by observing durations whose count and sum
+	// are the fixture's, some of them exactly on an le edge.
+	hist := func(ds ...time.Duration) WaitHistogram {
+		var h obs.Histogram
+		for _, d := range ds {
+			h.Observe(d)
 		}
+		return h.Snapshot()
 	}
+	ms := time.Millisecond
+	wait := hist(1024, 50*time.Microsecond, 100*time.Microsecond, 500*time.Microsecond,
+		ms, 2*ms, 5*ms, 10*ms, time.Second, 11327026976) // sum 12345678 µs
 	view := func(sec int, scale uint64) LoadStats {
 		return LoadStats{
 			WindowSeconds: sec, Total: 11 * scale, TPS: float64(11*scale) / float64(sec),
@@ -65,8 +65,9 @@ func goldenPoolMetrics() PoolMetrics {
 			"served": 25, "error": 3, "abandoned": 2, "cancelled": 4, "saturated": 5, "closed": 2,
 		},
 		Durations: []QueryDurations{
-			{Alg: "CE", Outcome: "served", Hist: dur([]uint64{1, 4, 9}, 10, 98765*time.Microsecond)},
-			{Alg: "LBC", Outcome: "error", Hist: dur([]uint64{0, 0, 0}, 1, 15*time.Second)},
+			{Alg: "CE", Outcome: "served", Hist: hist(300*time.Microsecond, 450*time.Microsecond, 800*time.Microsecond,
+				ms, 2*ms, 2500*time.Microsecond, 4*ms, 8*ms, 16*ms, 63715*time.Microsecond)}, // sum 98765 µs
+			{Alg: "LBC", Outcome: "error", Hist: hist(15 * time.Second)},
 		},
 		Load: []LoadStats{view(1, 1), view(10, 7), view(60, 40)},
 		Runtime: &RuntimeSample{

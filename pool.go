@@ -98,7 +98,7 @@ type poolCounters struct {
 	closed    atomic.Uint64
 	inFlight  atomic.Int64
 	waiting   atomic.Int64
-	queueWait *obs.Histogram
+	queueWait obs.Histogram
 }
 
 // snapshot reads the submission counters consistently enough for the
@@ -138,7 +138,6 @@ func NewPool(e *Engine, cfg PoolConfig) (*Pool, error) {
 		flight:   e.flight,
 		inflight: e.inflight,
 	}
-	p.met.queueWait = obs.NewHistogram(obs.WaitBuckets)
 	if cfg.Window {
 		p.window = obs.NewWindow()
 	}

@@ -6,7 +6,9 @@ import "roadskyline/internal/obs"
 // histogram: cumulative bucket counts aligned with Bounds, the upper bounds
 // (inclusive, Prometheus-style: Buckets[i] counts the waits no longer than
 // Bounds[i]), plus the total observation count (including the +Inf
-// overflow) and sum.
+// overflow) and sum. Bounds are the powers of two from 2^10 ns (1.02 µs)
+// to 2^34 ns (17.2 s), edges of the log-linear buckets every latency
+// histogram keeps, so each cumulative count is exact.
 type WaitHistogram = obs.HistogramSnapshot
 
 // QueryDurations is one (algorithm, outcome) series of the per-query
