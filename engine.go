@@ -2,7 +2,6 @@ package roadskyline
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"log/slog"
 	"time"
@@ -651,10 +650,6 @@ func (e *Engine) begin(q *Query, began time.Time) (core.Query, core.Options, tim
 // submission ended; the caller hands it to its consumers.
 func (e *Engine) run(ctx context.Context, q Query, began time.Time) (*Result, obs.FlightRecord, error) {
 	cq, opts, began := e.begin(&q, began)
-	if len(q.Points) == 0 {
-		err := fmt.Errorf("roadskyline: query needs at least one point")
-		return nil, finalize(e.inflight, q, core.Metrics{}, began, err, false), err
-	}
 	res, err := core.Run(ctx, e.env, cq, q.Algorithm.core(), opts)
 	// A failed query still returns the metrics of the work performed
 	// before the abort, unless it never reached an algorithm (validation,

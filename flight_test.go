@@ -39,7 +39,7 @@ func flightTestEngine(t *testing.T) (*Engine, *Network) {
 // and parks one Skyline call behind it in the admission queue. It returns
 // the iterator, the parked call's cancel function, and a wait that
 // returns the parked call's error once it ends.
-func queueBehindIterator(t *testing.T, pool *Pool, q Query) (it *PoolIterator, cancel func(), wait func() error) {
+func queueBehindIterator(t *testing.T, pool *Pool, q Query) (it *SkylineIterator, cancel func(), wait func() error) {
 	t.Helper()
 	it, err := pool.SkylineIter(context.Background(), q)
 	if err != nil {

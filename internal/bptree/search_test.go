@@ -33,8 +33,10 @@ func checkSearch(t *testing.T, seed int64, n, valSize int) *Tree {
 	}
 	slices.Sort(keys)
 	value := func(k int64) []byte {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], uint64(k)*31+7)
 		v := make([]byte, valSize)
-		binary.LittleEndian.PutUint64(v, uint64(k)*31+7)
+		copy(v, b[:])
 		return v
 	}
 
@@ -99,6 +101,7 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 func FuzzSearch(f *testing.F) {
 	f.Add(int64(1), uint16(40), uint8(12))
 	f.Add(int64(2), uint16(900), uint8(255))
+	f.Add(int64(-209), uint16(40), uint8(3)) // a value shorter than the uint64 it is cut from
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, valSize uint8) {
 		checkSearch(t, seed, int(n)%3000, 1+int(valSize))
 	})

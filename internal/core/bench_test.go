@@ -41,7 +41,7 @@ func BenchmarkLBCCheck(b *testing.B) {
 	}
 	defer donor.Close()
 	settled := func() (total int) {
-		for _, a := range donor.astars {
+		for _, a := range donor.searchers {
 			total += a.NodesExpanded()
 		}
 		return total
@@ -61,7 +61,7 @@ func BenchmarkLBCCheck(b *testing.B) {
 	}
 	snaps := make([]*distcache.State, nq)
 	scratches := make([]*sp.Scratch, nq)
-	for i, a := range donor.astars {
+	for i, a := range donor.searchers {
 		snaps[i], scratches[i] = a.Snapshot(), sp.NewScratch()
 	}
 	sky := slices.Clone(donor.skyVecs)
@@ -70,10 +70,10 @@ func BenchmarkLBCCheck(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		it := &LBCIterator{env: env, q: q, n: nq, dims: nq, skyVecs: slices.Clone(sky), astars: make([]*sp.AStar, nq)}
+		it := &LBCIterator{frame: &frame{env: env, q: q, n: nq, dims: nq, searchers: make([]*sp.AStar, nq)}, skyVecs: slices.Clone(sky)}
 		for j, st := range snaps {
-			it.astars[j] = sp.NewAStarFromWith(ctx, env, st, donor.qPts[j], scratches[j])
-			it.astars[j].UseHeuristicSource(env.Landmarks)
+			it.searchers[j] = sp.NewAStarFromWith(ctx, env, st, donor.qPts[j], scratches[j])
+			it.searchers[j].UseHeuristicSource(env.Landmarks)
 		}
 		it.initBounds()
 		b.StartTimer()

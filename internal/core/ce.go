@@ -2,17 +2,12 @@ package core
 
 import (
 	"cmp"
-	"context"
 	"math"
 	"slices"
-	"time"
 
-	"roadskyline/internal/distcache"
-	"roadskyline/internal/geom"
 	"roadskyline/internal/graph"
 	"roadskyline/internal/obs"
 	"roadskyline/internal/skyline"
-	"roadskyline/internal/sp"
 )
 
 // ce implements the Collaborative Expansion algorithm (paper Section 4.1).
@@ -26,40 +21,10 @@ import (
 // and pruning candidates whose lower-bound vector (known distances, plus the
 // per-query last-visited distance for unknown ones) is dominated by a
 // reported skyline point.
-func ce(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) {
-	start := time.Now()
-	n := len(q.Points)
-	dims := env.vectorDims(n, q.UseAttrs)
-
+func ce(f *frame) (*Result, error) {
+	ctx, env, q, n, dims := f.ctx, f.env, f.q, f.n, f.dims
+	searchers, probe, m := f.searchers, f.probe, &f.m
 	res := &Result{}
-	var m Metrics
-	searchers := make([]*sp.AStar, n)
-	cacheHits := make([]bool, n)
-	// Scratches go back to the pool on every exit path; snapshots for the
-	// distance cache are deep copies taken before the deferred release runs.
-	// The deferred ts.abort abdicates any leadership tickets an error
-	// path leaves unresolved (a no-op after putStates publishes).
-	defer releaseSearchers(env, searchers)
-	ts := newTickets(env, opts, n)
-	defer ts.abort()
-	for i, p := range q.Points {
-		s, hit, err := resumeOrSeed(ctx, env, opts, distcache.KindDijkstra, 0, p, geom.Point{}, &m, ts, i)
-		if err != nil {
-			return nil, err
-		}
-		searchers[i], cacheHits[i] = s, hit
-	}
-	probe := newPhaseProbe(env, opts, searchers)
-	// fail finalizes the metrics gathered so far and returns them alongside
-	// the error, so observers (the flight recorder, slow-query logs) can
-	// account the work a cancelled or failed query performed. The distance
-	// cache is deliberately not fed on this path.
-	fail := func(err error) (*Result, error) {
-		collectSearcherStats(&m, searchers)
-		finishMetrics(env, &m, start)
-		probe.finish(&m)
-		return &Result{Metrics: m}, err
-	}
 
 	probe.begin(obs.PhaseCEFilter)
 	exhausted := make([]bool, n)
@@ -171,15 +136,11 @@ func ce(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) {
 		if slices.Equal(c.vec[n:], minAttrs) {
 			stoppers = append(stoppers, c.vec)
 		}
-		res.Skyline = append(res.Skyline, SkylinePoint{
+		res.Skyline = append(res.Skyline, f.report(SkylinePoint{
 			Object: env.Objects[c.id],
 			Dists:  c.vec[:n:n],
 			Vec:    c.vec,
-		})
-		if m.Initial == 0 {
-			m.Initial = time.Since(start)
-			m.InitialPages = env.pagesFaulted()
-		}
+		}))
 		// Prune candidates the new skyline point already dominates. From the
 		// back, because dropCand fills the hole with the last entry.
 		for k := len(live) - 1; k >= 0; k-- {
@@ -211,7 +172,7 @@ func ce(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) {
 		// wavefront tickets exist fails before it expands anything.
 		if rounds++; rounds%64 == 1 {
 			if err := ctx.Err(); err != nil {
-				return fail(err)
+				return f.fail(err)
 			}
 		}
 		if len(live) == 0 && stopAdmitting() {
@@ -276,7 +237,7 @@ func ce(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) {
 
 		hit, ok, err := searchers[i].NextObject()
 		if err != nil {
-			return fail(err)
+			return f.fail(err)
 		}
 		if !ok {
 			exhausted[i] = true
@@ -344,12 +305,7 @@ func ce(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) {
 	}
 
 	dropDominatedDuplicates(res)
-	putStates(env, opts, distcache.KindDijkstra, 0, searchers, cacheHits, ts)
-	collectSearcherStats(&m, searchers)
-	finishMetrics(env, &m, start)
-	probe.finish(&m)
-	res.Metrics = m
-	return res, nil
+	return f.succeed(res)
 }
 
 // testHookCEStop, set only by tests, sees each admission decision: the

@@ -1,13 +1,10 @@
 package core
 
 import (
-	"context"
 	"math"
 	"slices"
 	"sort"
-	"time"
 
-	"roadskyline/internal/distcache"
 	"roadskyline/internal/geom"
 	"roadskyline/internal/graph"
 	"roadskyline/internal/obs"
@@ -57,45 +54,10 @@ func unreachableVec(vec []float64, n int) bool {
 // vectors already known, most often before any A* session toward it is
 // opened. The candidates fetched and the skyline reported are the paper's;
 // Options.DisablePLB gives back its distance computations too.
-func edc(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) {
-	start := time.Now()
-	n := len(q.Points)
-	dims := env.vectorDims(n, q.UseAttrs)
-	qPts := make([]geom.Point, n)
-	for i, p := range q.Points {
-		qPts[i] = env.G.Point(p)
-	}
-
+func edc(f *frame) (*Result, error) {
+	ctx, env, q, n, dims, qPts := f.ctx, f.env, f.q, f.n, f.dims, f.qPts
+	opts, astars, probe, m := f.opts, f.searchers, f.probe, &f.m
 	res := &Result{}
-	var m Metrics
-	astars := make([]*sp.AStar, n)
-	cacheHits := make([]bool, n)
-	// Scratches go back to the pool on every exit path; snapshots for the
-	// distance cache are deep copies taken before the deferred release runs.
-	// The deferred ts.abort abdicates any leadership tickets an error
-	// path leaves unresolved (a no-op after putStates publishes).
-	defer releaseSearchers(env, astars)
-	ts := newTickets(env, opts, n)
-	defer ts.abort()
-	for i, p := range q.Points {
-		a, hit, err := newAStar(ctx, env, opts, p, qPts[i], &m, ts, i)
-		if err != nil {
-			return nil, err
-		}
-		astars[i], cacheHits[i] = a, hit
-	}
-	probe := newPhaseProbe(env, opts, astars)
-
-	// fail finalizes the metrics gathered so far and returns them alongside
-	// the error, so observers (the flight recorder, slow-query logs) can
-	// account the work a cancelled or failed query performed. The distance
-	// cache is deliberately not fed on this path.
-	fail := func(err error) (*Result, error) {
-		collectSearcherStats(&m, astars)
-		finishMetrics(env, &m, start)
-		probe.finish(&m)
-		return &Result{Metrics: m}, err
-	}
 
 	var shifted [][]float64 // p-bar vectors of processed seeds
 	// front is the Pareto front of the exact network vectors computed so
@@ -183,7 +145,7 @@ func edc(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) 
 	// then a member dominates its network vector too, and whatever that
 	// would have dominated — and only an undominated one has all n distances
 	// computed. Under DisablePLB nothing is dropped early (the paper's EDC).
-	bounds := newBoundVec(astars, dims, &m)
+	bounds := newBoundVec(astars, dims, m)
 	bounds.runOut = opts.DisablePLB
 	dominated := func() bool { return !opts.DisablePLB && skyline.DominatedBy(bounds.test(), front) }
 	verify := func(id graph.ObjectID) error {
@@ -221,15 +183,11 @@ func edc(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) 
 			if skyline.DominatedBy(vec, front) {
 				continue
 			}
-			res.Skyline = append(res.Skyline, SkylinePoint{
+			res.Skyline = append(res.Skyline, f.report(SkylinePoint{
 				Object: env.Objects[id],
 				Dists:  vec[:n:n],
 				Vec:    vec,
-			})
-			if m.Initial == 0 {
-				m.Initial = time.Since(start)
-				m.InitialPages = env.pagesFaulted()
-			}
+			}))
 		}
 	}
 
@@ -240,7 +198,7 @@ func edc(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) 
 		// seeds whose distances resolve via the settled-endpoints shortcut
 		// (no expansion at all) cannot starve cancellation.
 		if err := ctx.Err(); err != nil {
-			return fail(err)
+			return f.fail(err)
 		}
 		probe.begin(obs.PhaseEDCSeed)
 		seed, _, ok := seeds.Next()
@@ -252,7 +210,7 @@ func edc(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) 
 		pbar, err := fetchSeed(graph.ObjectID(seed.ID))
 		probe.end()
 		if err != nil {
-			return fail(err)
+			return f.fail(err)
 		}
 		shifted = append(shifted, pbar)
 
@@ -271,7 +229,7 @@ func edc(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) 
 		probe.begin(obs.PhaseEDCVerify)
 		for _, c := range batch {
 			if err := verify(c.id); err != nil {
-				return fail(err)
+				return f.fail(err)
 			}
 		}
 		probe.end()
@@ -286,12 +244,7 @@ func edc(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) 
 	resolve(nil)
 
 	dropDominatedDuplicates(res)
-	putStates(env, opts, distcache.KindAStar, astarFlavor(env, opts), astars, cacheHits, ts)
-	collectSearcherStats(&m, astars)
-	finishMetrics(env, &m, start)
-	probe.finish(&m)
-	res.Metrics = m
-	return res, nil
+	return f.succeed(res)
 }
 
 // windowCand is a window's unfetched object with its largest Euclidean

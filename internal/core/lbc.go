@@ -1,7 +1,5 @@
 package core
 
-import "context"
-
 // lbc implements the Lower-Bound Constraint algorithm (paper Section 4.3)
 // by draining the progressive LBCIterator.
 //
@@ -31,12 +29,8 @@ import "context"
 // stream the candidate came from) or was pruned because a known skyline
 // point dominates it — and that skyline point dominates the candidate
 // too, by transitivity.
-func lbc(ctx context.Context, env *Env, q Query, opts Options) (*Result, error) {
-	// The iterator owns cache invalidation and counter resets.
-	it, err := NewLBCIterator(ctx, env, q, opts)
-	if err != nil {
-		return nil, err
-	}
+func lbc(f *frame) (*Result, error) {
+	it := newLBCIterator(f)
 	res := &Result{}
 	for {
 		p, ok, err := it.Next()

@@ -2,15 +2,10 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"time"
 
-	"roadskyline/internal/distcache"
-	"roadskyline/internal/geom"
 	"roadskyline/internal/graph"
 	"roadskyline/internal/obs"
 	"roadskyline/internal/skyline"
-	"roadskyline/internal/sp"
 )
 
 // LBCIterator reports network skyline points progressively, nearest (to
@@ -19,16 +14,7 @@ import (
 // consume results as they are determined instead of waiting for the full
 // skyline. The batch LBC algorithm is this iterator drained to exhaustion.
 type LBCIterator struct {
-	ctx   context.Context
-	env   *Env
-	q     Query
-	opts  Options
-	start time.Time
-
-	n       int
-	dims    int
-	qPts    []geom.Point
-	astars  []*sp.AStar
+	*frame  // the query's run: searchers, tickets, metrics; finalize ends it
 	skyVecs [][]float64
 
 	sources   []int
@@ -40,17 +26,7 @@ type LBCIterator struct {
 	confirmed map[graph.ObjectID]bool
 	bounds    *boundVec   // check's per-candidate lower-bound vector, reused
 	dominated func() bool // check's stop rule: the known skyline dominates bounds.test()
-
-	probe     *phaseProbe
-	metrics   Metrics
-	cacheHits []bool
-	ts        tickets
-	// mapping expands skyline points from deduplicated query-point space
-	// back to the caller's original point list; nil when the points were
-	// already distinct.
-	mapping  []int
-	finished bool
-	lastErr  error
+	lastErr   error
 }
 
 // NewLBCIterator validates the query and prepares the incremental LBC
@@ -60,77 +36,40 @@ type LBCIterator struct {
 // iteration; once it is cancelled, Next fails with ctx.Err(). A nil context
 // means context.Background().
 func NewLBCIterator(ctx context.Context, env *Env, q Query, opts Options) (*LBCIterator, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
+	f, err := newFrame(ctx, env, q, AlgLBC, opts)
+	if err != nil {
 		return nil, err
 	}
-	if err := q.Validate(env); err != nil {
-		return nil, err
-	}
-	if !opts.LBCAlternate && (opts.LBCSource < 0 || opts.LBCSource >= len(q.Points)) {
-		return nil, fmt.Errorf("core: LBCSource %d out of range for %d query points", opts.LBCSource, len(q.Points))
-	}
-	if opts.ColdCache {
-		env.InvalidateCaches()
-	}
-	env.ResetIO()
+	return newLBCIterator(f), nil
+}
 
-	// Dedupe after validation (LBCSource is validated against the
-	// caller's point list); yielded points expand back through the
-	// mapping in Next.
-	q, opts, mapping := dedupeQuery(q, opts)
-	it := &LBCIterator{
-		ctx:     ctx,
-		env:     env,
-		q:       q,
-		opts:    opts,
-		start:   time.Now(),
-		n:       len(q.Points),
-		mapping: mapping,
-	}
-	it.dims = env.vectorDims(it.n, q.UseAttrs)
-	it.qPts = make([]geom.Point, it.n)
-	for i, p := range q.Points {
-		it.qPts[i] = env.G.Point(p)
-	}
-	it.astars = make([]*sp.AStar, it.n)
-	it.cacheHits = make([]bool, it.n)
-	it.ts = newTickets(env, opts, it.n)
-	for i, p := range q.Points {
-		a, hit, err := newAStar(ctx, env, opts, p, it.qPts[i], &it.metrics, it.ts, i)
-		if err != nil {
-			it.ts.abort()
-			releaseSearchers(env, it.astars)
-			return nil, err
-		}
-		it.astars[i], it.cacheHits[i] = a, hit
-	}
-	it.probe = newPhaseProbe(env, opts, it.astars)
-	if opts.LBCAlternate {
+// newLBCIterator starts LBC's phase logic on a seeded frame, which the
+// iterator then owns: finalize ends and releases it.
+func newLBCIterator(f *frame) *LBCIterator {
+	it := &LBCIterator{frame: f}
+	if it.opts.LBCAlternate {
 		it.sources = make([]int, it.n)
 		for i := range it.sources {
 			it.sources[i] = i
 		}
 	} else {
-		it.sources = []int{opts.LBCSource}
+		it.sources = []int{it.opts.LBCSource}
 	}
 	it.streams = make([]*nnStream, len(it.sources))
 	for i, src := range it.sources {
-		it.streams[i] = newNNStream(env, q, it.qPts, src, it.astars, &it.skyVecs)
+		it.streams[i] = newNNStream(it.env, it.q, it.qPts, src, it.searchers, &it.skyVecs)
 	}
 	it.done = make([]bool, len(it.sources))
 	it.remaining = len(it.sources)
 	it.processed = make(map[graph.ObjectID]bool)
 	it.confirmed = make(map[graph.ObjectID]bool)
 	it.initBounds()
-	return it, nil
+	return it
 }
 
 // initBounds prepares check's bound vector and its stop rule.
 func (it *LBCIterator) initBounds() {
-	it.bounds = newBoundVec(it.astars, it.dims, &it.metrics)
+	it.bounds = newBoundVec(it.searchers, it.dims, &it.m)
 	it.bounds.runOut = it.opts.DisablePLB
 	it.dominated = func() bool { return skyline.DominatedBy(it.bounds.test(), it.skyVecs) }
 }
@@ -183,14 +122,7 @@ func (it *LBCIterator) Next() (SkylinePoint, bool, error) {
 			return SkylinePoint{}, false, err
 		}
 		if isSkyline {
-			if it.metrics.Initial == 0 {
-				it.metrics.Initial = time.Since(it.start)
-				it.metrics.InitialPages = it.env.pagesFaulted()
-			}
-			if it.mapping != nil {
-				point = expandPoint(point, it.mapping)
-			}
-			return point, true, nil
+			return it.report(point), true, nil
 		}
 	}
 	it.finalize()
@@ -225,39 +157,26 @@ func (it *LBCIterator) check(src int, cand srcCand) (SkylinePoint, bool, error) 
 	}, true, nil
 }
 
-// accumulate folds the iteration-dependent counters into m.
-func (it *LBCIterator) accumulate(m *Metrics) {
+// tally folds the counters LBC keeps itself into m: the candidates its
+// streams confirmed and their source distances.
+func (it *LBCIterator) tally(m *Metrics) {
 	m.Candidates = len(it.confirmed)
 	for _, s := range it.streams {
 		m.DistanceComputations += s.confirmed
 	}
-	collectSearcherStats(m, it.astars)
 }
 
-// finalize freezes the metrics, closes the trace, feeds the distance cache
-// and releases the searchers and NN streams. It runs once; Next calls it on
-// exhaustion and Close calls it on abandonment.
+// finalize ends the iteration once: the metrics freeze and the trace's
+// phases close, a cleanly finished iteration feeds the distance cache (a
+// cancelled or failed one does not), and the searchers and NN streams are
+// released. Next calls it on exhaustion and Close on abandonment.
 func (it *LBCIterator) finalize() {
 	if it.finished {
 		return
 	}
-	it.finished = true
-	it.accumulate(&it.metrics)
-	// Only a cleanly finished iteration feeds the cache: the wavefronts of
-	// a cancelled or failed query are released without being stored.
-	if it.lastErr == nil {
-		putStates(it.env, it.opts, distcache.KindAStar, astarFlavor(it.env, it.opts), it.astars, it.cacheHits, it.ts)
-	}
-	// A failed or cancelled iteration never published: abort abdicates any
-	// leadership tickets so waiting subscribers are promoted (a no-op after
-	// putStates publishes).
-	it.ts.abort()
-	finishMetrics(it.env, &it.metrics, it.start)
-	it.probe.finish(&it.metrics)
-	// The cache snapshots above are deep copies, so the scratches can go
-	// back to the pool before the searchers are dropped.
-	releaseSearchers(it.env, it.astars)
-	it.astars = nil
+	it.tally(&it.m)
+	it.finish(it.lastErr == nil)
+	it.release()
 	it.streams = nil
 	it.remaining = 0
 }
@@ -276,10 +195,9 @@ func (it *LBCIterator) Close() { it.finalize() }
 // finalization).
 func (it *LBCIterator) Metrics() Metrics {
 	if it.finished {
-		return it.metrics
+		return it.m
 	}
-	m := it.metrics
-	it.accumulate(&m)
-	finishMetrics(it.env, &m, it.start)
-	return m
+	m := it.m
+	it.tally(&m)
+	return it.live(m)
 }

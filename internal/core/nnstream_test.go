@@ -56,7 +56,7 @@ func (c streamCase) drain(t testing.TB, vecs [][]float64) (emitted []srcCand, sk
 	if it.n != n {
 		t.Fatalf("query points %v are not distinct", c.pts)
 	}
-	s := newNNStream(c.env, it.q, it.qPts, c.src, it.astars, &sky)
+	s := newNNStream(c.env, it.q, it.qPts, c.src, it.searchers, &sky)
 	for {
 		cand, ok, err := s.next()
 		if err != nil {
@@ -234,7 +234,7 @@ func TestPendingKeyBelowDistance(t *testing.T) {
 		}
 		matrix := bruteforce.DistanceMatrix(env.G, env.Objects, pts)
 		for src := range pts {
-			s := newNNStream(env, it.q, it.qPts, src, it.astars, &it.skyVecs)
+			s := newNNStream(env, it.q, it.qPts, src, it.searchers, &it.skyVecs)
 			for {
 				var ok bool
 				if s.lookahead, s.lookaheadDist, ok = s.euclid.Next(); !ok {

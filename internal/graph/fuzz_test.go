@@ -16,6 +16,7 @@ func FuzzRead(f *testing.F) {
 	f.Add("nodes 2\n")
 	f.Add("roadnet 1\nnodes -1\nedges 0\n")
 	f.Add("roadnet 1\nnodes 2\n0 0\n1 0\nedges 1\n0 1 -5\n")
+	f.Add("roadnet 1\nnodes 100000000000\n0 0\n") // a count far beyond the input
 	f.Fuzz(func(t *testing.T, input string) {
 		g, err := Read(strings.NewReader(input))
 		if err != nil {

@@ -63,7 +63,9 @@ func Read(r io.Reader) (*Graph, error) {
 	if _, err := fmt.Sscanf(line, "nodes %d", &numNodes); err != nil || numNodes < 0 {
 		return nil, fmt.Errorf("graph: bad node count line %q", line)
 	}
-	b := NewBuilder(numNodes, 0)
+	// The count is the file's claim, not a size it has shown: preallocate
+	// at most a modest hint and let the node list grow as nodes are read.
+	b := NewBuilder(min(numNodes, 1<<16), 0)
 	for i := 0; i < numNodes; i++ {
 		line, err = nextLine(sc)
 		if err != nil {

@@ -17,17 +17,18 @@ import (
 // closed; do not interleave other queries on the same engine while it is
 // live. Call Close when abandoning an iteration before exhaustion so the
 // engine's metrics and trace finalize and the searcher state is released;
-// a fully drained iterator finalizes itself.
+// a fully drained iterator finalizes itself. From Pool.SkylineIter, the
+// iterator holds its worker until then. An iterator is not safe for
+// concurrent use; hand it to one consumer.
 type SkylineIterator struct {
 	eng   *Engine
 	it    *core.LBCIterator
 	q     Query
 	began time.Time
-	// flight is where a bare-engine iteration files its record; nil under
-	// a Pool, which reads rec after Close and feeds its own consumers.
-	flight *obs.FlightRecorder
-	rec    obs.FlightRecord
-	done   bool
+	// done receives the query's record at its first terminal event and is
+	// cleared then: the flight recorder's Record for a bare engine, the
+	// worker's release and Pool.finish under a Pool.
+	done func(obs.FlightRecord)
 }
 
 // SkylineIterContext starts a progressive LBC skyline query under a
@@ -35,25 +36,21 @@ type SkylineIterator struct {
 // Algorithm field is ignored (the iterator is always LBC); Source and
 // Alternate select the nearest-neighbor source(s).
 func (e *Engine) SkylineIterContext(ctx context.Context, q Query) (*SkylineIterator, error) {
-	it, rec, err := e.iter(ctx, q, time.Time{})
-	if err != nil {
-		e.flight.Record(rec)
-		return nil, err
-	}
-	it.flight = e.flight
-	return it, nil
+	return e.iter(ctx, q, time.Time{}, e.flight.Record)
 }
 
-// iter starts the iteration. A query that fails to start is finished
-// already: its record is returned for the caller's consumers.
-func (e *Engine) iter(ctx context.Context, q Query, began time.Time) (s *SkylineIterator, rec obs.FlightRecord, err error) {
+// iter starts the iteration; done receives its record at the first
+// terminal event. A query that fails to start is finished already: done
+// receives its record before iter returns.
+func (e *Engine) iter(ctx context.Context, q Query, began time.Time, done func(obs.FlightRecord)) (*SkylineIterator, error) {
 	q.Algorithm = LBCAlg
 	cq, opts, began := e.begin(&q, began)
 	it, err := core.NewLBCIterator(ctx, e.env, cq, opts)
 	if err != nil {
-		return nil, finalize(e.inflight, q, core.Metrics{Total: since(began)}, began, err, false), err
+		done(finalize(e.inflight, q, core.Metrics{Total: since(began)}, began, err, false))
+		return nil, err
 	}
-	return &SkylineIterator{eng: e, it: it, q: q, began: began}, rec, nil
+	return &SkylineIterator{eng: e, it: it, q: q, began: began, done: done}, nil
 }
 
 // finish ends the iteration at its first terminal event (exhaustion,
@@ -61,13 +58,13 @@ func (e *Engine) iter(ctx context.Context, q Query, began time.Time) (s *Skyline
 // cleanly finished iteration feeds the distance cache, searcher state is
 // released — and the query becomes its record, exactly once.
 func (s *SkylineIterator) finish(err error, abandoned bool) {
-	if s.done {
+	done := s.done
+	if done == nil {
 		return
 	}
-	s.done = true
+	s.done = nil
 	s.it.Close()
-	s.rec = finalize(s.eng.inflight, s.q, s.it.Metrics(), s.began, err, abandoned)
-	s.flight.Record(s.rec)
+	done(finalize(s.eng.inflight, s.q, s.it.Metrics(), s.began, err, abandoned))
 }
 
 // TraceID returns the iteration's causal trace ID when it runs with
@@ -75,7 +72,9 @@ func (s *SkylineIterator) finish(err error, abandoned bool) {
 func (s *SkylineIterator) TraceID() string { return s.q.trace.ID().String() }
 
 // Next returns the next skyline point; ok is false when the skyline is
-// exhausted.
+// exhausted or after Close. A context or query error ends the iteration
+// and is sticky: every later Next returns it again, so a caller that only
+// checks the final Next still sees it.
 func (s *SkylineIterator) Next() (SkylinePoint, bool, error) {
 	p, ok, err := s.it.Next()
 	if err != nil || !ok {

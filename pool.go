@@ -295,74 +295,15 @@ func (p *Pool) Skyline(ctx context.Context, q Query) (*Result, error) {
 // always call Close (it is idempotent and exhaustion triggers it
 // automatically) or the worker leaks. Admission follows the same rules as
 // Skyline, including ErrPoolSaturated.
-func (p *Pool) SkylineIter(ctx context.Context, q Query) (*PoolIterator, error) {
+func (p *Pool) SkylineIter(ctx context.Context, q Query) (*SkylineIterator, error) {
 	q.Algorithm = LBCAlg
 	w, admitted, err := p.admit(ctx, &q)
-	var rec obs.FlightRecord
 	if err != nil {
-		rec = finalize(p.inflight, q, core.Metrics{}, admitted, err, false)
-	} else {
-		var it *SkylineIterator
-		if it, rec, err = w.eng.iter(ctx, q, admitted); err == nil {
-			return &PoolIterator{pool: p, w: w, it: it}, nil
-		}
+		p.finish(w, finalize(p.inflight, q, core.Metrics{}, admitted, err, false))
+		return nil, err
+	}
+	return w.eng.iter(ctx, q, admitted, func(rec obs.FlightRecord) {
 		p.release(w)
-	}
-	p.finish(w, rec)
-	return nil, err
-}
-
-// PoolIterator streams skyline points from a pool worker. It is not safe
-// for concurrent use; hand it to one consumer.
-type PoolIterator struct {
-	pool    *Pool
-	w       *poolWorker
-	it      *SkylineIterator
-	stats   Stats
-	lastErr error
-	done    bool
-}
-
-// Next returns the next skyline point; ok is false when the skyline is
-// exhausted (which releases the worker) or after Close. A context or query
-// error also releases the worker and ends the iteration; the error is
-// sticky, so callers that only check it on the final Next still see it.
-func (pi *PoolIterator) Next() (SkylinePoint, bool, error) {
-	if pi.done {
-		return SkylinePoint{}, false, pi.lastErr
-	}
-	pt, ok, err := pi.it.Next()
-	if err != nil || !ok {
-		pi.lastErr = err
-		pi.Close()
-		return SkylinePoint{}, false, err
-	}
-	return pt, true, nil
-}
-
-// Stats returns the query's cost counters so far; after exhaustion or
-// Close it returns the final snapshot.
-func (pi *PoolIterator) Stats() Stats {
-	if pi.done {
-		return pi.stats
-	}
-	return pi.it.Stats()
-}
-
-// Close finalizes the iteration and returns the worker to the pool. It is
-// idempotent and safe after exhaustion. The submission counts as cancelled
-// when the iteration last failed with a context error, served otherwise.
-func (pi *PoolIterator) Close() {
-	if pi.done {
-		return
-	}
-	pi.done = true
-	// Finalize the underlying iterator before the final snapshot: metrics
-	// freeze, the trace's query span ends, and a cleanly finished
-	// iteration feeds the distance cache.
-	pi.it.Close()
-	pi.stats = pi.it.Stats()
-	pi.pool.release(pi.w)
-	pi.pool.finish(pi.w, pi.it.rec)
-	pi.w, pi.it = nil, nil
+		p.finish(w, rec)
+	})
 }

@@ -383,7 +383,10 @@ func TestPoolIterator(t *testing.T) {
 }
 
 // TestInitialPagesSurfaced checks the satellite fix: core.Metrics
-// InitialPages now reaches the public Stats on the blocking path too.
+// InitialPages now reaches the public Stats on the blocking path too. It
+// is stamped when the first point is reported: on this query every
+// algorithm faults pages after that, and the iterator's live count right
+// after its first point is the stamp exactly.
 func TestInitialPagesSurfaced(t *testing.T) {
 	eng, n := poolTestEngine(t)
 	pts := n.GenerateQueryPoints(3, 0.1, 5)
@@ -395,10 +398,26 @@ func TestInitialPagesSurfaced(t *testing.T) {
 		if res.Stats.InitialPages <= 0 {
 			t.Errorf("%v: InitialPages = %d, want > 0", alg, res.Stats.InitialPages)
 		}
-		if res.Stats.InitialPages > res.Stats.NetworkPages {
-			t.Errorf("%v: InitialPages = %d > NetworkPages = %d",
+		if res.Stats.InitialPages >= res.Stats.NetworkPages {
+			t.Errorf("%v: InitialPages = %d, not below NetworkPages = %d",
 				alg, res.Stats.InitialPages, res.Stats.NetworkPages)
 		}
+	}
+	it, err := eng.SkylineIterContext(context.Background(), Query{Points: pts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := it.Next(); !ok || err != nil {
+		t.Fatalf("first Next = (%v, %v)", ok, err)
+	}
+	first := it.Stats().NetworkPages
+	for ok := true; ok; {
+		if _, ok, err = it.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := it.Stats().InitialPages; got != first {
+		t.Errorf("iterator: InitialPages = %d, %d pages were faulted at its first point", got, first)
 	}
 }
 

@@ -244,12 +244,44 @@ func TestEngineWithAttributes(t *testing.T) {
 
 func TestEngineErrors(t *testing.T) {
 	n := demoNetwork(t)
-	eng, err := NewEngine(n, nil, EngineConfig{})
+	eng, err := NewEngine(n, nil, EngineConfig{FlightRecorder: FlightRecorderConfig{Size: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Skyline(Query{}); err == nil {
-		t.Error("empty query accepted")
+	pool, err := NewPool(eng, PoolConfig{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	// An empty query fails one check, whichever entry point it takes: the
+	// same error text and the same flight-record outcome.
+	ctx := context.Background()
+	var want FlightRecord
+	for i, entry := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Engine.Skyline", func() error { _, err := eng.Skyline(Query{}); return err }},
+		{"Engine.SkylineIterContext", func() error { _, err := eng.SkylineIterContext(ctx, Query{}); return err }},
+		{"Pool.Skyline", func() error { _, err := pool.Skyline(ctx, Query{}); return err }},
+		{"Pool.SkylineIter", func() error { _, err := pool.SkylineIter(ctx, Query{}); return err }},
+	} {
+		err := entry.run()
+		if err == nil {
+			t.Fatalf("%s: empty query accepted", entry.name)
+		}
+		rec := eng.FlightRecords()[0]
+		if rec.Err != err.Error() {
+			t.Errorf("%s: record holds error %q, the caller got %q", entry.name, rec.Err, err)
+		}
+		if i == 0 {
+			want = rec
+			continue
+		}
+		if rec.Err != want.Err || rec.Outcome != want.Outcome {
+			t.Errorf("%s: error %q, outcome %q; Engine.Skyline: error %q, outcome %q",
+				entry.name, rec.Err, rec.Outcome, want.Err, want.Outcome)
+		}
 	}
 	if _, err := eng.Skyline(Query{Points: []Location{{Edge: 999}}}); err == nil {
 		t.Error("bad location accepted")

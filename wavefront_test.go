@@ -267,6 +267,14 @@ func (c leadCancelContext) Err() error {
 // before its first expansion. On a sharing engine a context that turns
 // cancelled once the query's leads are taken must fail CE, EDC and LBC
 // with context.Canceled without a single node settled.
+//
+// It also pins that every exit path files one record and resolves the
+// query's tickets: after each row — cancelled before or during expansion,
+// an iterator closed after its first point, an iterator whose Next fails
+// on a cancelled context and is never closed — the same query run
+// uncancelled leads all of its searchers, with no bypass and nobody left
+// waiting. A ticket left held would make that query's first searcher wait
+// on a leader that never publishes.
 func TestWavefrontCancelledOnceLeadExpandsNothing(t *testing.T) {
 	n, err := Generate(NetworkSpec{Name: "cancel", Nodes: 1500, Edges: 1950, Jitter: 0.3, MaxStretch: 0.2, Seed: 77})
 	if err != nil {
@@ -279,9 +287,33 @@ func TestWavefrontCancelledOnceLeadExpandsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	pts := n.GenerateQueryPoints(3, 0.1, 79)
-	for _, alg := range []Algorithm{CEAlg, EDCAlg, LBCAlg} {
+	// resolved ends a row begun when the recorder had seen seen records.
+	resolved := func(row string, alg Algorithm, seen uint64) {
+		t.Helper()
+		if got := eng.flight.Seen() - seen; got != 1 {
+			t.Errorf("%s: %d flight records, want 1", row, got)
+		}
+		before := eng.WavefrontStats()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		res, err := eng.SkylineContext(ctx, Query{Points: pts, Algorithm: alg})
+		if err != nil {
+			t.Fatalf("%s: the same query after it: %v", row, err)
+		}
+		ws := eng.WavefrontStats()
+		if res.Stats.WavefrontLeads != len(pts) || ws.Bypasses != before.Bypasses || ws.Waiting != 0 {
+			t.Errorf("%s: the same query after it led %d of %d searchers, bypasses %d -> %d, %d waiting",
+				row, res.Stats.WavefrontLeads, len(pts), before.Bypasses, ws.Bypasses, ws.Waiting)
+		}
+	}
+	// leadsTaken arms on the store counting a lead beyond the ones it has now.
+	leadsTaken := func() func() bool {
 		leads := eng.WavefrontStats().Leads
-		ctx := leadCancelContext{context.Background(), func() bool { return eng.WavefrontStats().Leads > leads }}
+		return func() bool { return eng.WavefrontStats().Leads > leads }
+	}
+	for _, alg := range []Algorithm{CEAlg, EDCAlg, LBCAlg} {
+		seen := eng.flight.Seen()
+		ctx := leadCancelContext{context.Background(), leadsTaken()}
 		_, err := eng.SkylineContext(ctx, Query{Points: pts, Algorithm: alg})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%v: err = %v, want context.Canceled", alg, err)
@@ -290,7 +322,51 @@ func TestWavefrontCancelledOnceLeadExpandsNothing(t *testing.T) {
 			t.Errorf("%v: cancelled after %d leads with %d nodes expanded, want %d leads and none",
 				alg, rec.WavefrontLeads, rec.NodesExpanded, len(pts))
 		}
+		resolved(fmt.Sprintf("%v cancelled before expanding", alg), alg, seen)
+
+		// Mid-expansion: the first check after the leads passes, the next
+		// one — inside a searcher or between the algorithm's steps — fails.
+		seen = eng.flight.Seen()
+		armed, checks := leadsTaken(), 0
+		ctx = leadCancelContext{context.Background(), func() bool {
+			if armed() {
+				checks++
+			}
+			return checks > 1
+		}}
+		if _, err := eng.SkylineContext(ctx, Query{Points: pts, Algorithm: alg}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%v mid-expansion: err = %v, want context.Canceled", alg, err)
+		}
+		if rec := eng.FlightRecords()[0]; rec.NodesExpanded == 0 {
+			t.Errorf("%v: cancelled mid-expansion with no node expanded", alg)
+		}
+		resolved(fmt.Sprintf("%v cancelled mid-expansion", alg), alg, seen)
 	}
+
+	seen := eng.flight.Seen()
+	it, err := eng.SkylineIterContext(context.Background(), Query{Points: pts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := it.Next(); !ok || err != nil {
+		t.Fatalf("iterator's first Next = (%v, %v)", ok, err)
+	}
+	it.Close()
+	it.Close()
+	it.Next()
+	resolved("an iterator closed after its first point", LBCAlg, seen)
+
+	seen = eng.flight.Seen()
+	ctx, cancel := context.WithCancel(context.Background())
+	if it, err = eng.SkylineIterContext(ctx, Query{Points: pts}); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	if _, _, err := it.Next(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("iterator's Next on a cancelled context: err = %v, want context.Canceled", err)
+	}
+	it.Next()
+	resolved("an iterator whose Next failed, never closed", LBCAlg, seen)
 }
 
 // TestWavefrontPoolHotPointStress hammers a sharing pool with identical
