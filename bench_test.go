@@ -130,7 +130,7 @@ func BenchmarkAlgorithms(b *testing.B) {
 	for _, alg := range []core.Algorithm{core.AlgCE, core.AlgEDC, core.AlgLBC} {
 		b.Run(alg.String(), func(b *testing.B) {
 			lab := quickLab
-			env, err := lab.Env(gen.NA, 0.5, lab.Config().BufferBytes, 0)
+			env, err := lab.Env(gen.NA, 0.5, experiments.Quick().BufferBytes, 0)
 			if err != nil {
 				b.Fatal(err)
 			}

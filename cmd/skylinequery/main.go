@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -58,6 +59,10 @@ func main() {
 	)
 	flag.Var(&queryPts, "q", "query point as x,y (repeatable)")
 	flag.Parse()
+	if !(*omega >= 0) || math.IsInf(*omega, 1) {
+		fmt.Fprintf(os.Stderr, "skylinequery: -omega must be a finite density of at least 0 (got %v)\n", *omega)
+		os.Exit(2)
+	}
 	if *numQ < 0 {
 		fmt.Fprintf(os.Stderr, "skylinequery: -numq must not be negative (got %d)\n", *numQ)
 		os.Exit(2)

@@ -50,6 +50,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -85,6 +86,10 @@ func main() {
 		smokeTr = flag.String("smoke-trace-out", "", "with -smoke: also write the smoke query's exported Chrome trace-event JSON to this file")
 	)
 	flag.Parse()
+	if !(*omega >= 0) || math.IsInf(*omega, 1) {
+		fmt.Fprintf(os.Stderr, "skylineserve: -omega must be a finite density of at least 0 (got %v)\n", *omega)
+		os.Exit(2)
+	}
 
 	level, err := parseLogLevel(*logLvl)
 	if err != nil {

@@ -27,15 +27,7 @@ var fusedOp = regexp.MustCompile(`\(([^()]+\.go:\d+)\)\s+(FN?M(?:ADD|SUB)[DS])\b
 // product is then the one to wrap. Fusion inside the standard library's own
 // functions is outside this listing.
 func TestNoFusedMultiplyAdd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cross-compiles the module for arm64")
-	}
-	goBin := filepath.Join(runtime.GOROOT(), "bin", "go")
-	if _, err := os.Stat(goBin); err != nil {
-		if goBin, err = exec.LookPath("go"); err != nil {
-			t.Skip("no go command to cross-compile with")
-		}
-	}
+	goBin := goCommand(t, "cross-compiles the module for arm64")
 	cmd := exec.Command(goBin, "build", "-gcflags=-S", "./internal/...", ".")
 	cmd.Env = append(os.Environ(), "GOOS=linux", "GOARCH=arm64", "CGO_ENABLED=0")
 	var out bytes.Buffer
@@ -78,4 +70,21 @@ func TestNoFusedMultiplyAdd(t *testing.T) {
 	if len(fused) > 0 {
 		t.Logf("%d fused instructions: wrap each product a sum consumes in float64(...)", len(fused))
 	}
+}
+
+// goCommand returns the go command of the toolchain running the tests, for
+// the tests that build the repository and inspect what comes out. Under
+// -short, or without a go command, the test is skipped with why.
+func goCommand(t *testing.T, why string) string {
+	t.Helper()
+	if testing.Short() {
+		t.Skip(why)
+	}
+	goBin := filepath.Join(runtime.GOROOT(), "bin", "go")
+	if _, err := os.Stat(goBin); err != nil {
+		if goBin, err = exec.LookPath("go"); err != nil {
+			t.Skip("no go command: " + why)
+		}
+	}
+	return goBin
 }

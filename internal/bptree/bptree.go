@@ -110,9 +110,6 @@ func (t *Tree) Clone(bufferBytes int) *Tree {
 // Len returns the number of keys stored.
 func (t *Tree) Len() int { return t.size }
 
-// Height returns the number of levels (1 when the root is a leaf).
-func (t *Tree) Height() int { return t.height }
-
 func initPage(p []byte, kind byte) {
 	clear(p)
 	p[0] = kind

@@ -38,8 +38,8 @@ func TestEmptyTree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	if tr.Len() != 0 || tr.Height() != 1 || file.NumPages() != 1 {
-		t.Fatalf("empty tree: len=%d height=%d pages=%d", tr.Len(), tr.Height(), file.NumPages())
+	if tr.Len() != 0 || tr.Meta().Height != 1 || file.NumPages() != 1 {
+		t.Fatalf("empty tree: len=%d height=%d pages=%d", tr.Len(), tr.Meta().Height, file.NumPages())
 	}
 	dst := make([]byte, testValSize)
 	if err := tr.Get(7, dst); err != ErrNotFound {
@@ -65,8 +65,8 @@ func TestBuildBulk(t *testing.T) {
 	if tr.Len() != n {
 		t.Fatalf("Len = %d, want %d", tr.Len(), n)
 	}
-	if tr.Height() < 2 {
-		t.Fatalf("bulk tree too shallow: height = %d", tr.Height())
+	if tr.Meta().Height < 2 {
+		t.Fatalf("bulk tree too shallow: height = %d", tr.Meta().Height)
 	}
 	dst := make([]byte, testValSize)
 	for i := 0; i < n; i++ {
@@ -126,8 +126,8 @@ func TestGetCountsBufferIO(t *testing.T) {
 	if st.Misses == 0 {
 		t.Error("expected buffer misses with a tiny pool")
 	}
-	if st.Gets < int64(2*tr.Height()) {
-		t.Errorf("gets = %d, want >= %d (two root-to-leaf walks)", st.Gets, 2*tr.Height())
+	if st.Gets < int64(2*tr.Meta().Height) {
+		t.Errorf("gets = %d, want >= %d (two root-to-leaf walks)", st.Gets, 2*tr.Meta().Height)
 	}
 }
 
@@ -202,8 +202,8 @@ func TestMetaReopen(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	if tr2.Len() != n || tr2.Height() != tr.Height() {
-		t.Fatalf("reopened len=%d height=%d, want %d/%d", tr2.Len(), tr2.Height(), n, tr.Height())
+	if tr2.Len() != n || tr2.Meta().Height != tr.Meta().Height {
+		t.Fatalf("reopened len=%d height=%d, want %d/%d", tr2.Len(), tr2.Meta().Height, n, tr.Meta().Height)
 	}
 	buf := make([]byte, testValSize)
 	for i := range keys {

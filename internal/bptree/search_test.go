@@ -91,8 +91,8 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 		{"three-levels", 6000, 256, 3}, // 15 entries a leaf
 	} {
 		t.Run(c.name+"/build", func(t *testing.T) {
-			if tr := checkSearch(t, int64(c.n), c.n, c.valSize); tr.Height() != c.height {
-				t.Fatalf("height %d, want %d", tr.Height(), c.height)
+			if tr := checkSearch(t, int64(c.n), c.n, c.valSize); tr.Meta().Height != c.height {
+				t.Fatalf("height %d, want %d", tr.Meta().Height, c.height)
 			}
 		})
 	}

@@ -23,7 +23,7 @@ func NodeDistances(g *graph.Graph, src graph.Location) []float64 {
 	if g.NumNodes() == 0 {
 		return dist
 	}
-	h := pqueue.NewIndexed[graph.NodeID](64)
+	h := pqueue.New[graph.NodeID](64)
 	e := g.Edge(src.Edge)
 	h.Push(e.U, src.Offset)
 	h.Push(e.V, e.Length-src.Offset)

@@ -138,7 +138,7 @@ func BenchmarkEDCVerify(b *testing.B) {
 			b.Fatal(err)
 		}
 		a.UseHeuristicSource(env.Landmarks)
-		if pbar[i], err = a.DistanceTo(seed.Loc, env.G.Point(seed.Loc)); err != nil {
+		if pbar[i], err = a.NewSession(seed.Loc, env.G.Point(seed.Loc)).Run(); err != nil {
 			b.Fatal(err)
 		}
 		snaps[i] = a.Snapshot()

@@ -192,15 +192,15 @@ func TestPaperCostRelationships(t *testing.T) {
 		env := newTestEnv(t, g, objs)
 		q := Query{Points: testnet.RandomLocations(rng, g, 2+rng.Intn(3))}
 
-		ce, err := RunDefault(env, q, AlgCE)
+		ce, err := Run(context.Background(), env, q, AlgCE, Options{ColdCache: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		edc, err := RunDefault(env, q, AlgEDC)
+		edc, err := Run(context.Background(), env, q, AlgEDC, Options{ColdCache: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		lbc, err := RunDefault(env, q, AlgLBC)
+		lbc, err := Run(context.Background(), env, q, AlgLBC, Options{ColdCache: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +229,7 @@ func TestMetricsSanity(t *testing.T) {
 	env := newTestEnv(t, g, objs)
 	q := Query{Points: testnet.RandomLocations(rng, g, 3)}
 	for _, alg := range []Algorithm{AlgCE, AlgEDC, AlgLBC} {
-		res, err := RunDefault(env, q, alg)
+		res, err := Run(context.Background(), env, q, alg, Options{ColdCache: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,11 +259,11 @@ func TestDeterminism(t *testing.T) {
 	env := newTestEnv(t, g, objs)
 	q := Query{Points: testnet.RandomLocations(rng, g, 3)}
 	for _, alg := range []Algorithm{AlgCE, AlgEDC, AlgLBC} {
-		a, err := RunDefault(env, q, alg)
+		a, err := Run(context.Background(), env, q, alg, Options{ColdCache: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := RunDefault(env, q, alg)
+		b, err := Run(context.Background(), env, q, alg, Options{ColdCache: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,15 +331,15 @@ func TestQueryValidation(t *testing.T) {
 	g := testnet.RandomGraph(rng, 20)
 	objs := testnet.RandomObjects(rng, g, 10, 0)
 	env := newTestEnv(t, g, objs)
-	if _, err := RunDefault(env, Query{}, AlgLBC); err == nil {
+	if _, err := Run(context.Background(), env, Query{}, AlgLBC, Options{ColdCache: true}); err == nil {
 		t.Error("empty query accepted")
 	}
 	bad := Query{Points: []graph.Location{{Edge: 9999, Offset: 0}}}
-	if _, err := RunDefault(env, bad, AlgCE); err == nil {
+	if _, err := Run(context.Background(), env, bad, AlgCE, Options{ColdCache: true}); err == nil {
 		t.Error("invalid query point accepted")
 	}
 	noAttrs := Query{Points: testnet.RandomLocations(rng, g, 1), UseAttrs: true}
-	if _, err := RunDefault(env, noAttrs, AlgEDC); err == nil {
+	if _, err := Run(context.Background(), env, noAttrs, AlgEDC, Options{ColdCache: true}); err == nil {
 		t.Error("UseAttrs accepted without attributes")
 	}
 	if _, err := Run(context.Background(), env, Query{Points: testnet.RandomLocations(rng, g, 1)}, Algorithm(99), Options{}); err == nil {
@@ -353,7 +353,7 @@ func TestEmptyObjectSet(t *testing.T) {
 	env := newTestEnv(t, g, nil)
 	q := Query{Points: testnet.RandomLocations(rng, g, 2)}
 	for _, alg := range []Algorithm{AlgCE, AlgEDC, AlgLBC} {
-		res, err := RunDefault(env, q, alg)
+		res, err := Run(context.Background(), env, q, alg, Options{ColdCache: true})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
@@ -378,7 +378,7 @@ func TestSingleQueryPointIsNearestNeighbor(t *testing.T) {
 			}
 		}
 		for _, alg := range []Algorithm{AlgCE, AlgEDC, AlgLBC} {
-			res, err := RunDefault(env, q, alg)
+			res, err := Run(context.Background(), env, q, alg, Options{ColdCache: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -416,7 +416,7 @@ func TestLBCFirstResultIsSourceNN(t *testing.T) {
 		objs := testnet.RandomObjects(rng, g, 30, 0)
 		env := newTestEnv(t, g, objs)
 		q := Query{Points: testnet.RandomLocations(rng, g, 3)}
-		res, err := RunDefault(env, q, AlgLBC)
+		res, err := Run(context.Background(), env, q, AlgLBC, Options{ColdCache: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -540,7 +540,7 @@ func TestResponseTimeModel(t *testing.T) {
 	env := newTestEnv(t, g, objs)
 	q := Query{Points: testnet.RandomLocations(rng, g, 3)}
 	for _, alg := range []Algorithm{AlgCE, AlgEDC, AlgLBC} {
-		res, err := RunDefault(env, q, alg)
+		res, err := Run(context.Background(), env, q, alg, Options{ColdCache: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -570,11 +570,11 @@ func TestEnvOnDisk(t *testing.T) {
 	}
 	q := Query{Points: testnet.RandomLocations(rng, g, 3)}
 	for _, alg := range []Algorithm{AlgCE, AlgEDC, AlgLBC} {
-		a, err := RunDefault(mem, q, alg)
+		a, err := Run(context.Background(), mem, q, alg, Options{ColdCache: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := RunDefault(disk, q, alg)
+		b, err := Run(context.Background(), disk, q, alg, Options{ColdCache: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -598,7 +598,7 @@ func TestLBCIteratorMatchesBatch(t *testing.T) {
 		env := newTestEnv(t, g, objs)
 		q := Query{Points: testnet.RandomLocations(rng, g, 3)}
 
-		batch, err := RunDefault(env, q, AlgLBC)
+		batch, err := Run(context.Background(), env, q, AlgLBC, Options{ColdCache: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -649,7 +649,7 @@ func TestLBCIteratorEarlyStop(t *testing.T) {
 	env := newTestEnv(t, g, objs)
 	q := Query{Points: testnet.RandomLocations(rng, g, 3)}
 
-	full, err := RunDefault(env, q, AlgLBC)
+	full, err := Run(context.Background(), env, q, AlgLBC, Options{ColdCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -679,7 +679,7 @@ func TestEnvCloneConcurrentQueries(t *testing.T) {
 	objs := testnet.RandomObjects(rng, g, 60, 0)
 	base := newTestEnv(t, g, objs)
 	q := Query{Points: testnet.RandomLocations(rng, g, 3)}
-	want, err := RunDefault(base.Clone(), q, AlgLBC)
+	want, err := Run(context.Background(), base.Clone(), q, AlgLBC, Options{ColdCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -693,7 +693,7 @@ func TestEnvCloneConcurrentQueries(t *testing.T) {
 			defer wg.Done()
 			env := base.Clone()
 			alg := []Algorithm{AlgCE, AlgEDC, AlgLBC}[w%3]
-			res, err := RunDefault(env, q, alg)
+			res, err := Run(context.Background(), env, q, alg, Options{ColdCache: true})
 			if err != nil {
 				errs[w] = err
 				return
@@ -760,7 +760,7 @@ func TestDisconnectedNetworks(t *testing.T) {
 		env := newTestEnv(t, g, objs)
 		want, _ := bruteforce.NetworkSkyline(g, objs, q.Points, false)
 		for _, alg := range []Algorithm{AlgCE, AlgEDC, AlgLBC} {
-			res, err := RunDefault(env, q, alg)
+			res, err := Run(context.Background(), env, q, alg, Options{ColdCache: true})
 			if err != nil {
 				t.Fatalf("trial %d %v: %v", trial, alg, err)
 			}
@@ -838,9 +838,9 @@ func TestOpenEnvBackends(t *testing.T) {
 			}
 		}
 		tree := e.ObjTree
-		if tree.Len() != wantTree.Len() || tree.Height() != wantTree.Height() || tree.Bounds() != wantTree.Bounds() {
-			t.Fatalf("%s: object tree len/height/bounds %d/%d/%v, BulkLoad gives %d/%d/%v", name,
-				tree.Len(), tree.Height(), tree.Bounds(), wantTree.Len(), wantTree.Height(), wantTree.Bounds())
+		if tree.Len() != wantTree.Len() || tree.NumNodes() != wantTree.NumNodes() || tree.Fanout() != wantTree.Fanout() {
+			t.Fatalf("%s: object tree len/nodes/fanout %d/%d/%d, BulkLoad gives %d/%d/%d", name,
+				tree.Len(), tree.NumNodes(), tree.Fanout(), wantTree.Len(), wantTree.NumNodes(), wantTree.Fanout())
 		}
 	}
 	f, err := slab.Open(filepath.Join(dir, fileSlab))
@@ -856,12 +856,12 @@ func TestOpenEnvBackends(t *testing.T) {
 	// node visits among them, and every distance.
 	q := Query{Points: testnet.RandomLocations(rng, g, 3), UseAttrs: true}
 	for _, alg := range []Algorithm{AlgCE, AlgEDC, AlgLBC} {
-		want, err := RunDefault(mem, q, alg)
+		want, err := Run(context.Background(), mem, q, alg, Options{ColdCache: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for name, e := range envs {
-			got, err := RunDefault(e, q, alg)
+			got, err := Run(context.Background(), e, q, alg, Options{ColdCache: true})
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, alg, err)
 			}
@@ -925,9 +925,7 @@ func TestOpenEnvErrors(t *testing.T) {
 		derivedSecs = append(derivedSecs, *sectionOf(secs, tag))
 	}
 	v2 := t.TempDir()
-	if err := slab.Write(filepath.Join(v2, "derived.slab"), derivedSecs); err != nil {
-		t.Fatal(err)
-	}
+	writeSlab(t, filepath.Join(v2, "derived.slab"), derivedSecs)
 	nd.copyTo(t, v2, map[string][]byte{"manifest.json": []byte(`{
   "version": 2,
   "numAttrs": 1,
@@ -1037,7 +1035,7 @@ func TestOpenEnvMmapHeapGate(t *testing.T) {
 
 	// And the env actually serves queries.
 	q := Query{Points: testnet.RandomLocations(rng, g, 2)}
-	res, err := RunDefault(env, q, AlgLBC)
+	res, err := Run(context.Background(), env, q, AlgLBC, Options{ColdCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}

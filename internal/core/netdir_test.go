@@ -130,7 +130,7 @@ func (nd *netDir) mustRefuse(t *testing.T, name string, want error, replace map[
 }
 
 // resealed returns the pristine network slab with mutate applied to its
-// sections and every checksum recomputed (slab.Write seals what it is
+// sections and every checksum recomputed (a slab Writer seals what it is
 // given), so the change reaches the checks behind the checksums.
 func (nd *netDir) resealed(t testing.TB, mutate func([]slab.Section) []slab.Section) map[string][]byte {
 	t.Helper()
@@ -139,9 +139,7 @@ func (nd *netDir) resealed(t testing.TB, mutate func([]slab.Section) []slab.Sect
 		secs[i].Data = bytes.Clone(secs[i].Data)
 	}
 	path := filepath.Join(t.TempDir(), fileSlab)
-	if err := slab.Write(path, mutate(secs)); err != nil {
-		t.Fatal(err)
-	}
+	writeSlab(t, path, mutate(secs))
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -830,8 +828,8 @@ func TestOpenEnvConfigRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if built.Landmarks != nil || built.ObjTree.Height() < 2 {
-		t.Fatalf("built without landmarks at fanout 16: table %v, height %d", built.Landmarks, built.ObjTree.Height())
+	if built.Landmarks != nil || built.ObjTree.NumNodes() < 2 {
+		t.Fatalf("built without landmarks at fanout 16: table %v, %d R-tree nodes", built.Landmarks, built.ObjTree.NumNodes())
 	}
 	built.Close()
 	if env, err := open(bare, EnvConfig{}); err != nil || env.Landmarks != nil {
@@ -1131,4 +1129,22 @@ func checkObjTree(tree *rtree.Tree, n int) error {
 		}
 	}
 	return err
+}
+
+// writeSlab stores the sections at path, in order, the way the builder does.
+func writeSlab(t testing.TB, path string, sections []slab.Section) {
+	t.Helper()
+	w, err := slab.Create(path, len(sections))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Abort()
+	for _, s := range sections {
+		if err := w.Add(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -242,17 +242,17 @@ func TestPendingKeyBelowDistance(t *testing.T) {
 				}
 				s.park()
 			}
-			for _, item := range s.pending.Items() {
-				p := item.Value
+			for s.pending.Len() > 0 {
+				p, key := s.pending.Pop()
 				d := matrix[p.id][src]
-				if item.Key > d {
-					t.Errorf("set %d src %d object %d: pending key %v above distance %v", set, src, p.id, item.Key, d)
+				if key > d {
+					t.Errorf("set %d src %d object %d: pending key %v above distance %v", set, src, p.id, key, d)
 				}
 				if p.bound > d {
 					above++
 				}
-				if item.Key != sp.BoundFloor(p.bound) {
-					t.Errorf("set %d src %d object %d: key %v is not the floor of bound %v", set, src, p.id, item.Key, p.bound)
+				if key != sp.BoundFloor(p.bound) {
+					t.Errorf("set %d src %d object %d: key %v is not the floor of bound %v", set, src, p.id, key, p.bound)
 				}
 			}
 		}

@@ -192,8 +192,7 @@ type Options struct {
 }
 
 // Run executes the query with the chosen algorithm. Each call resets the
-// I/O counters; with opts.ColdCache (the default via RunDefault) it also
-// drops the buffer pools first.
+// I/O counters; with opts.ColdCache it also drops the buffer pools first.
 //
 // The context bounds the query: cancellation or deadline expiry aborts the
 // expansion loops of all three algorithms and returns ctx.Err(). An
@@ -220,10 +219,4 @@ func Run(ctx context.Context, env *Env, q Query, alg Algorithm, opts Options) (*
 	default:
 		return lbc(f)
 	}
-}
-
-// RunDefault executes the query cold-cache with default options and no
-// cancellation.
-func RunDefault(env *Env, q Query, alg Algorithm) (*Result, error) {
-	return Run(context.Background(), env, q, alg, Options{ColdCache: true})
 }

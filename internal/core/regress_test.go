@@ -114,7 +114,7 @@ func TestBoundaryOffsets(t *testing.T) {
 	}}
 	_, matrix := bruteforce.NetworkSkyline(g, objs, q.Points, false)
 	for _, alg := range []Algorithm{AlgCE, AlgEDC, AlgLBC} {
-		res, err := RunDefault(env, q, alg)
+		res, err := Run(context.Background(), env, q, alg, Options{ColdCache: true})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
@@ -342,7 +342,10 @@ func TestEDCVectorBuffersIndependent(t *testing.T) {
 		return true
 	})
 	root := env.ObjTree.NumNodes() - 1
-	rect := env.ObjTree.Bounds()
+	rect := geom.EmptyRect() // the root's, which is every entry's union
+	for _, e := range entries {
+		rect = rect.Union(e.Rect)
+	}
 
 	v := w.entryVec(0, &entries[0])
 	want := append([]float64(nil), v...)

@@ -71,7 +71,12 @@ func newWindowOracle(env *Env) *windowOracle {
 		}
 		return true
 	})
-	o.rects[tree.NumNodes()-1] = tree.Bounds() // the root, which SearchFunc enters without descend
+	// The root, which SearchFunc enters without descend, bounds every entry.
+	root := geom.EmptyRect()
+	for _, e := range o.entries {
+		root = root.Union(e.Rect)
+	}
+	o.rects[tree.NumNodes()-1] = root
 	return o
 }
 

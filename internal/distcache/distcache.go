@@ -90,10 +90,6 @@ type State struct {
 	ObjBest  map[graph.ObjectID]float64
 }
 
-// Nodes returns the number of network nodes the snapshot covers (settled
-// plus frontier) — the expansion work a restore saves.
-func (s *State) Nodes() int { return len(s.Settled) + len(s.Frontier) }
-
 // Config sizes a Cache.
 type Config struct {
 	// Entries caps the number of wavefronts kept at rest across all
@@ -117,14 +113,6 @@ type Stats struct {
 	Stores    int64
 	Evictions int64
 	Entries   int
-}
-
-// HitRate returns Hits / (Hits + Misses), or zero before any lookup.
-func (s Stats) HitRate() float64 {
-	if total := s.Hits + s.Misses; total > 0 {
-		return float64(s.Hits) / float64(total)
-	}
-	return 0
 }
 
 // FlightStats is a point-in-time snapshot of the in-flight counters.

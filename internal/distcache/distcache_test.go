@@ -1,7 +1,6 @@
 package distcache
 
 import (
-	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -56,9 +55,6 @@ func TestGetPutRoundTrip(t *testing.T) {
 	s := c.Stats()
 	if s.Hits != 1 || s.Misses != 3 || s.Stores != 1 || s.Entries != 1 {
 		t.Fatalf("stats = %+v, want 1 hit / 3 misses / 1 store / 1 entry", s)
-	}
-	if hr := s.HitRate(); hr != 0.25 {
-		t.Fatalf("hit rate = %v, want 0.25", hr)
 	}
 }
 
@@ -253,20 +249,4 @@ func TestCapacityBoundAcrossShards(t *testing.T) {
 	if s.Evictions < int64(9*capEntries) {
 		t.Fatalf("evictions = %d, want >= %d", s.Evictions, 9*capEntries)
 	}
-}
-
-func TestNodes(t *testing.T) {
-	st := &State{
-		Settled:  map[graph.NodeID]float64{1: 1, 2: 2},
-		Frontier: map[graph.NodeID]Frontier{3: {G: 3}},
-	}
-	if got := st.Nodes(); got != 3 {
-		t.Fatalf("Nodes() = %d, want 3", got)
-	}
-}
-
-func ExampleStats_HitRate() {
-	s := Stats{Hits: 3, Misses: 1}
-	fmt.Println(s.HitRate())
-	// Output: 0.75
 }

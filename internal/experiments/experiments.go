@@ -177,9 +177,6 @@ func NewLab(cfg Config) *Lab {
 	}
 }
 
-// Config returns the lab's configuration.
-func (l *Lab) Config() Config { return l.cfg }
-
 // scaled applies cfg.Scale to a paper network spec.
 func (l *Lab) scaled(spec gen.Spec) gen.Spec {
 	if l.cfg.Scale == 1 || l.cfg.Scale <= 0 {

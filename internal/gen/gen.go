@@ -278,11 +278,16 @@ func Generate(spec Spec) (*graph.Graph, error) {
 // Objects extracts count = round(omega * |E|) data objects placed uniformly
 // on edges (an edge drawn uniformly, an offset drawn uniformly along it),
 // matching the paper's object density omega = |D| / |E|. When numAttrs > 0
-// each object carries that many uniform attributes in [0, 100).
+// each object carries that many uniform attributes in [0, 100). A count
+// that is not a finite number from 0 to MaxInt32 (a negative, NaN or
+// infinite omega) yields no objects.
 func Objects(g *graph.Graph, omega float64, numAttrs int, seed int64) []graph.Object {
+	n := math.Round(omega * float64(g.NumEdges()))
+	if !(n >= 0 && n <= math.MaxInt32) {
+		return nil
+	}
 	rng := rand.New(rand.NewSource(seed))
-	count := int(math.Round(omega * float64(g.NumEdges())))
-	objs := make([]graph.Object, count)
+	objs := make([]graph.Object, int(n))
 	for i := range objs {
 		e := g.Edge(graph.EdgeID(rng.Intn(g.NumEdges())))
 		objs[i] = graph.Object{

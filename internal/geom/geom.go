@@ -92,22 +92,6 @@ func (r Rect) Contains(p Point) bool {
 	return p.X >= r.MinX && p.X <= r.MaxX && p.Y >= r.MinY && p.Y <= r.MaxY
 }
 
-// ContainsRect reports whether s lies entirely inside r.
-func (r Rect) ContainsRect(s Rect) bool {
-	if s.IsEmpty() {
-		return true
-	}
-	return s.MinX >= r.MinX && s.MaxX <= r.MaxX && s.MinY >= r.MinY && s.MaxY <= r.MaxY
-}
-
-// Intersects reports whether r and s share at least one point.
-func (r Rect) Intersects(s Rect) bool {
-	if r.IsEmpty() || s.IsEmpty() {
-		return false
-	}
-	return r.MinX <= s.MaxX && s.MinX <= r.MaxX && r.MinY <= s.MaxY && s.MinY <= r.MaxY
-}
-
 // Center returns the center point of r.
 func (r Rect) Center() Point {
 	return Point{float64((r.MinX + r.MaxX) / 2), float64((r.MinY + r.MaxY) / 2)}
@@ -118,13 +102,6 @@ func (r Rect) Center() Point {
 func (r Rect) MinDist(p Point) float64 {
 	dx := axisDist(p.X, r.MinX, r.MaxX)
 	dy := axisDist(p.Y, r.MinY, r.MaxY)
-	return math.Hypot(dx, dy)
-}
-
-// MaxDist returns the maximum Euclidean distance from p to any point of r.
-func (r Rect) MaxDist(p Point) float64 {
-	dx := math.Max(math.Abs(p.X-r.MinX), math.Abs(p.X-r.MaxX))
-	dy := math.Max(math.Abs(p.Y-r.MinY), math.Abs(p.Y-r.MaxY))
 	return math.Hypot(dx, dy)
 }
 

@@ -76,11 +76,8 @@ func TestEmptyRect(t *testing.T) {
 	if e.Union(r) != r || r.Union(e) != r {
 		t.Error("empty rect is not the Union identity")
 	}
-	if e.Intersects(r) || r.Intersects(e) {
-		t.Error("empty rect intersects something")
-	}
-	if !r.ContainsRect(e) {
-		t.Error("every rect should contain the empty rect")
+	if e.Contains(Point{0, 0}) || e.Contains(Point{0.5, 0.5}) {
+		t.Error("empty rect contains a point")
 	}
 }
 
@@ -89,27 +86,15 @@ func TestUnionContains(t *testing.T) {
 		r := RectFromPoints(Point{ax, ay}, Point{bx, by})
 		s := RectFromPoints(Point{cx, cy}, Point{dx, dy})
 		u := r.Union(s)
-		return u.ContainsRect(r) && u.ContainsRect(s)
+		for _, c := range []Point{{ax, ay}, {bx, by}, {cx, cy}, {dx, dy}} {
+			if !u.Contains(c) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestIntersects(t *testing.T) {
-	a := Rect{0, 0, 2, 2}
-	b := Rect{1, 1, 3, 3}
-	c := Rect{2.5, 2.5, 4, 4}
-	if !a.Intersects(b) || !b.Intersects(a) {
-		t.Error("overlapping rects must intersect")
-	}
-	if a.Intersects(c) {
-		t.Error("disjoint rects must not intersect")
-	}
-	// Touching boundary counts as intersecting.
-	d := Rect{2, 0, 4, 2}
-	if !a.Intersects(d) {
-		t.Error("touching rects must intersect")
 	}
 }
 
@@ -147,9 +132,6 @@ func TestMinDistLowerBound(t *testing.T) {
 		}
 		if md := r.MinDist(p); md > p.Dist(inside)+1e-9 {
 			t.Fatalf("MinDist %v > actual dist %v", md, p.Dist(inside))
-		}
-		if xd := r.MaxDist(p); xd < p.Dist(inside)-1e-9 {
-			t.Fatalf("MaxDist %v < actual dist %v", xd, p.Dist(inside))
 		}
 	}
 }

@@ -5,22 +5,6 @@ package geom
 // below float64 precision loss for unit-square coordinates.
 const HilbertOrder = 16
 
-// HilbertD2XY converts a distance d along the order-n Hilbert curve into
-// cell coordinates (x, y). It is the inverse of HilbertXY2D.
-func HilbertD2XY(order uint, d uint64) (x, y uint32) {
-	var rx, ry uint64
-	t := d
-	for s := uint64(1); s < 1<<order; s *= 2 {
-		rx = 1 & (t / 2)
-		ry = 1 & (t ^ rx)
-		x, y = hilbertRot(s, x, y, rx, ry)
-		x += uint32(s * rx)
-		y += uint32(s * ry)
-		t /= 4
-	}
-	return x, y
-}
-
 // HilbertXY2D converts cell coordinates (x, y) into the distance along the
 // order-n Hilbert curve. Cells adjacent on the curve are adjacent in the
 // plane, which is why sorting graph nodes by this key clusters spatially

@@ -17,7 +17,7 @@ func TestHilbertBijection(t *testing.T) {
 				t.Fatalf("duplicate hilbert distance %d at (%d,%d)", d, x, y)
 			}
 			seen[d] = true
-			gx, gy := HilbertD2XY(order, d)
+			gx, gy := hilbertD2XY(order, d)
 			if gx != x || gy != y {
 				t.Fatalf("roundtrip (%d,%d) -> %d -> (%d,%d)", x, y, d, gx, gy)
 			}
@@ -32,9 +32,9 @@ func TestHilbertBijection(t *testing.T) {
 // that makes Hilbert ordering a good disk-clustering key).
 func TestHilbertAdjacency(t *testing.T) {
 	const order = 6
-	px, py := HilbertD2XY(order, 0)
+	px, py := hilbertD2XY(order, 0)
 	for d := uint64(1); d < 1<<(2*order); d++ {
-		x, y := HilbertD2XY(order, d)
+		x, y := hilbertD2XY(order, d)
 		manhattan := absDiff(x, px) + absDiff(y, py)
 		if manhattan != 1 {
 			t.Fatalf("curve jump at d=%d: (%d,%d)->(%d,%d)", d, px, py, x, y)
@@ -101,4 +101,21 @@ func keyGap(p, q Point, b Rect) float64 {
 		kp, kq = kq, kp
 	}
 	return float64(kq - kp)
+}
+
+// hilbertD2XY converts a distance d along the order-n Hilbert curve into
+// cell coordinates (x, y). It is the inverse of HilbertXY2D, the oracle of
+// its round trip.
+func hilbertD2XY(order uint, d uint64) (x, y uint32) {
+	var rx, ry uint64
+	t := d
+	for s := uint64(1); s < 1<<order; s *= 2 {
+		rx = 1 & (t / 2)
+		ry = 1 & (t ^ rx)
+		x, y = hilbertRot(s, x, y, rx, ry)
+		x += uint32(s * rx)
+		y += uint32(s * ry)
+		t /= 4
+	}
+	return x, y
 }

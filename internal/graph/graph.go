@@ -94,9 +94,6 @@ func (g *Graph) NumNodes() int { return len(g.nodes) }
 // NumEdges returns the number of edges.
 func (g *Graph) NumEdges() int { return len(g.edges) }
 
-// Node returns the node with the given id.
-func (g *Graph) Node(id NodeID) Node { return g.nodes[id] }
-
 // NodePoint returns the coordinates of the node with the given id.
 func (g *Graph) NodePoint(id NodeID) geom.Point { return g.nodes[id].Pt }
 
@@ -107,9 +104,6 @@ func (g *Graph) Edge(id EdgeID) Edge { return g.edges[id] }
 func (g *Graph) Adj(id NodeID) AdjList {
 	return AdjList{hs: g.halfedges[g.adjOff[id]:g.adjOff[id+1]]}
 }
-
-// Degree returns the number of halfedges at node id.
-func (g *Graph) Degree(id NodeID) int { return int(g.adjOff[id+1] - g.adjOff[id]) }
 
 // Bounds returns the bounding rectangle of all node coordinates.
 func (g *Graph) Bounds() geom.Rect { return g.bounds }
@@ -186,12 +180,6 @@ func (b *Builder) AddEdge(u, v NodeID, length float64) EdgeID {
 	b.edges = append(b.edges, Edge{ID: id, U: u, V: v, Length: length})
 	return id
 }
-
-// NumNodes returns the number of nodes added so far.
-func (b *Builder) NumNodes() int { return len(b.nodes) }
-
-// NumEdges returns the number of edges added so far.
-func (b *Builder) NumEdges() int { return len(b.edges) }
 
 // Build validates the accumulated nodes and edges and returns the Graph.
 func (b *Builder) Build() (*Graph, error) {

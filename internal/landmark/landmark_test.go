@@ -11,9 +11,11 @@ import (
 	"roadskyline/internal/testnet"
 )
 
-// TestNodeBoundAdmissible checks lb(u, v) <= d(u, v) for all node pairs of
-// randomized graphs, and that the bound is exact when one side is a
-// landmark.
+// TestNodeBoundAdmissible checks the bound the searchers evaluate at a node,
+// ForTarget's Bound, for every node pair of randomized graphs (the target
+// sitting on the second node): it never exceeds the true distance, and it is
+// exact at a landmark node, where the landmark's own row gives
+// |d(L,L) - d(L,end)| = d(L,end) for both ends of the target's edge.
 func TestNodeBoundAdmissible(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 5; trial++ {
@@ -22,23 +24,19 @@ func TestNodeBoundAdmissible(t *testing.T) {
 		if tab == nil {
 			t.Fatal("Build returned nil for a nonempty graph")
 		}
-		for u := 0; u < g.NumNodes(); u++ {
-			dist := bruteforce.NodeDistances(g, nodeLoc(g, graph.NodeID(u)))
-			for v := 0; v < g.NumNodes(); v++ {
-				lb := tab.NodeBound(graph.NodeID(u), graph.NodeID(v))
-				if lb > dist[v]+1e-9 {
-					t.Fatalf("trial %d: NodeBound(%d,%d) = %g exceeds true distance %g", trial, u, v, lb, dist[v])
+		for v := 0; v < g.NumNodes(); v++ {
+			dest := nodeLoc(g, graph.NodeID(v))
+			th := tab.ForTarget(dest, g.Point(dest))
+			dist := bruteforce.NodeDistances(g, dest)
+			for u := 0; u < g.NumNodes(); u++ {
+				if lb := th.Bound(graph.NodeID(u)); lb > dist[u]+1e-9 {
+					t.Fatalf("trial %d: Bound(%d) toward node %d = %g exceeds true distance %g", trial, u, v, lb, dist[u])
 				}
 			}
-		}
-		// From a landmark itself the triangle bound degenerates to the
-		// exact distance: |d(L,L) - d(L,v)| = d(L,v).
-		l := tab.Nodes()[0]
-		dist := bruteforce.NodeDistances(g, nodeLoc(g, l))
-		for v := 0; v < g.NumNodes(); v++ {
-			lb := tab.NodeBound(l, graph.NodeID(v))
-			if math.Abs(lb-dist[v]) > 1e-9 {
-				t.Fatalf("trial %d: bound from landmark %d to %d = %g, want exact %g", trial, l, v, lb, dist[v])
+			for _, l := range tab.Nodes() {
+				if lb := th.Bound(l); math.Abs(lb-dist[l]) > 1e-9 {
+					t.Fatalf("trial %d: bound from landmark %d toward node %d = %g, want exact %g", trial, l, v, lb, dist[l])
+				}
 			}
 		}
 	}
@@ -130,15 +128,12 @@ func TestDisconnectedComponents(t *testing.T) {
 	if !seen[true] || !seen[false] {
 		t.Fatalf("farthest-point sampling left a component without a landmark: %v", tab.Nodes())
 	}
-	if lb := tab.NodeBound(0, 2); !math.IsInf(lb, 1) {
-		t.Fatalf("cross-component NodeBound = %g, want +Inf", lb)
-	}
-	if lb := tab.NodeBound(0, 1); math.IsInf(lb, 1) || lb > 1+1e-9 {
-		t.Fatalf("same-component NodeBound = %g, want finite <= 1", lb)
-	}
 	th := tab.ForTarget(graph.Location{Edge: 0, Offset: 0.5}, g.Point(graph.Location{Edge: 0, Offset: 0.5}))
 	if lb := th.Bound(3); !math.IsInf(lb, 1) {
 		t.Fatalf("cross-component target bound = %g, want +Inf", lb)
+	}
+	if lb := th.Bound(1); math.IsInf(lb, 1) || lb > 0.5+1e-9 {
+		t.Fatalf("same-component target bound = %g, want finite <= 0.5", lb)
 	}
 }
 

@@ -134,14 +134,6 @@ func (t *Trace) ID() TraceID {
 // carry (it does not import obs).
 func (t *Trace) IDNum() uint64 { return uint64(t.ID()) }
 
-// Start returns the trace's creation (admission) time.
-func (t *Trace) Start() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	return t.start
-}
-
 // SetPhase publishes the phase the query is currently inside.
 func (t *Trace) SetPhase(p Phase) {
 	if t == nil {
@@ -380,33 +372,6 @@ func (r *Inflight) Snapshot() []InflightQuery {
 		out[i] = q
 	}
 	return out
-}
-
-// SumSpans totals the durations of the non-overlapping leaf spans —
-// everything except the root query span — the decomposition the trace
-// asserts sums (within scheduling tolerance) to the recorded total
-// response time.
-func SumSpans(spans []Span) time.Duration {
-	var sum time.Duration
-	for _, s := range spans {
-		if s.Name == SpanQuery || s.Name == SpanQueueWait {
-			// The root covers everything; the queue wait precedes the
-			// engine's response-time clock.
-			continue
-		}
-		sum += s.Dur
-	}
-	return sum
-}
-
-// FindSpan returns the first span with the given name, or false.
-func FindSpan(spans []Span, name string) (Span, bool) {
-	for _, s := range spans {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return Span{}, false
 }
 
 // spanCategory buckets a span name for the trace-event export.

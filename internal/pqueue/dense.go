@@ -1,13 +1,12 @@
 package pqueue
 
 // Dense is an indexed min-heap over dense int32 ids in [0, n) with true
-// decrease-key support, the allocation-free counterpart of Indexed for the
-// shortest-path wavefronts: the where-map is replaced by a position array
-// stamped with an epoch counter, so Reset is O(1) and steady-state Push/Pop
-// touch no allocator.
+// decrease-key support for the shortest-path wavefronts: each id's heap slot
+// lives in a position array stamped with an epoch counter, so Reset is O(1)
+// and steady-state Push/Pop touch no allocator.
 //
-// Pop order matches Indexed exactly — equal keys break ties by ascending
-// id — so the two heaps are interchangeable oracles for each other.
+// Equal keys break ties by ascending id, so Pop order is a function of the
+// heap's contents alone, not of insertion order.
 type Dense struct {
 	keys  []float64 // heap-ordered keys
 	ids   []int32   // heap-ordered ids
@@ -146,14 +145,6 @@ func (h *Dense) Pop() (int32, float64) {
 	return id, key
 }
 
-// Each calls fn for every queued (id, key) pair in unspecified (heap)
-// order. fn must not mutate the heap.
-func (h *Dense) Each(fn func(id int32, key float64)) {
-	for i, id := range h.ids {
-		fn(id, h.keys[i])
-	}
-}
-
 func (h *Dense) swap(i, j int) {
 	h.ids[i], h.ids[j] = h.ids[j], h.ids[i]
 	h.keys[i], h.keys[j] = h.keys[j], h.keys[i]
@@ -161,8 +152,8 @@ func (h *Dense) swap(i, j int) {
 	h.pos[h.ids[j]] = int32(j)
 }
 
-// less orders heap slots by (key, id), mirroring Indexed.less so the two
-// implementations pop in identical order.
+// less orders heap slots by (key, id); the id tie-break keeps Pop
+// deterministic when tentative distances collide.
 func (h *Dense) less(i, j int) bool {
 	if h.keys[i] != h.keys[j] {
 		return h.keys[i] < h.keys[j]

@@ -5,60 +5,83 @@ import (
 	"testing"
 )
 
-// TestDenseMatchesIndexed drives Dense and Indexed through an identical
-// random op sequence and requires bit-identical behaviour, including the
-// (key, id) pop tie-break the shortest-path searchers rely on for
-// deterministic expansion order.
-func TestDenseMatchesIndexed(t *testing.T) {
+// linearHeap is the reference Dense is checked against: the live (id, key)
+// set in a map, whose minimum is found by a scan over every entry, smallest
+// key first and the smaller id on a tie. It is correct by inspection and
+// shares no code with Dense.
+type linearHeap map[int32]float64
+
+// push inserts id or decreases its key; a larger key is ignored.
+func (m linearHeap) push(id int32, key float64) {
+	if old, ok := m[id]; !ok || key < old {
+		m[id] = key
+	}
+}
+
+func (m linearHeap) min() (int32, float64) {
+	best, bestKey, found := int32(0), 0.0, false
+	for id, key := range m {
+		if !found || key < bestKey || (key == bestKey && id < best) {
+			best, bestKey, found = id, key, true
+		}
+	}
+	return best, bestKey
+}
+
+// TestDenseMatchesLinearScan drives Dense and a linear-scan reference
+// through an identical random op sequence and requires identical behaviour,
+// including the (key, id) pop tie-break the shortest-path searchers rely on
+// for deterministic expansion order.
+func TestDenseMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	d := NewDense()
 	d.Grow(64)
-	ix := NewIndexed[int32](0)
+	ref := linearHeap{}
 	for step := 0; step < 30000; step++ {
 		switch op := rng.Intn(10); {
 		case op < 4: // push / decrease
 			id := int32(rng.Intn(64))
 			key := float64(rng.Intn(50)) // coarse keys force ties
 			d.Push(id, key)
-			ix.Push(id, key)
-		case op < 6: // update
+			ref.push(id, key)
+		case op < 6: // update: any key, inserting when absent
 			id := int32(rng.Intn(64))
 			key := float64(rng.Intn(50))
 			d.Update(id, key)
-			ix.Update(id, key)
+			ref[id] = key
 		case op < 7: // point queries
 			id := int32(rng.Intn(64))
-			if d.Contains(id) != ix.Contains(id) {
-				t.Fatalf("step %d: Contains(%d) disagrees", step, id)
+			rk, rok := ref[id]
+			if d.Contains(id) != rok {
+				t.Fatalf("step %d: Contains(%d) = %v, reference %v", step, id, d.Contains(id), rok)
 			}
-			dk, dok := d.Key(id)
-			ik, iok := ix.Key(id)
-			if dk != ik || dok != iok {
-				t.Fatalf("step %d: Key(%d) = (%v,%v) vs (%v,%v)", step, id, dk, dok, ik, iok)
+			if dk, dok := d.Key(id); dk != rk || dok != rok {
+				t.Fatalf("step %d: Key(%d) = (%v,%v) vs (%v,%v)", step, id, dk, dok, rk, rok)
 			}
 		case op < 8 && d.Len() > 0: // reset both
 			if rng.Intn(20) == 0 {
 				d.Reset()
-				ix.Reset()
+				clear(ref)
 			}
 		default: // pop
 			if d.Len() == 0 {
-				if ix.Len() != 0 {
-					t.Fatalf("step %d: dense empty, indexed has %d", step, ix.Len())
+				if len(ref) != 0 {
+					t.Fatalf("step %d: dense empty, reference has %d", step, len(ref))
 				}
 				continue
 			}
 			did, dkey := d.Pop()
-			iid, ikey := ix.Pop()
-			if did != iid || dkey != ikey {
-				t.Fatalf("step %d: pop (%d,%v) vs (%d,%v)", step, did, dkey, iid, ikey)
+			rid, rkey := ref.min()
+			delete(ref, rid)
+			if did != rid || dkey != rkey {
+				t.Fatalf("step %d: pop (%d,%v) vs (%d,%v)", step, did, dkey, rid, rkey)
 			}
 		}
-		if d.Len() != ix.Len() {
-			t.Fatalf("step %d: len %d vs %d", step, d.Len(), ix.Len())
+		if d.Len() != len(ref) {
+			t.Fatalf("step %d: len %d vs %d", step, d.Len(), len(ref))
 		}
-		if d.Len() > 0 && d.MinKey() != ix.MinKey() {
-			t.Fatalf("step %d: MinKey %v vs %v", step, d.MinKey(), ix.MinKey())
+		if _, rkey := ref.min(); d.Len() > 0 && d.MinKey() != rkey {
+			t.Fatalf("step %d: MinKey %v vs %v", step, d.MinKey(), rkey)
 		}
 	}
 }

@@ -1,8 +1,6 @@
 package pqueue
 
 import (
-	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -69,148 +67,6 @@ func TestQueueHeapProperty(t *testing.T) {
 			prev = k
 		}
 		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestIndexedBasics(t *testing.T) {
-	h := NewIndexed[int32](0)
-	h.Push(5, 50)
-	h.Push(1, 10)
-	h.Push(3, 30)
-	if !h.Contains(5) || h.Contains(99) {
-		t.Fatal("Contains wrong")
-	}
-	if k, ok := h.Key(3); !ok || k != 30 {
-		t.Fatalf("Key(3) = %v,%v", k, ok)
-	}
-	if h.MinKey() != 10 {
-		t.Fatalf("MinKey = %v", h.MinKey())
-	}
-	id, k := h.Pop()
-	if id != 1 || k != 10 {
-		t.Fatalf("Pop = (%d,%v)", id, k)
-	}
-	if h.Contains(1) {
-		t.Fatal("popped id still Contains")
-	}
-}
-
-func TestIndexedDecreaseKey(t *testing.T) {
-	h := NewIndexed[int32](0)
-	h.Push(1, 100)
-	h.Push(2, 50)
-	h.Push(1, 10) // decrease
-	id, k := h.Pop()
-	if id != 1 || k != 10 {
-		t.Fatalf("decrease-key failed: pop = (%d,%v)", id, k)
-	}
-	h.Push(2, 70) // increase attempt must be ignored
-	if k, _ := h.Key(2); k != 50 {
-		t.Fatalf("increase via Push should be ignored, key = %v", k)
-	}
-}
-
-func TestIndexedUpdate(t *testing.T) {
-	h := NewIndexed[int32](0)
-	h.Push(1, 10)
-	h.Push(2, 20)
-	h.Update(1, 30) // increase allowed via Update
-	if id, k := h.Pop(); id != 2 || k != 20 {
-		t.Fatalf("Update increase failed: pop = (%d,%v)", id, k)
-	}
-	h.Update(3, 5) // insert via Update
-	if id, k := h.Pop(); id != 3 || k != 5 {
-		t.Fatalf("Update insert failed: pop = (%d,%v)", id, k)
-	}
-}
-
-func TestIndexedReset(t *testing.T) {
-	h := NewIndexed[int32](0)
-	h.Push(1, 1)
-	h.Push(2, 2)
-	h.Reset()
-	if h.Len() != 0 || h.Contains(1) {
-		t.Fatal("Reset incomplete")
-	}
-	h.Push(3, 3)
-	if id, _ := h.Pop(); id != 3 {
-		t.Fatal("heap unusable after Reset")
-	}
-}
-
-// Randomized model check against a sorted slice: interleaved pushes,
-// decrease-keys and pops must always agree with a naive model.
-func TestIndexedModel(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	h := NewIndexed[int32](0)
-	model := map[int32]float64{}
-	for step := 0; step < 20000; step++ {
-		switch op := rng.Intn(10); {
-		case op < 5: // push / decrease
-			id := int32(rng.Intn(100))
-			key := rng.Float64() * 1000
-			if old, ok := model[id]; !ok || key < old {
-				model[id] = key
-			}
-			h.Push(id, key)
-		case op < 7 && len(model) > 0: // update (arbitrary re-key)
-			id := int32(rng.Intn(100))
-			if _, ok := model[id]; ok {
-				key := rng.Float64() * 1000
-				model[id] = key
-				h.Update(id, key)
-			}
-		default: // pop
-			if h.Len() == 0 {
-				continue
-			}
-			id, key := h.Pop()
-			want, ok := model[id]
-			if !ok {
-				t.Fatalf("step %d: popped unknown id %d", step, id)
-			}
-			if key != want {
-				t.Fatalf("step %d: popped key %v, model has %v", step, key, want)
-			}
-			// Must be the minimum of the model.
-			for mid, mk := range model {
-				if mk < key {
-					t.Fatalf("step %d: popped %v but model holds %d at %v", step, key, mid, mk)
-				}
-			}
-			delete(model, id)
-		}
-		if h.Len() != len(model) {
-			t.Fatalf("step %d: size mismatch heap=%d model=%d", step, h.Len(), len(model))
-		}
-	}
-}
-
-// Drain order equals fully sorted order for indexed heap.
-func TestIndexedDrainSorted(t *testing.T) {
-	f := func(keys []float64) bool {
-		h := NewIndexed[int32](len(keys))
-		want := make([]float64, 0, len(keys))
-		best := map[int32]float64{}
-		for i, k := range keys {
-			id := int32(i)
-			h.Push(id, k)
-			best[id] = k
-		}
-		for _, k := range best {
-			want = append(want, k)
-		}
-		sort.Float64s(want)
-		for _, w := range want {
-			_, k := h.Pop()
-			if k != w {
-				return false
-			}
-		}
-		return h.Len() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

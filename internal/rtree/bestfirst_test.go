@@ -160,7 +160,7 @@ func TestBestFirstIDs(t *testing.T) {
 		rects[id] = r
 		return true
 	}, func(int, []Entry) bool { return true })
-	rects[tr.NumNodes()-1] = tr.Bounds()
+	rects[tr.NumNodes()-1] = tr.root.rect
 	node := func(id int, r geom.Rect) {
 		if r != rects[id] {
 			t.Fatalf("node %d passed as %v, SearchFunc's is %v", id, r, rects[id])

@@ -16,7 +16,6 @@ package rtree
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -73,9 +72,6 @@ func (t *Tree) NumNodes() int { return t.nodes }
 // positions [k*Fanout(), (k+1)*Fanout()).
 func (t *Tree) Fanout() int { return t.fanout }
 
-// Bounds returns the bounding rectangle of all entries.
-func (t *Tree) Bounds() geom.Rect { return t.root.rect }
-
 // NodeAccesses returns the number of nodes visited by queries since the
 // last ResetNodeAccesses.
 func (t *Tree) NodeAccesses() int64 { return t.visits.Load() }
@@ -91,16 +87,6 @@ func (t *Tree) Clone() *Tree {
 	c := *t
 	c.visits = new(atomic.Int64)
 	return &c
-}
-
-// Height returns the number of levels (1 for a leaf-only tree).
-func (t *Tree) Height() int {
-	h, n := 1, t.root
-	for !n.leaf {
-		h++
-		n = n.children[0]
-	}
-	return h
 }
 
 // BulkLoad builds a tree over entries using Sort-Tile-Recursive packing:
@@ -211,52 +197,4 @@ func (n *node) recomputeRect() {
 		}
 	}
 	n.rect = r
-}
-
-// checkInvariants walks the tree verifying structural invariants; it is
-// exported to tests via export_test.go.
-func (t *Tree) checkInvariants() error {
-	count, err := t.root.check(t.fanout, t.root)
-	if err != nil {
-		return err
-	}
-	if count != t.size {
-		return fmt.Errorf("rtree: size %d but %d entries reachable", t.size, count)
-	}
-	return nil
-}
-
-func (n *node) check(fanout int, root *node) (int, error) {
-	if n.leaf {
-		if n != root && len(n.entries) == 0 {
-			return 0, fmt.Errorf("rtree: empty non-root leaf")
-		}
-		if len(n.entries) > fanout {
-			return 0, fmt.Errorf("rtree: leaf overflow: %d > %d", len(n.entries), fanout)
-		}
-		for _, e := range n.entries {
-			if !n.rect.ContainsRect(e.Rect) {
-				return 0, fmt.Errorf("rtree: leaf MBR %v does not contain entry %v", n.rect, e.Rect)
-			}
-		}
-		return len(n.entries), nil
-	}
-	if len(n.children) == 0 {
-		return 0, fmt.Errorf("rtree: internal node with no children")
-	}
-	if len(n.children) > fanout {
-		return 0, fmt.Errorf("rtree: internal overflow: %d > %d", len(n.children), fanout)
-	}
-	total := 0
-	for _, c := range n.children {
-		if !n.rect.ContainsRect(c.rect) {
-			return 0, fmt.Errorf("rtree: node MBR %v does not contain child %v", n.rect, c.rect)
-		}
-		sub, err := c.check(fanout, root)
-		if err != nil {
-			return 0, err
-		}
-		total += sub
-	}
-	return total, nil
 }

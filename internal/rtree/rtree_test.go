@@ -43,14 +43,14 @@ func TestSearchWindow(t *testing.T) {
 			geom.Point{X: rng.Float64(), Y: rng.Float64()},
 		)
 		got := map[int32]bool{}
-		tr.SearchFunc(func(_ int, r geom.Rect) bool { return w.Intersects(r) }, func(_ int, leaf []Entry) bool {
+		tr.SearchFunc(func(_ int, r geom.Rect) bool { return intersects(w, r) }, func(_ int, leaf []Entry) bool {
 			for _, e := range leaf {
-				got[e.ID] = w.Intersects(e.Rect)
+				got[e.ID] = intersects(w, e.Rect)
 			}
 			return true
 		})
 		for _, e := range entries {
-			want := w.Intersects(e.Rect)
+			want := intersects(w, e.Rect)
 			if got[e.ID] != want {
 				t.Fatalf("window %v entry %d: got %v, want %v", w, e.ID, got[e.ID], want)
 			}
@@ -64,8 +64,7 @@ func TestSearchEarlyStop(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tr := BulkLoad(randomPoints(rng, 500), 16)
 	count := 0
-	all := geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
-	tr.SearchFunc(func(_ int, r geom.Rect) bool { return all.Intersects(r) }, func(int, []Entry) bool {
+	tr.SearchFunc(func(int, geom.Rect) bool { return true }, func(int, []Entry) bool {
 		count++
 		return count < 7
 	})
@@ -353,7 +352,7 @@ func TestNodeAccessesCounting(t *testing.T) {
 	tr := BulkLoad(randomPoints(rng, 2000), 16)
 	tr.ResetNodeAccesses()
 	w := geom.Rect{MinX: 0.4, MinY: 0.4, MaxX: 0.6, MaxY: 0.6}
-	tr.SearchFunc(func(_ int, r geom.Rect) bool { return w.Intersects(r) }, func(int, []Entry) bool { return true })
+	tr.SearchFunc(func(_ int, r geom.Rect) bool { return intersects(w, r) }, func(int, []Entry) bool { return true })
 	if tr.NodeAccesses() == 0 {
 		t.Error("window query counted no node accesses")
 	}
@@ -367,7 +366,7 @@ func TestBulkLoadHeightBalance(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	tr := BulkLoad(randomPoints(rng, 10000), 100)
 	// 10000 entries at fanout 100 should pack into exactly 2 levels.
-	if h := tr.Height(); h != 2 {
+	if h := tr.height(); h != 2 {
 		t.Errorf("height = %d, want 2", h)
 	}
 	// All leaves at the same depth.
@@ -413,8 +412,7 @@ func TestEntriesSortedStability(t *testing.T) {
 	}
 	tr := BulkLoad(entries, 4)
 	var ids []int32
-	all := geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
-	tr.SearchFunc(func(_ int, r geom.Rect) bool { return all.Intersects(r) }, func(_ int, leaf []Entry) bool {
+	tr.SearchFunc(func(int, geom.Rect) bool { return true }, func(_ int, leaf []Entry) bool {
 		for _, e := range leaf {
 			ids = append(ids, e.ID)
 		}
@@ -467,9 +465,9 @@ func TestLoadSortedMatchesBulkLoad(t *testing.T) {
 				if err := got.CheckInvariants(); err != nil {
 					t.Fatalf("n=%d fanout=%d %s: %v", n, fanout, name, err)
 				}
-				if got.Len() != want.Len() || got.Height() != want.Height() || got.Bounds() != want.Bounds() {
+				if got.Len() != want.Len() || got.height() != want.height() || got.root.rect != want.root.rect {
 					t.Fatalf("n=%d fanout=%d %s: len/height/bounds %d/%d/%v, want %d/%d/%v", n, fanout, name,
-						got.Len(), got.Height(), got.Bounds(), want.Len(), want.Height(), want.Bounds())
+						got.Len(), got.height(), got.root.rect, want.Len(), want.height(), want.root.rect)
 				}
 				var a, b []float64
 				treeShape(got.root, &a)

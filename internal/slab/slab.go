@@ -170,21 +170,6 @@ func (w *Writer) Abort() {
 	}
 }
 
-// Write stores the sections at path, in order, atomically (see Writer).
-func Write(path string, sections []Section) error {
-	w, err := Create(path, len(sections))
-	if err != nil {
-		return err
-	}
-	defer w.Abort()
-	for _, s := range sections {
-		if err := w.Add(s); err != nil {
-			return err
-		}
-	}
-	return w.Commit()
-}
-
 // Parse validates a slab image's header and section table — magic, version,
 // table checksum, and every section aligned, in order, zero-padded and
 // inside the image, which ends where the last one does — and returns the

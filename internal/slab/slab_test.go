@@ -21,12 +21,28 @@ func testSections() []Section {
 	}
 }
 
+// writeSlab stores the sections at path, in order, through a Writer.
+func writeSlab(t testing.TB, path string, sections []Section) {
+	t.Helper()
+	w, err := Create(path, len(sections))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Abort()
+	for _, s := range sections {
+		if err := w.Add(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func writeImage(t testing.TB, sections []Section) []byte {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "x.slab")
-	if err := Write(path, sections); err != nil {
-		t.Fatal(err)
-	}
+	writeSlab(t, path, sections)
 	img, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -37,9 +53,7 @@ func writeImage(t testing.TB, sections []Section) []byte {
 func TestRoundTrip(t *testing.T) {
 	want := testSections()
 	path := filepath.Join(t.TempDir(), "x.slab")
-	if err := Write(path, want); err != nil {
-		t.Fatal(err)
-	}
+	writeSlab(t, path, want)
 	f, err := Open(path)
 	if err != nil {
 		t.Fatal(err)

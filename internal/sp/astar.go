@@ -205,9 +205,6 @@ func (a *AStar) OnProgress(fn func(nodesExpanded int)) { a.progress = fn }
 // times sessions. Both are zero when no source is installed.
 func (a *AStar) BoundWins() (landmark, euclid int) { return a.landmarkWins, a.euclidWins }
 
-// Source returns the searcher's source location.
-func (a *AStar) Source() graph.Location { return a.src }
-
 // settledDist returns the exact distance to id when it is settled.
 func (a *AStar) settledDist(id graph.NodeID) (float64, bool) {
 	if a.sc.nodeState(id) != stateSettled {
@@ -489,15 +486,6 @@ func (s *Session) Done() bool { return s.done }
 // once Done.
 func (s *Session) PLB() float64 { return s.plb }
 
-// Dist returns the network distance. It panics unless Done; it is +Inf for
-// an unreachable destination.
-func (s *Session) Dist() float64 {
-	if !s.done {
-		panic("sp: Dist called before session completion")
-	}
-	return s.tent
-}
-
 // Advance performs one expansion step (settles one node) and returns the
 // updated lower bound. Calling Advance on a completed session is a no-op.
 func (s *Session) Advance() (plb float64, done bool, err error) {
@@ -634,10 +622,4 @@ func (s *Session) Run() (float64, error) {
 		}
 	}
 	return s.tent, nil
-}
-
-// DistanceTo computes the network distance from the searcher's source to
-// dest at destPt, reusing all previously expanded network state.
-func (a *AStar) DistanceTo(dest graph.Location, destPt geom.Point) (float64, error) {
-	return a.NewSession(dest, destPt).Run()
 }

@@ -188,7 +188,7 @@ func TestRestoredBoundWinsRepeat(t *testing.T) {
 	donor.UseHeuristicSource(table)
 	dests := testnet.RandomLocations(rng, g, 40)
 	for _, d := range dests[:4] {
-		if _, err := donor.DistanceTo(d, g.Point(d)); err != nil {
+		if _, err := donor.NewSession(d, g.Point(d)).Run(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -53,7 +53,7 @@ func BenchmarkAStarManyTargets(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, o := range objs {
-			if _, err := a.DistanceTo(o.Loc, g.Point(o.Loc)); err != nil {
+			if _, err := a.NewSession(o.Loc, g.Point(o.Loc)).Run(); err != nil {
 				b.Fatal(err)
 			}
 		}

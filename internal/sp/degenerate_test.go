@@ -59,7 +59,7 @@ func TestAStarSelfLoopSeeding(t *testing.T) {
 		t.Fatal(err)
 	}
 	dest := graph.Location{Edge: 1, Offset: 2}
-	got, err := a.DistanceTo(dest, g.Point(dest))
+	got, err := a.NewSession(dest, g.Point(dest)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestAStarSelfLoopSeeding(t *testing.T) {
 	// Destination on the self-loop itself: reachable from either side of
 	// its single endpoint.
 	loopDest := graph.Location{Edge: 0, Offset: 9}
-	got, err = a.DistanceTo(loopDest, g.Point(loopDest))
+	got, err = a.NewSession(loopDest, g.Point(loopDest)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,9 +139,9 @@ func TestDegenerateGraphOracle(t *testing.T) {
 				a.UseHeuristicSource(tab)
 			}
 			for i, o := range objs {
-				gd, err := a.DistanceTo(o.Loc, g.Point(o.Loc))
+				gd, err := a.NewSession(o.Loc, g.Point(o.Loc)).Run()
 				if err != nil {
-					t.Fatalf("trial %d (%s): DistanceTo object %d: %v", trial, pass, i, err)
+					t.Fatalf("trial %d (%s): session to object %d: %v", trial, pass, i, err)
 				}
 				if math.IsInf(want[i], 1) != math.IsInf(gd, 1) || (!math.IsInf(gd, 1) && math.Abs(gd-want[i]) > 1e-9) {
 					t.Fatalf("trial %d (%s): object %d dist %v, oracle %v", trial, pass, i, gd, want[i])

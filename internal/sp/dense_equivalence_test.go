@@ -3,7 +3,7 @@ package sp
 // Differential fuzz of the dense epoch-stamped searchers against the
 // preserved map-based implementations (oracle_test.go) and the brute-force
 // oracle. The dense frontier breaks key ties on node id exactly like the
-// map-era pqueue.Indexed, so expansion order — and with it every work
+// oracle's linear scan, so expansion order — and with it every work
 // counter and PLB sequence — must be bit-identical, not merely equivalent.
 // The A* half of the fuzz installs the landmark table, which imports this
 // package, so it lives in the external test package (astar_oracle_test.go).
@@ -272,7 +272,7 @@ func TestAStarSnapshotThroughDistcache(t *testing.T) {
 		}
 		warm := testnet.RandomLocations(rng, g, 2)
 		for _, dest := range warm {
-			if _, err := a.DistanceTo(dest, g.Point(dest)); err != nil {
+			if _, err := a.NewSession(dest, g.Point(dest)).Run(); err != nil {
 				t.Fatalf("trial %d: warmup: %v", trial, err)
 			}
 		}
@@ -285,11 +285,11 @@ func TestAStarSnapshotThroughDistcache(t *testing.T) {
 		restored := NewAStarFromWith(context.Background(), net, st, srcPt, nil)
 		for _, dest := range testnet.RandomLocations(rng, g, 4) {
 			destPt := g.Point(dest)
-			want, err := a.DistanceTo(dest, destPt)
+			want, err := a.NewSession(dest, destPt).Run()
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
-			got, err := restored.DistanceTo(dest, destPt)
+			got, err := restored.NewSession(dest, destPt).Run()
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}

@@ -16,6 +16,15 @@ var (
 // Dist returns the oracle session's best complete path length.
 func (s *mapSession) Dist() float64 { return s.tent }
 
+// Dist returns the network distance of a finished session: +Inf for an
+// unreachable destination. It panics unless Done.
+func (s *Session) Dist() float64 {
+	if !s.done {
+		panic("sp: Dist called before session completion")
+	}
+	return s.tent
+}
+
 // CheckFrontier verifies the compact frontier list against the state
 // arrays: the list holds exactly the touched nodes in stateFrontier, each
 // at the slot fpos records for it (which also rules out duplicates).

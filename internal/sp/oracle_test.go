@@ -1,7 +1,8 @@
 package sp
 
 // This file preserves the pre-CSR map-based Dijkstra and A* implementations
-// verbatim (modulo renames) as a differential-testing oracle. The dense
+// (modulo renames, and a linear-scan frontier in place of the map-indexed
+// heap they used) as a differential-testing oracle. The dense
 // epoch-stamped searcher in astar.go, in both its modes, must report identical
 // objects, distances, work counters and expansion order; equivalence_test.go
 // fuzzes the two against each other and against internal/bruteforce.
@@ -26,7 +27,7 @@ type mapDijkstra struct {
 	net      Net
 	src      graph.Location
 	settled  map[graph.NodeID]float64
-	frontier *pqueue.Indexed[graph.NodeID]
+	frontier linearHeap
 
 	objBest map[graph.ObjectID]float64
 	objDone map[graph.ObjectID]bool
@@ -46,7 +47,7 @@ func newMapDijkstra(ctx context.Context, net Net, src graph.Location) (*mapDijks
 		net:      net,
 		src:      src,
 		settled:  make(map[graph.NodeID]float64),
-		frontier: pqueue.NewIndexed[graph.NodeID](64),
+		frontier: linearHeap{},
 		objBest:  make(map[graph.ObjectID]float64),
 		objDone:  make(map[graph.ObjectID]bool),
 		objHeap:  pqueue.New[graph.ObjectID](64),
@@ -144,6 +145,44 @@ func (d *mapDijkstra) SettledDist(id graph.NodeID) (float64, bool) {
 	return dist, ok
 }
 
+// linearHeap is the oracles' node frontier: the live (id, key) set in a map,
+// whose minimum is found by a scan over every entry, smallest key first and
+// the smaller id on a tie (the order pqueue.Dense pops in). It is correct by
+// inspection and shares no code with Dense, the heap under test.
+type linearHeap map[graph.NodeID]float64
+
+func (h linearHeap) Len() int { return len(h) }
+
+// Push inserts id or decreases its key; a larger key is ignored.
+func (h linearHeap) Push(id graph.NodeID, key float64) {
+	if old, ok := h[id]; !ok || key < old {
+		h[id] = key
+	}
+}
+
+func (h linearHeap) min() (graph.NodeID, float64) {
+	best, bestKey, found := graph.NodeID(0), 0.0, false
+	for id, key := range h {
+		if !found || key < bestKey || (key == bestKey && id < best) {
+			best, bestKey, found = id, key, true
+		}
+	}
+	return best, bestKey
+}
+
+// MinKey returns the smallest key. The heap must not be empty.
+func (h linearHeap) MinKey() float64 {
+	_, key := h.min()
+	return key
+}
+
+// Pop removes and returns the entry with the smallest key.
+func (h linearHeap) Pop() (graph.NodeID, float64) {
+	id, key := h.min()
+	delete(h, id)
+	return id, key
+}
+
 // mapAStar is the map-based resumable A* searcher.
 type mapAStar struct {
 	ctx      context.Context
@@ -211,7 +250,7 @@ type mapSession struct {
 	destPt geom.Point
 	destE  graph.Edge
 	th     TargetHeuristic
-	heap   *pqueue.Indexed[graph.NodeID]
+	heap   linearHeap
 	tent   float64
 	plb    float64
 	done   bool
@@ -225,7 +264,7 @@ func (a *mapAStar) NewSession(dest graph.Location, destPt geom.Point) *mapSessio
 		dest:   dest,
 		destPt: destPt,
 		destE:  a.net.Edge(dest.Edge),
-		heap:   pqueue.NewIndexed[graph.NodeID](len(a.frontier) + 16),
+		heap:   make(linearHeap, len(a.frontier)+16),
 		tent:   math.Inf(1),
 	}
 	if a.hs != nil && !a.noHeur {
@@ -349,8 +388,4 @@ func (s *mapSession) Run() (float64, error) {
 		}
 	}
 	return s.tent, nil
-}
-
-func (a *mapAStar) DistanceTo(dest graph.Location, destPt geom.Point) (float64, error) {
-	return a.NewSession(dest, destPt).Run()
 }

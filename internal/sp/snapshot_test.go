@@ -143,7 +143,7 @@ func TestAStarSnapshotRestoreEquivalence(t *testing.T) {
 		}
 		want := make([]float64, len(dests))
 		for i, dst := range dests {
-			if want[i], err = cold.DistanceTo(dst, g.Point(dst)); err != nil {
+			if want[i], err = cold.NewSession(dst, g.Point(dst)).Run(); err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
 		}
@@ -156,9 +156,9 @@ func TestAStarSnapshotRestoreEquivalence(t *testing.T) {
 			warm.DisableHeuristic()
 		}
 		for i, dst := range dests {
-			got, err := warm.DistanceTo(dst, g.Point(dst))
+			got, err := warm.NewSession(dst, g.Point(dst)).Run()
 			if err != nil {
-				t.Fatalf("trial %d: restored DistanceTo: %v", trial, err)
+				t.Fatalf("trial %d: restored session: %v", trial, err)
 			}
 			if got != want[i] && !(math.IsInf(got, 1) && math.IsInf(want[i], 1)) {
 				t.Fatalf("trial %d dest %d: restored distance %v, cold %v", trial, i, got, want[i])

@@ -152,9 +152,9 @@ func TestAStarMatchesOracle(t *testing.T) {
 		// Visit objects in random order to stress resumption.
 		order := rng.Perm(len(objs))
 		for _, i := range order {
-			got, err := a.DistanceTo(objs[i].Loc, g.Point(objs[i].Loc))
+			got, err := a.NewSession(objs[i].Loc, g.Point(objs[i].Loc)).Run()
 			if err != nil {
-				t.Fatalf("DistanceTo: %v", err)
+				t.Fatalf("session: %v", err)
 			}
 			w := want[i]
 			if math.IsInf(w, 1) != math.IsInf(got, 1) || (!math.IsInf(w, 1) && math.Abs(got-w) > 1e-9) {
@@ -173,12 +173,12 @@ func TestAStarRepeatTarget(t *testing.T) {
 	src := testnet.RandomLocations(rng, g, 1)[0]
 	net := testnet.NewMemNet(g, objs)
 	a, _ := NewAStarWith(context.Background(), net, src, g.Point(src), nil)
-	d1, err := a.DistanceTo(objs[0].Loc, g.Point(objs[0].Loc))
+	d1, err := a.NewSession(objs[0].Loc, g.Point(objs[0].Loc)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := a.NodesExpanded()
-	d2, err := a.DistanceTo(objs[0].Loc, g.Point(objs[0].Loc))
+	d2, err := a.NewSession(objs[0].Loc, g.Point(objs[0].Loc)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestAStarExpandsNoMoreThanDijkstraRadius(t *testing.T) {
 				far, fd = i, w
 			}
 		}
-		if _, err := a.DistanceTo(objs[far].Loc, g.Point(objs[far].Loc)); err != nil {
+		if _, err := a.NewSession(objs[far].Loc, g.Point(objs[far].Loc)).Run(); err != nil {
 			t.Fatal(err)
 		}
 		net2 := testnet.NewMemNet(g, objs)

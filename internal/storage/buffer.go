@@ -69,12 +69,6 @@ func NewBufferPool(file PageFile, bufferBytes int) *BufferPool {
 	return b
 }
 
-// Mapped reports whether the pool serves zero-copy pages from a mapping.
-func (b *BufferPool) Mapped() bool { return b.mapper != nil }
-
-// Capacity returns the number of frames in the pool.
-func (b *BufferPool) Capacity() int { return len(b.frames) }
-
 // Stats returns the counters accumulated since the last ResetStats.
 func (b *BufferPool) Stats() Stats { return b.stats }
 

@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-// A failed read used to leak the frame picked for it: after Capacity()
+// A failed read used to leak the frame picked for it: after len(frames)
 // failures the pool had no frame left and the next miss indexed frame -1.
 func TestBufferPoolFailedReadKeepsFrames(t *testing.T) {
 	b := NewBufferPool(memFileWithPages(t, 4), 2*PageSize)
@@ -40,8 +40,8 @@ func TestBufferPoolFailedReadKeepsFrames(t *testing.T) {
 	if got, want := b.Stats(), (Stats{Gets: 11, Misses: 9}); got != want {
 		t.Fatalf("stats %+v, want %+v", got, want)
 	}
-	if b.Capacity() != 2 {
-		t.Fatalf("capacity %d, want 2", b.Capacity())
+	if len(b.frames) != 2 {
+		t.Fatalf("capacity %d, want 2", len(b.frames))
 	}
 }
 
@@ -120,8 +120,8 @@ func checkPoolAgainstModel(t *testing.T, f PageFile, grow bool, capacity int, op
 	t.Helper()
 	b := NewBufferPool(f, capacity*PageSize)
 	m := newLRUModel(capacity)
-	if b.Capacity() != capacity {
-		t.Fatalf("capacity %d, want %d", b.Capacity(), capacity)
+	if len(b.frames) != capacity {
+		t.Fatalf("capacity %d, want %d", len(b.frames), capacity)
 	}
 	for step := 0; step+1 < len(ops); step += 2 {
 		op, arg := ops[step]%8, int(ops[step+1])

@@ -184,7 +184,7 @@ func TestBufferPoolBackendCounterEquivalence(t *testing.T) {
 	results := map[string]outcome{}
 	for name, f := range files {
 		pool := NewBufferPool(f, 4*PageSize)
-		if name == "mmap" && !pool.Mapped() {
+		if name == "mmap" && pool.mapper == nil {
 			t.Errorf("pool over MmapFile is not in zero-copy mode")
 		}
 		o := outcome{}

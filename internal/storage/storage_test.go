@@ -192,8 +192,8 @@ func memFileWithPages(t *testing.T, n int) *MemFile {
 func TestBufferPoolHitMiss(t *testing.T) {
 	f := memFileWithPages(t, 4)
 	b := NewBufferPool(f, 2*PageSize) // 2 frames
-	if b.Capacity() != 2 {
-		t.Fatalf("Capacity = %d", b.Capacity())
+	if len(b.frames) != 2 {
+		t.Fatalf("Capacity = %d", len(b.frames))
 	}
 	// First access: miss.
 	p, err := b.Get(0)
@@ -240,8 +240,8 @@ func TestBufferPoolLRUEviction(t *testing.T) {
 func TestBufferPoolSingleFrame(t *testing.T) {
 	f := memFileWithPages(t, 2)
 	b := NewBufferPool(f, 1) // rounds up to one frame
-	if b.Capacity() != 1 {
-		t.Fatalf("Capacity = %d", b.Capacity())
+	if len(b.frames) != 1 {
+		t.Fatalf("Capacity = %d", len(b.frames))
 	}
 	for i := 0; i < 3; i++ {
 		if _, err := b.Get(PageID(i % 2)); err != nil {

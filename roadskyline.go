@@ -285,7 +285,9 @@ func Generate(spec NetworkSpec) (*Network, error) {
 }
 
 // GenerateObjects places round(omega * NumEdges) objects uniformly on the
-// network's edges with numAttrs uniform attributes each, seeded.
+// network's edges with numAttrs uniform attributes each, seeded. As with
+// GenerateQueryPoints' count, a negative, NaN or infinite omega yields an
+// empty slice.
 func (n *Network) GenerateObjects(omega float64, numAttrs int, seed int64) []Object {
 	objs := gen.Objects(n.g, omega, numAttrs, seed)
 	out := make([]Object, len(objs))

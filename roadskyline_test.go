@@ -73,6 +73,21 @@ func TestGenerateQueryPointsNonPositive(t *testing.T) {
 	}
 }
 
+// TestGenerateObjectsOutOfDomain: an omega whose object count is not a
+// finite count of at least zero places no objects, not a panic
+// (skylinequery -omega -1 and -omega NaN used to crash in makeslice).
+func TestGenerateObjectsOutOfDomain(t *testing.T) {
+	n := demoNetwork(t)
+	for _, omega := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if objs := n.GenerateObjects(omega, 2, 1); objs == nil || len(objs) != 0 {
+			t.Errorf("GenerateObjects(%v) = %#v, want an empty slice", omega, objs)
+		}
+	}
+	if objs := n.GenerateObjects(0.5, 0, 1); len(objs) != int(math.Round(0.5*float64(n.NumEdges()))) {
+		t.Errorf("GenerateObjects(0.5) placed %d objects on %d edges", len(objs), n.NumEdges())
+	}
+}
+
 func TestNearestLocation(t *testing.T) {
 	n := demoNetwork(t)
 	loc, err := n.NearestLocation(Point{0.5, 1.2})

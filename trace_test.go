@@ -40,20 +40,43 @@ func (tr *fuzzTrial) tracedEngine(t *testing.T) *Engine {
 // metrics clock.)
 func checkSpanSum(t *testing.T, rec FlightRecord) {
 	t.Helper()
-	sum := obs.SumSpans(rec.Spans)
+	sum := sumSpans(rec.Spans)
 	lo := rec.Total/2 - 2*time.Millisecond
 	hi := rec.Total + rec.Total/4 + 5*time.Millisecond
 	if sum < lo || sum > hi {
 		t.Errorf("trace %s: leaf spans sum to %v, want within [%v, %v] of total %v",
 			rec.TraceID, sum, lo, hi, rec.Total)
 	}
-	root, ok := obs.FindSpan(rec.Spans, obs.SpanQuery)
+	root, ok := findSpan(rec.Spans, obs.SpanQuery)
 	if !ok {
 		t.Fatalf("trace %s: no root query span", rec.TraceID)
 	}
 	if root.Dur < rec.Total-rec.Total/4-5*time.Millisecond {
 		t.Errorf("trace %s: root span %v shorter than recorded total %v", rec.TraceID, root.Dur, rec.Total)
 	}
+}
+
+// sumSpans totals the durations of the non-overlapping leaf spans:
+// everything except the root query span, which covers everything, and the
+// queue wait, which precedes the engine's response-time clock.
+func sumSpans(spans []obs.Span) time.Duration {
+	var sum time.Duration
+	for _, s := range spans {
+		if s.Name != obs.SpanQuery && s.Name != obs.SpanQueueWait {
+			sum += s.Dur
+		}
+	}
+	return sum
+}
+
+// findSpan returns the first span with the given name, or false.
+func findSpan(spans []obs.Span, name string) (obs.Span, bool) {
+	for _, s := range spans {
+		if s.Name == name {
+			return s, true
+		}
+	}
+	return obs.Span{}, false
 }
 
 // TestTraceSpansDecomposeTotal runs one traced query per algorithm on a
@@ -96,7 +119,7 @@ func TestTraceSpansDecomposeTotal(t *testing.T) {
 			t.Errorf("%v: trace %s has no phase spans: %+v", alg, res.TraceID, rec.Spans)
 		}
 		if rec.NetworkPages > 0 {
-			if _, ok := obs.FindSpan(rec.Spans, obs.SpanIO); !ok {
+			if _, ok := findSpan(rec.Spans, obs.SpanIO); !ok {
 				t.Errorf("%v: trace %s faulted pages but has no %s span", alg, res.TraceID, obs.SpanIO)
 			}
 		}
@@ -243,7 +266,7 @@ func TestWavefrontTraceWaitsOnLeader(t *testing.T) {
 		if !ok {
 			t.Fatalf("subscriber %d: no record for %s", i, results[i].TraceID)
 		}
-		wait, ok := obs.FindSpan(rec.Spans, obs.SpanFlightWait)
+		wait, ok := findSpan(rec.Spans, obs.SpanFlightWait)
 		if !ok {
 			t.Fatalf("subscriber %d: trace %s has no %s span: %+v",
 				i, rec.TraceID, obs.SpanFlightWait, rec.Spans)
@@ -257,7 +280,7 @@ func TestWavefrontTraceWaitsOnLeader(t *testing.T) {
 		if wait.Dur < hold {
 			t.Errorf("subscriber %d: flight.wait lasted %v, want >= gate hold %v", i, wait.Dur, hold)
 		}
-		if _, ok := obs.FindSpan(rec.Spans, obs.SpanRestore); !ok {
+		if _, ok := findSpan(rec.Spans, obs.SpanRestore); !ok {
 			t.Errorf("subscriber %d: trace %s has no %s span", i, rec.TraceID, obs.SpanRestore)
 		}
 		checkSpanSum(t, rec)
@@ -267,7 +290,7 @@ func TestWavefrontTraceWaitsOnLeader(t *testing.T) {
 	if !ok {
 		t.Fatalf("no record for leader %s", leaderID)
 	}
-	if _, found := obs.FindSpan(leadRec.Spans, obs.SpanFlightWait); found {
+	if _, found := findSpan(leadRec.Spans, obs.SpanFlightWait); found {
 		t.Errorf("leader %s has a flight.wait span", leaderID)
 	}
 
@@ -479,7 +502,7 @@ func TestPoolQueueWaitSpan(t *testing.T) {
 		if !ok {
 			t.Fatalf("query %d: no record for %s", i, res.TraceID)
 		}
-		if _, ok := obs.FindSpan(rec.Spans, obs.SpanQueueWait); ok {
+		if _, ok := findSpan(rec.Spans, obs.SpanQueueWait); ok {
 			spanned++
 		}
 	}

@@ -129,7 +129,9 @@ func trajectoryCells(t *testing.T) []trajectoryCell {
 		for i := range c.Queries {
 			addResult(c, trajectoryQuery(t, hotEng, Query{Points: sets[i%trajectoryHotSets], Algorithm: algs[i%len(algs)]}))
 		}
-		c.HitRate = hotEng.DistCacheStats().HitRate()
+		if st := hotEng.DistCacheStats(); st.Hits+st.Misses > 0 {
+			c.HitRate = float64(st.Hits) / float64(st.Hits+st.Misses)
+		}
 	}})
 
 	for _, share := range []bool{false, true} {
