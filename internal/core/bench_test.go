@@ -295,9 +295,10 @@ func BenchmarkOpenEnv(b *testing.B) {
 // one attribute, 49 query sets in 10% regions, warm buffers) and
 // paper_cold's (CA, |Q| = 4, 9 sets, cold). One op answers every set once.
 // first-us is the median time to the first skyline point, EDC's share of
-// initial_ms_p50. It uses nothing but Run, so the same file times a parent
-// commit too; rtree-nodes/op and candidates/op must then be equal on both
-// sides.
+// initial_ms_p50; windows/op is counted through testHookEDCWindow. It uses
+// nothing but Run and the hook, so the same file times a parent commit too;
+// rtree-nodes/op, windows/op and candidates/op are then equal on both sides
+// for a change that claims only CPU.
 func BenchmarkEDCWindow(b *testing.B) {
 	ctx := context.Background()
 	for _, c := range []struct {
@@ -315,8 +316,10 @@ func BenchmarkEDCWindow(b *testing.B) {
 			for i := range queries {
 				queries[i] = Query{Points: gen.QueryPoints(env.G, c.nq, 0.1, int64(1+i)), UseAttrs: c.attrs > 0}
 			}
-			var nodes, cands int64
+			var nodes, cands, windows int64
 			var first []time.Duration
+			testHookEDCWindow = func(*edcWindow, []float64, []windowCand) { windows++ }
+			defer func() { testHookEDCWindow = nil }()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -332,6 +335,7 @@ func BenchmarkEDCWindow(b *testing.B) {
 			slices.Sort(first)
 			b.ReportMetric(float64(first[len(first)/2].Microseconds()), "first-us")
 			b.ReportMetric(float64(nodes)/float64(b.N), "rtree-nodes/op")
+			b.ReportMetric(float64(windows)/float64(b.N), "windows/op")
 			b.ReportMetric(float64(cands)/float64(b.N), "candidates/op")
 		})
 	}

@@ -47,13 +47,15 @@ func unreachableVec(vec []float64, n int) bool {
 // bottom-left of the shifted curve L1 is a candidate, everything beyond it
 // is pruned.
 //
-// The paper computes every candidate's vector in full and compares
-// afterwards. Here only the seeds' are (a seed's vector is p-bar); a window
-// candidate is verified as LBC verifies its own (boundVec.refine): dropped
-// as soon as its path-distance lower bounds are dominated by the network
-// vectors already known, most often before any A* session toward it is
-// opened. The candidates fetched and the skyline reported are the paper's;
-// Options.DisablePLB gives back its distance computations too.
+// The paper computes every candidate's vector in full and opens every
+// seed's window. Here seeds and window candidates are verified as LBC
+// verifies its own (boundVec.refine): dropped as soon as their path-distance
+// lower bounds are dominated by the network vectors already known, most
+// often before any A* session toward them is opened. A seed the front
+// dominates opens no window (BBS's rule: a region a known point dominates is
+// never expanded); the objects its window would fetch still reach the seed
+// stream or a later window. The skyline is the paper's as a set, not its
+// report order; Options.DisablePLB is the paper's EDC.
 func edc(f *frame) (*Result, error) {
 	ctx, env, q, n, dims, qPts := f.ctx, f.env, f.q, f.n, f.dims, f.qPts
 	opts, astars, probe, m := f.opts, f.searchers, f.probe, &f.m
@@ -102,11 +104,11 @@ func edc(f *frame) (*Result, error) {
 
 	// admit files a fetched object's exact vector. One that is all +Inf or
 	// dominated by the front can never be reported and dominates nothing the
-	// front does not, so it is dropped here; any other joins the candidates
-	// and the front, evicting the members it dominates.
-	admit := func(id graph.ObjectID, vec []float64) {
+	// front does not, so it is dropped here, returning false; any other
+	// joins the candidates and the front, evicting the members it dominates.
+	admit := func(id graph.ObjectID, vec []float64) bool {
 		if unreachableVec(vec, n) || skyline.DominatedBy(vec, front) {
-			return
+			return false
 		}
 		keep := front[:0]
 		for _, f := range front {
@@ -116,11 +118,13 @@ func edc(f *frame) (*Result, error) {
 		}
 		front = append(keep, vec)
 		candVec[id] = vec
+		return true
 	}
 
-	// fetchSeed computes a seed's network vector in full — it is p-bar, the
-	// corner of the next window — with its n sessions sharing one target, so
-	// the landmark heuristic toward the object is built once.
+	// fetchSeed computes a seed's network vector in full — p-bar, the corner
+	// of the next window — with its n sessions sharing one target, so the
+	// landmark heuristic toward the object is built once. Outside the
+	// paper's EDC a vector admit drops opens no window: it returns nil.
 	fetchSeed := func(id graph.ObjectID) ([]float64, error) {
 		fetched[id] = true
 		m.Candidates++
@@ -136,19 +140,23 @@ func edc(f *frame) (*Result, error) {
 			m.DistanceComputations++
 		}
 		env.fillAttrs(vec, n, id, q.UseAttrs)
-		admit(id, vec)
+		if !admit(id, vec) && !opts.DisablePLB {
+			return nil, nil
+		}
 		return vec, nil
 	}
 
-	// verify settles a window candidate bounds-first (boundVec.refine): it
-	// is dropped as soon as the front dominates its vector of lower bounds —
-	// then a member dominates its network vector too, and whatever that
-	// would have dominated — and only an undominated one has all n distances
-	// computed. Under DisablePLB nothing is dropped early (the paper's EDC).
+	// verify settles a seed or a window candidate bounds-first
+	// (boundVec.refine): it is dropped as soon as the front dominates its
+	// vector of lower bounds — then a member dominates its network vector
+	// too, and whatever that would have dominated — and only an undominated
+	// one has all n distances computed. It returns the exact vector when
+	// admit takes it, nil otherwise. Under DisablePLB nothing is dropped
+	// early (the paper's EDC).
 	bounds := newBoundVec(astars, dims, m)
 	bounds.runOut = opts.DisablePLB
 	dominated := func() bool { return !opts.DisablePLB && skyline.DominatedBy(bounds.test(), front) }
-	verify := func(id graph.ObjectID) error {
+	verify := func(id graph.ObjectID) ([]float64, error) {
 		fetched[id] = true
 		m.Candidates++
 		o := env.Objects[id]
@@ -159,9 +167,21 @@ func edc(f *frame) (*Result, error) {
 		exact, err := bounds.refine(sp.Target{Loc: o.Loc, Pt: env.G.Point(o.Loc)}, nil, -1, dominated)
 		m.DistanceComputations = evaluated + bounds.completed()
 		if exact {
-			admit(id, slices.Clone(bounds.lb))
+			if vec := slices.Clone(bounds.lb); admit(id, vec) {
+				return vec, err
+			}
 		}
-		return err
+		return nil, err
+	}
+	// seedVec returns a seed's p-bar, or nil when the seed opens no window.
+	// The paper's EDC makes every seed p-bar, whatever the front holds; a
+	// seed that meets an empty front has nothing to be dropped by, so its
+	// distances are run directly, without refine's rounds.
+	seedVec := func(id graph.ObjectID) ([]float64, error) {
+		if opts.DisablePLB || len(front) == 0 {
+			return fetchSeed(id)
+		}
+		return verify(id)
 	}
 
 	// resolve determines the candidates whose vector fits under pbar (all of
@@ -207,10 +227,13 @@ func edc(f *frame) (*Result, error) {
 			break
 		}
 		probe.begin(obs.PhaseEDCVerify)
-		pbar, err := fetchSeed(graph.ObjectID(seed.ID))
+		pbar, err := seedVec(graph.ObjectID(seed.ID))
 		probe.end()
 		if err != nil {
 			return f.fail(err)
+		}
+		if pbar == nil {
+			continue // dropped: the seed opens no window
 		}
 		shifted = append(shifted, pbar)
 
@@ -228,7 +251,7 @@ func edc(f *frame) (*Result, error) {
 		sort.Slice(batch, func(a, b int) bool { return batch[a].far > batch[b].far })
 		probe.begin(obs.PhaseEDCVerify)
 		for _, c := range batch {
-			if err := verify(c.id); err != nil {
+			if _, err := verify(c.id); err != nil {
 				return f.fail(err)
 			}
 		}

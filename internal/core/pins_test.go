@@ -1,11 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
 	"hash/fnv"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -23,9 +25,11 @@ var update = flag.Bool("update", false, "rewrite this package's cells of testdat
 // numbers right:
 //   - an LBC skyline equals CE's as a set;
 //   - an EDC cell pins the paper's EDC (DisablePLB, every candidate's
-//     vector in full); the default arm, which verifies window candidates
-//     bounds-first, returns the same answer in the same order from the same
-//     candidates, expanding, reading and completing no more;
+//     vector in full, every seed's window opened) and, beside it, the
+//     default arm, which verifies seeds and window candidates bounds-first
+//     and opens no dominated seed's window: that returns the same skyline as
+//     a set, bit for bit, expanding, reading, fetching and completing no
+//     more;
 //   - on NA60, the sessions opened with a frontier scan stay under half of
 //     one per (candidate, non-source searcher) pair;
 //   - a cell answered again gives the same record.
@@ -102,8 +106,9 @@ var lbcCells = []pinCell{
 	{name: "twins/q1/alternate", inst: instTwins, alg: AlgLBC, nq: 1, opts: Options{LBCAlternate: true}},
 }
 
-// The paper's EDC; the default arm is checked against it.
-var edcCells = []pinCell{
+// The paper's EDC, each cell followed by the default arm's, "/default",
+// which is checked against it.
+var edcCells = withDefaultArms([]pinCell{
 	{name: "CA/q1", inst: instCA, alg: AlgEDC, nq: 1, opts: Options{DisablePLB: true}},
 	{name: "CA/q2", inst: instCA, alg: AlgEDC, nq: 2, opts: Options{DisablePLB: true}},
 	{name: "CA/q4", inst: instCA, alg: AlgEDC, nq: 4, opts: Options{DisablePLB: true}},
@@ -116,6 +121,18 @@ var edcCells = []pinCell{
 	{name: "islands/attrs", inst: instIslands, alg: AlgEDC, nq: 3, attrs: 1, opts: Options{DisablePLB: true}},
 	{name: "twins/q1", inst: instTwins, alg: AlgEDC, nq: 1, opts: Options{DisablePLB: true}},
 	{name: "twins", inst: instTwins, alg: AlgEDC, nq: 3, opts: Options{DisablePLB: true}},
+})
+
+// withDefaultArms follows each DisablePLB cell with its default arm.
+func withDefaultArms(paper []pinCell) []pinCell {
+	var cells []pinCell
+	for _, c := range paper {
+		def := c
+		def.name += "/default"
+		def.opts.DisablePLB = false
+		cells = append(cells, c, def)
+	}
+	return cells
 }
 
 // CE used to range over its candidate map wherever searchers ran out of
@@ -152,38 +169,39 @@ func runPins(t *testing.T, cells []pinCell) {
 func (c pinCell) check(t *testing.T) testnet.Pin {
 	t.Helper()
 	env := c.inst.env(t, c.attrs)
-	got, pairs := c.answer(t, env, c.opts, true)
+	got, pairs, byID := c.answer(t, env, c.opts, true)
 	for run := 1; run < max(c.runs, 2); run++ {
-		if again, _ := c.answer(t, env, c.opts, false); again != got {
+		if again, _, _ := c.answer(t, env, c.opts, false); again != got {
 			t.Fatalf("answer %d differs: %v", run, got.Diff(again))
 		}
 	}
 	if c.inst == instNA && 2*got.Scans > pairs {
 		t.Errorf("%d sessions opened with a frontier scan for %d (candidate, searcher) pairs, want at most half", got.Scans, pairs)
 	}
-	if c.alg == AlgEDC && c.opts.DisablePLB {
+	if c.alg == AlgEDC && !c.opts.DisablePLB {
 		opts := c.opts
-		opts.DisablePLB = false
-		def, _ := c.answer(t, env, opts, false)
-		if def.Hash != got.Hash || def.Skyline != got.Skyline || def.Candidates != got.Candidates {
-			t.Errorf("bound-first EDC answers differently:\n got  %+v\n paper's %+v", def, got)
+		opts.DisablePLB = true
+		paper, _, paperByID := c.answer(t, env, opts, false)
+		if byID != paperByID {
+			t.Errorf("bound-first EDC answers differently:\n got  %+v\n paper's %+v", got, paper)
 		}
-		if def.Nodes > got.Nodes || def.Pages > got.Pages || def.Distances > got.Distances {
-			t.Errorf("bound-first EDC does more work:\n got  %+v\n paper's %+v", def, got)
+		if got.Nodes > paper.Nodes || got.Pages > paper.Pages || got.Distances > paper.Distances || got.Candidates > paper.Candidates {
+			t.Errorf("bound-first EDC does more work:\n got  %+v\n paper's %+v", got, paper)
 		}
 	}
 	return got
 }
 
-// answer runs the cell's query sets under opts and returns their summed work
-// and the number of (candidate, non-source searcher) pairs. With check, each
-// answer is first held to an independent one.
-func (c pinCell) answer(t *testing.T, env *Env, opts Options, check bool) (testnet.Pin, int) {
+// answer runs the cell's query sets under opts and returns their summed work,
+// the number of (candidate, non-source searcher) pairs and a hash of the
+// answers as sets: each skyline hashed as Pin.Hash is, in id order. With
+// check, each answer is first held to an independent one.
+func (c pinCell) answer(t *testing.T, env *Env, opts Options, check bool) (testnet.Pin, int, string) {
 	t.Helper()
 	ctx := context.Background()
 	p := testnet.Pin{Name: c.name, Net: c.inst.net, Seed: c.inst.seed, Q: c.nq, Attrs: c.attrs,
 		Queries: max(c.sets, pinQueries), Alg: c.alg.String(), Options: optionString(opts)}
-	h := fnv.New64a()
+	h, byID := fnv.New64a(), fnv.New64a()
 	opts.ColdCache = true
 	pairs := 0
 	for set := range p.Queries {
@@ -205,6 +223,9 @@ func (c pinCell) answer(t *testing.T, env *Env, opts Options, check bool) (testn
 		for _, sp := range res.Skyline {
 			hashVec(h, sp.Object.ID, sp.Vec)
 		}
+		for _, sp := range slices.SortedFunc(slices.Values(res.Skyline), bySkylineID) {
+			hashVec(byID, sp.Object.ID, sp.Vec)
+		}
 		m := res.Metrics
 		p.Skyline += len(res.Skyline)
 		pairs += m.Candidates * (len(pts) - 1)
@@ -215,8 +236,11 @@ func (c pinCell) answer(t *testing.T, env *Env, opts Options, check bool) (testn
 		p.Scans += m.sessionScans
 	}
 	p.Hash = fmt.Sprintf("%#x", h.Sum64())
-	return p, pairs
+	return p, pairs, fmt.Sprintf("%#x", byID.Sum64())
 }
+
+// bySkylineID orders skyline points by object id.
+func bySkylineID(a, b SkylinePoint) int { return cmp.Compare(a.Object.ID, b.Object.ID) }
 
 // optionString lists the options set, the way the pin table records them:
 // flags by name, numbers as name=value. ColdCache is always on.

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"roadskyline/internal/bruteforce"
 	"roadskyline/internal/gen"
 	"roadskyline/internal/geom"
 	"roadskyline/internal/graph"
@@ -288,10 +289,136 @@ func TestEDCWindowMatchesRescan(t *testing.T) {
 	}
 }
 
+// seedWindows is what the window hook saw of one EDC query: each window's
+// p-bar in order, the objects the windows fetched, and the seeds — every
+// other object fetched, read from the shared fetched array once Run is done.
+type seedWindows struct {
+	res    *Result
+	pbars  [][]float64
+	seeds  map[graph.ObjectID]bool
+	marked int // objects marked fetched
+}
+
+func runSeedWindows(t *testing.T, env *Env, q Query, opts Options) seedWindows {
+	t.Helper()
+	sw := seedWindows{seeds: map[graph.ObjectID]bool{}}
+	var fetched []bool
+	inWindow := map[graph.ObjectID]bool{}
+	testHookEDCWindow = func(w *edcWindow, pbar []float64, batch []windowCand) {
+		fetched = w.fetched
+		sw.pbars = append(sw.pbars, slices.Clone(pbar))
+		for _, c := range batch {
+			inWindow[c.id] = true
+		}
+	}
+	defer func() { testHookEDCWindow = nil }()
+	res, err := Run(context.Background(), env, q, AlgEDC, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw.res = res
+	for id, f := range fetched {
+		if f {
+			sw.marked++
+			if !inWindow[graph.ObjectID(id)] {
+				sw.seeds[graph.ObjectID(id)] = true
+			}
+		}
+	}
+	return sw
+}
+
+// TestEDCDominatedSeedOpensNoWindow holds the default arm's seeds to the
+// rule that a seed the front dominates opens no window, on CA at
+// serve_open's shape (|Q| = 2 with one attribute, 49 sets in 10% regions)
+// and on the islands, where vectors have +Inf components: no window's p-bar
+// is dominated by an earlier one's; every seed that is a skyline point
+// opened a window at its own vector; every candidate is marked fetched
+// once; and the queries open fewer windows in all than under DisablePLB.
+// One query may open more: on the islands the paper's EDC opens the window
+// of a seed no query point reaches, whose p-bar is +Inf and fetches every
+// object at once, and the default arm opens none for it. It logs seeds and
+// windows per query for both arms.
+//
+// Seeded mutations: a dominated seed that opens its window again fails the
+// window count; a seed dropped although its bounds are not dominated fails
+// the skyline seeds' windows; a dropped seed left unmarked in fetched
+// fails the count of objects marked.
+func TestEDCDominatedSeedOpensNoWindow(t *testing.T) {
+	var windows, paperWindows int
+	serveOpen := func(env *Env) (sets [][]graph.Location) {
+		for i := range 49 {
+			sets = append(sets, gen.QueryPoints(env.G, 2, 0.1, int64(1+i)))
+		}
+		return sets
+	}
+	islands := func(env *Env) [][]graph.Location { return [][]graph.Location{islandPts(env, 0), islandPts(env, 1)} }
+	for _, c := range []struct {
+		name     string
+		env      *Env
+		useAttrs bool
+		sets     func(env *Env) [][]graph.Location
+	}{
+		{"CA", pinCA.env(t, 1), true, serveOpen},
+		{"islands", instIslands.env(t, 0), false, islands},
+		{"islands/attrs", instIslands.env(t, 1), true, islands},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for set, pts := range c.sets(c.env) {
+				q := Query{Points: pts, UseAttrs: c.useAttrs}
+				def := runSeedWindows(t, c.env, q, Options{})
+				paper := runSeedWindows(t, c.env, q, Options{DisablePLB: true})
+				if err := sameSkyline(def.res, paper.res); err != nil {
+					t.Errorf("set %d: the arms answer differently: %v", set, err)
+				}
+				t.Logf("set %d: %d seeds, %d windows (DisablePLB: %d seeds, %d windows)",
+					set, len(def.seeds), len(def.pbars), len(paper.seeds), len(paper.pbars))
+				for i, p := range def.pbars {
+					for j, earlier := range def.pbars[:i] {
+						if skyline.Dominates(earlier, p) {
+							t.Errorf("set %d: window %d's p-bar %v is dominated by window %d's %v", set, i, p, j, earlier)
+						}
+					}
+				}
+				for _, sp := range def.res.Skyline {
+					if def.seeds[sp.Object.ID] && !slices.ContainsFunc(def.pbars, func(p []float64) bool { return slices.Equal(p, sp.Vec) }) {
+						t.Errorf("set %d: skyline seed %d opened no window", set, sp.Object.ID)
+					}
+				}
+				if def.marked != def.res.Metrics.Candidates {
+					t.Errorf("set %d: %d objects marked fetched for %d candidates", set, def.marked, def.res.Metrics.Candidates)
+				}
+				windows, paperWindows = windows+len(def.pbars), paperWindows+len(paper.pbars)
+			}
+		})
+	}
+	if windows >= paperWindows {
+		t.Errorf("%d windows in all, DisablePLB opens %d: no dominated seed was skipped", windows, paperWindows)
+	}
+}
+
+// matchesOracle holds res to bruteforce.NetworkSkyline as a set: the same
+// objects, each distance with the same float64 bits.
+func matchesOracle(env *Env, q Query, res *Result) error {
+	ids, matrix := bruteforce.NetworkSkyline(env.G, env.Objects, q.Points, q.UseAttrs)
+	if got := skylineIDs(res); !sameIDs(got, ids) {
+		return fmt.Errorf("skyline %v, oracle %v", got, ids)
+	}
+	for _, p := range res.Skyline {
+		for j, d := range p.Dists {
+			if w := matrix[p.Object.ID][j]; math.Float64bits(d) != math.Float64bits(w) {
+				return fmt.Errorf("object %d dist[%d] = %v, oracle %v", p.Object.ID, j, d, w)
+			}
+		}
+	}
+	return nil
+}
+
 // FuzzEDCWindow is TestEDCWindowMatchesRescan's fuzz entry: a random network
 // and object set, |Q| from 1 to 4, 0 to 2 attributes and an R-tree fanout of
-// 4, 8 or 100. It builds no landmark table, which the window never reads, to
-// keep each input fast.
+// 4, 8 or 100. Beside the windows, it holds the skyline of the default arm
+// and of DisablePLB to bruteforce.NetworkSkyline. It builds no landmark
+// table, which the window never reads, to keep each input fast.
 func FuzzEDCWindow(f *testing.F) {
 	f.Add(int64(1), uint8(2), uint8(0))
 	f.Add(int64(2), uint8(4), uint8(1))
@@ -306,6 +433,12 @@ func FuzzEDCWindow(f *testing.F) {
 		}
 		q := Query{Points: testnet.RandomLocations(rng, g, 1+int(nq%4)), UseAttrs: attrs%3 > 0}
 		defer env.Close()
-		checkWindows(t, newWindowOracle(env), q, Options{})
+		o := newWindowOracle(env)
+		for _, opts := range []Options{{}, {DisablePLB: true}} {
+			res, _, _, _ := checkWindows(t, o, q, opts)
+			if err := matchesOracle(env, q, res); err != nil {
+				t.Fatalf("%+v: %v", opts, err)
+			}
+		}
 	})
 }
