@@ -166,7 +166,7 @@ func BenchmarkEDCVerify(b *testing.B) {
 		dominated := func() bool { return skyline.DominatedBy(bounds.test(), front) }
 		b.StartTimer()
 		for _, o := range batch {
-			exact, err := bounds.refine(sp.Target{Loc: o.Loc, Pt: env.G.Point(o.Loc)}, nil, -1, dominated)
+			exact, err := bounds.refine(sp.Target{Loc: o.Loc, Pt: env.G.Point(o.Loc)}, nil, dominated)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -348,32 +348,46 @@ func BenchmarkEDCWindow(b *testing.B) {
 // on both sides of a change that claims only CPU. It is the in-package pair
 // of serve_open's cpu_ms_per_query and uses nothing but Run, so the same
 // file times a parent commit too.
-func BenchmarkServeOpenMix(b *testing.B) {
-	const nq, attrs, sets = 2, 1, 49
+func BenchmarkServeOpenMix(b *testing.B) { benchMix(b, 2, 1, 49, Options{}) }
+
+// BenchmarkPaperColdMix is BenchmarkServeOpenMix at paper_cold's shape: CA,
+// |Q| = 4, 27 query sets in 10% regions, every query cold. pages/q are the
+// buffer misses per query, scans/q the A* sessions opened with a frontier
+// scan.
+func BenchmarkPaperColdMix(b *testing.B) { benchMix(b, 4, 0, 27, Options{ColdCache: true}) }
+
+// benchMix answers sets query sets of nq points (and attrs attributes) under
+// opts with each algorithm in turn, one sub-benchmark per algorithm.
+func benchMix(b *testing.B, nq, attrs, sets int, opts Options) {
 	ctx := context.Background()
 	env := pinCA.env(b, attrs)
 	queries := make([]Query, sets)
 	for i := range queries {
-		queries[i] = Query{Points: gen.QueryPoints(env.G, nq, 0.1, int64(1+i)), UseAttrs: true}
+		queries[i] = Query{Points: gen.QueryPoints(env.G, nq, 0.1, int64(1+i)), UseAttrs: attrs > 0}
 	}
 	for _, alg := range []Algorithm{AlgCE, AlgEDC, AlgLBC} {
 		b.Run(alg.String(), func(b *testing.B) {
-			var nodes, cands, sky int
+			var nodes, pages, scans, cands, sky int64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, q := range queries {
-					res, err := Run(ctx, env, q, alg, Options{})
+					res, err := Run(ctx, env, q, alg, opts)
 					if err != nil {
 						b.Fatal(err)
 					}
-					nodes += res.Metrics.NodesExpanded
-					cands += res.Metrics.Candidates
-					sky += len(res.Skyline)
+					m := res.Metrics
+					nodes += int64(m.NodesExpanded)
+					pages += m.NetworkPages
+					scans += int64(m.sessionScans)
+					cands += int64(m.Candidates)
+					sky += int64(len(res.Skyline))
 				}
 			}
 			perQuery := float64(b.N * sets)
 			b.ReportMetric(float64(nodes)/perQuery, "nodes/q")
+			b.ReportMetric(float64(pages)/perQuery, "pages/q")
+			b.ReportMetric(float64(scans)/perQuery, "scans/q")
 			b.ReportMetric(float64(cands)/perQuery, "cands/q")
 			b.ReportMetric(float64(sky)/perQuery, "sky/q")
 		})

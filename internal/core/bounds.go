@@ -15,12 +15,14 @@ type boundVec struct {
 	astars []*sp.AStar
 	// lb holds the bounds; entries past len(astars) (static attributes)
 	// belong to the caller. A stop rule reads it through test, never raw.
-	lb       []float64
+	lb []float64
+	// known marks the entries the caller filled with the distance before
+	// refine; they open no session and refine leaves them alone.
+	known    []bool
 	exact    []bool        // test's scratch: lb[i] is a distance, not a bound
 	floor    []float64     // test's result, reused
 	sessions []*sp.Session // nil until opened
 	target   sp.Target     // the candidate, its heuristic shared by all sessions
-	skip     int           // refine's skip: the entry the caller filled with the distance
 	// runOut makes every picked session run to completion instead of
 	// advancing one step (the DisablePLB ablation).
 	runOut bool
@@ -31,10 +33,10 @@ func newBoundVec(astars []*sp.AStar, dims int, m *Metrics) *boundVec {
 	return &boundVec{
 		astars:   astars,
 		lb:       make([]float64, dims),
+		known:    make([]bool, len(astars)),
 		exact:    make([]bool, len(astars)),
 		floor:    make([]float64, dims),
 		sessions: make([]*sp.Session, len(astars)),
-		skip:     -1,
 		m:        m,
 	}
 }
@@ -56,21 +58,22 @@ func floorBounds(dst, lb []float64, exact []bool) []float64 {
 }
 
 // test returns the vector refine's stop rule reads, valid until the next
-// call: floorBounds of lb, the exact entries being the one the caller filled
-// and those whose session is done.
+// call: floorBounds of lb, the exact entries being the known ones and those
+// whose session is done.
 func (b *boundVec) test() []float64 {
 	for i, s := range b.sessions {
-		b.exact[i] = i == b.skip || (s != nil && s.Done())
+		b.exact[i] = b.known[i] || (s != nil && s.Done())
 	}
 	return floorBounds(b.floor, b.lb, b.exact)
 }
 
 // refine tightens lb toward the network distances to t until stop reports
-// true, returning false, or every distance is exact, returning true. Entry
-// skip (-1 for none) was filled by the caller with the distance and is left
-// alone. from, when not nil, holds t's frontier-free bounds (sp.AStar.Bound
-// per searcher — constants of the query) computed earlier with t itself, so
-// neither they nor t's heuristic are built again.
+// true, returning false, or every distance is exact, returning true. The
+// known entries were filled by the caller with the distance and are left
+// alone. from, when not nil, holds lower bounds on t's distances that read no
+// frontier (sp.AStar.Bound per searcher — constants of the query — or larger)
+// computed earlier with t itself, so neither they nor t's heuristic are built
+// again.
 //
 // Three phases, each entered only while stop keeps reporting false:
 //
@@ -87,12 +90,12 @@ func (b *boundVec) test() []float64 {
 // Opening a session moves no wavefront, phase 3 starts from the vector an
 // open-all-first loop starts from, and stop is monotone in the vector, so
 // the Advance sequence is that loop's exactly.
-func (b *boundVec) refine(t sp.Target, from []float64, skip int, stop func() bool) (bool, error) {
-	b.target, b.skip = t, skip
+func (b *boundVec) refine(t sp.Target, from []float64, stop func() bool) (bool, error) {
+	b.target = t
 	for i, a := range b.astars {
 		b.sessions[i] = nil
 		switch {
-		case i == skip:
+		case b.known[i]:
 		case a.Resolved(&b.target):
 			b.open(i)
 		case from != nil:
@@ -102,12 +105,12 @@ func (b *boundVec) refine(t sp.Target, from []float64, skip int, stop func() boo
 		}
 	}
 	for !stop() {
-		if i := b.pick(skip, false); i != -1 {
+		if i := b.pick(false); i != -1 {
 			b.open(i)
 			b.m.sessionScans++
 			continue
 		}
-		pick := b.pick(skip, true)
+		pick := b.pick(true)
 		if pick == -1 {
 			return true, nil
 		}
@@ -154,10 +157,10 @@ func (b *boundVec) open(i int) {
 // pick returns the entry with the smallest bound among the unopened
 // sessions, or with opened set among the opened unfinished ones; -1 when
 // there is none. Ties go to the lowest index.
-func (b *boundVec) pick(skip int, opened bool) int {
+func (b *boundVec) pick(opened bool) int {
 	pick := -1
 	for i, s := range b.sessions {
-		if i == skip || (s != nil) != opened || (opened && s.Done()) {
+		if b.known[i] || (s != nil) != opened || (opened && s.Done()) {
 			continue
 		}
 		if pick == -1 || b.lb[i] < b.lb[pick] {

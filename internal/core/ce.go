@@ -8,6 +8,7 @@ import (
 	"roadskyline/internal/graph"
 	"roadskyline/internal/obs"
 	"roadskyline/internal/skyline"
+	"roadskyline/internal/sp"
 )
 
 // ce implements the Collaborative Expansion algorithm (paper Section 4.1).
@@ -16,11 +17,14 @@ import (
 // h = 0) expands in round-robin order, reporting objects in ascending
 // network distance. The filtering phase lasts until the first object has
 // been visited by every query point; every object encountered before that
-// is a candidate. The refinement phase keeps expanding to complete the
-// candidates' distance vectors, discarding objects that are not candidates
-// and pruning candidates whose lower-bound vector (known distances, plus the
-// per-query last-visited distance for unknown ones) is dominated by a
-// reported skyline point.
+// is a candidate. The paper's refinement phase (Options.DisablePLB) keeps
+// expanding to complete the candidates' distance vectors, discarding objects
+// that are not candidates and pruning candidates whose lower-bound vector
+// (known distances, plus the per-query last-visited distance for unknown
+// ones) is dominated by a reported skyline point. The default arm stops the
+// wavefronts there instead and settles the candidates bounds-first, as LBC
+// and EDC verify theirs (settle below): the same skyline as a set, reported
+// in another order.
 func ce(f *frame) (*Result, error) {
 	ctx, env, q, n, dims := f.ctx, f.env, f.q, f.n, f.dims
 	searchers, probe, m := f.searchers, f.probe, &f.m
@@ -161,6 +165,66 @@ func ce(f *frame) (*Result, error) {
 		}
 	}
 
+	// settle completes the live candidates once admission has closed: the
+	// object-mode wavefronts stop, and A* sessions on forks of them tighten
+	// each missing distance (boundVec.refine) from max(lastDist[i],
+	// sp.AStar.Bound) — no object searcher i has not reported is nearer than
+	// its last report — until the front of exact vectors dominates the
+	// candidate or its vector is exact. Nearest first by the sum of those
+	// bounds, so that likely skyline points join the front early.
+	settle := func() error {
+		if testHookCERefine != nil {
+			testHookCERefine(searchers)
+		}
+		if err := f.newRefiners(); err != nil {
+			return err
+		}
+		front := newParetoFront(f, res, skyVecs)
+		bounds := newBoundVec(f.refiners, dims, m)
+		dominated := func() bool { return skyline.DominatedBy(bounds.test(), front.vecs) }
+		// Each candidate's target and starting vector, with the vector's sum.
+		type start struct {
+			*cand
+			target sp.Target
+			from   []float64
+			sum    float64
+		}
+		queue := make([]start, len(live))
+		for k, c := range live {
+			o := env.Objects[c.id]
+			p := start{c, sp.Target{Loc: o.Loc, Pt: env.G.Point(o.Loc)}, slices.Clone(c.vec[:n]), 0}
+			for i, a := range f.refiners {
+				if math.IsNaN(c.vec[i]) {
+					p.from[i] = math.Max(lastDist[i], a.Bound(&p.target))
+				}
+				p.sum += p.from[i]
+			}
+			queue[k] = p
+		}
+		slices.SortFunc(queue, func(a, b start) int { return cmp.Or(cmp.Compare(a.sum, b.sum), cmp.Compare(a.id, b.id)) })
+		for _, c := range queue {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			copy(bounds.lb, c.vec)
+			for i := range bounds.known {
+				bounds.known[i] = !math.IsNaN(c.vec[i])
+			}
+			// refine does not count the distances that completed on opening.
+			evaluated := m.DistanceComputations
+			exact, err := bounds.refine(c.target, c.from, dominated)
+			m.DistanceComputations = evaluated + bounds.completed()
+			if err != nil {
+				return err
+			}
+			if exact {
+				front.admit(c.id, slices.Clone(bounds.lb))
+			}
+		}
+		front.resolve(nil)
+		return nil
+	}
+
 	cursor := 0
 	hits, sweepAt := 0, 256
 	rounds := 0
@@ -195,8 +259,15 @@ func ce(f *frame) (*Result, error) {
 		stopped := stopAdmitting()
 		if stopped {
 			// The candidate set is closed: the paper's filtering phase is
-			// over and everything from here on is refinement.
+			// over and everything from here on is refinement, which the
+			// default arm leaves to settle.
 			probe.transition(obs.PhaseCEFilter, obs.PhaseCERefine)
+			if !f.opts.DisablePLB {
+				if err := settle(); err != nil {
+					return f.fail(err)
+				}
+				break
+			}
 		}
 		i := -1
 		for probe := 0; probe < n; probe++ {
@@ -307,6 +378,10 @@ func ce(f *frame) (*Result, error) {
 	dropDominatedDuplicates(res)
 	return f.succeed(res)
 }
+
+// testHookCERefine, set only by tests, sees the object-mode searchers as
+// the bounds-first refinement takes over from them.
+var testHookCERefine func(searchers []*sp.AStar)
 
 // testHookCEStop, set only by tests, sees each admission decision: the
 // vector of the best unseen object, every skyline vector so far, the

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"roadskyline/internal/skyline"
+	"roadskyline/internal/sp"
 	"roadskyline/internal/testnet"
 )
 
@@ -94,4 +96,90 @@ func TestCEStopFilterMatchesFull(t *testing.T) {
 			t.Logf("%d decisions, %d to stop", decisions, stops)
 		})
 	}
+}
+
+// TestCERefinesBoundsFirst holds CE's default arm to its refinement rule on
+// CA at paper_cold's shape (|Q| = 4, cold) and serve_open's (|Q| = 2 with
+// one attribute, warm) and on the islands: once admission closes, no
+// object-mode searcher settles another node (testHookCERefine), and each
+// query returns the paper arm's skyline (DisablePLB) as a set, ids and
+// distance bits, with the same candidates and no more settlements.
+//
+// Seeded mutations, each failing here: the refinement skipped (the hook
+// never fires); a known distance overwritten by a bound (refine filling a
+// known entry from from); a candidate dropped although its bounds are not
+// dominated (the stop rule testing the front with DominatesOrEqual).
+func TestCERefinesBoundsFirst(t *testing.T) {
+	defer func() { testHookCERefine = nil }()
+	ctx := context.Background()
+	for _, c := range []struct {
+		name      string
+		inst      *pinInst
+		nq, attrs int
+		sets      int
+		opts      Options
+	}{
+		{"CA/paper_cold", instCA, 4, 0, 9, Options{ColdCache: true}},
+		{"CA/serve_open", instCA, 2, 1, 9, Options{}},
+		{"islands", instIslands, 3, 0, 6, Options{ColdCache: true}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			env := c.inst.env(t, c.attrs)
+			refinements, nodes, paperNodes := 0, 0, 0
+			for set := range c.sets {
+				q := Query{Points: c.inst.pts(env, c.nq, set), UseAttrs: c.attrs > 0}
+				var objectMode []*sp.AStar
+				var atClose []int
+				testHookCERefine = func(searchers []*sp.AStar) {
+					refinements++
+					objectMode = slices.Clone(searchers)
+					for _, s := range searchers {
+						atClose = append(atClose, s.NodesExpanded())
+					}
+				}
+				got, err := Run(ctx, env, q, AlgCE, c.opts)
+				testHookCERefine = nil
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, s := range objectMode {
+					if n := s.NodesExpanded(); n != atClose[i] {
+						t.Errorf("set %d: object-mode searcher %d settled %d nodes after admission closed", set, i, n-atClose[i])
+					}
+				}
+				paperOpts := c.opts
+				paperOpts.DisablePLB = true
+				paper, err := Run(ctx, env, q, AlgCE, paperOpts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sameSkylineBits(got, paper); err != nil {
+					t.Errorf("set %d: against the paper's CE: %v", set, err)
+				}
+				gm, pm := got.Metrics, paper.Metrics
+				if gm.Candidates != pm.Candidates {
+					t.Errorf("set %d: %d candidates, the paper's CE %d", set, gm.Candidates, pm.Candidates)
+				}
+				if gm.NodesExpanded > pm.NodesExpanded {
+					t.Errorf("set %d: %d settlements, the paper's CE %d", set, gm.NodesExpanded, pm.NodesExpanded)
+				}
+				nodes, paperNodes = nodes+gm.NodesExpanded, paperNodes+pm.NodesExpanded
+			}
+			if refinements == 0 {
+				t.Errorf("no query of %d refined bounds-first", c.sets)
+			}
+			t.Logf("%d of %d queries refined bounds-first; %d settlements, the paper's CE %d", refinements, c.sets, nodes, paperNodes)
+		})
+	}
+}
+
+// sameSkylineBits reports how got's skyline differs from want's as a set of
+// objects with their vectors, bit for bit.
+func sameSkylineBits(got, want *Result) error {
+	g := slices.SortedFunc(slices.Values(got.Skyline), bySkylineID)
+	w := slices.SortedFunc(slices.Values(want.Skyline), bySkylineID)
+	if !slices.EqualFunc(g, w, func(a, b SkylinePoint) bool { return a.Object.ID == b.Object.ID && slices.Equal(a.Vec, b.Vec) }) {
+		return fmt.Errorf("skyline %v, want %v", skylineIDs(got), skylineIDs(want))
+	}
+	return nil
 }

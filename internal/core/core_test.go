@@ -58,9 +58,11 @@ func sameIDs(a, b []int) bool {
 }
 
 // oracleArm is one algorithm configuration the oracle comparisons run: the
-// three algorithms as they ship, the paper's EDC, which computes every
-// candidate's vector in full, and LBC alternating sources or confirming
-// every head in Euclidean order (the paper's stream).
+// three algorithms as they ship, the paper's CE, which completes its
+// candidates by expanding its wavefronts, CE refining under the Euclidean
+// heuristic alone, the paper's EDC, which computes every candidate's vector
+// in full, and LBC alternating sources or confirming every head in
+// Euclidean order (the paper's stream).
 type oracleArm struct {
 	name string
 	alg  Algorithm
@@ -69,6 +71,8 @@ type oracleArm struct {
 
 var oracleArms = []oracleArm{
 	{"CE", AlgCE, Options{ColdCache: true}},
+	{"CE/noplb", AlgCE, Options{ColdCache: true, DisablePLB: true}},
+	{"CE/nolandmarks", AlgCE, Options{ColdCache: true, DisableLandmarks: true}},
 	{"EDC", AlgEDC, Options{ColdCache: true}},
 	{"EDC/noplb", AlgEDC, Options{ColdCache: true, DisablePLB: true}},
 	{"LBC", AlgLBC, Options{ColdCache: true}},

@@ -62,14 +62,9 @@ func edc(f *frame) (*Result, error) {
 	res := &Result{}
 
 	var shifted [][]float64 // p-bar vectors of processed seeds
-	// front is the Pareto front of the exact network vectors computed so
-	// far, all-+Inf ones left out. Every member is a real object's vector
-	// and strict dominance is transitive, so whatever any vector computed so
-	// far dominates, a member dominates.
-	var front [][]float64
+	front := newParetoFront(f, res, nil)
 	fetched := make([]bool, len(env.Objects)) // seeds and window candidates, by id
 	win := newEDCWindow(env, qPts, q.UseAttrs, fetched)
-	candVec := make(map[graph.ObjectID][]float64) // undetermined candidates, all on the front when they joined
 
 	// The seeds come best-first by the sum of their Euclidean vectors, read
 	// from the window's memo as the windows read them.
@@ -102,25 +97,6 @@ func edc(f *frame) (*Result, error) {
 		func(pos int, e rtree.Entry) bool { return fetched[e.ID] || beyondShifted(win.entryVec(pos, &e)) },
 	)
 
-	// admit files a fetched object's exact vector. One that is all +Inf or
-	// dominated by the front can never be reported and dominates nothing the
-	// front does not, so it is dropped here, returning false; any other
-	// joins the candidates and the front, evicting the members it dominates.
-	admit := func(id graph.ObjectID, vec []float64) bool {
-		if unreachableVec(vec, n) || skyline.DominatedBy(vec, front) {
-			return false
-		}
-		keep := front[:0]
-		for _, f := range front {
-			if !skyline.Dominates(vec, f) {
-				keep = append(keep, f)
-			}
-		}
-		front = append(keep, vec)
-		candVec[id] = vec
-		return true
-	}
-
 	// fetchSeed computes a seed's network vector in full — p-bar, the corner
 	// of the next window — with its n sessions sharing one target, so the
 	// landmark heuristic toward the object is built once. Outside the
@@ -140,7 +116,7 @@ func edc(f *frame) (*Result, error) {
 			m.DistanceComputations++
 		}
 		env.fillAttrs(vec, n, id, q.UseAttrs)
-		if !admit(id, vec) && !opts.DisablePLB {
+		if !front.admit(id, vec) && !opts.DisablePLB {
 			return nil, nil
 		}
 		return vec, nil
@@ -155,7 +131,7 @@ func edc(f *frame) (*Result, error) {
 	// early (the paper's EDC).
 	bounds := newBoundVec(astars, dims, m)
 	bounds.runOut = opts.DisablePLB
-	dominated := func() bool { return !opts.DisablePLB && skyline.DominatedBy(bounds.test(), front) }
+	dominated := func() bool { return !opts.DisablePLB && skyline.DominatedBy(bounds.test(), front.vecs) }
 	verify := func(id graph.ObjectID) ([]float64, error) {
 		fetched[id] = true
 		m.Candidates++
@@ -164,10 +140,10 @@ func edc(f *frame) (*Result, error) {
 		// refine does not count the evaluations that completed on opening,
 		// from settled endpoints; a seed's vector counts all n of its own.
 		evaluated := m.DistanceComputations
-		exact, err := bounds.refine(sp.Target{Loc: o.Loc, Pt: env.G.Point(o.Loc)}, nil, -1, dominated)
+		exact, err := bounds.refine(sp.Target{Loc: o.Loc, Pt: env.G.Point(o.Loc)}, nil, dominated)
 		m.DistanceComputations = evaluated + bounds.completed()
 		if exact {
-			if vec := slices.Clone(bounds.lb); admit(id, vec) {
+			if vec := slices.Clone(bounds.lb); front.admit(id, vec) {
 				return vec, err
 			}
 		}
@@ -178,37 +154,10 @@ func edc(f *frame) (*Result, error) {
 	// seed that meets an empty front has nothing to be dropped by, so its
 	// distances are run directly, without refine's rounds.
 	seedVec := func(id graph.ObjectID) ([]float64, error) {
-		if opts.DisablePLB || len(front) == 0 {
+		if opts.DisablePLB || len(front.vecs) == 0 {
 			return fetchSeed(id)
 		}
 		return verify(id)
-	}
-
-	// resolve determines the candidates whose vector fits under pbar (all of
-	// them when pbar is nil): each is a skyline point unless a vector
-	// computed since evicted it from the front. They resolve in id order —
-	// each outcome is order-independent, but map order would make the report
-	// order jitter from run to run.
-	resolve := func(pbar []float64) {
-		var ids []graph.ObjectID
-		for id, vec := range candVec {
-			if pbar == nil || skyline.DominatesOrEqual(vec, pbar) {
-				ids = append(ids, id)
-			}
-		}
-		slices.Sort(ids)
-		for _, id := range ids {
-			vec := candVec[id]
-			delete(candVec, id)
-			if skyline.DominatedBy(vec, front) {
-				continue
-			}
-			res.Skyline = append(res.Skyline, f.report(SkylinePoint{
-				Object: env.Objects[id],
-				Dists:  vec[:n:n],
-				Vec:    vec,
-			}))
-		}
 	}
 
 	var batch []windowCand
@@ -258,13 +207,13 @@ func edc(f *frame) (*Result, error) {
 		probe.end()
 		// A candidate is determined once its network vector fits under some
 		// shifted vector: no unfetched object can dominate it any more.
-		resolve(pbar)
+		front.resolve(pbar)
 	}
 
 	// No more seeds: every unfetched object is beyond some shifted vector,
 	// hence dominated-or-equal by a fetched one, and the remaining
 	// candidates resolve among the fetched.
-	resolve(nil)
+	front.resolve(nil)
 
 	dropDominatedDuplicates(res)
 	return f.succeed(res)

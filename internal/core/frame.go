@@ -32,10 +32,10 @@ type frame struct {
 
 	// The searchers' key in the wavefront store, decided once per query:
 	// CE's object-mode Dijkstra wavefronts, or A* under the query's
-	// heuristic configuration. cache is nil when the query may not use the
-	// store (ColdCache: paper-mode runs must start from empty buffer pools,
-	// and resuming another query's wavefront would skip the page faults the
-	// paper's figures measure).
+	// heuristic configuration (heur, which CE's refiners also take). cache
+	// is nil when the query may not use the store (ColdCache: paper-mode
+	// runs must start from empty buffer pools, and resuming another query's
+	// wavefront would skip the page faults the paper's figures measure).
 	kind   distcache.Kind
 	flavor uint8
 	heur   sp.HeuristicSource
@@ -47,6 +47,10 @@ type frame struct {
 	probe     *phaseProbe
 	m         Metrics
 	finished  bool
+
+	// refiners are CE's A* searchers, one per query point, built once its
+	// admission closes (newRefiners); they never join the wavefront store.
+	refiners []*sp.AStar
 }
 
 // newFrame is the preamble of every query: it checks the context and the
@@ -93,8 +97,9 @@ func newFrame(ctx context.Context, env *Env, q Query, alg Algorithm, opts Option
 	for i, p := range q.Points {
 		f.qPts[i] = env.G.Point(p)
 	}
+	f.heur = env.HeuristicSource(opts)
 	if alg != AlgCE {
-		f.kind, f.flavor, f.heur = distcache.KindAStar, astarFlavor(env, opts), env.HeuristicSource(opts)
+		f.kind, f.flavor = distcache.KindAStar, astarFlavor(env, opts)
 	}
 	if !opts.ColdCache {
 		f.cache = env.DistCache
@@ -183,16 +188,45 @@ func (f *frame) seed() error {
 			return err
 		}
 		if f.kind == distcache.KindAStar {
-			if f.opts.DisableAStarHeuristic {
-				s.DisableHeuristic()
-			}
-			if f.heur != nil {
-				s.UseHeuristicSource(f.heur)
-			}
+			f.configure(s)
 		}
 		f.searchers[i], f.resumed[i] = s, resumed
 	}
 	f.probe = newPhaseProbe(f.env, f.opts, f.searchers)
+	return nil
+}
+
+// configure gives an A* searcher the query's heuristic configuration.
+func (f *frame) configure(s *sp.AStar) {
+	if f.opts.DisableAStarHeuristic {
+		s.DisableHeuristic()
+	}
+	if f.heur != nil {
+		s.UseHeuristicSource(f.heur)
+	}
+}
+
+// newRefiners builds CE's refiners: each searcher's fork (sp.AStar.Fork)
+// under the query's heuristic configuration. A fork takes its searcher's
+// scratch over unless the wavefront store will still snapshot the searcher
+// (putStates); then it copies.
+func (f *frame) newRefiners() error {
+	for i, w := range f.searchers {
+		sc := w.Scratch()
+		if f.cache != nil {
+			sc = f.env.AcquireScratch()
+		}
+		s, err := w.Fork(f.qPts[i], sc)
+		if err != nil {
+			if sc != w.Scratch() {
+				f.env.ReleaseScratch(sc)
+			}
+			return err
+		}
+		f.configure(s)
+		f.refiners = append(f.refiners, s)
+		f.probe.watch(s)
+	}
 	return nil
 }
 
@@ -322,11 +356,13 @@ func (f *frame) finish(ok bool) {
 // in: the final metrics at finish, a snapshot of an unfinished query
 // otherwise.
 func (f *frame) live(m Metrics) Metrics {
-	for _, s := range f.searchers {
-		m.NodesExpanded += s.NodesExpanded()
-		lw, ew := s.BoundWins()
-		m.LandmarkWins += lw
-		m.EuclidWins += ew
+	for _, ss := range [][]*sp.AStar{f.searchers, f.refiners} {
+		for _, s := range ss {
+			m.NodesExpanded += s.NodesExpanded()
+			lw, ew := s.BoundWins()
+			m.LandmarkWins += lw
+			m.EuclidWins += ew
+		}
 	}
 	io := f.env.NetworkIO()
 	m.NetworkPages = io.Misses
@@ -369,16 +405,22 @@ func (f *frame) putStates() {
 
 // release abdicates every ticket left unresolved (none after putStates),
 // so waiting subscribers are promoted, then recycles the searchers'
-// scratches; snapshots for the store are deep copies taken before. It is
+// scratches, once each (a refiner may hold its searcher's); snapshots for
+// the store are deep copies taken before. It is
 // idempotent, and the searchers must not be used afterward.
 func (f *frame) release() {
 	f.ts.abort()
+	for i, s := range f.refiners {
+		if s.Scratch() != f.searchers[i].Scratch() {
+			f.env.ReleaseScratch(s.Scratch())
+		}
+	}
 	for _, s := range f.searchers {
 		if s != nil {
 			f.env.ReleaseScratch(s.Scratch())
 		}
 	}
-	f.searchers = nil
+	f.searchers, f.refiners = nil, nil
 }
 
 // dedupeQuery collapses duplicate (edge, offset) query points so the

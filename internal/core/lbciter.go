@@ -135,10 +135,12 @@ func (it *LBCIterator) Next() (SkylinePoint, bool, error) {
 // the stream prepared when it confirmed the candidate.
 func (it *LBCIterator) check(src int, cand srcCand) (SkylinePoint, bool, error) {
 	o := it.env.Objects[cand.id]
-	lb := it.bounds.lb
+	lb, known := it.bounds.lb, it.bounds.known
 	lb[src] = cand.dist
+	clear(known)
+	known[src] = true
 	it.env.fillAttrs(lb, it.n, cand.id, it.q.UseAttrs)
-	exact, err := it.bounds.refine(cand.target, cand.bounds, src, it.dominated)
+	exact, err := it.bounds.refine(cand.target, cand.bounds, it.dominated)
 	// All distances exact and undominated. An object no query point reaches
 	// is still not a skyline point — CE never even admits one (no wavefront
 	// reaches it) — but its all-+Inf vector is not dominated by other

@@ -27,9 +27,11 @@ var update = flag.Bool("update", false, "rewrite this package's cells of testdat
 //   - an EDC cell pins the paper's EDC (DisablePLB, every candidate's
 //     vector in full, every seed's window opened) and, beside it, the
 //     default arm, which verifies seeds and window candidates bounds-first
-//     and opens no dominated seed's window: that returns the same skyline as
-//     a set, bit for bit, expanding, reading, fetching and completing no
-//     more;
+//     and opens no dominated seed's window; a CE cell pins the paper's CE
+//     (DisablePLB, its wavefronts complete every candidate) and the default
+//     arm, whose A* sessions settle the candidates bounds-first once
+//     admission closes. Each default arm returns the same skyline as a set,
+//     bit for bit, expanding, reading, fetching and completing no more;
 //   - on NA60, the sessions opened with a frontier scan stay under half of
 //     one per (candidate, non-source searcher) pair;
 //   - a cell answered again gives the same record.
@@ -135,13 +137,15 @@ func withDefaultArms(paper []pinCell) []pinCell {
 	return cells
 }
 
-// CE used to range over its candidate map wherever searchers ran out of
-// network, so on a disconnected network one query could report the same
-// skyline in a different order from run to run: the islands cell answers its
-// sets 50 times.
-var ceCells = []pinCell{
-	{name: "islands", inst: instIslands, alg: AlgCE, nq: 3, sets: 6, runs: 50},
-}
+// The paper's CE, each cell followed by the default arm's. CE used to range
+// over its candidate map wherever searchers ran out of network, so on a
+// disconnected network one query could report the same skyline in a
+// different order from run to run: the islands cells answer their sets 50
+// times. CA/q4 is paper_cold's shape.
+var ceCells = withDefaultArms([]pinCell{
+	{name: "islands", inst: instIslands, alg: AlgCE, nq: 3, sets: 6, runs: 50, opts: Options{DisablePLB: true}},
+	{name: "CA/q4", inst: instCA, alg: AlgCE, nq: 4, sets: 9, opts: Options{DisablePLB: true}},
+})
 
 func TestBoundFirstPinsWork(t *testing.T)    { runPins(t, lbcCells) }
 func TestEDCBoundFirstPinsWork(t *testing.T) { runPins(t, edcCells) }
@@ -178,15 +182,15 @@ func (c pinCell) check(t *testing.T) testnet.Pin {
 	if c.inst == instNA && 2*got.Scans > pairs {
 		t.Errorf("%d sessions opened with a frontier scan for %d (candidate, searcher) pairs, want at most half", got.Scans, pairs)
 	}
-	if c.alg == AlgEDC && !c.opts.DisablePLB {
+	if c.alg != AlgLBC && !c.opts.DisablePLB {
 		opts := c.opts
 		opts.DisablePLB = true
 		paper, _, paperByID := c.answer(t, env, opts, false)
 		if byID != paperByID {
-			t.Errorf("bound-first EDC answers differently:\n got  %+v\n paper's %+v", got, paper)
+			t.Errorf("bound-first %v answers differently:\n got  %+v\n paper's %+v", c.alg, got, paper)
 		}
 		if got.Nodes > paper.Nodes || got.Pages > paper.Pages || got.Distances > paper.Distances || got.Candidates > paper.Candidates {
-			t.Errorf("bound-first EDC does more work:\n got  %+v\n paper's %+v", got, paper)
+			t.Errorf("bound-first %v does more work:\n got  %+v\n paper's %+v", c.alg, got, paper)
 		}
 	}
 	return got

@@ -168,13 +168,15 @@ type Options struct {
 	LBCAlternate bool
 	// DisablePLB makes LBC and EDC compute the full network vector of every
 	// candidate instead of abandoning one as soon as its path-distance
-	// lower bounds are dominated; used by the path-distance-lower-bound
-	// ablation. For EDC this is the paper's algorithm (Section 4.2), which
-	// has no such test; the answer is the same either way.
+	// lower bounds are dominated, and makes CE complete its candidates by
+	// expanding its wavefronts instead of settling them bounds-first once
+	// admission closes; used by the path-distance-lower-bound ablation. For
+	// CE and EDC this is the paper's algorithm (Sections 4.1 and 4.2); the
+	// answer is the same either way.
 	DisablePLB bool
-	// DisableAStarHeuristic zeroes the A* heuristic inside EDC and LBC
-	// (degrading their searchers to resumable Dijkstra); used by the
-	// directional-expansion ablation.
+	// DisableAStarHeuristic zeroes the A* heuristic inside EDC and LBC and
+	// in CE's bounds-first refinement (degrading their searchers to
+	// resumable Dijkstra); used by the directional-expansion ablation.
 	DisableAStarHeuristic bool
 	// DisableLandmarks keeps the A* heuristic purely Euclidean, ignoring
 	// the environment's landmark (ALT) table; used by the landmark

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"roadskyline/internal/obs"
@@ -21,6 +22,7 @@ type phaseProbe struct {
 	trace     *obs.Trace // nil when the query carries no causal trace
 	env       *Env
 	searchers []*sp.AStar
+	tick      func(int) // the searchers' progress callback; nil without a trace
 
 	active bool
 	cur    obs.Phase
@@ -42,16 +44,29 @@ func newPhaseProbe(env *Env, opts Options, searchers []*sp.AStar) *phaseProbe {
 	pp := &phaseProbe{
 		trace:     opts.Trace,
 		env:       env,
-		searchers: searchers,
+		searchers: slices.Clip(searchers),
 		idx:       make(map[obs.Phase]int, 4),
 	}
 	if pp.trace != nil {
-		tick := func(int) { pp.trace.SetNodes(pp.nodes()) }
+		pp.tick = func(int) { pp.trace.SetNodes(pp.nodes()) }
 		for _, s := range searchers {
-			s.OnProgress(tick)
+			s.OnProgress(pp.tick)
 		}
 	}
 	return pp
+}
+
+// watch adds s, a searcher built after the probe (CE's refiners), to the
+// searchers whose settlements the probe counts and ticks. s has settled
+// nothing yet, so the open phase's delta holds.
+func (pp *phaseProbe) watch(s *sp.AStar) {
+	if pp == nil {
+		return
+	}
+	pp.searchers = append(pp.searchers, s)
+	if pp.tick != nil {
+		s.OnProgress(pp.tick)
+	}
 }
 
 // nodes returns the running settlement total across the query's searchers.

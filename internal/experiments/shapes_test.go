@@ -85,7 +85,10 @@ func TestPaperShapes(t *testing.T) {
 	}
 	// The paper's ordering is over the paper's EDC, which computes every
 	// candidate's vector in full (DisablePLB); the figures' EDC verifies
-	// candidates bounds-first and reads fewer pages than LBC here.
+	// candidates bounds-first and reads fewer pages than LBC here. The
+	// figures' CE settles its candidates bounds-first once admission
+	// closes and reads no more than the paper's CE (checked below), so the
+	// ordering holds over the paper's CE too.
 	naPages := pages.Rows[len(pages.Rows)-1]
 	paperEDC, err := lab.Measure(gen.NA, lab.cfg.DefaultOmega, lab.cfg.DefaultQ, core.AlgEDC, core.Options{DisablePLB: true})
 	if err != nil {
@@ -96,17 +99,19 @@ func TestPaperShapes(t *testing.T) {
 			naPages.Values[2], paperEDC.Pages, naPages.Values[0])
 	}
 	for _, spec := range gen.Paper {
-		bound, err := lab.Measure(spec, lab.cfg.DefaultOmega, lab.cfg.DefaultQ, core.AlgEDC, core.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		paper, err := lab.Measure(spec, lab.cfg.DefaultOmega, lab.cfg.DefaultQ, core.AlgEDC, core.Options{DisablePLB: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bound.Pages > paper.Pages || bound.Nodes > paper.Nodes {
-			t.Errorf("%s: bound-first EDC reads %v pages and expands %v nodes, the paper's EDC %v and %v",
-				spec.Name, bound.Pages, bound.Nodes, paper.Pages, paper.Nodes)
+		for _, alg := range []core.Algorithm{core.AlgCE, core.AlgEDC} {
+			bound, err := lab.Measure(spec, lab.cfg.DefaultOmega, lab.cfg.DefaultQ, alg, core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			paper, err := lab.Measure(spec, lab.cfg.DefaultOmega, lab.cfg.DefaultQ, alg, core.Options{DisablePLB: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bound.Pages > paper.Pages || bound.Nodes > paper.Nodes {
+				t.Errorf("%s: bound-first %v reads %v pages and expands %v nodes, the paper's %v %v and %v",
+					spec.Name, alg, bound.Pages, bound.Nodes, alg, paper.Pages, paper.Nodes)
+			}
 		}
 	}
 

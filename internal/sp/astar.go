@@ -63,8 +63,8 @@ type AStar struct {
 	seq    int  // generation counter for session invalidation
 	noHeur bool // ablation: zero heuristic degrades A* to resumable Dijkstra
 	// objects selects object mode: NextObject over a g-keyed heap that
-	// persists across calls and is the frontier's only list, with no
-	// coordinates kept (h = 0 reads none).
+	// persists across calls and is the frontier's only list. h = 0 reads no
+	// coordinates; relaxations keep them for Fork.
 	objects bool
 	// hs, when set, strengthens every session's heuristic to
 	// max(Euclidean, hs bound); see UseHeuristicSource.
@@ -108,7 +108,8 @@ func NewAStarWith(ctx context.Context, net Net, src graph.Location, srcPt geom.P
 // reports the data objects in ascending network distance from src. The
 // context and scratch are as for NewAStarWith. The seeds carry no
 // coordinates: h = 0 never reads them, and reading them would cost two
-// NodePoint page requests per searcher.
+// NodePoint page requests per searcher (Fork reads those still on the
+// frontier).
 func NewDijkstraWith(ctx context.Context, net Net, src graph.Location, sc *Scratch) (*AStar, error) {
 	a := newSearcher(ctx, net, src, geom.Point{}, sc)
 	e := net.Edge(src.Edge)
@@ -562,8 +563,8 @@ func (s *Session) Advance() (plb float64, done bool, err error) {
 
 // expandObjects is object mode's step, Session.Advance at h = 0 without a
 // destination: it settles the top of the g-keyed heap, whose key is the
-// node's g, relaxes its edges (keeping no frontier list and no coordinates,
-// which only sessions read) and then scans the same edges for objects.
+// node's g, relaxes its edges (keeping no frontier list, which only sessions
+// read) and then scans the same edges for objects.
 func (a *AStar) expandObjects() error {
 	sc := a.sc
 	if a.nodesExpanded%cancelCheckEvery == cancelCheckEvery-1 {
@@ -594,6 +595,7 @@ func (a *AStar) expandObjects() error {
 		}
 		sc.touch(nb.To, stateFrontier)
 		sc.g[nb.To] = newg
+		sc.pt[nb.To] = nb.ToPt
 		sc.frontier.Update(int32(nb.To), newg)
 	}
 	for _, nb := range sc.nbuf {

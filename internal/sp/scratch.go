@@ -39,7 +39,7 @@ type Scratch struct {
 	stamp   []uint32
 	state   []uint8
 	g       []float64    // settled: exact distance; frontier: tentative g
-	pt      []geom.Point // frontier coordinates (session mode only)
+	pt      []geom.Point // frontier coordinates
 	touched []graph.NodeID
 
 	// front is the frontier as a compact list: exactly the touched nodes

@@ -2,6 +2,7 @@ package sp
 
 import (
 	"context"
+	"fmt"
 	"math/bits"
 	"slices"
 
@@ -32,8 +33,8 @@ import (
 // network size.
 
 // Snapshot captures the searcher's resumable state: the settled set and the
-// frontier, with its coordinates in session mode and with the tentative
-// object distances in object mode. The returned maps are fresh copies decoupled from the
+// frontier with its coordinates, and in object mode the tentative object
+// distances. The returned maps are fresh copies decoupled from the
 // searcher's scratch: the snapshot stays valid after the searcher keeps
 // expanding (or its scratch is recycled), as the cache requires of its
 // immutable entries.
@@ -52,8 +53,6 @@ func (a *AStar) Snapshot() *distcache.State {
 		switch {
 		case sc.state[id] == stateSettled:
 			st.Settled[id] = sc.g[id]
-		case a.objects:
-			st.Frontier[id] = distcache.Frontier{G: sc.g[id]}
 		default:
 			st.Frontier[id] = distcache.Frontier{G: sc.g[id], Pt: sc.pt[id]}
 		}
@@ -121,4 +120,41 @@ func NewDijkstraFromWith(ctx context.Context, net Net, st *distcache.State, sc *
 	}
 	a.streamObjects()
 	return a
+}
+
+// Fork returns a session-mode searcher that resumes a's wavefront, whatever
+// a's mode: the same settled set at the same distances and the same
+// frontier, so a session settles nothing a has settled. srcPt must be the
+// planar position of a's source. Over a's own scratch the fork takes the
+// wavefront over in place and a must not be used again; over another (a
+// fresh one when sc is nil) it copies the wavefront and a is left as it
+// was. An object-mode seed carries no coordinates, so a source-edge endpoint
+// still on the frontier is read from the network.
+func (a *AStar) Fork(srcPt geom.Point, sc *Scratch) (*AStar, error) {
+	f := &AStar{ctx: a.ctx, net: a.net, src: a.src, srcPt: srcPt, sc: sc}
+	if sc != a.sc {
+		f = newSearcher(a.ctx, a.net, a.src, srcPt, sc)
+		for _, id := range a.sc.touched {
+			f.sc.touch(id, a.sc.state[id])
+			f.sc.g[id], f.sc.pt[id] = a.sc.g[id], a.sc.pt[id]
+		}
+	}
+	to := f.sc
+	to.front = to.front[:0]
+	for _, id := range to.touched {
+		if to.state[id] == stateFrontier {
+			to.appendFront(id)
+		}
+	}
+	e := a.net.Edge(a.src.Edge)
+	for _, id := range []graph.NodeID{e.U, e.V} {
+		if a.objects && to.nodeState(id) == stateFrontier {
+			pt, err := a.net.NodePoint(id)
+			if err != nil {
+				return nil, fmt.Errorf("sp: source edge endpoint: %w", err)
+			}
+			to.pt[id] = pt
+		}
+	}
+	return f, nil
 }

@@ -172,3 +172,94 @@ func TestAStarSnapshotRestoreEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestForkResumesWavefront: a fork of an object-mode wavefront — fresh,
+// stopped after a random number of reports (none leaves the seeds alone on
+// the frontier), or restored from its snapshot; copied or taking the
+// origin's scratch over — keeps a well-formed frontier list, opens every
+// session toward an object at a bound no higher than the oracle's distance
+// and measures it at that distance under the Euclidean heuristic while
+// settling only nodes its origin had not, and leaves a copied origin
+// reporting what a fresh wavefront would.
+func TestForkResumesWavefront(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(59))
+	for trial := 0; trial < 60; trial++ {
+		g := testnet.RandomGraph(rng, 15+rng.Intn(50))
+		objs := testnet.RandomObjects(rng, g, 1+rng.Intn(30), 0)
+		src := testnet.RandomLocations(rng, g, 1)[0]
+		net := testnet.NewMemNet(g, objs)
+		want := bruteforce.ObjectDistances(g, objs, src)
+
+		origin, err := NewDijkstraWith(ctx, net, src, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reported := map[graph.ObjectID]float64{}
+		reports := rng.Intn(len(objs) + 1)
+		if trial%4 == 0 {
+			reports = 0 // the seeds alone on the frontier
+		}
+		for range reports {
+			hit, ok, err := origin.NextObject()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			reported[hit.ID] = hit.Dist
+		}
+		if trial%3 == 2 {
+			origin = NewDijkstraFromWith(ctx, net, origin.Snapshot(), nil)
+			reported = map[graph.ObjectID]float64{}
+		}
+		settled := len(origin.Snapshot().Settled)
+		nodes := origin.NodesExpanded()
+
+		// Odd trials take the origin's scratch over; the origin is then
+		// spent.
+		var sc *Scratch
+		if trial%2 == 1 {
+			sc = origin.Scratch()
+		}
+		fork, err := origin.Fork(g.Point(src), sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fork.Scratch().CheckFrontier(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		for i, o := range objs {
+			s := fork.NewSession(o.Loc, g.Point(o.Loc))
+			w := want[i]
+			if plb := s.PLB(); plb > w+1e-9 {
+				t.Fatalf("trial %d: fork opens object %d at bound %v above the oracle's %v", trial, i, plb, w)
+			}
+			d, err := s.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d != w && !(math.Abs(d-w) <= 1e-9) {
+				t.Fatalf("trial %d: fork measures object %d at %v, oracle %v", trial, i, d, w)
+			}
+		}
+		if settled+fork.NodesExpanded() > g.NumNodes() {
+			t.Fatalf("trial %d: fork settled %d nodes on top of its origin's %d (graph has %d)", trial, fork.NodesExpanded(), settled, g.NumNodes())
+		}
+		if origin.NodesExpanded() != nodes {
+			t.Fatalf("trial %d: forking moved the origin from %d settlements to %d", trial, nodes, origin.NodesExpanded())
+		}
+		if sc != nil {
+			continue
+		}
+		for id, d := range drainObjects(t, origin) {
+			reported[id] = d
+		}
+		for i, w := range want {
+			if d, ok := reported[graph.ObjectID(i)]; ok != !math.IsInf(w, 1) || ok && math.Abs(d-w) > 1e-9 {
+				t.Fatalf("trial %d: origin reports object %d at %v (%v) after the fork, oracle %v", trial, i, d, ok, w)
+			}
+		}
+	}
+}

@@ -104,15 +104,21 @@ func TestPhaseSpans(t *testing.T) {
 			t.Errorf("%v: the record's phases %+v differ from Stats.Phases %+v", tc.alg, rec.Phases, res.Stats.Phases)
 		}
 
-		// The breakdown stays within the query's totals.
+		// The breakdown stays within the query's totals, and every
+		// settlement, CE's refiners' included, happens inside a phase.
 		var pages int64
 		var dur time.Duration
+		nodes := 0
 		for _, ps := range res.Stats.Phases {
 			pages += ps.NetworkPages
 			dur += ps.Duration
+			nodes += ps.NodesExpanded
 		}
 		if pages > res.Stats.NetworkPages {
 			t.Errorf("%v: phases account for %d pages, query faulted %d", tc.alg, pages, res.Stats.NetworkPages)
+		}
+		if nodes != res.Stats.NodesExpanded {
+			t.Errorf("%v: phases account for %d settlements, query made %d", tc.alg, nodes, res.Stats.NodesExpanded)
 		}
 		if cpu := res.Stats.Total - res.Stats.IOTime; dur > cpu {
 			t.Errorf("%v: phase durations sum to %v, query CPU time %v", tc.alg, dur, cpu)

@@ -384,14 +384,18 @@ func TestPoolIterator(t *testing.T) {
 
 // TestInitialPagesSurfaced checks the satellite fix: core.Metrics
 // InitialPages now reaches the public Stats on the blocking path too. It
-// is stamped when the first point is reported: on this query every
+// is stamped when the first point is reported: on these queries every
 // algorithm faults pages after that, and the iterator's live count right
-// after its first point is the stamp exactly.
+// after its first point is the stamp exactly. CE's query compares the
+// objects' attribute too: without it CE reads every page it needs before its
+// first point, since its refinement settles inside pages its wavefronts
+// have read, while with it admission stays open, and the wavefronts keep
+// expanding, until the attribute's minimum is reached from every point.
 func TestInitialPagesSurfaced(t *testing.T) {
 	eng, n := poolTestEngine(t)
 	pts := n.GenerateQueryPoints(3, 0.1, 5)
 	for _, alg := range []Algorithm{CEAlg, EDCAlg, LBCAlg} {
-		res, err := eng.Skyline(Query{Points: pts, Algorithm: alg})
+		res, err := eng.Skyline(Query{Points: pts, Algorithm: alg, UseAttrs: alg == CEAlg})
 		if err != nil {
 			t.Fatal(err)
 		}
